@@ -16,7 +16,7 @@ import sys
 
 from . import jsonout
 from .config import RunConfig, default_seed
-from .criteria import theorem_check
+from .criteria import power_log_norms, theorem_check
 from .errors import AolabError, InconsistencyError, InvalidInputError, OutOfScopeError
 from .generators import (
     SQRT2,
@@ -72,6 +72,14 @@ def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=default_seed())
 
 
+def _criteria(A, cfg, mp, D, logs):
+    """theorem_check's report object and consistency bit.  The report, and
+    with it the probe-norm matrix it holds, is dropped on return, before
+    the stability orbits are allocated."""
+    crit = theorem_check(A, cfg, minpoly=mp, decomposition=D, power_logs=logs)
+    return crit.to_obj(), crit.consistent
+
+
 def cmd_analyze(args) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
@@ -91,7 +99,9 @@ def cmd_analyze(args) -> int:
 
     report = {"input": {"dim": int(A.shape[0])}}
     inconsistent = False
+    gb = None
     try:
+        # Computed once and passed to every stage below.
         mp = minimal_polynomial(A)
         report["minimal_polynomial"] = minimal_poly_to_obj(mp)
         D = decompose(A, mp)
@@ -102,17 +112,16 @@ def cmd_analyze(args) -> int:
             ],
             "constant_c": D.constant_c,
         }
-        crit = theorem_check(A, cfg)
-        report["criteria"] = crit.to_obj()
-        if not crit.consistent:
+        logs = power_log_norms(A, max(cfg.n_max, 1000))
+        report["criteria"], consistent = _criteria(A, cfg, mp, D, logs)
+        if not consistent:
             inconsistent = True
         try:
-            gb = growth_bound(A)
+            gb = growth_bound(A, minpoly=mp, decomposition=D, power_logs=logs)
             report["growth_bound"] = gb.to_obj()
         except OutOfScopeError as exc:
-            gb = None
             report["growth_bound"] = {"skipped": str(exc)}
-        verdict = uniform_stability(A, cfg)
+        verdict = uniform_stability(A, cfg, minpoly=mp, power_logs=logs)
         report["stability"] = verdict.to_obj()
     except InconsistencyError as exc:
         report["inconsistency"] = str(exc)
@@ -132,7 +141,7 @@ def cmd_analyze(args) -> int:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             fh.write("n,power_norm,bound\n")
             if gb is not None:
-                for n, nrm, bound in growth_csv_rows(A, gb):
+                for n, nrm, bound in growth_csv_rows(A, gb, power_logs=logs):
                     fh.write(f"{n},{nrm:.17g},{bound:.17g}\n")
     return EXIT_INCONSISTENT if inconsistent else EXIT_OK
 

@@ -10,6 +10,7 @@ behaviour wherever both are available.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -20,12 +21,17 @@ from .errors import DecompositionError, IllConditionedSpectrumError, Inconsisten
 from .linalg import as_matrix, as_vector, operator_norm, spectrum
 from .structure import Decomposition, MinimalPoly, decompose, minimal_polynomial
 
-# Norms beyond this are treated as numerical overflow; the orbit is cut
-# short and classified exponential.
+# Raw orbit norms (``orbit_norms_batch``) are cut at the first step where
+# some norm passes this; ``overflowed_columns`` says which columns count as
+# overflowed (classified exponential without the ladder).
 OVERFLOW_LIMIT = 1e300
 
 # Tail log-slope above which a sequence counts as exponentially growing.
 EXP_SLOPE_TOL = 1e-3
+
+# Steps per block of the orbit engine between conversions to log sums (and
+# overflow checks); at most this many steps run past an overflow cut.
+_ORBIT_BLOCK = 64
 
 # Relative threshold deciding whether a block component of a vector is
 # numerically nonzero.
@@ -131,70 +137,113 @@ def classify_sequence(
 # Orbit iteration
 # ---------------------------------------------------------------------------
 
-def orbit_norms_batch(A: np.ndarray, H: np.ndarray, n_max: int):
-    """||A^n h|| for every column h of H, n = 0..n_max, by repeated
-    application of A (never by powering A).
+def orbit_log_norms_batch(
+    A: np.ndarray, H: np.ndarray, n_max: int, limit: float = np.inf
+) -> np.ndarray:
+    """log ||A^n h|| for every column h of H, n = 0..n_max.
 
-    Returns (norms, overflow_step) where norms has shape (n_steps+1, P) and
-    overflow_step is the step at which some column exceeded OVERFLOW_LIMIT
-    (None if none did; iteration stops there).
+    The propagation engine behind every orbit in the package: all columns
+    advance together by one ``A @ V`` per step (never by powering A), and
+    each column is rescaled to unit norm after every step, so the log-norms
+    neither overflow nor underflow.  A column that reaches exactly zero
+    reads -inf from then on.  Iteration stops after the first step at which
+    some log-norm exceeds ``limit``, so the result has shape (n_steps+1, P)
+    with n_steps <= n_max.
     """
-    out = np.empty((n_max + 1, H.shape[1]))
-    V = H.astype(complex)
-    out[0] = np.linalg.norm(V, axis=0)
-    # Overflow in the norm reduction is expected right at the stopping
-    # threshold and handled by the early return.
-    with np.errstate(over="ignore"):
-        for n in range(1, n_max + 1):
-            V = A @ V
-            nn = np.linalg.norm(V, axis=0)
-            out[n] = nn
-            if np.max(nn) > OVERFLOW_LIMIT:
-                return out[: n + 1], n
-    return out, None
-
-
-def power_log_norms(A: np.ndarray, n_max: int) -> np.ndarray:
-    """log ||A^n|| (operator norm) for n = 1..n_max via a rescaled power
-    iteration, immune to overflow/underflow."""
-    A = as_matrix(A)
-    d = A.shape[0]
-    M = np.eye(d, dtype=complex)
-    acc = 0.0
-    out = np.empty(n_max)
-    for n in range(n_max):
-        M = A @ M
-        s = float(np.linalg.norm(M, 2))
-        if s == 0.0:
-            out[n:] = -np.inf
-            return out
-        acc += np.log(s)
-        out[n] = acc
-        M = M / s
+    V = np.array(H, dtype=complex)
+    s = np.linalg.norm(V, axis=0)
+    if not np.all(s > 0):
+        raise InvalidInputError("orbit vectors must be nonzero")
+    out = np.empty((n_max + 1, V.shape[1]))
+    np.log(s, out=out[0])
+    inv = 1.0 / s
+    V *= inv
+    # Each step stores its rescaling factors; a block of them is turned into
+    # running log sums at once (the same sequential sums as step by step).
+    # log(0) = -inf is how a dead column is recorded.
+    with np.errstate(divide="ignore"):
+        for n0 in range(1, n_max + 1, _ORBIT_BLOCK):
+            n1 = min(n0 + _ORBIT_BLOCK, n_max + 1)
+            for n in range(n0, n1):
+                V = A @ V
+                s = out[n]
+                np.sqrt(np.add.reduce((V.conj() * V).real, axis=0), out=s)
+                # A dead column is exactly zero and stays zero under any
+                # finite factor, so it keeps the previous step's factor.
+                np.reciprocal(s, out=inv, where=s > 0)
+                V *= inv
+            np.log(out[n0:n1], out=out[n0:n1])
+            np.cumsum(out[n0 - 1:n1], axis=0, out=out[n0 - 1:n1])
+            if limit < np.inf:
+                hit = np.flatnonzero(out[n0:n1].max(axis=1) > limit)
+                if hit.size:
+                    return out[: n0 + hit[0] + 1]
     return out
 
 
-def orbit_log_norms(A: np.ndarray, h: np.ndarray, n_max: int) -> np.ndarray:
-    """log ||A^n h|| for n = 0..n_max via rescaled iteration (-inf once the
-    orbit hits zero)."""
-    v = h.astype(complex)
+def orbit_norms_batch(A: np.ndarray, H: np.ndarray, n_max: int):
+    """||A^n h|| for every column h of H, n = 0..n_max: the exponential of
+    ``orbit_log_norms_batch``, taken in place and cut at OVERFLOW_LIMIT.
+
+    Returns (norms, overflow_step) where norms has shape (n_steps+1, P) and
+    overflow_step is the step at which some column exceeded OVERFLOW_LIMIT
+    (None if none did; the result ends there).
+    """
+    log_limit = np.log(OVERFLOW_LIMIT)
+    logs = orbit_log_norms_batch(A, H, n_max, limit=log_limit)
+    overflow = logs.shape[0] - 1 if logs[-1].max() > log_limit else None
+    return np.exp(logs, out=logs), overflow
+
+
+def overflowed_columns(norms: np.ndarray, overflow: int | None) -> np.ndarray:
+    """The overflow rule: which columns of an ``orbit_norms_batch`` result
+    ended within a factor 10 of OVERFLOW_LIMIT at the cut step (all False
+    when the cut did not fire).  Such a column is classified exponential
+    without the ladder."""
+    if overflow is None:
+        return np.zeros(norms.shape[1], dtype=bool)
+    return norms[-1] > OVERFLOW_LIMIT / 10
+
+
+def power_log_norms(A: np.ndarray, n_max: int) -> np.ndarray:
+    """log ||A^n|| (operator norm) for n = 1..n_max, immune to overflow and
+    underflow; -inf from the first power that is exactly zero.
+
+    Each power is rescaled by its Frobenius norm as it is formed; the
+    operator norms of the rescaled powers come from one batched SVD per
+    chunk of at most about 2^14 / d^2 matrices (256 KiB of stack).  Chunks
+    start at fixed steps, so a longer trajectory extends a shorter one bit
+    for bit: ``power_log_norms(A, m)`` equals ``power_log_norms(A, n)[:m]``
+    for m <= n.
+    """
+    A = as_matrix(A)
+    d = A.shape[0]
+    depth = max(1, 2**14 // d**2)
+    stack = np.empty((min(depth, n_max), d, d), dtype=complex)
+    log_scale = np.empty(stack.shape[0])
+    out = np.empty(n_max)
+    M = np.eye(d, dtype=complex)
     acc = 0.0
-    out = np.empty(n_max + 1)
-    s = float(np.linalg.norm(v))
-    if s == 0.0:
-        raise InvalidInputError("orbit vector must be nonzero")
-    out[0] = np.log(s)
-    acc = np.log(s)
-    v = v / s
-    for n in range(1, n_max + 1):
-        v = A @ v
-        s = float(np.linalg.norm(v))
-        if s == 0.0:
-            out[n:] = -np.inf
+    for n0 in range(0, n_max, depth):
+        k = min(depth, n_max - n0)
+        live = k
+        for j in range(k):
+            np.matmul(A, M, out=stack[j])
+            M = stack[j]
+            f = math.sqrt(np.vdot(M, M).real)
+            if f == 0.0:
+                live = j
+                break
+            acc += math.log(f)
+            log_scale[j] = acc
+            M *= 1.0 / f
+        if live:
+            sigma = np.linalg.svd(stack[:live], compute_uv=False)[:, 0]
+            out[n0:n0 + live] = log_scale[:live] + np.log(sigma)
+        if live < k:
+            out[n0 + live:] = -np.inf
             return out
-        acc += np.log(s)
-        out[n] = acc
-        v = v / s
+        M = M.copy()  # the next chunk overwrites the stack
     return out
 
 
@@ -302,10 +351,17 @@ def is_normaloid(A) -> bool:
     return structural
 
 
-def is_power_bounded(A, p: MinimalPoly | None = None, n_check: int = 1000) -> bool:
+def is_power_bounded(
+    A,
+    p: MinimalPoly | None = None,
+    n_check: int = 1000,
+    power_logs: np.ndarray | None = None,
+) -> bool:
     """sup_n ||A^n|| finite, decided structurally: spectral radius at most 1
     and every root of modulus (near) 1 simple in the minimal polynomial.
-    Cross-checked against the empirical power-norm trajectory."""
+    Cross-checked against the empirical power-norm trajectory, read from
+    ``power_logs`` (a ``power_log_norms(A, N)`` with N >= n_check) when given.
+    """
     A = as_matrix(A)
     if p is None:
         p = minimal_polynomial(A)
@@ -313,7 +369,7 @@ def is_power_bounded(A, p: MinimalPoly | None = None, n_check: int = 1000) -> bo
     structural = r <= 1 + 1e-10 and all(
         i == 1 for z, i in p.roots if abs(z) >= 1 - 1e-8
     )
-    logs = power_log_norms(A, n_check)
+    logs = power_log_norms(A, n_check) if power_logs is None else power_logs[:n_check]
     finite = logs[np.isfinite(logs)]
     if finite.size < 4:
         empirical = True  # nilpotent: powers vanish
@@ -379,6 +435,7 @@ def orbit_analyze(
     if n_max < 100:
         raise InvalidInputError("n_max must be at least 100")
     norms, overflow = orbit_norms_batch(A, h.reshape(-1, 1), n_max)
+    overflowed = bool(overflowed_columns(norms, overflow)[0])
     norms = norms[:, 0]
     if minpoly is None:
         try:
@@ -395,7 +452,7 @@ def orbit_analyze(
     )
     max_deg = minpoly.degree if minpoly is not None else A.shape[0]
     cls = classify_sequence(
-        norms, max_deg, window=cfg.window, tol=cfg.tol_conv, overflowed=overflow is not None
+        norms, max_deg, window=cfg.window, tol=cfg.tol_conv, overflowed=overflowed
     )
     return OrbitRecord(h=h, norms=norms, structural_exponent=exponent, classification=cls)
 
@@ -426,19 +483,34 @@ def _probe_set(A: np.ndarray, D: Decomposition | None, rng: np.random.Generator)
     return probes
 
 
-def theorem_check(A, config: RunConfig | None = None) -> CriteriaReport:
+def theorem_check(
+    A,
+    config: RunConfig | None = None,
+    minpoly: MinimalPoly | None = None,
+    decomposition: Decomposition | None = None,
+    power_logs: np.ndarray | None = None,
+) -> CriteriaReport:
     """Evaluate the four equivalent unitarity conditions and cross-check
-    their agreement under the hypotheses (algebraic, unimodular spectrum)."""
+    their agreement under the hypotheses (algebraic, unimodular spectrum).
+
+    The minimal polynomial, the decomposition and the power-norm trajectory
+    (a ``power_log_norms(A, N)`` with N >= 1000) are computed here unless
+    the caller passes them.
+    """
     cfg = config or RunConfig()
     A = as_matrix(A)
-    try:
-        mp = minimal_polynomial(A)
-    except (IllConditionedSpectrumError, DecompositionError):
-        mp = None
-    try:
-        D = decompose(A, mp) if mp is not None else None
-    except DecompositionError:
-        D = None
+    mp = minpoly
+    if mp is None:
+        try:
+            mp = minimal_polynomial(A)
+        except (IllConditionedSpectrumError, DecompositionError):
+            mp = None
+    D = decomposition
+    if D is None and mp is not None:
+        try:
+            D = decompose(A, mp)
+        except DecompositionError:
+            D = None
     degree = mp.degree if mp is not None else 0
     roots = mp.roots if mp is not None else tuple(spectrum(A).eigenvalues)
     in_circle = all(abs(abs(z) - 1) <= 1e-8 for z, _ in roots)
@@ -451,14 +523,18 @@ def theorem_check(A, config: RunConfig | None = None) -> CriteriaReport:
     probes = _probe_set(A, D, rng)
     H = np.column_stack([v for _, v in probes])
     norms, overflow = orbit_norms_batch(A, H, cfg.n_max)
+    over = overflowed_columns(norms, overflow)
     records = []
     witness = None
     all_convergent = True
     for j, (label, v) in enumerate(probes):
         col = norms[:, j]
-        over = overflow is not None and col[-1] > OVERFLOW_LIMIT / 10
         cls = classify_sequence(
-            col, degree or A.shape[0], window=cfg.window, tol=cfg.tol_conv, overflowed=over
+            col,
+            degree or A.shape[0],
+            window=cfg.window,
+            tol=cfg.tol_conv,
+            overflowed=bool(over[j]),
         )
         exp = structural_exponent(A, v, D) if D is not None else None
         records.append((label, OrbitRecord(h=v, norms=col, structural_exponent=exp, classification=cls)))
@@ -467,13 +543,13 @@ def theorem_check(A, config: RunConfig | None = None) -> CriteriaReport:
             if witness is None:
                 witness = v
 
+    logs = power_log_norms(A, 1000) if power_logs is None else power_logs[:1000]
     try:
-        pb = is_power_bounded(A, p=mp) if mp is not None else None
+        pb = is_power_bounded(A, p=mp, power_logs=logs) if mp is not None else None
     except InconsistencyError:
         pb = None
     if pb is None:
         # fall back to the empirical trajectory alone
-        logs = power_log_norms(A, 1000)
         pb = bool(np.max(logs) < np.log(1e6))
 
     hypotheses = mp is not None and in_circle
@@ -512,19 +588,21 @@ def scalar_re_sequence(w: complex, b: complex, n_max: int = 100_000) -> ScalarSe
         raise InvalidInputError("w must be unimodular (within 1e-12)")
     if abs(w - 1) <= 1e-12 or abs(w + 1) <= 1e-12:
         raise InvalidInputError("w = +-1 is excluded")
-    powers = np.cumprod(np.concatenate([[1.0 + 0j], np.full(n_max, w)]))
-    seq = np.real(powers * b)
+    # w^n b formed in place: these 1e5-term probes set the suites' peak memory.
+    seq = np.full(n_max + 1, w)
+    seq[0] = 1.0
+    np.cumprod(seq, out=seq)
+    seq *= b
+    seq = seq.real
     convergent, _ = window_limit(seq, window=50, tol=1e-6)
     tail = np.sort(seq[n_max // 2:])
-    clusters = []
-    start = 0
-    for i in range(1, tail.size + 1):
-        if i == tail.size or tail[i] - tail[i - 1] > 1e-6:
-            clusters.append(float(np.mean(tail[start:i])))
-            start = i
+    # A cluster starts wherever the sorted tail jumps by more than 1e-6.
+    starts = np.flatnonzero(np.diff(tail, prepend=-np.inf) > 1e-6)
+    clusters = np.add.reduceat(tail, starts)
+    clusters /= np.diff(starts, append=tail.size)
     if convergent and abs(b) > 1e-6:
         raise InconsistencyError(
             "window rule reports convergence for nonzero b; w is too close "
             "to +-1 for this horizon"
         )
-    return ScalarSeqVerdict(w=w, b=b, convergent=convergent, cluster_points=tuple(clusters))
+    return ScalarSeqVerdict(w=w, b=b, convergent=convergent, cluster_points=tuple(clusters.tolist()))

@@ -18,8 +18,9 @@ from .criteria import (
     classify_sequence,
     is_normaloid,
     is_power_bounded,
-    orbit_log_norms,
+    orbit_log_norms_batch,
     orbit_norms_batch,
+    overflowed_columns,
     power_log_norms,
     window_limit,
 )
@@ -97,17 +98,18 @@ def normaloid_equivalence(A, config: RunConfig | None = None) -> NormaloidReport
     if not is_normaloid(A):
         raise InvalidInputError("normaloid_equivalence requires a normaloid matrix")
     contraction = operator_norm(A) <= 1 + 1e-10
-    pb = is_power_bounded(A)
+    mp = minimal_polynomial(A)
+    pb = is_power_bounded(A, p=mp)
     rng = np.random.default_rng(cfg.seed)
     probes = _basis_and_random_probes(A.shape[0], rng)
     H = np.column_stack([v for _, v in probes])
     norms, overflow = orbit_norms_batch(A, H, cfg.n_max)
-    mp = minimal_polynomial(A)
+    over = overflowed_columns(norms, overflow)
     convergent = True
     for j in range(norms.shape[1]):
-        col = norms[:, j]
-        over = overflow is not None and col[-1] > 1e250
-        cls = classify_sequence(col, mp.degree, cfg.window, cfg.tol_conv, overflowed=over)
+        cls = classify_sequence(
+            norms[:, j], mp.degree, cfg.window, cfg.tol_conv, overflowed=bool(over[j])
+        )
         if cls.kind != "convergent":
             convergent = False
             break
@@ -154,20 +156,29 @@ def normal_limit(A, h, n_max: int = 2000) -> float:
     return q
 
 
-def growth_bound(A, n_check: int = 1000) -> GrowthBound:
+def growth_bound(
+    A,
+    n_check: int = 1000,
+    minpoly: MinimalPoly | None = None,
+    decomposition: Decomposition | None = None,
+    power_logs: np.ndarray | None = None,
+) -> GrowthBound:
     """Certified constant for ||A^n|| <= alpha n^kappa r^n.
 
     Per block: alpha_j = sum_k ||N_j^k|| / (k! |z_j|^k) over k < i_j, with
     N_j the nilpotent part in the block basis; alpha aggregates via
     alpha = sum_j ||P_j|| alpha_j.  Verified empirically up to n_check.
+    The minimal polynomial, the decomposition and the power-norm trajectory
+    (a ``power_log_norms(A, N)`` with N >= n_check) are computed here unless
+    the caller passes them.
     """
     A = as_matrix(A)
-    mp = minimal_polynomial(A)
+    mp = minpoly if minpoly is not None else minimal_polynomial(A)
     r = max(abs(z) for z, _ in mp.roots)
     if r > 1 + 1e-12:
         raise OutOfScopeError(f"growth bound requires r(A) <= 1, got {r}")
     kappa = mp.degree - 1
-    logs = power_log_norms(A, n_check)
+    logs = power_log_norms(A, n_check) if power_logs is None else power_logs[:n_check]
 
     if r <= _NILPOTENT_RADIUS:
         # Nilpotent: powers vanish identically from n = deg p on.
@@ -186,7 +197,7 @@ def growth_bound(A, n_check: int = 1000) -> GrowthBound:
             max_violation_ratio=0.0,
         )
 
-    D = decompose(A, mp)
+    D = decomposition if decomposition is not None else decompose(A, mp)
     alpha = 0.0
     d = A.shape[0]
     for b in D.blocks:
@@ -230,10 +241,14 @@ def growth_bound(A, n_check: int = 1000) -> GrowthBound:
     )
 
 
-def growth_csv_rows(A, gb: GrowthBound, n_check: int = 1000):
-    """(n, ||A^n||, bound_n) rows for external plotting."""
+def growth_csv_rows(
+    A, gb: GrowthBound, n_check: int = 1000, power_logs: np.ndarray | None = None
+):
+    """(n, ||A^n||, bound_n) rows for external plotting; the power norms are
+    read from ``power_logs`` (a ``power_log_norms(A, N)`` with N >= n_check)
+    when given."""
     A = as_matrix(A)
-    logs = power_log_norms(A, n_check)
+    logs = power_log_norms(A, n_check) if power_logs is None else power_logs[:n_check]
     rows = []
     for n in range(1, n_check + 1):
         if gb.spectral_radius > 0:
@@ -244,14 +259,25 @@ def growth_csv_rows(A, gb: GrowthBound, n_check: int = 1000):
     return rows
 
 
-def uniform_stability(A, config: RunConfig | None = None) -> StabilityVerdict:
+def uniform_stability(
+    A,
+    config: RunConfig | None = None,
+    minpoly: MinimalPoly | None = None,
+    power_logs: np.ndarray | None = None,
+) -> StabilityVerdict:
     """||A^n|| -> 0 iff r(A) < 1; strong stability and power boundedness
-    filled via probe orbits and the structural power-bound criterion."""
+    filled via probe orbits and the structural power-bound criterion.
+
+    The minimal polynomial and the power-norm trajectory (a
+    ``power_log_norms(A, N)`` with N >= n_max) are computed here unless the
+    caller passes them; the probe orbits advance together in one
+    ``orbit_log_norms_batch``.
+    """
     cfg = config or RunConfig()
     A = as_matrix(A)
     r = spectrum(A).spectral_radius
     uniformly = r < 1 - 1e-10
-    logs = power_log_norms(A, cfg.n_max)
+    logs = power_log_norms(A, cfg.n_max) if power_logs is None else power_logs[:cfg.n_max]
     half = len(logs) // 2
     if logs[-1] == -np.inf:
         decaying = True
@@ -261,28 +287,30 @@ def uniform_stability(A, config: RunConfig | None = None) -> StabilityVerdict:
     if uniformly and not decaying:
         raise InconsistencyError("r < 1 but power norms do not decay")
 
-    mp = minimal_polynomial(A)
+    mp = minpoly if minpoly is not None else minimal_polynomial(A)
     structural_pb = r <= 1 + 1e-10 and all(
         i == 1 for z, i in mp.roots if abs(z) >= 1 - 1e-8
     )
     rng = np.random.default_rng(cfg.seed)
     probes = _basis_and_random_probes(A.shape[0], rng, n_random=10)
+    ologs = orbit_log_norms_batch(A, np.column_stack([v for _, v in probes]), cfg.n_max)
+    w = cfg.window
+    gap = (ologs.shape[0] - w) - half
     strongly = True
     limits = {}
-    for label, v in probes:
-        olog = orbit_log_norms(A, v, cfg.n_max)
+    for j, (label, _) in enumerate(probes):
+        olog = ologs[:, j]
         if olog[-1] == -np.inf:
             limits[label] = 0.0
             continue
         # Compare window maxima rather than single samples so that bounded
         # oscillations are not mistaken for decay.
-        w = cfg.window
-        gap = (len(olog) - w) - half
         oslope = (np.max(olog[-w:]) - np.max(olog[half:half + w])) / gap
         if not (oslope < -1e-12):
             strongly = False
-        sq = np.exp(2 * np.clip(olog, -600, 600))
-        ok, L = window_limit(sq, cfg.window, cfg.tol_conv)
+        # The window rule reads only the last w terms.
+        sq = np.exp(2 * np.clip(olog[-w:], -600, 600))
+        ok, L = window_limit(sq, w, cfg.tol_conv)
         if ok:
             limits[label] = max(L, 0.0)
     return StabilityVerdict(
@@ -312,7 +340,7 @@ def orbit_root_limit(
     h = as_vector(h, A.shape[0])
     if np.linalg.norm(h) == 0:
         raise InvalidInputError("orbit vector must be nonzero")
-    logs = orbit_log_norms(A, h, n_max)
+    logs = orbit_log_norms_batch(A, h.reshape(-1, 1), n_max)[:, 0]
     if minpoly is None:
         minpoly = minimal_polynomial(A)
     if decomposition is None:

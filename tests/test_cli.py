@@ -97,6 +97,17 @@ class TestGenerate:
         assert report["criteria"]["power_bounded"] is True
         assert report["criteria"]["unitary"] is False
 
+    def test_expansive_normaloid_analyze(self, tmp_path, capsys):
+        # Norm 3 at dim 16: raw probe vectors pass 1e154 long before the
+        # 1e300 cut, so norms taken from the raw vectors overflowed to inf.
+        main(["generate", "--kind", "normaloid", "--dim", "16",
+              "--scale", "3", "--seed", "0"])
+        p = tmp_path / "m.json"
+        p.write_text(capsys.readouterr().out)
+        assert main(["analyze", "--input", str(p)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["criteria"]["normaloid"] is True
+
     def test_unknown_kind(self, capsys):
         assert main(["generate", "--kind", "zebra", "--dim", "2"]) == EXIT_INPUT
 

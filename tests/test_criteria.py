@@ -12,6 +12,7 @@ from aolab.criteria import (
     is_power_bounded,
     is_unitary,
     orbit_analyze,
+    orbit_log_norms_batch,
     orbit_norms_batch,
     power_log_norms,
     scalar_re_sequence,
@@ -27,6 +28,53 @@ from aolab.generators import (
     gen_unitary_finite_spectrum,
     haar_unitary,
 )
+
+
+def _reference_orbit_log_norms(A, h, n_max):
+    """Per-column reference loop: log ||A^n h||, rescaled every step."""
+    v = h.astype(complex)
+    out = np.empty(n_max + 1)
+    s = float(np.linalg.norm(v))
+    acc = np.log(s)
+    out[0] = acc
+    v = v / s
+    for n in range(1, n_max + 1):
+        v = A @ v
+        s = float(np.linalg.norm(v))
+        if s == 0.0:
+            out[n:] = -np.inf
+            return out
+        acc += np.log(s)
+        out[n] = acc
+        v = v / s
+    return out
+
+
+def _reference_power_log_norms(A, n_max):
+    """Per-step reference: log ||A^n|| with one 2-norm (SVD) per step."""
+    M = np.eye(A.shape[0], dtype=complex)
+    acc = 0.0
+    out = np.empty(n_max)
+    for n in range(n_max):
+        M = A @ M
+        s = float(np.linalg.norm(M, 2))
+        if s == 0.0:
+            out[n:] = -np.inf
+            return out
+        acc += np.log(s)
+        out[n] = acc
+        M = M / s
+    return out
+
+
+def _engine_instances(dim):
+    """Unitary, Jordan-perturbation, nilpotent shift and norm-3 normaloid."""
+    return {
+        "unitary": gen_unitary_finite_spectrum(dim, [1, -1, 1j, np.exp(0.3j)], seed=dim),
+        "jordan": gen_jordan_perturbation(dim, np.exp(0.7j), 2.0, seed=dim),
+        "nilpotent": 1.5 * np.eye(dim, k=1, dtype=complex),
+        "normaloid3": gen_normaloid_nonnormal(dim, seed=dim, target_norm=3.0),
+    }
 
 
 class TestWindowLimit:
@@ -117,6 +165,60 @@ class TestOrbitIteration:
         A = np.array([[200.0]], dtype=complex)
         norms, overflow = orbit_norms_batch(A, np.ones((1, 1), dtype=complex), 1000)
         assert overflow is not None and overflow < 200
+
+    @pytest.mark.parametrize("dim", [4, 16, 64])
+    def test_engine_matches_per_column_loop(self, dim):
+        rng = np.random.default_rng(dim)
+        R = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+        H = np.column_stack([np.eye(dim, dtype=complex)[:, [0, dim // 2, dim - 1]], R])
+        for name, A in _engine_instances(dim).items():
+            logs = orbit_log_norms_batch(A, H, 300)
+            assert logs.shape == (301, H.shape[1])
+            for j in range(H.shape[1]):
+                ref = _reference_orbit_log_norms(A, H[:, j], 300)
+                dead = np.isneginf(ref)
+                assert np.array_equal(np.isneginf(logs[:, j]), dead), (name, j)
+                assert np.max(np.abs(logs[~dead, j] - ref[~dead])) <= 1e-10, (name, j)
+            if name == "nilpotent":
+                # e_0 dies after one step, e_{d-1} after d steps
+                assert np.isneginf(logs[1, 0]) and np.isfinite(logs[1, 1])
+                assert np.isneginf(logs[dim, 2]) and np.isfinite(logs[dim - 1, 2])
+
+    def test_engine_stops_after_limit(self):
+        A = np.diag([3.0, 0.5]).astype(complex)
+        logs = orbit_log_norms_batch(A, np.eye(2, dtype=complex), 1000, limit=np.log(1e300))
+        n = logs.shape[0] - 1
+        assert logs[n, 0] > np.log(1e300) >= logs[n - 1, 0]
+        assert logs[n, 1] == pytest.approx(n * np.log(0.5), rel=1e-12)
+
+    def test_norms_stay_finite_past_raw_overflow(self):
+        # Raw vectors of this orbit pass 1e154, where a sum of squares
+        # overflows, long before the 1e300 cut.
+        A = gen_normaloid_nonnormal(16, seed=0, target_norm=3.0)
+        rng = np.random.default_rng(0)
+        H = rng.standard_normal((16, 5)) + 1j * rng.standard_normal((16, 5))
+        norms, overflow = orbit_norms_batch(A, H, 2000)
+        assert overflow is not None and np.all(np.isfinite(norms))
+        assert np.max(norms[-1]) > 1e300
+
+    @pytest.mark.parametrize("dim", [4, 16, 64])
+    def test_power_log_norms_matches_per_step_svd(self, dim):
+        for name, A in _engine_instances(dim).items():
+            logs = power_log_norms(A, 300)
+            ref = _reference_power_log_norms(A, 300)
+            dead = np.isneginf(ref)
+            assert np.array_equal(np.isneginf(logs), dead), name
+            assert np.max(np.abs(logs[~dead] - ref[~dead])) <= 1e-10, name
+
+    @pytest.mark.parametrize("dim", [4, 8, 16])
+    def test_power_log_norms_prefix_bit_identical(self, dim):
+        # A trajectory computed once at the longest horizon is reused at
+        # shorter ones; the reuse must not change a single bit.  The SVD
+        # chunks hold 1024, 256 and 64 powers at these dims, so 1000 and 10
+        # end inside a chunk that the longer run fills.
+        A = _engine_instances(dim)["jordan"]
+        assert np.array_equal(power_log_norms(A, 1000), power_log_norms(A, 2000)[:1000])
+        assert np.array_equal(power_log_norms(A, 10), power_log_norms(A, 2000)[:10])
 
     def test_power_log_norms_scalar(self):
         A = np.array([[0.5]], dtype=complex)
