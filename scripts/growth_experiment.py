@@ -13,11 +13,10 @@ import sys
 
 import numpy as np
 
-from aolab.generators import gen_planted_jordan
+from aolab.generators import gen_planted_jordan, planted_roots, subseeds
 from aolab.linalg import operator_norm
 from aolab.stability import growth_bound, growth_csv_rows
 from aolab.structure import minimal_polynomial
-from aolab.suites import _planted_roots, _subseeds
 
 
 def main(argv=None) -> int:
@@ -33,9 +32,9 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(args.seed)
     rows = []
     trace_rows = None
-    for t, sub in enumerate(_subseeds(args.seed, args.trials)):
+    for t, sub in enumerate(subseeds(args.seed, args.trials)):
         dim = int(rng.integers(3, args.dim_max + 1))
-        planted = _planted_roots(rng, dim)
+        planted = planted_roots(rng, dim)
         A = gen_planted_jordan(dim, planted, cond_cap=100.0, seed=sub)
         mp = minimal_polynomial(A)
         gb = growth_bound(A)

@@ -24,23 +24,25 @@ from aolab.generators import (
     gen_oblique,
     gen_planted_jordan,
     gen_unitary_finite_spectrum,
+    planted_roots,
+    spread_unimodular,
+    subseeds,
 )
 from aolab.stability import uniform_stability
-from aolab.suites import _planted_roots, _spread_unimodular, _subseeds
 
 
 def _instances(family, rng, trials, seed):
-    for t, sub in enumerate(_subseeds(seed, trials)):
+    for t, sub in enumerate(subseeds(seed, trials)):
         dim = int(rng.integers(2, 7))
         if family == "unitary":
             k = int(rng.integers(1, dim + 1))
-            yield gen_unitary_finite_spectrum(dim, _spread_unimodular(rng, k), sub)
+            yield gen_unitary_finite_spectrum(dim, spread_unimodular(rng, k), sub)
         elif family == "oblique":
-            yield gen_oblique(dim, _spread_unimodular(rng, dim), 50.0, sub)
+            yield gen_oblique(dim, spread_unimodular(rng, dim), 50.0, sub)
         elif family == "jordan":
             yield gen_jordan_perturbation(max(dim, 2), 1j, 1.0, sub)
         else:
-            yield gen_planted_jordan(dim, _planted_roots(rng, dim), 100.0, sub)
+            yield gen_planted_jordan(dim, planted_roots(rng, dim), 100.0, sub)
 
 
 def main(argv=None) -> int:

@@ -53,22 +53,26 @@ def _parse_complex_list(text: str):
     return out
 
 
+def _required_eigenvalues(args):
+    if not args.eigenvalues:
+        raise InvalidInputError(f"--eigenvalues required for kind {args.kind!r}")
+    return _parse_complex_list(args.eigenvalues)
+
+
 def _config_from(args) -> RunConfig:
     return RunConfig(
         n_max=args.nmax,
         window=args.window,
         tol_conv=args.tol_conv,
-        tol_rank=args.tol_rank,
         seed=args.seed,
-        trials=getattr(args, "trials", 100),
+        trials=getattr(args, "trials", RunConfig.trials),
     )
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
-    p.add_argument("--nmax", type=int, default=2000)
-    p.add_argument("--window", type=int, default=50)
-    p.add_argument("--tol-conv", dest="tol_conv", type=float, default=1e-6)
-    p.add_argument("--tol-rank", dest="tol_rank", type=float, default=1e-10)
+    p.add_argument("--nmax", type=int, default=RunConfig.n_max)
+    p.add_argument("--window", type=int, default=RunConfig.window)
+    p.add_argument("--tol-conv", dest="tol_conv", type=float, default=RunConfig.tol_conv)
     p.add_argument("--seed", type=int, default=default_seed())
 
 
@@ -150,17 +154,9 @@ def cmd_generate(args) -> int:
     try:
         kind = args.kind
         if kind == "unitary":
-            if not args.eigenvalues:
-                raise InvalidInputError("--eigenvalues required for kind 'unitary'")
-            A = gen_unitary_finite_spectrum(
-                args.dim, _parse_complex_list(args.eigenvalues), args.seed
-            )
+            A = gen_unitary_finite_spectrum(args.dim, _required_eigenvalues(args), args.seed)
         elif kind == "oblique":
-            if not args.eigenvalues:
-                raise InvalidInputError("--eigenvalues required for kind 'oblique'")
-            A = gen_oblique(
-                args.dim, _parse_complex_list(args.eigenvalues), args.cond_cap, args.seed
-            )
+            A = gen_oblique(args.dim, _required_eigenvalues(args), args.cond_cap, args.seed)
         elif kind == "jordan":
             alpha = (
                 _parse_complex_list(args.eigenvalues)[0] if args.eigenvalues else 1.0
@@ -171,9 +167,7 @@ def cmd_generate(args) -> int:
         elif kind == "normaloid":
             A = gen_normaloid_nonnormal(args.dim, args.seed, args.scale)
         elif kind == "planted":
-            if not args.eigenvalues:
-                raise InvalidInputError("--eigenvalues required for kind 'planted'")
-            vals = _parse_complex_list(args.eigenvalues)
+            vals = _required_eigenvalues(args)
             if args.indices:
                 idx = [int(s) for s in args.indices.split(",")]
             else:
@@ -236,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument(
         "--suite", choices=["theorem", "growth", "stability", "scalar", "all"], required=True
     )
-    pv.add_argument("--trials", type=int, default=100)
+    pv.add_argument("--trials", type=int, default=RunConfig.trials)
     _add_config_flags(pv)
     pv.set_defaults(func=cmd_verify)
     return p

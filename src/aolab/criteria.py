@@ -26,6 +26,10 @@ from .structure import Decomposition, MinimalPoly, decompose, minimal_polynomial
 # overflowed (classified exponential without the ladder).
 OVERFLOW_LIMIT = 1e300
 
+# The cut step can multiply a norm past the float range; its raw norms are
+# clamped here so that they stay finite.
+_NORM_CLAMP = 1e308
+
 # Tail log-slope above which a sequence counts as exponentially growing.
 EXP_SLOPE_TOL = 1e-3
 
@@ -42,7 +46,9 @@ COMPONENT_TOL = 1e-10
 # Window rule and classification ladder
 # ---------------------------------------------------------------------------
 
-def window_limit(seq: np.ndarray, window: int = 50, tol: float = 1e-6):
+def window_limit(
+    seq: np.ndarray, window: int = RunConfig.window, tol: float = RunConfig.tol_conv
+):
     """Finite-horizon convergence test.
 
     A sequence converges iff over its final ``window`` terms every value
@@ -96,8 +102,8 @@ def _tail_log_slope(norms: np.ndarray) -> float:
 def classify_sequence(
     norms: np.ndarray,
     max_poly_degree: int,
-    window: int = 50,
-    tol: float = 1e-6,
+    window: int = RunConfig.window,
+    tol: float = RunConfig.tol_conv,
     overflowed: bool = False,
 ) -> Classification:
     """Classification ladder: exponential by tail log-slope, else smallest
@@ -187,11 +193,12 @@ def orbit_norms_batch(A: np.ndarray, H: np.ndarray, n_max: int):
 
     Returns (norms, overflow_step) where norms has shape (n_steps+1, P) and
     overflow_step is the step at which some column exceeded OVERFLOW_LIMIT
-    (None if none did; the result ends there).
+    (None if none did; the result ends there, with norms clamped at 1e308).
     """
     log_limit = np.log(OVERFLOW_LIMIT)
     logs = orbit_log_norms_batch(A, H, n_max, limit=log_limit)
     overflow = logs.shape[0] - 1 if logs[-1].max() > log_limit else None
+    np.minimum(logs[-1], np.log(_NORM_CLAMP), out=logs[-1])
     return np.exp(logs, out=logs), overflow
 
 
@@ -203,6 +210,20 @@ def overflowed_columns(norms: np.ndarray, overflow: int | None) -> np.ndarray:
     if overflow is None:
         return np.zeros(norms.shape[1], dtype=bool)
     return norms[-1] > OVERFLOW_LIMIT / 10
+
+
+def classify_orbits(A: np.ndarray, H: np.ndarray, max_poly_degree: int, cfg: RunConfig):
+    """Raw orbit norms of the columns of H over ``cfg.n_max`` steps
+    (``orbit_norms_batch``) and each column's classification under the
+    overflow rule and the window rule of ``cfg``."""
+    norms, overflow = orbit_norms_batch(A, H, cfg.n_max)
+    over = overflowed_columns(norms, overflow)
+    return norms, [
+        classify_sequence(
+            norms[:, j], max_poly_degree, cfg.window, cfg.tol_conv, overflowed=bool(over[j])
+        )
+        for j in range(norms.shape[1])
+    ]
 
 
 def power_log_norms(A: np.ndarray, n_max: int) -> np.ndarray:
@@ -351,6 +372,12 @@ def is_normaloid(A) -> bool:
     return structural
 
 
+def power_bounded_roots(roots, r: float) -> bool:
+    """The structural power-bound criterion: spectral radius ``r`` at most 1
+    and every root (z, index) of modulus (near) 1 simple."""
+    return r <= 1 + 1e-10 and all(i == 1 for z, i in roots if abs(z) >= 1 - 1e-8)
+
+
 def is_power_bounded(
     A,
     p: MinimalPoly | None = None,
@@ -365,10 +392,7 @@ def is_power_bounded(
     A = as_matrix(A)
     if p is None:
         p = minimal_polynomial(A)
-    r = max(abs(z) for z, _ in p.roots)
-    structural = r <= 1 + 1e-10 and all(
-        i == 1 for z, i in p.roots if abs(z) >= 1 - 1e-8
-    )
+    structural = power_bounded_roots(p.roots, max(abs(z) for z, _ in p.roots))
     logs = power_log_norms(A, n_check) if power_logs is None else power_logs[:n_check]
     finite = logs[np.isfinite(logs)]
     if finite.size < 4:
@@ -388,6 +412,22 @@ def is_power_bounded(
 # ---------------------------------------------------------------------------
 # Orbit analysis
 # ---------------------------------------------------------------------------
+
+def _structure(A: np.ndarray, mp: MinimalPoly | None, D: Decomposition | None):
+    """(minimal polynomial, decomposition) of A, keeping the ones given;
+    each is None where it cannot be computed."""
+    if mp is None:
+        try:
+            mp = minimal_polynomial(A)
+        except (IllConditionedSpectrumError, DecompositionError):
+            pass
+    if D is None and mp is not None:
+        try:
+            D = decompose(A, mp)
+        except DecompositionError:
+            pass
+    return mp, D
+
 
 def structural_exponent(A: np.ndarray, h: np.ndarray, D: Decomposition) -> int | None:
     """Largest k with (A - z_j I)^k P_j h != 0, maximized over the blocks of
@@ -420,57 +460,55 @@ def structural_exponent(A: np.ndarray, h: np.ndarray, D: Decomposition) -> int |
 def orbit_analyze(
     A,
     h,
-    n_max: int = 2000,
+    n_max: int | None = None,
     config: RunConfig | None = None,
     decomposition: Decomposition | None = None,
     minpoly: MinimalPoly | None = None,
 ) -> OrbitRecord:
     """Iterate h, A h, A^2 h, ... and classify the norm sequence; attach the
-    structural exponent when the eigenspace decomposition is available."""
-    cfg = config or RunConfig(n_max=n_max)
+    structural exponent when the eigenspace decomposition is available.
+
+    The horizon, window and tolerance come from ``config``; ``n_max`` is
+    shorthand for ``config=RunConfig(n_max=n_max)`` and cannot be combined
+    with it.
+    """
+    if n_max is not None and config is not None:
+        raise InvalidInputError("pass n_max or config, not both")
+    cfg = config or (RunConfig() if n_max is None else RunConfig(n_max=n_max))
     A = as_matrix(A)
     h = as_vector(h, A.shape[0])
     if np.linalg.norm(h) == 0:
         raise InvalidInputError("orbit vector must be nonzero")
-    if n_max < 100:
+    if cfg.n_max < 100:
         raise InvalidInputError("n_max must be at least 100")
-    norms, overflow = orbit_norms_batch(A, h.reshape(-1, 1), n_max)
-    overflowed = bool(overflowed_columns(norms, overflow)[0])
-    norms = norms[:, 0]
-    if minpoly is None:
-        try:
-            minpoly = minimal_polynomial(A)
-        except (IllConditionedSpectrumError, DecompositionError):
-            minpoly = None
-    if decomposition is None and minpoly is not None:
-        try:
-            decomposition = decompose(A, minpoly)
-        except DecompositionError:
-            decomposition = None
+    minpoly, decomposition = _structure(A, minpoly, decomposition)
+    max_deg = minpoly.degree if minpoly is not None else A.shape[0]
+    norms, (cls,) = classify_orbits(A, h.reshape(-1, 1), max_deg, cfg)
     exponent = (
         structural_exponent(A, h, decomposition) if decomposition is not None else None
     )
-    max_deg = minpoly.degree if minpoly is not None else A.shape[0]
-    cls = classify_sequence(
-        norms, max_deg, window=cfg.window, tol=cfg.tol_conv, overflowed=overflowed
-    )
-    return OrbitRecord(h=h, norms=norms, structural_exponent=exponent, classification=cls)
+    return OrbitRecord(h=h, norms=norms[:, 0], structural_exponent=exponent, classification=cls)
 
 
 # ---------------------------------------------------------------------------
 # Theorem check
 # ---------------------------------------------------------------------------
 
-def _probe_set(A: np.ndarray, D: Decomposition | None, rng: np.random.Generator):
-    """Standard basis + 20 random unit vectors + block-mixing pairs
-    (h_k + h_l and i h_k + h_l)."""
-    d = A.shape[0]
+def probe_set(
+    d: int,
+    rng: np.random.Generator,
+    n_random: int = 20,
+    D: Decomposition | None = None,
+):
+    """(label, vector) probes in C^d: the standard basis, ``n_random``
+    random unit vectors, and, given a decomposition with several blocks,
+    block-mixing pairs (h_k + h_l and i h_k + h_l)."""
     probes = []
     for i in range(d):
         e = np.zeros(d, dtype=complex)
         e[i] = 1.0
         probes.append((f"e{i}", e))
-    for t in range(20):
+    for t in range(n_random):
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         probes.append((f"rand{t}", v / np.linalg.norm(v)))
     if D is not None and D.m > 1:
@@ -499,18 +537,7 @@ def theorem_check(
     """
     cfg = config or RunConfig()
     A = as_matrix(A)
-    mp = minpoly
-    if mp is None:
-        try:
-            mp = minimal_polynomial(A)
-        except (IllConditionedSpectrumError, DecompositionError):
-            mp = None
-    D = decomposition
-    if D is None and mp is not None:
-        try:
-            D = decompose(A, mp)
-        except DecompositionError:
-            D = None
+    mp, D = _structure(A, minpoly, decomposition)
     degree = mp.degree if mp is not None else 0
     roots = mp.roots if mp is not None else tuple(spectrum(A).eigenvalues)
     in_circle = all(abs(abs(z) - 1) <= 1e-8 for z, _ in roots)
@@ -519,29 +546,17 @@ def theorem_check(
     normaloid = is_normaloid(A)
     contraction = operator_norm(A) <= 1 + 1e-10
 
-    rng = np.random.default_rng(cfg.seed)
-    probes = _probe_set(A, D, rng)
+    probes = probe_set(A.shape[0], np.random.default_rng(cfg.seed), D=D)
     H = np.column_stack([v for _, v in probes])
-    norms, overflow = orbit_norms_batch(A, H, cfg.n_max)
-    over = overflowed_columns(norms, overflow)
+    norms, classes = classify_orbits(A, H, degree or A.shape[0], cfg)
     records = []
     witness = None
-    all_convergent = True
-    for j, (label, v) in enumerate(probes):
-        col = norms[:, j]
-        cls = classify_sequence(
-            col,
-            degree or A.shape[0],
-            window=cfg.window,
-            tol=cfg.tol_conv,
-            overflowed=bool(over[j]),
-        )
+    for j, ((label, v), cls) in enumerate(zip(probes, classes)):
         exp = structural_exponent(A, v, D) if D is not None else None
-        records.append((label, OrbitRecord(h=v, norms=col, structural_exponent=exp, classification=cls)))
-        if cls.kind != "convergent":
-            all_convergent = False
-            if witness is None:
-                witness = v
+        records.append((label, OrbitRecord(h=v, norms=norms[:, j], structural_exponent=exp, classification=cls)))
+        if cls.kind != "convergent" and witness is None:
+            witness = v
+    all_convergent = witness is None
 
     logs = power_log_norms(A, 1000) if power_logs is None else power_logs[:1000]
     try:
@@ -594,7 +609,7 @@ def scalar_re_sequence(w: complex, b: complex, n_max: int = 100_000) -> ScalarSe
     np.cumprod(seq, out=seq)
     seq *= b
     seq = seq.real
-    convergent, _ = window_limit(seq, window=50, tol=1e-6)
+    convergent, _ = window_limit(seq)
     tail = np.sort(seq[n_max // 2:])
     # A cluster starts wherever the sorted tail jumps by more than 1e-6.
     starts = np.flatnonzero(np.diff(tail, prepend=-np.inf) > 1e-6)

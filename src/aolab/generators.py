@@ -1,4 +1,6 @@
-"""Seeded constructors for every instance family used by the suites.
+"""Seeded constructors for every instance family used by the suites, and
+the seeded parameter draws (spectra, planted roots, trial seeds) that the
+suites and the experiment scripts share.
 
 Same spec in, bit-identical matrix out.  The named fixtures (the 4x4
 unitary DFT matrix, the canonical oblique counterexample built from
@@ -9,12 +11,10 @@ angle sqrt(2)) are hard-coded constants, not seeded draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import MAX_DIM, as_matrix, operator_norm
+from .linalg import MAX_DIM, operator_norm
 
 SQRT2 = math.sqrt(2.0)
 
@@ -33,32 +33,6 @@ def canonical_oblique() -> np.ndarray:
     """S diag(1, -1) S^{-1} with S = [[1, 1], [0, 1]]: power bounded with
     unimodular spectrum but not unitary."""
     return OBLIQUE_S @ np.diag([1.0, -1.0]).astype(complex) @ np.linalg.inv(OBLIQUE_S)
-
-
-@dataclass(frozen=True)
-class InstanceSpec:
-    kind: str  # unitary-finite-spectrum | oblique-diagonalizable | jordan-perturbation
-    #          | scalar-rotation | normaloid-nonnormal | planted-jordan
-    dim: int
-    eigenvalues: tuple = ()
-    seed: int = 0
-    extra: dict = field(default_factory=dict)
-
-    def to_obj(self):
-        return {
-            "kind": self.kind,
-            "dim": self.dim,
-            "eigenvalues": [[float(z.real), float(z.imag)] for z in map(complex, self.eigenvalues)],
-            "seed": self.seed,
-            "extra": {
-                k: (v if not isinstance(v, complex) else [v.real, v.imag])
-                for k, v in self.extra.items()
-            },
-        }
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
 
 
 def _complex_gaussian(rng, *shape) -> np.ndarray:
@@ -91,7 +65,7 @@ def gen_unitary_finite_spectrum(dim: int, eigenvalues, seed: int) -> np.ndarray:
     if not vals or len(vals) > dim:
         raise InvalidInputError("need 1 <= len(eigenvalues) <= dim")
     _check_unimodular(vals)
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     diag = list(vals) + [vals[rng.integers(len(vals))] for _ in range(dim - len(vals))]
     diag = [diag[i] for i in rng.permutation(dim)]
     U = haar_unitary(dim, rng)
@@ -128,7 +102,7 @@ def gen_oblique(
         # Canonical fixture anchoring the counterexample family.
         return canonical_oblique()
 
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     from .criteria import is_unitary
 
     for _ in range(200):
@@ -167,7 +141,7 @@ def gen_jordan_perturbation(
     if dim == 2 and seed == 0:
         N = JORDAN_N * nilpotent_scale
     else:
-        rng = _rng(seed)
+        rng = np.random.default_rng(seed)
         k = dim // 2
         while True:
             B = _complex_gaussian(rng, dim, k)
@@ -195,7 +169,7 @@ def gen_normaloid_nonnormal(dim: int, seed: int = 0, target_norm: float = 3.0) -
     _check_dim(dim, minimum=3)
     if target_norm <= 0:
         raise InvalidInputError("target_norm must be positive")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     k = dim - 2
     moduli = rng.uniform(0.2, 0.9, size=k) * target_norm
     moduli[0] = target_norm  # pin r(N) = ||N|| = target_norm
@@ -228,7 +202,7 @@ def gen_planted_jordan(
         raise InvalidInputError(f"sum of indices {total} exceeds dim {dim}")
     if cond_cap < 1:
         raise InvalidInputError("cond_cap must be >= 1")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     J = np.zeros((dim, dim), dtype=complex)
     pos = 0
     for z, i in roots:
@@ -249,32 +223,49 @@ def gen_planted_jordan(
     return S @ J @ np.linalg.inv(S)
 
 
-_KINDS = {
-    "unitary-finite-spectrum": lambda spec: gen_unitary_finite_spectrum(
-        spec.dim, spec.eigenvalues, spec.seed
-    ),
-    "oblique-diagonalizable": lambda spec: gen_oblique(
-        spec.dim, spec.eigenvalues, spec.extra.get("cond_cap", 50.0), spec.seed
-    ),
-    "jordan-perturbation": lambda spec: gen_jordan_perturbation(
-        spec.dim,
-        spec.extra.get("alpha", 1.0),
-        spec.extra.get("nilpotent_scale", 1.0),
-        spec.seed,
-    ),
-    "scalar-rotation": lambda spec: gen_scalar_rotation(
-        spec.dim, spec.extra.get("theta", SQRT2), spec.seed
-    ),
-    "normaloid-nonnormal": lambda spec: gen_normaloid_nonnormal(
-        spec.dim, spec.seed, spec.extra.get("target_norm", 3.0)
-    ),
-    "planted-jordan": lambda spec: gen_planted_jordan(
-        spec.dim, spec.extra["roots"], spec.extra.get("cond_cap", 100.0), spec.seed
-    ),
-}
+# ---------------------------------------------------------------------------
+# Seeded parameter draws shared by the suites and the experiment scripts
+# ---------------------------------------------------------------------------
+
+def spread_unimodular(rng: np.random.Generator, k: int):
+    """k distinct unimodular values with circular angle gaps >= ~0.25 rad,
+    so that mixed-orbit oscillation periods stay well inside the
+    convergence window."""
+    base = 2 * math.pi / k
+    jitter = rng.uniform(-0.3, 0.3, size=k) * base * 0.4
+    offset = rng.uniform(0, 2 * math.pi)
+    angles = offset + base * np.arange(k) + jitter
+    return [complex(math.cos(a), math.sin(a)) for a in angles]
 
 
-def build_instance(spec: InstanceSpec) -> np.ndarray:
-    if spec.kind not in _KINDS:
-        raise InvalidInputError(f"unknown instance kind {spec.kind!r}")
-    return as_matrix(_KINDS[spec.kind](spec))
+def subseeds(seed: int, n: int):
+    """n independent 64-bit trial seeds derived from ``seed``."""
+    return np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64).tolist()
+
+
+def planted_roots(rng: np.random.Generator, dim: int, modulus_grid=None):
+    """Random well-separated roots (z_j, i_j), i_j <= 3, with sum of indices
+    <= dim; the moduli are drawn from ``modulus_grid`` when given, else
+    uniformly from [0.3, 1)."""
+    while True:
+        m = int(rng.integers(1, min(3, dim) + 1))
+        if modulus_grid is not None:
+            mods = rng.choice(modulus_grid, size=m, replace=False)
+        else:
+            mods = rng.uniform(0.3, 1.0, size=m)
+        angles = rng.uniform(0, 2 * math.pi, size=m)
+        roots = [complex(r * math.cos(a), r * math.sin(a)) for r, a in zip(mods, angles)]
+        if all(
+            abs(roots[i] - roots[j]) >= 0.3
+            for i in range(m)
+            for j in range(i + 1, m)
+        ):
+            break
+    indices = []
+    budget = dim
+    for j in range(m):
+        hi = min(3, budget - (m - 1 - j))
+        i = int(rng.integers(1, hi + 1))
+        indices.append(i)
+        budget -= i
+    return list(zip(roots, indices))

@@ -9,19 +9,20 @@ limit of orbit norms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .config import RunConfig
 from .criteria import (
-    classify_sequence,
+    classify_orbits,
     is_normaloid,
     is_power_bounded,
     orbit_log_norms_batch,
     orbit_norms_batch,
-    overflowed_columns,
+    power_bounded_roots,
     power_log_norms,
+    probe_set,
     window_limit,
 )
 from .errors import InconsistencyError, InvalidInputError, OutOfScopeError
@@ -29,6 +30,9 @@ from .linalg import as_matrix, as_vector, operator_norm, spectrum
 from .structure import Decomposition, MinimalPoly, decompose, minimal_polynomial
 
 _NILPOTENT_RADIUS = 1e-12
+
+# Largest log ||A^n h||^2 whose exponential is a finite float.
+_LOG_SQ_MAX = np.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -40,13 +44,7 @@ class GrowthBound:
     max_violation_ratio: float
 
     def to_obj(self):
-        return {
-            "kappa": self.kappa,
-            "alpha": self.alpha,
-            "spectral_radius": self.spectral_radius,
-            "valid_from": self.valid_from,
-            "max_violation_ratio": self.max_violation_ratio,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -77,18 +75,6 @@ class NormaloidReport:
         return self.orbits_convergent == self.power_bounded == self.contraction
 
 
-def _basis_and_random_probes(dim: int, rng: np.random.Generator, n_random: int = 20):
-    probes = []
-    for i in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[i] = 1.0
-        probes.append((f"e{i}", e))
-    for t in range(n_random):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        probes.append((f"rand{t}", v / np.linalg.norm(v)))
-    return probes
-
-
 def normaloid_equivalence(A, config: RunConfig | None = None) -> NormaloidReport:
     """For a normaloid matrix: orbit convergence, power boundedness and
     being a contraction stand or fall together.  Raises InconsistencyError
@@ -100,19 +86,9 @@ def normaloid_equivalence(A, config: RunConfig | None = None) -> NormaloidReport
     contraction = operator_norm(A) <= 1 + 1e-10
     mp = minimal_polynomial(A)
     pb = is_power_bounded(A, p=mp)
-    rng = np.random.default_rng(cfg.seed)
-    probes = _basis_and_random_probes(A.shape[0], rng)
-    H = np.column_stack([v for _, v in probes])
-    norms, overflow = orbit_norms_batch(A, H, cfg.n_max)
-    over = overflowed_columns(norms, overflow)
-    convergent = True
-    for j in range(norms.shape[1]):
-        cls = classify_sequence(
-            norms[:, j], mp.degree, cfg.window, cfg.tol_conv, overflowed=bool(over[j])
-        )
-        if cls.kind != "convergent":
-            convergent = False
-            break
+    probes = probe_set(A.shape[0], np.random.default_rng(cfg.seed))
+    _, classes = classify_orbits(A, np.column_stack([v for _, v in probes]), mp.degree, cfg)
+    convergent = all(cls.kind == "convergent" for cls in classes)
     rep = NormaloidReport(orbits_convergent=convergent, power_bounded=pb, contraction=contraction)
     if not rep.all_agree():
         raise InconsistencyError(f"normaloid equivalence violated: {rep}")
@@ -148,7 +124,7 @@ def normal_limit(A, h, n_max: int = 2000) -> float:
     q = float(np.real(np.vdot(h, Q @ h)))
     norms, _ = orbit_norms_batch(A, h.reshape(-1, 1), n_max)
     sq = norms[:, 0] ** 2
-    _, limit = window_limit(sq, window=50, tol=1e-6)
+    _, limit = window_limit(sq)
     if abs(limit - q) > 1e-6:
         raise InconsistencyError(
             f"orbit limit {limit} disagrees with projection value {q}"
@@ -288,11 +264,8 @@ def uniform_stability(
         raise InconsistencyError("r < 1 but power norms do not decay")
 
     mp = minpoly if minpoly is not None else minimal_polynomial(A)
-    structural_pb = r <= 1 + 1e-10 and all(
-        i == 1 for z, i in mp.roots if abs(z) >= 1 - 1e-8
-    )
-    rng = np.random.default_rng(cfg.seed)
-    probes = _basis_and_random_probes(A.shape[0], rng, n_random=10)
+    structural_pb = power_bounded_roots(mp.roots, r)
+    probes = probe_set(A.shape[0], np.random.default_rng(cfg.seed), n_random=10)
     ologs = orbit_log_norms_batch(A, np.column_stack([v for _, v in probes]), cfg.n_max)
     w = cfg.window
     gap = (ologs.shape[0] - w) - half
@@ -305,12 +278,15 @@ def uniform_stability(
             continue
         # Compare window maxima rather than single samples so that bounded
         # oscillations are not mistaken for decay.
-        oslope = (np.max(olog[-w:]) - np.max(olog[half:half + w])) / gap
+        top = np.max(olog[-w:])
+        oslope = (top - np.max(olog[half:half + w])) / gap
         if not (oslope < -1e-12):
             strongly = False
-        # The window rule reads only the last w terms.
-        sq = np.exp(2 * np.clip(olog[-w:], -600, 600))
-        ok, L = window_limit(sq, w, cfg.tol_conv)
+        # The window rule reads only the last w terms; past _LOG_SQ_MAX the
+        # squared norms overflow and the window has no finite limit.
+        if 2 * top > _LOG_SQ_MAX:
+            continue
+        ok, L = window_limit(np.exp(2 * olog[-w:]), w, cfg.tol_conv)
         if ok:
             limits[label] = max(L, 0.0)
     return StabilityVerdict(

@@ -23,8 +23,10 @@ from .generators import (
     gen_scalar_rotation,
     gen_unitary_finite_spectrum,
     haar_unitary,
+    planted_roots,
+    spread_unimodular,
+    subseeds,
 )
-from .linalg import operator_norm
 from .stability import (
     growth_bound,
     normal_limit,
@@ -59,21 +61,6 @@ class SuiteResult:
         return f"{self.name}: {self.passed}/{self.total} {status}"
 
 
-def _spread_unimodular(rng: np.random.Generator, k: int):
-    """k distinct unimodular values with circular angle gaps >= ~0.25 rad,
-    so that mixed-orbit oscillation periods stay well inside the
-    convergence window."""
-    base = 2 * math.pi / k
-    jitter = rng.uniform(-0.3, 0.3, size=k) * base * 0.4
-    offset = rng.uniform(0, 2 * math.pi)
-    angles = offset + base * np.arange(k) + jitter
-    return [complex(math.cos(a), math.sin(a)) for a in angles]
-
-
-def _subseeds(seed: int, n: int):
-    return np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64).tolist()
-
-
 # ---------------------------------------------------------------------------
 # Theorem / decomposition suites
 # ---------------------------------------------------------------------------
@@ -83,10 +70,10 @@ def suite_theorem_unitary(trials: int, seed: int, n_max: int = 2000) -> SuiteRes
     conditions consistently."""
     res = SuiteResult("theorem-unitary")
     rng = np.random.default_rng(seed)
-    for t, sub in enumerate(_subseeds(seed, trials)):
+    for t, sub in enumerate(subseeds(seed, trials)):
         dim = int(rng.integers(2, 9))
         k = int(rng.integers(1, dim + 1))
-        A = gen_unitary_finite_spectrum(dim, _spread_unimodular(rng, k), sub)
+        A = gen_unitary_finite_spectrum(dim, spread_unimodular(rng, k), sub)
         try:
             rep = theorem_check(A, RunConfig(n_max=n_max, seed=sub))
             good = (
@@ -110,9 +97,9 @@ def suite_theorem_oblique(
     concrete non-convergent (bounded) witness orbit."""
     res = SuiteResult("theorem-oblique")
     rng = np.random.default_rng(seed + 1)
-    for t, sub in enumerate(_subseeds(seed + 1, trials)):
+    for t, sub in enumerate(subseeds(seed + 1, trials)):
         dim = int(rng.integers(2, 7))
-        A = gen_oblique(dim, _spread_unimodular(rng, dim), cond_cap, sub)
+        A = gen_oblique(dim, spread_unimodular(rng, dim), cond_cap, sub)
         try:
             rep = theorem_check(A, RunConfig(n_max=n_max, seed=sub))
             witness_rec = None
@@ -135,44 +122,15 @@ def suite_theorem_oblique(
     return res
 
 
-def _planted_roots(rng: np.random.Generator, dim: int, max_index: int = 3,
-                   unimodular_only: bool = False, modulus_grid=None):
-    """Random well-separated roots (z_j, i_j) with sum of indices <= dim."""
-    while True:
-        m = int(rng.integers(1, min(3, dim) + 1))
-        if modulus_grid is not None:
-            mods = rng.choice(modulus_grid, size=m, replace=False)
-        elif unimodular_only:
-            mods = np.ones(m)
-        else:
-            mods = rng.uniform(0.3, 1.0, size=m)
-        angles = rng.uniform(0, 2 * math.pi, size=m)
-        roots = [complex(r * math.cos(a), r * math.sin(a)) for r, a in zip(mods, angles)]
-        if all(
-            abs(roots[i] - roots[j]) >= 0.3
-            for i in range(m)
-            for j in range(i + 1, m)
-        ):
-            break
-    indices = []
-    budget = dim
-    for j in range(m):
-        hi = min(max_index, budget - (m - 1 - j))
-        i = int(rng.integers(1, hi + 1))
-        indices.append(i)
-        budget -= i
-    return list(zip(roots, indices))
-
-
 def suite_decomposition(trials: int, seed: int) -> SuiteResult:
     """Planted Jordan structure is recovered exactly; kernels fill the
     space; the certified constant satisfies the projection inequality;
     restriction spectra sit at the planted roots."""
     res = SuiteResult("decomposition")
     rng = np.random.default_rng(seed + 2)
-    for t, sub in enumerate(_subseeds(seed + 2, trials)):
+    for t, sub in enumerate(subseeds(seed + 2, trials)):
         dim = int(rng.integers(3, 9))
-        planted = _planted_roots(rng, dim)
+        planted = planted_roots(rng, dim)
         A = gen_planted_jordan(dim, planted, cond_cap=100.0, seed=sub)
         try:
             mp = minimal_polynomial(A)
@@ -223,7 +181,7 @@ def suite_jadro(trials: int, probes: int, seed: int, n_terms: int = 100) -> Suit
     and divergence exactly off the kernel of N."""
     res = SuiteResult("jadro-formula")
     rng = np.random.default_rng(seed + 3)
-    for t, sub in enumerate(_subseeds(seed + 3, trials)):
+    for t, sub in enumerate(subseeds(seed + 3, trials)):
         dim = int(rng.integers(2, 9))
         phi = rng.uniform(0, 2 * math.pi)
         alpha = complex(math.cos(phi), math.sin(phi))
@@ -277,11 +235,11 @@ def suite_growth(trials: int, seed: int, n_check: int = 1000,
     res = SuiteResult("growth-bound")
     rng = np.random.default_rng(seed + 4)
     n_nil = max(1, int(round(trials * nilpotent_fraction)))
-    for t, sub in enumerate(_subseeds(seed + 4, trials)):
+    for t, sub in enumerate(subseeds(seed + 4, trials)):
         dim = int(rng.integers(2, 9))
         try:
             if t < trials - n_nil:
-                planted = _planted_roots(rng, dim)
+                planted = planted_roots(rng, dim)
                 A = gen_planted_jordan(dim, planted, cond_cap=100.0, seed=sub)
                 gb = growth_bound(A, n_check)
                 good = gb.max_violation_ratio <= 1 + 1e-8 and gb.valid_from == 1
@@ -345,7 +303,7 @@ def suite_normal_limit(trials: int, probes: int, seed: int) -> SuiteResult:
     exactly when Q = 0."""
     res = SuiteResult("normal-limit")
     rng = np.random.default_rng(seed + 6)
-    for t, sub in enumerate(_subseeds(seed + 6, trials)):
+    for t, sub in enumerate(subseeds(seed + 6, trials)):
         dim = int(rng.integers(2, 9))
         A = _random_normal_contraction(rng, dim, sub)
         sub_rng = np.random.default_rng(sub + 1)
@@ -377,7 +335,7 @@ def suite_normaloid(trials: int, seed: int) -> SuiteResult:
     res = SuiteResult("normaloid-equivalence")
     rng = np.random.default_rng(seed + 7)
     targets = [0.7, 1.0, 3.0]
-    for t, sub in enumerate(_subseeds(seed + 7, trials)):
+    for t, sub in enumerate(subseeds(seed + 7, trials)):
         dim = int(rng.integers(3, 9))
         if t % 2 == 0:
             sub_rng = np.random.default_rng(sub)
@@ -406,17 +364,17 @@ def suite_root_limit(trials: int, seed: int, n_max: int = 2000) -> SuiteResult:
     res = SuiteResult("root-limit")
     rng = np.random.default_rng(seed + 8)
     grid = np.array([0.3, 0.45, 0.6, 0.75, 0.9, 1.0])
-    for t, sub in enumerate(_subseeds(seed + 8, trials)):
+    for t, sub in enumerate(subseeds(seed + 8, trials)):
         dim = int(rng.integers(2, 9))
         family = t % 3
         if family == 0:
-            planted = _planted_roots(rng, dim, modulus_grid=grid)
+            planted = planted_roots(rng, dim, modulus_grid=grid)
             A = gen_planted_jordan(dim, planted, cond_cap=100.0, seed=sub)
         elif family == 1:
             k = int(rng.integers(1, dim + 1))
-            A = gen_unitary_finite_spectrum(dim, _spread_unimodular(rng, k), sub)
+            A = gen_unitary_finite_spectrum(dim, spread_unimodular(rng, k), sub)
         else:
-            A = gen_oblique(dim, _spread_unimodular(rng, dim), 50.0, sub)
+            A = gen_oblique(dim, spread_unimodular(rng, dim), 50.0, sub)
         sub_rng = np.random.default_rng(sub + 2)
         try:
             mp = minimal_polynomial(A)
@@ -444,16 +402,16 @@ def suite_taxonomy(trials: int, seed: int) -> SuiteResult:
     instances."""
     res = SuiteResult("stability-taxonomy")
     rng = np.random.default_rng(seed + 9)
-    for t, sub in enumerate(_subseeds(seed + 9, trials)):
+    for t, sub in enumerate(subseeds(seed + 9, trials)):
         dim = int(rng.integers(2, 7))
         family = t % 3
         if family == 0:
             grid = np.array([0.3, 0.45, 0.6, 0.75, 0.9])
-            planted = _planted_roots(rng, dim, modulus_grid=grid)
+            planted = planted_roots(rng, dim, modulus_grid=grid)
             A = gen_planted_jordan(dim, planted, cond_cap=50.0, seed=sub)
         elif family == 1:
             k = int(rng.integers(1, dim + 1))
-            A = gen_unitary_finite_spectrum(dim, _spread_unimodular(rng, k), sub)
+            A = gen_unitary_finite_spectrum(dim, spread_unimodular(rng, k), sub)
         else:
             phi = rng.uniform(0, 2 * math.pi)
             A = gen_jordan_perturbation(dim, complex(math.cos(phi), math.sin(phi)), 1.0, sub)

@@ -13,7 +13,7 @@ from aolab.cli import (
     main,
 )
 from aolab.config import default_seed
-from aolab.generators import dft4
+from aolab.generators import dft4, gen_normaloid_nonnormal
 from aolab.linalg import matrix_to_obj
 
 
@@ -58,6 +58,25 @@ class TestAnalyze:
         p.write_text('{"dim": 2, "entries": [[1, 0]]}')
         assert main(["analyze", "--input", str(p)]) == EXIT_INPUT
         assert "entries" in capsys.readouterr().err
+
+    def test_huge_entry_report_is_finite(self, tmp_path, capsys):
+        # One step multiplies the e0 orbit by 1e12, carrying the row at the
+        # 1e300 cut past the float range.
+        inp = _write_matrix(tmp_path / "m.json", np.diag([1e12, 0.5]).astype(complex))
+        assert main(["analyze", "--input", inp]) == EXIT_OK
+        report = json.loads(
+            capsys.readouterr().out, parse_constant=lambda c: pytest.fail(f"report holds {c}")
+        )
+        assert report["criteria"]["probes"][0]["classification"]["kind"] == "exponential-growth"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_expansive_analyze_without_overflow_warnings(self, tmp_path, capsys):
+        # Norm 3: the stability probes pass e^355 by step 2000, where their
+        # squared norms overflow.
+        inp = _write_matrix(tmp_path / "m.json", gen_normaloid_nonnormal(8, seed=1, target_norm=3.0))
+        assert main(["analyze", "--input", inp]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["stability"]["power_bounded"] is False
 
 
 class TestGenerate:

@@ -328,3 +328,11 @@ class TestOrbitAnalyze:
         rec = orbit_analyze(A, h)
         assert rec.classification.kind == "convergent"
         assert rec.classification.limit == pytest.approx(1.0, abs=1e-6)
+
+    def test_horizon_from_config(self):
+        A = gen_jordan_perturbation(2, 1.0, 1.0, seed=0)
+        h = np.array([0.0, 1.0], dtype=complex)
+        rec = orbit_analyze(A, h, config=RunConfig(n_max=500))
+        assert rec.norms.shape == (501,)
+        with pytest.raises(InvalidInputError):
+            orbit_analyze(A, h, n_max=500, config=RunConfig(n_max=500))

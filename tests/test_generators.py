@@ -7,8 +7,6 @@ from aolab.criteria import is_normaloid, is_unitary
 from aolab.errors import InvalidInputError
 from aolab.generators import (
     SQRT2,
-    InstanceSpec,
-    build_instance,
     canonical_oblique,
     dft4,
     gen_jordan_perturbation,
@@ -141,15 +139,3 @@ class TestPlantedJordan:
         A = gen_planted_jordan(4, roots, seed=5)
         B = gen_planted_jordan(4, roots, seed=5)
         assert np.array_equal(A, B)
-
-
-class TestBuildInstance:
-    def test_dispatch_unitary(self):
-        spec = InstanceSpec(
-            kind="unitary-finite-spectrum", dim=3, eigenvalues=(1.0, -1.0), seed=1
-        )
-        assert is_unitary(build_instance(spec))
-
-    def test_unknown_kind(self):
-        with pytest.raises(InvalidInputError):
-            build_instance(InstanceSpec(kind="nope", dim=2, seed=0))
