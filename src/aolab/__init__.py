@@ -9,6 +9,7 @@ counterexample families used by the property suites.
 
 from .config import RunConfig
 from .criteria import (
+    Analysis,
     CriteriaReport,
     OrbitRecord,
     ScalarSeqVerdict,

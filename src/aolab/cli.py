@@ -16,7 +16,7 @@ import sys
 
 from . import jsonout
 from .config import RunConfig, default_seed
-from .criteria import power_log_norms, theorem_check
+from .criteria import POWER_STEPS, Analysis, theorem_check
 from .errors import AolabError, InconsistencyError, InvalidInputError, OutOfScopeError
 from .generators import (
     SQRT2,
@@ -29,7 +29,11 @@ from .generators import (
 )
 from .linalg import matrix_from_obj, matrix_to_obj
 from .stability import growth_bound, growth_csv_rows, uniform_stability
-from .structure import decompose, minimal_polynomial, minimal_poly_to_obj
+from .structure import minimal_poly_to_obj
+
+# Unused here, but bench/selftest.py checks that the tracer patches this
+# binding.
+from .structure import minimal_polynomial  # noqa: F401
 from .suites import run_suites
 
 EXIT_OK = 0
@@ -59,29 +63,9 @@ def _required_eigenvalues(args):
     return _parse_complex_list(args.eigenvalues)
 
 
-def _config_from(args) -> RunConfig:
-    return RunConfig(
-        n_max=args.nmax,
-        window=args.window,
-        tol_conv=args.tol_conv,
-        seed=args.seed,
-        trials=getattr(args, "trials", RunConfig.trials),
-    )
-
-
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--nmax", type=int, default=RunConfig.n_max)
-    p.add_argument("--window", type=int, default=RunConfig.window)
-    p.add_argument("--tol-conv", dest="tol_conv", type=float, default=RunConfig.tol_conv)
     p.add_argument("--seed", type=int, default=default_seed())
-
-
-def _criteria(A, cfg, mp, D, logs):
-    """theorem_check's report object and consistency bit.  The report, and
-    with it the probe-norm matrix it holds, is dropped on return, before
-    the stability orbits are allocated."""
-    crit = theorem_check(A, cfg, minpoly=mp, decomposition=D, power_logs=logs)
-    return crit.to_obj(), crit.consistent
 
 
 def cmd_analyze(args) -> int:
@@ -96,37 +80,34 @@ def cmd_analyze(args) -> int:
         return EXIT_INPUT
     try:
         A = matrix_from_obj(obj)
-        cfg = _config_from(args)
+        cfg = RunConfig(n_max=args.nmax, window=args.window, tol_conv=args.tol_conv, seed=args.seed)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
     report = {"input": {"dim": int(A.shape[0])}}
-    inconsistent = False
     gb = None
     try:
-        # Computed once and passed to every stage below.
-        mp = minimal_polynomial(A)
-        report["minimal_polynomial"] = minimal_poly_to_obj(mp)
-        D = decompose(A, mp)
+        # Every stage below reads its structure off this one analysis.
+        an = Analysis(A, max(cfg.n_max, POWER_STEPS))
+        report["minimal_polynomial"] = minimal_poly_to_obj(an.minpoly)
         report["decomposition"] = {
             "blocks": [
                 {"z": [b.z.real, b.z.imag], "index": b.index, "dim": b.dim}
-                for b in D.blocks
+                for b in an.decomposition.blocks
             ],
-            "constant_c": D.constant_c,
+            "constant_c": an.decomposition.constant_c,
         }
-        logs = power_log_norms(A, max(cfg.n_max, 1000))
-        report["criteria"], consistent = _criteria(A, cfg, mp, D, logs)
-        if not consistent:
-            inconsistent = True
+        # The report, and the probe-norm matrix it holds, is dropped here,
+        # before the stability orbits are allocated.
+        report["criteria"] = theorem_check(an, cfg).to_obj()
+        inconsistent = not report["criteria"]["consistent"]
         try:
-            gb = growth_bound(A, minpoly=mp, decomposition=D, power_logs=logs)
+            gb = growth_bound(an)
             report["growth_bound"] = gb.to_obj()
         except OutOfScopeError as exc:
             report["growth_bound"] = {"skipped": str(exc)}
-        verdict = uniform_stability(A, cfg, minpoly=mp, power_logs=logs)
-        report["stability"] = verdict.to_obj()
+        report["stability"] = uniform_stability(an, cfg).to_obj()
     except InconsistencyError as exc:
         report["inconsistency"] = str(exc)
         inconsistent = True
@@ -145,7 +126,7 @@ def cmd_analyze(args) -> int:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             fh.write("n,power_norm,bound\n")
             if gb is not None:
-                for n, nrm, bound in growth_csv_rows(A, gb, power_logs=logs):
+                for n, nrm, bound in growth_csv_rows(an, gb):
                     fh.write(f"{n},{nrm:.17g},{bound:.17g}\n")
     return EXIT_INCONSISTENT if inconsistent else EXIT_OK
 
@@ -163,7 +144,7 @@ def cmd_generate(args) -> int:
             )
             A = gen_jordan_perturbation(args.dim, alpha, args.scale, args.seed)
         elif kind == "rotation":
-            A = gen_scalar_rotation(args.dim, args.theta, args.seed)
+            A = gen_scalar_rotation(args.dim, args.theta)
         elif kind == "normaloid":
             A = gen_normaloid_nonnormal(args.dim, args.seed, args.scale)
         elif kind == "planted":
@@ -187,7 +168,7 @@ def cmd_generate(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        cfg = _config_from(args)
+        cfg = RunConfig(n_max=args.nmax, seed=args.seed, trials=args.trials)
         results = run_suites(args.suite, cfg)
     except (InvalidInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -212,6 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--input", required=True)
     pa.add_argument("--out", default=None)
     pa.add_argument("--csv", default=None)
+    pa.add_argument("--window", type=int, default=RunConfig.window)
+    pa.add_argument("--tol-conv", dest="tol_conv", type=float, default=RunConfig.tol_conv)
     _add_config_flags(pa)
     pa.set_defaults(func=cmd_analyze)
 

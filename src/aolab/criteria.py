@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .config import RunConfig
-from .errors import DecompositionError, IllConditionedSpectrumError, InconsistencyError, InvalidInputError
+from .errors import InconsistencyError, InvalidInputError
 from .linalg import as_matrix, as_vector, operator_norm, spectrum
 from .structure import Decomposition, MinimalPoly, decompose, minimal_polynomial
 
@@ -40,6 +41,14 @@ _ORBIT_BLOCK = 64
 # Relative threshold deciding whether a block component of a vector is
 # numerically nonzero.
 COMPONENT_TOL = 1e-10
+
+# Power-norm steps behind the empirical power-bound check.
+POWER_STEPS = 1000
+
+# A product A v of a unit vector has norm at most dim * max|a_ij|; past this
+# bound its squared entries could overflow, so the orbit engine takes its
+# column norms the slower overflow-safe way and ``power_log_norms`` scales A.
+_SQUARE_SAFE = 2.0**500
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +152,11 @@ def classify_sequence(
 # Orbit iteration
 # ---------------------------------------------------------------------------
 
+def _squares_safe(A: np.ndarray) -> bool:
+    """Whether the squared entries of A v, for unit v, stay in float range."""
+    return float(np.abs(A).max()) * A.shape[0] <= _SQUARE_SAFE
+
+
 def orbit_log_norms_batch(
     A: np.ndarray, H: np.ndarray, n_max: int, limit: float = np.inf
 ) -> np.ndarray:
@@ -156,6 +170,7 @@ def orbit_log_norms_batch(
     some log-norm exceeds ``limit``, so the result has shape (n_steps+1, P)
     with n_steps <= n_max.
     """
+    safe = _squares_safe(A)
     V = np.array(H, dtype=complex)
     s = np.linalg.norm(V, axis=0)
     if not np.all(s > 0):
@@ -173,7 +188,12 @@ def orbit_log_norms_batch(
             for n in range(n0, n1):
                 V = A @ V
                 s = out[n]
-                np.sqrt(np.add.reduce((V.conj() * V).real, axis=0), out=s)
+                if safe:
+                    np.sqrt(np.add.reduce((V.conj() * V).real, axis=0), out=s)
+                else:
+                    # Per column, so that a column far below the largest
+                    # entries does not underflow either.
+                    np.hypot.reduce(np.abs(V), axis=0, out=s)
                 # A dead column is exactly zero and stays zero under any
                 # finite factor, so it keeps the previous step's factor.
                 np.reciprocal(s, out=inv, where=s > 0)
@@ -235,9 +255,16 @@ def power_log_norms(A: np.ndarray, n_max: int) -> np.ndarray:
     chunk of at most about 2^14 / d^2 matrices (256 KiB of stack).  Chunks
     start at fixed steps, so a longer trajectory extends a shorter one bit
     for bit: ``power_log_norms(A, m)`` equals ``power_log_norms(A, n)[:m]``
-    for m <= n.
+    for m <= n.  A matrix whose squared entries could overflow is propagated
+    scaled by 2^-e, a power of two taken from its largest entry, and
+    n e log 2 is added back to log ||A^n||.
     """
     A = as_matrix(A)
+    shift = 0.0
+    if not _squares_safe(A):
+        e = math.frexp(float(np.abs(A).max()))[1]
+        A *= 2.0**-e
+        shift = e * math.log(2.0)
     d = A.shape[0]
     depth = max(1, 2**14 // d**2)
     stack = np.empty((min(depth, n_max), d, d), dtype=complex)
@@ -255,7 +282,7 @@ def power_log_norms(A: np.ndarray, n_max: int) -> np.ndarray:
             if f == 0.0:
                 live = j
                 break
-            acc += math.log(f)
+            acc += math.log(f) + shift
             log_scale[j] = acc
             M *= 1.0 / f
         if live:
@@ -331,12 +358,69 @@ class CriteriaReport:
 
 
 # ---------------------------------------------------------------------------
+# Analysis context
+# ---------------------------------------------------------------------------
+
+class Analysis:
+    """One matrix and the structure every stage reads off it: ``norm``
+    (||A||), ``spectral_radius`` (via ``spectrum``), ``minpoly``,
+    ``decomposition`` and the power-norm trajectory
+    ``power_log_norms(A, horizon)``, each computed once, on first use.
+    Structure that cannot be certified raises on first use.  Every stage
+    that reads them takes a matrix or an Analysis (``as_analysis``)."""
+
+    def __init__(self, A, horizon: int):
+        self.A = as_matrix(A)
+        self.horizon = horizon
+
+    @cached_property
+    def norm(self) -> float:
+        return operator_norm(self.A)
+
+    @cached_property
+    def spectral_radius(self) -> float:
+        return spectrum(self.A).spectral_radius
+
+    @cached_property
+    def minpoly(self) -> MinimalPoly:
+        return minimal_polynomial(self.A)
+
+    @cached_property
+    def decomposition(self) -> Decomposition:
+        return decompose(self.A, self.minpoly)
+
+    @cached_property
+    def _power_logs(self) -> np.ndarray:
+        return power_log_norms(self.A, self.horizon)
+
+    def power_logs(self, n: int) -> np.ndarray:
+        """log ||A^k|| for k = 1..n: a prefix of the trajectory, bit for bit
+        ``power_log_norms(A, n)``.  Raises InvalidInputError past the
+        horizon."""
+        if n > self.horizon:
+            raise InvalidInputError(
+                f"a verdict needs {n} power-norm steps; the analysis horizon is {self.horizon}"
+            )
+        return self._power_logs[:n]
+
+
+def as_analysis(a, horizon: int) -> Analysis:
+    """``a`` itself if it is an Analysis, else an Analysis of the matrix
+    ``a`` whose trajectory covers ``horizon`` power steps."""
+    return a if isinstance(a, Analysis) else Analysis(a, horizon)
+
+
+# ---------------------------------------------------------------------------
 # Structural predicates
 # ---------------------------------------------------------------------------
 
 def is_unitary(A) -> bool:
     A = as_matrix(A)
     d = A.shape[0]
+    # A unitary matrix has no entry of modulus above 1; larger entries would
+    # only overflow the products below.
+    if np.abs(A).max() > 2:
+        return False
     I = np.eye(d)
     return bool(
         np.linalg.norm(A.conj().T @ A - I) <= 1e-10 * d
@@ -350,12 +434,11 @@ def is_normaloid(A) -> bool:
     Cross-checks ||A^n|| = ||A||^n (relative 1e-6, n = 2..10) and warns on
     disagreement between the two tests.
     """
-    A = as_matrix(A)
-    nrm = operator_norm(A)
-    r = spectrum(A).spectral_radius
-    structural = abs(r - nrm) <= 1e-8 * max(1.0, nrm)
+    an = as_analysis(A, 10)
+    nrm = an.norm
+    structural = abs(an.spectral_radius - nrm) <= 1e-8 * max(1.0, nrm)
     if nrm > 0:
-        logs = power_log_norms(A, 10)
+        logs = an.power_logs(10)
         empirical = all(
             abs(logs[n - 1] - n * np.log(nrm)) <= np.log1p(1e-6) * n + 1e-6
             for n in range(2, 11)
@@ -378,22 +461,16 @@ def power_bounded_roots(roots, r: float) -> bool:
     return r <= 1 + 1e-10 and all(i == 1 for z, i in roots if abs(z) >= 1 - 1e-8)
 
 
-def is_power_bounded(
-    A,
-    p: MinimalPoly | None = None,
-    n_check: int = 1000,
-    power_logs: np.ndarray | None = None,
-) -> bool:
+def is_power_bounded(A) -> bool:
     """sup_n ||A^n|| finite, decided structurally: spectral radius at most 1
     and every root of modulus (near) 1 simple in the minimal polynomial.
-    Cross-checked against the empirical power-norm trajectory, read from
-    ``power_logs`` (a ``power_log_norms(A, N)`` with N >= n_check) when given.
+    Cross-checked against the first POWER_STEPS power norms; disagreement
+    raises InconsistencyError.
     """
-    A = as_matrix(A)
-    if p is None:
-        p = minimal_polynomial(A)
+    an = as_analysis(A, POWER_STEPS)
+    p = an.minpoly
     structural = power_bounded_roots(p.roots, max(abs(z) for z, _ in p.roots))
-    logs = power_log_norms(A, n_check) if power_logs is None else power_logs[:n_check]
+    logs = an.power_logs(POWER_STEPS)
     finite = logs[np.isfinite(logs)]
     if finite.size < 4:
         empirical = True  # nilpotent: powers vanish
@@ -412,22 +489,6 @@ def is_power_bounded(
 # ---------------------------------------------------------------------------
 # Orbit analysis
 # ---------------------------------------------------------------------------
-
-def _structure(A: np.ndarray, mp: MinimalPoly | None, D: Decomposition | None):
-    """(minimal polynomial, decomposition) of A, keeping the ones given;
-    each is None where it cannot be computed."""
-    if mp is None:
-        try:
-            mp = minimal_polynomial(A)
-        except (IllConditionedSpectrumError, DecompositionError):
-            pass
-    if D is None and mp is not None:
-        try:
-            D = decompose(A, mp)
-        except DecompositionError:
-            pass
-    return mp, D
-
 
 def structural_exponent(A: np.ndarray, h: np.ndarray, D: Decomposition) -> int | None:
     """Largest k with (A - z_j I)^k P_j h != 0, maximized over the blocks of
@@ -462,11 +523,9 @@ def orbit_analyze(
     h,
     n_max: int | None = None,
     config: RunConfig | None = None,
-    decomposition: Decomposition | None = None,
-    minpoly: MinimalPoly | None = None,
 ) -> OrbitRecord:
     """Iterate h, A h, A^2 h, ... and classify the norm sequence; attach the
-    structural exponent when the eigenspace decomposition is available.
+    structural exponent from the eigenspace decomposition.
 
     The horizon, window and tolerance come from ``config``; ``n_max`` is
     shorthand for ``config=RunConfig(n_max=n_max)`` and cannot be combined
@@ -475,18 +534,15 @@ def orbit_analyze(
     if n_max is not None and config is not None:
         raise InvalidInputError("pass n_max or config, not both")
     cfg = config or (RunConfig() if n_max is None else RunConfig(n_max=n_max))
-    A = as_matrix(A)
+    an = as_analysis(A, 0)
+    A = an.A
     h = as_vector(h, A.shape[0])
     if np.linalg.norm(h) == 0:
         raise InvalidInputError("orbit vector must be nonzero")
     if cfg.n_max < 100:
         raise InvalidInputError("n_max must be at least 100")
-    minpoly, decomposition = _structure(A, minpoly, decomposition)
-    max_deg = minpoly.degree if minpoly is not None else A.shape[0]
-    norms, (cls,) = classify_orbits(A, h.reshape(-1, 1), max_deg, cfg)
-    exponent = (
-        structural_exponent(A, h, decomposition) if decomposition is not None else None
-    )
+    norms, (cls,) = classify_orbits(A, h.reshape(-1, 1), an.minpoly.degree, cfg)
+    exponent = structural_exponent(A, h, an.decomposition)
     return OrbitRecord(h=h, norms=norms[:, 0], structural_exponent=exponent, classification=cls)
 
 
@@ -521,58 +577,42 @@ def probe_set(
     return probes
 
 
-def theorem_check(
-    A,
-    config: RunConfig | None = None,
-    minpoly: MinimalPoly | None = None,
-    decomposition: Decomposition | None = None,
-    power_logs: np.ndarray | None = None,
-) -> CriteriaReport:
+def theorem_check(A, config: RunConfig | None = None) -> CriteriaReport:
     """Evaluate the four equivalent unitarity conditions and cross-check
     their agreement under the hypotheses (algebraic, unimodular spectrum).
 
-    The minimal polynomial, the decomposition and the power-norm trajectory
-    (a ``power_log_norms(A, N)`` with N >= 1000) are computed here unless
-    the caller passes them.
+    ``A`` is a matrix or an Analysis with a horizon of at least
+    POWER_STEPS; an inconsistent power-bound verdict raises
+    InconsistencyError.
     """
     cfg = config or RunConfig()
-    A = as_matrix(A)
-    mp, D = _structure(A, minpoly, decomposition)
-    degree = mp.degree if mp is not None else 0
-    roots = mp.roots if mp is not None else tuple(spectrum(A).eigenvalues)
-    in_circle = all(abs(abs(z) - 1) <= 1e-8 for z, _ in roots)
+    an = as_analysis(A, POWER_STEPS)
+    A = an.A
+    mp, D = an.minpoly, an.decomposition
+    in_circle = all(abs(abs(z) - 1) <= 1e-8 for z, _ in mp.roots)
 
     unitary = is_unitary(A)
-    normaloid = is_normaloid(A)
-    contraction = operator_norm(A) <= 1 + 1e-10
+    normaloid = is_normaloid(an)
+    contraction = an.norm <= 1 + 1e-10
+    pb = is_power_bounded(an)
 
     probes = probe_set(A.shape[0], np.random.default_rng(cfg.seed), D=D)
     H = np.column_stack([v for _, v in probes])
-    norms, classes = classify_orbits(A, H, degree or A.shape[0], cfg)
+    norms, classes = classify_orbits(A, H, mp.degree, cfg)
     records = []
     witness = None
     for j, ((label, v), cls) in enumerate(zip(probes, classes)):
-        exp = structural_exponent(A, v, D) if D is not None else None
+        exp = structural_exponent(A, v, D)
         records.append((label, OrbitRecord(h=v, norms=norms[:, j], structural_exponent=exp, classification=cls)))
         if cls.kind != "convergent" and witness is None:
             witness = v
     all_convergent = witness is None
 
-    logs = power_log_norms(A, 1000) if power_logs is None else power_logs[:1000]
-    try:
-        pb = is_power_bounded(A, p=mp, power_logs=logs) if mp is not None else None
-    except InconsistencyError:
-        pb = None
-    if pb is None:
-        # fall back to the empirical trajectory alone
-        pb = bool(np.max(logs) < np.log(1e6))
-
-    hypotheses = mp is not None and in_circle
     conditions = [unitary, normaloid, contraction, all_convergent]
-    consistent = (not hypotheses) or all(c == conditions[0] for c in conditions)
+    consistent = (not in_circle) or all(c == conditions[0] for c in conditions)
     return CriteriaReport(
-        is_algebraic=mp is not None,
-        minpoly_degree=degree,
+        is_algebraic=True,  # the minimal polynomial is certified above
+        minpoly_degree=mp.degree,
         spectrum_in_circle=in_circle,
         unitary=unitary,
         normaloid=normaloid,

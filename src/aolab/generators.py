@@ -72,16 +72,10 @@ def gen_unitary_finite_spectrum(dim: int, eigenvalues, seed: int) -> np.ndarray:
     return U @ np.diag(diag) @ U.conj().T
 
 
-def gen_oblique(
-    dim: int,
-    eigenvalues,
-    cond_cap: float = 50.0,
-    seed: int = 0,
-    require_oblique: bool | None = None,
-) -> np.ndarray:
-    """S diag(eigenvalues) S^{-1} with cond(S) <= cond_cap; with
+def gen_oblique(dim: int, eigenvalues, cond_cap: float = 50.0, seed: int = 0) -> np.ndarray:
+    """S diag(eigenvalues) S^{-1} with cond(S) <= cond_cap.  With
     cond_cap > 1 the eigenspaces are genuinely oblique (and the output not
-    unitary)."""
+    unitary); with cond_cap = 1, S is unitary."""
     _check_dim(dim)
     vals = [complex(z) for z in eigenvalues]
     if len(vals) != dim:
@@ -93,10 +87,6 @@ def gen_oblique(
                 raise InvalidInputError("eigenvalues must be distinct")
     if cond_cap < 1:
         raise InvalidInputError("cond_cap must be >= 1")
-    if require_oblique is None:
-        require_oblique = cond_cap > 1
-    if require_oblique and cond_cap <= 1:
-        raise InvalidInputError("cond_cap = 1 cannot produce an oblique (non-unitary) instance")
 
     if dim == 2 and seed == 0 and sorted((v.real, v.imag) for v in vals) == [(-1.0, 0.0), (1.0, 0.0)]:
         # Canonical fixture anchoring the counterexample family.
@@ -115,7 +105,7 @@ def gen_oblique(
             s = np.ones(dim)
         S = U @ np.diag(s) @ Vh
         A = S @ np.diag(vals) @ np.linalg.inv(S)
-        if not require_oblique:
+        if cond_cap == 1:
             return A
         cols = S / np.linalg.norm(S, axis=0)
         gram = np.abs(cols.conj().T @ cols - np.eye(dim))
@@ -156,7 +146,7 @@ def gen_jordan_perturbation(
     return alpha * np.eye(dim) + N
 
 
-def gen_scalar_rotation(dim: int, theta: float, seed: int = 0) -> np.ndarray:
+def gen_scalar_rotation(dim: int, theta: float) -> np.ndarray:
     """e^{2 pi i theta} I."""
     _check_dim(dim)
     z = complex(math.cos(2 * math.pi * theta), math.sin(2 * math.pi * theta))

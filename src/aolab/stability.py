@@ -15,19 +15,23 @@ import numpy as np
 
 from .config import RunConfig
 from .criteria import (
+    POWER_STEPS,
+    as_analysis,
     classify_orbits,
     is_normaloid,
     is_power_bounded,
     orbit_log_norms_batch,
     orbit_norms_batch,
     power_bounded_roots,
-    power_log_norms,
     probe_set,
     window_limit,
 )
 from .errors import InconsistencyError, InvalidInputError, OutOfScopeError
-from .linalg import as_matrix, as_vector, operator_norm, spectrum
-from .structure import Decomposition, MinimalPoly, decompose, minimal_polynomial
+from .linalg import as_matrix, as_vector, operator_norm
+
+# Unused here, but bench/selftest.py checks that the tracer patches this
+# binding.
+from .structure import minimal_polynomial  # noqa: F401
 
 _NILPOTENT_RADIUS = 1e-12
 
@@ -80,14 +84,14 @@ def normaloid_equivalence(A, config: RunConfig | None = None) -> NormaloidReport
     being a contraction stand or fall together.  Raises InconsistencyError
     if the three evaluated conditions disagree."""
     cfg = config or RunConfig()
-    A = as_matrix(A)
-    if not is_normaloid(A):
+    an = as_analysis(A, POWER_STEPS)
+    A = an.A
+    if not is_normaloid(an):
         raise InvalidInputError("normaloid_equivalence requires a normaloid matrix")
-    contraction = operator_norm(A) <= 1 + 1e-10
-    mp = minimal_polynomial(A)
-    pb = is_power_bounded(A, p=mp)
+    contraction = an.norm <= 1 + 1e-10
+    pb = is_power_bounded(an)
     probes = probe_set(A.shape[0], np.random.default_rng(cfg.seed))
-    _, classes = classify_orbits(A, np.column_stack([v for _, v in probes]), mp.degree, cfg)
+    _, classes = classify_orbits(A, np.column_stack([v for _, v in probes]), an.minpoly.degree, cfg)
     convergent = all(cls.kind == "convergent" for cls in classes)
     rep = NormaloidReport(orbits_convergent=convergent, power_bounded=pb, contraction=contraction)
     if not rep.all_agree():
@@ -132,34 +136,27 @@ def normal_limit(A, h, n_max: int = 2000) -> float:
     return q
 
 
-def growth_bound(
-    A,
-    n_check: int = 1000,
-    minpoly: MinimalPoly | None = None,
-    decomposition: Decomposition | None = None,
-    power_logs: np.ndarray | None = None,
-) -> GrowthBound:
+def growth_bound(A, n_check: int = 1000) -> GrowthBound:
     """Certified constant for ||A^n|| <= alpha n^kappa r^n.
 
     Per block: alpha_j = sum_k ||N_j^k|| / (k! |z_j|^k) over k < i_j, with
     N_j the nilpotent part in the block basis; alpha aggregates via
-    alpha = sum_j ||P_j|| alpha_j.  Verified empirically up to n_check.
-    The minimal polynomial, the decomposition and the power-norm trajectory
-    (a ``power_log_norms(A, N)`` with N >= n_check) are computed here unless
-    the caller passes them.
+    alpha = sum_j ||P_j|| alpha_j.  Verified empirically up to n_check, so
+    an Analysis passed as ``A`` needs a horizon of at least n_check.
     """
-    A = as_matrix(A)
-    mp = minpoly if minpoly is not None else minimal_polynomial(A)
+    an = as_analysis(A, n_check)
+    A = an.A
+    mp = an.minpoly
     r = max(abs(z) for z, _ in mp.roots)
     if r > 1 + 1e-12:
         raise OutOfScopeError(f"growth bound requires r(A) <= 1, got {r}")
     kappa = mp.degree - 1
-    logs = power_log_norms(A, n_check) if power_logs is None else power_logs[:n_check]
+    logs = an.power_logs(n_check)
 
     if r <= _NILPOTENT_RADIUS:
         # Nilpotent: powers vanish identically from n = deg p on.
         valid_from = mp.degree
-        scale = max(1.0, operator_norm(A))
+        scale = max(1.0, an.norm)
         for n in range(valid_from, n_check + 1):
             if logs[n - 1] > np.log(1e-10 * scale**mp.degree):
                 raise InconsistencyError(
@@ -173,10 +170,8 @@ def growth_bound(
             max_violation_ratio=0.0,
         )
 
-    D = decomposition if decomposition is not None else decompose(A, mp)
     alpha = 0.0
-    d = A.shape[0]
-    for b in D.blocks:
+    for b in an.decomposition.blocks:
         M = b.basis.conj().T @ A @ b.basis
         N = M - b.z * np.eye(b.dim)
         if abs(b.z) > _NILPOTENT_RADIUS:
@@ -217,14 +212,9 @@ def growth_bound(
     )
 
 
-def growth_csv_rows(
-    A, gb: GrowthBound, n_check: int = 1000, power_logs: np.ndarray | None = None
-):
-    """(n, ||A^n||, bound_n) rows for external plotting; the power norms are
-    read from ``power_logs`` (a ``power_log_norms(A, N)`` with N >= n_check)
-    when given."""
-    A = as_matrix(A)
-    logs = power_log_norms(A, n_check) if power_logs is None else power_logs[:n_check]
+def growth_csv_rows(A, gb: GrowthBound, n_check: int = 1000):
+    """(n, ||A^n||, bound_n) rows for external plotting."""
+    logs = as_analysis(A, n_check).power_logs(n_check)
     rows = []
     for n in range(1, n_check + 1):
         if gb.spectral_radius > 0:
@@ -235,25 +225,19 @@ def growth_csv_rows(
     return rows
 
 
-def uniform_stability(
-    A,
-    config: RunConfig | None = None,
-    minpoly: MinimalPoly | None = None,
-    power_logs: np.ndarray | None = None,
-) -> StabilityVerdict:
+def uniform_stability(A, config: RunConfig | None = None) -> StabilityVerdict:
     """||A^n|| -> 0 iff r(A) < 1; strong stability and power boundedness
     filled via probe orbits and the structural power-bound criterion.
 
-    The minimal polynomial and the power-norm trajectory (a
-    ``power_log_norms(A, N)`` with N >= n_max) are computed here unless the
-    caller passes them; the probe orbits advance together in one
-    ``orbit_log_norms_batch``.
+    An Analysis passed as ``A`` needs a horizon of at least ``config.n_max``;
+    the probe orbits advance together in one ``orbit_log_norms_batch``.
     """
     cfg = config or RunConfig()
-    A = as_matrix(A)
-    r = spectrum(A).spectral_radius
+    an = as_analysis(A, cfg.n_max)
+    A = an.A
+    r = an.spectral_radius
     uniformly = r < 1 - 1e-10
-    logs = power_log_norms(A, cfg.n_max) if power_logs is None else power_logs[:cfg.n_max]
+    logs = an.power_logs(cfg.n_max)
     half = len(logs) // 2
     if logs[-1] == -np.inf:
         decaying = True
@@ -263,8 +247,7 @@ def uniform_stability(
     if uniformly and not decaying:
         raise InconsistencyError("r < 1 but power norms do not decay")
 
-    mp = minpoly if minpoly is not None else minimal_polynomial(A)
-    structural_pb = power_bounded_roots(mp.roots, r)
+    structural_pb = power_bounded_roots(an.minpoly.roots, r)
     probes = probe_set(A.shape[0], np.random.default_rng(cfg.seed), n_random=10)
     ologs = orbit_log_norms_batch(A, np.column_stack([v for _, v in probes]), cfg.n_max)
     w = cfg.window
@@ -297,13 +280,7 @@ def uniform_stability(
     )
 
 
-def orbit_root_limit(
-    A,
-    h,
-    n_max: int = 2000,
-    decomposition: Decomposition | None = None,
-    minpoly: MinimalPoly | None = None,
-) -> float:
+def orbit_root_limit(A, h, n_max: int = 2000) -> float:
     """Empirical limit of ||A^n h||^{1/n}, cross-checked within 1e-3 against
     the structural prediction max{|z_j| : P_j h != 0}.
 
@@ -312,19 +289,15 @@ def orbit_root_limit(
     extracted by fitting log ||A^n h|| = a + kappa log n + n log rho over
     the tail, which removes the polynomial factor.
     """
-    A = as_matrix(A)
-    h = as_vector(h, A.shape[0])
+    an = as_analysis(A, 0)
+    h = as_vector(h, an.A.shape[0])
     if np.linalg.norm(h) == 0:
         raise InvalidInputError("orbit vector must be nonzero")
-    logs = orbit_log_norms_batch(A, h.reshape(-1, 1), n_max)[:, 0]
-    if minpoly is None:
-        minpoly = minimal_polynomial(A)
-    if decomposition is None:
-        decomposition = decompose(A, minpoly)
+    logs = orbit_log_norms_batch(an.A, h.reshape(-1, 1), n_max)[:, 0]
     hn = float(np.linalg.norm(h))
     moduli = [
         abs(b.z)
-        for b in decomposition.blocks
+        for b in an.decomposition.blocks
         if np.linalg.norm(b.projection @ h) > 1e-10 * hn
     ]
     mu = max(moduli) if moduli else 0.0

@@ -48,14 +48,6 @@ class MinimalPoly:
     # instances).
     multiplicities: tuple | None = None
 
-    @property
-    def root_values(self):
-        return [z for z, _ in self.roots]
-
-    @property
-    def max_index(self) -> int:
-        return max(i for _, i in self.roots)
-
     def evaluate(self, A: np.ndarray) -> np.ndarray:
         """p(A) by repeated multiplication."""
         A = as_matrix(A)
@@ -260,29 +252,6 @@ def restriction_spectra(A, D: Decomposition) -> list[SpectrumInfo]:
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
-
-def decomposition_to_obj(D: Decomposition) -> dict:
-    from .linalg import matrix_to_obj
-
-    return {
-        "blocks": [
-            {
-                "z": [float(b.z.real), float(b.z.imag)],
-                "index": b.index,
-                "basis": {
-                    "rows": b.basis.shape[0],
-                    "cols": b.basis.shape[1],
-                    "entries": [
-                        [float(v.real), float(v.imag)] for v in b.basis.reshape(-1)
-                    ],
-                },
-                "projection": matrix_to_obj(b.projection),
-            }
-            for b in D.blocks
-        ],
-        "constant_c": float(D.constant_c),
-    }
-
 
 def minimal_poly_to_obj(p: MinimalPoly) -> dict:
     return {

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .criteria import orbit_norms_batch, scalar_re_sequence, theorem_check
+from .criteria import Analysis, orbit_norms_batch, scalar_re_sequence, theorem_check
 from .errors import AolabError
 from .generators import (
     SQRT2,
@@ -377,14 +377,13 @@ def suite_root_limit(trials: int, seed: int, n_max: int = 2000) -> SuiteResult:
             A = gen_oblique(dim, spread_unimodular(rng, dim), 50.0, sub)
         sub_rng = np.random.default_rng(sub + 2)
         try:
-            mp = minimal_polynomial(A)
-            D = decompose(A, mp)
-            r = max(abs(z) for z, _ in mp.roots)
+            an = Analysis(A, 0)
+            r = max(abs(z) for z, _ in an.minpoly.roots)
             good = True
             detail = ""
             for p in range(3):
                 h = sub_rng.standard_normal(dim) + 1j * sub_rng.standard_normal(dim)
-                rho = orbit_root_limit(A, h, n_max, decomposition=D, minpoly=mp)
+                rho = orbit_root_limit(an, h, n_max)
                 if rho > r + 1e-3:
                     good, detail = False, f"probe{p} rho {rho} exceeds r {r}"
                     break

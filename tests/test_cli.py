@@ -2,24 +2,50 @@
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
 from aolab import jsonout
 from aolab.cli import (
+    EXIT_INCONSISTENT,
     EXIT_INPUT,
     EXIT_OK,
     main,
 )
 from aolab.config import default_seed
-from aolab.generators import dft4, gen_normaloid_nonnormal
+from aolab.generators import canonical_oblique, dft4, gen_normaloid_nonnormal, gen_oblique
 from aolab.linalg import matrix_to_obj
 
 
 def _write_matrix(path, A):
     path.write_text(jsonout.dumps(matrix_to_obj(A)))
     return str(path)
+
+
+def _finite_report(text):
+    return json.loads(text, parse_constant=lambda c: pytest.fail(f"report holds {c}"))
+
+
+def _record_calls(monkeypatch, names):
+    """Wrap the named functions in every aolab namespace that binds them;
+    returns {name: [positional args of each call]}."""
+    calls = {name: [] for name in names}
+    for modname, mod in list(sys.modules.items()):
+        if modname != "aolab" and not modname.startswith("aolab."):
+            continue
+        for name in names:
+            fn = vars(mod).get(name)
+            if fn is None:
+                continue
+
+            def recorded(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name].append(args)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, recorded)
+    return calls
 
 
 class TestAnalyze:
@@ -64,10 +90,41 @@ class TestAnalyze:
         # 1e300 cut past the float range.
         inp = _write_matrix(tmp_path / "m.json", np.diag([1e12, 0.5]).astype(complex))
         assert main(["analyze", "--input", inp]) == EXIT_OK
-        report = json.loads(
-            capsys.readouterr().out, parse_constant=lambda c: pytest.fail(f"report holds {c}")
-        )
+        report = _finite_report(capsys.readouterr().out)
         assert report["criteria"]["probes"][0]["classification"]["kind"] == "exponential-growth"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("big", [1e150, 1e160, 1e200])
+    def test_entries_whose_squares_overflow(self, big, tmp_path, capsys):
+        # Squares of these entries pass the float range: in norms, in
+        # is_unitary's products, and, past 1e154, in the orbit engines.
+        inp = _write_matrix(tmp_path / "m.json", np.diag([big, 0.5]).astype(complex))
+        assert main(["analyze", "--input", inp]) == EXIT_OK
+        crit = _finite_report(capsys.readouterr().out)["criteria"]
+        assert crit["normaloid"] is True and crit["power_bounded"] is False
+        # The e1 orbit, 0.5^n up to the overflow cut at step 2 or 3, must
+        # not underflow next to the huge e0 entries.
+        e1 = crit["probes"][1]
+        assert e1["label"] == "e1" and 0.1 < e1["norm_last"] <= 0.25
+
+    def test_analyze_computes_structure_once(self, tmp_path, monkeypatch, capsys):
+        calls = _record_calls(
+            monkeypatch, ["minimal_polynomial", "decompose", "spectrum", "power_log_norms"]
+        )
+        inp = _write_matrix(tmp_path / "m.json", canonical_oblique())
+        rc = main(["analyze", "--input", inp, "--csv", str(tmp_path / "g.csv")])
+        assert rc == EXIT_OK
+        assert {name: len(args) for name, args in calls.items()} == dict.fromkeys(calls, 1)
+        assert calls["power_log_norms"][0][1] == 2000
+
+    def test_inconsistent_power_bound_exits_2(self, tmp_path, capsys):
+        z = np.exp(0.7j)
+        A = gen_oblique(3, [z, z * np.exp(3e-5j), -1], cond_cap=10, seed=1)
+        inp = _write_matrix(tmp_path / "m.json", A)
+        assert main(["analyze", "--input", inp]) == EXIT_INCONSISTENT
+        report = json.loads(capsys.readouterr().out)
+        assert report["inconsistency"].startswith("power boundedness")
+        assert "criteria" not in report
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_expansive_analyze_without_overflow_warnings(self, tmp_path, capsys):
@@ -146,6 +203,13 @@ class TestVerify:
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         assert "growth-bound: 5/5 PASS" in out
+
+    def test_window_flags_belong_to_analyze(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "scalar", "--window", "10"])
+        assert exc.value.code == 2
+        inp = _write_matrix(tmp_path / "f.json", dft4())
+        assert main(["analyze", "--input", inp, "--window", "40", "--tol-conv", "1e-5"]) == EXIT_OK
 
 
 class TestSeedEnv:

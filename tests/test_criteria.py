@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from aolab.config import RunConfig
 from aolab.criteria import (
+    Analysis,
     classify_sequence,
     is_normaloid,
     is_power_bounded,
@@ -19,12 +20,13 @@ from aolab.criteria import (
     theorem_check,
     window_limit,
 )
-from aolab.errors import InvalidInputError
+from aolab.errors import InconsistencyError, InvalidInputError
 from aolab.generators import (
     canonical_oblique,
     dft4,
     gen_jordan_perturbation,
     gen_normaloid_nonnormal,
+    gen_oblique,
     gen_unitary_finite_spectrum,
     haar_unitary,
 )
@@ -279,6 +281,31 @@ class TestTheoremCheck:
         rep = theorem_check(dft4(), RunConfig(seed=0))
         text = jsonout.dumps(rep.to_obj())
         assert '"orbits_note": "certified via probes"' in text
+
+    def test_inconsistent_power_bound_raises(self):
+        # Eigenvalues 3e-5 apart: the minimal polynomial merges them into
+        # one unimodular root of index 2, while the powers stay bounded.
+        z = np.exp(0.7j)
+        A = gen_oblique(3, [z, z * np.exp(3e-5j), -1], cond_cap=10, seed=1)
+        with pytest.raises(InconsistencyError, match="power boundedness"):
+            theorem_check(A, RunConfig(seed=0))
+
+
+class TestAnalysis:
+    def test_analysis_matches_matrix(self):
+        A = canonical_oblique()
+        an = Analysis(A, 2000)
+        assert theorem_check(an, RunConfig(seed=0)).to_obj() == theorem_check(A, RunConfig(seed=0)).to_obj()
+        assert np.array_equal(an.power_logs(10), power_log_norms(A, 10))
+        assert is_normaloid(an) is is_normaloid(A)
+
+    def test_short_horizon_rejected(self):
+        an = Analysis(dft4(), 999)
+        with pytest.raises(InvalidInputError, match="999"):
+            theorem_check(an, RunConfig(seed=0))
+        with pytest.raises(InvalidInputError):
+            an.power_logs(1000)
+        assert is_normaloid(an)
 
 
 class TestScalarSequence:

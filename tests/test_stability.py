@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from aolab.config import RunConfig
+from aolab.criteria import Analysis
 from aolab.errors import InvalidInputError, OutOfScopeError
 from aolab.generators import (
     canonical_oblique,
@@ -123,6 +124,13 @@ class TestNormaloidEquivalence:
 
 
 class TestUniformStability:
+    def test_analysis_horizon_covers_n_max(self):
+        an = Analysis(dft4(), 1000)
+        with pytest.raises(InvalidInputError):
+            uniform_stability(an, RunConfig(seed=0))
+        v = uniform_stability(an, RunConfig(n_max=1000, seed=0))
+        assert v.power_bounded and not v.uniformly_stable
+
     def test_strict_contraction(self):
         v = uniform_stability(0.5 * dft4(), RunConfig(seed=0))
         assert v.uniformly_stable and v.strongly_stable and v.power_bounded
