@@ -36,8 +36,6 @@ from .linalg import (
     matrix_from_obj,
     matrix_to_obj,
     operator_norm,
-    rank,
-    spectral_radius,
     spectrum,
 )
 from .stability import (

@@ -65,7 +65,7 @@ def _required_eigenvalues(args):
 
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--nmax", type=int, default=RunConfig.n_max)
-    p.add_argument("--seed", type=int, default=default_seed())
+    p.add_argument("--seed", type=int, default=None)
 
 
 def cmd_analyze(args) -> int:
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--theta", type=float, default=SQRT2)
     pg.add_argument("--cond-cap", dest="cond_cap", type=float, default=50.0)
     pg.add_argument("--scale", type=float, default=1.0)
-    pg.add_argument("--seed", type=int, default=default_seed())
+    pg.add_argument("--seed", type=int, default=None)
     pg.set_defaults(func=cmd_generate)
 
     pv = sub.add_parser("verify", help="run property suites")
@@ -221,6 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # AOLAB_SEED is read only when --seed is absent.
+    if args.seed is None:
+        try:
+            args.seed = default_seed()
+        except InvalidInputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     return args.func(args)
 
 

@@ -19,12 +19,12 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import InconsistencyError, InvalidInputError
-from .linalg import as_matrix, as_vector, operator_norm, spectrum
+from .linalg import as_matrix, as_vector, operator_norm
 from .structure import Decomposition, MinimalPoly, decompose, minimal_polynomial
 
 # Raw orbit norms (``orbit_norms_batch``) are cut at the first step where
-# some norm passes this; ``overflowed_columns`` says which columns count as
-# overflowed (classified exponential without the ladder).
+# some norm passes this; ``classify_orbits`` holds the rule for which columns
+# count as overflowed (classified exponential without the ladder).
 OVERFLOW_LIMIT = 1e300
 
 # The cut step can multiply a norm past the float range; its raw norms are
@@ -42,8 +42,16 @@ _ORBIT_BLOCK = 64
 # numerically nonzero.
 COMPONENT_TOL = 1e-10
 
-# Power-norm steps behind the empirical power-bound check.
+# Power-norm steps behind the empirical power-bound check and the growth bound.
 POWER_STEPS = 1000
+
+# ||A|| <= 1 (a contraction) and r(A) <= 1 both mean x <= 1 + UNIT_TOL
+# (``at_most_one``).
+UNIT_TOL = 1e-10
+
+# A root is unimodular when its modulus lies within CIRCLE_TOL of 1
+# (``unimodular``).
+CIRCLE_TOL = 1e-8
 
 # A product A v of a unit vector has norm at most dim * max|a_ij|; past this
 # bound its squared entries could overflow, so the orbit engine takes its
@@ -222,28 +230,31 @@ def orbit_norms_batch(A: np.ndarray, H: np.ndarray, n_max: int):
     return np.exp(logs, out=logs), overflow
 
 
-def overflowed_columns(norms: np.ndarray, overflow: int | None) -> np.ndarray:
-    """The overflow rule: which columns of an ``orbit_norms_batch`` result
-    ended within a factor 10 of OVERFLOW_LIMIT at the cut step (all False
-    when the cut did not fire).  Such a column is classified exponential
-    without the ladder."""
-    if overflow is None:
-        return np.zeros(norms.shape[1], dtype=bool)
-    return norms[-1] > OVERFLOW_LIMIT / 10
-
-
 def classify_orbits(A: np.ndarray, H: np.ndarray, max_poly_degree: int, cfg: RunConfig):
     """Raw orbit norms of the columns of H over ``cfg.n_max`` steps
     (``orbit_norms_batch``) and each column's classification under the
     overflow rule and the window rule of ``cfg``."""
     norms, overflow = orbit_norms_batch(A, H, cfg.n_max)
-    over = overflowed_columns(norms, overflow)
-    return norms, [
+    # The overflow rule: once the cut fired, the columns that ended within a
+    # factor 10 of OVERFLOW_LIMIT.
+    over = (norms[-1] > OVERFLOW_LIMIT / 10) & (overflow is not None)
+    classes = [
         classify_sequence(
             norms[:, j], max_poly_degree, cfg.window, cfg.tol_conv, overflowed=bool(over[j])
         )
         for j in range(norms.shape[1])
     ]
+    # A clamped cut row would distort the rate.  Clamping needs one step to
+    # multiply a norm by more than 1e8, so it is rare: those columns are
+    # propagated again up to the cut and fitted to their log-norms, shifted
+    # so that the cut row reads 1.
+    clamped = np.flatnonzero(norms[-1] >= _NORM_CLAMP)
+    if clamped.size:
+        logs = orbit_log_norms_batch(A, H[:, clamped], overflow)
+        for k, j in enumerate(clamped):
+            shifted = np.exp(logs[:, k] - logs[-1, k])
+            classes[j] = classify_sequence(shifted, max_poly_degree, overflowed=True)
+    return norms, classes
 
 
 def power_log_norms(A: np.ndarray, n_max: int) -> np.ndarray:
@@ -363,11 +374,11 @@ class CriteriaReport:
 
 class Analysis:
     """One matrix and the structure every stage reads off it: ``norm``
-    (||A||), ``spectral_radius`` (via ``spectrum``), ``minpoly``,
-    ``decomposition`` and the power-norm trajectory
-    ``power_log_norms(A, horizon)``, each computed once, on first use.
-    Structure that cannot be certified raises on first use.  Every stage
-    that reads them takes a matrix or an Analysis (``as_analysis``)."""
+    (||A||), ``contraction``, ``minpoly``, ``spectral_radius`` (the largest
+    modulus among its roots), ``decomposition`` and the power-norm
+    trajectory ``power_log_norms(A, horizon)``, each computed once, on first
+    use.  Structure that cannot be certified raises on first use.  Every
+    stage that reads them takes a matrix or an Analysis (``as_analysis``)."""
 
     def __init__(self, A, horizon: int):
         self.A = as_matrix(A)
@@ -378,12 +389,16 @@ class Analysis:
         return operator_norm(self.A)
 
     @cached_property
-    def spectral_radius(self) -> float:
-        return spectrum(self.A).spectral_radius
+    def contraction(self) -> bool:
+        return at_most_one(self.norm)
 
     @cached_property
     def minpoly(self) -> MinimalPoly:
         return minimal_polynomial(self.A)
+
+    @cached_property
+    def spectral_radius(self) -> float:
+        return max(abs(z) for z, _ in self.minpoly.roots)
 
     @cached_property
     def decomposition(self) -> Decomposition:
@@ -413,6 +428,16 @@ def as_analysis(a, horizon: int) -> Analysis:
 # ---------------------------------------------------------------------------
 # Structural predicates
 # ---------------------------------------------------------------------------
+
+def at_most_one(x: float) -> bool:
+    """x <= 1 up to UNIT_TOL: the test behind ||A|| <= 1 and r(A) <= 1."""
+    return x <= 1 + UNIT_TOL
+
+
+def unimodular(z):
+    """Whether |z| lies within CIRCLE_TOL of 1 (elementwise for arrays)."""
+    return np.abs(np.abs(z) - 1) <= CIRCLE_TOL
+
 
 def is_unitary(A) -> bool:
     A = as_matrix(A)
@@ -455,10 +480,13 @@ def is_normaloid(A) -> bool:
     return structural
 
 
-def power_bounded_roots(roots, r: float) -> bool:
-    """The structural power-bound criterion: spectral radius ``r`` at most 1
-    and every root (z, index) of modulus (near) 1 simple."""
-    return r <= 1 + 1e-10 and all(i == 1 for z, i in roots if abs(z) >= 1 - 1e-8)
+def power_bounded_roots(roots) -> bool:
+    """The structural power-bound criterion on the roots (z, index) of a
+    minimal polynomial: the largest |z| at most 1 and every unimodular root
+    simple."""
+    return at_most_one(max(abs(z) for z, _ in roots)) and all(
+        i == 1 for z, i in roots if unimodular(z)
+    )
 
 
 def is_power_bounded(A) -> bool:
@@ -469,7 +497,7 @@ def is_power_bounded(A) -> bool:
     """
     an = as_analysis(A, POWER_STEPS)
     p = an.minpoly
-    structural = power_bounded_roots(p.roots, max(abs(z) for z, _ in p.roots))
+    structural = power_bounded_roots(p.roots)
     logs = an.power_logs(POWER_STEPS)
     finite = logs[np.isfinite(logs)]
     if finite.size < 4:
@@ -490,16 +518,20 @@ def is_power_bounded(A) -> bool:
 # Orbit analysis
 # ---------------------------------------------------------------------------
 
+def block_components(h: np.ndarray, D: Decomposition) -> list:
+    """(block, P_j h) for every block of D in which h has a component above
+    COMPONENT_TOL * ||h||."""
+    hn = float(np.linalg.norm(h))
+    parts = [(b, b.projection @ h) for b in D.blocks]
+    return [(b, ph) for b, ph in parts if np.linalg.norm(ph) > COMPONENT_TOL * hn]
+
+
 def structural_exponent(A: np.ndarray, h: np.ndarray, D: Decomposition) -> int | None:
     """Largest k with (A - z_j I)^k P_j h != 0, maximized over the blocks of
     largest modulus among those where h has a component."""
     d = A.shape[0]
     hn = float(np.linalg.norm(h))
-    comps = []
-    for b in D.blocks:
-        ph = b.projection @ h
-        if np.linalg.norm(ph) > COMPONENT_TOL * hn:
-            comps.append((b, ph))
+    comps = block_components(h, D)
     if not comps:
         return None
     mu = max(abs(b.z) for b, _ in comps)
@@ -518,22 +550,12 @@ def structural_exponent(A: np.ndarray, h: np.ndarray, D: Decomposition) -> int |
     return best
 
 
-def orbit_analyze(
-    A,
-    h,
-    n_max: int | None = None,
-    config: RunConfig | None = None,
-) -> OrbitRecord:
+def orbit_analyze(A, h, config: RunConfig | None = None) -> OrbitRecord:
     """Iterate h, A h, A^2 h, ... and classify the norm sequence; attach the
-    structural exponent from the eigenspace decomposition.
-
-    The horizon, window and tolerance come from ``config``; ``n_max`` is
-    shorthand for ``config=RunConfig(n_max=n_max)`` and cannot be combined
-    with it.
+    structural exponent from the eigenspace decomposition.  The horizon,
+    window and tolerance come from ``config``.
     """
-    if n_max is not None and config is not None:
-        raise InvalidInputError("pass n_max or config, not both")
-    cfg = config or (RunConfig() if n_max is None else RunConfig(n_max=n_max))
+    cfg = config or RunConfig()
     an = as_analysis(A, 0)
     A = an.A
     h = as_vector(h, A.shape[0])
@@ -589,11 +611,10 @@ def theorem_check(A, config: RunConfig | None = None) -> CriteriaReport:
     an = as_analysis(A, POWER_STEPS)
     A = an.A
     mp, D = an.minpoly, an.decomposition
-    in_circle = all(abs(abs(z) - 1) <= 1e-8 for z, _ in mp.roots)
+    in_circle = all(unimodular(z) for z, _ in mp.roots)
 
     unitary = is_unitary(A)
     normaloid = is_normaloid(an)
-    contraction = an.norm <= 1 + 1e-10
     pb = is_power_bounded(an)
 
     probes = probe_set(A.shape[0], np.random.default_rng(cfg.seed), D=D)
@@ -608,7 +629,7 @@ def theorem_check(A, config: RunConfig | None = None) -> CriteriaReport:
             witness = v
     all_convergent = witness is None
 
-    conditions = [unitary, normaloid, contraction, all_convergent]
+    conditions = [unitary, normaloid, an.contraction, all_convergent]
     consistent = (not in_circle) or all(c == conditions[0] for c in conditions)
     return CriteriaReport(
         is_algebraic=True,  # the minimal polynomial is certified above
@@ -616,7 +637,7 @@ def theorem_check(A, config: RunConfig | None = None) -> CriteriaReport:
         spectrum_in_circle=in_circle,
         unitary=unitary,
         normaloid=normaloid,
-        contraction=contraction,
+        contraction=an.contraction,
         orbits_convergent=all_convergent,
         power_bounded=pb,
         witness=witness,

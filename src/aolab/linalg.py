@@ -1,4 +1,4 @@
-"""Dense complex linear algebra core: norms, rank, spectra, matrix JSON I/O.
+"""Dense complex linear algebra core: norms, spectra, matrix JSON I/O.
 
 Everything operates on square complex matrices of dimension at most
 ``MAX_DIM`` (desk scale).  All functions are pure; inputs are never mutated.
@@ -13,9 +13,6 @@ import numpy as np
 from .errors import InvalidInputError, SizeError
 
 MAX_DIM = 64
-
-# Default rank cutoff: tol = RANK_TOL_FACTOR * dim * smax.
-RANK_TOL_FACTOR = 1e-10
 
 # Eigenvalue clustering radius: delta = CLUSTER_FACTOR * max(1, ||A||).
 CLUSTER_FACTOR = 1e-8
@@ -54,20 +51,6 @@ def operator_norm(A) -> float:
     return float(np.linalg.norm(A, 2))
 
 
-def rank(A, tol: float = 0.0) -> int:
-    """Number of singular values above ``tol``.
-
-    With tol = 0 the default cutoff RANK_TOL_FACTOR * dim * smax is used.
-    """
-    A = as_matrix(A)
-    if tol < 0:
-        raise InvalidInputError("tol must be nonnegative")
-    s = np.linalg.svd(A, compute_uv=False)
-    if tol == 0.0:
-        tol = RANK_TOL_FACTOR * A.shape[0] * (s[0] if s.size else 0.0)
-    return int(np.sum(s > tol))
-
-
 def cluster_points(values: np.ndarray, radius: float):
     """Single-linkage clustering of complex values.
 
@@ -104,7 +87,6 @@ class SpectrumInfo:
     """Clustered eigenvalues with algebraic multiplicities."""
 
     eigenvalues: tuple  # of (complex, int)
-    spectral_radius: float
 
     @property
     def values(self):
@@ -114,11 +96,11 @@ class SpectrumInfo:
         return sum(m for _, m in self.eigenvalues)
 
 
-def spectrum(A, cluster_radius: float | None = None) -> SpectrumInfo:
+def spectrum(A) -> SpectrumInfo:
     """Eigenvalues with multiplicities assigned by clustering.
 
-    Computed by Hessenberg reduction plus shifted QR (LAPACK).  The
-    clustering radius defaults to CLUSTER_FACTOR * max(1, ||A||).
+    Computed by Hessenberg reduction plus shifted QR (LAPACK), clustered
+    with radius CLUSTER_FACTOR * max(1, ||A||).
     """
     A = as_matrix(A)
     try:
@@ -127,15 +109,8 @@ def spectrum(A, cluster_radius: float | None = None) -> SpectrumInfo:
         from .errors import NumericalFailureError
 
         raise NumericalFailureError(f"eigenvalue iteration failed: {exc}") from exc
-    if cluster_radius is None:
-        cluster_radius = CLUSTER_FACTOR * max(1.0, operator_norm(A))
-    clustered = cluster_points(eigs, cluster_radius)
-    r = max(abs(z) for z, _ in clustered)
-    return SpectrumInfo(eigenvalues=tuple(clustered), spectral_radius=float(r))
-
-
-def spectral_radius(A) -> float:
-    return spectrum(A).spectral_radius
+    clustered = cluster_points(eigs, CLUSTER_FACTOR * max(1.0, operator_norm(A)))
+    return SpectrumInfo(eigenvalues=tuple(clustered))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,10 @@ import numpy as np
 from .config import RunConfig
 from .criteria import (
     POWER_STEPS,
+    UNIT_TOL,
     as_analysis,
+    at_most_one,
+    block_components,
     classify_orbits,
     is_normaloid,
     is_power_bounded,
@@ -24,6 +27,7 @@ from .criteria import (
     orbit_norms_batch,
     power_bounded_roots,
     probe_set,
+    unimodular,
     window_limit,
 )
 from .errors import InconsistencyError, InvalidInputError, OutOfScopeError
@@ -88,12 +92,11 @@ def normaloid_equivalence(A, config: RunConfig | None = None) -> NormaloidReport
     A = an.A
     if not is_normaloid(an):
         raise InvalidInputError("normaloid_equivalence requires a normaloid matrix")
-    contraction = an.norm <= 1 + 1e-10
     pb = is_power_bounded(an)
     probes = probe_set(A.shape[0], np.random.default_rng(cfg.seed))
     _, classes = classify_orbits(A, np.column_stack([v for _, v in probes]), an.minpoly.degree, cfg)
     convergent = all(cls.kind == "convergent" for cls in classes)
-    rep = NormaloidReport(orbits_convergent=convergent, power_bounded=pb, contraction=contraction)
+    rep = NormaloidReport(orbits_convergent=convergent, power_bounded=pb, contraction=an.contraction)
     if not rep.all_agree():
         raise InconsistencyError(f"normaloid equivalence violated: {rep}")
     return rep
@@ -101,10 +104,10 @@ def normaloid_equivalence(A, config: RunConfig | None = None) -> NormaloidReport
 
 def unimodular_eigenprojection(A) -> np.ndarray:
     """Orthogonal projection onto the span of eigenvectors of a normal
-    matrix with |eigenvalue| >= 1 - 1e-8."""
+    matrix with unimodular eigenvalues."""
     A = as_matrix(A)
     vals, vecs = np.linalg.eig(A)
-    sel = np.abs(vals) >= 1 - 1e-8
+    sel = unimodular(vals)
     if not np.any(sel):
         return np.zeros_like(A)
     # Orthonormalize within the selected span (eig need not return an
@@ -113,20 +116,21 @@ def unimodular_eigenprojection(A) -> np.ndarray:
     return Y @ Y.conj().T
 
 
-def normal_limit(A, h, n_max: int = 2000) -> float:
+def normal_limit(A, h) -> float:
     """lim ||A^n h||^2 for a normal contraction: equals <Q h, h> with Q the
     orthogonal projection onto the unimodular eigenspaces.  The identity is
-    cross-checked by iterating the orbit."""
-    A = as_matrix(A)
+    cross-checked by iterating the orbit over ``RunConfig.n_max`` steps."""
+    an = as_analysis(A, 0)
+    A = an.A
     h = as_vector(h, A.shape[0])
-    nrm = operator_norm(A)
-    if np.linalg.norm(A.conj().T @ A - A @ A.conj().T) > 1e-10 * max(nrm**2, 1e-300):
-        raise InvalidInputError("normal_limit requires a normal matrix")
-    if nrm > 1 + 1e-10:
+    # Contraction first: the normality products of a huge matrix overflow.
+    if not an.contraction:
         raise InvalidInputError("normal_limit requires a contraction")
+    if np.linalg.norm(A.conj().T @ A - A @ A.conj().T) > 1e-10 * max(an.norm**2, 1e-300):
+        raise InvalidInputError("normal_limit requires a normal matrix")
     Q = unimodular_eigenprojection(A)
     q = float(np.real(np.vdot(h, Q @ h)))
-    norms, _ = orbit_norms_batch(A, h.reshape(-1, 1), n_max)
+    norms, _ = orbit_norms_batch(A, h.reshape(-1, 1), RunConfig.n_max)
     sq = norms[:, 0] ** 2
     _, limit = window_limit(sq)
     if abs(limit - q) > 1e-6:
@@ -136,28 +140,28 @@ def normal_limit(A, h, n_max: int = 2000) -> float:
     return q
 
 
-def growth_bound(A, n_check: int = 1000) -> GrowthBound:
+def growth_bound(A) -> GrowthBound:
     """Certified constant for ||A^n|| <= alpha n^kappa r^n.
 
     Per block: alpha_j = sum_k ||N_j^k|| / (k! |z_j|^k) over k < i_j, with
     N_j the nilpotent part in the block basis; alpha aggregates via
-    alpha = sum_j ||P_j|| alpha_j.  Verified empirically up to n_check, so
-    an Analysis passed as ``A`` needs a horizon of at least n_check.
+    alpha = sum_j ||P_j|| alpha_j.  Verified empirically up to POWER_STEPS,
+    so an Analysis passed as ``A`` needs a horizon of at least POWER_STEPS.
     """
-    an = as_analysis(A, n_check)
+    an = as_analysis(A, POWER_STEPS)
     A = an.A
     mp = an.minpoly
-    r = max(abs(z) for z, _ in mp.roots)
-    if r > 1 + 1e-12:
+    r = an.spectral_radius
+    if not at_most_one(r):
         raise OutOfScopeError(f"growth bound requires r(A) <= 1, got {r}")
     kappa = mp.degree - 1
-    logs = an.power_logs(n_check)
+    logs = an.power_logs(POWER_STEPS)
 
     if r <= _NILPOTENT_RADIUS:
         # Nilpotent: powers vanish identically from n = deg p on.
         valid_from = mp.degree
         scale = max(1.0, an.norm)
-        for n in range(valid_from, n_check + 1):
+        for n in range(valid_from, POWER_STEPS + 1):
             if logs[n - 1] > np.log(1e-10 * scale**mp.degree):
                 raise InconsistencyError(
                     f"nilpotent matrix has nonzero power at n={n}"
@@ -196,7 +200,7 @@ def growth_bound(A, n_check: int = 1000) -> GrowthBound:
     valid_from = 1
     log_alpha = np.log(alpha)
     worst = -np.inf
-    for n in range(valid_from, n_check + 1):
+    for n in range(valid_from, POWER_STEPS + 1):
         log_bound = log_alpha + kappa * np.log(n) + n * np.log(r)
         if np.isfinite(logs[n - 1]):
             worst = max(worst, logs[n - 1] - log_bound)
@@ -212,11 +216,12 @@ def growth_bound(A, n_check: int = 1000) -> GrowthBound:
     )
 
 
-def growth_csv_rows(A, gb: GrowthBound, n_check: int = 1000):
-    """(n, ||A^n||, bound_n) rows for external plotting."""
-    logs = as_analysis(A, n_check).power_logs(n_check)
+def growth_csv_rows(A, gb: GrowthBound):
+    """(n, ||A^n||, bound_n) rows for n = 1..POWER_STEPS, for external
+    plotting."""
+    logs = as_analysis(A, POWER_STEPS).power_logs(POWER_STEPS)
     rows = []
-    for n in range(1, n_check + 1):
+    for n in range(1, POWER_STEPS + 1):
         if gb.spectral_radius > 0:
             bound = gb.alpha * n**gb.kappa * gb.spectral_radius**n
         else:
@@ -235,8 +240,7 @@ def uniform_stability(A, config: RunConfig | None = None) -> StabilityVerdict:
     cfg = config or RunConfig()
     an = as_analysis(A, cfg.n_max)
     A = an.A
-    r = an.spectral_radius
-    uniformly = r < 1 - 1e-10
+    uniformly = an.spectral_radius < 1 - UNIT_TOL
     logs = an.power_logs(cfg.n_max)
     half = len(logs) // 2
     if logs[-1] == -np.inf:
@@ -247,7 +251,7 @@ def uniform_stability(A, config: RunConfig | None = None) -> StabilityVerdict:
     if uniformly and not decaying:
         raise InconsistencyError("r < 1 but power norms do not decay")
 
-    structural_pb = power_bounded_roots(an.minpoly.roots, r)
+    structural_pb = power_bounded_roots(an.minpoly.roots)
     probes = probe_set(A.shape[0], np.random.default_rng(cfg.seed), n_random=10)
     ologs = orbit_log_norms_batch(A, np.column_stack([v for _, v in probes]), cfg.n_max)
     w = cfg.window
@@ -280,9 +284,10 @@ def uniform_stability(A, config: RunConfig | None = None) -> StabilityVerdict:
     )
 
 
-def orbit_root_limit(A, h, n_max: int = 2000) -> float:
-    """Empirical limit of ||A^n h||^{1/n}, cross-checked within 1e-3 against
-    the structural prediction max{|z_j| : P_j h != 0}.
+def orbit_root_limit(A, h) -> float:
+    """Empirical limit of ||A^n h||^{1/n} over ``RunConfig.n_max`` steps,
+    cross-checked within 1e-3 against the structural prediction
+    max{|z_j| : P_j h != 0}.
 
     The n-th root sequence converges like 1 + O(log n / n), too slowly for
     the plain window rule at desk horizons; the limit is therefore
@@ -293,14 +298,9 @@ def orbit_root_limit(A, h, n_max: int = 2000) -> float:
     h = as_vector(h, an.A.shape[0])
     if np.linalg.norm(h) == 0:
         raise InvalidInputError("orbit vector must be nonzero")
+    n_max = RunConfig.n_max
     logs = orbit_log_norms_batch(an.A, h.reshape(-1, 1), n_max)[:, 0]
-    hn = float(np.linalg.norm(h))
-    moduli = [
-        abs(b.z)
-        for b in an.decomposition.blocks
-        if np.linalg.norm(b.projection @ h) > 1e-10 * hn
-    ]
-    mu = max(moduli) if moduli else 0.0
+    mu = max((abs(b.z) for b, _ in block_components(h, an.decomposition)), default=0.0)
 
     if logs[-1] == -np.inf:
         empirical = 0.0

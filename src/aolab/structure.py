@@ -15,15 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionError, IllConditionedSpectrumError, InvalidInputError
-from .linalg import (
-    CLUSTER_FACTOR,
-    RANK_TOL_FACTOR,
-    SpectrumInfo,
-    as_matrix,
-    cluster_points,
-    operator_norm,
-    spectrum,
-)
+from .linalg import CLUSTER_FACTOR, SpectrumInfo, as_matrix, cluster_points, operator_norm, spectrum
 
 # Clustering radii tried in order when recovering roots of the minimal
 # polynomial.  Computed eigenvalues of a defective root of index i scatter
@@ -35,6 +27,10 @@ _CLUSTER_LADDER = (1.0, 1e2, 1e3, 1e4, 1e5)
 # (T - z_j I) divided by ||T|| + |z_j| the exact product would vanish, so
 # the computed product must stay below an absolute cutoff.
 MINPOLY_RESIDUAL = 1e-8
+
+# Kernel cutoff: a singular value of a power prescaled to norm <= 1 is zero
+# when it is at most KERNEL_TOL * dim.
+KERNEL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -63,7 +59,7 @@ def _nullity_scaled(P: np.ndarray) -> int:
     """Nullity of a power that was built from a matrix prescaled to norm
     <= 1, so an absolute cutoff separates kernel from non-kernel."""
     s = np.linalg.svd(P, compute_uv=False)
-    return int(np.sum(s <= RANK_TOL_FACTOR * P.shape[0]))
+    return int(np.sum(s <= KERNEL_TOL * P.shape[0]))
 
 
 def _index_by_nullity(A: np.ndarray, z: complex, mult: int, scale: float) -> int:
@@ -195,7 +191,7 @@ def _kernel_basis(M: np.ndarray, nullity: int | None) -> np.ndarray:
     d = M.shape[0]
     _, s, vh = np.linalg.svd(M)
     if nullity is None:
-        nullity = int(np.sum(s <= RANK_TOL_FACTOR * d))
+        nullity = int(np.sum(s <= KERNEL_TOL * d))
     if nullity == 0:
         return np.zeros((d, 0), dtype=complex)
     return vh[d - nullity:].conj().T

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, exit codes, determinism."""
 
 import json
+import math
 import os
 import sys
 
@@ -94,18 +95,23 @@ class TestAnalyze:
         assert report["criteria"]["probes"][0]["classification"]["kind"] == "exponential-growth"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("big", [1e150, 1e160, 1e200])
+    @pytest.mark.parametrize("big", [1e12, 1e150, 1e160, 1e200])
     def test_entries_whose_squares_overflow(self, big, tmp_path, capsys):
-        # Squares of these entries pass the float range: in norms, in
-        # is_unitary's products, and, past 1e154, in the orbit engines.
+        # Squares of the entries from 1e150 on pass the float range: in
+        # norms, in is_unitary's products, and, past 1e154, in the orbit
+        # engines.  At every size the e0 orbit's cut step passes 1e308, so
+        # its row of raw norms is clamped.
         inp = _write_matrix(tmp_path / "m.json", np.diag([big, 0.5]).astype(complex))
         assert main(["analyze", "--input", inp]) == EXIT_OK
         crit = _finite_report(capsys.readouterr().out)["criteria"]
         assert crit["normaloid"] is True and crit["power_bounded"] is False
-        # The e1 orbit, 0.5^n up to the overflow cut at step 2 or 3, must
-        # not underflow next to the huge e0 entries.
-        e1 = crit["probes"][1]
-        assert e1["label"] == "e1" and 0.1 < e1["norm_last"] <= 0.25
+        e0, e1 = crit["probes"][:2]
+        assert e0["classification"]["rate"] == pytest.approx(big, rel=1e-9)
+        # The e1 orbit, 0.5^n up to the overflow cut at the first n with
+        # big^n > 1e300, must not underflow next to the huge e0 entries.
+        n = -math.log2(e1["norm_last"])
+        assert e1["label"] == "e1" and n == pytest.approx(round(n), abs=1e-9)
+        assert round(n) - 1 <= 300 / math.log10(big) <= round(n)
 
     def test_analyze_computes_structure_once(self, tmp_path, monkeypatch, capsys):
         calls = _record_calls(
@@ -114,7 +120,10 @@ class TestAnalyze:
         inp = _write_matrix(tmp_path / "m.json", canonical_oblique())
         rc = main(["analyze", "--input", inp, "--csv", str(tmp_path / "g.csv")])
         assert rc == EXIT_OK
-        assert {name: len(args) for name, args in calls.items()} == dict.fromkeys(calls, 1)
+        # The spectral radius is read off the minimal polynomial's roots.
+        assert {name: len(args) for name, args in calls.items()} == {
+            "minimal_polynomial": 1, "decompose": 1, "spectrum": 0, "power_log_norms": 1
+        }
         assert calls["power_log_norms"][0][1] == 2000
 
     def test_inconsistent_power_bound_exits_2(self, tmp_path, capsys):
@@ -218,6 +227,13 @@ class TestSeedEnv:
         assert default_seed() == 12345
         monkeypatch.delenv("AOLAB_SEED")
         assert default_seed() == 0
+
+    def test_bad_env_seed_needs_no_seed_flag(self, monkeypatch, capsys):
+        monkeypatch.setenv("AOLAB_SEED", "abc")
+        assert main(["verify", "--suite", "scalar", "--trials", "1", "--seed", "5"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["verify", "--suite", "scalar", "--trials", "1"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: AOLAB_SEED must be an integer, got 'abc'\n"
 
     def test_env_seed_changes_generate(self, monkeypatch, capsys):
         args = ["generate", "--kind", "normaloid", "--dim", "4"]

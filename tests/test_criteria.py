@@ -345,7 +345,7 @@ class TestOrbitAnalyze:
     def test_jordan_probe_grows_linearly(self):
         A = gen_jordan_perturbation(2, 1.0, 1.0, seed=0)
         h = np.array([0.0, 1.0], dtype=complex)
-        rec = orbit_analyze(A, h, n_max=20000)
+        rec = orbit_analyze(A, h, RunConfig(n_max=20000))
         assert rec.classification.kind == "polynomial-growth"
         assert rec.classification.degree == 1
 
@@ -361,5 +361,3 @@ class TestOrbitAnalyze:
         h = np.array([0.0, 1.0], dtype=complex)
         rec = orbit_analyze(A, h, config=RunConfig(n_max=500))
         assert rec.norms.shape == (501,)
-        with pytest.raises(InvalidInputError):
-            orbit_analyze(A, h, n_max=500, config=RunConfig(n_max=500))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from aolab.criteria import is_normaloid, is_unitary
+from aolab.criteria import Analysis, is_normaloid, is_unitary
 from aolab.errors import InvalidInputError
 from aolab.generators import (
     SQRT2,
@@ -17,7 +17,7 @@ from aolab.generators import (
     gen_unitary_finite_spectrum,
     haar_unitary,
 )
-from aolab.linalg import operator_norm, spectral_radius, spectrum
+from aolab.linalg import operator_norm, spectrum
 from aolab.structure import minimal_polynomial
 
 
@@ -111,7 +111,7 @@ class TestNormaloidNonnormal:
         A = gen_normaloid_nonnormal(6, seed=2, target_norm=2.0)
         assert is_normaloid(A)
         assert operator_norm(A) == pytest.approx(2.0, rel=1e-8)
-        assert spectral_radius(A) == pytest.approx(2.0, rel=1e-8)
+        assert Analysis(A, 0).spectral_radius == pytest.approx(2.0, rel=1e-8)
         comm = A @ A.conj().T - A.conj().T @ A
         assert np.linalg.norm(comm) > 1e-6
 

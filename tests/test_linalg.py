@@ -1,4 +1,4 @@
-"""Matrix-core helpers: validation, norms, rank, clustering, JSON."""
+"""Matrix-core helpers: validation, norms, clustering, spectra, JSON."""
 
 import numpy as np
 import pytest
@@ -14,8 +14,6 @@ from aolab.linalg import (
     matrix_from_obj,
     matrix_to_obj,
     operator_norm,
-    rank,
-    spectral_radius,
     spectrum,
 )
 
@@ -53,19 +51,6 @@ class TestNormsAndRank:
         A = np.array([[1, 1], [0, 1]], dtype=complex)
         phi = (1 + np.sqrt(5)) / 2
         assert operator_norm(A) == pytest.approx(phi, rel=1e-12)
-
-    def test_rank_with_default_tol(self):
-        A = np.array([[1, 2], [2, 4]], dtype=complex)
-        assert rank(A) == 1
-
-    def test_rank_explicit_tol(self):
-        A = np.diag([1.0, 1e-5])
-        assert rank(A, tol=1e-3) == 1
-        assert rank(A, tol=1e-8) == 2
-
-    def test_spectral_radius(self):
-        A = np.array([[0, 2], [0.5, 0]], dtype=complex)
-        assert spectral_radius(A) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestClusterPoints:
@@ -109,6 +94,10 @@ class TestSpectrum:
     def test_multiplicity_sum(self):
         info = spectrum(np.eye(5))
         assert info.multiplicity_sum() == 5
+
+    def test_spectral_radius(self):
+        A = np.array([[0, 2], [0.5, 0]], dtype=complex)
+        assert max(abs(z) for z in spectrum(A).values) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestMatrixJson:

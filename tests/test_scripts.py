@@ -1,4 +1,4 @@
-"""Smoke runs of the experiment scripts on two trials each."""
+"""Smoke runs of the scripts on small inputs."""
 
 import importlib.util
 from pathlib import Path
@@ -29,3 +29,17 @@ def test_orbit_survey(capsys):
     text = capsys.readouterr().out
     for family in ("unitary", "oblique", "jordan", "planted"):
         assert f"family {family} (2 instances)" in text
+
+
+def test_report_digests(monkeypatch, capsys):
+    module = _load("report_digests")
+    keep = ("oblique-d4-s0", "dft4", "diag-1e12")
+    picked = [inst for inst in module.instances() if inst[0] in keep]
+    monkeypatch.setattr(module, "instances", lambda: picked)
+    assert module.main() == 0
+    first = capsys.readouterr().out
+    assert module.main() == 0
+    assert capsys.readouterr().out == first
+    rows = [line.split() for line in first.splitlines()]
+    assert [row[:2] for row in rows] == [[name, "0"] for name in keep]
+    assert all(len(row[2]) == 64 for row in rows)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aolab.config import RunConfig
-from aolab.criteria import Analysis
+from aolab.criteria import POWER_STEPS, Analysis
 from aolab.errors import InvalidInputError, OutOfScopeError
 from aolab.generators import (
     canonical_oblique,
@@ -69,8 +69,8 @@ class TestGrowthBound:
     def test_csv_rows_shape(self):
         A = canonical_oblique()
         gb = growth_bound(A)
-        rows = list(growth_csv_rows(A, gb, n_check=50))
-        assert len(rows) == 50
+        rows = list(growth_csv_rows(A, gb))
+        assert len(rows) == POWER_STEPS
         for n, nrm, bound in rows:
             if n >= gb.valid_from:
                 assert nrm <= bound * (1 + 1e-8)
@@ -98,12 +98,17 @@ class TestNormalLimit:
         assert normal_limit(A, h) == pytest.approx(1.0, rel=1e-10)
 
     def test_rejects_nonnormal(self):
-        with pytest.raises(InvalidInputError):
-            normal_limit(np.array([[1, 1], [0, 1]], dtype=complex), np.ones(2))
+        J = np.array([[1, 1], [0, 1]], dtype=complex)
+        for A in (J, 0.5 * J):  # the second is a contraction
+            with pytest.raises(InvalidInputError):
+                normal_limit(A, np.ones(2))
 
     def test_rejects_expansive(self):
-        with pytest.raises(InvalidInputError):
-            normal_limit(2 * np.eye(2), np.ones(2))
+        # diag(1e200, 0.5) is rejected before its normality products overflow
+        # (a RuntimeWarning fails the test).
+        for A in (2 * np.eye(2), np.diag([1e200, 0.5])):
+            with pytest.raises(InvalidInputError):
+                normal_limit(A, np.ones(2))
 
 
 class TestNormaloidEquivalence:
