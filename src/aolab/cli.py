@@ -16,7 +16,7 @@ import sys
 
 from . import jsonout
 from .config import RunConfig, default_seed
-from .criteria import POWER_STEPS, Analysis, theorem_check
+from .criteria import Analysis, theorem_check
 from .errors import AolabError, InconsistencyError, InvalidInputError, OutOfScopeError
 from .generators import (
     SQRT2,
@@ -89,7 +89,7 @@ def cmd_analyze(args) -> int:
     gb = None
     try:
         # Every stage below reads its structure off this one analysis.
-        an = Analysis(A, max(cfg.n_max, POWER_STEPS))
+        an = Analysis(A)
         report["minimal_polynomial"] = minimal_poly_to_obj(an.minpoly)
         report["decomposition"] = {
             "blocks": [

@@ -257,6 +257,15 @@ def classify_orbits(A: np.ndarray, H: np.ndarray, max_poly_degree: int, cfg: Run
     return norms, classes
 
 
+def _prescaled(A: np.ndarray):
+    """(A 2^-e, e log 2) for a matrix whose squared entries could overflow,
+    with 2^e a power of two taken from its largest entry; else (A, 0)."""
+    if _squares_safe(A):
+        return A, 0.0
+    e = math.frexp(float(np.abs(A).max()))[1]
+    return A * 2.0**-e, e * math.log(2.0)
+
+
 def power_log_norms(A: np.ndarray, n_max: int) -> np.ndarray:
     """log ||A^n|| (operator norm) for n = 1..n_max, immune to overflow and
     underflow; -inf from the first power that is exactly zero.
@@ -266,16 +275,10 @@ def power_log_norms(A: np.ndarray, n_max: int) -> np.ndarray:
     chunk of at most about 2^14 / d^2 matrices (256 KiB of stack).  Chunks
     start at fixed steps, so a longer trajectory extends a shorter one bit
     for bit: ``power_log_norms(A, m)`` equals ``power_log_norms(A, n)[:m]``
-    for m <= n.  A matrix whose squared entries could overflow is propagated
-    scaled by 2^-e, a power of two taken from its largest entry, and
-    n e log 2 is added back to log ||A^n||.
+    for m <= n.  A is propagated prescaled (``_prescaled``) and n e log 2
+    is added back to log ||A^n||.
     """
-    A = as_matrix(A)
-    shift = 0.0
-    if not _squares_safe(A):
-        e = math.frexp(float(np.abs(A).max()))[1]
-        A *= 2.0**-e
-        shift = e * math.log(2.0)
+    A, shift = _prescaled(as_matrix(A))
     d = A.shape[0]
     depth = max(1, 2**14 // d**2)
     stack = np.empty((min(depth, n_max), d, d), dtype=complex)
@@ -304,6 +307,38 @@ def power_log_norms(A: np.ndarray, n_max: int) -> np.ndarray:
             return out
         M = M.copy()  # the next chunk overwrites the stack
     return out
+
+
+def power_log_norm(A: np.ndarray, n: int) -> float:
+    """log ||A^n|| (operator norm) for one n >= 1 by binary powering: about
+    log2 n squarings and one product per set bit of n, then one SVD.  A is
+    prescaled like in ``power_log_norms``; -inf when a power is exactly
+    zero."""
+    A, shift = _prescaled(as_matrix(A))
+    # square = A^(2^k) / e^square_log and result = A^m / e^result_log, for
+    # the bits k of n read so far and m their part of n.  Both are rescaled
+    # to Frobenius norm 1 before they are multiplied, so no product
+    # overflows.
+    square, square_log = A, shift
+    result, result_log = None, 0.0
+    while True:
+        f = math.sqrt(np.vdot(square, square).real)
+        if f == 0.0:
+            return -np.inf
+        square = square * (1.0 / f)
+        square_log += math.log(f)
+        if n & 1:
+            result = square if result is None else result @ square
+            f = math.sqrt(np.vdot(result, result).real)
+            if f == 0.0:
+                return -np.inf
+            result = result * (1.0 / f)
+            result_log += square_log + math.log(f)
+        n >>= 1
+        if not n:
+            return result_log + math.log(np.linalg.svd(result, compute_uv=False)[0])
+        square = square @ square
+        square_log *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +411,13 @@ class Analysis:
     """One matrix and the structure every stage reads off it: ``norm``
     (||A||), ``contraction``, ``minpoly``, ``spectral_radius`` (the largest
     modulus among its roots), ``decomposition`` and the power-norm
-    trajectory ``power_log_norms(A, horizon)``, each computed once, on first
-    use.  Structure that cannot be certified raises on first use.  Every
-    stage that reads them takes a matrix or an Analysis (``as_analysis``)."""
+    trajectory ``power_log_norms(A, POWER_STEPS)``, each computed once, on
+    first use.  Structure that cannot be certified raises on first use.
+    Every stage that reads them takes a matrix or an Analysis
+    (``as_analysis``)."""
 
-    def __init__(self, A, horizon: int):
+    def __init__(self, A):
         self.A = as_matrix(A)
-        self.horizon = horizon
 
     @cached_property
     def norm(self) -> float:
@@ -406,23 +441,22 @@ class Analysis:
 
     @cached_property
     def _power_logs(self) -> np.ndarray:
-        return power_log_norms(self.A, self.horizon)
+        return power_log_norms(self.A, POWER_STEPS)
 
     def power_logs(self, n: int) -> np.ndarray:
         """log ||A^k|| for k = 1..n: a prefix of the trajectory, bit for bit
-        ``power_log_norms(A, n)``.  Raises InvalidInputError past the
-        horizon."""
-        if n > self.horizon:
+        ``power_log_norms(A, n)``.  Raises InvalidInputError past
+        POWER_STEPS."""
+        if n > POWER_STEPS:
             raise InvalidInputError(
-                f"a verdict needs {n} power-norm steps; the analysis horizon is {self.horizon}"
+                f"a verdict needs {n} power-norm steps; the trajectory has {POWER_STEPS}"
             )
         return self._power_logs[:n]
 
 
-def as_analysis(a, horizon: int) -> Analysis:
-    """``a`` itself if it is an Analysis, else an Analysis of the matrix
-    ``a`` whose trajectory covers ``horizon`` power steps."""
-    return a if isinstance(a, Analysis) else Analysis(a, horizon)
+def as_analysis(a) -> Analysis:
+    """``a`` itself if it is an Analysis, else an Analysis of the matrix ``a``."""
+    return a if isinstance(a, Analysis) else Analysis(a)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +493,7 @@ def is_normaloid(A) -> bool:
     Cross-checks ||A^n|| = ||A||^n (relative 1e-6, n = 2..10) and warns on
     disagreement between the two tests.
     """
-    an = as_analysis(A, 10)
+    an = as_analysis(A)
     nrm = an.norm
     structural = abs(an.spectral_radius - nrm) <= 1e-8 * max(1.0, nrm)
     if nrm > 0:
@@ -495,7 +529,7 @@ def is_power_bounded(A) -> bool:
     Cross-checked against the first POWER_STEPS power norms; disagreement
     raises InconsistencyError.
     """
-    an = as_analysis(A, POWER_STEPS)
+    an = as_analysis(A)
     p = an.minpoly
     structural = power_bounded_roots(p.roots)
     logs = an.power_logs(POWER_STEPS)
@@ -556,7 +590,7 @@ def orbit_analyze(A, h, config: RunConfig | None = None) -> OrbitRecord:
     window and tolerance come from ``config``.
     """
     cfg = config or RunConfig()
-    an = as_analysis(A, 0)
+    an = as_analysis(A)
     A = an.A
     h = as_vector(h, A.shape[0])
     if np.linalg.norm(h) == 0:
@@ -603,12 +637,11 @@ def theorem_check(A, config: RunConfig | None = None) -> CriteriaReport:
     """Evaluate the four equivalent unitarity conditions and cross-check
     their agreement under the hypotheses (algebraic, unimodular spectrum).
 
-    ``A`` is a matrix or an Analysis with a horizon of at least
-    POWER_STEPS; an inconsistent power-bound verdict raises
-    InconsistencyError.
+    ``A`` is a matrix or an Analysis; an inconsistent power-bound verdict
+    raises InconsistencyError.
     """
     cfg = config or RunConfig()
-    an = as_analysis(A, POWER_STEPS)
+    an = as_analysis(A)
     A = an.A
     mp, D = an.minpoly, an.decomposition
     in_circle = all(unimodular(z) for z, _ in mp.roots)

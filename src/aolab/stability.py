@@ -26,12 +26,13 @@ from .criteria import (
     orbit_log_norms_batch,
     orbit_norms_batch,
     power_bounded_roots,
+    power_log_norm,
     probe_set,
     unimodular,
     window_limit,
 )
 from .errors import InconsistencyError, InvalidInputError, OutOfScopeError
-from .linalg import as_matrix, as_vector, operator_norm
+from .linalg import as_columns, as_matrix, operator_norm
 
 # Unused here, but bench/selftest.py checks that the tracer patches this
 # binding.
@@ -88,7 +89,7 @@ def normaloid_equivalence(A, config: RunConfig | None = None) -> NormaloidReport
     being a contraction stand or fall together.  Raises InconsistencyError
     if the three evaluated conditions disagree."""
     cfg = config or RunConfig()
-    an = as_analysis(A, POWER_STEPS)
+    an = as_analysis(A)
     A = an.A
     if not is_normaloid(an):
         raise InvalidInputError("normaloid_equivalence requires a normaloid matrix")
@@ -116,28 +117,33 @@ def unimodular_eigenprojection(A) -> np.ndarray:
     return Y @ Y.conj().T
 
 
-def normal_limit(A, h) -> float:
-    """lim ||A^n h||^2 for a normal contraction: equals <Q h, h> with Q the
-    orthogonal projection onto the unimodular eigenspaces.  The identity is
-    cross-checked by iterating the orbit over ``RunConfig.n_max`` steps."""
-    an = as_analysis(A, 0)
+def normal_limit(A, H):
+    """lim ||A^n h||^2 for a normal contraction and each column h of H (a
+    1-D H is one column and gives a float): equals <Q h, h> with Q the
+    orthogonal projection onto the unimodular eigenspaces.  Each column's
+    identity is cross-checked, relative to ||h||^2, against the window limit
+    of its orbit over ``RunConfig.n_max`` steps; the columns advance
+    together in one ``orbit_norms_batch``."""
+    an = as_analysis(A)
     A = an.A
-    h = as_vector(h, A.shape[0])
+    single = np.ndim(H) == 1
+    H = as_columns(H, A.shape[0])
     # Contraction first: the normality products of a huge matrix overflow.
     if not an.contraction:
         raise InvalidInputError("normal_limit requires a contraction")
     if np.linalg.norm(A.conj().T @ A - A @ A.conj().T) > 1e-10 * max(an.norm**2, 1e-300):
         raise InvalidInputError("normal_limit requires a normal matrix")
     Q = unimodular_eigenprojection(A)
-    q = float(np.real(np.vdot(h, Q @ h)))
-    norms, _ = orbit_norms_batch(A, h.reshape(-1, 1), RunConfig.n_max)
-    sq = norms[:, 0] ** 2
-    _, limit = window_limit(sq)
-    if abs(limit - q) > 1e-6:
-        raise InconsistencyError(
-            f"orbit limit {limit} disagrees with projection value {q}"
-        )
-    return q
+    # Column by column, so that a value does not depend on the other columns.
+    q = np.array([np.vdot(h, Q @ h).real for h in H.T.copy()])
+    norms, _ = orbit_norms_batch(A, H, RunConfig.n_max)
+    for j in range(H.shape[1]):
+        _, limit = window_limit(norms[:, j] ** 2)
+        if abs(limit - q[j]) > 1e-6 * norms[0, j] ** 2:
+            raise InconsistencyError(
+                f"orbit limit {limit} disagrees with projection value {q[j]}"
+            )
+    return float(q[0]) if single else q
 
 
 def growth_bound(A) -> GrowthBound:
@@ -145,10 +151,9 @@ def growth_bound(A) -> GrowthBound:
 
     Per block: alpha_j = sum_k ||N_j^k|| / (k! |z_j|^k) over k < i_j, with
     N_j the nilpotent part in the block basis; alpha aggregates via
-    alpha = sum_j ||P_j|| alpha_j.  Verified empirically up to POWER_STEPS,
-    so an Analysis passed as ``A`` needs a horizon of at least POWER_STEPS.
+    alpha = sum_j ||P_j|| alpha_j.  Verified empirically up to POWER_STEPS.
     """
-    an = as_analysis(A, POWER_STEPS)
+    an = as_analysis(A)
     A = an.A
     mp = an.minpoly
     r = an.spectral_radius
@@ -219,7 +224,7 @@ def growth_bound(A) -> GrowthBound:
 def growth_csv_rows(A, gb: GrowthBound):
     """(n, ||A^n||, bound_n) rows for n = 1..POWER_STEPS, for external
     plotting."""
-    logs = as_analysis(A, POWER_STEPS).power_logs(POWER_STEPS)
+    logs = as_analysis(A).power_logs(POWER_STEPS)
     rows = []
     for n in range(1, POWER_STEPS + 1):
         if gb.spectral_radius > 0:
@@ -234,22 +239,19 @@ def uniform_stability(A, config: RunConfig | None = None) -> StabilityVerdict:
     """||A^n|| -> 0 iff r(A) < 1; strong stability and power boundedness
     filled via probe orbits and the structural power-bound criterion.
 
-    An Analysis passed as ``A`` needs a horizon of at least ``config.n_max``;
-    the probe orbits advance together in one ``orbit_log_norms_batch``.
+    r < 1 is cross-checked by log ||A^n|| falling from n = n_max // 2 + 1
+    to n = n_max (``power_log_norm``; a zero power counts as falling); the
+    probe orbits advance together in one ``orbit_log_norms_batch``.
     """
     cfg = config or RunConfig()
-    an = as_analysis(A, cfg.n_max)
+    an = as_analysis(A)
     A = an.A
     uniformly = an.spectral_radius < 1 - UNIT_TOL
-    logs = an.power_logs(cfg.n_max)
-    half = len(logs) // 2
-    if logs[-1] == -np.inf:
-        decaying = True
-    else:
-        slope = (logs[-1] - logs[half]) / (len(logs) - half)
-        decaying = slope < 0
-    if uniformly and not decaying:
-        raise InconsistencyError("r < 1 but power norms do not decay")
+    half = cfg.n_max // 2
+    if uniformly:
+        top = power_log_norm(A, cfg.n_max)
+        if top > -np.inf and top >= power_log_norm(A, half + 1):
+            raise InconsistencyError("r < 1 but power norms do not decay")
 
     structural_pb = power_bounded_roots(an.minpoly.roots)
     probes = probe_set(A.shape[0], np.random.default_rng(cfg.seed), n_random=10)
@@ -284,35 +286,37 @@ def uniform_stability(A, config: RunConfig | None = None) -> StabilityVerdict:
     )
 
 
-def orbit_root_limit(A, h) -> float:
-    """Empirical limit of ||A^n h||^{1/n} over ``RunConfig.n_max`` steps,
+def orbit_root_limit(A, H):
+    """Empirical limit of ||A^n h||^{1/n} over ``RunConfig.n_max`` steps for
+    each column h of H (a 1-D H is one column and gives a float),
     cross-checked within 1e-3 against the structural prediction
     max{|z_j| : P_j h != 0}.
 
     The n-th root sequence converges like 1 + O(log n / n), too slowly for
     the plain window rule at desk horizons; the limit is therefore
     extracted by fitting log ||A^n h|| = a + kappa log n + n log rho over
-    the tail, which removes the polynomial factor.
+    the tail, which removes the polynomial factor.  The columns advance
+    together in one ``orbit_log_norms_batch`` and share one least-squares
+    solve.
     """
-    an = as_analysis(A, 0)
-    h = as_vector(h, an.A.shape[0])
-    if np.linalg.norm(h) == 0:
-        raise InvalidInputError("orbit vector must be nonzero")
+    an = as_analysis(A)
+    single = np.ndim(H) == 1
+    H = as_columns(H, an.A.shape[0])
     n_max = RunConfig.n_max
-    logs = orbit_log_norms_batch(an.A, h.reshape(-1, 1), n_max)[:, 0]
-    mu = max((abs(b.z) for b, _ in block_components(h, an.decomposition)), default=0.0)
-
-    if logs[-1] == -np.inf:
-        empirical = 0.0
-    else:
-        n0 = max(10, n_max // 4)
-        ns = np.arange(n0, n_max + 1, dtype=float)
-        ys = logs[n0:]
-        X = np.column_stack([np.ones_like(ns), np.log(ns), ns])
-        coef, *_ = np.linalg.lstsq(X, ys, rcond=None)
-        empirical = float(np.exp(coef[2]))
-    if abs(empirical - mu) > 1e-3:
-        raise InconsistencyError(
-            f"root limit {empirical} disagrees with structural value {mu}"
-        )
-    return empirical
+    logs = orbit_log_norms_batch(an.A, H, n_max)
+    # A column that reached zero has root limit 0.
+    empirical = np.zeros(H.shape[1])
+    live = logs[-1] > -np.inf
+    n0 = max(10, n_max // 4)
+    ns = np.arange(n0, n_max + 1, dtype=float)
+    X = np.column_stack([np.ones_like(ns), np.log(ns), ns])
+    coef, *_ = np.linalg.lstsq(X, logs[n0:, live], rcond=None)
+    empirical[live] = np.exp(coef[2])
+    for j in range(H.shape[1]):
+        comps = block_components(H[:, j], an.decomposition)
+        mu = max((abs(b.z) for b, _ in comps), default=0.0)
+        if abs(empirical[j] - mu) > 1e-3:
+            raise InconsistencyError(
+                f"root limit {empirical[j]} disagrees with structural value {mu}"
+            )
+    return float(empirical[0]) if single else empirical

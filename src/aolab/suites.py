@@ -310,15 +310,18 @@ def suite_normal_limit(trials: int, probes: int, seed: int) -> SuiteResult:
             q_zero = bool(np.linalg.norm(Q) <= 1e-10)
             good = True
             detail = ""
-            for p in range(probes):
-                h = sub_rng.standard_normal(dim) + 1j * sub_rng.standard_normal(dim)
-                q = normal_limit(A, h)  # raises on >1e-6 disagreement
+            H = np.column_stack([
+                sub_rng.standard_normal(dim) + 1j * sub_rng.standard_normal(dim)
+                for _ in range(probes)
+            ])
+            # Raises where a limit and its projection value disagree.
+            for p, q in enumerate(normal_limit(A, H)):
                 if q_zero and q > 1e-10:
                     good, detail = False, f"probe{p} limit {q} with Q=0"
                     break
                 if not q_zero and p == 0:
                     # generic probe must see the unimodular part
-                    if q <= 1e-10 and np.linalg.norm(Q @ h) > 1e-6:
+                    if q <= 1e-10 and np.linalg.norm(Q @ H[:, 0]) > 1e-6:
                         good, detail = False, "projection value lost"
                         break
             res.record(f"trial{t}", good, detail)
@@ -375,13 +378,15 @@ def suite_root_limit(trials: int, seed: int) -> SuiteResult:
             A = gen_oblique(dim, spread_unimodular(rng, dim), 50.0, sub)
         sub_rng = np.random.default_rng(sub + 2)
         try:
-            an = Analysis(A, 0)
+            an = Analysis(A)
             r = an.spectral_radius
             good = True
             detail = ""
-            for p in range(3):
-                h = sub_rng.standard_normal(dim) + 1j * sub_rng.standard_normal(dim)
-                rho = orbit_root_limit(an, h)
+            H = np.column_stack([
+                sub_rng.standard_normal(dim) + 1j * sub_rng.standard_normal(dim)
+                for _ in range(3)
+            ])
+            for p, rho in enumerate(orbit_root_limit(an, H)):
                 if rho > r + 1e-3:
                     good, detail = False, f"probe{p} rho {rho} exceeds r {r}"
                     break

@@ -16,6 +16,7 @@ from aolab.cli import (
     main,
 )
 from aolab.config import default_seed
+from aolab.criteria import POWER_STEPS
 from aolab.generators import canonical_oblique, dft4, gen_normaloid_nonnormal, gen_oblique
 from aolab.linalg import matrix_to_obj
 
@@ -124,7 +125,7 @@ class TestAnalyze:
         assert {name: len(args) for name, args in calls.items()} == {
             "minimal_polynomial": 1, "decompose": 1, "spectrum": 0, "power_log_norms": 1
         }
-        assert calls["power_log_norms"][0][1] == 2000
+        assert calls["power_log_norms"][0][1] == POWER_STEPS
 
     def test_inconsistent_power_bound_exits_2(self, tmp_path, capsys):
         z = np.exp(0.7j)

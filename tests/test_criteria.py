@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from aolab.config import RunConfig
 from aolab.criteria import (
+    POWER_STEPS,
     Analysis,
     classify_sequence,
     is_normaloid,
@@ -15,6 +16,7 @@ from aolab.criteria import (
     orbit_analyze,
     orbit_log_norms_batch,
     orbit_norms_batch,
+    power_log_norm,
     power_log_norms,
     scalar_re_sequence,
     theorem_check,
@@ -233,6 +235,26 @@ class TestOrbitIteration:
         assert np.isfinite(logs[-1])
         assert logs[-1] == pytest.approx(500 * np.log(3000.0), rel=1e-10)
 
+    @pytest.mark.parametrize("dim", [4, 16, 64])
+    def test_power_log_norm_matches_trajectory(self, dim):
+        # Binary powering reaches the far end of a trajectory; the
+        # nilpotent instance reads -inf on both.
+        for name, A in _engine_instances(dim).items():
+            logs = power_log_norms(A, 2000)
+            for n in (1001, 2000):
+                far = power_log_norm(A, n)
+                if name == "nilpotent":
+                    assert far == logs[n - 1] == -np.inf
+                else:
+                    assert abs(far - logs[n - 1]) <= 1e-9 * max(1.0, abs(logs[n - 1])), (name, n)
+
+    def test_power_log_norm_huge_entries(self):
+        # Unscaled, the squares of 1e150 overflow in the first squaring (a
+        # RuntimeWarning fails the test).
+        for big in (1e150, 1e200):
+            A = np.diag([big, 0.5])
+            assert power_log_norm(A, 2000) == pytest.approx(2000 * np.log(big), rel=1e-12)
+
 
 class TestPredicates:
     def test_unitary_true(self):
@@ -294,18 +316,16 @@ class TestTheoremCheck:
 class TestAnalysis:
     def test_analysis_matches_matrix(self):
         A = canonical_oblique()
-        an = Analysis(A, 2000)
+        an = Analysis(A)
         assert theorem_check(an, RunConfig(seed=0)).to_obj() == theorem_check(A, RunConfig(seed=0)).to_obj()
         assert np.array_equal(an.power_logs(10), power_log_norms(A, 10))
         assert is_normaloid(an) is is_normaloid(A)
 
-    def test_short_horizon_rejected(self):
-        an = Analysis(dft4(), 999)
-        with pytest.raises(InvalidInputError, match="999"):
-            theorem_check(an, RunConfig(seed=0))
-        with pytest.raises(InvalidInputError):
-            an.power_logs(1000)
-        assert is_normaloid(an)
+    def test_power_logs_stop_at_power_steps(self):
+        an = Analysis(dft4())
+        assert an.power_logs(POWER_STEPS).shape == (POWER_STEPS,)
+        with pytest.raises(InvalidInputError, match=str(POWER_STEPS + 1)):
+            an.power_logs(POWER_STEPS + 1)
 
 
 class TestScalarSequence:

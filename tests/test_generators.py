@@ -111,7 +111,7 @@ class TestNormaloidNonnormal:
         A = gen_normaloid_nonnormal(6, seed=2, target_norm=2.0)
         assert is_normaloid(A)
         assert operator_norm(A) == pytest.approx(2.0, rel=1e-8)
-        assert Analysis(A, 0).spectral_radius == pytest.approx(2.0, rel=1e-8)
+        assert Analysis(A).spectral_radius == pytest.approx(2.0, rel=1e-8)
         comm = A @ A.conj().T - A.conj().T @ A
         assert np.linalg.norm(comm) > 1e-6
 

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -43,3 +45,38 @@ def test_report_digests(monkeypatch, capsys):
     rows = [line.split() for line in first.splitlines()]
     assert [row[:2] for row in rows] == [[name, "0"] for name in keep]
     assert all(len(row[2]) == 64 for row in rows)
+
+
+def test_bench_pairs_dry_run(capsys):
+    rc = _load("bench_pairs").main(
+        ["--workload", "structure-stress", "--pairs", "2", "--first-seed", "5", "--dry-run"]
+    )
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "structure-stress pair 1 seed 5 parent HEAD~1",
+        "structure-stress pair 1 seed 5 change HEAD",
+        "structure-stress pair 2 seed 6 change HEAD",
+        "structure-stress pair 2 seed 6 parent HEAD~1",
+    ]
+
+
+def test_bench_pairs_summary():
+    spec = {"end_to_end": [
+        {"name": "ops_per_s", "better": "higher", "bound": 0.25},
+        {"name": "op_p50_ms", "better": "lower", "bound": 0.25},
+    ]}
+
+    def result(ops, ms):
+        return {"correct": True, "attempted": 6, "failed": 0, "metrics": {
+            "ops_per_s": {"value": ops}, "op_p50_ms": {"value": ms}}}
+
+    runs = {
+        "parent": [result(10 + i % 3, 50 + i % 2) for i in range(10)],
+        "change": [result(13 + i % 3, 70 - i % 2) if i else result(9, 40) for i in range(10)],
+    }
+    summary = _load("bench_pairs").summarize(runs, spec)
+    ops, ms = summary["metrics"]["ops_per_s"], summary["metrics"]["op_p50_ms"]
+    assert (ops["change_wins"], ops["gain"], ops["within_bound"]) == (9, True, True)
+    assert (ms["change_wins"], ms["gain"], ms["within_bound"]) == (1, False, False)
+    assert ops["parent"]["median"] == 11 and ms["ratio"] == pytest.approx(69 / 50.5)
+    assert summary["failed"] == {"parent": [0] * 10, "change": [0] * 10}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from aolab import criteria
 from aolab.config import RunConfig
 from aolab.criteria import POWER_STEPS, Analysis
 from aolab.errors import InvalidInputError, OutOfScopeError
@@ -88,6 +89,33 @@ class TestNormalLimit:
             q = normal_limit(A, h)
             assert q == pytest.approx(float(np.real(np.vdot(h, Q @ h))), abs=1e-9)
 
+    def test_columns_match_single_calls(self):
+        # The values come from Q column by column, so they are exact.
+        rng = np.random.default_rng(3)
+        U = haar_unitary(4, rng)
+        normal = U @ np.diag([1.0, -1.0, 0.5, 0.3]).astype(complex) @ U.conj().T
+        for A in (normal, 0.5 * np.eye(3, dtype=complex), dft4()):
+            d = A.shape[0]
+            H = rng.standard_normal((d, 5)) + 1j * rng.standard_normal((d, 5))
+            H[:, 0] = np.ones(d)
+            q = normal_limit(A, H)
+            assert q.shape == (5,)
+            assert np.array_equal(q, [normal_limit(A, H[:, j]) for j in range(5)])
+            H[:, 3] = 0.0
+            with pytest.raises(InvalidInputError):
+                normal_limit(A, H)
+
+    def test_tolerance_scales_with_norm_squared(self):
+        # An absolute 1e-6 cross-check raised on 1e3 h: both sides of it
+        # scale with ||h||^2.
+        rng = np.random.default_rng(3)
+        U = haar_unitary(6, rng)
+        A = U @ np.diag([1, 1j, -1, 0.99, 0.5, 0.2]).astype(complex) @ U.conj().T
+        h = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        q = normal_limit(A, h)
+        for scale in (1e3, 1e6):
+            assert normal_limit(A, scale * h) == pytest.approx(scale**2 * q, rel=1e-12)
+
     def test_strictly_stable_limit_zero(self):
         A = 0.5 * np.eye(3, dtype=complex)
         assert normal_limit(A, np.ones(3)) == pytest.approx(0.0, abs=1e-12)
@@ -129,12 +157,20 @@ class TestNormaloidEquivalence:
 
 
 class TestUniformStability:
-    def test_analysis_horizon_covers_n_max(self):
-        an = Analysis(dft4(), 1000)
-        with pytest.raises(InvalidInputError):
-            uniform_stability(an, RunConfig(seed=0))
-        v = uniform_stability(an, RunConfig(n_max=1000, seed=0))
+    def test_long_n_max_needs_no_long_trajectory(self, monkeypatch):
+        # The decay cross-check reads log ||A^n|| at n_max and n_max/2 + 1
+        # by binary powering, not off a trajectory of n_max steps.
+        steps = []
+        trajectory = criteria.power_log_norms
+        monkeypatch.setattr(
+            criteria, "power_log_norms", lambda A, n_max: steps.append(n_max) or trajectory(A, n_max)
+        )
+        cfg = RunConfig(n_max=5000, seed=0)
+        v = uniform_stability(Analysis(dft4()), cfg)
         assert v.power_bounded and not v.uniformly_stable
+        v = uniform_stability(Analysis(0.5 * dft4()), cfg)
+        assert v.uniformly_stable and v.strongly_stable
+        assert max(steps, default=0) <= POWER_STEPS
 
     def test_strict_contraction(self):
         v = uniform_stability(0.5 * dft4(), RunConfig(seed=0))
@@ -179,6 +215,27 @@ class TestOrbitRootLimit:
         h = np.ones(4, dtype=complex)
         assert orbit_root_limit(A, h) == pytest.approx(0.7, abs=1e-3)
 
+    def test_columns_match_single_calls(self):
+        # Several columns advance by one matrix product where one column
+        # takes a matrix-vector product.  At the index-3 root the two
+        # orbits differ by up to 5e-10 in log-norm and the fitted roots by
+        # up to 1.3e-12; at the others they agree to 1e-14.
+        rng = np.random.default_rng(2)
+        for A in (
+            np.diag([0.9, 0.5]).astype(complex),
+            gen_unitary_finite_spectrum(4, [1j, -1], seed=5),
+            gen_planted_jordan(4, [(0.7, 3)], cond_cap=20.0, seed=8),
+        ):
+            d = A.shape[0]
+            H = rng.standard_normal((d, 4)) + 1j * rng.standard_normal((d, 4))
+            H[:, 1] = np.eye(d)[:, -1]
+            rho = orbit_root_limit(A, H)
+            single = [orbit_root_limit(A, H[:, j]) for j in range(4)]
+            assert rho.shape == (4,)
+            assert np.allclose(rho, single, rtol=0, atol=1e-11)
+
     def test_zero_vector_rejected(self):
         with pytest.raises(InvalidInputError):
             orbit_root_limit(np.eye(2), np.zeros(2))
+        with pytest.raises(InvalidInputError):
+            orbit_root_limit(np.eye(2), np.array([[1.0, 0.0], [1.0, 0.0]]))
