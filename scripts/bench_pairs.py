@@ -3,13 +3,14 @@
 metric.
 
     python scripts/bench_pairs.py --parent HEAD~1 --change HEAD --workload suites
-    python scripts/bench_pairs.py --workload suites --pairs 2 --dry-run
+    python scripts/bench_pairs.py --workload suites --dry-run
 
 Each commit is exported with ``git archive`` into a temporary directory
 (the repository is only read), and ``bench/run.py`` runs in each export,
-one process at a time, for the run length in BENCHMARK.json unless
-``--seconds`` is given.  Pair i runs seed ``--first-seed`` + i on both
-commits, the parent first in even pairs and the change first in odd ones.
+one process at a time, for the run length in BENCHMARK.json.  Ten pairs
+run, the number the gain rule below is stated for: seeds 1 to 10, each on
+both commits, the parent first on odd seeds and the change first on even
+ones.
 For every end-to-end metric of BENCHMARK.json the script prints each
 side's median and quartiles, the ratio of the medians, the pairs in which
 the change read better (ties count for neither), whether the change stayed
@@ -34,15 +35,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+SEEDS = range(1, 11)
 
 
-def run_order(workloads, pairs, first_seed):
-    """(workload, pair, seed, side) in the order the runs are made."""
+def run_order(workloads):
+    """(workload, seed, side) in the order the runs are made."""
     order = []
     for workload in workloads:
-        for i in range(pairs):
-            sides = SIDES if i % 2 == 0 else SIDES[::-1]
-            order += [(workload, i, first_seed + i, side) for side in sides]
+        for seed in SEEDS:
+            sides = SIDES if seed % 2 else SIDES[::-1]
+            order += [(workload, seed, side) for side in sides]
     return order
 
 
@@ -132,19 +134,16 @@ def main(argv=None) -> int:
     p.add_argument("--change", default="HEAD")
     p.add_argument("--workload", action="append", choices=names,
                    help="repeatable; default: every workload")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--first-seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=spec["run_seconds"])
     p.add_argument("--out", default=str(ROOT / ".bench_out" / "pairs.json"))
     p.add_argument("--dry-run", action="store_true")
     args = p.parse_args(argv)
     workloads = args.workload or names
-    order = run_order(workloads, args.pairs, args.first_seed)
+    order = run_order(workloads)
     commits = {"parent": args.parent, "change": args.change}
 
     if args.dry_run:
-        for workload, i, seed, side in order:
-            print(f"{workload} pair {i + 1} seed {seed} {side} {commits[side]}")
+        for workload, seed, side in order:
+            print(f"{workload} seed {seed} {side} {commits[side]}")
         return 0
 
     commits = {side: git("rev-parse", "--verify", f"{ref}^{{commit}}") for side, ref in commits.items()}
@@ -153,18 +152,18 @@ def main(argv=None) -> int:
         trees = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             export(commits[side], trees[side])
-        for workload, i, seed, side in order:
-            result = bench(trees[side], workload, seed, args.seconds)
+        for workload, seed, side in order:
+            result = bench(trees[side], workload, seed, spec["run_seconds"])
             runs[workload][side].append(result)
-            print(f"{workload} pair {i + 1} seed {seed} {side}: "
+            print(f"{workload} seed {seed} {side}: "
                   + ", ".join(f"{k} {v['value']:.6g}" for k, v in result["metrics"].items()),
                   flush=True)
 
     report = {
         "parent": commits["parent"],
         "change": commits["change"],
-        "seconds": args.seconds,
-        "seeds": [args.first_seed + i for i in range(args.pairs)],
+        "seconds": spec["run_seconds"],
+        "seeds": list(SEEDS),
         "workloads": {},
     }
     for workload in workloads:

@@ -497,7 +497,8 @@ def is_normaloid(A) -> bool:
     nrm = an.norm
     structural = abs(an.spectral_radius - nrm) <= 1e-8 * max(1.0, nrm)
     if nrm > 0:
-        logs = an.power_logs(10)
+        # A bare matrix's Analysis is dropped on return: ten steps suffice.
+        logs = an.power_logs(10) if an is A else power_log_norms(an.A, 10)
         empirical = all(
             abs(logs[n - 1] - n * np.log(nrm)) <= np.log1p(1e-6) * n + 1e-6
             for n in range(2, 11)

@@ -121,7 +121,7 @@ def normal_limit(A, H):
     """lim ||A^n h||^2 for a normal contraction and each column h of H (a
     1-D H is one column and gives a float): equals <Q h, h> with Q the
     orthogonal projection onto the unimodular eigenspaces.  Each column's
-    identity is cross-checked, relative to ||h||^2, against the window limit
+    identity is cross-checked, to 1e-6 * max(1, ||h||^2), against the window limit
     of its orbit over ``RunConfig.n_max`` steps; the columns advance
     together in one ``orbit_norms_batch``."""
     an = as_analysis(A)
@@ -139,7 +139,7 @@ def normal_limit(A, H):
     norms, _ = orbit_norms_batch(A, H, RunConfig.n_max)
     for j in range(H.shape[1]):
         _, limit = window_limit(norms[:, j] ** 2)
-        if abs(limit - q[j]) > 1e-6 * norms[0, j] ** 2:
+        if abs(limit - q[j]) > 1e-6 * max(1.0, norms[0, j] ** 2):
             raise InconsistencyError(
                 f"orbit limit {limit} disagrees with projection value {q[j]}"
             )

@@ -321,6 +321,19 @@ class TestAnalysis:
         assert np.array_equal(an.power_logs(10), power_log_norms(A, 10))
         assert is_normaloid(an) is is_normaloid(A)
 
+    def test_bare_is_normaloid_reads_ten_steps(self, monkeypatch):
+        import aolab.criteria as criteria
+
+        steps = []
+
+        def spy(A, n_max):
+            steps.append(n_max)
+            return power_log_norms(A, n_max)
+
+        monkeypatch.setattr(criteria, "power_log_norms", spy)
+        assert is_normaloid(dft4())
+        assert steps == [10]
+
     def test_power_logs_stop_at_power_steps(self):
         an = Analysis(dft4())
         assert an.power_logs(POWER_STEPS).shape == (POWER_STEPS,)

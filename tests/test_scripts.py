@@ -48,15 +48,15 @@ def test_report_digests(monkeypatch, capsys):
 
 
 def test_bench_pairs_dry_run(capsys):
-    rc = _load("bench_pairs").main(
-        ["--workload", "structure-stress", "--pairs", "2", "--first-seed", "5", "--dry-run"]
-    )
+    rc = _load("bench_pairs").main(["--workload", "structure-stress", "--dry-run"])
     assert rc == 0
-    assert capsys.readouterr().out.splitlines() == [
-        "structure-stress pair 1 seed 5 parent HEAD~1",
-        "structure-stress pair 1 seed 5 change HEAD",
-        "structure-stress pair 2 seed 6 change HEAD",
-        "structure-stress pair 2 seed 6 parent HEAD~1",
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 20
+    assert lines[:4] == [
+        "structure-stress seed 1 parent HEAD~1",
+        "structure-stress seed 1 change HEAD",
+        "structure-stress seed 2 change HEAD",
+        "structure-stress seed 2 parent HEAD~1",
     ]
 
 
