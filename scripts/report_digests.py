@@ -10,13 +10,18 @@ running the script at both commits and diffing the output:
     PYTHONPATH=src python scripts/report_digests.py > digests.txt
 
 The set: every ``generate`` kind at dims 4, 8 and 16 and seeds 0-2, jordan
-with alpha i and scale 0.5, normaloid with scale 3, dft4, and diag(big, 0.5)
-for big = 1e12, 1e160 and 1e200.
+with alpha i and scale 0.5, normaloid with scale 3, dft4, diag(big, 0.5)
+for big = 1e12, 1e160 and 1e200, and three planted structures: the first
+circle/d16 instance of the structure-stress benchmark (12 simple unimodular
+roots, cond cap 1e4), roots of index 4 and 2 at dim 8, and a dim-32 shape
+with indices 6, 4, 2, 1 and cond cap 1e6 whose minimal polynomial has no
+singular-value gap (exit 1).
 """
 
 import contextlib
 import hashlib
 import io
+import math
 import sys
 import tempfile
 import warnings
@@ -26,7 +31,7 @@ import numpy as np
 
 from aolab import jsonout
 from aolab.cli import main as aolab_main
-from aolab.generators import dft4
+from aolab.generators import dft4, gen_planted_jordan
 from aolab.linalg import matrix_to_obj
 
 
@@ -45,6 +50,24 @@ def _kind_args(kind, dim):
     return []
 
 
+def _stress_circle_d16():
+    """The first circle/d16 instance of the structure-stress benchmark
+    (rng [1, 0, 0]): 12 simple unimodular roots, cond cap 1e4."""
+    rng = np.random.default_rng([1, 0, 0])
+    base = 2 * math.pi / 12
+    angles = rng.uniform(0, 2 * math.pi) + base * np.arange(12) + rng.uniform(-0.12, 0.12, 12) * base
+    roots = [(complex(math.cos(a), math.sin(a)), 1) for a in angles]
+    return gen_planted_jordan(16, roots, 1e4, int(rng.integers(2**31)))
+
+
+def _no_gap_d32():
+    """Separated roots of indices 6, 4, 2, 1 (the first and third
+    unimodular) under a similarity of condition up to 1e6."""
+    roots = [(r * np.exp(2j * np.pi * (j / 4 + 0.1)), i)
+             for j, (r, i) in enumerate(zip((1.0, 0.7, 1.0, 0.5), (6, 4, 2, 1)))]
+    return gen_planted_jordan(32, roots, 1e6, 0)
+
+
 def instances():
     """(name, generate arguments or a matrix) for every instance of the set."""
     out = []
@@ -59,6 +82,10 @@ def instances():
     out.append(("dft4", dft4()))
     for big in ("1e12", "1e160", "1e200"):
         out.append((f"diag-{big}", np.diag([float(big), 0.5]).astype(complex)))
+    out.append(("stress-circle-d16", _stress_circle_d16()))
+    out.append(("planted-index-4", ["--kind", "planted", "--dim", "8", "--eigenvalues", "0.5,-0.6i",
+                                    "--indices", "4,2", "--seed", "0"]))
+    out.append(("no-gap-d32", _no_gap_d32()))
     return out
 
 

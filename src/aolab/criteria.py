@@ -54,8 +54,10 @@ UNIT_TOL = 1e-10
 CIRCLE_TOL = 1e-8
 
 # A product A v of a unit vector has norm at most dim * max|a_ij|; past this
-# bound its squared entries could overflow, so the orbit engine takes its
-# column norms the slower overflow-safe way and ``power_log_norms`` scales A.
+# bound its squared entries could overflow, and when every entry of A is
+# below its inverse they could underflow to zero.  Either way the orbit
+# engine takes its column norms the slower safe way and the power routines
+# scale A (``_squares_safe``).
 _SQUARE_SAFE = 2.0**500
 
 
@@ -161,8 +163,10 @@ def classify_sequence(
 # ---------------------------------------------------------------------------
 
 def _squares_safe(A: np.ndarray) -> bool:
-    """Whether the squared entries of A v, for unit v, stay in float range."""
-    return float(np.abs(A).max()) * A.shape[0] <= _SQUARE_SAFE
+    """Whether the squared entries of A v, for unit v, neither overflow nor
+    all underflow to zero."""
+    big = float(np.abs(A).max())
+    return big == 0.0 or (big >= 1.0 / _SQUARE_SAFE and big * A.shape[0] <= _SQUARE_SAFE)
 
 
 def orbit_log_norms_batch(
@@ -258,8 +262,9 @@ def classify_orbits(A: np.ndarray, H: np.ndarray, max_poly_degree: int, cfg: Run
 
 
 def _prescaled(A: np.ndarray):
-    """(A 2^-e, e log 2) for a matrix whose squared entries could overflow,
-    with 2^e a power of two taken from its largest entry; else (A, 0)."""
+    """(A 2^-e, e log 2) for a matrix whose squared entries could overflow
+    or underflow, with 2^e a power of two taken from its largest entry;
+    else (A, 0)."""
     if _squares_safe(A):
         return A, 0.0
     e = math.frexp(float(np.abs(A).max()))[1]

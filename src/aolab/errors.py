@@ -19,12 +19,10 @@ class NumericalFailureError(AolabError):
 
 
 class IllConditionedSpectrumError(AolabError):
-    """Eigenvalue clustering is ambiguous: two candidate clusterings are
-    equally plausible.  Carries both candidates."""
-
-    def __init__(self, message, candidates=None):
-        super().__init__(message)
-        self.candidates = candidates or []
+    """The roots or indices of the minimal polynomial cannot be decided: a
+    rank decision found no singular-value gap, or the kernels at a root do
+    not add up to its multiplicity.  The message gives the root, the
+    staircase step, the deciding number and the threshold."""
 
 
 class DecompositionError(AolabError):

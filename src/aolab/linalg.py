@@ -64,15 +64,20 @@ def operator_norm(A) -> float:
     return float(np.linalg.norm(A, 2))
 
 
-def cluster_points(values: np.ndarray, radius: float):
+def cluster_points(values: np.ndarray, radius, merge=None):
     """Single-linkage clustering of complex values.
 
     Returns a list of (center, count) with centers the cluster means,
-    sorted by (real, imag).  Two values closer than ``radius`` end up in
-    the same cluster (transitively).
+    sorted by (real, imag).  ``radius`` is one float or one per value;
+    values i and j are linked when |v_i - v_j| <= (r_i + r_j) / 2, and
+    linked values end up in the same cluster (transitively).  Given
+    ``merge(i, j) -> bool``, a link joins two clusters only if ``merge``
+    accepts it; links are tried closest first, and ``merge`` is asked at
+    most once per pair of clusters.
     """
     vals = np.asarray(values, dtype=complex).reshape(-1)
     n = vals.size
+    r = np.broadcast_to(np.asarray(radius, dtype=float), (n,))
     parent = list(range(n))
 
     def find(i):
@@ -81,12 +86,19 @@ def cluster_points(values: np.ndarray, radius: float):
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(vals[i] - vals[j]) <= radius:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+    iu, ju = np.triu_indices(n, 1)
+    dist = np.abs(vals[iu] - vals[ju])
+    linked = np.flatnonzero(dist <= (r[iu] + r[ju]) / 2)
+    asked = set()
+    for k in linked[np.argsort(dist[linked], kind="stable")]:
+        i, j = int(iu[k]), int(ju[k])
+        ri, rj = find(i), find(j)
+        if ri == rj or frozenset((ri, rj)) in asked:
+            continue
+        if merge is None or merge(i, j):
+            parent[ri] = rj
+        else:
+            asked.add(frozenset((ri, rj)))
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)

@@ -10,27 +10,20 @@ c = max_j ||P_j||.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DecompositionError, IllConditionedSpectrumError, InvalidInputError
+from .errors import DecompositionError, IllConditionedSpectrumError
 from .linalg import CLUSTER_FACTOR, SpectrumInfo, as_matrix, cluster_points, operator_norm, spectrum
 
-# Clustering radii tried in order when recovering roots of the minimal
-# polynomial.  Computed eigenvalues of a defective root of index i scatter
-# like (backward error)^(1/i), so a single radius cannot serve all indices;
-# each candidate clustering is certified by the ||p(T)|| residual below.
-_CLUSTER_LADDER = (1.0, 1e2, 1e3, 1e4, 1e5)
+# Rank threshold: a singular value of A - zI (or of one of its staircase
+# compressions) is zero when it is at most KERNEL_TOL * dim * max(1, ||A||).
+KERNEL_TOL = 1e-13
 
-# Acceptance threshold on the prescaled residual: with each factor
-# (T - z_j I) divided by ||T|| + |z_j| the exact product would vanish, so
-# the computed product must stay below an absolute cutoff.
-MINPOLY_RESIDUAL = 1e-8
-
-# Kernel cutoff: a singular value of a power prescaled to norm <= 1 is zero
-# when it is at most KERNEL_TOL * dim.
-KERNEL_TOL = 1e-10
+# A rank decision needs a gap: no singular value may lie above the threshold
+# and within GAP times it.
+GAP = 1e3
 
 
 @dataclass(frozen=True)
@@ -39,10 +32,10 @@ class MinimalPoly:
 
     roots: tuple  # of (complex, int), sorted by (re, im)
     degree: int
-    # Algebraic multiplicities per root, same order as roots; populated when
-    # the polynomial came out of minimal_polynomial (None for hand-built
-    # instances).
-    multiplicities: tuple | None = None
+    # Orthonormal bases of the generalized eigenspaces ker (A - z_j I)^{i_j},
+    # same order as roots; populated when the polynomial came out of
+    # minimal_polynomial (None for hand-built instances).
+    bases: tuple | None = field(default=None, compare=False, repr=False)
 
     def evaluate(self, A: np.ndarray) -> np.ndarray:
         """p(A) by repeated multiplication."""
@@ -55,102 +48,104 @@ class MinimalPoly:
         return P
 
 
-def _nullity_scaled(P: np.ndarray) -> int:
-    """Nullity of a power that was built from a matrix prescaled to norm
-    <= 1, so an absolute cutoff separates kernel from non-kernel."""
-    s = np.linalg.svd(P, compute_uv=False)
-    return int(np.sum(s <= KERNEL_TOL * P.shape[0]))
+def _kernel(M: np.ndarray, tol: float, z: complex, step: int):
+    """(nullity, right singular vectors) of M: the singular values at most
+    ``tol`` are zero.  Raises IllConditionedSpectrumError when one lies in
+    the gap band (tol, GAP * tol]."""
+    try:
+        _, s, vh = np.linalg.svd(M)
+    except np.linalg.LinAlgError:
+        # The divide-and-conquer SVD can fail to converge on many tiny
+        # singular values; the adjoint takes another path through it.
+        u, s, _ = np.linalg.svd(M.conj().T)
+        vh = u.conj().T
+    band = s[(s > tol) & (s <= GAP * tol)]
+    if band.size:
+        raise IllConditionedSpectrumError(
+            f"root {z:.6g}, staircase step {step}: singular value {band[-1]:.3g} "
+            f"lies in the gap band above the threshold {tol:.3g} (up to {GAP:g} times it)"
+        )
+    return int(np.sum(s <= tol)), vh.conj().T
 
 
-def _index_by_nullity(A: np.ndarray, z: complex, mult: int, scale: float) -> int:
-    """Smallest k >= 1 at which the kernel of (A - zI)^k reaches the full
-    generalized eigenspace, whose dimension is the algebraic multiplicity.
-
-    Equivalent to rank saturation (rank((A-zI)^k) = rank((A-zI)^{k+1})) but
-    needs one power less and a single absolute tolerance on the prescaled
-    matrix.
-    """
+def _staircase(A: np.ndarray, z: complex, tol: float, steps: int, mult: int | None = None):
+    """(index, basis): the Kublanovskaya staircase on A - zI.  Each step
+    splits off the kernel of the current matrix and compresses the matrix
+    to the kernel's orthogonal complement, so the kernels of the first k
+    steps span ker (A - zI)^k.  It stops at the first empty kernel, after
+    ``steps`` steps, or once the kernels reach ``mult``; given ``mult``,
+    kernels that do not add up to it raise IllConditionedSpectrumError."""
     d = A.shape[0]
-    c = max(1.0, scale + abs(z))
-    B = (A - z * np.eye(d)) / c
-    P = np.eye(d, dtype=complex)
-    for k in range(1, mult + 1):
-        P = P @ B
-        if _nullity_scaled(P) >= mult:
-            return k
-    return mult
-
-
-def _candidate(A: np.ndarray, clustered, scale: float) -> MinimalPoly:
-    roots = []
-    mults = []
-    for z, mult in clustered:
-        roots.append((z, _index_by_nullity(A, z, mult, scale)))
-        mults.append(mult)
-    degree = sum(i for _, i in roots)
-    return MinimalPoly(roots=tuple(roots), degree=degree, multiplicities=tuple(mults))
-
-
-def _certifies(A: np.ndarray, mp: MinimalPoly, scale: float) -> bool:
-    d = A.shape[0]
-    if mp.degree > d:
-        return False
-    P = np.eye(d, dtype=complex)
-    for z, i in mp.roots:
-        B = (A - z * np.eye(d)) / max(1.0, scale + abs(z))
-        for _ in range(i):
-            P = P @ B
-    return operator_norm(P) <= MINPOLY_RESIDUAL
+    B = A - z * np.eye(d)
+    Q = np.eye(d, dtype=complex)
+    kernels = [np.zeros((d, 0), dtype=complex)]
+    for step in range(1, steps + 1):
+        nul, V = _kernel(B, tol, z, step)
+        if nul == 0:
+            break
+        n = B.shape[0]
+        kernels.append(Q @ V[:, n - nul:])
+        if mult is not None and d - n + nul >= mult:
+            break
+        C = V[:, : n - nul]
+        Q, B = Q @ C, C.conj().T @ B @ C
+    # Deepest kernel first: the first column then has the longest chain
+    # under A - zI, index - 1 steps to zero.
+    basis = np.hstack(kernels[::-1])
+    if mult is not None and basis.shape[1] != mult:
+        raise IllConditionedSpectrumError(
+            f"root {z:.6g}, staircase step {step}: the kernels add up to {basis.shape[1]}, "
+            f"not the multiplicity {mult}, at the threshold {tol:.3g}"
+        )
+    return len(kernels) - 1, basis
 
 
 def minimal_polynomial(A) -> MinimalPoly:
-    """Compute the minimal polynomial from clustered eigenvalues and
-    kernel-dimension saturation.
+    """Minimal polynomial from condition-clustered eigenvalues and one
+    staircase per root.
 
-    Raises IllConditionedSpectrumError when two clusterings at the base
-    radius are equally certified, DecompositionError when no clustering
-    certifies.
+    Eigenvalue j of A = V diag(w) V^{-1} gets a disk of radius
+    max(CLUSTER_FACTOR, d eps kappa_j) max(1, ||A||), kappa_j the norm of
+    row j of V^{-1} (unit eigenvectors).  Two overlapping disks merge only
+    if A - mI is singular at their midpoint m under the rank threshold;
+    each pair of clusters is checked once, closest first.  The staircase
+    on A - zI at each cluster mean z then gives the index (its number of
+    steps) and the generalized eigenspace basis.  Raises
+    IllConditionedSpectrumError when a rank decision has no gap or the
+    kernels do not add up to the cluster size.
     """
     A = as_matrix(A)
-    scale = operator_norm(A)
-    eigs = np.linalg.eigvals(A)
-    base_delta = CLUSTER_FACTOR * max(1.0, scale)
-    # Every ladder radius yields a clustering; several may certify because a
-    # defective eigenvalue cloud also annihilates A when treated as scattered
-    # simple roots.  Minimality means the lowest certified degree wins; on an
-    # equal-degree tie the clustering with fewer distinct roots is the stable
-    # description of the same cloud.
-    certified = []
-    seen = set()
-    for mult in _CLUSTER_LADDER:
-        clustered = cluster_points(eigs, base_delta * mult)
-        key = tuple(count for _, count in clustered)
-        if key in seen:
-            continue
-        seen.add(key)
-        mp = _candidate(A, clustered, scale)
-        if _certifies(A, mp, scale):
-            certified.append(mp)
-    if not certified:
-        raise DecompositionError(
-            "no certified root clustering found (minimal polynomial residual "
-            "never met its threshold)"
+    d = A.shape[0]
+    scale = max(1.0, operator_norm(A))
+    tol = KERNEL_TOL * d * scale
+    w, V = np.linalg.eig(A)
+    # An exactly defective A has a singular V: its kappa overflows to inf,
+    # which only makes every link a checked one.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            kappa = np.linalg.norm(np.linalg.inv(V), axis=1)
+        except np.linalg.LinAlgError:
+            kappa = np.full(d, np.inf)
+    kappa[~np.isfinite(kappa)] = np.inf
+    radius = np.maximum(CLUSTER_FACTOR, d * np.finfo(float).eps * kappa) * scale
+
+    def merge(i, j):
+        # Within the smallest radius, eigenvalues are one root unchecked,
+        # as in ``spectrum``; the staircase still checks the cluster.
+        m = (w[i] + w[j]) / 2
+        return abs(w[i] - w[j]) <= CLUSTER_FACTOR * scale or (
+            np.linalg.svd(A - m * np.eye(d), compute_uv=False)[-1] <= tol
         )
-    certified.sort(key=lambda m: (m.degree, len(m.roots)))
-    best = certified[0]
-    rivals = [
-        m
-        for m in certified[1:]
-        if m.degree == best.degree
-        and len(m.roots) == len(best.roots)
-        and any(abs(z - w) > base_delta for (z, _), (w, _) in zip(m.roots, best.roots))
-    ]
-    if rivals:
-        raise IllConditionedSpectrumError(
-            "multiple certified root clusterings of equal degree",
-            candidates=[best] + rivals,
-        )
-    return best
+
+    # Disks of radius r overlap within r_i + r_j: linking distance 2r.
+    roots, bases = [], []
+    for z, mult in cluster_points(w, 2 * radius, merge):
+        index, basis = _staircase(A, z, tol, mult, mult)
+        roots.append((z, index))
+        bases.append(basis)
+    return MinimalPoly(
+        roots=tuple(roots), degree=sum(i for _, i in roots), bases=tuple(bases)
+    )
 
 
 @dataclass(frozen=True)
@@ -181,37 +176,20 @@ class Decomposition:
         return [b.dim for b in self.blocks]
 
 
-def _kernel_basis(M: np.ndarray, nullity: int | None) -> np.ndarray:
-    """Orthonormal kernel basis of a power prescaled to norm <= 1.
-
-    When the kernel dimension is known in advance (the algebraic
-    multiplicity) the corresponding number of trailing right singular
-    vectors is taken; otherwise an absolute singular-value cutoff decides.
-    """
-    d = M.shape[0]
-    _, s, vh = np.linalg.svd(M)
-    if nullity is None:
-        nullity = int(np.sum(s <= KERNEL_TOL * d))
-    if nullity == 0:
-        return np.zeros((d, 0), dtype=complex)
-    return vh[d - nullity:].conj().T
-
-
 def decompose(A, p: MinimalPoly) -> Decomposition:
     """Generalized eigenspace decomposition for the minimal polynomial p.
 
-    Kernel bases come from SVDs of (A - z_j I)^{i_j}; projections from the
-    basis-change formula P_j = B E_j B^{-1} in the concatenated basis B.
+    Kernel bases are the staircase bases of ``minimal_polynomial`` (for a
+    hand-built p, a staircase of i_j steps on A - z_j I); projections come
+    from the basis-change formula P_j = B E_j B^{-1} in the concatenated
+    basis B.
     """
     A = as_matrix(A)
     d = A.shape[0]
-    scale = operator_norm(A)
-    mults = p.multiplicities if p.multiplicities is not None else [None] * len(p.roots)
-    bases = []
-    for (z, i), mult in zip(p.roots, mults):
-        c = max(1.0, scale + abs(z))
-        M = np.linalg.matrix_power((A - z * np.eye(d)) / c, i)
-        bases.append(_kernel_basis(M, mult))
+    bases = p.bases
+    if bases is None:
+        tol = KERNEL_TOL * d * max(1.0, operator_norm(A))
+        bases = [_staircase(A, z, tol, i)[1] for z, i in p.roots]
     dims = [b.shape[1] for b in bases]
     if sum(dims) != d:
         raise DecompositionError(
@@ -230,7 +208,8 @@ def decompose(A, p: MinimalPoly) -> Decomposition:
         sel = slice(offset, offset + basis.shape[1])
         P = B[:, sel] @ Binv[sel, :]
         blocks.append(Block(z=z, index=i, basis=basis, projection=P))
-        norms.append(operator_norm(P))
+        # ||P|| = ||Binv[sel, :]||, since the basis columns are orthonormal.
+        norms.append(np.linalg.norm(Binv[sel, :], 2))
         offset += basis.shape[1]
     return Decomposition(blocks=tuple(blocks), constant_c=float(max(norms)))
 

@@ -4,10 +4,12 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import aolab.criteria as criteria
 from aolab import jsonout
 from aolab.cli import (
     EXIT_INCONSISTENT,
@@ -17,8 +19,9 @@ from aolab.cli import (
 )
 from aolab.config import default_seed
 from aolab.criteria import POWER_STEPS
-from aolab.generators import canonical_oblique, dft4, gen_normaloid_nonnormal, gen_oblique
+from aolab.generators import canonical_oblique, dft4, gen_normaloid_nonnormal
 from aolab.linalg import matrix_to_obj
+from aolab.structure import minimal_polynomial
 
 
 def _write_matrix(path, A):
@@ -127,10 +130,16 @@ class TestAnalyze:
         }
         assert calls["power_log_norms"][0][1] == POWER_STEPS
 
-    def test_inconsistent_power_bound_exits_2(self, tmp_path, capsys):
-        z = np.exp(0.7j)
-        A = gen_oblique(3, [z, z * np.exp(3e-5j), -1], cond_cap=10, seed=1)
-        inp = _write_matrix(tmp_path / "m.json", A)
+    def test_inconsistent_power_bound_exits_2(self, tmp_path, capsys, monkeypatch):
+        # A minimal polynomial that gives the unimodular root -1 of the
+        # power-bounded canonical oblique matrix index 2.
+        def index_2(A):
+            mp = minimal_polynomial(A)
+            (z, _), *rest = mp.roots
+            return replace(mp, roots=((z, 2), *rest), degree=mp.degree + 1)
+
+        monkeypatch.setattr(criteria, "minimal_polynomial", index_2)
+        inp = _write_matrix(tmp_path / "m.json", canonical_oblique())
         assert main(["analyze", "--input", inp]) == EXIT_INCONSISTENT
         report = json.loads(capsys.readouterr().out)
         assert report["inconsistency"].startswith("power boundedness")

@@ -1,10 +1,13 @@
 """Window rule, orbit classification, and the equivalence checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aolab.criteria as criteria
 from aolab.config import RunConfig
 from aolab.criteria import (
     POWER_STEPS,
@@ -32,6 +35,15 @@ from aolab.generators import (
     gen_unitary_finite_spectrum,
     haar_unitary,
 )
+from aolab.structure import minimal_polynomial
+
+
+def _with_unimodular_index_2(A):
+    """The minimal polynomial of A with its first root given index 2: wrong
+    when A is power-bounded and that root unimodular."""
+    mp = minimal_polynomial(A)
+    (z, _), *rest = mp.roots
+    return replace(mp, roots=((z, 2), *rest), degree=mp.degree + 1)
 
 
 def _reference_orbit_log_norms(A, h, n_max):
@@ -255,6 +267,16 @@ class TestOrbitIteration:
             A = np.diag([big, 0.5])
             assert power_log_norm(A, 2000) == pytest.approx(2000 * np.log(big), rel=1e-12)
 
+    def test_tiny_entries(self):
+        # The squares of 1e-170 underflow to zero: unscaled, every power
+        # and every orbit step read -inf.
+        A = 1e-170 * np.eye(2)
+        want = np.arange(1, 4) * np.log(1e-170)
+        assert power_log_norms(A, 3) == pytest.approx(want, rel=1e-12)
+        assert power_log_norm(A, 3) == pytest.approx(want[-1], rel=1e-12)
+        logs = orbit_log_norms_batch(A, np.eye(2), 3)
+        assert logs[1:] == pytest.approx(np.column_stack([want, want]), rel=1e-12)
+
 
 class TestPredicates:
     def test_unitary_true(self):
@@ -304,13 +326,21 @@ class TestTheoremCheck:
         text = jsonout.dumps(rep.to_obj())
         assert '"orbits_note": "certified via probes"' in text
 
-    def test_inconsistent_power_bound_raises(self):
-        # Eigenvalues 3e-5 apart: the minimal polynomial merges them into
-        # one unimodular root of index 2, while the powers stay bounded.
+    def test_close_unimodular_roots_stay_simple(self):
+        # Eigenvalues 3e-5 apart are two simple roots, not one of index 2.
         z = np.exp(0.7j)
         A = gen_oblique(3, [z, z * np.exp(3e-5j), -1], cond_cap=10, seed=1)
+        roots = sorted(minimal_polynomial(A).roots, key=lambda zi: np.angle(zi[0]))
+        assert [i for _, i in roots] == [1, 1, 1]
+        assert roots[0][0] == pytest.approx(z, abs=1e-9)
+        assert roots[1][0] == pytest.approx(z * np.exp(3e-5j), abs=1e-9)
+
+    def test_inconsistent_power_bound_raises(self, monkeypatch):
+        # A minimal polynomial that gives a unimodular root index 2 while
+        # the powers stay bounded.
+        monkeypatch.setattr(criteria, "minimal_polynomial", _with_unimodular_index_2)
         with pytest.raises(InconsistencyError, match="power boundedness"):
-            theorem_check(A, RunConfig(seed=0))
+            theorem_check(canonical_oblique(), RunConfig(seed=0))
 
 
 class TestAnalysis:

@@ -66,6 +66,21 @@ class TestClusterPoints:
         out = cluster_points(pts, 0.6)
         assert len(out) == 1 and out[0][1] == 3
 
+    def test_merge_asked_once_per_cluster_pair(self):
+        # Every pair is linked; links are tried closest first, and once 0.1
+        # and 1.0 are refused, the other links between the same two
+        # clusters are not asked about.
+        pts = np.array([0.0, 0.1, 1.0, 1.1], dtype=complex)
+        asked = []
+
+        def merge(i, j):
+            asked.append((i, j))
+            return abs(pts[i] - pts[j]) < 0.5
+
+        out = cluster_points(pts, 2.5, merge)
+        assert [c for _, c in out] == [2, 2]
+        assert asked == [(0, 1), (2, 3), (1, 2)]
+
     @given(
         st.lists(
             st.complex_numbers(

@@ -1,10 +1,12 @@
 """Minimal polynomials and generalized eigenspace decompositions."""
 
+import math
+
 import numpy as np
 import pytest
 
-from aolab.errors import DecompositionError
-from aolab.generators import canonical_oblique, dft4, gen_planted_jordan
+from aolab.errors import DecompositionError, IllConditionedSpectrumError
+from aolab.generators import canonical_oblique, dft4, gen_planted_jordan, spread_unimodular
 from aolab.linalg import operator_norm
 from aolab.structure import (
     MinimalPoly,
@@ -70,6 +72,70 @@ class TestMinimalPolynomial:
         P = mp.evaluate(A)
         assert P[0, 0] == pytest.approx(0.0)
         assert P[1, 1] == pytest.approx(1.0)
+
+
+def _shape_roots(kind, indices):
+    """Planted roots of a structure-stress shape: "circle" spreads simple
+    roots on the unit circle, "close" puts the first two roots 1e-3 apart,
+    "jordan" separates the roots and puts the first and third on the
+    circle."""
+    m = len(indices)
+    if kind == "circle":
+        zs = spread_unimodular(np.random.default_rng(m), m)
+    elif kind == "close":
+        z = np.exp(0.4j)
+        zs = [z, z + 1e-3 * np.exp(1.1j), -0.6 + 0.2j]
+    else:
+        zs = [r * np.exp(2j * np.pi * (j / m + 0.1)) for j, r in enumerate((1.0, 0.7, 1.0, 0.5)[:m])]
+    return [(complex(z), i) for z, i in zip(zs, indices)]
+
+
+def _assert_recovered(A, planted):
+    """Every planted (z, index) has its own root within 1e-6 and the same
+    index, and the decomposition has one block per root."""
+    mp = minimal_polynomial(A)
+    assert len(mp.roots) == len(planted)
+    free = list(mp.roots)
+    for z, i in planted:
+        w, j = free.pop(min(range(len(free)), key=lambda k: abs(free[k][0] - z)))
+        assert abs(w - z) <= 1e-6 and j == i, (z, i, w, j)
+    D = decompose(A, mp)
+    assert D.m == len(planted) and sum(D.block_dims()) == A.shape[0]
+
+
+class TestStressShapes:
+    """Shapes of the structure-stress benchmark rebuilt with
+    gen_planted_jordan: the recovered ones give the planted roots and
+    indices, an unrecoverable one raises."""
+
+    def test_circle_d16_repro(self):
+        # The first circle/d16 instance of the benchmark (rng [1, 0, 0]):
+        # 12 simple unimodular roots, cond cap 1e4.
+        rng = np.random.default_rng([1, 0, 0])
+        base = 2 * math.pi / 12
+        angles = (rng.uniform(0, 2 * math.pi) + base * np.arange(12)
+                  + rng.uniform(-0.12, 0.12, 12) * base)
+        planted = [(complex(math.cos(a), math.sin(a)), 1) for a in angles]
+        _assert_recovered(gen_planted_jordan(16, planted, 1e4, int(rng.integers(2**31))), planted)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "dim, kind, indices, cap",
+        [
+            (16, "circle", (1,) * 12, 1e4),
+            (32, "close", (2, 1, 3), 1e2),
+            (32, "jordan", (5, 3, 1), 1e4),
+            (64, "circle", (1,) * 16, 1e6),
+        ],
+    )
+    def test_recovered(self, dim, kind, indices, cap, seed):
+        planted = _shape_roots(kind, indices)
+        _assert_recovered(gen_planted_jordan(dim, planted, cap, seed), planted)
+
+    def test_unrecoverable_raises(self):
+        A = gen_planted_jordan(32, _shape_roots("jordan", (6, 4, 2, 1)), 1e6, 0)
+        with pytest.raises(IllConditionedSpectrumError, match="staircase step .* threshold"):
+            minimal_polynomial(A)
 
 
 class TestDecompose:
