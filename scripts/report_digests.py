@@ -15,7 +15,10 @@ for big = 1e12, 1e160 and 1e200, and three planted structures: the first
 circle/d16 instance of the structure-stress benchmark (12 simple unimodular
 roots, cond cap 1e4), roots of index 4 and 2 at dim 8, and a dim-32 shape
 with indices 6, 4, 2, 1 and cond cap 1e6 whose minimal polynomial has no
-singular-value gap (exit 1).
+singular-value gap (exit 1); and near-unitary-1e-7, a dim-4 Haar unitary
+under the similarity I + 1e-7 G, whose eigenspaces are 1.4e-7 off
+orthogonal, so that not every orbit converges but no probe resolves the
+oscillation (exit 2).
 """
 
 import contextlib
@@ -31,7 +34,7 @@ import numpy as np
 
 from aolab import jsonout
 from aolab.cli import main as aolab_main
-from aolab.generators import dft4, gen_planted_jordan
+from aolab.generators import dft4, gen_planted_jordan, haar_unitary
 from aolab.linalg import matrix_to_obj
 
 
@@ -68,6 +71,13 @@ def _no_gap_d32():
     return gen_planted_jordan(32, roots, 1e6, 0)
 
 
+def _near_unitary():
+    """S U S^-1: U Haar unitary of dim 4, S = I + 1e-7 G with G Gaussian."""
+    U = haar_unitary(4, np.random.default_rng(0))
+    S = np.eye(4) + 1e-7 * np.random.default_rng(1).standard_normal((4, 4))
+    return S @ U @ np.linalg.inv(S)
+
+
 def instances():
     """(name, generate arguments or a matrix) for every instance of the set."""
     out = []
@@ -86,6 +96,7 @@ def instances():
     out.append(("planted-index-4", ["--kind", "planted", "--dim", "8", "--eigenvalues", "0.5,-0.6i",
                                     "--indices", "4,2", "--seed", "0"]))
     out.append(("no-gap-d32", _no_gap_d32()))
+    out.append(("near-unitary-1e-7", _near_unitary()))
     return out
 
 

@@ -14,6 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -383,13 +384,14 @@ class CriteriaReport:
     normaloid: bool
     contraction: bool
     orbits_convergent: bool
+    orbits_margin: float
     power_bounded: bool
     witness: np.ndarray | None
     consistent: bool
     probes: list = field(default_factory=list)  # (label, OrbitRecord)
 
     def to_obj(self):
-        out = {
+        return {
             "is_algebraic": self.is_algebraic,
             "minpoly_degree": self.minpoly_degree,
             "spectrum_in_circle": self.spectrum_in_circle,
@@ -397,7 +399,7 @@ class CriteriaReport:
             "normaloid": self.normaloid,
             "contraction": self.contraction,
             "orbits_convergent": self.orbits_convergent,
-            "orbits_note": "certified via probes",
+            "orbits_margin": self.orbits_margin,
             "power_bounded": self.power_bounded,
             "consistent": self.consistent,
             "witness": None
@@ -405,7 +407,6 @@ class CriteriaReport:
             else [[float(z.real), float(z.imag)] for z in self.witness],
             "probes": [{"label": lab, **rec.to_obj()} for lab, rec in self.probes],
         }
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -496,21 +497,22 @@ def is_normaloid(A) -> bool:
     """Spectral radius equals operator norm.
 
     Cross-checks ||A^n|| = ||A||^n (relative 1e-6, n = 2..10) and warns on
-    disagreement between the two tests.
+    disagreement outside ||A|| <= (1 + 1e-6) r, where r^n <= ||A^n|| <=
+    ||A||^n leaves the power test no way to fail.
     """
     an = as_analysis(A)
-    nrm = an.norm
-    structural = abs(an.spectral_radius - nrm) <= 1e-8 * max(1.0, nrm)
+    nrm, r, rel = an.norm, an.spectral_radius, 1e-6
+    structural = abs(r - nrm) <= 1e-8 * max(1.0, nrm)
     if nrm > 0:
         # A bare matrix's Analysis is dropped on return: ten steps suffice.
         logs = an.power_logs(10) if an is A else power_log_norms(an.A, 10)
         empirical = all(
-            abs(logs[n - 1] - n * np.log(nrm)) <= np.log1p(1e-6) * n + 1e-6
+            abs(logs[n - 1] - n * np.log(nrm)) <= np.log1p(rel) * n + rel
             for n in range(2, 11)
         )
     else:
         empirical = True
-    if structural != empirical:
+    if structural != empirical and nrm > (1 + rel) * r:
         warnings.warn(
             f"normaloid tests disagree: r vs ||A|| says {structural}, "
             f"power norms say {empirical}",
@@ -612,15 +614,9 @@ def orbit_analyze(A, h, config: RunConfig | None = None) -> OrbitRecord:
 # Theorem check
 # ---------------------------------------------------------------------------
 
-def probe_set(
-    d: int,
-    rng: np.random.Generator,
-    n_random: int = 20,
-    D: Decomposition | None = None,
-):
-    """(label, vector) probes in C^d: the standard basis, ``n_random``
-    random unit vectors, and, given a decomposition with several blocks,
-    block-mixing pairs (h_k + h_l and i h_k + h_l)."""
+def probe_set(d: int, rng: np.random.Generator, n_random: int = 20):
+    """(label, vector) probes in C^d: the standard basis and ``n_random``
+    random unit vectors."""
     probes = []
     for i in range(d):
         e = np.zeros(d, dtype=complex)
@@ -629,46 +625,64 @@ def probe_set(
     for t in range(n_random):
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         probes.append((f"rand{t}", v / np.linalg.norm(v)))
-    if D is not None and D.m > 1:
-        for k in range(D.m):
-            for l in range(k + 1, D.m):
-                hk = D.blocks[k].basis[:, 0]
-                hl = D.blocks[l].basis[:, 0]
-                probes.append((f"mix{k}+{l}", hk + hl))
-                probes.append((f"mix i*{k}+{l}", 1j * hk + hl))
     return probes
+
+
+def orbit_convergence(A, config: RunConfig | None = None):
+    """(convergent, margin, probes): whether ||A^n h|| converges for every
+    h, decided from the decomposition, and the probe orbits that cross-check
+    it as (label, OrbitRecord) pairs.  Orbits converge iff
+    ``power_bounded_roots`` holds and the unimodular blocks are orthogonal:
+    the margin, the largest principal-angle cosine between two of them (top
+    singular value of basis_a^H basis_b), is at most COMPONENT_TOL.  Past
+    it, the top singular pair adds the witness x_a + x_b, ``overlap{a}+{b}``,
+    to ``probe_set``.  Probes that disagree raise InconsistencyError."""
+    cfg = config or RunConfig()
+    an = as_analysis(A)
+    A, D = an.A, an.decomposition
+    bases = {k: b.basis for k, b in enumerate(D.blocks) if unimodular(b.z)}
+    margin, overlap = 0.0, None
+    for a, b in combinations(bases, 2):
+        u, s, vh = np.linalg.svd(bases[a].conj().T @ bases[b])
+        if s[0] > margin:
+            margin = float(s[0])
+            overlap = (f"overlap{a}+{b}", bases[a] @ u[:, 0] + bases[b] @ vh[0].conj())
+    probes = probe_set(A.shape[0], np.random.default_rng(cfg.seed))
+    if margin > COMPONENT_TOL:
+        probes.append(overlap)
+    norms, classes = classify_orbits(A, np.column_stack([v for _, v in probes]), an.minpoly.degree, cfg)
+    structural = power_bounded_roots(an.minpoly.roots) and margin <= COMPONENT_TOL
+    empirical = all(cls.kind == "convergent" for cls in classes)
+    if structural != empirical:
+        raise InconsistencyError(
+            f"orbit convergence: structural={structural} empirical={empirical} (margin {margin:.3g})"
+        )
+    records = [(label, OrbitRecord(v, norms[:, j], structural_exponent(A, v, D), cls))
+               for j, ((label, v), cls) in enumerate(zip(probes, classes))]
+    return structural, margin, records
 
 
 def theorem_check(A, config: RunConfig | None = None) -> CriteriaReport:
     """Evaluate the four equivalent unitarity conditions and cross-check
     their agreement under the hypotheses (algebraic, unimodular spectrum).
 
-    ``A`` is a matrix or an Analysis; an inconsistent power-bound verdict
-    raises InconsistencyError.
+    ``A`` is a matrix or an Analysis; an inconsistent power-bound or
+    orbit-convergence verdict raises InconsistencyError.
     """
     cfg = config or RunConfig()
     an = as_analysis(A)
     A = an.A
-    mp, D = an.minpoly, an.decomposition
+    mp = an.minpoly
     in_circle = all(unimodular(z) for z, _ in mp.roots)
 
     unitary = is_unitary(A)
     normaloid = is_normaloid(an)
     pb = is_power_bounded(an)
 
-    probes = probe_set(A.shape[0], np.random.default_rng(cfg.seed), D=D)
-    H = np.column_stack([v for _, v in probes])
-    norms, classes = classify_orbits(A, H, mp.degree, cfg)
-    records = []
-    witness = None
-    for j, ((label, v), cls) in enumerate(zip(probes, classes)):
-        exp = structural_exponent(A, v, D)
-        records.append((label, OrbitRecord(h=v, norms=norms[:, j], structural_exponent=exp, classification=cls)))
-        if cls.kind != "convergent" and witness is None:
-            witness = v
-    all_convergent = witness is None
+    convergent, margin, records = orbit_convergence(an, cfg)
+    witness = next((rec.h for _, rec in records if rec.classification.kind != "convergent"), None)
 
-    conditions = [unitary, normaloid, an.contraction, all_convergent]
+    conditions = [unitary, normaloid, an.contraction, convergent]
     consistent = (not in_circle) or all(c == conditions[0] for c in conditions)
     return CriteriaReport(
         is_algebraic=True,  # the minimal polynomial is certified above
@@ -677,7 +691,8 @@ def theorem_check(A, config: RunConfig | None = None) -> CriteriaReport:
         unitary=unitary,
         normaloid=normaloid,
         contraction=an.contraction,
-        orbits_convergent=all_convergent,
+        orbits_convergent=convergent,
+        orbits_margin=margin,
         power_bounded=pb,
         witness=witness,
         consistent=consistent,

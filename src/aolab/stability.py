@@ -20,9 +20,9 @@ from .criteria import (
     as_analysis,
     at_most_one,
     block_components,
-    classify_orbits,
     is_normaloid,
     is_power_bounded,
+    orbit_convergence,
     orbit_log_norms_batch,
     orbit_norms_batch,
     power_bounded_roots,
@@ -32,7 +32,7 @@ from .criteria import (
     window_limit,
 )
 from .errors import InconsistencyError, InvalidInputError, OutOfScopeError
-from .linalg import as_columns, as_matrix, operator_norm
+from .linalg import as_columns
 
 # Unused here, but bench/selftest.py checks that the tracer patches this
 # binding.
@@ -90,40 +90,24 @@ def normaloid_equivalence(A, config: RunConfig | None = None) -> NormaloidReport
     if the three evaluated conditions disagree."""
     cfg = config or RunConfig()
     an = as_analysis(A)
-    A = an.A
     if not is_normaloid(an):
         raise InvalidInputError("normaloid_equivalence requires a normaloid matrix")
     pb = is_power_bounded(an)
-    probes = probe_set(A.shape[0], np.random.default_rng(cfg.seed))
-    _, classes = classify_orbits(A, np.column_stack([v for _, v in probes]), an.minpoly.degree, cfg)
-    convergent = all(cls.kind == "convergent" for cls in classes)
+    convergent, _, _ = orbit_convergence(an, cfg)
     rep = NormaloidReport(orbits_convergent=convergent, power_bounded=pb, contraction=an.contraction)
     if not rep.all_agree():
         raise InconsistencyError(f"normaloid equivalence violated: {rep}")
     return rep
 
 
-def unimodular_eigenprojection(A) -> np.ndarray:
-    """Orthogonal projection onto the span of eigenvectors of a normal
-    matrix with unimodular eigenvalues."""
-    A = as_matrix(A)
-    vals, vecs = np.linalg.eig(A)
-    sel = unimodular(vals)
-    if not np.any(sel):
-        return np.zeros_like(A)
-    # Orthonormalize within the selected span (eig need not return an
-    # orthogonal basis inside degenerate eigenspaces).
-    Y, _ = np.linalg.qr(vecs[:, sel])
-    return Y @ Y.conj().T
-
-
 def normal_limit(A, H):
     """lim ||A^n h||^2 for a normal contraction and each column h of H (a
     1-D H is one column and gives a float): equals <Q h, h> with Q the
-    orthogonal projection onto the unimodular eigenspaces.  Each column's
-    identity is cross-checked, to 1e-6 * max(1, ||h||^2), against the window limit
-    of its orbit over ``RunConfig.n_max`` steps; the columns advance
-    together in one ``orbit_norms_batch``."""
+    orthogonal projection onto the unimodular eigenspaces, that is the sum
+    of ||P_a h||^2 over the unimodular blocks a of the decomposition.  Each
+    column's identity is cross-checked, to 1e-6 * max(1, ||h||^2), against
+    the window limit of its orbit over ``RunConfig.n_max`` steps; the
+    columns advance together in one ``orbit_norms_batch``."""
     an = as_analysis(A)
     A = an.A
     single = np.ndim(H) == 1
@@ -133,9 +117,9 @@ def normal_limit(A, H):
         raise InvalidInputError("normal_limit requires a contraction")
     if np.linalg.norm(A.conj().T @ A - A @ A.conj().T) > 1e-10 * max(an.norm**2, 1e-300):
         raise InvalidInputError("normal_limit requires a normal matrix")
-    Q = unimodular_eigenprojection(A)
+    P = [b.projection for b in an.decomposition.blocks if unimodular(b.z)]
     # Column by column, so that a value does not depend on the other columns.
-    q = np.array([np.vdot(h, Q @ h).real for h in H.T.copy()])
+    q = np.array([sum((np.linalg.norm(Pa @ h) ** 2 for Pa in P), 0.0) for h in H.T.copy()])
     norms, _ = orbit_norms_batch(A, H, RunConfig.n_max)
     for j in range(H.shape[1]):
         _, limit = window_limit(norms[:, j] ** 2)
@@ -200,7 +184,7 @@ def growth_bound(A) -> GrowthBound:
             for n in range(1, b.index):
                 Nk = Nk @ N
                 aj = max(aj, float(np.linalg.norm(Nk, 2)) / (n**kappa * r**n))
-        alpha += operator_norm(b.projection) * aj
+        alpha += b.projection_norm * aj
 
     valid_from = 1
     log_alpha = np.log(alpha)

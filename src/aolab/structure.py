@@ -151,12 +151,14 @@ def minimal_polynomial(A) -> MinimalPoly:
 @dataclass(frozen=True)
 class Block:
     """One generalized eigenspace: root, index, orthonormal basis of
-    H_j = ker (T - z I)^i, and the oblique projection onto it."""
+    H_j = ker (T - z I)^i, and the oblique projection onto it with its
+    norm."""
 
     z: complex
     index: int
     basis: np.ndarray  # dim x d_j, orthonormal columns
     projection: np.ndarray  # dim x dim
+    projection_norm: float
 
     @property
     def dim(self) -> int:
@@ -203,15 +205,14 @@ def decompose(A, p: MinimalPoly) -> Decomposition:
         raise DecompositionError("concatenated kernel bases are singular") from exc
     blocks = []
     offset = 0
-    norms = []
     for (z, i), basis in zip(p.roots, bases):
         sel = slice(offset, offset + basis.shape[1])
         P = B[:, sel] @ Binv[sel, :]
-        blocks.append(Block(z=z, index=i, basis=basis, projection=P))
         # ||P|| = ||Binv[sel, :]||, since the basis columns are orthonormal.
-        norms.append(np.linalg.norm(Binv[sel, :], 2))
+        norm = float(np.linalg.norm(Binv[sel, :], 2))
+        blocks.append(Block(z=z, index=i, basis=basis, projection=P, projection_norm=norm))
         offset += basis.shape[1]
-    return Decomposition(blocks=tuple(blocks), constant_c=float(max(norms)))
+    return Decomposition(blocks=tuple(blocks), constant_c=max(b.projection_norm for b in blocks))
 
 
 def restriction_spectra(A, D: Decomposition) -> list[SpectrumInfo]:

@@ -33,7 +33,6 @@ from .stability import (
     normaloid_equivalence,
     orbit_root_limit,
     uniform_stability,
-    unimodular_eigenprojection,
 )
 from .structure import decompose, minimal_polynomial, restriction_spectra
 
@@ -285,15 +284,17 @@ def suite_scalar(trials: int, seed: int, n_max: int = 100_000) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 def _random_normal_contraction(rng: np.random.Generator, dim: int, sub: int):
-    """Normal contraction with eigenvalue moduli either exactly 1 or at
-    most 0.99 (keeps geometric decay resolvable at horizon 2000)."""
+    """(A, Q): a normal contraction with eigenvalue moduli either exactly 1
+    or at most 0.99 (keeps geometric decay resolvable at horizon 2000), and
+    the orthogonal projection onto its unimodular eigenvectors."""
     sub_rng = np.random.default_rng(sub)
     mods = np.where(
         sub_rng.uniform(size=dim) < 0.4, 1.0, sub_rng.uniform(0.0, 0.99, size=dim)
     )
     phases = np.exp(2j * math.pi * sub_rng.uniform(size=dim))
     U = haar_unitary(dim, sub_rng)
-    return U @ np.diag(mods * phases) @ U.conj().T
+    W = U[:, mods == 1.0]
+    return U @ np.diag(mods * phases) @ U.conj().T, W @ W.conj().T
 
 
 def suite_normal_limit(trials: int, probes: int, seed: int) -> SuiteResult:
@@ -303,10 +304,9 @@ def suite_normal_limit(trials: int, probes: int, seed: int) -> SuiteResult:
     rng = np.random.default_rng(seed + 6)
     for t, sub in enumerate(subseeds(seed + 6, trials)):
         dim = int(rng.integers(2, 9))
-        A = _random_normal_contraction(rng, dim, sub)
+        A, Q = _random_normal_contraction(rng, dim, sub)
         sub_rng = np.random.default_rng(sub + 1)
         try:
-            Q = unimodular_eigenprojection(A)
             q_zero = bool(np.linalg.norm(Q) <= 1e-10)
             good = True
             detail = ""

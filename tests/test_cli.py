@@ -19,7 +19,7 @@ from aolab.cli import (
 )
 from aolab.config import default_seed
 from aolab.criteria import POWER_STEPS
-from aolab.generators import canonical_oblique, dft4, gen_normaloid_nonnormal
+from aolab.generators import canonical_oblique, dft4, gen_normaloid_nonnormal, haar_unitary
 from aolab.linalg import matrix_to_obj
 from aolab.structure import minimal_polynomial
 
@@ -144,6 +144,21 @@ class TestAnalyze:
         report = json.loads(capsys.readouterr().out)
         assert report["inconsistency"].startswith("power boundedness")
         assert "criteria" not in report
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_near_unitary_exits_2(self, tmp_path, capsys):
+        # Eigenspaces 1.4e-7 off orthogonal: not every orbit converges, but
+        # no probe resolves the oscillation.  ||A|| is within 1e-6 of r, so
+        # is_normaloid does not warn.
+        U = haar_unitary(4, np.random.default_rng(0))
+        S = np.eye(4) + 1e-7 * np.random.default_rng(1).standard_normal((4, 4))
+        inp = _write_matrix(tmp_path / "m.json", S @ U @ np.linalg.inv(S))
+        assert main(["analyze", "--input", inp]) == EXIT_INCONSISTENT
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert report["inconsistency"].startswith("orbit convergence: structural=False empirical=True")
+        assert "margin 1.4" in report["inconsistency"] and "criteria" not in report
+        assert err == ""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_expansive_analyze_without_overflow_warnings(self, tmp_path, capsys):

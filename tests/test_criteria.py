@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 import aolab.criteria as criteria
 from aolab.config import RunConfig
 from aolab.criteria import (
+    COMPONENT_TOL,
     POWER_STEPS,
     Analysis,
+    Classification,
     classify_sequence,
     is_normaloid,
     is_power_bounded,
@@ -36,6 +38,13 @@ from aolab.generators import (
     haar_unitary,
 )
 from aolab.structure import minimal_polynomial
+
+
+def _near_unitary(eps):
+    """S U S^-1 with U Haar unitary of dim 4 and S = I + eps G, G Gaussian."""
+    U = haar_unitary(4, np.random.default_rng(0))
+    S = np.eye(4) + eps * np.random.default_rng(1).standard_normal((4, 4))
+    return S @ U @ np.linalg.inv(S)
 
 
 def _with_unimodular_index_2(A):
@@ -296,6 +305,18 @@ class TestPredicates:
         assert not is_normaloid(np.array([[1, 1], [0, 1]], dtype=complex))
         assert not is_normaloid(canonical_oblique())
 
+    @pytest.mark.parametrize("eps", [1e-7, 1e-8])
+    def test_normaloid_no_warning_in_power_band(self, eps):
+        # ||A|| <= (1 + 1e-6) r: the power test cannot fail, so "r vs ||A||
+        # says False, power norms say True" is no conflict (and a warning
+        # is an error here).
+        assert not is_normaloid(_near_unitary(eps))
+
+    def test_normaloid_warns_on_conflict(self):
+        # The shift has r = 0 but ||A^n|| = 1 for n <= 10.
+        with pytest.warns(RuntimeWarning, match="normaloid tests disagree"):
+            assert not is_normaloid(np.diag(np.ones(11), 1))
+
     def test_power_bounded(self):
         assert is_power_bounded(dft4())
         assert is_power_bounded(canonical_oblique())
@@ -324,7 +345,44 @@ class TestTheoremCheck:
 
         rep = theorem_check(dft4(), RunConfig(seed=0))
         text = jsonout.dumps(rep.to_obj())
-        assert '"orbits_note": "certified via probes"' in text
+        assert f'"orbits_margin": {jsonout._fmt_float(rep.orbits_margin)}' in text
+        assert "orbits_note" not in text
+
+    def test_orthogonal_blocks_get_no_overlap_probe(self):
+        rep = theorem_check(dft4(), RunConfig(seed=0))
+        assert rep.orbits_convergent and rep.orbits_margin <= COMPONENT_TOL
+        labels = [label for label, _ in rep.probes]
+        assert labels == [f"e{i}" for i in range(4)] + [f"rand{t}" for t in range(20)]
+
+    def test_oblique_overlap_probe_last(self):
+        rep = theorem_check(canonical_oblique(), RunConfig(seed=0))
+        assert rep.orbits_margin == pytest.approx(np.sqrt(0.5), rel=1e-12)
+        overlaps = [label for label, _ in rep.probes if label.startswith("overlap")]
+        assert overlaps == ["overlap0+1"] and rep.probes[-1][0] == "overlap0+1"
+        assert rep.probes[-1][1].classification.kind == "bounded-nonconvergent"
+
+    def test_near_unitary_margin_raises(self):
+        # Eigenspaces 1.4e-7 off orthogonal: the orbits oscillate far below
+        # the window tolerance, so every probe reads convergent.
+        with pytest.raises(InconsistencyError, match=r"orbit convergence.*margin 1\.4\de-07"):
+            theorem_check(_near_unitary(1e-7), RunConfig(seed=0))
+
+    @pytest.mark.parametrize(
+        "A, kind",
+        [(dft4(), "bounded-nonconvergent"), (canonical_oblique(), "convergent")],
+        ids=["dft4", "oblique"],
+    )
+    def test_probe_disagreement_raises(self, A, kind, monkeypatch):
+        # Every probe reads the opposite of the structural verdict.
+        classify = criteria.classify_orbits
+
+        def flipped(*args):
+            norms, classes = classify(*args)
+            return norms, [Classification(kind=kind)] * len(classes)
+
+        monkeypatch.setattr(criteria, "classify_orbits", flipped)
+        with pytest.raises(InconsistencyError, match="orbit convergence"):
+            theorem_check(A, RunConfig(seed=0))
 
     def test_close_unimodular_roots_stay_simple(self):
         # Eigenvalues 3e-5 apart are two simple roots, not one of index 2.

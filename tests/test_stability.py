@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from aolab import criteria
+from aolab import criteria, stability
 from aolab.config import RunConfig
 from aolab.criteria import POWER_STEPS, Analysis
-from aolab.errors import InvalidInputError, OutOfScopeError
+from aolab.errors import InconsistencyError, InvalidInputError, OutOfScopeError
 from aolab.generators import (
     canonical_oblique,
     dft4,
@@ -23,7 +23,6 @@ from aolab.stability import (
     normal_limit,
     normaloid_equivalence,
     orbit_root_limit,
-    unimodular_eigenprojection,
     uniform_stability,
 )
 
@@ -67,6 +66,17 @@ class TestGrowthBound:
         with pytest.raises(OutOfScopeError):
             growth_bound(1.5 * np.eye(2))
 
+    def test_projection_norms_from_decomposition(self, monkeypatch):
+        # alpha reads each ||P_j|| off its block; no d x d operator norm.
+        A = gen_planted_jordan(6, [(0.8j, 2), (-0.5, 2)], cond_cap=40.0, seed=11)
+        an = Analysis(A)
+        for b in an.decomposition.blocks:
+            assert b.projection_norm == pytest.approx(operator_norm(b.projection), rel=1e-12)
+        monkeypatch.setattr(
+            stability, "operator_norm", lambda M: pytest.fail("operator_norm called"), raising=False
+        )
+        assert growth_bound(an).max_violation_ratio <= 1 + 1e-8
+
     def test_csv_rows_shape(self):
         A = canonical_oblique()
         gb = growth_bound(A)
@@ -83,7 +93,7 @@ class TestNormalLimit:
         rng = np.random.default_rng(3)
         U = haar_unitary(4, rng)
         A = U @ np.diag([1.0, -1.0, 0.5, 0.3]).astype(complex) @ U.conj().T
-        Q = unimodular_eigenprojection(A)
+        Q = U[:, :2] @ U[:, :2].conj().T
         for t in range(5):
             h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             q = normal_limit(A, h)
@@ -150,6 +160,14 @@ class TestNormaloidEquivalence:
         rep = normaloid_equivalence(A, RunConfig(seed=0))
         assert rep.all_agree()
         assert not rep.contraction
+
+    def test_orbit_verdict_is_structural(self, monkeypatch):
+        # With a negative margin threshold dft4's orthogonal eigenspaces
+        # count as overlapping; every probe still converges.  A verdict
+        # taken from the probes alone would pass.
+        monkeypatch.setattr(criteria, "COMPONENT_TOL", -1.0)
+        with pytest.raises(InconsistencyError, match="orbit convergence"):
+            normaloid_equivalence(dft4(), RunConfig(seed=0))
 
     def test_rejects_nonnormaloid(self):
         with pytest.raises(InvalidInputError):
