@@ -15,10 +15,12 @@ for big = 1e12, 1e160 and 1e200, and three planted structures: the first
 circle/d16 instance of the structure-stress benchmark (12 simple unimodular
 roots, cond cap 1e4), roots of index 4 and 2 at dim 8, and a dim-32 shape
 with indices 6, 4, 2, 1 and cond cap 1e6 whose minimal polynomial has no
-singular-value gap (exit 1); and near-unitary-1e-7, a dim-4 Haar unitary
+singular-value gap (exit 1); near-unitary-1e-7, a dim-4 Haar unitary
 under the similarity I + 1e-7 G, whose eigenspaces are 1.4e-7 off
 orthogonal, so that not every orbit converges but no probe resolves the
-oscillation (exit 2).
+oscillation (exit 2); and close-unitary-1e-7, a dim-4 unitary with
+eigenvalues 1 and e^{1e-7 i}, whose computed eigenvectors are a few 1e-9
+off orthogonal, within the error of their bases (exit 0).
 """
 
 import contextlib
@@ -97,6 +99,8 @@ def instances():
                                     "--indices", "4,2", "--seed", "0"]))
     out.append(("no-gap-d32", _no_gap_d32()))
     out.append(("near-unitary-1e-7", _near_unitary()))
+    out.append(("close-unitary-1e-7", ["--kind", "unitary", "--dim", "4", "--eigenvalues",
+                                       "1,0.999999999999995+1e-7j", "--seed", "0"]))
     return out
 
 

@@ -19,9 +19,9 @@ from itertools import combinations
 import numpy as np
 
 from .config import RunConfig
-from .errors import InconsistencyError, InvalidInputError
+from .errors import IllConditionedSpectrumError, InconsistencyError, InvalidInputError
 from .linalg import as_matrix, as_vector, operator_norm
-from .structure import Decomposition, MinimalPoly, decompose, minimal_polynomial
+from .structure import GAP, Decomposition, MinimalPoly, decompose, minimal_polynomial
 
 # Raw orbit norms (``orbit_norms_batch``) are cut at the first step where
 # some norm passes this; ``classify_orbits`` holds the rule for which columns
@@ -628,38 +628,62 @@ def probe_set(d: int, rng: np.random.Generator, n_random: int = 20):
     return probes
 
 
+def _basis_error(an: Analysis, b) -> float:
+    """Error bound on the basis of a simple root's block, one of several:
+    (d eps max(1, ||A||) + s_0) / s_1 from the singular values of A - zI,
+    s_0 the largest counted as zero and s_1 the next."""
+    d = an.A.shape[0]
+    s = np.linalg.svd(an.A - b.z * np.eye(d), compute_uv=False)
+    return (d * np.finfo(float).eps * max(1.0, an.norm) + s[d - b.dim]) / s[d - b.dim - 1]
+
+
 def orbit_convergence(A, config: RunConfig | None = None):
-    """(convergent, margin, probes): whether ||A^n h|| converges for every
-    h, decided from the decomposition, and the probe orbits that cross-check
-    it as (label, OrbitRecord) pairs.  Orbits converge iff
-    ``power_bounded_roots`` holds and the unimodular blocks are orthogonal:
-    the margin, the largest principal-angle cosine between two of them (top
-    singular value of basis_a^H basis_b), is at most COMPONENT_TOL.  Past
-    it, the top singular pair adds the witness x_a + x_b, ``overlap{a}+{b}``,
-    to ``probe_set``.  Probes that disagree raise InconsistencyError."""
+    """(convergent, margin, probes, norms, classes): whether ||A^n h||
+    converges for every h, decided from the decomposition, and the
+    ``classify_orbits`` of the (label, vector) probes that cross-check it;
+    a disagreement raises InconsistencyError.
+
+    Orbits converge iff ``power_bounded_roots`` holds and the unimodular
+    blocks are orthogonal.  Two blocks with cosine c (top singular value of
+    basis_a^H basis_b) and basis errors r (``_basis_error``, summed) are
+    orthogonal when c <= COMPONENT_TOL + r, oblique past COMPONENT_TOL +
+    GAP r, and undecided in between (IllConditionedSpectrumError, if the
+    roots are power-bounded).  The margin is the largest cosine among the
+    pairs of the worst kind; an oblique pair's top singular vectors add the
+    witness x_a + x_b, ``overlap{a}+{b}``, to ``probe_set``.
+    """
     cfg = config or RunConfig()
     an = as_analysis(A)
-    A, D = an.A, an.decomposition
-    bases = {k: b.basis for k, b in enumerate(D.blocks) if unimodular(b.z)}
-    margin, overlap = 0.0, None
-    for a, b in combinations(bases, 2):
-        u, s, vh = np.linalg.svd(bases[a].conj().T @ bases[b])
-        if s[0] > margin:
-            margin = float(s[0])
-            overlap = (f"overlap{a}+{b}", bases[a] @ u[:, 0] + bases[b] @ vh[0].conj())
+    A = an.A
+    blocks = {k: b for k, b in enumerate(an.decomposition.blocks) if unimodular(b.z)}
+    err = {k: _basis_error(an, b) for k, b in blocks.items()} if len(blocks) > 1 else {}
+    kind, margin, pair = 0, 0.0, None
+    for a, b in combinations(blocks, 2):
+        c = float(np.linalg.svd(blocks[a].basis.conj().T @ blocks[b].basis, compute_uv=False)[0])
+        r = err[a] + err[b]
+        k = int(c > COMPONENT_TOL + r) + int(c > COMPONENT_TOL + GAP * r)
+        if (k, c) > (kind, margin):
+            kind, margin, pair = k, c, (a, b, r)
+    roots_ok = power_bounded_roots(an.minpoly.roots)
+    if kind == 1 and roots_ok:
+        a, b, r = pair
+        raise IllConditionedSpectrumError(
+            f"orbit convergence: the blocks of roots {blocks[a].z:.6g} and {blocks[b].z:.6g} have "
+            f"cosine {margin:.3g}, within {GAP:g} times their basis error {r:.3g} above COMPONENT_TOL"
+        )
     probes = probe_set(A.shape[0], np.random.default_rng(cfg.seed))
-    if margin > COMPONENT_TOL:
-        probes.append(overlap)
+    if kind == 2:
+        a, b, _ = pair
+        u, _, vh = np.linalg.svd(blocks[a].basis.conj().T @ blocks[b].basis)
+        probes.append((f"overlap{a}+{b}", blocks[a].basis @ u[:, 0] + blocks[b].basis @ vh[0].conj()))
     norms, classes = classify_orbits(A, np.column_stack([v for _, v in probes]), an.minpoly.degree, cfg)
-    structural = power_bounded_roots(an.minpoly.roots) and margin <= COMPONENT_TOL
+    structural = roots_ok and kind == 0
     empirical = all(cls.kind == "convergent" for cls in classes)
     if structural != empirical:
         raise InconsistencyError(
             f"orbit convergence: structural={structural} empirical={empirical} (margin {margin:.3g})"
         )
-    records = [(label, OrbitRecord(v, norms[:, j], structural_exponent(A, v, D), cls))
-               for j, ((label, v), cls) in enumerate(zip(probes, classes))]
-    return structural, margin, records
+    return structural, margin, probes, norms, classes
 
 
 def theorem_check(A, config: RunConfig | None = None) -> CriteriaReport:
@@ -679,7 +703,9 @@ def theorem_check(A, config: RunConfig | None = None) -> CriteriaReport:
     normaloid = is_normaloid(an)
     pb = is_power_bounded(an)
 
-    convergent, margin, records = orbit_convergence(an, cfg)
+    convergent, margin, probes, norms, classes = orbit_convergence(an, cfg)
+    records = [(label, OrbitRecord(v, norms[:, j], structural_exponent(A, v, an.decomposition), cls))
+               for j, ((label, v), cls) in enumerate(zip(probes, classes))]
     witness = next((rec.h for _, rec in records if rec.classification.kind != "convergent"), None)
 
     conditions = [unitary, normaloid, an.contraction, convergent]

@@ -93,7 +93,7 @@ def normaloid_equivalence(A, config: RunConfig | None = None) -> NormaloidReport
     if not is_normaloid(an):
         raise InvalidInputError("normaloid_equivalence requires a normaloid matrix")
     pb = is_power_bounded(an)
-    convergent, _, _ = orbit_convergence(an, cfg)
+    convergent = orbit_convergence(an, cfg)[0]
     rep = NormaloidReport(orbits_convergent=convergent, power_bounded=pb, contraction=an.contraction)
     if not rep.all_agree():
         raise InconsistencyError(f"normaloid equivalence violated: {rep}")
@@ -103,8 +103,8 @@ def normaloid_equivalence(A, config: RunConfig | None = None) -> NormaloidReport
 def normal_limit(A, H):
     """lim ||A^n h||^2 for a normal contraction and each column h of H (a
     1-D H is one column and gives a float): equals <Q h, h> with Q the
-    orthogonal projection onto the unimodular eigenspaces, that is the sum
-    of ||P_a h||^2 over the unimodular blocks a of the decomposition.  Each
+    orthogonal projection onto the unimodular eigenspaces, the sum of the
+    projections of the unimodular blocks of the decomposition.  Each
     column's identity is cross-checked, to 1e-6 * max(1, ||h||^2), against
     the window limit of its orbit over ``RunConfig.n_max`` steps; the
     columns advance together in one ``orbit_norms_batch``."""
@@ -117,9 +117,9 @@ def normal_limit(A, H):
         raise InvalidInputError("normal_limit requires a contraction")
     if np.linalg.norm(A.conj().T @ A - A @ A.conj().T) > 1e-10 * max(an.norm**2, 1e-300):
         raise InvalidInputError("normal_limit requires a normal matrix")
-    P = [b.projection for b in an.decomposition.blocks if unimodular(b.z)]
+    Q = sum((b.projection for b in an.decomposition.blocks if unimodular(b.z)), np.zeros_like(A))
     # Column by column, so that a value does not depend on the other columns.
-    q = np.array([sum((np.linalg.norm(Pa @ h) ** 2 for Pa in P), 0.0) for h in H.T.copy()])
+    q = np.array([np.vdot(h, Q @ h).real for h in H.T.copy()])
     norms, _ = orbit_norms_batch(A, H, RunConfig.n_max)
     for j in range(H.shape[1]):
         _, limit = window_limit(norms[:, j] ** 2)

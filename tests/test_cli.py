@@ -207,6 +207,17 @@ class TestGenerate:
         assert report["criteria"]["power_bounded"] is True
         assert report["criteria"]["unitary"] is False
 
+    def test_close_unitary_roots_analyze(self, tmp_path, capsys):
+        # Eigenvalues 1e-7 apart: eigenvectors computed a few 1e-9 off
+        # orthogonal still read as orthogonal blocks.
+        main(["generate", "--kind", "unitary", "--dim", "4",
+              "--eigenvalues", "1,0.999999999999995+1e-7j", "--seed", "0"])
+        p = tmp_path / "m.json"
+        p.write_text(capsys.readouterr().out)
+        assert main(["analyze", "--input", str(p)]) == EXIT_OK
+        crit = json.loads(capsys.readouterr().out)["criteria"]
+        assert crit["unitary"] and crit["orbits_convergent"] and crit["consistent"]
+
     def test_expansive_normaloid_analyze(self, tmp_path, capsys):
         # Norm 3 at dim 16: raw probe vectors pass 1e154 long before the
         # 1e300 cut, so norms taken from the raw vectors overflowed to inf.

@@ -27,7 +27,7 @@ from aolab.criteria import (
     theorem_check,
     window_limit,
 )
-from aolab.errors import InconsistencyError, InvalidInputError
+from aolab.errors import IllConditionedSpectrumError, InconsistencyError, InvalidInputError
 from aolab.generators import (
     canonical_oblique,
     dft4,
@@ -366,6 +366,24 @@ class TestTheoremCheck:
         # the window tolerance, so every probe reads convergent.
         with pytest.raises(InconsistencyError, match=r"orbit convergence.*margin 1\.4\de-07"):
             theorem_check(_near_unitary(1e-7), RunConfig(seed=0))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_close_unitary_roots_converge(self, seed):
+        # Eigenvalues 1e-7 apart: the computed eigenvectors are a few 1e-9
+        # off orthogonal, above COMPONENT_TOL but within their basis errors.
+        A = gen_unitary_finite_spectrum(4, [1, np.exp(1e-7j)], seed)
+        rep = theorem_check(A, RunConfig(seed=0))
+        assert rep.unitary and rep.orbits_convergent and rep.consistent
+        assert COMPONENT_TOL < rep.orbits_margin < 1e-7
+        assert not any(label.startswith("overlap") for label, _ in rep.probes)
+
+    def test_unresolved_margin_raises(self):
+        # Eigenvalues 1e-6 apart, eigenspaces 2e-7 off orthogonal: the
+        # cosine lies within GAP times the basis errors (2e-9 together).
+        U = gen_unitary_finite_spectrum(4, [1, np.exp(1e-6j)], 0)
+        S = np.eye(4) + 1e-7 * np.random.default_rng(1).standard_normal((4, 4))
+        with pytest.raises(IllConditionedSpectrumError, match=r"orbit convergence.*cosine 2\.\d+e-07"):
+            theorem_check(S @ U @ np.linalg.inv(S), RunConfig(seed=0))
 
     @pytest.mark.parametrize(
         "A, kind",

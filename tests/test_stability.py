@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from aolab import criteria, stability
+from aolab import criteria
 from aolab.config import RunConfig
 from aolab.criteria import POWER_STEPS, Analysis
 from aolab.errors import InconsistencyError, InvalidInputError, OutOfScopeError
@@ -67,14 +67,20 @@ class TestGrowthBound:
             growth_bound(1.5 * np.eye(2))
 
     def test_projection_norms_from_decomposition(self, monkeypatch):
-        # alpha reads each ||P_j|| off its block; no d x d operator norm.
+        # alpha reads each ||P_j|| off its block: growth_bound takes norms
+        # of the 2- and 4-dim blocks only, none of a 6 x 6 matrix.
         A = gen_planted_jordan(6, [(0.8j, 2), (-0.5, 2)], cond_cap=40.0, seed=11)
         an = Analysis(A)
         for b in an.decomposition.blocks:
             assert b.projection_norm == pytest.approx(operator_norm(b.projection), rel=1e-12)
-        monkeypatch.setattr(
-            stability, "operator_norm", lambda M: pytest.fail("operator_norm called"), raising=False
-        )
+        an.power_logs(POWER_STEPS)
+        norm = np.linalg.norm
+
+        def block_norm(M, *args, **kwargs):
+            assert np.shape(M) != (6, 6), "growth_bound took a 6 x 6 norm"
+            return norm(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", block_norm)
         assert growth_bound(an).max_violation_ratio <= 1 + 1e-8
 
     def test_csv_rows_shape(self):
@@ -153,6 +159,11 @@ class TestNormaloidEquivalence:
     def test_unitary_agrees_true(self):
         rep = normaloid_equivalence(dft4(), RunConfig(seed=0))
         assert rep.all_agree()
+        assert rep.orbits_convergent and rep.power_bounded and rep.contraction
+
+    def test_close_unitary_roots_agree_true(self):
+        A = gen_unitary_finite_spectrum(4, [1, np.exp(1e-7j)], 0)
+        rep = normaloid_equivalence(A, RunConfig(seed=0))
         assert rep.orbits_convergent and rep.power_bounded and rep.contraction
 
     def test_expansive_normaloid_agrees_false(self):
