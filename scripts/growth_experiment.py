@@ -13,10 +13,9 @@ import sys
 
 import numpy as np
 
+from aolab.criteria import Analysis
 from aolab.generators import gen_planted_jordan, planted_roots, subseeds
-from aolab.linalg import operator_norm
 from aolab.stability import growth_bound, growth_csv_rows
-from aolab.structure import minimal_polynomial
 
 
 def main(argv=None) -> int:
@@ -35,24 +34,25 @@ def main(argv=None) -> int:
     for t, sub in enumerate(subseeds(args.seed, args.trials)):
         dim = int(rng.integers(3, args.dim_max + 1))
         planted = planted_roots(rng, dim)
-        A = gen_planted_jordan(dim, planted, cond_cap=100.0, seed=sub)
-        mp = minimal_polynomial(A)
-        gb = growth_bound(A)
+        # One analysis: the minimal polynomial, the norm and the power-norm
+        # trajectory are computed once for the bound and the trace.
+        an = Analysis(gen_planted_jordan(dim, planted, cond_cap=100.0, seed=sub))
+        gb = growth_bound(an)
         rows.append(
             {
                 "trial": t,
                 "dim": dim,
-                "degree": mp.degree,
+                "degree": an.minpoly.degree,
                 "kappa": gb.kappa,
                 "alpha": gb.alpha,
                 "spectral_radius": gb.spectral_radius,
-                "norm": operator_norm(A),
+                "norm": an.norm,
                 "valid_from": gb.valid_from,
                 "max_violation_ratio": gb.max_violation_ratio,
             }
         )
         if t == 0 and args.trace:
-            trace_rows = list(growth_csv_rows(A, gb))
+            trace_rows = list(growth_csv_rows(an, gb))
 
     with open(args.out, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))

@@ -18,7 +18,7 @@ from collections import Counter
 import numpy as np
 
 from aolab.config import RunConfig
-from aolab.criteria import theorem_check
+from aolab.criteria import Analysis, theorem_check
 from aolab.generators import (
     gen_jordan_perturbation,
     gen_oblique,
@@ -58,12 +58,14 @@ def main(argv=None) -> int:
         kinds = Counter()
         stab = Counter()
         for A in _instances(family, rng, args.trials, args.seed):
-            rep = theorem_check(A, cfg)
+            # Both stages read the structure and probe orbits of one analysis.
+            an = Analysis(A)
+            rep = theorem_check(an, cfg)
             key = (rep.unitary, rep.contraction, rep.orbits_convergent, rep.power_bounded)
             conds[key] += 1
             for _, rec in rep.probes:
                 kinds[rec.classification.kind] += 1
-            v = uniform_stability(A, cfg)
+            v = uniform_stability(an, cfg)
             stab[(v.uniformly_stable, v.strongly_stable, v.power_bounded)] += 1
         print(f"family {family} ({args.trials} instances)")
         print("  (unitary, contraction, orbits_conv, power_bdd):")

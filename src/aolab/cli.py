@@ -98,8 +98,8 @@ def cmd_analyze(args) -> int:
             ],
             "constant_c": an.decomposition.constant_c,
         }
-        # The report, and the probe-norm matrix it holds, is dropped here,
-        # before the stability orbits are allocated.
+        # The criteria and stability sections read one probe-orbit batch,
+        # propagated once and kept on the analysis.
         report["criteria"] = theorem_check(an, cfg).to_obj()
         inconsistent = not report["criteria"]["consistent"]
         try:

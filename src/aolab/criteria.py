@@ -23,9 +23,9 @@ from .errors import IllConditionedSpectrumError, InconsistencyError, InvalidInpu
 from .linalg import as_matrix, as_vector, operator_norm
 from .structure import GAP, Decomposition, MinimalPoly, decompose, minimal_polynomial
 
-# Raw orbit norms (``orbit_norms_batch``) are cut at the first step where
-# some norm passes this; ``classify_orbits`` holds the rule for which columns
-# count as overflowed (classified exponential without the ladder).
+# A batch of orbits is read up to the first step where some norm passes
+# this (``_cut_at_overflow``); ``classify_orbits`` holds the rule for which
+# columns count as overflowed (classified exponential without the ladder).
 OVERFLOW_LIMIT = 1e300
 
 # The cut step can multiply a norm past the float range; its raw norms are
@@ -34,10 +34,6 @@ _NORM_CLAMP = 1e308
 
 # Tail log-slope above which a sequence counts as exponentially growing.
 EXP_SLOPE_TOL = 1e-3
-
-# Steps per block of the orbit engine between conversions to log sums (and
-# overflow checks); at most this many steps run past an overflow cut.
-_ORBIT_BLOCK = 64
 
 # Relative threshold deciding whether a block component of a vector is
 # numerically nonzero.
@@ -170,18 +166,15 @@ def _squares_safe(A: np.ndarray) -> bool:
     return big == 0.0 or (big >= 1.0 / _SQUARE_SAFE and big * A.shape[0] <= _SQUARE_SAFE)
 
 
-def orbit_log_norms_batch(
-    A: np.ndarray, H: np.ndarray, n_max: int, limit: float = np.inf
-) -> np.ndarray:
+def orbit_log_norms_batch(A: np.ndarray, H: np.ndarray, n_max: int) -> np.ndarray:
     """log ||A^n h|| for every column h of H, n = 0..n_max.
 
     The propagation engine behind every orbit in the package: all columns
     advance together by one ``A @ V`` per step (never by powering A), and
     each column is rescaled to unit norm after every step, so the log-norms
     neither overflow nor underflow.  A column that reaches exactly zero
-    reads -inf from then on.  Iteration stops after the first step at which
-    some log-norm exceeds ``limit``, so the result has shape (n_steps+1, P)
-    with n_steps <= n_max.
+    reads -inf from then on.  The engine runs the full horizon; its readers
+    cut the rows at an overflow (``_cut_at_overflow``).
     """
     safe = _squares_safe(A)
     V = np.array(H, dtype=complex)
@@ -192,74 +185,75 @@ def orbit_log_norms_batch(
     np.log(s, out=out[0])
     inv = 1.0 / s
     V *= inv
-    # Each step stores its rescaling factors; a block of them is turned into
-    # running log sums at once (the same sequential sums as step by step).
+    # Each step stores its rescaling factors; they are turned into running
+    # log sums at the end (the same sequential sums as step by step).
+    for n in range(1, n_max + 1):
+        V = A @ V
+        s = out[n]
+        if safe:
+            np.sqrt(np.add.reduce((V.conj() * V).real, axis=0), out=s)
+        else:
+            # Per column, so that a column far below the largest entries
+            # does not underflow either.
+            np.hypot.reduce(np.abs(V), axis=0, out=s)
+        # A dead column is exactly zero and stays zero under any finite
+        # factor, so it keeps the previous step's factor.
+        np.reciprocal(s, out=inv, where=s > 0)
+        V *= inv
     # log(0) = -inf is how a dead column is recorded.
     with np.errstate(divide="ignore"):
-        for n0 in range(1, n_max + 1, _ORBIT_BLOCK):
-            n1 = min(n0 + _ORBIT_BLOCK, n_max + 1)
-            for n in range(n0, n1):
-                V = A @ V
-                s = out[n]
-                if safe:
-                    np.sqrt(np.add.reduce((V.conj() * V).real, axis=0), out=s)
-                else:
-                    # Per column, so that a column far below the largest
-                    # entries does not underflow either.
-                    np.hypot.reduce(np.abs(V), axis=0, out=s)
-                # A dead column is exactly zero and stays zero under any
-                # finite factor, so it keeps the previous step's factor.
-                np.reciprocal(s, out=inv, where=s > 0)
-                V *= inv
-            np.log(out[n0:n1], out=out[n0:n1])
-            np.cumsum(out[n0 - 1:n1], axis=0, out=out[n0 - 1:n1])
-            if limit < np.inf:
-                hit = np.flatnonzero(out[n0:n1].max(axis=1) > limit)
-                if hit.size:
-                    return out[: n0 + hit[0] + 1]
-    return out
+        np.log(out[1:], out=out[1:])
+    return np.cumsum(out, axis=0, out=out)
+
+
+def _cut_at_overflow(logs: np.ndarray):
+    """(rows, cut) for a batch of log-norms: the cut is the first row where
+    some log-norm passes log OVERFLOW_LIMIT, rows the view of ``logs`` up
+    to it; (logs, None) if no row does."""
+    hit = np.flatnonzero(logs.max(axis=1) > np.log(OVERFLOW_LIMIT))
+    return (logs[: hit[0] + 1], int(hit[0])) if hit.size else (logs, None)
+
+
+def _clamped_exp(logs: np.ndarray) -> np.ndarray:
+    """exp of log-norms that end at a cut, in place: the last row (or
+    value) is clamped at log _NORM_CLAMP first, so that it stays finite."""
+    np.minimum(logs[-1:], np.log(_NORM_CLAMP), out=logs[-1:])
+    return np.exp(logs, out=logs)
 
 
 def orbit_norms_batch(A: np.ndarray, H: np.ndarray, n_max: int):
     """||A^n h|| for every column h of H, n = 0..n_max: the exponential of
-    ``orbit_log_norms_batch``, taken in place and cut at OVERFLOW_LIMIT.
+    ``orbit_log_norms_batch`` up to its overflow cut, taken in place.
 
     Returns (norms, overflow_step) where norms has shape (n_steps+1, P) and
     overflow_step is the step at which some column exceeded OVERFLOW_LIMIT
     (None if none did; the result ends there, with norms clamped at 1e308).
     """
-    log_limit = np.log(OVERFLOW_LIMIT)
-    logs = orbit_log_norms_batch(A, H, n_max, limit=log_limit)
-    overflow = logs.shape[0] - 1 if logs[-1].max() > log_limit else None
-    np.minimum(logs[-1], np.log(_NORM_CLAMP), out=logs[-1])
-    return np.exp(logs, out=logs), overflow
+    logs, overflow = _cut_at_overflow(orbit_log_norms_batch(A, H, n_max))
+    return _clamped_exp(logs), overflow
 
 
-def classify_orbits(A: np.ndarray, H: np.ndarray, max_poly_degree: int, cfg: RunConfig):
-    """Raw orbit norms of the columns of H over ``cfg.n_max`` steps
-    (``orbit_norms_batch``) and each column's classification under the
-    overflow rule and the window rule of ``cfg``."""
-    norms, overflow = orbit_norms_batch(A, H, cfg.n_max)
-    # The overflow rule: once the cut fired, the columns that ended within a
-    # factor 10 of OVERFLOW_LIMIT.
-    over = (norms[-1] > OVERFLOW_LIMIT / 10) & (overflow is not None)
-    classes = [
-        classify_sequence(
-            norms[:, j], max_poly_degree, cfg.window, cfg.tol_conv, overflowed=bool(over[j])
-        )
-        for j in range(norms.shape[1])
-    ]
-    # A clamped cut row would distort the rate.  Clamping needs one step to
-    # multiply a norm by more than 1e8, so it is rare: those columns are
-    # propagated again up to the cut and fitted to their log-norms, shifted
-    # so that the cut row reads 1.
-    clamped = np.flatnonzero(norms[-1] >= _NORM_CLAMP)
-    if clamped.size:
-        logs = orbit_log_norms_batch(A, H[:, clamped], overflow)
-        for k, j in enumerate(clamped):
-            shifted = np.exp(logs[:, k] - logs[-1, k])
-            classes[j] = classify_sequence(shifted, max_poly_degree, overflowed=True)
-    return norms, classes
+def classify_orbits(logs: np.ndarray, max_poly_degree: int, cfg: RunConfig):
+    """(rows, classes) for a batch of orbit log-norms: its rows up to the
+    overflow cut (``_cut_at_overflow``) and each column's classification
+    under the overflow rule and the window rule of ``cfg``.  ``logs`` is
+    only read; each column is exponentiated on its own, so no norm copy of
+    the whole batch is made."""
+    logs, overflow = _cut_at_overflow(logs)
+    classes = []
+    for j in range(logs.shape[1]):
+        norms = _clamped_exp(np.array(logs[:, j]))
+        if norms[-1] >= _NORM_CLAMP:
+            # A clamped cut row would distort the rate: the column is fitted
+            # to its log-norms instead, shifted so that the cut row reads 1.
+            cls = classify_sequence(np.exp(logs[:, j] - logs[-1, j]), max_poly_degree, overflowed=True)
+        else:
+            # The overflow rule: once the cut fired, the columns that ended
+            # within a factor 10 of OVERFLOW_LIMIT.
+            over = overflow is not None and norms[-1] > OVERFLOW_LIMIT / 10
+            cls = classify_sequence(norms, max_poly_degree, cfg.window, cfg.tol_conv, overflowed=over)
+        classes.append(cls)
+    return logs, classes
 
 
 def _prescaled(A: np.ndarray):
@@ -354,16 +348,22 @@ def power_log_norm(A: np.ndarray, n: int) -> float:
 @dataclass(frozen=True)
 class OrbitRecord:
     h: np.ndarray
-    norms: np.ndarray
+    log_norms: np.ndarray  # up to the overflow cut, a view into its batch
     structural_exponent: int | None
     classification: Classification
 
+    @property
+    def norms(self) -> np.ndarray:
+        """||A^n h||, the cut value clamped like in ``orbit_norms_batch``."""
+        return _clamped_exp(np.array(self.log_norms))
+
     def to_obj(self):
+        norms = self.norms
         return {
             "structural_exponent": self.structural_exponent,
             "classification": self.classification.to_obj(),
-            "norm_first": float(self.norms[0]),
-            "norm_last": float(self.norms[-1]),
+            "norm_first": float(norms[0]),
+            "norm_last": float(norms[-1]),
         }
 
 
@@ -416,14 +416,15 @@ class CriteriaReport:
 class Analysis:
     """One matrix and the structure every stage reads off it: ``norm``
     (||A||), ``contraction``, ``minpoly``, ``spectral_radius`` (the largest
-    modulus among its roots), ``decomposition`` and the power-norm
-    trajectory ``power_log_norms(A, POWER_STEPS)``, each computed once, on
-    first use.  Structure that cannot be certified raises on first use.
-    Every stage that reads them takes a matrix or an Analysis
-    (``as_analysis``)."""
+    modulus among its roots), ``decomposition``, ``block_overlap``, the
+    power-norm trajectory ``power_log_norms(A, POWER_STEPS)`` and the probe
+    ``orbits`` (per seed and horizon), each computed once, on first use.
+    Structure that cannot be certified raises on first use.  Every stage
+    that reads them takes a matrix or an Analysis (``as_analysis``)."""
 
     def __init__(self, A):
         self.A = as_matrix(A)
+        self._orbits = {}
 
     @cached_property
     def norm(self) -> float:
@@ -458,6 +459,46 @@ class Analysis:
                 f"a verdict needs {n} power-norm steps; the trajectory has {POWER_STEPS}"
             )
         return self._power_logs[:n]
+
+    @cached_property
+    def block_overlap(self):
+        """(kind, margin, pair): kind 0 if the unimodular blocks are
+        pairwise orthogonal, 1 if some pair is undecided, 2 if some pair is
+        oblique.  Two blocks with cosine c (top singular value of
+        basis_a^H basis_b) and basis errors r (``_basis_error``, summed) are
+        orthogonal when c <= COMPONENT_TOL + r, oblique past COMPONENT_TOL
+        + GAP r.  The margin is the largest cosine among the pairs of the
+        worst kind, pair = (a, b, r) its block indices and r."""
+        blocks = {k: b for k, b in enumerate(self.decomposition.blocks) if unimodular(b.z)}
+        err = {k: _basis_error(self, b) for k, b in blocks.items()} if len(blocks) > 1 else {}
+        kind, margin, pair = 0, 0.0, None
+        for a, b in combinations(blocks, 2):
+            c = float(np.linalg.svd(blocks[a].basis.conj().T @ blocks[b].basis, compute_uv=False)[0])
+            r = err[a] + err[b]
+            k = int(c > COMPONENT_TOL + r) + int(c > COMPONENT_TOL + GAP * r)
+            if (k, c) > (kind, margin):
+                kind, margin, pair = k, c, (a, b, r)
+        return kind, margin, pair
+
+    def orbits(self, seed: int, n_max: int):
+        """(probes, logs): ``probe_set`` for ``seed``, plus the witness
+        x_a + x_b of an oblique pair's top singular vectors (label
+        ``overlap{a}+{b}``), and their full-horizon
+        ``orbit_log_norms_batch``, once per (seed, n_max).  Every reader
+        shares the logs, so they are read-only."""
+        key = (seed, n_max)
+        if key not in self._orbits:
+            probes = probe_set(self.A.shape[0], np.random.default_rng(seed))
+            kind, _, pair = self.block_overlap
+            if kind == 2:
+                a, b, _ = pair
+                Ba, Bb = (self.decomposition.blocks[k].basis for k in (a, b))
+                u, _, vh = np.linalg.svd(Ba.conj().T @ Bb)
+                probes.append((f"overlap{a}+{b}", Ba @ u[:, 0] + Bb @ vh[0].conj()))
+            logs = orbit_log_norms_batch(self.A, np.column_stack([v for _, v in probes]), n_max)
+            logs.flags.writeable = False
+            self._orbits[key] = (tuple(probes), logs)
+        return self._orbits[key]
 
 
 def as_analysis(a) -> Analysis:
@@ -605,24 +646,25 @@ def orbit_analyze(A, h, config: RunConfig | None = None) -> OrbitRecord:
         raise InvalidInputError("orbit vector must be nonzero")
     if cfg.n_max < 100:
         raise InvalidInputError("n_max must be at least 100")
-    norms, (cls,) = classify_orbits(A, h.reshape(-1, 1), an.minpoly.degree, cfg)
+    logs = orbit_log_norms_batch(A, h.reshape(-1, 1), cfg.n_max)
+    logs, (cls,) = classify_orbits(logs, an.minpoly.degree, cfg)
     exponent = structural_exponent(A, h, an.decomposition)
-    return OrbitRecord(h=h, norms=norms[:, 0], structural_exponent=exponent, classification=cls)
+    return OrbitRecord(h=h, log_norms=logs[:, 0], structural_exponent=exponent, classification=cls)
 
 
 # ---------------------------------------------------------------------------
 # Theorem check
 # ---------------------------------------------------------------------------
 
-def probe_set(d: int, rng: np.random.Generator, n_random: int = 20):
-    """(label, vector) probes in C^d: the standard basis and ``n_random``
-    random unit vectors."""
+def probe_set(d: int, rng: np.random.Generator):
+    """(label, vector) probes in C^d: the standard basis and 20 random unit
+    vectors."""
     probes = []
     for i in range(d):
         e = np.zeros(d, dtype=complex)
         e[i] = 1.0
         probes.append((f"e{i}", e))
-    for t in range(n_random):
+    for t in range(20):
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         probes.append((f"rand{t}", v / np.linalg.norm(v)))
     return probes
@@ -638,52 +680,36 @@ def _basis_error(an: Analysis, b) -> float:
 
 
 def orbit_convergence(A, config: RunConfig | None = None):
-    """(convergent, margin, probes, norms, classes): whether ||A^n h||
+    """(convergent, margin, probes, logs, classes): whether ||A^n h||
     converges for every h, decided from the decomposition, and the
-    ``classify_orbits`` of the (label, vector) probes that cross-check it;
-    a disagreement raises InconsistencyError.
+    ``classify_orbits`` of the probe orbits (``Analysis.orbits``) that
+    cross-check it; a disagreement raises InconsistencyError.
 
     Orbits converge iff ``power_bounded_roots`` holds and the unimodular
-    blocks are orthogonal.  Two blocks with cosine c (top singular value of
-    basis_a^H basis_b) and basis errors r (``_basis_error``, summed) are
-    orthogonal when c <= COMPONENT_TOL + r, oblique past COMPONENT_TOL +
-    GAP r, and undecided in between (IllConditionedSpectrumError, if the
-    roots are power-bounded).  The margin is the largest cosine among the
-    pairs of the worst kind; an oblique pair's top singular vectors add the
-    witness x_a + x_b, ``overlap{a}+{b}``, to ``probe_set``.
+    blocks are orthogonal (``Analysis.block_overlap``, which gives the
+    margin); an undecided pair raises IllConditionedSpectrumError if the
+    roots are power-bounded.
     """
     cfg = config or RunConfig()
     an = as_analysis(A)
-    A = an.A
-    blocks = {k: b for k, b in enumerate(an.decomposition.blocks) if unimodular(b.z)}
-    err = {k: _basis_error(an, b) for k, b in blocks.items()} if len(blocks) > 1 else {}
-    kind, margin, pair = 0, 0.0, None
-    for a, b in combinations(blocks, 2):
-        c = float(np.linalg.svd(blocks[a].basis.conj().T @ blocks[b].basis, compute_uv=False)[0])
-        r = err[a] + err[b]
-        k = int(c > COMPONENT_TOL + r) + int(c > COMPONENT_TOL + GAP * r)
-        if (k, c) > (kind, margin):
-            kind, margin, pair = k, c, (a, b, r)
+    kind, margin, pair = an.block_overlap
     roots_ok = power_bounded_roots(an.minpoly.roots)
     if kind == 1 and roots_ok:
         a, b, r = pair
+        za, zb = (an.decomposition.blocks[k].z for k in (a, b))
         raise IllConditionedSpectrumError(
-            f"orbit convergence: the blocks of roots {blocks[a].z:.6g} and {blocks[b].z:.6g} have "
+            f"orbit convergence: the blocks of roots {za:.6g} and {zb:.6g} have "
             f"cosine {margin:.3g}, within {GAP:g} times their basis error {r:.3g} above COMPONENT_TOL"
         )
-    probes = probe_set(A.shape[0], np.random.default_rng(cfg.seed))
-    if kind == 2:
-        a, b, _ = pair
-        u, _, vh = np.linalg.svd(blocks[a].basis.conj().T @ blocks[b].basis)
-        probes.append((f"overlap{a}+{b}", blocks[a].basis @ u[:, 0] + blocks[b].basis @ vh[0].conj()))
-    norms, classes = classify_orbits(A, np.column_stack([v for _, v in probes]), an.minpoly.degree, cfg)
+    probes, logs = an.orbits(cfg.seed, cfg.n_max)
+    logs, classes = classify_orbits(logs, an.minpoly.degree, cfg)
     structural = roots_ok and kind == 0
     empirical = all(cls.kind == "convergent" for cls in classes)
     if structural != empirical:
         raise InconsistencyError(
             f"orbit convergence: structural={structural} empirical={empirical} (margin {margin:.3g})"
         )
-    return structural, margin, probes, norms, classes
+    return structural, margin, probes, logs, classes
 
 
 def theorem_check(A, config: RunConfig | None = None) -> CriteriaReport:
@@ -703,8 +729,8 @@ def theorem_check(A, config: RunConfig | None = None) -> CriteriaReport:
     normaloid = is_normaloid(an)
     pb = is_power_bounded(an)
 
-    convergent, margin, probes, norms, classes = orbit_convergence(an, cfg)
-    records = [(label, OrbitRecord(v, norms[:, j], structural_exponent(A, v, an.decomposition), cls))
+    convergent, margin, probes, logs, classes = orbit_convergence(an, cfg)
+    records = [(label, OrbitRecord(v, logs[:, j], structural_exponent(A, v, an.decomposition), cls))
                for j, ((label, v), cls) in enumerate(zip(probes, classes))]
     witness = next((rec.h for _, rec in records if rec.classification.kind != "convergent"), None)
 

@@ -27,7 +27,6 @@ from .criteria import (
     orbit_norms_batch,
     power_bounded_roots,
     power_log_norm,
-    probe_set,
     unimodular,
     window_limit,
 )
@@ -224,8 +223,9 @@ def uniform_stability(A, config: RunConfig | None = None) -> StabilityVerdict:
     filled via probe orbits and the structural power-bound criterion.
 
     r < 1 is cross-checked by log ||A^n|| falling from n = n_max // 2 + 1
-    to n = n_max (``power_log_norm``; a zero power counts as falling); the
-    probe orbits advance together in one ``orbit_log_norms_batch``.
+    to n = n_max (``power_log_norm``; a zero power counts as falling).  The
+    probe orbits are ``Analysis.orbits``, the batch ``theorem_check``
+    classifies, read over the full horizon.
     """
     cfg = config or RunConfig()
     an = as_analysis(A)
@@ -238,8 +238,7 @@ def uniform_stability(A, config: RunConfig | None = None) -> StabilityVerdict:
             raise InconsistencyError("r < 1 but power norms do not decay")
 
     structural_pb = power_bounded_roots(an.minpoly.roots)
-    probes = probe_set(A.shape[0], np.random.default_rng(cfg.seed), n_random=10)
-    ologs = orbit_log_norms_batch(A, np.column_stack([v for _, v in probes]), cfg.n_max)
+    probes, ologs = an.orbits(cfg.seed, cfg.n_max)
     w = cfg.window
     gap = (ologs.shape[0] - w) - half
     strongly = True

@@ -119,14 +119,17 @@ class TestAnalyze:
 
     def test_analyze_computes_structure_once(self, tmp_path, monkeypatch, capsys):
         calls = _record_calls(
-            monkeypatch, ["minimal_polynomial", "decompose", "spectrum", "power_log_norms"]
+            monkeypatch,
+            ["minimal_polynomial", "decompose", "spectrum", "power_log_norms", "orbit_log_norms_batch"],
         )
         inp = _write_matrix(tmp_path / "m.json", canonical_oblique())
         rc = main(["analyze", "--input", inp, "--csv", str(tmp_path / "g.csv")])
         assert rc == EXIT_OK
-        # The spectral radius is read off the minimal polynomial's roots.
+        # The spectral radius is read off the minimal polynomial's roots;
+        # theorem_check and uniform_stability share one probe-orbit batch.
         assert {name: len(args) for name, args in calls.items()} == {
-            "minimal_polynomial": 1, "decompose": 1, "spectrum": 0, "power_log_norms": 1
+            "minimal_polynomial": 1, "decompose": 1, "spectrum": 0, "power_log_norms": 1,
+            "orbit_log_norms_batch": 1,
         }
         assert calls["power_log_norms"][0][1] == POWER_STEPS
 

@@ -14,6 +14,7 @@ from aolab.criteria import (
     POWER_STEPS,
     Analysis,
     Classification,
+    classify_orbits,
     classify_sequence,
     is_normaloid,
     is_power_bounded,
@@ -209,12 +210,20 @@ class TestOrbitIteration:
                 assert np.isneginf(logs[1, 0]) and np.isfinite(logs[1, 1])
                 assert np.isneginf(logs[dim, 2]) and np.isfinite(logs[dim - 1, 2])
 
-    def test_engine_stops_after_limit(self):
+    def test_reader_cuts_after_limit(self):
+        # The engine runs the full horizon; its readers cut the batch at the
+        # first row past log OVERFLOW_LIMIT, a prefix of the full rows.
         A = np.diag([3.0, 0.5]).astype(complex)
-        logs = orbit_log_norms_batch(A, np.eye(2, dtype=complex), 1000, limit=np.log(1e300))
+        full = orbit_log_norms_batch(A, np.eye(2, dtype=complex), 1000)
+        assert full.shape == (1001, 2)
+        logs, classes = classify_orbits(full, 1, RunConfig())
         n = logs.shape[0] - 1
         assert logs[n, 0] > np.log(1e300) >= logs[n - 1, 0]
         assert logs[n, 1] == pytest.approx(n * np.log(0.5), rel=1e-12)
+        assert np.array_equal(logs, full[: n + 1])
+        assert classes[0].kind == "exponential-growth" and classes[0].rate == pytest.approx(3.0)
+        norms, overflow = orbit_norms_batch(A, np.eye(2, dtype=complex), 1000)
+        assert overflow == n and norms.shape == (n + 1, 2)
 
     def test_norms_stay_finite_past_raw_overflow(self):
         # Raw vectors of this orbit pass 1e154, where a sum of squares

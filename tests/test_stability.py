@@ -5,7 +5,7 @@ import pytest
 
 from aolab import criteria
 from aolab.config import RunConfig
-from aolab.criteria import POWER_STEPS, Analysis
+from aolab.criteria import POWER_STEPS, Analysis, theorem_check
 from aolab.errors import InconsistencyError, InvalidInputError, OutOfScopeError
 from aolab.generators import (
     canonical_oblique,
@@ -214,6 +214,21 @@ class TestUniformStability:
         A = np.array([[1, 1], [0, 1]], dtype=complex)
         v = uniform_stability(A, RunConfig(seed=0))
         assert not v.uniformly_stable and not v.power_bounded
+
+    @pytest.mark.parametrize(
+        "A",
+        [dft4(), canonical_oblique(), np.diag([1e200, 0.5]).astype(complex),
+         gen_normaloid_nonnormal(8, 0, 3.0)],
+        ids=["dft4", "oblique", "diag-1e200", "normaloid-3"],
+    )
+    def test_shared_probe_orbits_match_fresh_analysis(self, A):
+        # theorem_check and uniform_stability read one cached probe batch;
+        # a reader that writes into it, or a cache keyed on the wrong thing,
+        # makes a later stage or seed differ from a fresh Analysis.
+        an = Analysis(A)
+        for cfg in (RunConfig(seed=0), RunConfig(seed=7)):
+            for stage in (theorem_check, uniform_stability):
+                assert stage(an, cfg).to_obj() == stage(Analysis(A), cfg).to_obj(), (stage, cfg.seed)
 
     def test_mixed_spectrum_power_bounded_not_stable(self):
         A = gen_planted_jordan(4, [(1.0, 1), (0.4, 2)], cond_cap=20.0, seed=6)
