@@ -21,12 +21,31 @@ orthogonal, so that not every orbit converges but no probe resolves the
 oscillation (exit 2); and close-unitary-1e-7, a dim-4 unitary with
 eigenvalues 1 and e^{1e-7 i}, whose computed eigenvectors are a few 1e-9
 off orthogonal, within the error of their bases (exit 0).
+
+A change that moves trailing digits changes most digests, so two runs can
+also be compared field by field:
+
+    PYTHONPATH=src python scripts/report_digests.py --keep /tmp/before
+    (check out the other commit)
+    PYTHONPATH=src python scripts/report_digests.py --against /tmp/before
+
+``--keep DIR`` writes each instance's exit code, report, growth CSV and
+stderr to DIR (``NAME.exit``, ``NAME.out.json``, ``NAME.csv``,
+``NAME.stderr``).  ``--against DIR`` compares this run with one kept in DIR:
+it lists every exit-code, stderr or non-float difference, then the largest
+relative float difference per field name (JSON path without list indices,
+or ``csv.COLUMN``) and where it occurs.  The script exits 1 on any
+non-float difference.
 """
 
+import argparse
 import contextlib
+import csv
 import hashlib
 import io
+import json
 import math
+import re
 import sys
 import tempfile
 import warnings
@@ -115,9 +134,10 @@ def _run(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
-def digest(name, source, work: Path) -> str:
-    """``name exit_code sha256`` for one instance."""
-    inp, report, csv = work / f"{name}.json", work / f"{name}.out.json", work / f"{name}.csv"
+def run_instance(name, source, work: Path) -> dict:
+    """``analyze`` on one instance: its exit code, report and growth CSV
+    (bytes, empty if not written) and stderr."""
+    inp, report, csv_path = work / f"{name}.json", work / f"{name}.out.json", work / f"{name}.csv"
     if isinstance(source, list):
         rc, text, err = _run(["generate", *source])
         if rc != 0:
@@ -125,21 +145,148 @@ def digest(name, source, work: Path) -> str:
     else:
         text = jsonout.dumps(matrix_to_obj(source))
     inp.write_text(text)
-    rc, _, err = _run(["analyze", "--input", str(inp), "--out", str(report), "--csv", str(csv)])
+    rc, _, err = _run(["analyze", "--input", str(inp), "--out", str(report), "--csv", str(csv_path)])
+    parts = {suffix: path.read_bytes() if path.exists() else b""
+             for suffix, path in (("out.json", report), ("csv", csv_path))}
+    return {"exit": str(rc), **parts, "stderr": err.encode()}
+
+
+def digest(name, result) -> str:
+    """``name exit_code sha256`` for one instance."""
     h = hashlib.sha256()
-    for part in (report, csv):
-        h.update(part.read_bytes() if part.exists() else b"")
+    for part in ("out.json", "csv"):
+        h.update(result[part])
         h.update(b"\0")
-    h.update(err.encode())
-    return f"{name} {rc} {h.hexdigest()}"
+    h.update(result["stderr"])
+    return f"{name} {result['exit']} {h.hexdigest()}"
 
 
-def main(argv=None) -> int:
+PARTS = ("exit", "out.json", "csv", "stderr")
+
+
+def keep(name, result, dest: Path) -> None:
+    for part in PARTS:
+        data = result[part]
+        (dest / f"{name}.{part}").write_bytes(data if isinstance(data, bytes) else data.encode())
+
+
+def load(name, src: Path):
+    """The result kept for ``name`` in ``src``, or None if it is missing."""
+    paths = {part: src / f"{name}.{part}" for part in PARTS}
+    if not all(p.exists() for p in paths.values()):
+        return None
+    result = {part: p.read_bytes() for part, p in paths.items()}
+    result["exit"] = result["exit"].decode()
+    return result
+
+
+def _relative(a: float, b: float) -> float:
+    return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+
+
+def _walk(a, b, path, diffs, floats):
+    """Compare two parsed reports: non-float differences go to ``diffs``,
+    (field, relative difference, path) of every float pair to ``floats``."""
+    if isinstance(a, float) and isinstance(b, float):
+        floats.append((re.sub(r"\[\d+\]", "", path), _relative(a, b), path))
+    elif isinstance(a, dict) and isinstance(b, dict):
+        if list(a) != list(b):
+            diffs.append(f"{path}: keys {list(b)} -> {list(a)}")
+        for k in a:
+            if k in b:
+                _walk(a[k], b[k], f"{path}.{k}" if path else k, diffs, floats)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            diffs.append(f"{path}: length {len(b)} -> {len(a)}")
+        for i, (x, y) in enumerate(zip(a, b)):
+            _walk(x, y, f"{path}[{i}]", diffs, floats)
+    elif type(a) is not type(b) or a != b:
+        diffs.append(f"{path}: {b!r} -> {a!r}")
+
+
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _walk_csv(new: bytes, old: bytes, diffs, floats):
+    rows_new = list(csv.reader(io.StringIO(new.decode())))
+    rows_old = list(csv.reader(io.StringIO(old.decode())))
+    if len(rows_new) != len(rows_old) or rows_new[:1] != rows_old[:1]:
+        diffs.append(f"csv: {len(rows_old)} rows -> {len(rows_new)}, or another header")
+        return
+    header = rows_new[0] if rows_new else []
+    for i, (row, was) in enumerate(zip(rows_new[1:], rows_old[1:]), start=1):
+        for col, x, y in zip(header, row, was):
+            if x == y:
+                continue
+            try:
+                a, b = float(x), float(y)
+            except ValueError:
+                a = b = None
+            if a is None or (_is_int(x) and _is_int(y)):
+                diffs.append(f"csv row {i} {col}: {y!r} -> {x!r}")
+            else:
+                floats.append((f"csv.{col}", _relative(a, b), f"csv row {i} {col}"))
+
+
+def compare(name, new, old):
+    """(diffs, floats) between this run's result for ``name`` and a kept
+    one: every non-float difference as a line, and (field, relative
+    difference, path) for every float pair."""
+    if old is None:
+        return [f"{name}: nothing kept"], []
+    diffs, floats = [], []
+    if new["exit"] != old["exit"]:
+        diffs.append(f"exit code {old['exit']} -> {new['exit']}")
+    if new["stderr"] != old["stderr"]:
+        diffs.append("stderr differs")
+    if bool(new["out.json"]) != bool(old["out.json"]):
+        diffs.append("report written on one side only")
+    elif new["out.json"]:
+        _walk(json.loads(new["out.json"]), json.loads(old["out.json"]), "", diffs, floats)
+    _walk_csv(new["csv"], old["csv"], diffs, floats)
+    return [f"{name}: {d}" for d in diffs], floats
+
+
+def main(argv=()) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--keep", type=Path, help="write each instance's outputs to this directory")
+    ap.add_argument("--against", type=Path, help="compare with the outputs kept in this directory")
+    args = ap.parse_args(list(argv))
+    if args.keep:
+        args.keep.mkdir(parents=True, exist_ok=True)
+    diffs, worst, identical, total = [], {}, 0, 0
     with tempfile.TemporaryDirectory() as tmp:
         for name, source in instances():
-            print(digest(name, source, Path(tmp)), flush=True)
-    return 0
+            result = run_instance(name, source, Path(tmp))
+            print(digest(name, result), flush=True)
+            total += 1
+            if args.keep:
+                keep(name, result, args.keep)
+            if args.against:
+                lines, floats = compare(name, result, load(name, args.against))
+                moved = [f for f in floats if f[1] > 0]
+                diffs += lines
+                identical += not lines and not moved
+                for field, rel, path in moved:
+                    if rel > worst.get(field, (0.0,))[0]:
+                        worst[field] = (rel, f"{name} {path}")
+    if not args.against:
+        return 0
+    print(f"against {args.against}: {len(diffs)} non-float differences, "
+          f"{identical} of {total} instances identical")
+    for line in diffs:
+        print(f"  {line}")
+    if worst:
+        print("largest relative float difference per field:")
+    for field, (rel, where) in sorted(worst.items(), key=lambda kv: -kv[1][0]):
+        print(f"  {field} {rel:.3g} ({where})")
+    return 1 if diffs else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

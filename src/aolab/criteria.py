@@ -50,12 +50,20 @@ UNIT_TOL = 1e-10
 # (``unimodular``).
 CIRCLE_TOL = 1e-8
 
-# A product A v of a unit vector has norm at most dim * max|a_ij|; past this
-# bound its squared entries could overflow, and when every entry of A is
-# below its inverse they could underflow to zero.  Either way the orbit
-# engine takes its column norms the slower safe way and the power routines
-# scale A (``_squares_safe``).
-_SQUARE_SAFE = 2.0**500
+# A propagation stack holds at most this many complex entries (256 KiB): k
+# steps of the orbit engine's d x P batch, or k powers in ``power_log_norms``.
+STACK_ENTRIES = 2**14
+
+# A block of k plain steps grows a prescaled unit vector or power by at most
+# d^k (``_prescaled``); blocks keep d^k <= 2^BLOCK_GROWTH_LOG2, so that no
+# square of an entry or a norm overflows.
+BLOCK_GROWTH_LOG2 = 400
+
+# A live norm below this, or exactly 0, ends a block before its step
+# (``_block_norms``): its squares could underflow.
+TINY_NORM = 2.0**-500
+
+_LN2 = math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +131,9 @@ def classify_sequence(
     overflowed: bool = False,
 ) -> Classification:
     """Classification ladder: exponential by tail log-slope, else smallest
-    polynomial degree whose normalization stabilizes under the window rule,
-    else convergent / bounded-nonconvergent."""
+    polynomial degree d whose normalization s_n / n^d stabilizes under the
+    window rule, else convergent / bounded-nonconvergent.  Only the last
+    ``window`` terms are normalized, since the window rule reads no others."""
     s = np.asarray(norms, dtype=float)
     if overflowed:
         slope = _tail_log_slope(s)
@@ -146,10 +155,11 @@ def classify_sequence(
     ok, L = window_limit(s, window, tol)
     if ok:
         return Classification(kind="convergent", limit=L)
-    n = np.arange(s.size, dtype=float)
-    n[0] = 1.0
+    # The window rule reads only the last w terms, so only they are
+    # normalized (n = 0 counts as 1).
+    n = np.maximum(np.arange(s.size - w, s.size, dtype=float), 1.0)
     for d in range(1, max(1, max_poly_degree) + 1):
-        ok, L = window_limit(s / n**d, window, tol)
+        ok, L = window_limit(tail / n**d, window, tol)
         if ok and L > tol and grows:
             return Classification(kind="polynomial-growth", degree=d, limit=L)
     return Classification(kind="bounded-nonconvergent")
@@ -159,51 +169,120 @@ def classify_sequence(
 # Orbit iteration
 # ---------------------------------------------------------------------------
 
-def _squares_safe(A: np.ndarray) -> bool:
-    """Whether the squared entries of A v, for unit v, neither overflow nor
-    all underflow to zero."""
-    big = float(np.abs(A).max())
-    return big == 0.0 or (big >= 1.0 / _SQUARE_SAFE and big * A.shape[0] <= _SQUARE_SAFE)
+def _prescaled(A: np.ndarray):
+    """(A 2^-e, e): A as a complex matrix scaled by an exact power of two,
+    with e taken from its largest entry, so that every entry of A 2^-e is
+    below 1 and ||A 2^-e v|| < d ||v||.  The zero matrix has e = 0."""
+    e = math.frexp(float(np.abs(A).max()))[1]
+    B = np.array(A, dtype=complex)
+    np.ldexp(B.view(float), -e, out=B.view(float))
+    return B, e
+
+
+def _block_steps(d: int, width: int) -> int:
+    """Steps per block for a stack of d x width steps: at most STACK_ENTRIES
+    entries, and d^k <= 2^BLOCK_GROWTH_LOG2; at least 1."""
+    k = STACK_ENTRIES // max(1, d * width)
+    if d > 1:
+        k = min(k, int(BLOCK_GROWTH_LOG2 / math.log2(d)))
+    return max(1, k)
+
+
+def _block_norms(W: np.ndarray, live, limit: int):
+    """(norms, limit) for a block W of k plain steps, shape (k, m, P): the
+    2-norms of its columns at the steps the block keeps, shape (kept, P),
+    and the length of later blocks.
+
+    The block ends before the first step after its first where a live
+    column's norm is below TINY_NORM or exactly 0, so that the next block
+    retakes that step from a rescaled vector.  If the first step already
+    has such a column, the block is that one step and its norms are taken
+    with ``hypot``, whose squares do not underflow.  When the offending norm
+    is positive, later blocks are no longer than this one; an exact zero (a
+    column or power that dies) shortens nothing.  Once blocks are one step
+    long, every norm is taken with ``hypot``.
+    """
+    if limit == 1:
+        return np.hypot.reduce(np.abs(W), axis=1), limit
+    sq = np.einsum("kmp,kmp->kp", W.real, W.real)
+    sq += np.einsum("kmp,kmp->kp", W.imag, W.imag)
+    norms = np.sqrt(sq, out=sq)
+    tiny = (norms < TINY_NORM) & live
+    hit = np.flatnonzero(tiny.any(axis=1))
+    if not hit.size:
+        return norms, limit
+    kept = int(hit[0])
+    if kept == 0:
+        kept = 1
+        norms = np.hypot.reduce(np.abs(W[:1]), axis=1)
+        offending = norms[0, tiny[0]]
+    else:
+        offending = norms[kept, tiny[kept]]
+        norms = norms[:kept]
+    if np.any(offending > 0):
+        limit = min(limit, kept)
+    return norms, limit
+
+
+def _propagate(A: np.ndarray, start: np.ndarray, W: np.ndarray) -> None:
+    """W[j] = A^(j+1) start for every step j of the block W: one product
+    per step."""
+    prev = start
+    for step in W:
+        np.matmul(A, prev, out=step)
+        prev = step
 
 
 def orbit_log_norms_batch(A: np.ndarray, H: np.ndarray, n_max: int) -> np.ndarray:
     """log ||A^n h|| for every column h of H, n = 0..n_max.
 
     The propagation engine behind every orbit in the package: all columns
-    advance together by one ``A @ V`` per step (never by powering A), and
-    each column is rescaled to unit norm after every step, so the log-norms
-    neither overflow nor underflow.  A column that reaches exactly zero
-    reads -inf from then on.  The engine runs the full horizon; its readers
-    cut the rows at an overflow (``_cut_at_overflow``).
+    advance together by one ``A @ V`` per step (never by powering A), with A
+    prescaled by a power of two (``_prescaled``).  The steps run in blocks
+    of plain products in a preallocated stack (``_block_steps``); the
+    column norms of a whole block come from one sum of squares, and the
+    block ends with one exact power-of-two rescale per column, so the
+    log-norms neither overflow nor underflow.  A block is cut before a
+    live column's norm falls below TINY_NORM (``_block_norms``).  A column
+    that reaches exactly zero reads -inf from then on.  The engine runs
+    the full horizon, and a shorter horizon gives a bit-for-bit prefix of a
+    longer one; its readers cut the rows at an overflow
+    (``_cut_at_overflow``).
     """
-    safe = _squares_safe(A)
+    A, e = _prescaled(A)
     V = np.array(H, dtype=complex)
     s = np.linalg.norm(V, axis=0)
     if not np.all(s > 0):
         raise InvalidInputError("orbit vectors must be nonzero")
-    out = np.empty((n_max + 1, V.shape[1]))
+    d, P = V.shape
+    out = np.empty((n_max + 1, P))
     np.log(s, out=out[0])
-    inv = 1.0 / s
-    V *= inv
-    # Each step stores its rescaling factors; they are turned into running
-    # log sums at the end (the same sequential sums as step by step).
-    for n in range(1, n_max + 1):
-        V = A @ V
-        s = out[n]
-        if safe:
-            np.sqrt(np.add.reduce((V.conj() * V).real, axis=0), out=s)
-        else:
-            # Per column, so that a column far below the largest entries
-            # does not underflow either.
-            np.hypot.reduce(np.abs(V), axis=0, out=s)
-        # A dead column is exactly zero and stays zero under any finite
-        # factor, so it keeps the previous step's factor.
-        np.reciprocal(s, out=inv, where=s > 0)
-        V *= inv
+    limit = _block_steps(d, P)
+    stack = np.empty((min(limit, n_max), d, P), dtype=complex)
+    # Real and imaginary parts side by side, for the exact rescales.
+    parts, V_parts = stack.view(float).reshape(-1, d, P, 2), V.view(float).reshape(d, P, 2)
+    # A^n h = 2^(shed + n e) times the block's current vector V.
+    shed = np.frexp(s)[1].astype(np.int64)
+    np.ldexp(V_parts, -shed[:, np.newaxis], out=V_parts)
+    ne = e * np.arange(n_max + 1)[:, np.newaxis]
+    live = np.ones(P, dtype=bool)
+    n = 0
     # log(0) = -inf is how a dead column is recorded.
     with np.errstate(divide="ignore"):
-        np.log(out[1:], out=out[1:])
-    return np.cumsum(out, axis=0, out=out)
+        while n < n_max:
+            W = stack[: min(limit, n_max - n)]
+            _propagate(A, V, W)
+            norms, limit = _block_norms(W, live, limit)
+            kept = norms.shape[0]
+            rows = out[n + 1 : n + kept + 1]
+            np.log(norms, out=rows)
+            rows += (shed + ne[n + 1 : n + kept + 1]) * _LN2
+            m = np.frexp(norms[-1])[1]
+            np.ldexp(parts[kept - 1], -m[:, np.newaxis], out=V_parts)
+            shed += m
+            live = norms[-1] > 0
+            n += kept
+    return out
 
 
 def _cut_at_overflow(logs: np.ndarray):
@@ -256,56 +335,47 @@ def classify_orbits(logs: np.ndarray, max_poly_degree: int, cfg: RunConfig):
     return logs, classes
 
 
-def _prescaled(A: np.ndarray):
-    """(A 2^-e, e log 2) for a matrix whose squared entries could overflow
-    or underflow, with 2^e a power of two taken from its largest entry;
-    else (A, 0)."""
-    if _squares_safe(A):
-        return A, 0.0
-    e = math.frexp(float(np.abs(A).max()))[1]
-    return A * 2.0**-e, e * math.log(2.0)
-
-
 def power_log_norms(A: np.ndarray, n_max: int) -> np.ndarray:
     """log ||A^n|| (operator norm) for n = 1..n_max, immune to overflow and
     underflow; -inf from the first power that is exactly zero.
 
-    Each power is rescaled by its Frobenius norm as it is formed; the
-    operator norms of the rescaled powers come from one batched SVD per
-    chunk of at most about 2^14 / d^2 matrices (256 KiB of stack).  Chunks
-    start at fixed steps, so a longer trajectory extends a shorter one bit
-    for bit: ``power_log_norms(A, m)`` equals ``power_log_norms(A, n)[:m]``
-    for m <= n.  A is propagated prescaled (``_prescaled``) and n e log 2
-    is added back to log ||A^n||.
+    A is prescaled by 2^-e (``_prescaled``) and n e log 2 is added back.
+    The powers are formed in blocks of plain products, like the orbits of
+    ``orbit_log_norms_batch``: one product per step into a stack of at most
+    STACK_ENTRIES entries, the Frobenius norms of a block from one
+    reduction, and the same block cut (``_block_norms``).  Each kept power
+    is rescaled by an exact power of two to Frobenius norm in [1/2, 1), and
+    its spectral norm is the square root of the top eigenvalue of its Gram
+    matrix W^H W (one batched ``eigvalsh`` per block).  Block boundaries do
+    not depend on n_max, so ``power_log_norms(A, m)`` equals
+    ``power_log_norms(A, n)[:m]`` bit for bit for m <= n.
     """
-    A, shift = _prescaled(as_matrix(A))
+    A, e = _prescaled(as_matrix(A))
     d = A.shape[0]
-    depth = max(1, 2**14 // d**2)
-    stack = np.empty((min(depth, n_max), d, d), dtype=complex)
-    log_scale = np.empty(stack.shape[0])
+    limit = _block_steps(d, d)
+    stack = np.empty((min(limit, n_max), d, d), dtype=complex)
     out = np.empty(n_max)
     M = np.eye(d, dtype=complex)
-    acc = 0.0
-    for n0 in range(0, n_max, depth):
-        k = min(depth, n_max - n0)
-        live = k
-        for j in range(k):
-            np.matmul(A, M, out=stack[j])
-            M = stack[j]
-            f = math.sqrt(np.vdot(M, M).real)
-            if f == 0.0:
-                live = j
-                break
-            acc += math.log(f) + shift
-            log_scale[j] = acc
-            M *= 1.0 / f
-        if live:
-            sigma = np.linalg.svd(stack[:live], compute_uv=False)[:, 0]
-            out[n0:n0 + live] = log_scale[:live] + np.log(sigma)
-        if live < k:
-            out[n0 + live:] = -np.inf
+    shed = 0  # A^n = 2^(shed + n e) M
+    n = 0
+    while n < n_max:
+        W = stack[: min(limit, n_max - n)]
+        _propagate(A, M, W)
+        fro, limit = _block_norms(W.reshape(W.shape[0], d * d, 1), True, limit)
+        fro = fro[:, 0]
+        if fro[-1] == 0.0:
+            out[n:] = -np.inf
             return out
-        M = M.copy()  # the next chunk overwrites the stack
+        W = W[: fro.size]
+        m = np.frexp(fro)[1]
+        np.ldexp(W.view(float), -m[:, np.newaxis, np.newaxis], out=W.view(float))
+        rows = out[n : n + fro.size]
+        np.log(np.linalg.eigvalsh(np.matmul(W.conj().mT, W))[:, -1], out=rows)
+        rows *= 0.5
+        rows += (shed + m + e * np.arange(n + 1, n + fro.size + 1)) * _LN2
+        np.copyto(M, W[-1])
+        shed += int(m[-1])
+        n += fro.size
     return out
 
 
@@ -314,12 +384,12 @@ def power_log_norm(A: np.ndarray, n: int) -> float:
     log2 n squarings and one product per set bit of n, then one SVD.  A is
     prescaled like in ``power_log_norms``; -inf when a power is exactly
     zero."""
-    A, shift = _prescaled(as_matrix(A))
+    A, e = _prescaled(as_matrix(A))
     # square = A^(2^k) / e^square_log and result = A^m / e^result_log, for
     # the bits k of n read so far and m their part of n.  Both are rescaled
     # to Frobenius norm 1 before they are multiplied, so no product
     # overflows.
-    square, square_log = A, shift
+    square, square_log = A, e * _LN2
     result, result_log = None, 0.0
     while True:
         f = math.sqrt(np.vdot(square, square).real)

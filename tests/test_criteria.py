@@ -38,6 +38,7 @@ from aolab.generators import (
     gen_unitary_finite_spectrum,
     haar_unitary,
 )
+from aolab.stability import orbit_root_limit
 from aolab.structure import minimal_polynomial
 
 
@@ -244,15 +245,59 @@ class TestOrbitIteration:
             assert np.array_equal(np.isneginf(logs), dead), name
             assert np.max(np.abs(logs[~dead] - ref[~dead])) <= 1e-10, name
 
-    @pytest.mark.parametrize("dim", [4, 8, 16])
+    @pytest.mark.parametrize("dim", [4, 8, 16, 32, 64])
     def test_power_log_norms_prefix_bit_identical(self, dim):
         # A trajectory computed once at the longest horizon is reused at
-        # shorter ones; the reuse must not change a single bit.  The SVD
-        # chunks hold 1024, 256 and 64 powers at these dims, so 1000 and 10
-        # end inside a chunk that the longer run fills.
+        # shorter ones; the reuse must not change a single bit.  Blocks hold
+        # 200, 133, 64, 16 and 4 powers at these dims, so 10 ends inside a
+        # block that the longer run fills, and so does 1000 at dims 8-32.
         A = _engine_instances(dim)["jordan"]
-        assert np.array_equal(power_log_norms(A, 1000), power_log_norms(A, 2000)[:1000])
-        assert np.array_equal(power_log_norms(A, 10), power_log_norms(A, 2000)[:10])
+        full = power_log_norms(A, 2000)
+        assert np.array_equal(power_log_norms(A, 1000), full[:1000])
+        assert np.array_equal(power_log_norms(A, 10), full[:10])
+
+    @pytest.mark.parametrize("dim", [4, 16, 64])
+    def test_engine_prefix_bit_identical(self, dim):
+        # Block boundaries do not depend on the horizon: a shorter orbit is
+        # a prefix of a longer one, bit for bit.
+        rng = np.random.default_rng(dim)
+        H = rng.standard_normal((dim, dim + 20)) + 1j * rng.standard_normal((dim, dim + 20))
+        for name, A in _engine_instances(dim).items():
+            full = orbit_log_norms_batch(A, H, 2000)
+            assert np.array_equal(orbit_log_norms_batch(A, H, 300), full[:301]), name
+
+    def test_block_cut_matches_reference_loops(self):
+        # Largest entry 12.7, so A is prescaled by 2^-4, and unimodular
+        # spectrum: the prescaled norms shrink by about 2^-4 per step and
+        # pass TINY_NORM inside every block (about 125 steps in), where the
+        # block is cut and the next one retakes the step.
+        A = gen_oblique(4, np.exp(2j * np.pi * np.arange(4) / 4 + 0.3j), 50, seed=2)
+        assert criteria._prescaled(A)[1] == 4
+        rng = np.random.default_rng(0)
+        H = rng.standard_normal((4, 24)) + 1j * rng.standard_normal((4, 24))
+        logs = orbit_log_norms_batch(A, H, 2000)
+        for j in range(H.shape[1]):
+            ref = _reference_orbit_log_norms(A, H[:, j], 2000)
+            assert np.max(np.abs(logs[:, j] - ref)) <= 1e-10, j
+        ref = _reference_power_log_norms(A, 1000)
+        assert np.max(np.abs(power_log_norms(A, 1000) - ref)) <= 1e-10
+
+    def test_huge_entry_keeps_small_column(self):
+        # Prescaled, e1's first step of every block is 2^-666: the blocks are
+        # one step long and their norms are taken with hypot.
+        logs = orbit_log_norms_batch(np.diag([1e200, 0.5]), np.eye(2), 2000)
+        assert logs[2000, 1] == pytest.approx(2000 * np.log(0.5), rel=1e-12)
+        assert logs[2000, 0] == pytest.approx(2000 * np.log(1e200), rel=1e-12)
+
+    def test_tiny_column_at_unit_scale(self):
+        # The largest entry is 1, yet the squares of e1's column (2^-600)
+        # underflow: its steps are one-step blocks with hypot norms, so the
+        # column reads n log 2^-600 and not -inf.
+        A = np.diag([1.0, 2.0**-600])
+        logs = orbit_log_norms_batch(A, np.eye(2), 2000)
+        n = np.array([1, 2, 3, 2000])
+        assert logs[n, 1] == pytest.approx(n * np.log(2.0**-600), rel=1e-12)
+        assert orbit_root_limit(A, np.eye(2))[1] == pytest.approx(2.0**-600, rel=1e-6)
 
     def test_power_log_norms_scalar(self):
         A = np.array([[0.5]], dtype=complex)

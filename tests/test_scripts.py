@@ -1,6 +1,7 @@
 """Smoke runs of the scripts on small inputs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,38 @@ def test_report_digests(monkeypatch, capsys):
     rows = [line.split() for line in first.splitlines()]
     assert [row[:2] for row in rows] == [[name, "0"] for name in keep]
     assert all(len(row[2]) == 64 for row in rows)
+
+
+def test_report_digests_compare(tmp_path, monkeypatch, capsys):
+    module = _load("report_digests")
+    picked = [inst for inst in module.instances() if inst[0] == "dft4"]
+    monkeypatch.setattr(module, "instances", lambda: picked)
+    kept = tmp_path / "kept"
+    assert module.main(["--keep", str(kept)]) == 0
+    assert sorted(p.name for p in kept.iterdir()) == [
+        "dft4.csv", "dft4.exit", "dft4.out.json", "dft4.stderr"]
+    capsys.readouterr()
+    assert module.main(["--against", str(kept)]) == 0
+    out = capsys.readouterr().out
+    assert "0 non-float differences, 1 of 1 instances identical" in out
+    assert "largest relative" not in out
+
+    report = kept / "dft4.out.json"
+    obj = json.loads(report.read_text())
+    obj["criteria"]["probes"][0]["norm_last"] *= 1 + 1e-6
+    report.write_text(json.dumps(obj))
+    assert module.main(["--against", str(kept)]) == 0
+    out = capsys.readouterr().out
+    assert "0 non-float differences, 0 of 1 instances identical" in out
+    assert "criteria.probes.norm_last 1e-06 (dft4 criteria.probes[0].norm_last)" in out
+
+    obj["criteria"]["probes"][0]["classification"]["kind"] = "bounded-nonconvergent"
+    report.write_text(json.dumps(obj))
+    (kept / "dft4.exit").write_text("2")
+    assert module.main(["--against", str(kept)]) == 1
+    out = capsys.readouterr().out
+    assert "dft4: exit code 2 -> 0" in out
+    assert "dft4: criteria.probes[0].classification.kind: 'bounded-nonconvergent' -> 'convergent'" in out
 
 
 def test_bench_pairs_dry_run(capsys):
