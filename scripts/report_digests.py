@@ -135,8 +135,8 @@ def _run(argv):
 
 
 def run_instance(name, source, work: Path) -> dict:
-    """``analyze`` on one instance: its exit code, report and growth CSV
-    (bytes, empty if not written) and stderr."""
+    """``analyze`` on one instance: its exit code, report, growth CSV
+    (empty if not written) and stderr, each as bytes."""
     inp, report, csv_path = work / f"{name}.json", work / f"{name}.out.json", work / f"{name}.csv"
     if isinstance(source, list):
         rc, text, err = _run(["generate", *source])
@@ -148,7 +148,7 @@ def run_instance(name, source, work: Path) -> dict:
     rc, _, err = _run(["analyze", "--input", str(inp), "--out", str(report), "--csv", str(csv_path)])
     parts = {suffix: path.read_bytes() if path.exists() else b""
              for suffix, path in (("out.json", report), ("csv", csv_path))}
-    return {"exit": str(rc), **parts, "stderr": err.encode()}
+    return {"exit": str(rc).encode(), **parts, "stderr": err.encode()}
 
 
 def digest(name, result) -> str:
@@ -158,7 +158,7 @@ def digest(name, result) -> str:
         h.update(result[part])
         h.update(b"\0")
     h.update(result["stderr"])
-    return f"{name} {result['exit']} {h.hexdigest()}"
+    return f"{name} {result['exit'].decode()} {h.hexdigest()}"
 
 
 PARTS = ("exit", "out.json", "csv", "stderr")
@@ -166,8 +166,7 @@ PARTS = ("exit", "out.json", "csv", "stderr")
 
 def keep(name, result, dest: Path) -> None:
     for part in PARTS:
-        data = result[part]
-        (dest / f"{name}.{part}").write_bytes(data if isinstance(data, bytes) else data.encode())
+        (dest / f"{name}.{part}").write_bytes(result[part])
 
 
 def load(name, src: Path):
@@ -175,9 +174,7 @@ def load(name, src: Path):
     paths = {part: src / f"{name}.{part}" for part in PARTS}
     if not all(p.exists() for p in paths.values()):
         return None
-    result = {part: p.read_bytes() for part, p in paths.items()}
-    result["exit"] = result["exit"].decode()
-    return result
+    return {part: p.read_bytes() for part, p in paths.items()}
 
 
 def _relative(a: float, b: float) -> float:
@@ -241,7 +238,7 @@ def compare(name, new, old):
         return [f"{name}: nothing kept"], []
     diffs, floats = [], []
     if new["exit"] != old["exit"]:
-        diffs.append(f"exit code {old['exit']} -> {new['exit']}")
+        diffs.append(f"exit code {old['exit'].decode()} -> {new['exit'].decode()}")
     if new["stderr"] != old["stderr"]:
         diffs.append("stderr differs")
     if bool(new["out.json"]) != bool(old["out.json"]):

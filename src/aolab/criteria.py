@@ -174,7 +174,7 @@ def _prescaled(A: np.ndarray):
     with e taken from its largest entry, so that every entry of A 2^-e is
     below 1 and ||A 2^-e v|| < d ||v||.  The zero matrix has e = 0."""
     e = math.frexp(float(np.abs(A).max()))[1]
-    B = np.array(A, dtype=complex)
+    B = np.array(A, dtype=complex, order="C")
     np.ldexp(B.view(float), -e, out=B.view(float))
     return B, e
 
@@ -250,7 +250,7 @@ def orbit_log_norms_batch(A: np.ndarray, H: np.ndarray, n_max: int) -> np.ndarra
     (``_cut_at_overflow``).
     """
     A, e = _prescaled(A)
-    V = np.array(H, dtype=complex)
+    V = np.array(H, dtype=complex, order="C")
     s = np.linalg.norm(V, axis=0)
     if not np.all(s > 0):
         raise InvalidInputError("orbit vectors must be nonzero")

@@ -279,6 +279,10 @@ class TestOrbitIteration:
         for j in range(H.shape[1]):
             ref = _reference_orbit_log_norms(A, H[:, j], 2000)
             assert np.max(np.abs(logs[:, j] - ref)) <= 1e-10, j
+        # The rescales work on real views; the memory order of the inputs
+        # does not matter.
+        F = np.asfortranarray
+        assert np.array_equal(orbit_log_norms_batch(F(A), F(H), 2000), logs)
         ref = _reference_power_log_norms(A, 1000)
         assert np.max(np.abs(power_log_norms(A, 1000) - ref)) <= 1e-10
 
