@@ -39,7 +39,8 @@ EXP_SLOPE_TOL = 1e-3
 # numerically nonzero.
 COMPONENT_TOL = 1e-10
 
-# Power-norm steps behind the empirical power-bound check and the growth bound.
+# Power steps behind the empirical power-bound check and the growth bound;
+# probe batches run at least this far (``Analysis.orbits``).
 POWER_STEPS = 1000
 
 # ||A|| <= 1 (a contraction) and r(A) <= 1 both mean x <= 1 + UNIT_TOL
@@ -379,38 +380,6 @@ def power_log_norms(A: np.ndarray, n_max: int) -> np.ndarray:
     return out
 
 
-def power_log_norm(A: np.ndarray, n: int) -> float:
-    """log ||A^n|| (operator norm) for one n >= 1 by binary powering: about
-    log2 n squarings and one product per set bit of n, then one SVD.  A is
-    prescaled like in ``power_log_norms``; -inf when a power is exactly
-    zero."""
-    A, e = _prescaled(as_matrix(A))
-    # square = A^(2^k) / e^square_log and result = A^m / e^result_log, for
-    # the bits k of n read so far and m their part of n.  Both are rescaled
-    # to Frobenius norm 1 before they are multiplied, so no product
-    # overflows.
-    square, square_log = A, e * _LN2
-    result, result_log = None, 0.0
-    while True:
-        f = math.sqrt(np.vdot(square, square).real)
-        if f == 0.0:
-            return -np.inf
-        square = square * (1.0 / f)
-        square_log += math.log(f)
-        if n & 1:
-            result = square if result is None else result @ square
-            f = math.sqrt(np.vdot(result, result).real)
-            if f == 0.0:
-                return -np.inf
-            result = result * (1.0 / f)
-            result_log += square_log + math.log(f)
-        n >>= 1
-        if not n:
-            return result_log + math.log(np.linalg.svd(result, compute_uv=False)[0])
-        square = square @ square
-        square_log *= 2
-
-
 # ---------------------------------------------------------------------------
 # Domain records
 # ---------------------------------------------------------------------------
@@ -487,10 +456,10 @@ class Analysis:
     """One matrix and the structure every stage reads off it: ``norm``
     (||A||), ``contraction``, ``minpoly``, ``spectral_radius`` (the largest
     modulus among its roots), ``decomposition``, ``block_overlap``, the
-    power-norm trajectory ``power_log_norms(A, POWER_STEPS)`` and the probe
-    ``orbits`` (per seed and horizon), each computed once, on first use.
-    Structure that cannot be certified raises on first use.  Every stage
-    that reads them takes a matrix or an Analysis (``as_analysis``)."""
+    power-norm trajectory ``power_logs`` and the probe ``orbits`` (per
+    seed), each computed once, on first use.  Structure that cannot be
+    certified raises on first use.  Every stage that reads them takes a
+    matrix or an Analysis (``as_analysis``)."""
 
     def __init__(self, A):
         self.A = as_matrix(A)
@@ -517,18 +486,10 @@ class Analysis:
         return decompose(self.A, self.minpoly)
 
     @cached_property
-    def _power_logs(self) -> np.ndarray:
+    def power_logs(self) -> np.ndarray:
+        """log ||A^n|| for n = 1..POWER_STEPS (``power_log_norms``), read
+        only by the growth bound."""
         return power_log_norms(self.A, POWER_STEPS)
-
-    def power_logs(self, n: int) -> np.ndarray:
-        """log ||A^k|| for k = 1..n: a prefix of the trajectory, bit for bit
-        ``power_log_norms(A, n)``.  Raises InvalidInputError past
-        POWER_STEPS."""
-        if n > POWER_STEPS:
-            raise InvalidInputError(
-                f"a verdict needs {n} power-norm steps; the trajectory has {POWER_STEPS}"
-            )
-        return self._power_logs[:n]
 
     @cached_property
     def block_overlap(self):
@@ -553,11 +514,15 @@ class Analysis:
     def orbits(self, seed: int, n_max: int):
         """(probes, logs): ``probe_set`` for ``seed``, plus the witness
         x_a + x_b of an oblique pair's top singular vectors (label
-        ``overlap{a}+{b}``), and their full-horizon
-        ``orbit_log_norms_batch``, once per (seed, n_max).  Every reader
-        shares the logs, so they are read-only."""
-        key = (seed, n_max)
-        if key not in self._orbits:
+        ``overlap{a}+{b}``), and the rows n = 0..n_max of their
+        ``orbit_log_norms_batch``.  The batch runs max(n_max, POWER_STEPS)
+        steps, so that its basis columns also serve the power-bound check
+        (``frobenius_log_norms``), and is propagated once per seed unless a
+        longer horizon is asked for; by the engine's prefix property the rows
+        are bit for bit those of an n_max-step batch.  Every reader shares
+        the logs, so they are read-only."""
+        probes, logs = self._orbits.get(seed, (None, None))
+        if logs is None or logs.shape[0] <= n_max:
             probes = probe_set(self.A.shape[0], np.random.default_rng(seed))
             kind, _, pair = self.block_overlap
             if kind == 2:
@@ -565,10 +530,12 @@ class Analysis:
                 Ba, Bb = (self.decomposition.blocks[k].basis for k in (a, b))
                 u, _, vh = np.linalg.svd(Ba.conj().T @ Bb)
                 probes.append((f"overlap{a}+{b}", Ba @ u[:, 0] + Bb @ vh[0].conj()))
-            logs = orbit_log_norms_batch(self.A, np.column_stack([v for _, v in probes]), n_max)
+            H = np.column_stack([v for _, v in probes])
+            logs = orbit_log_norms_batch(self.A, H, max(n_max, POWER_STEPS))
             logs.flags.writeable = False
-            self._orbits[key] = (tuple(probes), logs)
-        return self._orbits[key]
+            probes = tuple(probes)
+            self._orbits[seed] = (probes, logs)
+        return probes, logs[: n_max + 1]
 
 
 def as_analysis(a) -> Analysis:
@@ -615,8 +582,7 @@ def is_normaloid(A) -> bool:
     nrm, r, rel = an.norm, an.spectral_radius, 1e-6
     structural = abs(r - nrm) <= 1e-8 * max(1.0, nrm)
     if nrm > 0:
-        # A bare matrix's Analysis is dropped on return: ten steps suffice.
-        logs = an.power_logs(10) if an is A else power_log_norms(an.A, 10)
+        logs = power_log_norms(an.A, 10)
         empirical = all(
             abs(logs[n - 1] - n * np.log(nrm)) <= np.log1p(rel) * n + rel
             for n in range(2, 11)
@@ -642,16 +608,30 @@ def power_bounded_roots(roots) -> bool:
     )
 
 
-def is_power_bounded(A) -> bool:
+def frobenius_log_norms(logs: np.ndarray, d: int) -> np.ndarray:
+    """log ||A^n||_F for every row n of a probe batch's log-norms, read off
+    its first d columns, the standard basis (``probe_set``): ||A^n||_F^2 =
+    sum_i ||A^n e_i||^2, one ``logaddexp`` reduction over the columns.  A
+    row whose basis orbits all died reads -inf."""
+    return 0.5 * np.logaddexp.reduce(2.0 * logs[:, :d], axis=1)
+
+
+def is_power_bounded(A, config: RunConfig | None = None) -> bool:
     """sup_n ||A^n|| finite, decided structurally: spectral radius at most 1
     and every root of modulus (near) 1 simple in the minimal polynomial.
-    Cross-checked against the first POWER_STEPS power norms; disagreement
-    raises InconsistencyError.
+    Cross-checked against log ||A^n||_F for n = 1..POWER_STEPS, read off the
+    basis columns of the probe batch of ``config``'s seed
+    (``frobenius_log_norms``); power-boundedness does not depend on the
+    norm.  Disagreement raises InconsistencyError.
     """
+    cfg = config or RunConfig()
     an = as_analysis(A)
     p = an.minpoly
     structural = power_bounded_roots(p.roots)
-    logs = an.power_logs(POWER_STEPS)
+    # orbits(seed, cfg.n_max) propagates the same horizon, so every reader
+    # of cfg shares one batch.
+    _, logs = an.orbits(cfg.seed, max(cfg.n_max, POWER_STEPS))
+    logs = frobenius_log_norms(logs[1 : POWER_STEPS + 1], an.A.shape[0])
     finite = logs[np.isfinite(logs)]
     if finite.size < 4:
         empirical = True  # nilpotent: powers vanish
@@ -797,7 +777,7 @@ def theorem_check(A, config: RunConfig | None = None) -> CriteriaReport:
 
     unitary = is_unitary(A)
     normaloid = is_normaloid(an)
-    pb = is_power_bounded(an)
+    pb = is_power_bounded(an, cfg)
 
     convergent, margin, probes, logs, classes = orbit_convergence(an, cfg)
     records = [(label, OrbitRecord(v, logs[:, j], structural_exponent(A, v, an.decomposition), cls))

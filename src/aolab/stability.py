@@ -20,13 +20,13 @@ from .criteria import (
     as_analysis,
     at_most_one,
     block_components,
+    frobenius_log_norms,
     is_normaloid,
     is_power_bounded,
     orbit_convergence,
     orbit_log_norms_batch,
     orbit_norms_batch,
     power_bounded_roots,
-    power_log_norm,
     unimodular,
     window_limit,
 )
@@ -91,7 +91,7 @@ def normaloid_equivalence(A, config: RunConfig | None = None) -> NormaloidReport
     an = as_analysis(A)
     if not is_normaloid(an):
         raise InvalidInputError("normaloid_equivalence requires a normaloid matrix")
-    pb = is_power_bounded(an)
+    pb = is_power_bounded(an, cfg)
     convergent = orbit_convergence(an, cfg)[0]
     rep = NormaloidReport(orbits_convergent=convergent, power_bounded=pb, contraction=an.contraction)
     if not rep.all_agree():
@@ -143,17 +143,17 @@ def growth_bound(A) -> GrowthBound:
     if not at_most_one(r):
         raise OutOfScopeError(f"growth bound requires r(A) <= 1, got {r}")
     kappa = mp.degree - 1
-    logs = an.power_logs(POWER_STEPS)
+    logs = an.power_logs
 
     if r <= _NILPOTENT_RADIUS:
         # Nilpotent: powers vanish identically from n = deg p on.
         valid_from = mp.degree
         scale = max(1.0, an.norm)
-        for n in range(valid_from, POWER_STEPS + 1):
-            if logs[n - 1] > np.log(1e-10 * scale**mp.degree):
-                raise InconsistencyError(
-                    f"nilpotent matrix has nonzero power at n={n}"
-                )
+        live = np.flatnonzero(logs[valid_from - 1 :] > np.log(1e-10 * scale**mp.degree))
+        if live.size:
+            raise InconsistencyError(
+                f"nilpotent matrix has nonzero power at n={valid_from + live[0]}"
+            )
         return GrowthBound(
             kappa=kappa,
             alpha=1.0,
@@ -186,12 +186,10 @@ def growth_bound(A) -> GrowthBound:
         alpha += b.projection_norm * aj
 
     valid_from = 1
-    log_alpha = np.log(alpha)
-    worst = -np.inf
-    for n in range(valid_from, POWER_STEPS + 1):
-        log_bound = log_alpha + kappa * np.log(n) + n * np.log(r)
-        if np.isfinite(logs[n - 1]):
-            worst = max(worst, logs[n - 1] - log_bound)
+    n = np.arange(valid_from, POWER_STEPS + 1)
+    excess = logs - (np.log(alpha) + kappa * np.log(n) + n * np.log(r))
+    finite = np.isfinite(logs)
+    worst = excess[finite].max() if finite.any() else -np.inf
     ratio = float(np.exp(worst)) if np.isfinite(worst) else 0.0
     if ratio > 1 + 1e-8:
         raise InconsistencyError(f"growth bound violated: ratio {ratio}")
@@ -207,7 +205,7 @@ def growth_bound(A) -> GrowthBound:
 def growth_csv_rows(A, gb: GrowthBound):
     """(n, ||A^n||, bound_n) rows for n = 1..POWER_STEPS, for external
     plotting."""
-    logs = as_analysis(A).power_logs(POWER_STEPS)
+    logs = as_analysis(A).power_logs
     rows = []
     for n in range(1, POWER_STEPS + 1):
         if gb.spectral_radius > 0:
@@ -222,23 +220,23 @@ def uniform_stability(A, config: RunConfig | None = None) -> StabilityVerdict:
     """||A^n|| -> 0 iff r(A) < 1; strong stability and power boundedness
     filled via probe orbits and the structural power-bound criterion.
 
-    r < 1 is cross-checked by log ||A^n|| falling from n = n_max // 2 + 1
-    to n = n_max (``power_log_norm``; a zero power counts as falling).  The
-    probe orbits are ``Analysis.orbits``, the batch ``theorem_check``
-    classifies, read over the full horizon.
+    The probe orbits are ``Analysis.orbits``, the batch ``theorem_check``
+    classifies, read over the full horizon.  r < 1 is cross-checked by
+    log ||A^n||_F falling from n = n_max // 2 + 1 to n = n_max, read off
+    the batch's basis columns (``frobenius_log_norms``; decay does not
+    depend on the norm, and a zero power counts as falling).
     """
     cfg = config or RunConfig()
     an = as_analysis(A)
-    A = an.A
     uniformly = an.spectral_radius < 1 - UNIT_TOL
     half = cfg.n_max // 2
+    probes, ologs = an.orbits(cfg.seed, cfg.n_max)
     if uniformly:
-        top = power_log_norm(A, cfg.n_max)
-        if top > -np.inf and top >= power_log_norm(A, half + 1):
+        early, top = frobenius_log_norms(ologs[[half + 1, cfg.n_max]], an.A.shape[0])
+        if top > -np.inf and top >= early:
             raise InconsistencyError("r < 1 but power norms do not decay")
 
     structural_pb = power_bounded_roots(an.minpoly.roots)
-    probes, ologs = an.orbits(cfg.seed, cfg.n_max)
     w = cfg.window
     gap = (ologs.shape[0] - w) - half
     strongly = True

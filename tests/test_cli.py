@@ -127,11 +127,13 @@ class TestAnalyze:
         assert rc == EXIT_OK
         # The spectral radius is read off the minimal polynomial's roots;
         # theorem_check and uniform_stability share one probe-orbit batch.
+        # Powers are formed for is_normaloid's ten steps and for the growth
+        # bound's trajectory only.
         assert {name: len(args) for name, args in calls.items()} == {
-            "minimal_polynomial": 1, "decompose": 1, "spectrum": 0, "power_log_norms": 1,
+            "minimal_polynomial": 1, "decompose": 1, "spectrum": 0, "power_log_norms": 2,
             "orbit_log_norms_batch": 1,
         }
-        assert calls["power_log_norms"][0][1] == POWER_STEPS
+        assert [args[1] for args in calls["power_log_norms"]] == [10, POWER_STEPS]
 
     def test_inconsistent_power_bound_exits_2(self, tmp_path, capsys, monkeypatch):
         # A minimal polynomial that gives the unimodular root -1 of the

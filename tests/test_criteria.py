@@ -16,13 +16,13 @@ from aolab.criteria import (
     Classification,
     classify_orbits,
     classify_sequence,
+    frobenius_log_norms,
     is_normaloid,
     is_power_bounded,
     is_unitary,
     orbit_analyze,
     orbit_log_norms_batch,
     orbit_norms_batch,
-    power_log_norm,
     power_log_norms,
     scalar_re_sequence,
     theorem_check,
@@ -37,8 +37,9 @@ from aolab.generators import (
     gen_oblique,
     gen_unitary_finite_spectrum,
     haar_unitary,
+    spread_unimodular,
 )
-from aolab.stability import orbit_root_limit
+from aolab.stability import normaloid_equivalence, orbit_root_limit, uniform_stability
 from aolab.structure import minimal_polynomial
 
 
@@ -77,14 +78,15 @@ def _reference_orbit_log_norms(A, h, n_max):
     return out
 
 
-def _reference_power_log_norms(A, n_max):
-    """Per-step reference: log ||A^n|| with one 2-norm (SVD) per step."""
+def _reference_power_log_norms(A, n_max, ord=2):
+    """Per-step reference: log ||A^n|| with one norm of order ``ord`` per
+    step (2, an SVD, by default; "fro" for the Frobenius norm)."""
     M = np.eye(A.shape[0], dtype=complex)
     acc = 0.0
     out = np.empty(n_max)
     for n in range(n_max):
         M = A @ M
-        s = float(np.linalg.norm(M, 2))
+        s = float(np.linalg.norm(M, ord))
         if s == 0.0:
             out[n:] = -np.inf
             return out
@@ -315,24 +317,29 @@ class TestOrbitIteration:
         assert logs[-1] == pytest.approx(500 * np.log(3000.0), rel=1e-10)
 
     @pytest.mark.parametrize("dim", [4, 16, 64])
-    def test_power_log_norm_matches_trajectory(self, dim):
-        # Binary powering reaches the far end of a trajectory; the
-        # nilpotent instance reads -inf on both.
+    def test_frobenius_logs_match_reference(self, dim):
+        # The power-bound and decay checks read log ||A^n||_F off the basis
+        # orbits; the nilpotent shift reads -inf on every row from n = dim.
         for name, A in _engine_instances(dim).items():
-            logs = power_log_norms(A, 2000)
-            for n in (1001, 2000):
-                far = power_log_norm(A, n)
-                if name == "nilpotent":
-                    assert far == logs[n - 1] == -np.inf
-                else:
-                    assert abs(far - logs[n - 1]) <= 1e-9 * max(1.0, abs(logs[n - 1])), (name, n)
+            fro = frobenius_log_norms(orbit_log_norms_batch(A, np.eye(dim), 300), dim)
+            assert fro[0] == pytest.approx(0.5 * np.log(dim), rel=1e-15), name
+            ref = _reference_power_log_norms(A, 300, "fro")
+            dead = np.isneginf(ref)
+            assert np.array_equal(np.isneginf(fro[1:]), dead), name
+            err = np.abs(fro[1:][~dead] - ref[~dead]) / np.maximum(1.0, np.abs(ref[~dead]))
+            assert np.max(err) <= 1e-12, name
+            if name == "nilpotent":
+                assert np.all(np.isneginf(fro[dim:])) and np.isfinite(fro[dim - 1])
 
-    def test_power_log_norm_huge_entries(self):
-        # Unscaled, the squares of 1e150 overflow in the first squaring (a
-        # RuntimeWarning fails the test).
-        for big in (1e150, 1e200):
-            A = np.diag([big, 0.5])
-            assert power_log_norm(A, 2000) == pytest.approx(2000 * np.log(big), rel=1e-12)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("big", [1e150, 1e200])
+    def test_frobenius_logs_huge_entries(self, big):
+        # The squares of 1e150 overflow: the Frobenius norms are taken in
+        # log space (a RuntimeWarning fails the test).
+        _, logs = Analysis(np.diag([big, 0.5])).orbits(0, 2000)
+        fro = frobenius_log_norms(logs, 2)
+        assert fro[2000] == pytest.approx(2000 * np.log(big), rel=1e-12)
+        assert np.diff(fro[1:]) == pytest.approx(np.full(1999, np.log(big)), rel=1e-9)
 
     def test_tiny_entries(self):
         # The squares of 1e-170 underflow to zero: unscaled, every power
@@ -340,9 +347,9 @@ class TestOrbitIteration:
         A = 1e-170 * np.eye(2)
         want = np.arange(1, 4) * np.log(1e-170)
         assert power_log_norms(A, 3) == pytest.approx(want, rel=1e-12)
-        assert power_log_norm(A, 3) == pytest.approx(want[-1], rel=1e-12)
         logs = orbit_log_norms_batch(A, np.eye(2), 3)
         assert logs[1:] == pytest.approx(np.column_stack([want, want]), rel=1e-12)
+        assert frobenius_log_norms(logs, 2)[1:] == pytest.approx(want + 0.5 * np.log(2), rel=1e-12)
 
 
 class TestPredicates:
@@ -380,6 +387,19 @@ class TestPredicates:
         assert is_power_bounded(canonical_oblique())
         assert not is_power_bounded(np.array([[1, 1], [0, 1]], dtype=complex))
         assert not is_power_bounded(1.2 * np.eye(2))
+
+    @pytest.mark.parametrize("dim", [4, 8, 16])
+    def test_frobenius_power_bound_agrees_with_structure(self, dim):
+        # is_power_bounded raises when the Frobenius norms of the basis
+        # orbits and the roots disagree.  The cond caps stay below 1e4,
+        # where the fixed UNIT_TOL starts to misread computed roots.
+        cfg = RunConfig(n_max=POWER_STEPS, seed=0)
+        for seed in range(3):
+            z = spread_unimodular(np.random.default_rng(seed), dim)
+            for cap in (2.0, 50.0, 1e3):
+                assert is_power_bounded(gen_oblique(dim, z, cap, seed), cfg), (cap, seed)
+            assert is_power_bounded(gen_unitary_finite_spectrum(dim, z[:3], seed), cfg), seed
+            assert not is_power_bounded(gen_jordan_perturbation(dim, z[0], 1.0, seed), cfg), seed
 
 
 class TestTheoremCheck:
@@ -482,7 +502,7 @@ class TestAnalysis:
         A = canonical_oblique()
         an = Analysis(A)
         assert theorem_check(an, RunConfig(seed=0)).to_obj() == theorem_check(A, RunConfig(seed=0)).to_obj()
-        assert np.array_equal(an.power_logs(10), power_log_norms(A, 10))
+        assert np.array_equal(an.power_logs[:10], power_log_norms(A, 10))
         assert is_normaloid(an) is is_normaloid(A)
 
     def test_bare_is_normaloid_reads_ten_steps(self, monkeypatch):
@@ -500,9 +520,34 @@ class TestAnalysis:
 
     def test_power_logs_stop_at_power_steps(self):
         an = Analysis(dft4())
-        assert an.power_logs(POWER_STEPS).shape == (POWER_STEPS,)
-        with pytest.raises(InvalidInputError, match=str(POWER_STEPS + 1)):
-            an.power_logs(POWER_STEPS + 1)
+        assert an.power_logs.shape == (POWER_STEPS,)
+        assert an.power_logs is an.power_logs
+
+    def test_checks_read_no_power_trajectory(self, monkeypatch):
+        # The power-bound and decay checks read the probe batch; only
+        # is_normaloid's ten steps form powers.
+        steps, horizons = [], []
+        trajectory, batch = criteria.power_log_norms, criteria.orbit_log_norms_batch
+        monkeypatch.setattr(
+            criteria, "power_log_norms", lambda A, n_max: steps.append(n_max) or trajectory(A, n_max)
+        )
+        monkeypatch.setattr(
+            criteria, "orbit_log_norms_batch", lambda A, H, n_max: horizons.append(n_max) or batch(A, H, n_max)
+        )
+        an, cfg = Analysis(dft4()), RunConfig(seed=0)
+        theorem_check(an, cfg)
+        normaloid_equivalence(an, cfg)
+        uniform_stability(an, cfg)
+        assert steps == [10, 10] and horizons == [cfg.n_max]
+        # Below POWER_STEPS the batch still runs POWER_STEPS steps, once, and
+        # the probes read its prefix: bit for bit the longer run's rows.
+        horizons.clear()
+        short = theorem_check(Analysis(canonical_oblique()), RunConfig(n_max=500, seed=0))
+        assert horizons == [POWER_STEPS]
+        full = theorem_check(Analysis(canonical_oblique()), RunConfig(seed=0))
+        assert [lab for lab, _ in short.probes] == [lab for lab, _ in full.probes]
+        for (_, s), (_, f) in zip(short.probes, full.probes):
+            assert np.array_equal(s.log_norms, f.log_norms[:501])
 
 
 class TestScalarSequence:
