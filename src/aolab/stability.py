@@ -146,10 +146,11 @@ def growth_bound(A) -> GrowthBound:
     logs = an.power_logs
 
     if r <= _NILPOTENT_RADIUS:
-        # Nilpotent: powers vanish identically from n = deg p on.
+        # Nilpotent: powers vanish identically from n = deg p on.  The
+        # threshold is taken in log space, where ||A||^deg p cannot overflow.
         valid_from = mp.degree
         scale = max(1.0, an.norm)
-        live = np.flatnonzero(logs[valid_from - 1 :] > np.log(1e-10 * scale**mp.degree))
+        live = np.flatnonzero(logs[valid_from - 1 :] > np.log(1e-10) + mp.degree * np.log(scale))
         if live.size:
             raise InconsistencyError(
                 f"nilpotent matrix has nonzero power at n={valid_from + live[0]}"
@@ -232,8 +233,8 @@ def uniform_stability(A, config: RunConfig | None = None) -> StabilityVerdict:
     half = cfg.n_max // 2
     probes, ologs = an.orbits(cfg.seed, cfg.n_max)
     if uniformly:
-        early, top = frobenius_log_norms(ologs[[half + 1, cfg.n_max]], an.A.shape[0])
-        if top > -np.inf and top >= early:
+        mid, end = frobenius_log_norms(ologs[[half + 1, cfg.n_max]], an.A.shape[0])
+        if end > -np.inf and end >= mid:
             raise InconsistencyError("r < 1 but power norms do not decay")
 
     structural_pb = power_bounded_roots(an.minpoly.roots)

@@ -103,6 +103,13 @@ class TestGrowthBound:
                 worst = max(worst, an.power_logs[n - 1] - log_bound)
         assert gb.max_violation_ratio == float(np.exp(worst))
 
+    @pytest.mark.parametrize("big", [1e110, 1e200])
+    def test_nilpotent_huge_entries(self, big):
+        # ||A||^deg p passes the float range from 1e103 on; the check that
+        # the powers vanish must not overflow.
+        gb = growth_bound(big * np.eye(3, k=1, dtype=complex))
+        assert (gb.valid_from, gb.spectral_radius, gb.max_violation_ratio) == (3, 0.0, 0.0)
+
     def test_nilpotent_power_names_first_n(self):
         # Powers must vanish from n = deg p = 3 on; the message names the
         # first n at which one does not (n = 1 comes before deg p).
@@ -230,6 +237,16 @@ class TestUniformStability:
         v = uniform_stability(Analysis(0.5 * dft4()), cfg)
         assert v.uniformly_stable and v.strongly_stable
         assert steps == []
+
+    def test_decay_check_reads_frobenius_norms(self):
+        # r < 1 must show as log ||A^n||_F falling from n_max/2 + 1 to
+        # n_max: a radius misread below 1 on a unitary raises, and the zero
+        # powers of a nilpotent count as falling.
+        an = Analysis(dft4())
+        an.spectral_radius = 0.5
+        with pytest.raises(InconsistencyError, match="do not decay"):
+            uniform_stability(an, RunConfig(seed=0))
+        assert uniform_stability(np.eye(3, k=1, dtype=complex), RunConfig(seed=0)).uniformly_stable
 
     def test_strict_contraction(self):
         v = uniform_stability(0.5 * dft4(), RunConfig(seed=0))
