@@ -23,13 +23,13 @@ from .errors import IllConditionedSpectrumError, InconsistencyError, InvalidInpu
 from .linalg import as_matrix, as_vector, operator_norm
 from .structure import GAP, Decomposition, MinimalPoly, decompose, minimal_polynomial
 
-# A batch of orbits is read up to the first step where some norm passes
-# this (``_cut_at_overflow``); ``classify_orbits`` holds the rule for which
-# columns count as overflowed (classified exponential without the ladder).
+# An orbit is read up to the first step where its norm passes this, and is
+# then exponential (``classify_orbits``); ``orbit_norms_batch`` cuts a whole
+# batch at the first such step.
 OVERFLOW_LIMIT = 1e300
 
-# The cut step can multiply a norm past the float range; its raw norms are
-# clamped here so that they stay finite.
+# The cut step can multiply a norm past the float range; norms are clamped
+# here when they are exponentiated, so that they stay finite.
 _NORM_CLAMP = 1e308
 
 # Tail log-slope above which a sequence counts as exponentially growing.
@@ -71,22 +71,21 @@ _LN2 = math.log(2.0)
 # Window rule and classification ladder
 # ---------------------------------------------------------------------------
 
-def window_limit(
-    seq: np.ndarray, window: int = RunConfig.window, tol: float = RunConfig.tol_conv
-):
-    """Finite-horizon convergence test.
+def _window_rule(T: np.ndarray, tol: float):
+    """(ok, L) of the window rule for every row of T, shape (k, w): L the
+    row mean and ok whether every entry lies within max(tol, tol |L|) of
+    it.  T must be C-contiguous, so that each mean is the pairwise sum of
+    one contiguous row, the same bits as the mean of that row alone."""
+    L = T.mean(axis=1)
+    return np.abs(T - L[:, np.newaxis]).max(axis=1) <= np.maximum(tol, tol * np.abs(L)), L
 
-    A sequence converges iff over its final ``window`` terms every value
-    lies within max(tol, tol * |L|) of the window mean L.  Returns
-    (converged, L).
-    """
+
+def window_limit(seq: np.ndarray, window: int = RunConfig.window, tol: float = RunConfig.tol_conv):
+    """Finite-horizon convergence test: (converged, L), whether each of the
+    final ``window`` terms lies within max(tol, tol * |L|) of their mean L."""
     s = np.asarray(seq, dtype=float)
-    if s.size < window:
-        window = s.size
-    tail = s[-window:]
-    L = float(np.mean(tail))
-    ok = bool(np.max(np.abs(tail - L)) <= max(tol, tol * abs(L)))
-    return ok, L
+    ok, L = _window_rule(np.ascontiguousarray(s[-min(window, s.size):][np.newaxis]), tol)
+    return bool(ok[0]), float(L[0])
 
 
 @dataclass(frozen=True)
@@ -107,63 +106,90 @@ class Classification:
         return out
 
 
-def _tail_log_slope(norms: np.ndarray) -> float:
-    """Least-squares slope of log s_n over the tail half (positive terms)."""
-    n0 = max(1, norms.size // 2)
-    idx = np.arange(n0, norms.size)
-    vals = norms[n0:]
-    mask = np.isfinite(vals) & (vals > 0)
-    if mask.sum() < 2:
-        return 0.0
-    x = idx[mask].astype(float)
-    y = np.log(vals[mask])
-    x = x - x.mean()
-    denom = float(np.dot(x, x))
-    if denom == 0.0:
-        return 0.0
-    return float(np.dot(x, y - y.mean()) / denom)
+def _tail_log_slopes(logs: np.ndarray) -> np.ndarray:
+    """Least-squares slope of every column of a log-norm batch over its tail
+    half: one matvec of the centred n over the ``logs[n0:]`` view (0 with
+    fewer than two rows; nan for a column with -inf there)."""
+    n0 = max(1, logs.shape[0] // 2)
+    x = np.arange(n0, logs.shape[0], dtype=float)
+    if x.size < 2:
+        return np.zeros(logs.shape[1])
+    x -= x.mean()
+    with np.errstate(invalid="ignore"):
+        return (x @ logs[n0:]) / (x @ x)
 
 
-def classify_sequence(
-    norms: np.ndarray,
+def classify_orbits(
+    logs: np.ndarray,
     max_poly_degree: int,
     window: int = RunConfig.window,
     tol: float = RunConfig.tol_conv,
-    overflowed: bool = False,
-) -> Classification:
-    """Classification ladder: exponential by tail log-slope, else smallest
-    polynomial degree d whose normalization s_n / n^d stabilizes under the
-    window rule, else convergent / bounded-nonconvergent.  Only the last
-    ``window`` terms are normalized, since the window rule reads no others."""
-    s = np.asarray(norms, dtype=float)
-    if overflowed:
-        slope = _tail_log_slope(s)
-        return Classification(kind="exponential-growth", rate=float(np.exp(max(slope, 0.0))))
-    # A sequence that has (numerically) died is convergent to 0.
-    tail = s[-min(window, s.size):]
-    if np.all(tail <= tol):
-        return Classification(kind="convergent", limit=0.0)
+):
+    """(ends, classes) for a batch of orbit log-norms, shape (rows, P): the
+    rows each column keeps (up to its own overflow cut) and its
+    classification.
+
+    Per column, in this order: a column that died (its last ``window``
+    norms at most ``tol``, or its last -inf) converges to 0.  A column past
+    log OVERFLOW_LIMIT is cut at its first such row and grows exponentially
+    at the rate fitted to that log prefix.  Any other column is exponential
+    if its tail log-slope passes EXP_SLOPE_TOL and it grows (its last
+    window tops twice the window at row rows // 4); else convergent if it
+    passes the window rule; else, if it grows, polynomial of the smallest
+    degree d whose s_n / n^d passes the window rule with a limit above
+    ``tol``; else bounded-nonconvergent.  Each rule is a reduction over
+    the batch; ``logs`` is only read, and only those two windows are
+    exponentiated.
+    """
+    rows, P = logs.shape
+    w, cap = min(window, rows), np.log(OVERFLOW_LIMIT)
+    with np.errstate(over="ignore"):
+        tail = np.exp(logs[-w:])
+    dead = np.all(tail <= tol, axis=0) | (logs[-1] == -np.inf)
+    over = ~dead & (logs.max(axis=0) > cap)
+    ends = np.full(P, rows)
+    classes = [Classification(kind="convergent", limit=0.0)] * P
+    for j in np.flatnonzero(over):
+        ends[j] = np.argmax(logs[:, j] > cap) + 1
+        slope = _tail_log_slopes(logs[: ends[j], j : j + 1])[0]
+        classes[j] = Classification(kind="exponential-growth", rate=float(np.exp(max(slope, 0.0))))
+    live = np.flatnonzero(~dead & ~over)
+    # T: the live columns' last windows as C-contiguous rows (_window_rule).
+    T, q = np.ascontiguousarray(tail[:, live].T), rows // 4
     # Growth verdicts (exponential or polynomial) must be confirmed by
     # actual growth along the orbit: both families at least double from n/4
     # to n at desk horizons, while a bounded slowly-oscillating sequence
     # can fake a positive log-slope or a sub-tol n^d-normalization.
-    w = min(window, s.size)
-    q = s.size // 4
-    grows = np.max(s[-w:]) > 2.0 * np.max(s[q:q + w])
-    slope = _tail_log_slope(s)
-    if slope > EXP_SLOPE_TOL and grows:
-        return Classification(kind="exponential-growth", rate=float(np.exp(slope)))
-    ok, L = window_limit(s, window, tol)
-    if ok:
-        return Classification(kind="convergent", limit=L)
-    # The window rule reads only the last w terms, so only they are
-    # normalized (n = 0 counts as 1).
-    n = np.maximum(np.arange(s.size - w, s.size, dtype=float), 1.0)
+    grows = T.max(axis=1) > 2.0 * np.exp(logs[q : q + w, live]).max(axis=0)
+    slopes = _tail_log_slopes(logs)[live]
+    expo = (slopes > EXP_SLOPE_TOL) & grows
+    ok, limit = _window_rule(T, tol)
+    degree = np.zeros(live.size, dtype=int)
+    # The ladder normalizes only the window (n = 0 counts as 1).
+    n = np.maximum(np.arange(rows - w, rows, dtype=float), 1.0)
+    pending = np.flatnonzero(~expo & ~ok & grows)
     for d in range(1, max(1, max_poly_degree) + 1):
-        ok, L = window_limit(tail / n**d, window, tol)
-        if ok and L > tol and grows:
-            return Classification(kind="polynomial-growth", degree=d, limit=L)
-    return Classification(kind="bounded-nonconvergent")
+        if not pending.size:
+            break
+        ok_d, L_d = _window_rule(T[pending] / n**d, tol)
+        hit = ok_d & (L_d > tol)
+        degree[pending[hit]], limit[pending[hit]] = d, L_d[hit]
+        pending = pending[~hit]
+    for i, j in enumerate(live):
+        if expo[i]:
+            classes[j] = Classification(kind="exponential-growth", rate=float(np.exp(slopes[i])))
+        elif ok[i] or degree[i]:
+            kind = "polynomial-growth" if degree[i] else "convergent"
+            classes[j] = Classification(kind=kind, limit=float(limit[i]), degree=int(degree[i]) or None)
+        else:
+            classes[j] = Classification(kind="bounded-nonconvergent")
+    return ends, classes
+
+
+def classify_sequence(norms, max_poly_degree: int) -> Classification:
+    """``classify_orbits`` of one sequence of norms, under the default window rule."""
+    with np.errstate(divide="ignore"):
+        return classify_orbits(np.log(np.asarray(norms, dtype=float))[:, np.newaxis], max_poly_degree)[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +273,8 @@ def orbit_log_norms_batch(A: np.ndarray, H: np.ndarray, n_max: int) -> np.ndarra
     live column's norm falls below TINY_NORM (``_block_norms``).  A column
     that reaches exactly zero reads -inf from then on.  The engine runs
     the full horizon, and a shorter horizon gives a bit-for-bit prefix of a
-    longer one; its readers cut the rows at an overflow
-    (``_cut_at_overflow``).
+    longer one; its readers cut the rows at an overflow (each column at its
+    own in ``classify_orbits``, the whole batch in ``orbit_norms_batch``).
     """
     A, e = _prescaled(A)
     V = np.array(H, dtype=complex, order="C")
@@ -286,18 +312,10 @@ def orbit_log_norms_batch(A: np.ndarray, H: np.ndarray, n_max: int) -> np.ndarra
     return out
 
 
-def _cut_at_overflow(logs: np.ndarray):
-    """(rows, cut) for a batch of log-norms: the cut is the first row where
-    some log-norm passes log OVERFLOW_LIMIT, rows the view of ``logs`` up
-    to it; (logs, None) if no row does."""
-    hit = np.flatnonzero(logs.max(axis=1) > np.log(OVERFLOW_LIMIT))
-    return (logs[: hit[0] + 1], int(hit[0])) if hit.size else (logs, None)
-
-
 def _clamped_exp(logs: np.ndarray) -> np.ndarray:
-    """exp of log-norms that end at a cut, in place: the last row (or
-    value) is clamped at log _NORM_CLAMP first, so that it stays finite."""
-    np.minimum(logs[-1:], np.log(_NORM_CLAMP), out=logs[-1:])
+    """exp of log-norms, in place, each clamped at log _NORM_CLAMP first,
+    so that it stays finite."""
+    np.minimum(logs, np.log(_NORM_CLAMP), out=logs)
     return np.exp(logs, out=logs)
 
 
@@ -309,31 +327,9 @@ def orbit_norms_batch(A: np.ndarray, H: np.ndarray, n_max: int):
     overflow_step is the step at which some column exceeded OVERFLOW_LIMIT
     (None if none did; the result ends there, with norms clamped at 1e308).
     """
-    logs, overflow = _cut_at_overflow(orbit_log_norms_batch(A, H, n_max))
-    return _clamped_exp(logs), overflow
-
-
-def classify_orbits(logs: np.ndarray, max_poly_degree: int, cfg: RunConfig):
-    """(rows, classes) for a batch of orbit log-norms: its rows up to the
-    overflow cut (``_cut_at_overflow``) and each column's classification
-    under the overflow rule and the window rule of ``cfg``.  ``logs`` is
-    only read; each column is exponentiated on its own, so no norm copy of
-    the whole batch is made."""
-    logs, overflow = _cut_at_overflow(logs)
-    classes = []
-    for j in range(logs.shape[1]):
-        norms = _clamped_exp(np.array(logs[:, j]))
-        if norms[-1] >= _NORM_CLAMP:
-            # A clamped cut row would distort the rate: the column is fitted
-            # to its log-norms instead, shifted so that the cut row reads 1.
-            cls = classify_sequence(np.exp(logs[:, j] - logs[-1, j]), max_poly_degree, overflowed=True)
-        else:
-            # The overflow rule: once the cut fired, the columns that ended
-            # within a factor 10 of OVERFLOW_LIMIT.
-            over = overflow is not None and norms[-1] > OVERFLOW_LIMIT / 10
-            cls = classify_sequence(norms, max_poly_degree, cfg.window, cfg.tol_conv, overflowed=over)
-        classes.append(cls)
-    return logs, classes
+    logs = orbit_log_norms_batch(A, H, n_max)
+    hit = np.flatnonzero(logs.max(axis=1) > np.log(OVERFLOW_LIMIT))
+    return (_clamped_exp(logs[: hit[0] + 1]), int(hit[0])) if hit.size else (_clamped_exp(logs), None)
 
 
 def power_log_norms(A: np.ndarray, n_max: int) -> np.ndarray:
@@ -387,22 +383,22 @@ def power_log_norms(A: np.ndarray, n_max: int) -> np.ndarray:
 @dataclass(frozen=True)
 class OrbitRecord:
     h: np.ndarray
-    log_norms: np.ndarray  # up to the overflow cut, a view into its batch
+    log_norms: np.ndarray  # up to its overflow cut, a view into its batch
     structural_exponent: int | None
     classification: Classification
 
     @property
     def norms(self) -> np.ndarray:
-        """||A^n h||, the cut value clamped like in ``orbit_norms_batch``."""
+        """||A^n h||, clamped like in ``orbit_norms_batch``."""
         return _clamped_exp(np.array(self.log_norms))
 
     def to_obj(self):
-        norms = self.norms
+        first, last = _clamped_exp(self.log_norms[[0, -1]])
         return {
             "structural_exponent": self.structural_exponent,
             "classification": self.classification.to_obj(),
-            "norm_first": float(norms[0]),
-            "norm_last": float(norms[-1]),
+            "norm_first": float(first),
+            "norm_last": float(last),
         }
 
 
@@ -475,7 +471,7 @@ class Analysis:
 
     @cached_property
     def minpoly(self) -> MinimalPoly:
-        return minimal_polynomial(self.A)
+        return minimal_polynomial(self.A, self.norm)
 
     @cached_property
     def spectral_radius(self) -> float:
@@ -638,7 +634,7 @@ def is_power_bounded(A, config: RunConfig | None = None) -> bool:
     elif np.max(finite) >= 600:
         empirical = False  # powers reached e^600: unbounded
     else:
-        cls = classify_sequence(np.exp(finite), max_poly_degree=p.degree)
+        _, (cls,) = classify_orbits(finite[:, np.newaxis], p.degree)
         empirical = cls.kind in ("convergent", "bounded-nonconvergent")
     if structural != empirical:
         raise InconsistencyError(
@@ -651,36 +647,48 @@ def is_power_bounded(A, config: RunConfig | None = None) -> bool:
 # Orbit analysis
 # ---------------------------------------------------------------------------
 
-def block_components(h: np.ndarray, D: Decomposition) -> list:
-    """(block, P_j h) for every block of D in which h has a component above
-    COMPONENT_TOL * ||h||."""
-    hn = float(np.linalg.norm(h))
-    parts = [(b, b.projection @ h) for b in D.blocks]
-    return [(b, ph) for b, ph in parts if np.linalg.norm(ph) > COMPONENT_TOL * hn]
+def _unit_columns(V: np.ndarray, t: np.ndarray):
+    """(V 2^-m, t 2^-m): each column of V, and its threshold in t, times
+    the exact power of two that brings the column's largest entry into
+    [1/2, 1) (m = 0 for a zero column), so that its 2-norm squares no huge
+    entry."""
+    m = np.frexp(np.abs(V).max(axis=0))[1]
+    W = np.array(V, dtype=complex)
+    np.ldexp(W.view(float), -np.repeat(m, 2), out=W.view(float))
+    return W, np.ldexp(t, -m)
 
 
-def structural_exponent(A: np.ndarray, h: np.ndarray, D: Decomposition) -> int | None:
-    """Largest k with (A - z_j I)^k P_j h != 0, maximized over the blocks of
-    largest modulus among those where h has a component."""
-    d = A.shape[0]
-    hn = float(np.linalg.norm(h))
-    comps = block_components(h, D)
-    if not comps:
-        return None
-    mu = max(abs(b.z) for b, _ in comps)
-    best = 0
-    for b, ph in comps:
-        if abs(abs(b.z) - mu) > 1e-8:
+def block_components(H: np.ndarray, D: Decomposition):
+    """(present, mu) for the columns h of H, from one product P_j H per
+    block j of D: present[j] whether each h has a component P_j h above
+    COMPONENT_TOL ||h|| (norms of ``_unit_columns``), and mu the largest
+    |z_j| over each h's present blocks (0 if none)."""
+    thr = COMPONENT_TOL * np.linalg.norm(H, axis=0)
+    present = np.array([np.linalg.norm(V, axis=0) > t
+                        for V, t in (_unit_columns(b.projection @ H, thr) for b in D.blocks)])
+    return present, np.where(present, np.abs([[b.z] for b in D.blocks]), 0.0).max(axis=0)
+
+
+def structural_exponents(A: np.ndarray, H: np.ndarray, D: Decomposition) -> list:
+    """For every column h of H: the largest k with (A - z_j I)^k P_j h != 0
+    over the blocks of largest modulus mu where h has a component
+    (``block_components``), or None.  The index - 1 products of a block act
+    on its chosen columns at once, each rescaled by ``_unit_columns``."""
+    present, mu = block_components(H, D)
+    thr = COMPONENT_TOL * np.linalg.norm(H, axis=0)
+    best = np.where(present.any(axis=0), 0, -1)
+    chosen = present & (np.abs(np.abs([[b.z] for b in D.blocks]) - mu) <= 1e-8)
+    for b, sel in zip(D.blocks, chosen):
+        if b.index == 1 or not sel.any():
             continue
-        B = A - b.z * np.eye(d)
-        v = ph
-        k = 0
+        B = A - b.z * np.eye(A.shape[0])
+        V, t = _unit_columns(b.projection @ H[:, sel], thr[sel])
+        k = np.zeros(V.shape[1], dtype=int)
         for j in range(1, b.index):
-            v = B @ v
-            if np.linalg.norm(v) > COMPONENT_TOL * hn:
-                k = j
-        best = max(best, k)
-    return best
+            V, t = _unit_columns(B @ V, t)
+            k[np.linalg.norm(V, axis=0) > t] = j
+        best[sel] = np.maximum(best[sel], k)
+    return [None if k < 0 else int(k) for k in best]
 
 
 def orbit_analyze(A, h, config: RunConfig | None = None) -> OrbitRecord:
@@ -697,9 +705,9 @@ def orbit_analyze(A, h, config: RunConfig | None = None) -> OrbitRecord:
     if cfg.n_max < 100:
         raise InvalidInputError("n_max must be at least 100")
     logs = orbit_log_norms_batch(A, h.reshape(-1, 1), cfg.n_max)
-    logs, (cls,) = classify_orbits(logs, an.minpoly.degree, cfg)
-    exponent = structural_exponent(A, h, an.decomposition)
-    return OrbitRecord(h=h, log_norms=logs[:, 0], structural_exponent=exponent, classification=cls)
+    (end,), (cls,) = classify_orbits(logs, an.minpoly.degree, cfg.window, cfg.tol_conv)
+    (exponent,) = structural_exponents(A, h.reshape(-1, 1), an.decomposition)
+    return OrbitRecord(h=h, log_norms=logs[:end, 0], structural_exponent=exponent, classification=cls)
 
 
 # ---------------------------------------------------------------------------
@@ -730,9 +738,9 @@ def _basis_error(an: Analysis, b) -> float:
 
 
 def orbit_convergence(A, config: RunConfig | None = None):
-    """(convergent, margin, probes, logs, classes): whether ||A^n h||
-    converges for every h, decided from the decomposition, and the
-    ``classify_orbits`` of the probe orbits (``Analysis.orbits``) that
+    """(convergent, margin, probes, logs, ends, classes): whether ||A^n h||
+    converges for every h, decided from the decomposition, and the probe
+    orbits (``Analysis.orbits``) with their ``classify_orbits``, which
     cross-check it; a disagreement raises InconsistencyError.
 
     Orbits converge iff ``power_bounded_roots`` holds and the unimodular
@@ -752,14 +760,14 @@ def orbit_convergence(A, config: RunConfig | None = None):
             f"cosine {margin:.3g}, within {GAP:g} times their basis error {r:.3g} above COMPONENT_TOL"
         )
     probes, logs = an.orbits(cfg.seed, cfg.n_max)
-    logs, classes = classify_orbits(logs, an.minpoly.degree, cfg)
+    ends, classes = classify_orbits(logs, an.minpoly.degree, cfg.window, cfg.tol_conv)
     structural = roots_ok and kind == 0
     empirical = all(cls.kind == "convergent" for cls in classes)
     if structural != empirical:
         raise InconsistencyError(
             f"orbit convergence: structural={structural} empirical={empirical} (margin {margin:.3g})"
         )
-    return structural, margin, probes, logs, classes
+    return structural, margin, probes, logs, ends, classes
 
 
 def theorem_check(A, config: RunConfig | None = None) -> CriteriaReport:
@@ -779,9 +787,10 @@ def theorem_check(A, config: RunConfig | None = None) -> CriteriaReport:
     normaloid = is_normaloid(an)
     pb = is_power_bounded(an, cfg)
 
-    convergent, margin, probes, logs, classes = orbit_convergence(an, cfg)
-    records = [(label, OrbitRecord(v, logs[:, j], structural_exponent(A, v, an.decomposition), cls))
-               for j, ((label, v), cls) in enumerate(zip(probes, classes))]
+    convergent, margin, probes, logs, ends, classes = orbit_convergence(an, cfg)
+    exponents = structural_exponents(A, np.column_stack([v for _, v in probes]), an.decomposition)
+    records = [(label, OrbitRecord(v, logs[:end, j], k, cls))
+               for j, ((label, v), end, k, cls) in enumerate(zip(probes, ends, exponents, classes))]
     witness = next((rec.h for _, rec in records if rec.classification.kind != "convergent"), None)
 
     conditions = [unitary, normaloid, an.contraction, convergent]

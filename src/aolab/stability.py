@@ -17,6 +17,7 @@ from .config import RunConfig
 from .criteria import (
     POWER_STEPS,
     UNIT_TOL,
+    _window_rule,
     as_analysis,
     at_most_one,
     block_components,
@@ -240,26 +241,19 @@ def uniform_stability(A, config: RunConfig | None = None) -> StabilityVerdict:
     structural_pb = power_bounded_roots(an.minpoly.roots)
     w = cfg.window
     gap = (ologs.shape[0] - w) - half
-    strongly = True
-    limits = {}
-    for j, (label, _) in enumerate(probes):
-        olog = ologs[:, j]
-        if olog[-1] == -np.inf:
-            limits[label] = 0.0
-            continue
-        # Compare window maxima rather than single samples so that bounded
-        # oscillations are not mistaken for decay.
-        top = np.max(olog[-w:])
-        oslope = (top - np.max(olog[half:half + w])) / gap
-        if not (oslope < -1e-12):
-            strongly = False
-        # The window rule reads only the last w terms; past _LOG_SQ_MAX the
-        # squared norms overflow and the window has no finite limit.
-        if 2 * top > _LOG_SQ_MAX:
-            continue
-        ok, L = window_limit(np.exp(2 * olog[-w:]), w, cfg.tol_conv)
-        if ok:
-            limits[label] = max(L, 0.0)
+    live = ologs[-1] > -np.inf
+    # Compare window maxima rather than single samples so that bounded
+    # oscillations are not mistaken for decay.
+    top = ologs[-w:].max(axis=0)
+    oslope = (top[live] - ologs[half:half + w].max(axis=0)[live]) / gap
+    strongly = bool(np.all(oslope < -1e-12))
+    # The window rule reads only the last w terms; past _LOG_SQ_MAX the
+    # squared norms overflow and the window has no finite limit.
+    fits = np.flatnonzero(live & (2 * top <= _LOG_SQ_MAX))
+    ok, L = _window_rule(np.exp(2 * np.ascontiguousarray(ologs[-w:, fits].T)), cfg.tol_conv)
+    converged = dict(zip(fits[ok].tolist(), L[ok].tolist()))
+    limits = {label: max(converged.get(j, 0.0), 0.0)
+              for j, (label, _) in enumerate(probes) if j in converged or not live[j]}
     return StabilityVerdict(
         uniformly_stable=uniformly,
         strongly_stable=strongly,
@@ -294,11 +288,7 @@ def orbit_root_limit(A, H):
     X = np.column_stack([np.ones_like(ns), np.log(ns), ns])
     coef, *_ = np.linalg.lstsq(X, logs[n0:, live], rcond=None)
     empirical[live] = np.exp(coef[2])
-    for j in range(H.shape[1]):
-        comps = block_components(H[:, j], an.decomposition)
-        mu = max((abs(b.z) for b, _ in comps), default=0.0)
-        if abs(empirical[j] - mu) > 1e-3:
-            raise InconsistencyError(
-                f"root limit {empirical[j]} disagrees with structural value {mu}"
-            )
+    for e, mu in zip(empirical, block_components(H, an.decomposition)[1]):
+        if abs(e - mu) > 1e-3:
+            raise InconsistencyError(f"root limit {e} disagrees with structural value {mu}")
     return float(empirical[0]) if single else empirical

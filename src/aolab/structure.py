@@ -100,7 +100,7 @@ def _staircase(A: np.ndarray, z: complex, tol: float, steps: int, mult: int | No
     return len(kernels) - 1, basis
 
 
-def minimal_polynomial(A) -> MinimalPoly:
+def minimal_polynomial(A, norm: float | None = None) -> MinimalPoly:
     """Minimal polynomial from condition-clustered eigenvalues and one
     staircase per root.
 
@@ -112,11 +112,12 @@ def minimal_polynomial(A) -> MinimalPoly:
     on A - zI at each cluster mean z then gives the index (its number of
     steps) and the generalized eigenspace basis.  Raises
     IllConditionedSpectrumError when a rank decision has no gap or the
-    kernels do not add up to the cluster size.
+    kernels do not add up to the cluster size.  ``norm`` is ||A|| if the
+    caller has it already.
     """
     A = as_matrix(A)
     d = A.shape[0]
-    scale = max(1.0, operator_norm(A))
+    scale = max(1.0, operator_norm(A) if norm is None else norm)
     tol = KERNEL_TOL * d * scale
     w, V = np.linalg.eig(A)
     # An exactly defective A has a singular V: its kappa overflows to inf,

@@ -1,7 +1,6 @@
 """End-to-end CLI behavior: subcommands, exit codes, determinism."""
 
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -103,24 +102,38 @@ class TestAnalyze:
     def test_entries_whose_squares_overflow(self, big, tmp_path, capsys):
         # Squares of the entries from 1e150 on pass the float range: in
         # norms, in is_unitary's products, and, past 1e154, in the orbit
-        # engines.  At every size the e0 orbit's cut step passes 1e308, so
-        # its row of raw norms is clamped.
+        # engines.  At every size the e0 orbit's own cut step passes 1e308,
+        # so its norm there is clamped.
         inp = _write_matrix(tmp_path / "m.json", np.diag([big, 0.5]).astype(complex))
         assert main(["analyze", "--input", inp]) == EXIT_OK
         crit = _finite_report(capsys.readouterr().out)["criteria"]
         assert crit["normaloid"] is True and crit["power_bounded"] is False
         e0, e1 = crit["probes"][:2]
         assert e0["classification"]["rate"] == pytest.approx(big, rel=1e-9)
-        # The e1 orbit, 0.5^n up to the overflow cut at the first n with
-        # big^n > 1e300, must not underflow next to the huge e0 entries.
-        n = -math.log2(e1["norm_last"])
-        assert e1["label"] == "e1" and n == pytest.approx(round(n), abs=1e-9)
-        assert round(n) - 1 <= 300 / math.log10(big) <= round(n)
+        assert e0["norm_last"] == pytest.approx(1e308, rel=1e-12)
+        # The e1 orbit is not cut where e0 overflows: 0.5^n runs the full
+        # horizon, dies and converges; 0.5^2000 underflows in the report.
+        assert e1["label"] == "e1" and e1["classification"] == {"kind": "convergent", "limit": 0.0}
+        assert e1["norm_last"] == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("big", [1e110, 1e200])
+    def test_nilpotent_huge_entries_converge(self, big, tmp_path, capsys):
+        # The orbits of big * shift pass 1e300 one step before they die (at
+        # 1e200): death is read before the overflow cut, so every probe
+        # converges, as the structure says.
+        inp = _write_matrix(tmp_path / "m.json", big * np.eye(3, k=1, dtype=complex))
+        assert main(["analyze", "--input", inp]) == EXIT_OK
+        crit = _finite_report(capsys.readouterr().out)["criteria"]
+        assert crit["orbits_convergent"] is True
+        assert all(p["classification"] == {"kind": "convergent", "limit": 0.0} for p in crit["probes"])
+        assert [p["structural_exponent"] for p in crit["probes"]] == [0, 1] + [2] * 21
 
     def test_analyze_computes_structure_once(self, tmp_path, monkeypatch, capsys):
         calls = _record_calls(
             monkeypatch,
-            ["minimal_polynomial", "decompose", "spectrum", "power_log_norms", "orbit_log_norms_batch"],
+            ["minimal_polynomial", "decompose", "spectrum", "power_log_norms", "orbit_log_norms_batch",
+             "operator_norm"],
         )
         inp = _write_matrix(tmp_path / "m.json", canonical_oblique())
         rc = main(["analyze", "--input", inp, "--csv", str(tmp_path / "g.csv")])
@@ -128,18 +141,19 @@ class TestAnalyze:
         # The spectral radius is read off the minimal polynomial's roots;
         # theorem_check and uniform_stability share one probe-orbit batch.
         # Powers are formed for is_normaloid's ten steps and for the growth
-        # bound's trajectory only.
+        # bound's trajectory only.  ||A|| is taken once, and the minimal
+        # polynomial reads it.
         assert {name: len(args) for name, args in calls.items()} == {
             "minimal_polynomial": 1, "decompose": 1, "spectrum": 0, "power_log_norms": 2,
-            "orbit_log_norms_batch": 1,
+            "orbit_log_norms_batch": 1, "operator_norm": 1,
         }
         assert [args[1] for args in calls["power_log_norms"]] == [10, POWER_STEPS]
 
     def test_inconsistent_power_bound_exits_2(self, tmp_path, capsys, monkeypatch):
         # A minimal polynomial that gives the unimodular root -1 of the
         # power-bounded canonical oblique matrix index 2.
-        def index_2(A):
-            mp = minimal_polynomial(A)
+        def index_2(A, *args):
+            mp = minimal_polynomial(A, *args)
             (z, _), *rest = mp.roots
             return replace(mp, roots=((z, 2), *rest), degree=mp.degree + 1)
 

@@ -50,10 +50,10 @@ def _near_unitary(eps):
     return S @ U @ np.linalg.inv(S)
 
 
-def _with_unimodular_index_2(A):
+def _with_unimodular_index_2(A, *args):
     """The minimal polynomial of A with its first root given index 2: wrong
     when A is power-bounded and that root unimodular."""
-    mp = minimal_polynomial(A)
+    mp = minimal_polynomial(A, *args)
     (z, _), *rest = mp.roots
     return replace(mp, roots=((z, 2), *rest), degree=mp.degree + 1)
 
@@ -94,6 +94,106 @@ def _reference_power_log_norms(A, n_max, ord=2):
         out[n] = acc
         M = M / s
     return out
+
+
+def _reference_window_limit(s, window, tol):
+    tail = s[-min(window, s.size):]
+    L = float(np.mean(tail))
+    return bool(np.max(np.abs(tail - L)) <= max(tol, tol * abs(L))), L
+
+
+def _reference_classify(s, max_poly_degree, window=RunConfig.window, tol=RunConfig.tol_conv):
+    """The per-column ladder on one sequence of norms, kept as the reference
+    for the batch classifier: dead tail, growth test, tail slope of log s_n,
+    window rule, polynomial ladder."""
+    tail = s[-min(window, s.size):]
+    if np.all(tail <= tol):
+        return Classification(kind="convergent", limit=0.0)
+    w, q = min(window, s.size), s.size // 4
+    grows = np.max(s[-w:]) > 2.0 * np.max(s[q:q + w])
+    n0 = max(1, s.size // 2)
+    vals = s[n0:]
+    mask = np.isfinite(vals) & (vals > 0)
+    x = np.arange(n0, s.size)[mask].astype(float)
+    x = x - x.mean()
+    y = np.log(vals[mask])
+    slope = float(np.dot(x, y - y.mean()) / np.dot(x, x)) if mask.sum() > 1 else 0.0
+    if slope > criteria.EXP_SLOPE_TOL and grows:
+        return Classification(kind="exponential-growth", rate=float(np.exp(slope)))
+    ok, L = _reference_window_limit(s, window, tol)
+    if ok:
+        return Classification(kind="convergent", limit=L)
+    n = np.maximum(np.arange(s.size - w, s.size, dtype=float), 1.0)
+    for d in range(1, max(1, max_poly_degree) + 1):
+        ok, L = _reference_window_limit(tail / n**d, window, tol)
+        if ok and L > tol and grows:
+            return Classification(kind="polynomial-growth", degree=d, limit=L)
+    return Classification(kind="bounded-nonconvergent")
+
+
+def _assert_same_classes(got, want, where):
+    """kind, degree and limit equal bit for bit; rate within 1e-12."""
+    for j, (g, r) in enumerate(zip(got, want)):
+        assert (g.kind, g.degree, g.limit) == (r.kind, r.degree, r.limit), (where, j, g, r)
+        if r.rate is not None:
+            assert g.rate == pytest.approx(r.rate, rel=1e-12), (where, j)
+
+
+def _reference_exponent(A, h, D):
+    """Per-probe structural exponent, kept as the reference."""
+    hn = float(np.linalg.norm(h))
+    comps = [(b, b.projection @ h) for b in D.blocks]
+    comps = [(b, ph) for b, ph in comps if np.linalg.norm(ph) > COMPONENT_TOL * hn]
+    if not comps:
+        return None
+    mu = max(abs(b.z) for b, _ in comps)
+    best = 0
+    for b, v in comps:
+        if abs(abs(b.z) - mu) <= 1e-8:
+            for j in range(1, b.index):
+                v = (A - b.z * np.eye(A.shape[0])) @ v
+                if np.linalg.norm(v) > COMPONENT_TOL * hn:
+                    best = max(best, j)
+    return best
+
+
+def _reference_stability_limits(probes, ologs, cfg):
+    """uniform_stability's per-probe loop: (strongly, limits)."""
+    w, half = cfg.window, cfg.n_max // 2
+    gap = (ologs.shape[0] - w) - half
+    strongly, limits = True, {}
+    for j, (label, _) in enumerate(probes):
+        olog = ologs[:, j]
+        if olog[-1] == -np.inf:
+            limits[label] = 0.0
+            continue
+        top = np.max(olog[-w:])
+        if not ((top - np.max(olog[half:half + w])) / gap < -1e-12):
+            strongly = False
+        if 2 * top > np.log(np.finfo(float).max):
+            continue
+        ok, L = _reference_window_limit(np.exp(2 * olog[-w:]), w, cfg.tol_conv)
+        if ok:
+            limits[label] = max(L, 0.0)
+    return strongly, limits
+
+
+def _sequence_logs(rng, family, n=2001):
+    """log s_n for n = 0..2000 of one random sequence of a family."""
+    k = np.arange(n, dtype=float)
+    if family == "convergent":
+        s = rng.uniform(1.1, 5) + rng.uniform(-1, 1) * rng.uniform(0.9, 0.999) ** k
+    elif family == "polynomial":
+        d = rng.integers(1, 4)
+        s = rng.uniform(0.1, 2) * np.maximum(k, 1) ** d + rng.choice([0.0, 1e-6, 1.0]) * k ** (d - 1)
+    elif family == "exponential":
+        s = np.exp(rng.uniform(-0.02, 0.03) * k + rng.uniform(-1, 1))
+    elif family == "oscillating":
+        s = rng.uniform(1, 3) + rng.uniform(0, 0.9) * np.cos(rng.uniform(0.001, 1) * k)
+    else:  # mixed: a decaying, a bounded and a growing part
+        s = np.abs(rng.uniform(0, 1) * 0.5**k + rng.uniform(0, 1) * np.cos(0.3 * k)
+                   + rng.choice([0.0, 1e-9, 1e-3]) * k)
+    return np.log(s)
 
 
 def _engine_instances(dim):
@@ -169,9 +269,89 @@ class TestClassifySequence:
         assert c.kind == "convergent" and c.limit == 0.0
 
     def test_overflowed_is_exponential(self):
-        s = np.exp(np.minimum(0.8 * np.arange(900), 700.0))
-        c = classify_sequence(s, max_poly_degree=3, overflowed=True)
-        assert c.kind == "exponential-growth" and c.rate > 1.5
+        # Each column is cut at its own first row past log OVERFLOW_LIMIT
+        # (0.8 n passes 690.8 at n = 864) and fitted to its own log prefix;
+        # the decaying column beside it runs the full horizon.
+        n = np.arange(2001.0)
+        logs = np.column_stack([0.8 * n, n * np.log(0.5), 0.01 * n])
+        ends, classes = classify_orbits(logs, 3)
+        assert ends.tolist() == [865, 2001, 2001]
+        assert classes[0].kind == "exponential-growth"
+        assert classes[0].rate == pytest.approx(np.exp(0.8), rel=1e-12)
+        assert classes[1] == Classification(kind="convergent", limit=0.0)
+        assert classes[2].kind == "exponential-growth"
+        assert classes[2].rate == pytest.approx(np.exp(0.01), rel=1e-12)
+
+
+class TestBatchClassifier:
+    @pytest.mark.parametrize("window", [50, 200])
+    def test_matches_reference_ladder(self, window):
+        # 400 seeded sequences per window, 80 per family, in one batch.
+        rng = np.random.default_rng(window)
+        families = ("convergent", "polynomial", "exponential", "oscillating", "mixed")
+        logs = np.column_stack([_sequence_logs(rng, f) for f in families for _ in range(80)])
+        ends, classes = classify_orbits(logs, 4, window)
+        assert ends.tolist() == [logs.shape[0]] * logs.shape[1]
+        want = [_reference_classify(np.exp(logs[:, j]), 4, window) for j in range(logs.shape[1])]
+        _assert_same_classes(classes, want, window)
+        kinds = {c.kind for c in classes}
+        assert kinds == {"convergent", "polynomial-growth", "exponential-growth", "bounded-nonconvergent"}
+
+    @pytest.mark.parametrize("dim", [4, 8, 16, 32, 64])
+    def test_matches_reference_on_probe_batches(self, dim):
+        # The probe batches of analyze, with no column past OVERFLOW_LIMIT:
+        # classes, structural exponents and the stability fields equal the
+        # per-probe reference loops.
+        z = spread_unimodular(np.random.default_rng(dim), dim)
+        cfg = RunConfig(seed=0)
+        for name, A in {
+            "unitary": gen_unitary_finite_spectrum(dim, z[:3], seed=dim),
+            "oblique": gen_oblique(dim, z, 50.0, seed=dim),
+            "jordan": gen_jordan_perturbation(dim, z[0], 1.0, seed=dim),
+            "normaloid": gen_normaloid_nonnormal(dim, seed=dim, target_norm=1.0),
+        }.items():
+            an = Analysis(A)
+            probes, logs = an.orbits(cfg.seed, cfg.n_max)
+            ends, classes = classify_orbits(logs, an.minpoly.degree)
+            assert ends.tolist() == [cfg.n_max + 1] * len(probes), name
+            want = [_reference_classify(np.exp(logs[:, j]), an.minpoly.degree) for j in range(len(probes))]
+            _assert_same_classes(classes, want, name)
+            H = np.column_stack([v for _, v in probes])
+            assert criteria.structural_exponents(A, H, an.decomposition) == [
+                _reference_exponent(A, v, an.decomposition) for _, v in probes], name
+            verdict = uniform_stability(an, cfg)
+            strongly, limits = _reference_stability_limits(probes, logs, cfg)
+            assert verdict.strongly_stable is strongly, name
+            assert list(verdict.limit_projection_norm_sq.items()) == list(limits.items()), name
+
+    def test_working_set(self):
+        # Classifying a d64 batch (84 columns, 2001 rows) exponentiates only
+        # the windows the rules read: no copy of the batch.
+        import tracemalloc
+
+        A = gen_jordan_perturbation(64, np.exp(0.7j), 1.0, seed=0)
+        an = Analysis(A)
+        _, logs = an.orbits(0, 2000)
+        assert logs.shape == (2001, 84)
+        tracemalloc.start()
+        try:
+            classify_orbits(logs, an.minpoly.degree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("big", [1e110, 1e200])
+    def test_structural_exponents_huge_entries(self, big):
+        # (A - zI)^k P_j h reaches big^2: its norms are taken from columns
+        # rescaled by powers of two, so nothing overflows (a RuntimeWarning
+        # fails the test), and the exponents are those of the plain shift.
+        rep = theorem_check(big * np.eye(3, k=1), RunConfig(seed=0))
+        exponents = [r.structural_exponent for _, r in rep.probes]
+        assert exponents == [r.structural_exponent for _, r in theorem_check(np.eye(3, k=1), RunConfig(seed=0)).probes]
+        assert exponents == [0, 1] + [2] * 21
+        assert rep.orbits_convergent and all(r.classification.kind == "convergent" for _, r in rep.probes)
 
 
 class TestOrbitIteration:
@@ -214,19 +394,21 @@ class TestOrbitIteration:
                 assert np.isneginf(logs[dim, 2]) and np.isfinite(logs[dim - 1, 2])
 
     def test_reader_cuts_after_limit(self):
-        # The engine runs the full horizon; its readers cut the batch at the
-        # first row past log OVERFLOW_LIMIT, a prefix of the full rows.
+        # The engine runs the full horizon; the classifier cuts each column
+        # at its own first row past log OVERFLOW_LIMIT, and
+        # orbit_norms_batch cuts the whole batch there.
         A = np.diag([3.0, 0.5]).astype(complex)
         full = orbit_log_norms_batch(A, np.eye(2, dtype=complex), 1000)
         assert full.shape == (1001, 2)
-        logs, classes = classify_orbits(full, 1, RunConfig())
-        n = logs.shape[0] - 1
-        assert logs[n, 0] > np.log(1e300) >= logs[n - 1, 0]
-        assert logs[n, 1] == pytest.approx(n * np.log(0.5), rel=1e-12)
-        assert np.array_equal(logs, full[: n + 1])
+        ends, classes = classify_orbits(full, 1)
+        n = ends[0] - 1
+        assert full[n, 0] > np.log(1e300) >= full[n - 1, 0]
         assert classes[0].kind == "exponential-growth" and classes[0].rate == pytest.approx(3.0)
+        # The e1 column runs the full horizon: 0.5^n dies, so it converges.
+        assert ends[1] == 1001 and classes[1] == Classification(kind="convergent", limit=0.0)
         norms, overflow = orbit_norms_batch(A, np.eye(2, dtype=complex), 1000)
         assert overflow == n and norms.shape == (n + 1, 2)
+        assert norms[n, 1] == pytest.approx(0.5**n, rel=1e-12)
 
     def test_norms_stay_finite_past_raw_overflow(self):
         # Raw vectors of this orbit pass 1e154, where a sum of squares
