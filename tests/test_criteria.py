@@ -97,6 +97,7 @@ def _reference_power_log_norms(A, n_max, ord=2):
 
 
 def _reference_window_limit(s, window, tol):
+    """The window rule on one sequence, kept as the reference."""
     tail = s[-min(window, s.size):]
     L = float(np.mean(tail))
     return bool(np.max(np.abs(tail - L)) <= max(tol, tol * abs(L))), L
@@ -133,6 +134,7 @@ def _reference_classify(s, max_poly_degree, window=RunConfig.window, tol=RunConf
 
 def _assert_same_classes(got, want, where):
     """kind, degree and limit equal bit for bit; rate within 1e-12."""
+    assert len(got) == len(want), where
     for j, (g, r) in enumerate(zip(got, want)):
         assert (g.kind, g.degree, g.limit) == (r.kind, r.degree, r.limit), (where, j, g, r)
         if r.rate is not None:
