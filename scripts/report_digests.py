@@ -31,6 +31,9 @@ also be compared field by field:
     (check out the other commit)
     PYTHONPATH=src python scripts/report_digests.py --against /tmp/before
 
+Warnings in stderr name the ``aolab`` package directory as ``<aolab>``, so
+the digests do not depend on where the checkout lies.
+
 ``--keep DIR`` writes each instance's exit code, report, growth CSV and
 stderr to DIR (``NAME.exit``, ``NAME.out.json``, ``NAME.csv``,
 ``NAME.stderr``).  ``--against DIR`` compares this run with one kept in DIR:
@@ -55,6 +58,7 @@ from pathlib import Path
 
 import numpy as np
 
+import aolab
 from aolab import jsonout
 from aolab.cli import main as aolab_main
 from aolab.generators import dft4, gen_planted_jordan, haar_unitary
@@ -126,15 +130,23 @@ def instances():
     return out
 
 
+# Warnings name the file they come from; stderr carries the package's
+# directory as this placeholder, so that two checkouts of the same code
+# digest alike.
+PACKAGE_DIR = str(Path(aolab.__file__).parent)
+PACKAGE_PLACEHOLDER = "<aolab>"
+
+
 def _run(argv):
     """aolab's exit code, stdout and stderr on ``argv``, warnings shown as a
-    fresh process would show them."""
+    fresh process would show them, the package directory in stderr replaced
+    by ``PACKAGE_PLACEHOLDER``."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("default")
         rc = aolab_main(argv)
-    return rc, out.getvalue(), err.getvalue()
+    return rc, out.getvalue(), err.getvalue().replace(PACKAGE_DIR, PACKAGE_PLACEHOLDER)
 
 
 def run_instance(name, source, work: Path) -> dict:
@@ -181,7 +193,13 @@ def load(name, src: Path):
 
 
 def _relative(a: float, b: float) -> float:
-    return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+    """|a - b| / max(|a|, |b|); inf when a and b differ and one is not
+    finite (inf against a finite value, or nan)."""
+    if a == b:
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
 
 
 def _walk(a, b, path, diffs, floats):

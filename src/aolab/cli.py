@@ -103,7 +103,7 @@ def cmd_analyze(args) -> int:
         report["criteria"] = theorem_check(an, cfg).to_obj()
         inconsistent = not report["criteria"]["consistent"]
         try:
-            gb = growth_bound(an)
+            gb = growth_bound(an, cfg)
             report["growth_bound"] = gb.to_obj()
         except OutOfScopeError as exc:
             report["growth_bound"] = {"skipped": str(exc)}

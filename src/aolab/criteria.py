@@ -451,15 +451,19 @@ class CriteriaReport:
 class Analysis:
     """One matrix and the structure every stage reads off it: ``norm``
     (||A||), ``contraction``, ``minpoly``, ``spectral_radius`` (the largest
-    modulus among its roots), ``decomposition``, ``block_overlap``, the
-    power-norm trajectory ``power_logs`` and the probe ``orbits`` (per
-    seed), each computed once, on first use.  Structure that cannot be
-    certified raises on first use.  Every stage that reads them takes a
-    matrix or an Analysis (``as_analysis``)."""
+    modulus among its roots), ``decomposition`` and ``block_overlap``,
+    each computed once, on first use; the probe ``orbits`` and the
+    Frobenius norms of the powers read off them (``frobenius_logs``), once
+    per seed; and the spectral power-norm trajectory ``power_logs(n)``,
+    formed again only when a longer one than the kept one is asked for.
+    Structure that cannot be certified raises on first use.  Every stage
+    that reads them takes a matrix or an Analysis (``as_analysis``)."""
 
     def __init__(self, A):
         self.A = as_matrix(A)
         self._orbits = {}
+        self._frobenius = {}
+        self._power_logs = np.empty(0)
 
     @cached_property
     def norm(self) -> float:
@@ -481,11 +485,28 @@ class Analysis:
     def decomposition(self) -> Decomposition:
         return decompose(self.A, self.minpoly)
 
-    @cached_property
-    def power_logs(self) -> np.ndarray:
-        """log ||A^n|| for n = 1..POWER_STEPS (``power_log_norms``), read
-        only by the growth bound."""
-        return power_log_norms(self.A, POWER_STEPS)
+    def power_logs(self, n: int = POWER_STEPS) -> np.ndarray:
+        """log ||A^k|| for k = 1..n (``power_log_norms``): the prefix of the
+        longest trajectory asked for so far, bit for bit a trajectory of n
+        steps, formed again only when a longer one is asked for.  Read-only."""
+        if self._power_logs.size < n:
+            self._power_logs = power_log_norms(self.A, n)
+            self._power_logs.flags.writeable = False
+        return self._power_logs[:n]
+
+    def frobenius_logs(self, config: RunConfig) -> np.ndarray:
+        """log ||A^n||_F for n = 1..POWER_STEPS, read off the basis columns
+        of the probe batch of ``config``'s seed (``frobenius_log_norms``),
+        once per seed.  The batch is asked for at max(n_max, POWER_STEPS),
+        the horizon ``orbits(seed, n_max)`` propagates, so every reader of
+        ``config`` shares one batch in any call order.  Read-only."""
+        logs = self._frobenius.get(config.seed)
+        if logs is None:
+            _, batch = self.orbits(config.seed, max(config.n_max, POWER_STEPS))
+            logs = frobenius_log_norms(batch[1 : POWER_STEPS + 1], self.A.shape[0])
+            logs.flags.writeable = False
+            self._frobenius[config.seed] = logs
+        return logs
 
     @cached_property
     def block_overlap(self):
@@ -578,7 +599,7 @@ def is_normaloid(A) -> bool:
     nrm, r, rel = an.norm, an.spectral_radius, 1e-6
     structural = abs(r - nrm) <= 1e-8 * max(1.0, nrm)
     if nrm > 0:
-        logs = power_log_norms(an.A, 10)
+        logs = an.power_logs(10)
         empirical = all(
             abs(logs[n - 1] - n * np.log(nrm)) <= np.log1p(rel) * n + rel
             for n in range(2, 11)
@@ -620,14 +641,10 @@ def is_power_bounded(A, config: RunConfig | None = None) -> bool:
     (``frobenius_log_norms``); power-boundedness does not depend on the
     norm.  Disagreement raises InconsistencyError.
     """
-    cfg = config or RunConfig()
     an = as_analysis(A)
     p = an.minpoly
     structural = power_bounded_roots(p.roots)
-    # orbits(seed, cfg.n_max) propagates the same horizon, so every reader
-    # of cfg shares one batch.
-    _, logs = an.orbits(cfg.seed, max(cfg.n_max, POWER_STEPS))
-    logs = frobenius_log_norms(logs[1 : POWER_STEPS + 1], an.A.shape[0])
+    logs = an.frobenius_logs(config or RunConfig())
     finite = logs[np.isfinite(logs)]
     if finite.size < 4:
         empirical = True  # nilpotent: powers vanish

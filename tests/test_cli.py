@@ -139,15 +139,25 @@ class TestAnalyze:
         rc = main(["analyze", "--input", inp, "--csv", str(tmp_path / "g.csv")])
         assert rc == EXIT_OK
         # The spectral radius is read off the minimal polynomial's roots;
-        # theorem_check and uniform_stability share one probe-orbit batch.
-        # Powers are formed for is_normaloid's ten steps and for the growth
-        # bound's trajectory only.  ||A|| is taken once, and the minimal
+        # theorem_check, growth_bound and uniform_stability share one
+        # probe-orbit batch.  Powers are formed for the first ten steps,
+        # which is_normaloid and growth_bound share, and for the growth
+        # CSV's full trajectory.  ||A|| is taken once, and the minimal
         # polynomial reads it.
         assert {name: len(args) for name, args in calls.items()} == {
             "minimal_polynomial": 1, "decompose": 1, "spectrum": 0, "power_log_norms": 2,
             "orbit_log_norms_batch": 1, "operator_norm": 1,
         }
         assert [args[1] for args in calls["power_log_norms"]] == [10, POWER_STEPS]
+
+    def test_analyze_without_csv_forms_ten_powers(self, tmp_path, monkeypatch, capsys):
+        # The growth bound of canonical_oblique peaks within the first ten
+        # powers, and its Frobenius norms rule out every later one.
+        calls = _record_calls(monkeypatch, ["power_log_norms", "orbit_log_norms_batch"])
+        inp = _write_matrix(tmp_path / "m.json", canonical_oblique())
+        assert main(["analyze", "--input", inp]) == EXIT_OK
+        assert [args[1] for args in calls["power_log_norms"]] == [10]
+        assert len(calls["orbit_log_norms_batch"]) == 1
 
     def test_inconsistent_power_bound_exits_2(self, tmp_path, capsys, monkeypatch):
         # A minimal polynomial that gives the unimodular root -1 of the

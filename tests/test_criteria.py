@@ -686,7 +686,7 @@ class TestAnalysis:
         A = canonical_oblique()
         an = Analysis(A)
         assert theorem_check(an, RunConfig(seed=0)).to_obj() == theorem_check(A, RunConfig(seed=0)).to_obj()
-        assert np.array_equal(an.power_logs[:10], power_log_norms(A, 10))
+        assert np.array_equal(an.power_logs(10), power_log_norms(A, 10))
         assert is_normaloid(an) is is_normaloid(A)
 
     def test_bare_is_normaloid_reads_ten_steps(self, monkeypatch):
@@ -702,14 +702,26 @@ class TestAnalysis:
         assert is_normaloid(dft4())
         assert steps == [10]
 
-    def test_power_logs_stop_at_power_steps(self):
-        an = Analysis(dft4())
-        assert an.power_logs.shape == (POWER_STEPS,)
-        assert an.power_logs is an.power_logs
+    def test_power_logs_stop_at_power_steps(self, monkeypatch):
+        # The trajectory stops at POWER_STEPS by default; a shorter one is
+        # the prefix of the longest formed so far, which is formed again
+        # only when a longer one is asked for.
+        steps = []
+        monkeypatch.setattr(
+            criteria, "power_log_norms", lambda A, n_max: steps.append(n_max) or power_log_norms(A, n_max)
+        )
+        an = Analysis(canonical_oblique())
+        head = an.power_logs(10)
+        full = an.power_logs()
+        assert full.shape == (POWER_STEPS,) and steps == [10, POWER_STEPS]
+        assert np.array_equal(head, full[:10])
+        assert np.shares_memory(an.power_logs(10), full) and an.power_logs(500).shape == (500,)
+        assert steps == [10, POWER_STEPS]
+        assert not full.flags.writeable
 
     def test_checks_read_no_power_trajectory(self, monkeypatch):
         # The power-bound and decay checks read the probe batch; only
-        # is_normaloid's ten steps form powers.
+        # is_normaloid's ten steps form powers, once on the analysis.
         steps, horizons = [], []
         trajectory, batch = criteria.power_log_norms, criteria.orbit_log_norms_batch
         monkeypatch.setattr(
@@ -722,7 +734,7 @@ class TestAnalysis:
         theorem_check(an, cfg)
         normaloid_equivalence(an, cfg)
         uniform_stability(an, cfg)
-        assert steps == [10, 10] and horizons == [cfg.n_max]
+        assert steps == [10] and horizons == [cfg.n_max]
         # Below POWER_STEPS the batch still runs POWER_STEPS steps, once, and
         # the probes read its prefix: bit for bit the longer run's rows.
         horizons.clear()

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,6 +80,30 @@ def test_report_digests_compare(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "dft4: exit code 2 -> 0" in out
     assert "dft4: criteria.probes[0].classification.kind: 'bounded-nonconvergent' -> 'convergent'" in out
+
+
+def test_report_digests_hide_package_path(monkeypatch):
+    # A warning names the file it comes from; the digest must not depend
+    # on where the checkout lies.
+    module = _load("report_digests")
+    source = Path(module.PACKAGE_DIR) / "stability.py"
+
+    def warn(argv):
+        print(f"{source}:7: RuntimeWarning: overflow encountered in exp", file=sys.stderr)
+        return 0
+
+    monkeypatch.setattr(module, "aolab_main", warn)
+    rc, _, err = module._run([])
+    assert rc == 0
+    assert err == "<aolab>/stability.py:7: RuntimeWarning: overflow encountered in exp\n"
+
+
+def test_report_digests_relative_nonfinite():
+    # inf against the 1e308 clamp is a difference, not a nan that no
+    # threshold catches.
+    relative = _load("report_digests")._relative
+    assert relative(math.inf, 1e308) == relative(math.nan, 1.0) == math.inf
+    assert relative(math.inf, math.inf) == 0.0 and relative(2.0, 1.0) == 0.5
 
 
 def test_bench_pairs_dry_run(capsys):

@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
-from aolab import criteria
+from aolab import criteria, stability
 from aolab.config import RunConfig
-from aolab.criteria import POWER_STEPS, Analysis, theorem_check
+from aolab.criteria import POWER_STEPS, Analysis, power_log_norms, theorem_check
 from aolab.errors import InconsistencyError, InvalidInputError, OutOfScopeError
 from aolab.generators import (
     canonical_oblique,
     dft4,
     gen_jordan_perturbation,
     gen_normaloid_nonnormal,
+    gen_oblique,
     gen_planted_jordan,
     gen_unitary_finite_spectrum,
     haar_unitary,
@@ -25,6 +26,11 @@ from aolab.stability import (
     orbit_root_limit,
     uniform_stability,
 )
+
+
+def _jordan_block(z, c, k):
+    """z I + c J on dim k, J the shift."""
+    return (z * np.eye(k) + c * np.eye(k, k=1)).astype(complex)
 
 
 class TestGrowthBound:
@@ -73,7 +79,9 @@ class TestGrowthBound:
         an = Analysis(A)
         for b in an.decomposition.blocks:
             assert b.projection_norm == pytest.approx(operator_norm(b.projection), rel=1e-12)
-        an.power_logs
+        cfg = RunConfig(seed=0)
+        an.power_logs()
+        an.frobenius_logs(cfg)
         norm = np.linalg.norm
 
         def block_norm(M, *args, **kwargs):
@@ -81,27 +89,43 @@ class TestGrowthBound:
             return norm(M, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "norm", block_norm)
-        assert growth_bound(an).max_violation_ratio <= 1 + 1e-8
+        assert growth_bound(an, cfg).max_violation_ratio <= 1 + 1e-8
 
-    @pytest.mark.parametrize("name", ["jordan2", "planted", "oblique", "dft4", "contraction"])
+    @pytest.mark.parametrize("name", [
+        "jordan2", "planted", "oblique", "dft4", "contraction", "jordan-argmax-1000",
+        "jordan-argmax-13", "unitary-d8", "oblique-d8", "planted-d8", "jordan-d8", "jordan-d16",
+    ])
     def test_violation_ratio_matches_loop(self, name):
-        # The per-n reference loop; the vector form does the same
-        # arithmetic, so the ratio must match bit for bit.
-        A = {
-            "jordan2": np.array([[1, 1], [0, 1]], dtype=complex),
-            "planted": gen_planted_jordan(6, [(0.8j, 2), (-0.5, 2)], cond_cap=40.0, seed=11),
-            "oblique": canonical_oblique(),
-            "dft4": dft4(),
-            "contraction": 0.5 * dft4(),
-        }[name]
-        an = Analysis(A)
-        gb = growth_bound(an)
-        worst = -np.inf
+        # The per-n reference loop over the full trajectory; growth_bound
+        # forms only a prefix of it, past every n that can hold the maximum,
+        # so the ratio must match bit for bit.
+        A, argmax = {
+            "jordan2": lambda: (np.array([[1, 1], [0, 1]], dtype=complex), None),
+            "planted": lambda: (gen_planted_jordan(6, [(0.8j, 2), (-0.5, 2)], cond_cap=40.0, seed=11), None),
+            "oblique": lambda: (canonical_oblique(), None),
+            "dft4": lambda: (dft4(), None),
+            "contraction": lambda: (0.5 * dft4(), None),
+            # 0.99 I + 30 J: the ratio rises to the last power.
+            "jordan-argmax-1000": lambda: (_jordan_block(0.99, 30, 4), 1000),
+            # A 6-block at 0.99 beside the root 0.5, which raises kappa by
+            # one: the ratio peaks past the first ten powers.
+            "jordan-argmax-13": lambda: (np.pad(_jordan_block(0.99, 10, 6), (0, 1)) + np.diag([0] * 6 + [0.5]), 13),
+            "unitary-d8": lambda: (gen_unitary_finite_spectrum(8, [1, 1j, -1, -1j], 3), None),
+            "oblique-d8": lambda: (gen_oblique(8, np.exp(2j * np.pi * (np.arange(8) + 0.1) / 8), 50.0, 3), None),
+            "planted-d8": lambda: (gen_planted_jordan(8, [(0.9j, 3), (-0.7, 2), (0.5, 1)], 100.0, 3), None),
+            "jordan-d8": lambda: (gen_jordan_perturbation(8, np.exp(0.7j), 1.5, 3), None),
+            "jordan-d16": lambda: (gen_jordan_perturbation(16, np.exp(2.1j), 2.5, 4), None),
+        }[name]()
+        gb = growth_bound(Analysis(A), RunConfig(seed=0))
+        logs = power_log_norms(A, POWER_STEPS)
+        worst, at = -np.inf, None
         for n in range(1, POWER_STEPS + 1):
             log_bound = np.log(gb.alpha) + gb.kappa * np.log(n) + n * np.log(gb.spectral_radius)
-            if np.isfinite(an.power_logs[n - 1]):
-                worst = max(worst, an.power_logs[n - 1] - log_bound)
+            if np.isfinite(logs[n - 1]) and logs[n - 1] - log_bound > worst:
+                worst, at = logs[n - 1] - log_bound, n
         assert gb.max_violation_ratio == float(np.exp(worst))
+        if argmax is not None:
+            assert at == argmax
 
     @pytest.mark.parametrize("big", [1e110, 1e200])
     def test_nilpotent_huge_entries(self, big):
@@ -110,13 +134,13 @@ class TestGrowthBound:
         gb = growth_bound(big * np.eye(3, k=1, dtype=complex))
         assert (gb.valid_from, gb.spectral_radius, gb.max_violation_ratio) == (3, 0.0, 0.0)
 
-    def test_nilpotent_power_names_first_n(self):
+    def test_nilpotent_power_names_first_n(self, monkeypatch):
         # Powers must vanish from n = deg p = 3 on; the message names the
         # first n at which one does not (n = 1 comes before deg p).
         an = Analysis(np.eye(3, k=1, dtype=complex))
         logs = np.full(POWER_STEPS, -np.inf)
         logs[[0, 4, 6]] = 0.0
-        an.power_logs = logs
+        monkeypatch.setattr(criteria, "power_log_norms", lambda A, n_max: logs[:n_max])
         with pytest.raises(InconsistencyError, match="nonzero power at n=5$"):
             growth_bound(an)
 
@@ -128,6 +152,50 @@ class TestGrowthBound:
         for n, nrm, bound in rows:
             if n >= gb.valid_from:
                 assert nrm <= bound * (1 + 1e-8)
+
+    @pytest.mark.parametrize("dim", [4, 8, 16, 32, 64])
+    def test_frobenius_rounding_within_slack(self, dim):
+        # growth_bound skips n by log ||A^n||_F, which must bound the
+        # computed log ||A^n||_2 up to far less than the slack: planted
+        # structures at cond caps 1e2-1e6 and oblique ones at 1e3.
+        planted = [(0.95 * np.exp(1j), 2), (0.7j, 1), (-0.5, 1)]
+        cases = [gen_planted_jordan(dim, planted, cap, dim) for cap in (1e2, 1e4)]
+        if dim < 64:
+            cases += [gen_planted_jordan(dim, [(np.exp(1j), 1), (-0.6, 2)], 1e6, 0),
+                      gen_oblique(dim, np.exp(2j * np.pi * (np.arange(dim) + 0.1) / dim), 1e3, dim)]
+        else:
+            cases = cases[1:]
+        cfg = RunConfig(n_max=POWER_STEPS, seed=0)
+        for A in cases:
+            spectral = power_log_norms(A, POWER_STEPS)
+            excess = spectral - Analysis(A).frobenius_logs(cfg)
+            assert np.max(excess[np.isfinite(spectral)]) <= 0.01 * stability._FROBENIUS_SLACK
+
+    def test_shares_the_probe_batch(self, monkeypatch):
+        # The Frobenius norms come off the probe batch of the config's
+        # seed: growth_bound before theorem_check propagates it once.
+        horizons = []
+        batch = criteria.orbit_log_norms_batch
+        monkeypatch.setattr(
+            criteria, "orbit_log_norms_batch", lambda A, H, n_max: horizons.append(n_max) or batch(A, H, n_max)
+        )
+        for cfg in (RunConfig(seed=0), RunConfig(n_max=500, seed=0)):
+            horizons.clear()
+            an = Analysis(canonical_oblique())
+            growth_bound(an, cfg)
+            theorem_check(an, cfg)
+            uniform_stability(an, cfg)
+            assert horizons == [max(cfg.n_max, POWER_STEPS)]
+
+    def test_csv_rows_clamp_huge_powers(self):
+        # ||A^2|| = 1e400 for 1e200 times the dim-3 shift: its row is
+        # clamped at 1e308, without an overflow warning.
+        A = 1e200 * np.eye(3, k=1, dtype=complex)
+        rows = growth_csv_rows(A, growth_bound(A))
+        assert rows[0] == (1, pytest.approx(1e200, rel=1e-12), pytest.approx(1e200, rel=1e-12))
+        assert rows[1] == (2, pytest.approx(1e308, rel=1e-12), pytest.approx(1e308, rel=1e-12))
+        assert all(np.isfinite(rows[1][1:]))
+        assert rows[2:] == [(n, 0.0, 0.0) for n in range(3, POWER_STEPS + 1)]
 
 
 class TestNormalLimit:
