@@ -638,7 +638,7 @@ def is_power_bounded(A, config: RunConfig | None = None) -> bool:
     and every root of modulus (near) 1 simple in the minimal polynomial.
     Cross-checked against log ||A^n||_F for n = 1..POWER_STEPS, read off the
     basis columns of the probe batch of ``config``'s seed
-    (``frobenius_log_norms``); power-boundedness does not depend on the
+    (``Analysis.frobenius_logs``); power-boundedness does not depend on the
     norm.  Disagreement raises InconsistencyError.
     """
     an = as_analysis(A)

@@ -217,7 +217,7 @@ def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
     best = _worst_excess(an.power_logs(10), log_bound)
     fro = an.frobenius_logs(config or RunConfig())
     reach = np.flatnonzero(fro - log_bound >= best - _FROBENIUS_SLACK)
-    m = max(10, reach[-1] + 1) if reach.size else 10
+    m = max(10, int(reach[-1]) + 1) if reach.size else 10
     worst = _worst_excess(an.power_logs(m), log_bound)
     ratio = float(np.exp(worst)) if np.isfinite(worst) else 0.0
     if ratio > 1 + 1e-8:
