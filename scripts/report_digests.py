@@ -142,9 +142,16 @@ def _run(argv):
     fresh process would show them, the package directory in stderr replaced
     by ``PACKAGE_PLACEHOLDER``."""
     out, err = io.StringIO(), io.StringIO()
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        err.write(warnings.formatwarning(message, category, filename, lineno, line))
+
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("default")
+        # Also under an outer catch_warnings(record=True), as in pytest,
+        # whose recorder would otherwise take the warning.
+        warnings.showwarning = show
         rc = aolab_main(argv)
     return rc, out.getvalue(), err.getvalue().replace(PACKAGE_DIR, PACKAGE_PLACEHOLDER)
 

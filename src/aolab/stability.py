@@ -17,7 +17,12 @@ from .config import RunConfig
 from .criteria import (
     POWER_STEPS,
     UNIT_TOL,
+    _LN2,
+    _block_steps,
     _clamped_exp,
+    _gram,
+    _gram_log_norms,
+    _power_blocks,
     _window_rule,
     as_analysis,
     at_most_one,
@@ -44,14 +49,25 @@ _NILPOTENT_RADIUS = 1e-12
 # Largest log ||A^n h||^2 whose exponential is a finite float.
 _LOG_SQ_MAX = np.log(np.finfo(float).max)
 
-# ``growth_bound`` forms no spectral norm ||A^n||_2 past the last n whose
-# Frobenius excess log ||A^n||_F - log bound_n comes within this of the best
-# exact excess, since ||A^n||_2 <= ||A^n||_F.  It covers the rounding of
-# log ||A^n||_2 (``power_log_norms``) against log ||A^n||_F (the probe
-# batch): over 105 planted and oblique cases at dims 4-64 and cond caps
-# 1e2-1e6, and 0.99 I + 30 J at dim 4, the first exceeded the second by at
-# most 6.8e-14 (on the last).
+# ``growth_bound`` forms no spectral norm ||A^n||_2 for an n whose upper
+# bound on the excess log ||A^n||_2 - log bound_n falls below the best
+# exact excess (0 on a nilpotent matrix) by more than this: the Frobenius
+# norm off the probe batch, which sets how many powers are formed, and the
+# Schatten bounds of ``max_power_excess`` on those.  It covers the rounding
+# of log ||A^n||_2 (``power_log_norms``) against both.  Over 105 planted
+# and oblique cases at dims 4-64 and cond caps 1e2-1e6, and 0.99 I + 30 J
+# at dim 4, the first exceeded log ||A^n||_F by at most 6.8e-14 (on the
+# last).  Over 162 planted, oblique and alpha I + N cases at dims 4-64, it
+# exceeded each Schatten bound by at most 7.1e-15.
 _FROBENIUS_SLACK = 1e-8
+
+# The growth bound holds when the largest ratio ||A^n|| / bound_n is at most
+# 1 + _RATIO_TOL.
+_RATIO_TOL = 1e-8
+
+# A power of a nilpotent matrix counts as vanished when its norm is at most
+# _VANISHING_LEVEL max(1, ||A||)^deg p.
+_VANISHING_LEVEL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -147,6 +163,66 @@ def _worst_excess(logs, log_bound):
     return (logs - log_bound[: logs.size])[finite].max(initial=-np.inf)
 
 
+def _log_fro(X: np.ndarray) -> np.ndarray:
+    """log ||X_j||_F for each matrix of a C-contiguous stack X, from one
+    sum of squares."""
+    x = X.view(float).reshape(X.shape[0], -1)
+    return 0.5 * np.log(np.einsum("ki,ki->k", x, x))
+
+
+def _compact(X: np.ndarray, index: np.ndarray) -> None:
+    """Move the rows X[index], for sorted indices, to the head of X, in
+    place: row index[i] lies at or past i, so it is read before it could be
+    overwritten."""
+    for i in np.flatnonzero(index != np.arange(index.size)):
+        X[i] = X[index[i]]
+
+
+def max_power_excess(A: np.ndarray, log_bound: np.ndarray, floor: float) -> float:
+    """The largest excess log ||A^n|| - log_bound[n - 1] over the n =
+    1..len(log_bound) whose upper bounds on it reach ``floor`` (-inf if
+    none).  Each excess is the bits of ``power_log_norms`` minus log_bound,
+    so the result is the largest over all n bit for bit whenever that one
+    lies above floor by more than the rounding of the bounds.
+
+    The powers come from ``criteria._power_blocks``.  With W a scaled
+    power and G = W^H W, ||W||_2^(2^(q+1)) = ||G^(2^q)||_2 <=
+    ||G^(2^q)||_F, so the bounds are log ||W||_F and then
+    log ||G^(2^q)||_F / 2^(q+1) for q = 0, 1, 2, each tighter than the
+    last; a level squares only the G^(2^q) that the one before left in
+    play.  Only the powers that every level leaves in play get an
+    ``eigvalsh``, of their G formed as ``power_log_norms`` forms it.
+    """
+    d = A.shape[0]
+    # Two work stacks the size of a block, for G^(2^q) and the next level or
+    # a conjugate.  The powers in play are moved to the head of W and of the
+    # level in place (``_compact``), so that no level allocates.
+    S, T = np.empty((2, min(_block_steps(d, d), log_bound.size), d, d), dtype=complex)
+    best = -np.inf
+    for n, W, p in _power_blocks(A, log_bound.size):
+        shift = p * _LN2 - log_bound[n : n + p.size]
+        live = np.flatnonzero(_log_fro(W) + shift >= floor)
+        _compact(W, live)
+        for q in range(3):
+            k = live.size
+            if not k:
+                break
+            if q:
+                np.matmul(S[:k], S[:k], out=T[:k])
+                S, T = T, S
+            else:
+                _gram(W[:k], out=S[:k], conj=T[:k])
+            keep = np.flatnonzero(_log_fro(S[:k]) / 2 ** (q + 1) + shift[live] >= floor)
+            live = live[keep]
+            _compact(S, keep)
+            _compact(W, keep)
+        if live.size:
+            # G again, the same bits, rather than kept beside every level.
+            G = _gram(W[: live.size], out=S[: live.size], conj=T[: live.size])
+            best = max(best, float(np.max(_gram_log_norms(G, p[live]) - log_bound[n + live])))
+    return best
+
+
 def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
     """Certified constant for ||A^n|| <= alpha n^kappa r^n.
 
@@ -154,10 +230,13 @@ def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
     N_j the nilpotent part in the block basis; alpha aggregates via
     alpha = sum_j ||P_j|| alpha_j.  Verified empirically up to POWER_STEPS:
     the largest ratio ||A^n|| / bound_n is taken over the exact spectral
-    norms of the first ten powers and of every later n whose Frobenius
+    norms of the first ten powers and, up to the last n whose Frobenius
     norm (``Analysis.frobenius_logs`` of ``config``'s seed) could still
-    exceed that ratio; being the maximum over a prefix of the trajectory,
-    it equals the maximum over all POWER_STEPS powers bit for bit.
+    exceed that ratio, of every n that the Schatten bounds of
+    ``max_power_excess`` do not rule out; it equals the maximum over all
+    POWER_STEPS powers bit for bit.  A nilpotent matrix is checked the same
+    way against the vanishing level from n = deg p on, and only a power
+    that passes it makes the full trajectory, to name the first such n.
     """
     an = as_analysis(A)
     A = an.A
@@ -169,12 +248,14 @@ def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
 
     if r <= _NILPOTENT_RADIUS:
         # Nilpotent: powers vanish identically from n = deg p on.  The
-        # threshold is taken in log space, where ||A||^deg p cannot overflow.
-        logs = an.power_logs()
+        # threshold is taken in log space, where ||A||^deg p cannot overflow;
+        # it bounds every power from deg p on, and no earlier one.
         valid_from = mp.degree
-        scale = max(1.0, an.norm)
-        live = np.flatnonzero(logs[valid_from - 1 :] > np.log(1e-10) + mp.degree * np.log(scale))
-        if live.size:
+        vanish = np.log(_VANISHING_LEVEL) + mp.degree * np.log(max(1.0, an.norm))
+        log_bound = np.full(POWER_STEPS, vanish)
+        log_bound[: valid_from - 1] = np.inf
+        if max_power_excess(A, log_bound, -_FROBENIUS_SLACK) > 0:
+            live = np.flatnonzero(an.power_logs()[valid_from - 1 :] > vanish)
             raise InconsistencyError(
                 f"nilpotent matrix has nonzero power at n={valid_from + live[0]}"
             )
@@ -213,14 +294,15 @@ def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
     n = np.arange(valid_from, POWER_STEPS + 1)
     log_bound = np.log(alpha) + kappa * np.log(n) + n * np.log(r)
     # No n past the last one whose Frobenius excess comes within the slack
-    # of the best exact excess of the first ten powers can hold the maximum.
+    # of the best exact excess of the first ten powers can hold the maximum;
+    # up to it, the Schatten bounds rule out all but a few n.
     best = _worst_excess(an.power_logs(10), log_bound)
     fro = an.frobenius_logs(config or RunConfig())
     reach = np.flatnonzero(fro - log_bound >= best - _FROBENIUS_SLACK)
-    m = max(10, int(reach[-1]) + 1) if reach.size else 10
-    worst = _worst_excess(an.power_logs(m), log_bound)
+    m = int(reach[-1]) + 1 if reach.size else 0
+    worst = max_power_excess(A, log_bound[:m], best - _FROBENIUS_SLACK) if m > 10 else best
     ratio = float(np.exp(worst)) if np.isfinite(worst) else 0.0
-    if ratio > 1 + 1e-8:
+    if ratio > 1 + _RATIO_TOL:
         raise InconsistencyError(f"growth bound violated: ratio {ratio}")
     return GrowthBound(
         kappa=kappa,

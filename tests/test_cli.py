@@ -18,7 +18,13 @@ from aolab.cli import (
 )
 from aolab.config import default_seed
 from aolab.criteria import POWER_STEPS
-from aolab.generators import canonical_oblique, dft4, gen_normaloid_nonnormal, haar_unitary
+from aolab.generators import (
+    canonical_oblique,
+    dft4,
+    gen_jordan_perturbation,
+    gen_normaloid_nonnormal,
+    haar_unitary,
+)
 from aolab.linalg import matrix_to_obj
 from aolab.structure import minimal_polynomial
 
@@ -158,6 +164,20 @@ class TestAnalyze:
         assert main(["analyze", "--input", inp]) == EXIT_OK
         assert [args[1] for args in calls["power_log_norms"]] == [10]
         assert len(calls["orbit_log_norms_batch"]) == 1
+
+    def test_jordan_analyze_solves_few_eigenproblems(self, tmp_path, monkeypatch, capsys):
+        # alpha I + N with N^2 = 0 at d32: ||A^n||_F overstates ||A^n||_2 at
+        # every n, but the Schatten bounds rule out all but a few powers;
+        # the growth CSV still reads the full trajectory.
+        inp = _write_matrix(tmp_path / "m.json", gen_jordan_perturbation(32, np.exp(0.3j), 2.9, 0))
+        eigvalsh = np.linalg.eigvalsh
+        solved = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: solved.append(len(G)) or eigvalsh(G))
+        assert main(["analyze", "--input", inp]) == EXIT_OK
+        assert 10 <= sum(solved) <= 15
+        solved.clear()
+        assert main(["analyze", "--input", inp, "--csv", str(tmp_path / "g.csv")]) == EXIT_OK
+        assert sum(solved) >= 10 + POWER_STEPS
 
     def test_inconsistent_power_bound_exits_2(self, tmp_path, capsys, monkeypatch):
         # A minimal polynomial that gives the unimodular root -1 of the

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -96,6 +97,21 @@ def test_report_digests_hide_package_path(monkeypatch):
     rc, _, err = module._run([])
     assert rc == 0
     assert err == "<aolab>/stability.py:7: RuntimeWarning: overflow encountered in exp\n"
+
+
+def test_report_digests_capture_warnings(monkeypatch):
+    # pytest records warnings; _run must still write them to its stderr,
+    # as a fresh process would.
+    module = _load("report_digests")
+
+    def warn(argv):
+        warnings.warn("overflow encountered in exp", RuntimeWarning)
+        return 0
+
+    monkeypatch.setattr(module, "aolab_main", warn)
+    rc, _, err = module._run([])
+    assert rc == 0
+    assert err.startswith(f"{__file__}:") and "RuntimeWarning: overflow encountered in exp\n" in err
 
 
 def test_report_digests_relative_nonfinite():

@@ -18,6 +18,7 @@ from aolab.generators import (
     haar_unitary,
 )
 from aolab.linalg import operator_norm
+from aolab.structure import MinimalPoly
 from aolab.stability import (
     growth_bound,
     growth_csv_rows,
@@ -31,6 +32,55 @@ from aolab.stability import (
 def _jordan_block(z, c, k):
     """z I + c J on dim k, J the shift."""
     return (z * np.eye(k) + c * np.eye(k, k=1)).astype(complex)
+
+
+# Matrices whose largest growth-bound ratio is checked against the full
+# trajectory: (matrix, the n that holds it or None).
+_RATIO_CASES = {
+    "jordan2": lambda: (np.array([[1, 1], [0, 1]], dtype=complex), None),
+    "planted": lambda: (gen_planted_jordan(6, [(0.8j, 2), (-0.5, 2)], cond_cap=40.0, seed=11), None),
+    "oblique": lambda: (canonical_oblique(), None),
+    "dft4": lambda: (dft4(), None),
+    "contraction": lambda: (0.5 * dft4(), None),
+    # 0.99 I + 30 J: the ratio rises to the last power.
+    "jordan-argmax-1000": lambda: (_jordan_block(0.99, 30, 4), 1000),
+    # A 6-block at 0.99 beside the root 0.5, which raises kappa by one: the
+    # ratio peaks past the first ten powers.
+    "jordan-argmax-13": lambda: (np.pad(_jordan_block(0.99, 10, 6), (0, 1)) + np.diag([0] * 6 + [0.5]), 13),
+    "unitary-d8": lambda: (gen_unitary_finite_spectrum(8, [1, 1j, -1, -1j], 3), None),
+    "oblique-d8": lambda: (gen_oblique(8, np.exp(2j * np.pi * (np.arange(8) + 0.1) / 8), 50.0, 3), None),
+    "planted-d8": lambda: (gen_planted_jordan(8, [(0.9j, 3), (-0.7, 2), (0.5, 1)], 100.0, 3), None),
+    "jordan-d8": lambda: (gen_jordan_perturbation(8, np.exp(0.7j), 1.5, 3), None),
+    "jordan-d16": lambda: (gen_jordan_perturbation(16, np.exp(2.1j), 2.5, 4), None),
+}
+
+# alpha I + N with N^2 = 0, where ||A^n||_F overstates ||A^n||_2 by about
+# sqrt(rank N): (matrix, the level of max_power_excess that rules out most
+# powers).  A larger ||N|| or dim needs a higher level.
+_LEVEL_CASES = {
+    "jordan-d16-fro": lambda: (gen_jordan_perturbation(16, np.exp(1j), 0.7, 0), 0),
+    "jordan-d16-q0": lambda: (gen_jordan_perturbation(16, np.exp(1j), 2.9, 0), 1),
+    "jordan-d32-q1": lambda: (gen_jordan_perturbation(32, np.exp(1j), 2.9, 0), 2),
+    "jordan-d64-q2": lambda: (gen_jordan_perturbation(64, np.exp(1j), 2.9, 0), 3),
+}
+
+
+def _schatten_logs(A, n_max):
+    """The upper bounds of ``max_power_excess`` on log ||A^n||, n = 1..n_max,
+    one row per level: log ||A^n||_F, then log ||G^(2^q)||_F / 2^(q+1) for
+    q = 0, 1, 2, with G the Gram matrix of the scaled power (-inf for a
+    zero power)."""
+    out = np.full((4, n_max), -np.inf)
+    for n, W, p in criteria._power_blocks(A, n_max):
+        rows = out[:, n : n + p.size]
+        rows[0] = stability._log_fro(W)
+        S = criteria._gram(W)
+        for q in range(3):
+            if q:
+                S = S @ S
+            rows[q + 1] = stability._log_fro(S) / 2 ** (q + 1)
+        rows += p * np.log(2.0)
+    return out
 
 
 class TestGrowthBound:
@@ -91,31 +141,12 @@ class TestGrowthBound:
         monkeypatch.setattr(np.linalg, "norm", block_norm)
         assert growth_bound(an, cfg).max_violation_ratio <= 1 + 1e-8
 
-    @pytest.mark.parametrize("name", [
-        "jordan2", "planted", "oblique", "dft4", "contraction", "jordan-argmax-1000",
-        "jordan-argmax-13", "unitary-d8", "oblique-d8", "planted-d8", "jordan-d8", "jordan-d16",
-    ])
+    @pytest.mark.parametrize("name", _RATIO_CASES)
     def test_violation_ratio_matches_loop(self, name):
         # The per-n reference loop over the full trajectory; growth_bound
-        # forms only a prefix of it, past every n that can hold the maximum,
-        # so the ratio must match bit for bit.
-        A, argmax = {
-            "jordan2": lambda: (np.array([[1, 1], [0, 1]], dtype=complex), None),
-            "planted": lambda: (gen_planted_jordan(6, [(0.8j, 2), (-0.5, 2)], cond_cap=40.0, seed=11), None),
-            "oblique": lambda: (canonical_oblique(), None),
-            "dft4": lambda: (dft4(), None),
-            "contraction": lambda: (0.5 * dft4(), None),
-            # 0.99 I + 30 J: the ratio rises to the last power.
-            "jordan-argmax-1000": lambda: (_jordan_block(0.99, 30, 4), 1000),
-            # A 6-block at 0.99 beside the root 0.5, which raises kappa by
-            # one: the ratio peaks past the first ten powers.
-            "jordan-argmax-13": lambda: (np.pad(_jordan_block(0.99, 10, 6), (0, 1)) + np.diag([0] * 6 + [0.5]), 13),
-            "unitary-d8": lambda: (gen_unitary_finite_spectrum(8, [1, 1j, -1, -1j], 3), None),
-            "oblique-d8": lambda: (gen_oblique(8, np.exp(2j * np.pi * (np.arange(8) + 0.1) / 8), 50.0, 3), None),
-            "planted-d8": lambda: (gen_planted_jordan(8, [(0.9j, 3), (-0.7, 2), (0.5, 1)], 100.0, 3), None),
-            "jordan-d8": lambda: (gen_jordan_perturbation(8, np.exp(0.7j), 1.5, 3), None),
-            "jordan-d16": lambda: (gen_jordan_perturbation(16, np.exp(2.1j), 2.5, 4), None),
-        }[name]()
+        # forms only a prefix of it, and spectral norms only where the bounds
+        # cannot rule n out, so the ratio must match bit for bit.
+        A, argmax = _RATIO_CASES[name]()
         gb = growth_bound(Analysis(A), RunConfig(seed=0))
         logs = power_log_norms(A, POWER_STEPS)
         worst, at = -np.inf, None
@@ -127,6 +158,29 @@ class TestGrowthBound:
         if argmax is not None:
             assert at == argmax
 
+    @pytest.mark.parametrize("name", [*_RATIO_CASES, *_LEVEL_CASES])
+    def test_certified_maximum_matches_trajectory(self, name, monkeypatch):
+        # max_power_excess over all POWER_STEPS powers, floored at the best
+        # of the first ten minus the slack as growth_bound does, equals the
+        # maximum over the full trajectory bit for bit.  The jordan cases
+        # rule out most powers at the named level (0 Frobenius, 1-3 q = 0-2)
+        # and all but the first power by the last one.
+        A, level = _LEVEL_CASES[name]() if name in _LEVEL_CASES else (_RATIO_CASES[name]()[0], None)
+        gb = growth_bound(A)
+        n = np.arange(1, POWER_STEPS + 1)
+        log_bound = np.log(gb.alpha) + gb.kappa * np.log(n) + n * np.log(gb.spectral_radius)
+        logs = power_log_norms(A, POWER_STEPS)
+        floor = stability._worst_excess(logs[:10], log_bound) - stability._FROBENIUS_SLACK
+        eigvalsh = np.linalg.eigvalsh
+        solved = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: solved.append(len(G)) or eigvalsh(G))
+        assert stability.max_power_excess(A, log_bound, floor) == stability._worst_excess(logs, log_bound)
+        if level is not None:
+            below = _schatten_logs(A, POWER_STEPS) - log_bound < floor
+            decided = np.where(below.any(axis=0), below.argmax(axis=0), 4)
+            assert np.bincount(decided, minlength=5).argmax() == level
+            assert sum(solved) == 1
+
     @pytest.mark.parametrize("big", [1e110, 1e200])
     def test_nilpotent_huge_entries(self, big):
         # ||A||^deg p passes the float range from 1e103 on; the check that
@@ -134,15 +188,33 @@ class TestGrowthBound:
         gb = growth_bound(big * np.eye(3, k=1, dtype=complex))
         assert (gb.valid_from, gb.spectral_radius, gb.max_violation_ratio) == (3, 0.0, 0.0)
 
-    def test_nilpotent_power_names_first_n(self, monkeypatch):
+    def test_nilpotent_power_names_first_n(self):
         # Powers must vanish from n = deg p = 3 on; the message names the
-        # first n at which one does not (n = 1 comes before deg p).
-        an = Analysis(np.eye(3, k=1, dtype=complex))
-        logs = np.full(POWER_STEPS, -np.inf)
-        logs[[0, 4, 6]] = 0.0
-        monkeypatch.setattr(criteria, "power_log_norms", lambda A, n_max: logs[:n_max])
+        # first n at which one does not.  c J_3 + t e4 e4^H, read as
+        # nilpotent of degree 3: from n = 3 on ||A^n|| = t^n, against the
+        # threshold 1e-10 c^3 = 1e20.3, so n = 3 and 4 pass and n = 5 does
+        # not (n = 1 and 2 come before deg p).
+        A = np.zeros((4, 4), dtype=complex)
+        A[0, 1] = A[1, 2] = 10**10.1
+        A[3, 3] = 1e5
+        an = Analysis(A)
+        an.minpoly = MinimalPoly(roots=((0j, 3),), degree=3)
         with pytest.raises(InconsistencyError, match="nonzero power at n=5$"):
             growth_bound(an)
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_rounding_noise_nilpotent_forms_no_spectral_norm(self, dim, monkeypatch):
+        # Planted nilpotent matrices have powers of rounding noise from deg p
+        # on; their bounds rule every power out, so no eigenproblem is solved.
+        eigvalsh = np.linalg.eigvalsh
+        for index in range(1, dim + 1):
+            an = Analysis(gen_planted_jordan(dim, [(0, index)], 100.0, dim + index))
+            an.decomposition
+            solved = []
+            monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: solved.append(len(G)) or eigvalsh(G))
+            gb = growth_bound(an)
+            monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+            assert (gb.spectral_radius, gb.valid_from, solved) == (0.0, index, [])
 
     def test_csv_rows_shape(self):
         A = canonical_oblique()
@@ -155,12 +227,14 @@ class TestGrowthBound:
 
     @pytest.mark.parametrize("dim", [4, 8, 16, 32, 64])
     def test_frobenius_rounding_within_slack(self, dim):
-        # growth_bound skips n by log ||A^n||_F, which must bound the
-        # computed log ||A^n||_2 up to far less than the slack: planted
-        # structures at cond caps 1e2-1e6 and oblique ones at 1e3.
+        # growth_bound skips n by log ||A^n||_F and by the Schatten bounds,
+        # which must bound the computed log ||A^n||_2 up to far less than
+        # the slack: planted structures at cond caps 1e2-1e6, oblique ones
+        # at 1e3 and alpha I + N.
         planted = [(0.95 * np.exp(1j), 2), (0.7j, 1), (-0.5, 1)]
         caps = (1e4,) if dim == 64 else (1e2, 1e4)
         cases = [gen_planted_jordan(dim, planted, cap, dim) for cap in caps]
+        cases.append(gen_jordan_perturbation(dim, np.exp(1j), 2.9, dim))
         if dim < 64:
             cases += [gen_planted_jordan(dim, [(np.exp(1j), 1), (-0.6, 2)], 1e6, 0),
                       gen_oblique(dim, np.exp(2j * np.pi * (np.arange(dim) + 0.1) / dim), 1e3, dim)]
@@ -169,6 +243,9 @@ class TestGrowthBound:
             spectral = power_log_norms(A, POWER_STEPS)
             excess = spectral - Analysis(A).frobenius_logs(cfg)
             assert np.max(excess[np.isfinite(spectral)]) <= 0.01 * stability._FROBENIUS_SLACK
+            # The same holds for every level of max_power_excess.
+            excess = spectral - _schatten_logs(A, POWER_STEPS)
+            assert np.max(excess[:, np.isfinite(spectral)]) <= 0.01 * stability._FROBENIUS_SLACK
 
     def test_shares_the_probe_batch(self, monkeypatch):
         # The Frobenius norms come off the probe batch of the config's
