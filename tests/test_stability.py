@@ -18,7 +18,6 @@ from aolab.generators import (
     haar_unitary,
 )
 from aolab.linalg import operator_norm
-from aolab.structure import MinimalPoly
 from aolab.stability import (
     growth_bound,
     growth_csv_rows,
@@ -27,6 +26,7 @@ from aolab.stability import (
     orbit_root_limit,
     uniform_stability,
 )
+from aolab.structure import MinimalPoly
 
 
 def _jordan_block(z, c, k):
@@ -164,7 +164,7 @@ class TestGrowthBound:
         # of the first ten minus the slack as growth_bound does, equals the
         # maximum over the full trajectory bit for bit.  The jordan cases
         # rule out most powers at the named level (0 Frobenius, 1-3 q = 0-2)
-        # and all but the first power by the last one.
+        # and leave a single power for an eigenproblem.
         A, level = _LEVEL_CASES[name]() if name in _LEVEL_CASES else (_RATIO_CASES[name]()[0], None)
         gb = growth_bound(A)
         n = np.arange(1, POWER_STEPS + 1)
@@ -180,6 +180,18 @@ class TestGrowthBound:
             decided = np.where(below.any(axis=0), below.argmax(axis=0), 4)
             assert np.bincount(decided, minlength=5).argmax() == level
             assert sum(solved) == 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_certified_maximum_under_any_bound(self, seed):
+        # A bound of log ||A^n|| plus a random offset in [0, 1) on a jordan
+        # d16 matrix, whose Frobenius norms overstate ||A^n|| by about
+        # log 8 / 2: the argmax lies anywhere in a block of 64 powers, and
+        # the Schatten levels drop powers before and after it.
+        A = gen_jordan_perturbation(16, np.exp(1j), 2.9, seed)
+        logs = power_log_norms(A, POWER_STEPS)
+        log_bound = logs + np.random.default_rng(seed).random(POWER_STEPS)
+        want = stability._worst_excess(logs, log_bound)
+        assert stability.max_power_excess(A, log_bound, want - stability._FROBENIUS_SLACK) == want
 
     @pytest.mark.parametrize("big", [1e110, 1e200])
     def test_nilpotent_huge_entries(self, big):
