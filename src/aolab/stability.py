@@ -174,8 +174,9 @@ def _compact(X: np.ndarray, index: np.ndarray) -> None:
     """Move the rows X[index], for sorted indices, to the head of X, in
     place: row index[i] lies at or past i, so it is read before it could be
     overwritten."""
-    for i in np.flatnonzero(index != np.arange(index.size)):
-        X[i] = X[index[i]]
+    for i, j in enumerate(index.tolist()):
+        if i != j:
+            X[i] = X[j]
 
 
 def max_power_excess(A: np.ndarray, log_bound: np.ndarray, floor: float) -> float:
