@@ -1,0 +1,166 @@
+#!/usr/bin/env python3
+"""Time ``aolab analyze`` and the orbit engine at each dimension, and
+write the medians as JSON.
+
+    python scripts/layer_times.py --out BENCH_layers.json
+    python scripts/layer_times.py --parent HEAD~1 --runs 5 --out BENCH_layers.json
+
+For each dimension (4, 8, 16, 32 and 64 by default) one seeded unitary
+with four distinct eigenvalues is timed three ways:
+- ``analyze_ms``: one ``aolab analyze`` of its matrix JSON file, report
+  written to a file, as the CLI runs it;
+- ``engine_ms``: ``orbit_log_norms_batch`` of the analyze probe batch (the
+  basis and 20 random probes) over 2000 steps;
+- ``floor_ms``: the same 2000 products in blocks of the engine's length,
+  with no norms and no rescales, the floor the engine's bookkeeping sits on.
+``one_step_ms`` times the engine on diag(1e200, 0.5), whose blocks are one
+step long, three times per run.
+
+Every run is a fresh process with BLAS pinned to one thread.  The checkout
+this script lies in is the ``change`` side.  With ``--parent COMMIT`` the
+commit is exported with ``git archive`` and timed as the ``parent`` side,
+the two sides alternating which runs first.  Each side reports the median
+and quartiles of every timing, and the JSON records the numpy and Python
+versions, the BLAS thread count and the host's core count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent
+ROOT = SCRIPTS.parent
+sys.path.insert(0, str(SCRIPTS))
+from bench_pairs import export, git, spread  # noqa: E402
+
+STEPS = 2000
+DIMS = (4, 8, 16, 32, 64)
+BLAS_THREADS = "1"
+
+
+def _timed(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return (time.perf_counter() - t0) * 1e3
+
+
+def measure(src: str, dims) -> dict:
+    """One run of every timing, with the ``aolab`` package under ``src``."""
+    sys.path.insert(0, src)
+    import numpy as np
+
+    from aolab import cli, criteria, jsonout
+    from aolab.generators import gen_unitary_finite_spectrum, spread_unimodular
+    from aolab.linalg import matrix_to_obj
+
+    out = {"analyze_ms": {}, "engine_ms": {}, "floor_ms": {}, "numpy": np.__version__}
+    with tempfile.TemporaryDirectory(prefix="layer-times-") as tmp:
+        for i, d in enumerate([dims[0], *dims]):
+            rng = np.random.default_rng(d)
+            A = gen_unitary_finite_spectrum(d, spread_unimodular(rng, 4), d)
+            inp, report = Path(tmp) / f"d{d}.json", Path(tmp) / f"d{d}.out.json"
+            inp.write_text(jsonout.dumps(matrix_to_obj(A)), encoding="utf-8")
+            argv = ["analyze", "--input", str(inp), "--out", str(report), "--seed", "1"]
+            t = _timed(lambda: cli.main(argv))
+            if i == 0:
+                continue  # the first analyze warms the imports up
+            H = np.column_stack([v for _, v in criteria.probe_set(d, rng)])
+            B, _ = criteria._prescaled(A)
+            V = H.astype(complex)
+            k = criteria._block_steps(d, H.shape[1])
+            stack = np.empty((min(k, STEPS), d, H.shape[1]), dtype=complex)
+
+            def floor():
+                for n in range(0, STEPS, k):
+                    criteria._propagate(B, V, stack[: min(k, STEPS - n)])
+
+            out["analyze_ms"][d] = t
+            out["engine_ms"][d] = _timed(lambda: criteria.orbit_log_norms_batch(A, H, STEPS))
+            out["floor_ms"][d] = _timed(floor)
+    one = (np.diag([1e200, 0.5]), np.eye(2))
+    out["one_step_ms"] = [_timed(lambda: criteria.orbit_log_norms_batch(*one, STEPS)) for _ in range(3)]
+    return out
+
+
+def _run(src: Path, dims) -> dict:
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = BLAS_THREADS
+    cmd = [sys.executable, __file__, "--measure", str(src), "--dims", ",".join(map(str, dims))]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=src.parent)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def _side(runs, dims) -> dict:
+    """Medians and quartiles of one side's runs, per timing and dimension."""
+    side = {key: {d: spread([r[key][str(d)] for r in runs]) for d in dims}
+            for key in ("analyze_ms", "engine_ms", "floor_ms")}
+    side["engine_over_floor"] = {
+        d: side["engine_ms"][d]["median"] / side["floor_ms"][d]["median"] for d in dims
+    }
+    one = [t for r in runs for t in r["one_step_ms"]]
+    side["one_step_ms"] = {**spread(one), "best": min(one)}
+    side["numpy"] = runs[0]["numpy"]
+    return side
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", default=None, help="commit to time beside this checkout")
+    p.add_argument("--runs", type=int, default=5, help="runs per side, at least 3 for a median")
+    p.add_argument("--dims", default=",".join(map(str, DIMS)))
+    p.add_argument("--out", default=str(ROOT / ".bench_out" / "layers.json"))
+    p.add_argument("--measure", default=None, help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    dims = [int(d) for d in args.dims.split(",")]
+    if args.measure:
+        print(json.dumps(measure(args.measure, dims)))
+        return 0
+
+    runs = {"change": []}
+    with tempfile.TemporaryDirectory(prefix="layer-times-") as tmp:
+        trees = {"change": ROOT / "src"}
+        if args.parent:
+            runs["parent"] = []
+            export(git("rev-parse", "--verify", f"{args.parent}^{{commit}}"), Path(tmp))
+            trees["parent"] = Path(tmp) / "src"
+        for r in range(args.runs):
+            for side in sorted(runs, reverse=bool(r % 2)):
+                runs[side].append(_run(trees[side], dims))
+    report = {
+        "steps": STEPS,
+        "runs": args.runs,
+        "dims": dims,
+        "python": platform.python_version(),
+        "blas_threads": BLAS_THREADS,
+        "cpu_count": os.cpu_count(),
+        "change": git("rev-parse", "HEAD") + (" + working tree" if git("status", "--porcelain") else ""),
+        "sides": {side: _side(side_runs, dims) for side, side_runs in runs.items()},
+    }
+    if args.parent:
+        report["parent"] = git("rev-parse", args.parent)
+    for side, s in report["sides"].items():
+        for d in dims:
+            print(f"{side:6s} d{d:<3d} analyze {s['analyze_ms'][d]['median']:9.2f} ms  "
+                  f"engine {s['engine_ms'][d]['median']:8.2f} ms  floor {s['floor_ms'][d]['median']:8.2f} ms  "
+                  f"engine/floor {s['engine_over_floor'][d]:.3f}")
+        print(f"{side:6s} one-step engine best {s['one_step_ms']['best']:.2f} ms, "
+              f"median {s['one_step_ms']['median']:.2f} ms")
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

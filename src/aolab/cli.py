@@ -11,6 +11,7 @@ Exit codes: 0 ok, 1 input error, 2 internal inconsistency, 3 suite failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -182,6 +183,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_SUITE
 
 
+@functools.cache  # one parser serves every main call of a process
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="aolab",
@@ -196,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--window", type=int, default=RunConfig.window)
     pa.add_argument("--tol-conv", dest="tol_conv", type=float, default=RunConfig.tol_conv)
     _add_config_flags(pa)
-    pa.set_defaults(func=cmd_analyze)
 
     pg = sub.add_parser("generate", help="emit an instance as matrix JSON")
     pg.add_argument("--kind", required=True)
@@ -207,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--cond-cap", dest="cond_cap", type=float, default=50.0)
     pg.add_argument("--scale", type=float, default=1.0)
     pg.add_argument("--seed", type=int, default=None)
-    pg.set_defaults(func=cmd_generate)
 
     pv = sub.add_parser("verify", help="run property suites")
     pv.add_argument(
@@ -215,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pv.add_argument("--trials", type=int, default=RunConfig.trials)
     _add_config_flags(pv)
-    pv.set_defaults(func=cmd_verify)
     return p
 
 
@@ -228,7 +227,8 @@ def main(argv=None) -> int:
         except InvalidInputError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
-    return args.func(args)
+    # Looked up at call time, so that a wrapper on cmd_<command> sees it.
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

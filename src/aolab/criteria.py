@@ -231,9 +231,16 @@ def _block_norms(W: np.ndarray, live, limit: int):
     """
     if limit == 1:
         return np.hypot.reduce(np.abs(W), axis=1), limit
-    sq = np.einsum("kmp,kmp->kp", W.real, W.real)
-    sq += np.einsum("kmp,kmp->kp", W.imag, W.imag)
+    if W.shape[2] == 1:
+        sq = np.einsum("kmp,kmp->kp", W.real, W.real)
+        sq += np.einsum("kmp,kmp->kp", W.imag, W.imag)
+    else:  # one sum over the contiguous real view: the same order, faster
+        x = W.view(float).reshape(*W.shape, 2)
+        sq = np.einsum("kmpc,kmpc->kpc", x, x)
+        sq = sq[..., 0] + sq[..., 1]
     norms = np.sqrt(sq, out=sq)
+    if norms.min() >= TINY_NORM:
+        return norms, limit
     tiny = (norms < TINY_NORM) & live
     hit = np.flatnonzero(tiny.any(axis=1))
     if not hit.size:
@@ -253,10 +260,12 @@ def _block_norms(W: np.ndarray, live, limit: int):
 
 def _propagate(A: np.ndarray, start: np.ndarray, W: np.ndarray) -> None:
     """W[j] = A^(j+1) start for every step j of the block W: one product
-    per step."""
+    per step.  ``np.dot`` makes the ``matmul`` call with less dispatch, but
+    takes a 1 x 1 A for a scalar, with other bits."""
+    product = np.dot if A.size > 1 else np.matmul
     prev = start
     for step in W:
-        np.matmul(A, prev, out=step)
+        product(A, prev, out=step)
         prev = step
 
 
@@ -305,7 +314,11 @@ def orbit_log_norms_batch(A: np.ndarray, H: np.ndarray, n_max: int) -> np.ndarra
             np.log(norms, out=rows)
             rows += (shed + ne[n + 1 : n + kept + 1]) * _LN2
             m = np.frexp(norms[-1])[1]
-            np.ldexp(parts[kept - 1], -m[:, np.newaxis], out=V_parts)
+            if kept == 1:
+                np.ldexp(parts[0], -m[:, np.newaxis], out=V_parts)
+            else:  # live norms >= TINY_NORM: 2^-m is normal and rounds like ldexp
+                scale = np.ldexp(1.0, -np.repeat(m, 2))
+                np.multiply(parts[kept - 1].reshape(d, -1), scale, out=V_parts.reshape(d, -1))
             shed += m
             live = norms[-1] > 0
             n += kept
@@ -551,6 +564,10 @@ class Analysis:
             if (k, c) > (kind, margin):
                 kind, margin, pair = k, c, (a, b, r)
         return kind, margin, pair
+
+    def has_orbits(self, seed: int) -> bool:
+        """Whether the probe batch of ``seed`` is already propagated."""
+        return seed in self._orbits
 
     def orbits(self, seed: int, n_max: int):
         """(probes, logs): ``probe_set`` for ``seed``, plus the witness

@@ -232,10 +232,10 @@ def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
     alpha = sum_j ||P_j|| alpha_j.  Verified empirically up to POWER_STEPS:
     the largest ratio ||A^n|| / bound_n is taken over the exact spectral
     norms of the first ten powers and, up to the last n whose Frobenius
-    norm (``Analysis.frobenius_logs`` of ``config``'s seed) could still
-    exceed that ratio, of every n that the Schatten bounds of
-    ``max_power_excess`` do not rule out; it equals the maximum over all
-    POWER_STEPS powers bit for bit.  A nilpotent matrix is checked the same
+    norm (``Analysis.frobenius_logs`` of ``config``'s seed, when that probe
+    batch is already propagated) could still exceed that ratio, of every n
+    that the bounds of ``max_power_excess`` do not rule out; it equals the
+    maximum over all POWER_STEPS powers bit for bit.  A nilpotent matrix is checked the same
     way against the vanishing level from n = deg p on, and only a power
     that passes it makes the full trajectory, to name the first such n.
     """
@@ -294,13 +294,16 @@ def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
     valid_from = 1
     n = np.arange(valid_from, POWER_STEPS + 1)
     log_bound = np.log(alpha) + kappa * np.log(n) + n * np.log(r)
-    # No n past the last one whose Frobenius excess comes within the slack
-    # of the best exact excess of the first ten powers can hold the maximum;
-    # up to it, the Schatten bounds rule out all but a few n.
+    # No n past the last one whose Frobenius excess off the probe batch
+    # comes within the slack of the best exact excess of the first ten
+    # powers can hold the maximum; up to it, the Schatten bounds rule out
+    # all but a few n.  A bare call propagates no batch: the Frobenius
+    # level of max_power_excess prunes all POWER_STEPS powers instead.
+    cfg, m = config or RunConfig(), POWER_STEPS
     best = _worst_excess(an.power_logs(10), log_bound)
-    fro = an.frobenius_logs(config or RunConfig())
-    reach = np.flatnonzero(fro - log_bound >= best - _FROBENIUS_SLACK)
-    m = int(reach[-1]) + 1 if reach.size else 0
+    if an.has_orbits(cfg.seed):
+        reach = np.flatnonzero(an.frobenius_logs(cfg) - log_bound >= best - _FROBENIUS_SLACK)
+        m = int(reach[-1]) + 1 if reach.size else 0
     worst = max_power_excess(A, log_bound[:m], best - _FROBENIUS_SLACK) if m > 10 else best
     ratio = float(np.exp(worst)) if np.isfinite(worst) else 0.0
     if ratio > 1 + _RATIO_TOL:

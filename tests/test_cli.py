@@ -69,6 +69,21 @@ class TestAnalyze:
         assert report["criteria"]["consistent"] is True
         assert report["stability"]["power_bounded"] is True
 
+    def test_parser_built_once_and_dispatch_at_call_time(self, tmp_path, monkeypatch):
+        # One parser serves every main call of a process, and the command
+        # is looked up when called, so a wrapper on cmd_analyze sees it.
+        import aolab.cli as cli
+
+        inp = _write_matrix(tmp_path / "f.json", canonical_oblique())
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            assert main(["analyze", "--input", inp, "--out", str(out), "--seed", "3"]) == EXIT_OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert cli.build_parser() is cli.build_parser()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args.input) or 7)
+        assert main(["analyze", "--input", inp]) == 7 and seen == [inp]
+
     def test_out_and_csv_files(self, tmp_path):
         inp = _write_matrix(tmp_path / "f.json", dft4())
         out = tmp_path / "report.json"

@@ -155,3 +155,17 @@ def test_bench_pairs_summary():
     assert (ms["change_wins"], ms["gain"], ms["within_bound"]) == (1, False, False)
     assert ops["parent"]["median"] == 11 and ms["ratio"] == pytest.approx(69 / 50.5)
     assert summary["failed"] == {"parent": [0] * 10, "change": [0] * 10}
+
+
+def test_layer_times(tmp_path, capsys):
+    out = tmp_path / "layers.json"
+    assert _load("layer_times").main(["--runs", "1", "--dims", "4", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert (report["steps"], report["dims"], report["blas_threads"]) == (2000, [4], "1")
+    side = report["sides"]["change"]
+    assert side["numpy"] and list(report["sides"]) == ["change"]
+    for key in ("analyze_ms", "engine_ms", "floor_ms"):
+        assert side[key]["4"]["median"] > 0
+    assert side["engine_over_floor"]["4"] > 0
+    assert len(side["one_step_ms"]["values"]) == 3
+    assert "change d4" in capsys.readouterr().out

@@ -275,6 +275,33 @@ class TestGrowthBound:
             uniform_stability(an, cfg)
             assert horizons == [max(cfg.n_max, POWER_STEPS)]
 
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    def test_bare_call_propagates_no_probes(self, dim, monkeypatch):
+        # Without a probe batch on the analysis, the Frobenius level of
+        # max_power_excess prunes the powers; every field keeps the bits of
+        # a call that reads the batch.  The ratio cases add maxima at n = 13
+        # and n = 1000.
+        horizons = []
+        batch = criteria.orbit_log_norms_batch
+        monkeypatch.setattr(
+            criteria, "orbit_log_norms_batch", lambda A, H, n_max: horizons.append(n_max) or batch(A, H, n_max)
+        )
+        rng = np.random.default_rng(dim)
+        roots = [(0.95 * np.exp(2j * np.pi * rng.random()), 2), (0.5j, 1)]
+        cases = [gen_planted_jordan(dim, roots[: 1 + (dim > 2)], 100.0, dim),
+                 gen_planted_jordan(dim, [(0, dim)], 100.0, dim),
+                 gen_jordan_perturbation(dim, np.exp(1j), 2.9, dim)]
+        cases.append(_RATIO_CASES[{2: "jordan2", 4: "jordan-argmax-1000", 8: "jordan-argmax-13"}.get(dim, "jordan-d16")]()[0])
+        cfg = RunConfig(seed=0)
+        for A in cases:
+            bare = growth_bound(Analysis(A), cfg)
+            assert horizons == []
+            an = Analysis(A)
+            an.orbits(cfg.seed, cfg.n_max)  # the batch theorem_check propagates
+            assert horizons == [max(cfg.n_max, POWER_STEPS)]
+            horizons.clear()
+            assert growth_bound(an, cfg) == bare and horizons == []
+
     def test_csv_rows_clamp_huge_powers(self):
         # ||A^2|| = 1e400 for 1e200 times the dim-3 shift: its row is
         # clamped at 1e308, without an overflow warning.
