@@ -231,7 +231,7 @@ def _block_norms(W: np.ndarray, live, limit: int):
     """
     if limit == 1:
         return np.hypot.reduce(np.abs(W), axis=1), limit
-    if W.shape[2] == 1:
+    if W.shape[2] == 1:  # one column, as in the power loop: faster strided
         sq = np.einsum("kmp,kmp->kp", W.real, W.real)
         sq += np.einsum("kmp,kmp->kp", W.imag, W.imag)
     else:  # one sum over the contiguous real view: the same order, faster
