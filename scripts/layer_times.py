@@ -6,13 +6,18 @@ write the medians as JSON.
     python scripts/layer_times.py --parent HEAD~1 --runs 5 --out BENCH_layers.json
 
 For each dimension (4, 8, 16, 32 and 64 by default) one seeded unitary
-with four distinct eigenvalues is timed three ways:
+with four distinct eigenvalues is timed four ways:
 - ``analyze_ms``: one ``aolab analyze`` of its matrix JSON file, report
   written to a file, as the CLI runs it;
 - ``engine_ms``: ``orbit_log_norms_batch`` of the analyze probe batch (the
   basis and 20 random probes) over 2000 steps;
 - ``floor_ms``: the same 2000 products in blocks of the engine's length,
-  with no norms and no rescales, the floor the engine's bookkeeping sits on.
+  with no norms and no rescales, the floor the engine's bookkeeping sits on;
+- ``classify_ms``: ``orbit_convergence`` on an ``Analysis`` whose structure
+  and probe batch are already computed, so that the call is the
+  classification of the batch and the structural verdict, best of five.
+``classify_jordan_ms`` times the same on gen_jordan_perturbation(d,
+e^{0.7i}, 1.0, seed=d), whose probes grow polynomially.
 ``one_step_ms`` times the engine on diag(1e200, 0.5), whose blocks are one
 step long, three times per run.
 
@@ -44,6 +49,7 @@ from bench_pairs import export, git, spread  # noqa: E402
 STEPS = 2000
 DIMS = (4, 8, 16, 32, 64)
 BLAS_THREADS = "1"
+KEYS = ("analyze_ms", "engine_ms", "floor_ms", "classify_ms", "classify_jordan_ms")
 
 
 def _timed(fn) -> float:
@@ -58,10 +64,19 @@ def measure(src: str, dims) -> dict:
     import numpy as np
 
     from aolab import cli, criteria, jsonout
-    from aolab.generators import gen_unitary_finite_spectrum, spread_unimodular
+    from aolab.config import RunConfig
+    from aolab.generators import gen_jordan_perturbation, gen_unitary_finite_spectrum, spread_unimodular
     from aolab.linalg import matrix_to_obj
 
-    out = {"analyze_ms": {}, "engine_ms": {}, "floor_ms": {}, "numpy": np.__version__}
+    out = {key: {} for key in KEYS}
+    out["numpy"] = np.__version__
+    cfg = RunConfig(seed=1)
+
+    def classify(A) -> float:
+        an = criteria.Analysis(A)
+        criteria.orbit_convergence(an, cfg)
+        return min(_timed(lambda: criteria.orbit_convergence(an, cfg)) for _ in range(5))
+
     with tempfile.TemporaryDirectory(prefix="layer-times-") as tmp:
         for i, d in enumerate([dims[0], *dims]):
             rng = np.random.default_rng(d)
@@ -85,6 +100,8 @@ def measure(src: str, dims) -> dict:
             out["analyze_ms"][d] = t
             out["engine_ms"][d] = _timed(lambda: criteria.orbit_log_norms_batch(A, H, STEPS))
             out["floor_ms"][d] = _timed(floor)
+            out["classify_ms"][d] = classify(A)
+            out["classify_jordan_ms"][d] = classify(gen_jordan_perturbation(d, np.exp(0.7j), 1.0, seed=d))
     one = (np.diag([1e200, 0.5]), np.eye(2))
     out["one_step_ms"] = [_timed(lambda: criteria.orbit_log_norms_batch(*one, STEPS)) for _ in range(3)]
     return out
@@ -104,7 +121,7 @@ def _run(src: Path, dims) -> dict:
 def _side(runs, dims) -> dict:
     """Medians and quartiles of one side's runs, per timing and dimension."""
     side = {key: {d: spread([r[key][str(d)] for r in runs]) for d in dims}
-            for key in ("analyze_ms", "engine_ms", "floor_ms")}
+            for key in KEYS}
     side["engine_over_floor"] = {
         d: side["engine_ms"][d]["median"] / side["floor_ms"][d]["median"] for d in dims
     }
@@ -153,7 +170,8 @@ def main(argv=None) -> int:
         for d in dims:
             print(f"{side:6s} d{d:<3d} analyze {s['analyze_ms'][d]['median']:9.2f} ms  "
                   f"engine {s['engine_ms'][d]['median']:8.2f} ms  floor {s['floor_ms'][d]['median']:8.2f} ms  "
-                  f"engine/floor {s['engine_over_floor'][d]:.3f}")
+                  f"engine/floor {s['engine_over_floor'][d]:.3f}  classify {s['classify_ms'][d]['median']:.2f} ms  "
+                  f"jordan {s['classify_jordan_ms'][d]['median']:.2f} ms")
         print(f"{side:6s} one-step engine best {s['one_step_ms']['best']:.2f} ms, "
               f"median {s['one_step_ms']['median']:.2f} ms")
     out = Path(args.out)

@@ -20,9 +20,12 @@ with indices 6, 4, 2, 1 and cond cap 1e6 whose minimal polynomial has no
 singular-value gap (exit 1); near-unitary-1e-7, a dim-4 Haar unitary
 under the similarity I + 1e-7 G, whose eigenspaces are 1.4e-7 off
 orthogonal, so that not every orbit converges but no probe resolves the
-oscillation (exit 2); and close-unitary-1e-7, a dim-4 unitary with
+oscillation (exit 2); close-unitary-1e-7, a dim-4 unitary with
 eigenvalues 1 and e^{1e-7 i}, whose computed eigenvectors are a few 1e-9
-off orthogonal, within the error of their bases (exit 0).
+off orthogonal, within the error of their bases (exit 0); slow-decay,
+0.99 I_4 + 30 J_4, whose orbits all converge to 0 while their norms at the
+horizon are still large (exit 0); and poly-IJ4, I + J_4, whose probes grow
+like n^k for their structural exponents k (exit 0).
 
 A change that moves trailing digits changes most digests, so two runs can
 also be compared field by field:
@@ -127,6 +130,9 @@ def instances():
     out.append(("near-unitary-1e-7", _near_unitary()))
     out.append(("close-unitary-1e-7", ["--kind", "unitary", "--dim", "4", "--eigenvalues",
                                        "1,0.999999999999995+1e-7j", "--seed", "0"]))
+    shift = np.eye(4, k=1, dtype=complex)
+    out.append(("slow-decay", 0.99 * np.eye(4) + 30 * shift))
+    out.append(("poly-IJ4", np.eye(4) + shift))
     return out
 
 

@@ -32,11 +32,9 @@ from .errors import (
 )
 from .linalg import (
     MAX_DIM,
-    SpectrumInfo,
     matrix_from_obj,
     matrix_to_obj,
     operator_norm,
-    spectrum,
 )
 from .stability import (
     GrowthBound,
@@ -52,7 +50,6 @@ from .structure import (
     MinimalPoly,
     decompose,
     minimal_polynomial,
-    restriction_spectra,
 )
 
 __version__ = "0.1.0"

@@ -32,9 +32,6 @@ OVERFLOW_LIMIT = 1e300
 # here when they are exponentiated, so that they stay finite.
 _NORM_CLAMP = 1e308
 
-# Tail log-slope above which a sequence counts as exponentially growing.
-EXP_SLOPE_TOL = 1e-3
-
 # Relative threshold deciding whether a block component of a vector is
 # numerically nonzero.
 COMPONENT_TOL = 1e-10
@@ -68,7 +65,7 @@ _LN2 = math.log(2.0)
 
 
 # ---------------------------------------------------------------------------
-# Window rule and classification ladder
+# Window rule and orbit classification
 # ---------------------------------------------------------------------------
 
 def _window_rule(T: np.ndarray, tol: float):
@@ -119,12 +116,32 @@ def _tail_log_slopes(logs: np.ndarray) -> np.ndarray:
         return (x @ logs[n0:]) / (x @ x)
 
 
-def classify_orbits(
-    logs: np.ndarray,
-    max_poly_degree: int,
-    window: int = RunConfig.window,
-    tol: float = RunConfig.tol_conv,
-):
+def _envelope_fit(logs: np.ndarray):
+    """(log rho, k, band): the least-squares fit of the envelope
+    log s_n = a + k log n + n log rho to every column of a log-norm batch,
+    shape (rows, P), over the rows n >= n0 = max(10, rows // 4), and the
+    band 1 / (rows - n0) within which log rho cannot be told from 0.
+
+    Two matvecs of the centred n and the centred log n over the
+    ``logs[n0:]`` view, and the 2 x 2 normal equations solved in closed
+    form (nan for a column with -inf there).  With fewer than three rows
+    past n0 every fit is 0 and the band is infinite."""
+    rows, P = logs.shape
+    n0 = max(10, rows // 4)
+    if rows - n0 < 3:
+        return np.zeros(P), np.zeros(P), np.inf
+    n = np.arange(n0, rows, dtype=float)
+    ln = np.log(n)
+    n -= n.mean()
+    ln -= ln.mean()
+    snn, snl, sll = n @ n, n @ ln, ln @ ln
+    det = snn * sll - snl * snl
+    with np.errstate(invalid="ignore"):
+        cn, cl = n @ logs[n0:], ln @ logs[n0:]
+        return (sll * cn - snl * cl) / det, (snn * cl - snl * cn) / det, 1.0 / (rows - n0)
+
+
+def classify_orbits(logs: np.ndarray, window: int = RunConfig.window, tol: float = RunConfig.tol_conv):
     """(ends, classes) for a batch of orbit log-norms, shape (rows, P): the
     rows each column keeps (up to its own overflow cut) and its
     classification.
@@ -132,14 +149,16 @@ def classify_orbits(
     Per column, in this order: a column that died (its last ``window``
     norms at most ``tol``, or its last -inf) converges to 0.  A column past
     log OVERFLOW_LIMIT is cut at its first such row and grows exponentially
-    at the rate fitted to that log prefix.  Any other column is exponential
-    if its tail log-slope passes EXP_SLOPE_TOL and it grows (its last
-    window tops twice the window at row rows // 4); else convergent if it
-    passes the window rule; else, if it grows, polynomial of the smallest
-    degree d whose s_n / n^d passes the window rule with a limit above
-    ``tol``; else bounded-nonconvergent.  Each rule is a reduction over
-    the batch; ``logs`` is only read, and only those two windows are
-    exponentiated.
+    at the rate fitted to that log prefix.  Any other column is read off
+    its ``_envelope_fit``; a trend must show along the orbit, as the
+    maximum of the last window over the one at row rows // 4: above 2 for
+    growth, below 1/2 for decay.  Exponential at rate rho if log rho lies
+    above the band and the column grows; convergent to 0 if log rho lies
+    below minus the band and the column falls; polynomial of degree
+    round(k), limit the window mean of s_n / n^d, if log rho lies within
+    the band, k >= 1/2 and the column grows; else convergent or
+    bounded-nonconvergent by the window rule.  ``logs`` is only read, and
+    only the last window is exponentiated.
     """
     rows, P = logs.shape
     w, cap = min(window, rows), np.log(OVERFLOW_LIMIT)
@@ -156,40 +175,31 @@ def classify_orbits(
     live = np.flatnonzero(~dead & ~over)
     # T: the live columns' last windows as C-contiguous rows (_window_rule).
     T, q = np.ascontiguousarray(tail[:, live].T), rows // 4
-    # Growth verdicts (exponential or polynomial) must be confirmed by
-    # actual growth along the orbit: both families at least double from n/4
-    # to n at desk horizons, while a bounded slowly-oscillating sequence
-    # can fake a positive log-slope or a sub-tol n^d-normalization.
-    grows = T.max(axis=1) > 2.0 * np.exp(logs[q : q + w, live]).max(axis=0)
-    slopes = _tail_log_slopes(logs)[live]
-    expo = (slopes > EXP_SLOPE_TOL) & grows
+    # A bounded slowly-oscillating column can fit a log rho past the band.
+    change = logs[-w:, live].max(axis=0) - logs[q : q + w, live].max(axis=0)
+    log_rho, k, band = _envelope_fit(logs)
     ok, limit = _window_rule(T, tol)
-    degree = np.zeros(live.size, dtype=int)
-    # The ladder normalizes only the window (n = 0 counts as 1).
     n = np.maximum(np.arange(rows - w, rows, dtype=float), 1.0)
-    pending = np.flatnonzero(~expo & ~ok & grows)
-    for d in range(1, max(1, max_poly_degree) + 1):
-        if not pending.size:
-            break
-        ok_d, L_d = _window_rule(T[pending] / n**d, tol)
-        hit = ok_d & (L_d > tol)
-        degree[pending[hit]], limit[pending[hit]] = d, L_d[hit]
-        pending = pending[~hit]
     for i, j in enumerate(live):
-        if expo[i]:
-            classes[j] = Classification(kind="exponential-growth", rate=float(np.exp(slopes[i])))
-        elif ok[i] or degree[i]:
-            kind = "polynomial-growth" if degree[i] else "convergent"
-            classes[j] = Classification(kind=kind, limit=float(limit[i]), degree=int(degree[i]) or None)
+        grows, falls = change[i] > _LN2, change[i] < -_LN2
+        if log_rho[j] > band and grows:
+            classes[j] = Classification(kind="exponential-growth", rate=float(np.exp(log_rho[j])))
+        elif log_rho[j] < -band and falls:
+            classes[j] = Classification(kind="convergent", limit=0.0)
+        elif abs(log_rho[j]) <= band and k[j] >= 0.5 and grows:
+            d = int(k[j] + 0.5)
+            classes[j] = Classification(kind="polynomial-growth", limit=float(np.mean(T[i] / n**d)), degree=d)
+        elif ok[i]:
+            classes[j] = Classification(kind="convergent", limit=float(limit[i]))
         else:
             classes[j] = Classification(kind="bounded-nonconvergent")
     return ends, classes
 
 
-def classify_sequence(norms, max_poly_degree: int) -> Classification:
+def classify_sequence(norms) -> Classification:
     """``classify_orbits`` of one sequence of norms, under the default window rule."""
     with np.errstate(divide="ignore"):
-        return classify_orbits(np.log(np.asarray(norms, dtype=float))[:, np.newaxis], max_poly_degree)[1][0]
+        return classify_orbits(np.log(np.asarray(norms, dtype=float))[:, np.newaxis])[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -683,8 +693,7 @@ def is_power_bounded(A, config: RunConfig | None = None) -> bool:
     norm.  Disagreement raises InconsistencyError.
     """
     an = as_analysis(A)
-    p = an.minpoly
-    structural = power_bounded_roots(p.roots)
+    structural = power_bounded_roots(an.minpoly.roots)
     logs = an.frobenius_logs(config or RunConfig())
     finite = logs[np.isfinite(logs)]
     if finite.size < 4:
@@ -692,7 +701,7 @@ def is_power_bounded(A, config: RunConfig | None = None) -> bool:
     elif np.max(finite) >= 600:
         empirical = False  # powers reached e^600: unbounded
     else:
-        _, (cls,) = classify_orbits(finite[:, np.newaxis], p.degree)
+        _, (cls,) = classify_orbits(finite[:, np.newaxis])
         empirical = cls.kind in ("convergent", "bounded-nonconvergent")
     if structural != empirical:
         raise InconsistencyError(
@@ -763,7 +772,7 @@ def orbit_analyze(A, h, config: RunConfig | None = None) -> OrbitRecord:
     if cfg.n_max < 100:
         raise InvalidInputError("n_max must be at least 100")
     logs = orbit_log_norms_batch(A, h.reshape(-1, 1), cfg.n_max)
-    (end,), (cls,) = classify_orbits(logs, an.minpoly.degree, cfg.window, cfg.tol_conv)
+    (end,), (cls,) = classify_orbits(logs, cfg.window, cfg.tol_conv)
     (exponent,) = structural_exponents(A, h.reshape(-1, 1), an.decomposition)
     return OrbitRecord(h=h, log_norms=logs[:end, 0], structural_exponent=exponent, classification=cls)
 
@@ -818,7 +827,7 @@ def orbit_convergence(A, config: RunConfig | None = None):
             f"cosine {margin:.3g}, within {GAP:g} times their basis error {r:.3g} above COMPONENT_TOL"
         )
     probes, logs = an.orbits(cfg.seed, cfg.n_max)
-    ends, classes = classify_orbits(logs, an.minpoly.degree, cfg.window, cfg.tol_conv)
+    ends, classes = classify_orbits(logs, cfg.window, cfg.tol_conv)
     structural = roots_ok and kind == 0
     empirical = all(cls.kind == "convergent" for cls in classes)
     if structural != empirical:

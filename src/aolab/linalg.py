@@ -1,4 +1,4 @@
-"""Dense complex linear algebra core: norms, spectra, matrix JSON I/O.
+"""Dense complex linear algebra core: norms, clustering, matrix JSON I/O.
 
 Everything operates on square complex matrices of dimension at most
 ``MAX_DIM`` (desk scale).  All functions are pure; inputs are never mutated.
@@ -6,16 +6,11 @@ Everything operates on square complex matrices of dimension at most
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidInputError, SizeError
 
 MAX_DIM = 64
-
-# Eigenvalue clustering radius: delta = CLUSTER_FACTOR * max(1, ||A||).
-CLUSTER_FACTOR = 1e-8
 
 
 def as_matrix(a) -> np.ndarray:
@@ -105,37 +100,6 @@ def cluster_points(values: np.ndarray, radius, merge=None):
     out = [(complex(np.mean(vals[idx])), len(idx)) for idx in groups.values()]
     out.sort(key=lambda zc: (zc[0].real, zc[0].imag))
     return out
-
-
-@dataclass(frozen=True)
-class SpectrumInfo:
-    """Clustered eigenvalues with algebraic multiplicities."""
-
-    eigenvalues: tuple  # of (complex, int)
-
-    @property
-    def values(self):
-        return [z for z, _ in self.eigenvalues]
-
-    def multiplicity_sum(self) -> int:
-        return sum(m for _, m in self.eigenvalues)
-
-
-def spectrum(A) -> SpectrumInfo:
-    """Eigenvalues with multiplicities assigned by clustering.
-
-    Computed by Hessenberg reduction plus shifted QR (LAPACK), clustered
-    with radius CLUSTER_FACTOR * max(1, ||A||).
-    """
-    A = as_matrix(A)
-    try:
-        eigs = np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-        from .errors import NumericalFailureError
-
-        raise NumericalFailureError(f"eigenvalue iteration failed: {exc}") from exc
-    clustered = cluster_points(eigs, CLUSTER_FACTOR * max(1.0, operator_norm(A)))
-    return SpectrumInfo(eigenvalues=tuple(clustered))
 
 
 # ---------------------------------------------------------------------------

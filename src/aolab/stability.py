@@ -20,6 +20,7 @@ from .criteria import (
     _LN2,
     _block_steps,
     _clamped_exp,
+    _envelope_fit,
     _gram,
     _gram_log_norms,
     _power_blocks,
@@ -333,8 +334,10 @@ def growth_csv_rows(A, gb: GrowthBound):
 
 
 def uniform_stability(A, config: RunConfig | None = None) -> StabilityVerdict:
-    """||A^n|| -> 0 iff r(A) < 1; strong stability and power boundedness
-    filled via probe orbits and the structural power-bound criterion.
+    """||A^n|| -> 0 iff r(A) < 1, and in finite dimension A^n h -> 0 for
+    every h iff A^n -> 0, so strong stability is uniform stability;
+    power boundedness from the structural power-bound criterion, and the
+    limits of ||A^n h||^2 from the probe orbits.
 
     The probe orbits are ``Analysis.orbits``, the batch ``theorem_check``
     classifies, read over the full horizon.  r < 1 is cross-checked by
@@ -345,33 +348,25 @@ def uniform_stability(A, config: RunConfig | None = None) -> StabilityVerdict:
     cfg = config or RunConfig()
     an = as_analysis(A)
     uniformly = an.spectral_radius < 1 - UNIT_TOL
-    half = cfg.n_max // 2
     probes, ologs = an.orbits(cfg.seed, cfg.n_max)
     if uniformly:
-        mid, end = frobenius_log_norms(ologs[[half + 1, cfg.n_max]], an.A.shape[0])
+        mid, end = frobenius_log_norms(ologs[[cfg.n_max // 2 + 1, cfg.n_max]], an.A.shape[0])
         if end > -np.inf and end >= mid:
             raise InconsistencyError("r < 1 but power norms do not decay")
 
-    structural_pb = power_bounded_roots(an.minpoly.roots)
     w = cfg.window
-    gap = (ologs.shape[0] - w) - half
     live = ologs[-1] > -np.inf
-    # Compare window maxima rather than single samples so that bounded
-    # oscillations are not mistaken for decay.
-    top = ologs[-w:].max(axis=0)
-    oslope = (top[live] - ologs[half:half + w].max(axis=0)[live]) / gap
-    strongly = bool(np.all(oslope < -1e-12))
     # The window rule reads only the last w terms; past _LOG_SQ_MAX the
     # squared norms overflow and the window has no finite limit.
-    fits = np.flatnonzero(live & (2 * top <= _LOG_SQ_MAX))
+    fits = np.flatnonzero(live & (2 * ologs[-w:].max(axis=0) <= _LOG_SQ_MAX))
     ok, L = _window_rule(np.exp(2 * np.ascontiguousarray(ologs[-w:, fits].T)), cfg.tol_conv)
     converged = dict(zip(fits[ok].tolist(), L[ok].tolist()))
     limits = {label: max(converged.get(j, 0.0), 0.0)
               for j, (label, _) in enumerate(probes) if j in converged or not live[j]}
     return StabilityVerdict(
         uniformly_stable=uniformly,
-        strongly_stable=strongly,
-        power_bounded=structural_pb,
+        strongly_stable=uniformly,
+        power_bounded=power_bounded_roots(an.minpoly.roots),
         limit_projection_norm_sq=limits,
     )
 
@@ -383,25 +378,20 @@ def orbit_root_limit(A, H):
     max{|z_j| : P_j h != 0}.
 
     The n-th root sequence converges like 1 + O(log n / n), too slowly for
-    the plain window rule at desk horizons; the limit is therefore
-    extracted by fitting log ||A^n h|| = a + kappa log n + n log rho over
-    the tail, which removes the polynomial factor.  The columns advance
-    together in one ``orbit_log_norms_batch`` and share one least-squares
-    solve.
+    the plain window rule at desk horizons; the limit is therefore rho of
+    the envelope fit log ||A^n h|| = a + k log n + n log rho
+    (``criteria._envelope_fit``, the fit ``classify_orbits`` reads), which
+    removes the polynomial factor.  The columns advance together in one
+    ``orbit_log_norms_batch``.
     """
     an = as_analysis(A)
     single = np.ndim(H) == 1
     H = as_columns(H, an.A.shape[0])
-    n_max = RunConfig.n_max
-    logs = orbit_log_norms_batch(an.A, H, n_max)
+    logs = orbit_log_norms_batch(an.A, H, RunConfig.n_max)
     # A column that reached zero has root limit 0.
     empirical = np.zeros(H.shape[1])
     live = logs[-1] > -np.inf
-    n0 = max(10, n_max // 4)
-    ns = np.arange(n0, n_max + 1, dtype=float)
-    X = np.column_stack([np.ones_like(ns), np.log(ns), ns])
-    coef, *_ = np.linalg.lstsq(X, logs[n0:, live], rcond=None)
-    empirical[live] = np.exp(coef[2])
+    empirical[live] = np.exp(_envelope_fit(logs)[0][live])
     for e, mu in zip(empirical, block_components(H, an.decomposition)[1]):
         if abs(e - mu) > 1e-3:
             raise InconsistencyError(f"root limit {e} disagrees with structural value {mu}")

@@ -15,11 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DecompositionError, IllConditionedSpectrumError
-from .linalg import CLUSTER_FACTOR, SpectrumInfo, as_matrix, cluster_points, operator_norm, spectrum
+from .linalg import as_matrix, cluster_points, operator_norm
 
 # Rank threshold: a singular value of A - zI (or of one of its staircase
 # compressions) is zero when it is at most KERNEL_TOL * dim * max(1, ||A||).
 KERNEL_TOL = 1e-13
+
+# Eigenvalues within CLUSTER_FACTOR max(1, ||A||) of each other are one
+# root without a rank check (``minimal_polynomial``).
+CLUSTER_FACTOR = 1e-8
 
 # A rank decision needs a gap: no singular value may lie above the threshold
 # and within GAP times it.
@@ -131,8 +135,8 @@ def minimal_polynomial(A, norm: float | None = None) -> MinimalPoly:
     radius = np.maximum(CLUSTER_FACTOR, d * np.finfo(float).eps * kappa) * scale
 
     def merge(i, j):
-        # Within the smallest radius, eigenvalues are one root unchecked,
-        # as in ``spectrum``; the staircase still checks the cluster.
+        # Within the smallest radius, eigenvalues are one root unchecked;
+        # the staircase still checks the cluster.
         m = (w[i] + w[j]) / 2
         return abs(w[i] - w[j]) <= CLUSTER_FACTOR * scale or (
             np.linalg.svd(A - m * np.eye(d), compute_uv=False)[-1] <= tol
@@ -214,16 +218,6 @@ def decompose(A, p: MinimalPoly) -> Decomposition:
         blocks.append(Block(z=z, index=i, basis=basis, projection=P, projection_norm=norm))
         offset += basis.shape[1]
     return Decomposition(blocks=tuple(blocks), constant_c=max(b.projection_norm for b in blocks))
-
-
-def restriction_spectra(A, D: Decomposition) -> list[SpectrumInfo]:
-    """Spectra of the compressions of A to each invariant block."""
-    A = as_matrix(A)
-    out = []
-    for b in D.blocks:
-        M = b.basis.conj().T @ A @ b.basis
-        out.append(spectrum(M))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -153,8 +153,7 @@ class TestAnalyze:
     def test_analyze_computes_structure_once(self, tmp_path, monkeypatch, capsys):
         calls = _record_calls(
             monkeypatch,
-            ["minimal_polynomial", "decompose", "spectrum", "power_log_norms", "orbit_log_norms_batch",
-             "operator_norm"],
+            ["minimal_polynomial", "decompose", "power_log_norms", "orbit_log_norms_batch", "operator_norm"],
         )
         inp = _write_matrix(tmp_path / "m.json", canonical_oblique())
         rc = main(["analyze", "--input", inp, "--csv", str(tmp_path / "g.csv")])
@@ -166,7 +165,7 @@ class TestAnalyze:
         # CSV's full trajectory.  ||A|| is taken once, and the minimal
         # polynomial reads it.
         assert {name: len(args) for name, args in calls.items()} == {
-            "minimal_polynomial": 1, "decompose": 1, "spectrum": 0, "power_log_norms": 2,
+            "minimal_polynomial": 1, "decompose": 1, "power_log_norms": 2,
             "orbit_log_norms_batch": 1, "operator_norm": 1,
         }
         assert [args[1] for args in calls["power_log_norms"]] == [10, POWER_STEPS]

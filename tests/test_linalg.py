@@ -14,7 +14,6 @@ from aolab.linalg import (
     matrix_from_obj,
     matrix_to_obj,
     operator_norm,
-    spectrum,
 )
 
 
@@ -96,23 +95,6 @@ class TestClusterPoints:
         assert sum(c for _, c in out) == len(vals)
         centers = [z for z, _ in out]
         assert centers == sorted(centers, key=lambda z: (z.real, z.imag))
-
-
-class TestSpectrum:
-    def test_dft4_spectrum(self):
-        from aolab.generators import dft4
-
-        info = spectrum(dft4())
-        got = {(round(z.real, 6), round(z.imag, 6)): m for z, m in info.eigenvalues}
-        assert got == {(1.0, 0.0): 2, (-1.0, 0.0): 1, (0.0, -1.0): 1}
-
-    def test_multiplicity_sum(self):
-        info = spectrum(np.eye(5))
-        assert info.multiplicity_sum() == 5
-
-    def test_spectral_radius(self):
-        A = np.array([[0, 2], [0.5, 0]], dtype=complex)
-        assert max(abs(z) for z in spectrum(A).values) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestMatrixJson:
