@@ -178,19 +178,20 @@ def classify_orbits(logs: np.ndarray, window: int = RunConfig.window, tol: float
     # A bounded slowly-oscillating column can fit a log rho past the band.
     change = logs[-w:, live].max(axis=0) - logs[q : q + w, live].max(axis=0)
     log_rho, k, band = _envelope_fit(logs)
+    poly = (np.abs(log_rho[live]) <= band) & (k[live] >= 0.5) & (change > _LN2)
+    degree = np.where(poly, k[live] + 0.5, 0).astype(int)
     ok, limit = _window_rule(T, tol)
     n = np.maximum(np.arange(rows - w, rows, dtype=float), 1.0)
+    for d in np.unique(degree[poly]).tolist():
+        limit[degree == d] = (T[degree == d] / n**d).mean(axis=1)
     for i, j in enumerate(live):
-        grows, falls = change[i] > _LN2, change[i] < -_LN2
-        if log_rho[j] > band and grows:
+        if log_rho[j] > band and change[i] > _LN2:
             classes[j] = Classification(kind="exponential-growth", rate=float(np.exp(log_rho[j])))
-        elif log_rho[j] < -band and falls:
+        elif log_rho[j] < -band and change[i] < -_LN2:
             classes[j] = Classification(kind="convergent", limit=0.0)
-        elif abs(log_rho[j]) <= band and k[j] >= 0.5 and grows:
-            d = int(k[j] + 0.5)
-            classes[j] = Classification(kind="polynomial-growth", limit=float(np.mean(T[i] / n**d)), degree=d)
-        elif ok[i]:
-            classes[j] = Classification(kind="convergent", limit=float(limit[i]))
+        elif ok[i] or degree[i]:
+            kind = "polynomial-growth" if degree[i] else "convergent"
+            classes[j] = Classification(kind=kind, limit=float(limit[i]), degree=int(degree[i]) or None)
         else:
             classes[j] = Classification(kind="bounded-nonconvergent")
     return ends, classes

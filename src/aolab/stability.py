@@ -334,10 +334,9 @@ def growth_csv_rows(A, gb: GrowthBound):
 
 
 def uniform_stability(A, config: RunConfig | None = None) -> StabilityVerdict:
-    """||A^n|| -> 0 iff r(A) < 1, and in finite dimension A^n h -> 0 for
-    every h iff A^n -> 0, so strong stability is uniform stability;
-    power boundedness from the structural power-bound criterion, and the
-    limits of ||A^n h||^2 from the probe orbits.
+    """||A^n|| -> 0 iff r(A) < 1, which in finite dimension is also strong
+    stability (A^n h -> 0 for every h); power boundedness from the
+    structural criterion, and the limits of ||A^n h||^2 from the probes.
 
     The probe orbits are ``Analysis.orbits``, the batch ``theorem_check``
     classifies, read over the full horizon.  r < 1 is cross-checked by
