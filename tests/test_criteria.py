@@ -133,13 +133,12 @@ def _reference_classify(y, window=RunConfig.window, tol=RunConfig.tol_conv):
 
 
 def _assert_same_classes(got, want, where):
-    """kind, degree and limit equal bit for bit; rate within 1e-10 (the
-    reference fits by ``lstsq``, the classifier in closed form)."""
+    """kind, degree and limit equal bit for bit; rate within 1e-12."""
     assert len(got) == len(want), where
     for j, (g, r) in enumerate(zip(got, want)):
         assert (g.kind, g.degree, g.limit) == (r.kind, r.degree, r.limit), (where, j, g, r)
         if r.rate is not None:
-            assert g.rate == pytest.approx(r.rate, rel=1e-10), (where, j)
+            assert g.rate == pytest.approx(r.rate, rel=1e-12), (where, j)
 
 
 def _reference_exponent(A, h, D):
