@@ -17,7 +17,9 @@ with four distinct eigenvalues is timed four ways:
   and probe batch are already computed, so that the call is the
   classification of the batch and the structural verdict, best of five.
 ``classify_jordan_ms`` times the same on gen_jordan_perturbation(d,
-e^{0.7i}, 1.0, seed=d), whose probes grow polynomially.
+e^{0.7i}, 1.0, seed=d), whose probes grow polynomially, and
+``growth_jordan_ms`` times ``growth_bound`` on that ``Analysis``, with its
+ten shared powers also computed, best of five.
 ``one_step_ms`` times the engine on diag(1e200, 0.5), whose blocks are one
 step long, three times per run.
 
@@ -49,7 +51,7 @@ from bench_pairs import export, git, spread  # noqa: E402
 STEPS = 2000
 DIMS = (4, 8, 16, 32, 64)
 BLAS_THREADS = "1"
-KEYS = ("analyze_ms", "engine_ms", "floor_ms", "classify_ms", "classify_jordan_ms")
+KEYS = ("analyze_ms", "engine_ms", "floor_ms", "classify_ms", "classify_jordan_ms", "growth_jordan_ms")
 
 
 def _timed(fn) -> float:
@@ -63,7 +65,7 @@ def measure(src: str, dims) -> dict:
     sys.path.insert(0, src)
     import numpy as np
 
-    from aolab import cli, criteria, jsonout
+    from aolab import cli, criteria, jsonout, stability
     from aolab.config import RunConfig
     from aolab.generators import gen_jordan_perturbation, gen_unitary_finite_spectrum, spread_unimodular
     from aolab.linalg import matrix_to_obj
@@ -72,10 +74,14 @@ def measure(src: str, dims) -> dict:
     out["numpy"] = np.__version__
     cfg = RunConfig(seed=1)
 
-    def classify(A) -> float:
+    def best_of_five(fn) -> float:
+        return min(_timed(fn) for _ in range(5))
+
+    def warmed(A):
+        """An Analysis of A with its structure and probe batch computed."""
         an = criteria.Analysis(A)
         criteria.orbit_convergence(an, cfg)
-        return min(_timed(lambda: criteria.orbit_convergence(an, cfg)) for _ in range(5))
+        return an
 
     with tempfile.TemporaryDirectory(prefix="layer-times-") as tmp:
         for i, d in enumerate([dims[0], *dims]):
@@ -100,8 +106,12 @@ def measure(src: str, dims) -> dict:
             out["analyze_ms"][d] = t
             out["engine_ms"][d] = _timed(lambda: criteria.orbit_log_norms_batch(A, H, STEPS))
             out["floor_ms"][d] = _timed(floor)
-            out["classify_ms"][d] = classify(A)
-            out["classify_jordan_ms"][d] = classify(gen_jordan_perturbation(d, np.exp(0.7j), 1.0, seed=d))
+            an = warmed(A)
+            out["classify_ms"][d] = best_of_five(lambda: criteria.orbit_convergence(an, cfg))
+            an = warmed(gen_jordan_perturbation(d, np.exp(0.7j), 1.0, seed=d))
+            out["classify_jordan_ms"][d] = best_of_five(lambda: criteria.orbit_convergence(an, cfg))
+            an.power_logs(10)
+            out["growth_jordan_ms"][d] = best_of_five(lambda: stability.growth_bound(an, cfg))
     one = (np.diag([1e200, 0.5]), np.eye(2))
     out["one_step_ms"] = [_timed(lambda: criteria.orbit_log_norms_batch(*one, STEPS)) for _ in range(3)]
     return out
@@ -171,7 +181,8 @@ def main(argv=None) -> int:
             print(f"{side:6s} d{d:<3d} analyze {s['analyze_ms'][d]['median']:9.2f} ms  "
                   f"engine {s['engine_ms'][d]['median']:8.2f} ms  floor {s['floor_ms'][d]['median']:8.2f} ms  "
                   f"engine/floor {s['engine_over_floor'][d]:.3f}  classify {s['classify_ms'][d]['median']:.2f} ms  "
-                  f"jordan {s['classify_jordan_ms'][d]['median']:.2f} ms")
+                  f"jordan {s['classify_jordan_ms'][d]['median']:.2f} ms  "
+                  f"growth jordan {s['growth_jordan_ms'][d]['median']:.2f} ms")
         print(f"{side:6s} one-step engine best {s['one_step_ms']['best']:.2f} ms, "
               f"median {s['one_step_ms']['median']:.2f} ms")
     out = Path(args.out)

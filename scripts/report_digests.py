@@ -24,8 +24,11 @@ oscillation (exit 2); close-unitary-1e-7, a dim-4 unitary with
 eigenvalues 1 and e^{1e-7 i}, whose computed eigenvectors are a few 1e-9
 off orthogonal, within the error of their bases (exit 0); slow-decay,
 0.99 I_4 + 30 J_4, whose orbits all converge to 0 while their norms at the
-horizon are still large (exit 0); and poly-IJ4, I + J_4, whose probes grow
-like n^k for their structural exponents k (exit 0).
+horizon are still large (exit 0); poly-IJ4, I + J_4, whose probes grow
+like n^k for their structural exponents k (exit 0); and jordan-d64,
+e^{0.3i} I + N at dim 64 with ||N|| = 2.9, like the analyze-large jordan
+op, whose Frobenius norms rule out no power of the growth check but whose
+block recursion rules out every n > 10 (exit 0).
 
 A change that moves trailing digits changes most digests, so two runs can
 also be compared field by field:
@@ -64,7 +67,7 @@ import numpy as np
 import aolab
 from aolab import jsonout
 from aolab.cli import main as aolab_main
-from aolab.generators import dft4, gen_planted_jordan, haar_unitary
+from aolab.generators import dft4, gen_jordan_perturbation, gen_planted_jordan, haar_unitary
 from aolab.linalg import matrix_to_obj
 
 
@@ -133,6 +136,7 @@ def instances():
     shift = np.eye(4, k=1, dtype=complex)
     out.append(("slow-decay", 0.99 * np.eye(4) + 30 * shift))
     out.append(("poly-IJ4", np.eye(4) + shift))
+    out.append(("jordan-d64", gen_jordan_perturbation(64, np.exp(0.3j), 2.9, 0)))
     return out
 
 

@@ -15,7 +15,10 @@ import numpy as np
 
 from .config import RunConfig
 from .criteria import (
+    Analysis,
+    BLOCK_GROWTH_LOG2,
     POWER_STEPS,
+    STACK_ENTRIES,
     UNIT_TOL,
     _LN2,
     _block_steps,
@@ -225,6 +228,77 @@ def max_power_excess(A: np.ndarray, log_bound: np.ndarray, floor: float) -> floa
     return best
 
 
+def recursion_log_norms(an: Analysis, n_max: int) -> np.ndarray:
+    """Upper bounds on log ||A^n||, n = 1..n_max, read off the
+    decomposition before any power is formed (+inf throughout if
+    rho = ||I - sum_j P_j||_F >= 1).
+
+    With D_j = A - z_j I and c_{j,k} = ||D_j^k B_j||_2 ||P_j||, k =
+    0..i_j, the recursion x_{j,k}(0) = c_{j,k}, x_{j,k}(n+1) =
+    |z_j| x_{j,k}(n) + x_{j,k+1}(n), with x_{j,i_j}(n) = c_{j,i_j} U(n) and
+    U(n) = sum_j x_{j,0}(n) / (1 - rho), gives ||D_j^k A^n P_j|| <=
+    x_{j,k}(n) and ||A^n|| <= U(n) in exact arithmetic, for any roots z_j
+    and any projections P_j = B_j E_j with rho < 1: D_j^k A^(n+1) P_j =
+    z_j D_j^k A^n P_j + D_j^(k+1) A^n P_j, D_j^(i_j) A^n P_j =
+    A^n D_j^(i_j) P_j, and A^n = sum_j A^n P_j + A^n (I - sum_j P_j).  A
+    wrong structure only loosens the bound.
+
+    The state runs scaled, x_{j,k}(n) / r^(n+k) with r = max |z_j|, as
+    s(n+1) = T s(n) for a nonnegative T of order deg p whose largest
+    diagonal entry is 1.  It advances in chunks of the stack T^1..T^k (k
+    from STACK_ENTRIES, the stack formed by doubling) and is rescaled by
+    a power of two after each chunk.
+    """
+    A = an.A
+    d = A.shape[0]
+    blocks = an.decomposition.blocks
+    R = np.eye(d, dtype=complex) - sum(b.projection for b in blocks)
+    gap = 1.0 - float(np.sqrt(np.vdot(R, R).real))
+    if not gap > 0:
+        return np.full(n_max, np.inf)
+    r = max(abs(b.z) for b in blocks)
+    deg = sum(b.index for b in blocks)
+    T, s = np.zeros((deg, deg)), np.empty(deg)
+    heads, tails = [], []
+    o = 0
+    for b in blocks:
+        i = b.index
+        D = (A - b.z * np.eye(d)) / r
+        M = b.basis
+        for k in range(i + 1):
+            c = float(np.linalg.norm(M, 2)) * b.projection_norm
+            if k < i:
+                s[o + k] = c
+                M = D @ M
+        T[o : o + i, o : o + i] = abs(b.z) / r * np.eye(i) + np.eye(i, k=1)
+        heads.append(o)
+        tails.append((o + i - 1, c / gap))
+        o += i
+    for t, c in tails:
+        T[t, heads] += c
+    k = max(1, min(n_max, STACK_ENTRIES // deg**2))
+    stack = np.empty((k, deg, deg))
+    stack[0] = T
+    out = np.empty(n_max)
+    shed = 0  # the true state is 2^shed s
+    # Powers of the blocks below r underflow harmlessly against the top
+    # block, whose head never decreases.  The stack stops doubling once an
+    # entry passes 2^BLOCK_GROWTH_LOG2, so that no chunk overflows.
+    with np.errstate(under="ignore"):
+        j = 1
+        while j < k and stack[:j].max() <= 2.0**BLOCK_GROWTH_LOG2:
+            h = min(j, k - j)
+            np.matmul(stack[:h], stack[j - 1], out=stack[j : j + h])
+            j += h
+        for n in range(0, n_max, j):
+            S = stack[: min(j, n_max - n)] @ s
+            out[n : n + S.shape[0]] = np.log(S[:, heads].sum(axis=1)) + shed * _LN2
+            e = np.frexp(S[-1].max())[1]
+            s = np.ldexp(S[-1], -e)
+            shed += int(e)
+    return out - np.log(gap) + np.arange(1, n_max + 1) * np.log(r)
+
+
 def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
     """Certified constant for ||A^n|| <= alpha n^kappa r^n.
 
@@ -302,10 +376,16 @@ def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
     # level of max_power_excess prunes all POWER_STEPS powers instead.
     cfg, m = config or RunConfig(), POWER_STEPS
     best = _worst_excess(an.power_logs(10), log_bound)
+    floor = best - _FROBENIUS_SLACK
     if an.has_orbits(cfg.seed):
-        reach = np.flatnonzero(an.frobenius_logs(cfg) - log_bound >= best - _FROBENIUS_SLACK)
+        reach = np.flatnonzero(an.frobenius_logs(cfg) - log_bound >= floor)
         m = int(reach[-1]) + 1 if reach.size else 0
-    worst = max_power_excess(A, log_bound[:m], best - _FROBENIUS_SLACK) if m > 10 else best
+    if m > 10:
+        # The recursion bound, where the Frobenius one leaves n > 10 in
+        # play; a NaN bound rules nothing out.
+        reach = np.flatnonzero(~(recursion_log_norms(an, m) - log_bound[:m] < floor))
+        m = int(reach[-1]) + 1 if reach.size else 0
+    worst = max_power_excess(A, log_bound[:m], floor) if m > 10 else best
     ratio = float(np.exp(worst)) if np.isfinite(worst) else 0.0
     if ratio > 1 + _RATIO_TOL:
         raise InconsistencyError(f"growth bound violated: ratio {ratio}")

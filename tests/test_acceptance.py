@@ -4,6 +4,7 @@ Each test prints a single pass/fail line.  Counts, tolerances and runtime
 budgets are fixed; the seeds are fixed so the run is reproducible.
 """
 
+import math
 import time
 
 import numpy as np
@@ -105,6 +106,18 @@ def test_criterion_09_rotation_density():
     r = suite_density(n_targets=100, n_max=100_000, tol=1e-2)
     ok, d = _all_pass(r)
     _report(9, "irrational rotation density", ok, d)
+
+
+@pytest.mark.parametrize("n_targets, n_max", [(100, 100_000), (7, 10), (360, 2_000)])
+def test_rotation_density_nearest_points(n_targets, n_max):
+    # At a negative tol every target fails and names its distance; the
+    # neighbours of its angle in the sorted orbit give the distance of a
+    # scan of the whole orbit.
+    angles = (np.arange(n_max + 1) * (2 * math.pi * math.sqrt(2))) % (2 * math.pi)
+    pts = np.exp(1j * angles)
+    targets = np.exp(2j * math.pi * np.arange(n_targets) / n_targets)
+    want = [f"target{k}: min distance {float(np.min(np.abs(pts - t))):g}" for k, t in enumerate(targets)]
+    assert suite_density(n_targets, n_max, tol=-1.0).failures == want
 
 
 def test_criterion_10_determinism(tmp_path, capsys):

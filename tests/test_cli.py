@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import aolab.criteria as criteria
+import aolab.stability as stability
 from aolab import jsonout
 from aolab.cli import (
     EXIT_INCONSISTENT,
@@ -181,14 +182,19 @@ class TestAnalyze:
 
     def test_jordan_analyze_solves_few_eigenproblems(self, tmp_path, monkeypatch, capsys):
         # alpha I + N with N^2 = 0 at d32: ||A^n||_F overstates ||A^n||_2 at
-        # every n, but the Schatten bounds rule out all but a few powers;
-        # the growth CSV still reads the full trajectory.
+        # every n, but the block recursion on the decomposition rules out
+        # every n > 10, so only the ten shared powers are formed; the growth
+        # CSV still reads the full trajectory.
         inp = _write_matrix(tmp_path / "m.json", gen_jordan_perturbation(32, np.exp(0.3j), 2.9, 0))
         eigvalsh = np.linalg.eigvalsh
-        solved = []
+        solved, asked = [], []
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: solved.append(len(G)) or eigvalsh(G))
+        blocks = criteria._power_blocks
+        spy = lambda A, n_max: asked.append(n_max) or blocks(A, n_max)
+        monkeypatch.setattr(criteria, "_power_blocks", spy)
+        monkeypatch.setattr(stability, "_power_blocks", spy)
         assert main(["analyze", "--input", inp]) == EXIT_OK
-        assert 10 <= sum(solved) <= 15
+        assert sum(solved) == 10 and max(asked) <= 10
         solved.clear()
         assert main(["analyze", "--input", inp, "--csv", str(tmp_path / "g.csv")]) == EXIT_OK
         assert sum(solved) >= 10 + POWER_STEPS

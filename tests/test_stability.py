@@ -1,5 +1,7 @@
 """Growth bounds, stability taxonomy, normal limits, root limits."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -258,6 +260,60 @@ class TestGrowthBound:
             # The same holds for every level of max_power_excess.
             excess = spectral - _schatten_logs(A, POWER_STEPS)
             assert np.max(excess[:, np.isfinite(spectral)]) <= 0.01 * stability._FROBENIUS_SLACK
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32, 64])
+    def test_recursion_rounding_within_slack(self, dim):
+        # growth_bound skips n by the block recursion, which must bound the
+        # computed log ||A^n||_2 up to far less than the slack, stay finite
+        # to n = POWER_STEPS (|z|^1000 underflows at |z| = 0.3), and only
+        # loosen when the roots are off by 1e-3.  The cases: planted
+        # structures at cond caps 1e2-1e6, oblique at 1e3, alpha I + N at
+        # scales 0.5-3, roots of modulus 0.3, a zero root beside r = 0.9,
+        # and z I, whose ratios all tie.  At dim 64, where each trajectory
+        # takes most of a second, the planted and tie cases and two scales
+        # are left out.
+        planted = [(0.95 * np.exp(1j), 2), (0.7j, 1), (-0.5, 1)][: 1 if dim == 2 else 3]
+        full = dim < 64
+        cases = [gen_planted_jordan(dim, planted, cap, dim) for cap in (1e2, 1e4, 1e6) if full]
+        cases.append(gen_oblique(dim, np.exp(2j * np.pi * (np.arange(dim) + 0.1) / dim), 1e3, dim))
+        scales = (0.5, 1.5, 3.0) if full else (3.0,)
+        cases += [gen_jordan_perturbation(dim, np.exp(1j), scale, dim) for scale in scales]
+        cases.append(gen_planted_jordan(dim, [(0.3j, 2), (-0.3, 1)][: 1 + (dim > 2)], 1e2, dim))
+        cases.append(gen_planted_jordan(dim, [(0, 1 + (dim > 2)), (0.9, 1)], 1e2, dim))
+        cases += [np.exp(0.5j) * np.eye(dim, dtype=complex)] * full
+        for A in cases:
+            an = Analysis(A)
+            spectral = power_log_norms(A, POWER_STEPS)
+            finite = np.isfinite(spectral)
+            bound = stability.recursion_log_norms(an, POWER_STEPS)
+            assert np.all(np.isfinite(bound))
+            assert np.max(spectral[finite] - bound[finite]) <= 0.01 * stability._FROBENIUS_SLACK
+            shifted = Analysis(A)
+            blocks = tuple(replace(b, z=b.z + 1e-3) for b in an.decomposition.blocks)
+            shifted.decomposition = replace(an.decomposition, blocks=blocks)
+            assert np.all(stability.recursion_log_norms(shifted, POWER_STEPS) >= bound)
+
+    @pytest.mark.parametrize("name", _LEVEL_CASES)
+    def test_recursion_forms_no_power_past_ten(self, name, monkeypatch):
+        # ||A^n||_F rules out no n on alpha I + N, but the recursion rules
+        # out every n > 10, with or without the probe batch; the ratio keeps
+        # the bits of the maximum over the full trajectory.
+        A, _ = _LEVEL_CASES[name]()
+        logs = power_log_norms(A, POWER_STEPS)
+        asked = []
+        blocks = criteria._power_blocks
+        spy = lambda A, n_max: asked.append(n_max) or blocks(A, n_max)
+        monkeypatch.setattr(criteria, "_power_blocks", spy)
+        monkeypatch.setattr(stability, "_power_blocks", spy)
+        cfg = RunConfig(seed=0)
+        bare = growth_bound(Analysis(A), cfg)
+        an = Analysis(A)
+        an.orbits(cfg.seed, cfg.n_max)
+        assert growth_bound(an, cfg) == bare
+        assert asked == [10, 10]
+        n = np.arange(1, POWER_STEPS + 1)
+        log_bound = np.log(bare.alpha) + bare.kappa * np.log(n) + n * np.log(bare.spectral_radius)
+        assert bare.max_violation_ratio == float(np.exp(stability._worst_excess(logs, log_bound)))
 
     def test_shares_the_probe_batch(self, monkeypatch):
         # The Frobenius norms come off the probe batch of the config's
