@@ -229,9 +229,9 @@ def max_power_excess(A: np.ndarray, log_bound: np.ndarray, floor: float) -> floa
 
 
 def recursion_log_norms(an: Analysis, n_max: int) -> np.ndarray:
-    """Upper bounds on log ||A^n||, n = 1..n_max, read off the
-    decomposition before any power is formed (+inf throughout if
-    rho = ||I - sum_j P_j||_F >= 1).
+    """Upper bounds on log ||A^n||, n = 1..n_max, for a matrix with r > 0,
+    read off the decomposition before any power is formed (+inf throughout
+    if rho = ||I - sum_j P_j||_F >= 1).
 
     With D_j = A - z_j I and c_{j,k} = ||D_j^k B_j||_2 ||P_j||, k =
     0..i_j, the recursion x_{j,k}(0) = c_{j,k}, x_{j,k}(n+1) =
@@ -308,9 +308,10 @@ def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
     the largest ratio ||A^n|| / bound_n is taken over the exact spectral
     norms of the first ten powers and, up to the last n whose Frobenius
     norm (``Analysis.frobenius_logs`` of ``config``'s seed, when that probe
-    batch is already propagated) could still exceed that ratio, of every n
-    that the bounds of ``max_power_excess`` do not rule out; it equals the
-    maximum over all POWER_STEPS powers bit for bit.  A nilpotent matrix is checked the same
+    batch is already propagated) and whose block recursion bound
+    (``recursion_log_norms``) could both still exceed that ratio, of every
+    n that the bounds of ``max_power_excess`` do not rule out; it equals
+    the maximum over all POWER_STEPS powers bit for bit.  A nilpotent matrix is checked the same
     way against the vanishing level from n = deg p on, and only a power
     that passes it makes the full trajectory, to name the first such n.
     """
@@ -369,11 +370,11 @@ def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
     valid_from = 1
     n = np.arange(valid_from, POWER_STEPS + 1)
     log_bound = np.log(alpha) + kappa * np.log(n) + n * np.log(r)
-    # No n past the last one whose Frobenius excess off the probe batch
-    # comes within the slack of the best exact excess of the first ten
-    # powers can hold the maximum; up to it, the Schatten bounds rule out
-    # all but a few n.  A bare call propagates no batch: the Frobenius
-    # level of max_power_excess prunes all POWER_STEPS powers instead.
+    # No n past the last one whose Frobenius excess off the probe batch,
+    # or whose recursion excess, comes within the slack of the best exact
+    # excess of the first ten powers can hold the maximum; up to it, the
+    # Schatten bounds rule out all but a few n.  A bare call propagates no
+    # batch, and the recursion starts from all POWER_STEPS powers.
     cfg, m = config or RunConfig(), POWER_STEPS
     best = _worst_excess(an.power_logs(10), log_bound)
     floor = best - _FROBENIUS_SLACK
@@ -381,8 +382,7 @@ def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
         reach = np.flatnonzero(an.frobenius_logs(cfg) - log_bound >= floor)
         m = int(reach[-1]) + 1 if reach.size else 0
     if m > 10:
-        # The recursion bound, where the Frobenius one leaves n > 10 in
-        # play; a NaN bound rules nothing out.
+        # A NaN recursion bound rules nothing out.
         reach = np.flatnonzero(~(recursion_log_norms(an, m) - log_bound[:m] < floor))
         m = int(reach[-1]) + 1 if reach.size else 0
     worst = max_power_excess(A, log_bound[:m], floor) if m > 10 else best
