@@ -257,11 +257,11 @@ def recursion_log_norms(an: Analysis, n_max: int) -> np.ndarray:
     if not gap > 0:
         return np.full(n_max, np.inf)
     r = max(abs(b.z) for b in blocks)
-    deg = sum(b.index for b in blocks)
+    index = [b.index for b in blocks]
+    heads = np.cumsum([0, *index[:-1]])
+    deg = sum(index)
     T, s = np.zeros((deg, deg)), np.empty(deg)
-    heads, tails = [], []
-    o = 0
-    for b in blocks:
+    for b, o in zip(blocks, heads.tolist()):
         i = b.index
         D = (A - b.z * np.eye(d)) / r
         M = b.basis
@@ -271,11 +271,7 @@ def recursion_log_norms(an: Analysis, n_max: int) -> np.ndarray:
                 s[o + k] = c
                 M = D @ M
         T[o : o + i, o : o + i] = abs(b.z) / r * np.eye(i) + np.eye(i, k=1)
-        heads.append(o)
-        tails.append((o + i - 1, c / gap))
-        o += i
-    for t, c in tails:
-        T[t, heads] += c
+        T[o + i - 1, heads] += c / gap
     k = max(1, min(n_max, STACK_ENTRIES // deg**2))
     stack = np.empty((k, deg, deg))
     stack[0] = T
