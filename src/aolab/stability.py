@@ -238,10 +238,10 @@ def recursion_log_norms(an: Analysis, n_max: int) -> np.ndarray:
     |z_j| x_{j,k}(n) + x_{j,k+1}(n), with x_{j,i_j}(n) = c_{j,i_j} U(n) and
     U(n) = sum_j x_{j,0}(n) / (1 - rho), gives ||D_j^k A^n P_j|| <=
     x_{j,k}(n) and ||A^n|| <= U(n) in exact arithmetic, for any roots z_j
-    and any projections P_j = B_j E_j with rho < 1: D_j^k A^(n+1) P_j =
-    z_j D_j^k A^n P_j + D_j^(k+1) A^n P_j, D_j^(i_j) A^n P_j =
-    A^n D_j^(i_j) P_j, and A^n = sum_j A^n P_j + A^n (I - sum_j P_j).  A
-    wrong structure only loosens the bound.
+    and any P_j = B_j E_j with ||E_j|| = ||P_j|| and rho < 1:
+    D_j^k A^(n+1) P_j = z_j D_j^k A^n P_j + D_j^(k+1) A^n P_j,
+    D_j^(i_j) A^n P_j = A^n D_j^(i_j) P_j, and A^n = sum_j A^n P_j +
+    A^n (I - sum_j P_j).  A wrong structure only loosens the bound.
 
     The state runs scaled, x_{j,k}(n) / r^(n+k) with r = max |z_j|, as
     s(n+1) = T s(n) for a nonnegative T of order deg p whose largest
@@ -307,9 +307,10 @@ def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
     batch is already propagated) and whose block recursion bound
     (``recursion_log_norms``) could both still exceed that ratio, of every
     n that the bounds of ``max_power_excess`` do not rule out; it equals
-    the maximum over all POWER_STEPS powers bit for bit.  A nilpotent matrix is checked the same
-    way against the vanishing level from n = deg p on, and only a power
-    that passes it makes the full trajectory, to name the first such n.
+    the maximum over all POWER_STEPS powers bit for bit.  A nilpotent
+    matrix is checked the same way against the vanishing level from
+    n = deg p on, and only a power that passes it makes the full
+    trajectory, to name the first such n.
     """
     an = as_analysis(A)
     A = an.A
