@@ -21,7 +21,11 @@ e^{0.7i}, 1.0, seed=d), whose probes grow polynomially, and
 ``growth_jordan_ms`` times ``growth_bound`` on that ``Analysis``, with its
 ten shared powers also computed, best of five.
 ``one_step_ms`` times the engine on diag(1e200, 0.5), whose blocks are one
-step long, three times per run.
+step long, three times per run.  ``growth_bare_ms`` times ``growth_bound``,
+best of five, on a fresh ``Analysis`` of the dim-8 planted structure with
+roots 0.95 e^{i} (index 2), e^{0.5i} and 0.5i at cond cap 1e6 (seed 4), its
+structure and ten shared powers computed and no probe batch: a bare call
+that leaves all POWER_STEPS powers to ``max_power_excess``, once per run.
 
 Every run is a fresh process with BLAS pinned to one thread.  The checkout
 this script lies in is the ``change`` side.  With ``--parent COMMIT`` the
@@ -67,7 +71,12 @@ def measure(src: str, dims) -> dict:
 
     from aolab import cli, criteria, jsonout, stability
     from aolab.config import RunConfig
-    from aolab.generators import gen_jordan_perturbation, gen_unitary_finite_spectrum, spread_unimodular
+    from aolab.generators import (
+        gen_jordan_perturbation,
+        gen_planted_jordan,
+        gen_unitary_finite_spectrum,
+        spread_unimodular,
+    )
     from aolab.linalg import matrix_to_obj
 
     out = {key: {} for key in KEYS}
@@ -114,6 +123,10 @@ def measure(src: str, dims) -> dict:
             out["growth_jordan_ms"][d] = best_of_five(lambda: stability.growth_bound(an, cfg))
     one = (np.diag([1e200, 0.5]), np.eye(2))
     out["one_step_ms"] = [_timed(lambda: criteria.orbit_log_norms_batch(*one, STEPS)) for _ in range(3)]
+    an = criteria.Analysis(gen_planted_jordan(8, [(0.95 * np.exp(1j), 2), (np.exp(0.5j), 1), (0.5j, 1)], 1e6, 4))
+    an.decomposition
+    an.power_logs(10)
+    out["growth_bare_ms"] = best_of_five(lambda: stability.growth_bound(an, cfg))
     return out
 
 
@@ -137,6 +150,7 @@ def _side(runs, dims) -> dict:
     }
     one = [t for r in runs for t in r["one_step_ms"]]
     side["one_step_ms"] = {**spread(one), "best": min(one)}
+    side["growth_bare_ms"] = spread([r["growth_bare_ms"] for r in runs])
     side["numpy"] = runs[0]["numpy"]
     return side
 
@@ -185,6 +199,7 @@ def main(argv=None) -> int:
                   f"growth jordan {s['growth_jordan_ms'][d]['median']:.2f} ms")
         print(f"{side:6s} one-step engine best {s['one_step_ms']['best']:.2f} ms, "
               f"median {s['one_step_ms']['median']:.2f} ms")
+        print(f"{side:6s} bare growth d8 cap 1e6 {s['growth_bare_ms']['median']:.2f} ms")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")

@@ -21,7 +21,6 @@ from .criteria import (
     STACK_ENTRIES,
     UNIT_TOL,
     _LN2,
-    _block_steps,
     _clamped_exp,
     _envelope_fit,
     _gram,
@@ -56,13 +55,15 @@ _LOG_SQ_MAX = np.log(np.finfo(float).max)
 # ``growth_bound`` forms no spectral norm ||A^n||_2 for an n whose upper
 # bound on the excess log ||A^n||_2 - log bound_n falls below the best
 # exact excess (0 on a nilpotent matrix) by more than this: the Frobenius
-# norm off the probe batch, which sets how many powers are formed, and the
-# Schatten bounds of ``max_power_excess`` on those.  It covers the rounding
-# of log ||A^n||_2 (``power_log_norms``) against both.  Over 105 planted
-# and oblique cases at dims 4-64 and cond caps 1e2-1e6, and 0.99 I + 30 J
-# at dim 4, the first exceeded log ||A^n||_F by at most 6.8e-14 (on the
-# last).  Over 162 planted, oblique and alpha I + N cases at dims 4-64, it
-# exceeded each Schatten bound by at most 7.1e-15.
+# norm off the probe batch and the block recursion (``recursion_log_norms``),
+# which set how many powers are formed, and the Frobenius norm of each
+# power that ``max_power_excess`` forms.  It covers the rounding of
+# log ||A^n||_2 (``power_log_norms``) against them.  Over 105 planted and
+# oblique cases at dims 4-64 and cond caps 1e2-1e6, and 0.99 I + 30 J at
+# dim 4, it exceeded log ||A^n||_F off the batch by at most 6.8e-14 (on
+# the last).  Over 22 planted, oblique and alpha I + N cases at dims 4-64,
+# it exceeded that of the formed power by at most 3.6e-15.  It exceeded
+# the recursion by at most 4.2e-14 (on z I).
 _FROBENIUS_SLACK = 1e-8
 
 # The growth bound holds when the largest ratio ||A^n|| / bound_n is at most
@@ -174,57 +175,25 @@ def _log_fro(X: np.ndarray) -> np.ndarray:
     return 0.5 * np.log(np.einsum("ki,ki->k", x, x))
 
 
-def _compact(X: np.ndarray, index: np.ndarray) -> None:
-    """Move the rows X[index], for sorted indices, to the head of X, in
-    place: row index[i] lies at or past i, so it is read before it could be
-    overwritten."""
-    for i, j in enumerate(index.tolist()):
-        if i != j:
-            X[i] = X[j]
-
-
 def max_power_excess(A: np.ndarray, log_bound: np.ndarray, floor: float) -> float:
     """The largest excess log ||A^n|| - log_bound[n - 1] over the n =
-    1..len(log_bound) whose upper bounds on it reach ``floor`` (-inf if
+    1..len(log_bound) whose upper bound on it reaches ``floor`` (-inf if
     none).  Each excess is the bits of ``power_log_norms`` minus log_bound,
     so the result is the largest over all n bit for bit whenever that one
     lies above floor by more than the rounding of the bounds.
 
     The powers come from ``criteria._power_blocks``.  With W a scaled
-    power and G = W^H W, ||W||_2^(2^(q+1)) = ||G^(2^q)||_2 <=
-    ||G^(2^q)||_F, so the bounds are log ||W||_F and then
-    log ||G^(2^q)||_F / 2^(q+1) for q = 0, 1, 2, each tighter than the
-    last; a level squares only the G^(2^q) that the one before left in
-    play.  Only the powers that every level leaves in play get an
-    ``eigvalsh``, of their G formed as ``power_log_norms`` forms it.
+    power, ||W||_2 <= ||W||_F, so the bound is log ||W||_F.  Only the
+    powers it leaves in play get an ``eigvalsh``, of their Gram matrix
+    W^H W formed as ``power_log_norms`` forms it.
     """
-    d = A.shape[0]
-    # Two work stacks the size of a block, for G^(2^q) and the next level or
-    # a conjugate.  The powers in play are moved to the head of W and of the
-    # level in place (``_compact``), so that no level allocates.
-    S, T = np.empty((2, min(_block_steps(d, d), log_bound.size), d, d), dtype=complex)
     best = -np.inf
     for n, W, p in _power_blocks(A, log_bound.size):
         shift = p * _LN2 - log_bound[n : n + p.size]
         live = np.flatnonzero(_log_fro(W) + shift >= floor)
-        _compact(W, live)
-        for q in range(3):
-            k = live.size
-            if not k:
-                break
-            if q:
-                np.matmul(S[:k], S[:k], out=T[:k])
-                S, T = T, S
-            else:
-                _gram(W[:k], out=S[:k], conj=T[:k])
-            keep = np.flatnonzero(_log_fro(S[:k]) / 2 ** (q + 1) + shift[live] >= floor)
-            live = live[keep]
-            _compact(S, keep)
-            _compact(W, keep)
         if live.size:
-            # G again, the same bits, rather than kept beside every level.
-            G = _gram(W[: live.size], out=S[: live.size], conj=T[: live.size])
-            best = max(best, float(np.max(_gram_log_norms(G, p[live]) - log_bound[n + live])))
+            logs = _gram_log_norms(_gram(W[live]), p[live])
+            best = max(best, float(np.max(logs - log_bound[n + live])))
     return best
 
 
@@ -306,10 +275,10 @@ def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
     norm (``Analysis.frobenius_logs`` of ``config``'s seed, when that probe
     batch is already propagated) and whose block recursion bound
     (``recursion_log_norms``) could both still exceed that ratio, of every
-    n that the bounds of ``max_power_excess`` do not rule out; it equals
-    the maximum over all POWER_STEPS powers bit for bit.  A nilpotent
-    matrix is checked the same way against the vanishing level from
-    n = deg p on, and only a power that passes it makes the full
+    n whose power's Frobenius norm (``max_power_excess``) does not rule it
+    out; it equals the maximum over all POWER_STEPS powers bit for bit.  A
+    nilpotent matrix is checked the same way against the vanishing level
+    from n = deg p on, and only a power that passes it makes the full
     trajectory, to name the first such n.
     """
     an = as_analysis(A)
@@ -346,13 +315,12 @@ def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
         M = b.basis.conj().T @ A @ b.basis
         N = M - b.z * np.eye(b.dim)
         if abs(b.z) > _NILPOTENT_RADIUS:
-            aj = 0.0
+            aj = 1.0  # the k = 0 term, ||I||
             Nk = np.eye(b.dim, dtype=complex)
             fact = 1.0
-            for k in range(b.index):
-                if k > 0:
-                    Nk = Nk @ N
-                    fact *= k
+            for k in range(1, b.index):
+                Nk = Nk @ N
+                fact *= k
                 aj += float(np.linalg.norm(Nk, 2)) / (fact * abs(b.z) ** k)
         else:
             # Zero-eigenvalue block inside a matrix with r > 0: the block
@@ -370,8 +338,9 @@ def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
     # No n past the last one whose Frobenius excess off the probe batch,
     # or whose recursion excess, comes within the slack of the best exact
     # excess of the first ten powers can hold the maximum; up to it, the
-    # Schatten bounds rule out all but a few n.  A bare call propagates no
-    # batch, and the recursion starts from all POWER_STEPS powers.
+    # Frobenius norms of the powers rule out all but a few n.  A bare call
+    # propagates no batch, and the recursion starts from all POWER_STEPS
+    # powers.
     cfg, m = config or RunConfig(), POWER_STEPS
     best = _worst_excess(an.power_logs(10), log_bound)
     floor = best - _FROBENIUS_SLACK

@@ -54,34 +54,31 @@ _RATIO_CASES = {
     "planted-d8": lambda: (gen_planted_jordan(8, [(0.9j, 3), (-0.7, 2), (0.5, 1)], 100.0, 3), None),
     "jordan-d8": lambda: (gen_jordan_perturbation(8, np.exp(0.7j), 1.5, 3), None),
     "jordan-d16": lambda: (gen_jordan_perturbation(16, np.exp(2.1j), 2.5, 4), None),
+    # At cap 1e6 the ||P_j|| are large and the recursion bound loose: a bare
+    # call leaves all POWER_STEPS powers to max_power_excess.
+    "planted-d8-cap1e6": lambda: (
+        gen_planted_jordan(8, [(0.95 * np.exp(1j), 2), (np.exp(0.5j), 1), (0.5j, 1)], 1e6, 4), None),
 }
 
 # alpha I + N with N^2 = 0, where ||A^n||_F overstates ||A^n||_2 by about
-# sqrt(rank N): (matrix, the level of max_power_excess that rules out most
-# powers).  A larger ||N|| or dim needs a higher level.
-_LEVEL_CASES = {
-    "jordan-d16-fro": lambda: (gen_jordan_perturbation(16, np.exp(1j), 0.7, 0), 0),
-    "jordan-d16-q0": lambda: (gen_jordan_perturbation(16, np.exp(1j), 2.9, 0), 1),
-    "jordan-d32-q1": lambda: (gen_jordan_perturbation(32, np.exp(1j), 2.9, 0), 2),
-    "jordan-d64-q2": lambda: (gen_jordan_perturbation(64, np.exp(1j), 2.9, 0), 3),
+# sqrt(rank N), so that the Frobenius norm rules out no power.  The name
+# suffixes record the Schatten level of max_power_excess, since removed,
+# that once ruled out most of their powers.
+_JORDAN_CASES = {
+    "jordan-d16-fro": lambda: gen_jordan_perturbation(16, np.exp(1j), 0.7, 0),
+    "jordan-d16-q0": lambda: gen_jordan_perturbation(16, np.exp(1j), 2.9, 0),
+    "jordan-d32-q1": lambda: gen_jordan_perturbation(32, np.exp(1j), 2.9, 0),
+    "jordan-d64-q2": lambda: gen_jordan_perturbation(64, np.exp(1j), 2.9, 0),
 }
 
 
-def _schatten_logs(A, n_max):
-    """The upper bounds of ``max_power_excess`` on log ||A^n||, n = 1..n_max,
-    one row per level: log ||A^n||_F, then log ||G^(2^q)||_F / 2^(q+1) for
-    q = 0, 1, 2, with G the Gram matrix of the scaled power (-inf for a
-    zero power)."""
-    out = np.full((4, n_max), -np.inf)
-    for n, W, p in criteria._power_blocks(A, n_max):
-        rows = out[:, n : n + p.size]
-        rows[0] = stability._log_fro(W)
-        S = criteria._gram(W)
-        for q in range(3):
-            if q:
-                S = S @ S
-            rows[q + 1] = stability._log_fro(S) / 2 ** (q + 1)
-        rows += p * np.log(2.0)
+def _frobenius_excess(A, log_bound):
+    """The bound of ``max_power_excess`` on log ||A^n|| - log_bound[n - 1],
+    n = 1..len(log_bound), rounded as it rounds it: log ||A^n||_F off the
+    power loop (-inf for a zero power)."""
+    out = np.full(log_bound.size, -np.inf)
+    for n, W, p in criteria._power_blocks(A, log_bound.size):
+        out[n : n + p.size] = stability._log_fro(W) + (p * np.log(2.0) - log_bound[n : n + p.size])
     return out
 
 
@@ -160,14 +157,14 @@ class TestGrowthBound:
         if argmax is not None:
             assert at == argmax
 
-    @pytest.mark.parametrize("name", [*_RATIO_CASES, *_LEVEL_CASES])
+    @pytest.mark.parametrize("name", [*_RATIO_CASES, *_JORDAN_CASES])
     def test_certified_maximum_matches_trajectory(self, name, monkeypatch):
         # max_power_excess over all POWER_STEPS powers, floored at the best
         # of the first ten minus the slack as growth_bound does, equals the
-        # maximum over the full trajectory bit for bit.  The jordan cases
-        # rule out most powers at the named level (0 Frobenius, 1-3 q = 0-2)
-        # and leave a single power for an eigenproblem.
-        A, level = _LEVEL_CASES[name]() if name in _LEVEL_CASES else (_RATIO_CASES[name]()[0], None)
+        # maximum over the full trajectory bit for bit, and solves an
+        # eigenproblem for exactly the powers whose Frobenius excess reaches
+        # the floor.
+        A = _JORDAN_CASES[name]() if name in _JORDAN_CASES else _RATIO_CASES[name]()[0]
         gb = growth_bound(A)
         n = np.arange(1, POWER_STEPS + 1)
         log_bound = np.log(gb.alpha) + gb.kappa * np.log(n) + n * np.log(gb.spectral_radius)
@@ -177,18 +174,14 @@ class TestGrowthBound:
         solved = []
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: solved.append(len(G)) or eigvalsh(G))
         assert stability.max_power_excess(A, log_bound, floor) == stability._worst_excess(logs, log_bound)
-        if level is not None:
-            below = _schatten_logs(A, POWER_STEPS) - log_bound < floor
-            decided = np.where(below.any(axis=0), below.argmax(axis=0), 4)
-            assert np.bincount(decided, minlength=5).argmax() == level
-            assert sum(solved) == 1
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        assert sum(solved) == np.count_nonzero(_frobenius_excess(A, log_bound) >= floor)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_certified_maximum_under_any_bound(self, seed):
         # A bound of log ||A^n|| plus a random offset in [0, 1) on a jordan
         # d16 matrix, whose Frobenius norms overstate ||A^n|| by about
-        # log 8 / 2: the argmax lies anywhere in a block of 64 powers, and
-        # the Schatten levels drop powers before and after it.
+        # log 8 / 2: the argmax lies anywhere in a block of 64 powers.
         A = gen_jordan_perturbation(16, np.exp(1j), 2.9, seed)
         logs = power_log_norms(A, POWER_STEPS)
         log_bound = logs + np.random.default_rng(seed).random(POWER_STEPS)
@@ -241,10 +234,10 @@ class TestGrowthBound:
 
     @pytest.mark.parametrize("dim", [4, 8, 16, 32, 64])
     def test_frobenius_rounding_within_slack(self, dim):
-        # growth_bound skips n by log ||A^n||_F and by the Schatten bounds,
-        # which must bound the computed log ||A^n||_2 up to far less than
-        # the slack: planted structures at cond caps 1e2-1e6, oblique ones
-        # at 1e3 and alpha I + N.
+        # growth_bound skips n by log ||A^n||_F, off the probe batch and off
+        # the power loop of max_power_excess, which must bound the computed
+        # log ||A^n||_2 up to far less than the slack: planted structures at
+        # cond caps 1e2-1e6, oblique ones at 1e3 and alpha I + N.
         planted = [(0.95 * np.exp(1j), 2), (0.7j, 1), (-0.5, 1)]
         caps = (1e4,) if dim == 64 else (1e2, 1e4)
         cases = [gen_planted_jordan(dim, planted, cap, dim) for cap in caps]
@@ -257,9 +250,8 @@ class TestGrowthBound:
             spectral = power_log_norms(A, POWER_STEPS)
             excess = spectral - Analysis(A).frobenius_logs(cfg)
             assert np.max(excess[np.isfinite(spectral)]) <= 0.01 * stability._FROBENIUS_SLACK
-            # The same holds for every level of max_power_excess.
-            excess = spectral - _schatten_logs(A, POWER_STEPS)
-            assert np.max(excess[:, np.isfinite(spectral)]) <= 0.01 * stability._FROBENIUS_SLACK
+            excess = spectral - _frobenius_excess(A, np.zeros(POWER_STEPS))
+            assert np.max(excess[np.isfinite(spectral)]) <= 0.01 * stability._FROBENIUS_SLACK
 
     @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32, 64])
     def test_recursion_rounding_within_slack(self, dim):
@@ -293,12 +285,12 @@ class TestGrowthBound:
             shifted.decomposition = replace(an.decomposition, blocks=blocks)
             assert np.all(stability.recursion_log_norms(shifted, POWER_STEPS) >= bound)
 
-    @pytest.mark.parametrize("name", _LEVEL_CASES)
+    @pytest.mark.parametrize("name", _JORDAN_CASES)
     def test_recursion_forms_no_power_past_ten(self, name, monkeypatch):
         # ||A^n||_F rules out no n on alpha I + N, but the recursion rules
         # out every n > 10, with or without the probe batch; the ratio keeps
         # the bits of the maximum over the full trajectory.
-        A, _ = _LEVEL_CASES[name]()
+        A = _JORDAN_CASES[name]()
         logs = power_log_norms(A, POWER_STEPS)
         asked = []
         blocks = criteria._power_blocks
@@ -314,6 +306,19 @@ class TestGrowthBound:
         n = np.arange(1, POWER_STEPS + 1)
         log_bound = np.log(bare.alpha) + bare.kappa * np.log(n) + n * np.log(bare.spectral_radius)
         assert bare.max_violation_ratio == float(np.exp(stability._worst_excess(logs, log_bound)))
+
+    def test_loose_recursion_leaves_every_power(self, monkeypatch):
+        # At cap 1e6 the recursion bound is finite but loose and keeps the
+        # last n in play: a bare call hands all POWER_STEPS powers to
+        # max_power_excess, whose Frobenius level alone prunes them.
+        A = _RATIO_CASES["planted-d8-cap1e6"]()[0]
+        asked = []
+        blocks = criteria._power_blocks
+        spy = lambda A, n_max: asked.append(n_max) or blocks(A, n_max)
+        monkeypatch.setattr(criteria, "_power_blocks", spy)
+        monkeypatch.setattr(stability, "_power_blocks", spy)
+        growth_bound(Analysis(A), RunConfig(seed=0))
+        assert asked == [10, POWER_STEPS]
 
     def test_shares_the_probe_batch(self, monkeypatch):
         # The Frobenius norms come off the probe batch of the config's
