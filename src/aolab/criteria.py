@@ -393,10 +393,9 @@ def _power_blocks(A: np.ndarray, n_max: int):
         n += fro.size
 
 
-def _gram(W: np.ndarray, out=None, conj=None) -> np.ndarray:
-    """The Gram matrices W^H W of a stack W, into ``out`` if given, with the
-    conjugate of W taken into ``conj`` if given: the same bits either way."""
-    return np.matmul(np.conjugate(W, out=conj).mT, W, out=out)
+def _gram(W: np.ndarray) -> np.ndarray:
+    """The Gram matrices W^H W of a stack W."""
+    return np.matmul(np.conjugate(W).mT, W)
 
 
 def _gram_log_norms(G: np.ndarray, p: np.ndarray) -> np.ndarray:

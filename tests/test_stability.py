@@ -61,9 +61,9 @@ _RATIO_CASES = {
 }
 
 # alpha I + N with N^2 = 0, where ||A^n||_F overstates ||A^n||_2 by about
-# sqrt(rank N), so that the Frobenius norm rules out no power.  The name
-# suffixes record the Schatten level of max_power_excess, since removed,
-# that once ruled out most of their powers.
+# sqrt(rank N).  The name suffixes record the level of max_power_excess
+# that once ruled out most of their powers: the Frobenius one, or a
+# Schatten one (q = 0..2, since removed).
 _JORDAN_CASES = {
     "jordan-d16-fro": lambda: gen_jordan_perturbation(16, np.exp(1j), 0.7, 0),
     "jordan-d16-q0": lambda: gen_jordan_perturbation(16, np.exp(1j), 2.9, 0),
