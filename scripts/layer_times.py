@@ -25,7 +25,11 @@ step long, three times per run.  ``growth_bare_ms`` times ``growth_bound``,
 best of five, on a fresh ``Analysis`` of the dim-8 planted structure with
 roots 0.95 e^{i} (index 2), e^{0.5i} and 0.5i at cond cap 1e6 (seed 4), its
 structure and ten shared powers computed and no probe batch: a bare call
-that leaves all POWER_STEPS powers to ``max_power_excess``, once per run.
+whose loose recursion bound leaves all POWER_STEPS spectral norms to be
+formed, once per run.  ``growth_nilpotent_ms`` times ``growth_bound``,
+best of five, on the matrix of gen_planted_jordan(8, [(0, 3)], 100.0,
+seed=8), the nilpotent shape of the growth suite, each call on a fresh
+``Analysis`` as the suite makes it.
 
 Every run is a fresh process with BLAS pinned to one thread.  The checkout
 this script lies in is the ``change`` side.  With ``--parent COMMIT`` the
@@ -127,6 +131,8 @@ def measure(src: str, dims) -> dict:
     an.decomposition
     an.power_logs(10)
     out["growth_bare_ms"] = best_of_five(lambda: stability.growth_bound(an, cfg))
+    A = gen_planted_jordan(8, [(0, 3)], 100.0, 8)
+    out["growth_nilpotent_ms"] = best_of_five(lambda: stability.growth_bound(A, cfg))
     return out
 
 
@@ -150,7 +156,8 @@ def _side(runs, dims) -> dict:
     }
     one = [t for r in runs for t in r["one_step_ms"]]
     side["one_step_ms"] = {**spread(one), "best": min(one)}
-    side["growth_bare_ms"] = spread([r["growth_bare_ms"] for r in runs])
+    for key in ("growth_bare_ms", "growth_nilpotent_ms"):
+        side[key] = spread([r[key] for r in runs])
     side["numpy"] = runs[0]["numpy"]
     return side
 
@@ -199,7 +206,8 @@ def main(argv=None) -> int:
                   f"growth jordan {s['growth_jordan_ms'][d]['median']:.2f} ms")
         print(f"{side:6s} one-step engine best {s['one_step_ms']['best']:.2f} ms, "
               f"median {s['one_step_ms']['median']:.2f} ms")
-        print(f"{side:6s} bare growth d8 cap 1e6 {s['growth_bare_ms']['median']:.2f} ms")
+        print(f"{side:6s} bare growth d8 cap 1e6 {s['growth_bare_ms']['median']:.2f} ms, "
+              f"nilpotent d8 {s['growth_nilpotent_ms']['median']:.2f} ms")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")

@@ -28,7 +28,9 @@ horizon are still large (exit 0); poly-IJ4, I + J_4, whose probes grow
 like n^k for their structural exponents k (exit 0); and jordan-d64,
 e^{0.3i} I + N at dim 64 with ||N|| = 2.9, like the analyze-large jordan
 op, whose Frobenius norms rule out no power of the growth check but whose
-block recursion rules out every n > 10 (exit 0).
+block recursion rules out every n > 10 (exit 0); and planted-nilpotent-d8,
+the root 0 of index 3 at dim 8, the shape of the growth suite's nilpotent
+trials, whose powers from n = 3 on are rounding noise (exit 0).
 
 A change that moves trailing digits changes most digests, so two runs can
 also be compared field by field:
@@ -137,6 +139,8 @@ def instances():
     out.append(("slow-decay", 0.99 * np.eye(4) + 30 * shift))
     out.append(("poly-IJ4", np.eye(4) + shift))
     out.append(("jordan-d64", gen_jordan_perturbation(64, np.exp(0.3j), 2.9, 0)))
+    out.append(("planted-nilpotent-d8", ["--kind", "planted", "--dim", "8", "--eigenvalues", "0",
+                                         "--indices", "3", "--seed", "0"]))
     return out
 
 

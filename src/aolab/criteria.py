@@ -356,20 +356,22 @@ def orbit_norms_batch(A: np.ndarray, H: np.ndarray, n_max: int):
     return (_clamped_exp(logs[: hit[0] + 1]), int(hit[0])) if hit.size else (_clamped_exp(logs), None)
 
 
-def _power_blocks(A: np.ndarray, n_max: int):
-    """Yield (n, W, p) for the powers A^(n+1)..A^(n+k) of one block, up to
-    A^n_max: W the k powers, each scaled by an exact power of two to
-    Frobenius norm in [1/2, 1), and p their integer exponents, A^j = 2^p W.
-    Stops at the first power that is exactly zero.
+def power_log_norms(A: np.ndarray, n_max: int) -> np.ndarray:
+    """log ||A^n|| (operator norm) for n = 1..n_max, immune to overflow and
+    underflow; -inf from the first power that is exactly zero.
 
-    A is prescaled by 2^-e (``_prescaled``), and e counts in p.  The powers
-    are formed in blocks of plain products, like the orbits of
-    ``orbit_log_norms_batch``: one product per step into a stack of at most
-    STACK_ENTRIES entries, the Frobenius norms of a block from one
-    reduction, and the same block cut (``_block_norms``).  Block boundaries
-    do not depend on n_max, so the blocks of a shorter run are a prefix of
-    those of a longer one.  The reader may overwrite W.
+    A is prescaled by 2^-e (``_prescaled``).  The powers are formed in
+    blocks of plain products, like the orbits of ``orbit_log_norms_batch``:
+    one product per step into a stack of at most STACK_ENTRIES entries, the
+    Frobenius norms of a block from one reduction, and the same block cut
+    (``_block_norms``).  Each power is scaled by an exact power of two to
+    Frobenius norm in [1/2, 1), and its spectral norm is half the log of
+    the top eigenvalue of its Gram matrix (one batched ``eigvalsh`` per
+    block).  Block boundaries do not depend on n_max, so
+    ``power_log_norms(A, m)`` equals ``power_log_norms(A, n)[:m]`` bit for
+    bit for m <= n.
     """
+    out = np.full(n_max, -np.inf)
     A, e = _prescaled(as_matrix(A))
     d = A.shape[0]
     limit = _block_steps(d, d)
@@ -383,43 +385,16 @@ def _power_blocks(A: np.ndarray, n_max: int):
         fro, limit = _block_norms(W.reshape(W.shape[0], d * d, 1), True, limit)
         fro = fro[:, 0]
         if fro[-1] == 0.0:
-            return
+            break
         W = W[: fro.size]
         m = np.frexp(fro)[1]
         np.ldexp(W.view(float), -m[:, np.newaxis, np.newaxis], out=W.view(float))
         np.copyto(M, W[-1])
-        yield n, W, shed + m + e * np.arange(n + 1, n + fro.size + 1)
+        p = shed + m + e * np.arange(n + 1, n + fro.size + 1)  # A^j = 2^p W
+        G = np.matmul(np.conjugate(W).mT, W)
+        out[n : n + fro.size] = 0.5 * np.log(np.linalg.eigvalsh(G)[:, -1]) + p * _LN2
         shed += int(m[-1])
         n += fro.size
-
-
-def _gram(W: np.ndarray) -> np.ndarray:
-    """The Gram matrices W^H W of a stack W."""
-    return np.matmul(np.conjugate(W).mT, W)
-
-
-def _gram_log_norms(G: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """log ||A^j|| for the powers 2^p W of a ``_power_blocks`` block, from
-    their Gram matrices G = ``_gram(W)``: half the log of the top
-    eigenvalue of each (one batched ``eigvalsh``), plus p log 2."""
-    logs = np.log(np.linalg.eigvalsh(G)[:, -1])
-    logs *= 0.5
-    logs += p * _LN2
-    return logs
-
-
-def power_log_norms(A: np.ndarray, n_max: int) -> np.ndarray:
-    """log ||A^n|| (operator norm) for n = 1..n_max, immune to overflow and
-    underflow; -inf from the first power that is exactly zero.
-
-    The powers come from ``_power_blocks``, and the spectral norm of each
-    is read off its Gram matrix (``_gram_log_norms``).  Since the blocks do
-    not depend on n_max, ``power_log_norms(A, m)`` equals
-    ``power_log_norms(A, n)[:m]`` bit for bit for m <= n.
-    """
-    out = np.full(n_max, -np.inf)
-    for n, W, p in _power_blocks(A, n_max):
-        out[n : n + p.size] = _gram_log_norms(_gram(W), p)
     return out
 
 

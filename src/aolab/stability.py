@@ -23,9 +23,6 @@ from .criteria import (
     _LN2,
     _clamped_exp,
     _envelope_fit,
-    _gram,
-    _gram_log_norms,
-    _power_blocks,
     _window_rule,
     as_analysis,
     at_most_one,
@@ -52,18 +49,15 @@ _NILPOTENT_RADIUS = 1e-12
 # Largest log ||A^n h||^2 whose exponential is a finite float.
 _LOG_SQ_MAX = np.log(np.finfo(float).max)
 
-# ``growth_bound`` forms no spectral norm ||A^n||_2 for an n whose upper
-# bound on the excess log ||A^n||_2 - log bound_n falls below the best
-# exact excess (0 on a nilpotent matrix) by more than this: the Frobenius
-# norm off the probe batch and the block recursion (``recursion_log_norms``),
-# which set how many powers are formed, and the Frobenius norm of each
-# power that ``max_power_excess`` forms.  It covers the rounding of
-# log ||A^n||_2 (``power_log_norms``) against them.  Over 105 planted and
-# oblique cases at dims 4-64 and cond caps 1e2-1e6, and 0.99 I + 30 J at
-# dim 4, it exceeded log ||A^n||_F off the batch by at most 6.8e-14 (on
-# the last).  Over 22 planted, oblique and alpha I + N cases at dims 4-64,
-# it exceeded that of the formed power by at most 3.6e-15.  It exceeded
-# the recursion by at most 4.2e-14 (on z I).
+# ``growth_bound`` forms no power A^n past the last n whose upper bound on
+# the excess log ||A^n||_2 - log bound_n comes within this of the best
+# exact excess (0 on a nilpotent matrix): the Frobenius norm off the probe
+# batch and the block recursion (``recursion_log_norms``).  It covers the
+# rounding of log ||A^n||_2 (``power_log_norms``) against them.  Over 105
+# planted and oblique cases at dims 4-64 and cond caps 1e2-1e6, and
+# 0.99 I + 30 J at dim 4, it exceeded log ||A^n||_F off the batch by at
+# most 6.8e-14 (on the last).  It exceeded the recursion by at most
+# 4.2e-14 (on z I).
 _FROBENIUS_SLACK = 1e-8
 
 # The growth bound holds when the largest ratio ||A^n|| / bound_n is at most
@@ -168,39 +162,17 @@ def _worst_excess(logs, log_bound):
     return (logs - log_bound[: logs.size])[finite].max(initial=-np.inf)
 
 
-def _log_fro(X: np.ndarray) -> np.ndarray:
-    """log ||X_j||_F for each matrix of a C-contiguous stack X, from one
-    sum of squares."""
-    x = X.view(float).reshape(X.shape[0], -1)
-    return 0.5 * np.log(np.einsum("ki,ki->k", x, x))
-
-
-def max_power_excess(A: np.ndarray, log_bound: np.ndarray, floor: float) -> float:
-    """The largest excess log ||A^n|| - log_bound[n - 1] over the n =
-    1..len(log_bound) whose upper bound on it reaches ``floor`` (-inf if
-    none).  Each excess is the bits of ``power_log_norms`` minus log_bound,
-    so the result is the largest over all n bit for bit whenever that one
-    lies above floor by more than the rounding of the bounds.
-
-    The powers come from ``criteria._power_blocks``.  With W a scaled
-    power, ||W||_2 <= ||W||_F, so the bound is log ||W||_F.  Only the
-    powers it leaves in play get an ``eigvalsh``, of their Gram matrix
-    W^H W formed as ``power_log_norms`` forms it.
-    """
-    best = -np.inf
-    for n, W, p in _power_blocks(A, log_bound.size):
-        shift = p * _LN2 - log_bound[n : n + p.size]
-        live = np.flatnonzero(_log_fro(W) + shift >= floor)
-        if live.size:
-            logs = _gram_log_norms(_gram(W[live]), p[live])
-            best = max(best, float(np.max(logs - log_bound[n + live])))
-    return best
+def _reach(upper, floor) -> int:
+    """1 + the last n whose upper bound upper[n - 1] on the excess does not
+    fall below floor (a NaN bound rules nothing out); 0 if there is none."""
+    reach = np.flatnonzero(~(upper < floor))
+    return int(reach[-1]) + 1 if reach.size else 0
 
 
 def recursion_log_norms(an: Analysis, n_max: int) -> np.ndarray:
-    """Upper bounds on log ||A^n||, n = 1..n_max, for a matrix with r > 0,
-    read off the decomposition before any power is formed (+inf throughout
-    if rho = ||I - sum_j P_j||_F >= 1).
+    """Upper bounds on log ||A^n||, n = 1..n_max, read off the
+    decomposition before any power is formed (+inf throughout if rho =
+    ||I - sum_j P_j||_F >= 1).
 
     With D_j = A - z_j I and c_{j,k} = ||D_j^k B_j||_2 ||P_j||, k =
     0..i_j, the recursion x_{j,k}(0) = c_{j,k}, x_{j,k}(n+1) =
@@ -212,11 +184,14 @@ def recursion_log_norms(an: Analysis, n_max: int) -> np.ndarray:
     D_j^(i_j) A^n P_j = A^n D_j^(i_j) P_j, and A^n = sum_j A^n P_j +
     A^n (I - sum_j P_j).  A wrong structure only loosens the bound.
 
-    The state runs scaled, x_{j,k}(n) / r^(n+k) with r = max |z_j|, as
-    s(n+1) = T s(n) for a nonnegative T of order deg p whose largest
-    diagonal entry is 1.  It advances in chunks of the stack T^1..T^k (k
-    from STACK_ENTRIES, the stack formed by doubling) and is rescaled by
-    a power of two after each chunk.
+    The state runs scaled, x_{j,k}(n) / t^(n+k), as s(n+1) = T s(n) for a
+    nonnegative T of order deg p whose largest diagonal entry is |z_j| / t:
+    t = r = max |z_j|, or ||A|| on a nilpotent matrix (r <= the nilpotent
+    radius; 1 on the zero matrix, whose powers are exactly 0).  Any t > 0
+    gives the same bound in exact arithmetic.  The state advances in chunks
+    of the stack T^1..T^k (k from STACK_ENTRIES, the stack formed by
+    doubling) and is rescaled by a power of two after each chunk.  Since
+    ||B_j|| = 1 (orthonormal columns), c_{j,0} = ||P_j||.
     """
     A = an.A
     d = A.shape[0]
@@ -226,20 +201,20 @@ def recursion_log_norms(an: Analysis, n_max: int) -> np.ndarray:
     if not gap > 0:
         return np.full(n_max, np.inf)
     r = max(abs(b.z) for b in blocks)
+    t = r if r > _NILPOTENT_RADIUS else an.norm or 1.0
     index = [b.index for b in blocks]
     heads = np.cumsum([0, *index[:-1]])
     deg = sum(index)
     T, s = np.zeros((deg, deg)), np.empty(deg)
     for b, o in zip(blocks, heads.tolist()):
         i = b.index
-        D = (A - b.z * np.eye(d)) / r
-        M = b.basis
-        for k in range(i + 1):
+        D = (A - b.z * np.eye(d)) / t
+        M, c = b.basis, b.projection_norm
+        for k in range(i):
+            s[o + k] = c
+            M = D @ M
             c = float(np.linalg.norm(M, 2)) * b.projection_norm
-            if k < i:
-                s[o + k] = c
-                M = D @ M
-        T[o : o + i, o : o + i] = abs(b.z) / r * np.eye(i) + np.eye(i, k=1)
+        T[o : o + i, o : o + i] = abs(b.z) / t * np.eye(i) + np.eye(i, k=1)
         T[o + i - 1, heads] += c / gap
     k = max(1, min(n_max, STACK_ENTRIES // deg**2))
     stack = np.empty((k, deg, deg))
@@ -247,9 +222,10 @@ def recursion_log_norms(an: Analysis, n_max: int) -> np.ndarray:
     out = np.empty(n_max)
     shed = 0  # the true state is 2^shed s
     # Powers of the blocks below r underflow harmlessly against the top
-    # block, whose head never decreases.  The stack stops doubling once an
+    # block, whose head never decreases while r > 0; on a nilpotent matrix
+    # the state may reach 0 (log -inf).  The stack stops doubling once an
     # entry passes 2^BLOCK_GROWTH_LOG2, so that no chunk overflows.
-    with np.errstate(under="ignore"):
+    with np.errstate(under="ignore", divide="ignore"):
         j = 1
         while j < k and stack[:j].max() <= 2.0**BLOCK_GROWTH_LOG2:
             h = min(j, k - j)
@@ -261,7 +237,7 @@ def recursion_log_norms(an: Analysis, n_max: int) -> np.ndarray:
             e = np.frexp(S[-1].max())[1]
             s = np.ldexp(S[-1], -e)
             shed += int(e)
-    return out - np.log(gap) + np.arange(1, n_max + 1) * np.log(r)
+    return out - np.log(gap) + np.arange(1, n_max + 1) * np.log(t)
 
 
 def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
@@ -271,15 +247,14 @@ def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
     N_j the nilpotent part in the block basis; alpha aggregates via
     alpha = sum_j ||P_j|| alpha_j.  Verified empirically up to POWER_STEPS:
     the largest ratio ||A^n|| / bound_n is taken over the exact spectral
-    norms of the first ten powers and, up to the last n whose Frobenius
-    norm (``Analysis.frobenius_logs`` of ``config``'s seed, when that probe
-    batch is already propagated) and whose block recursion bound
-    (``recursion_log_norms``) could both still exceed that ratio, of every
-    n whose power's Frobenius norm (``max_power_excess``) does not rule it
-    out; it equals the maximum over all POWER_STEPS powers bit for bit.  A
-    nilpotent matrix is checked the same way against the vanishing level
-    from n = deg p on, and only a power that passes it makes the full
-    trajectory, to name the first such n.
+    norms (``Analysis.power_logs``) of the first ten powers and of every
+    power up to the last n whose Frobenius norm (``Analysis.frobenius_logs``
+    of ``config``'s seed, when that probe batch is already propagated) and
+    whose block recursion bound (``recursion_log_norms``) could both still
+    exceed that ratio; it equals the maximum over all POWER_STEPS powers
+    bit for bit.  A nilpotent matrix is checked against the vanishing level
+    from n = deg p on, up to the last n whose recursion bound could still
+    exceed it, and the first power past the level is named.
     """
     an = as_analysis(A)
     A = an.A
@@ -295,10 +270,11 @@ def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
         # it bounds every power from deg p on, and no earlier one.
         valid_from = mp.degree
         vanish = np.log(_VANISHING_LEVEL) + mp.degree * np.log(max(1.0, an.norm))
-        log_bound = np.full(POWER_STEPS, vanish)
-        log_bound[: valid_from - 1] = np.inf
-        if max_power_excess(A, log_bound, -_FROBENIUS_SLACK) > 0:
-            live = np.flatnonzero(an.power_logs()[valid_from - 1 :] > vanish)
+        upper = recursion_log_norms(an, POWER_STEPS)
+        upper[: valid_from - 1] = -np.inf
+        m = _reach(upper - vanish, -_FROBENIUS_SLACK)
+        live = np.flatnonzero(an.power_logs(m)[valid_from - 1 :] > vanish)
+        if live.size:
             raise InconsistencyError(
                 f"nilpotent matrix has nonzero power at n={valid_from + live[0]}"
             )
@@ -337,21 +313,16 @@ def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
     log_bound = np.log(alpha) + kappa * np.log(n) + n * np.log(r)
     # No n past the last one whose Frobenius excess off the probe batch,
     # or whose recursion excess, comes within the slack of the best exact
-    # excess of the first ten powers can hold the maximum; up to it, the
-    # Frobenius norms of the powers rule out all but a few n.  A bare call
+    # excess of the first ten powers can hold the maximum.  A bare call
     # propagates no batch, and the recursion starts from all POWER_STEPS
     # powers.
     cfg, m = config or RunConfig(), POWER_STEPS
-    best = _worst_excess(an.power_logs(10), log_bound)
-    floor = best - _FROBENIUS_SLACK
+    floor = _worst_excess(an.power_logs(10), log_bound) - _FROBENIUS_SLACK
     if an.has_orbits(cfg.seed):
-        reach = np.flatnonzero(an.frobenius_logs(cfg) - log_bound >= floor)
-        m = int(reach[-1]) + 1 if reach.size else 0
+        m = _reach(an.frobenius_logs(cfg) - log_bound, floor)
     if m > 10:
-        # A NaN recursion bound rules nothing out.
-        reach = np.flatnonzero(~(recursion_log_norms(an, m) - log_bound[:m] < floor))
-        m = int(reach[-1]) + 1 if reach.size else 0
-    worst = max_power_excess(A, log_bound[:m], floor) if m > 10 else best
+        m = _reach(recursion_log_norms(an, m) - log_bound[:m], floor)
+    worst = _worst_excess(an.power_logs(max(m, 10)), log_bound)
     ratio = float(np.exp(worst)) if np.isfinite(worst) else 0.0
     if ratio > 1 + _RATIO_TOL:
         raise InconsistencyError(f"growth bound violated: ratio {ratio}")

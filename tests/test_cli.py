@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import aolab.criteria as criteria
-import aolab.stability as stability
 from aolab import jsonout
 from aolab.cli import (
     EXIT_INCONSISTENT,
@@ -187,14 +186,11 @@ class TestAnalyze:
         # CSV still reads the full trajectory.
         inp = _write_matrix(tmp_path / "m.json", gen_jordan_perturbation(32, np.exp(0.3j), 2.9, 0))
         eigvalsh = np.linalg.eigvalsh
-        solved, asked = [], []
+        solved = []
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: solved.append(len(G)) or eigvalsh(G))
-        blocks = criteria._power_blocks
-        spy = lambda A, n_max: asked.append(n_max) or blocks(A, n_max)
-        monkeypatch.setattr(criteria, "_power_blocks", spy)
-        monkeypatch.setattr(stability, "_power_blocks", spy)
+        calls = _record_calls(monkeypatch, ["power_log_norms"])
         assert main(["analyze", "--input", inp]) == EXIT_OK
-        assert sum(solved) == 10 and max(asked) <= 10
+        assert sum(solved) == 10 and [args[1] for args in calls["power_log_norms"]] == [10]
         solved.clear()
         assert main(["analyze", "--input", inp, "--csv", str(tmp_path / "g.csv")]) == EXIT_OK
         assert sum(solved) >= 10 + POWER_STEPS

@@ -168,5 +168,5 @@ def test_layer_times(tmp_path, capsys):
         assert side[key]["4"]["median"] > 0
     assert side["engine_over_floor"]["4"] > 0
     assert len(side["one_step_ms"]["values"]) == 3
-    assert side["growth_bare_ms"]["median"] > 0
+    assert side["growth_bare_ms"]["median"] > 0 and side["growth_nilpotent_ms"]["median"] > 0
     assert "change d4" in capsys.readouterr().out

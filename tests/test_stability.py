@@ -28,7 +28,7 @@ from aolab.stability import (
     orbit_root_limit,
     uniform_stability,
 )
-from aolab.structure import MinimalPoly
+from aolab.structure import Block, Decomposition, MinimalPoly
 
 
 def _jordan_block(z, c, k):
@@ -55,15 +55,16 @@ _RATIO_CASES = {
     "jordan-d8": lambda: (gen_jordan_perturbation(8, np.exp(0.7j), 1.5, 3), None),
     "jordan-d16": lambda: (gen_jordan_perturbation(16, np.exp(2.1j), 2.5, 4), None),
     # At cap 1e6 the ||P_j|| are large and the recursion bound loose: a bare
-    # call leaves all POWER_STEPS powers to max_power_excess.
+    # call forms all POWER_STEPS powers.
     "planted-d8-cap1e6": lambda: (
         gen_planted_jordan(8, [(0.95 * np.exp(1j), 2), (np.exp(0.5j), 1), (0.5j, 1)], 1e6, 4), None),
 }
 
 # alpha I + N with N^2 = 0, where ||A^n||_F overstates ||A^n||_2 by about
-# sqrt(rank N).  The name suffixes record the level of max_power_excess
-# that once ruled out most of their powers: the Frobenius one, or a
-# Schatten one (q = 0..2, since removed).
+# sqrt(rank N).  The name suffixes record the per-power level of the growth
+# check that once ruled out most of their powers: the Frobenius norm of the
+# power, or a Schatten norm (q = 0..2).  Both are gone; the block recursion
+# rules out every n > 10.
 _JORDAN_CASES = {
     "jordan-d16-fro": lambda: gen_jordan_perturbation(16, np.exp(1j), 0.7, 0),
     "jordan-d16-q0": lambda: gen_jordan_perturbation(16, np.exp(1j), 2.9, 0),
@@ -72,14 +73,21 @@ _JORDAN_CASES = {
 }
 
 
-def _frobenius_excess(A, log_bound):
-    """The bound of ``max_power_excess`` on log ||A^n|| - log_bound[n - 1],
-    n = 1..len(log_bound), rounded as it rounds it: log ||A^n||_F off the
-    power loop (-inf for a zero power)."""
-    out = np.full(log_bound.size, -np.inf)
-    for n, W, p in criteria._power_blocks(A, log_bound.size):
-        out[n : n + p.size] = stability._log_fro(W) + (p * np.log(2.0) - log_bound[n : n + p.size])
-    return out
+def _spy_powers(monkeypatch):
+    """The n_max of every ``power_log_norms`` call, as they happen."""
+    asked = []
+    trajectory = criteria.power_log_norms
+    monkeypatch.setattr(criteria, "power_log_norms", lambda A, n_max: asked.append(n_max) or trajectory(A, n_max))
+    return asked
+
+
+def _full_ratio(A, gb):
+    """exp of the largest log ||A^n|| - log bound_n over all POWER_STEPS
+    powers, as growth_bound rounds it, and the n that holds it."""
+    n = np.arange(1, POWER_STEPS + 1)
+    log_bound = np.log(gb.alpha) + gb.kappa * np.log(n) + n * np.log(gb.spectral_radius)
+    logs = power_log_norms(A, POWER_STEPS)
+    return float(np.exp(stability._worst_excess(logs, log_bound))), int(np.argmax(logs - log_bound)) + 1
 
 
 class TestGrowthBound:
@@ -140,12 +148,11 @@ class TestGrowthBound:
         monkeypatch.setattr(np.linalg, "norm", block_norm)
         assert growth_bound(an, cfg).max_violation_ratio <= 1 + 1e-8
 
-    @pytest.mark.parametrize("name", _RATIO_CASES)
+    @pytest.mark.parametrize("name", [*_RATIO_CASES, *_JORDAN_CASES])
     def test_violation_ratio_matches_loop(self, name):
         # The per-n reference loop over the full trajectory; growth_bound
-        # forms only a prefix of it, and spectral norms only where the bounds
-        # cannot rule n out, so the ratio must match bit for bit.
-        A, argmax = _RATIO_CASES[name]()
+        # forms only a prefix of it, so the ratio must match bit for bit.
+        A, argmax = (_JORDAN_CASES[name](), None) if name in _JORDAN_CASES else _RATIO_CASES[name]()
         gb = growth_bound(Analysis(A), RunConfig(seed=0))
         logs = power_log_norms(A, POWER_STEPS)
         worst, at = -np.inf, None
@@ -159,34 +166,32 @@ class TestGrowthBound:
 
     @pytest.mark.parametrize("name", [*_RATIO_CASES, *_JORDAN_CASES])
     def test_certified_maximum_matches_trajectory(self, name, monkeypatch):
-        # max_power_excess over all POWER_STEPS powers, floored at the best
-        # of the first ten minus the slack as growth_bound does, equals the
-        # maximum over the full trajectory bit for bit, and solves an
-        # eigenproblem for exactly the powers whose Frobenius excess reaches
-        # the floor.
+        # With the probe batch propagated, growth_bound reads the powers up
+        # to the last n that the Frobenius norms off the batch and the
+        # recursion leave in play: first ten, then at most one longer
+        # prefix, which holds the argmax of the full trajectory.  The ratio
+        # is the full maximum bit for bit.
         A = _JORDAN_CASES[name]() if name in _JORDAN_CASES else _RATIO_CASES[name]()[0]
-        gb = growth_bound(A)
-        n = np.arange(1, POWER_STEPS + 1)
-        log_bound = np.log(gb.alpha) + gb.kappa * np.log(n) + n * np.log(gb.spectral_radius)
-        logs = power_log_norms(A, POWER_STEPS)
-        floor = stability._worst_excess(logs[:10], log_bound) - stability._FROBENIUS_SLACK
-        eigvalsh = np.linalg.eigvalsh
-        solved = []
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: solved.append(len(G)) or eigvalsh(G))
-        assert stability.max_power_excess(A, log_bound, floor) == stability._worst_excess(logs, log_bound)
-        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-        assert sum(solved) == np.count_nonzero(_frobenius_excess(A, log_bound) >= floor)
+        want, at = _full_ratio(A, growth_bound(A))
+        cfg = RunConfig(seed=0)
+        an = Analysis(A)
+        an.orbits(cfg.seed, cfg.n_max)
+        asked = _spy_powers(monkeypatch)
+        assert growth_bound(an, cfg).max_violation_ratio == want
+        assert asked[0] == 10 and len(asked) <= 2 and max(asked) >= at
 
     @pytest.mark.parametrize("seed", range(3))
     def test_certified_maximum_under_any_bound(self, seed):
         # A bound of log ||A^n|| plus a random offset in [0, 1) on a jordan
-        # d16 matrix, whose Frobenius norms overstate ||A^n|| by about
-        # log 8 / 2: the argmax lies anywhere in a block of 64 powers.
+        # d16 matrix: the argmax lies anywhere, and the prefix that the
+        # recursion leaves in play, as growth_bound cuts it, still holds it.
         A = gen_jordan_perturbation(16, np.exp(1j), 2.9, seed)
         logs = power_log_norms(A, POWER_STEPS)
         log_bound = logs + np.random.default_rng(seed).random(POWER_STEPS)
         want = stability._worst_excess(logs, log_bound)
-        assert stability.max_power_excess(A, log_bound, want - stability._FROBENIUS_SLACK) == want
+        upper = stability.recursion_log_norms(Analysis(A), POWER_STEPS) - log_bound
+        m = stability._reach(upper, want - stability._FROBENIUS_SLACK)
+        assert stability._worst_excess(logs[:m], log_bound) == want
 
     @pytest.mark.parametrize("big", [1e110, 1e200])
     def test_nilpotent_huge_entries(self, big):
@@ -206,8 +211,32 @@ class TestGrowthBound:
         A[3, 3] = 1e5
         an = Analysis(A)
         an.minpoly = MinimalPoly(roots=((0j, 3),), degree=3)
+        # A decomposition with ||I - sum_j P_j||_F = 2: the recursion rules
+        # no power out.
+        block = Block(z=0j, index=3, basis=np.eye(4)[:, :3], projection=np.zeros((4, 4)), projection_norm=1.0)
+        an.decomposition = Decomposition(blocks=(block,), constant_c=1.0)
         with pytest.raises(InconsistencyError, match="nonzero power at n=5$"):
             growth_bound(an)
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32, 64])
+    def test_planted_nilpotent_forms_at_most_ten_powers(self, dim, monkeypatch):
+        # Planted nilpotent matrices (index 1 is the zero matrix), 2 J_3 and
+        # J_3 at 1e110 and 1e200: the recursion rules out every n > 10, and
+        # the verdict is that of the vanishing check on all POWER_STEPS
+        # powers.
+        indices = sorted({1, 2, 3, dim // 2, min(dim, 20)} - {0} if dim > 2 else {1, 2})
+        cases = [gen_planted_jordan(dim, [(0, i)], 100.0, dim + i) for i in indices]
+        cases += [big * np.eye(3, k=1, dtype=complex) for big in (2.0, 1e110, 1e200)] * (dim == 2)
+        for A in cases:
+            an = Analysis(A)
+            asked = _spy_powers(monkeypatch)
+            gb = growth_bound(an)
+            monkeypatch.undo()
+            deg = an.minpoly.degree
+            vanish = np.log(stability._VANISHING_LEVEL) + deg * np.log(max(1.0, an.norm))
+            assert np.all(power_log_norms(A, POWER_STEPS)[deg - 1 :] <= vanish)
+            assert (gb.spectral_radius, gb.valid_from, gb.max_violation_ratio) == (0.0, deg, 0.0)
+            assert max(asked, default=0) <= 10
 
     @pytest.mark.parametrize("dim", range(2, 9))
     def test_rounding_noise_nilpotent_forms_no_spectral_norm(self, dim, monkeypatch):
@@ -234,10 +263,10 @@ class TestGrowthBound:
 
     @pytest.mark.parametrize("dim", [4, 8, 16, 32, 64])
     def test_frobenius_rounding_within_slack(self, dim):
-        # growth_bound skips n by log ||A^n||_F, off the probe batch and off
-        # the power loop of max_power_excess, which must bound the computed
-        # log ||A^n||_2 up to far less than the slack: planted structures at
-        # cond caps 1e2-1e6, oblique ones at 1e3 and alpha I + N.
+        # growth_bound skips n by log ||A^n||_F off the probe batch, which
+        # must bound the computed log ||A^n||_2 up to far less than the
+        # slack: planted structures at cond caps 1e2-1e6, oblique ones at
+        # 1e3 and alpha I + N.
         planted = [(0.95 * np.exp(1j), 2), (0.7j, 1), (-0.5, 1)]
         caps = (1e4,) if dim == 64 else (1e2, 1e4)
         cases = [gen_planted_jordan(dim, planted, cap, dim) for cap in caps]
@@ -249,8 +278,6 @@ class TestGrowthBound:
         for A in cases:
             spectral = power_log_norms(A, POWER_STEPS)
             excess = spectral - Analysis(A).frobenius_logs(cfg)
-            assert np.max(excess[np.isfinite(spectral)]) <= 0.01 * stability._FROBENIUS_SLACK
-            excess = spectral - _frobenius_excess(A, np.zeros(POWER_STEPS))
             assert np.max(excess[np.isfinite(spectral)]) <= 0.01 * stability._FROBENIUS_SLACK
 
     @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32, 64])
@@ -292,11 +319,7 @@ class TestGrowthBound:
         # the bits of the maximum over the full trajectory.
         A = _JORDAN_CASES[name]()
         logs = power_log_norms(A, POWER_STEPS)
-        asked = []
-        blocks = criteria._power_blocks
-        spy = lambda A, n_max: asked.append(n_max) or blocks(A, n_max)
-        monkeypatch.setattr(criteria, "_power_blocks", spy)
-        monkeypatch.setattr(stability, "_power_blocks", spy)
+        asked = _spy_powers(monkeypatch)
         cfg = RunConfig(seed=0)
         bare = growth_bound(Analysis(A), cfg)
         an = Analysis(A)
@@ -309,16 +332,14 @@ class TestGrowthBound:
 
     def test_loose_recursion_leaves_every_power(self, monkeypatch):
         # At cap 1e6 the recursion bound is finite but loose and keeps the
-        # last n in play: a bare call hands all POWER_STEPS powers to
-        # max_power_excess, whose Frobenius level alone prunes them.
+        # last n in play: a bare call reads all POWER_STEPS powers, and the
+        # ratio keeps the bits of the full maximum.
         A = _RATIO_CASES["planted-d8-cap1e6"]()[0]
-        asked = []
-        blocks = criteria._power_blocks
-        spy = lambda A, n_max: asked.append(n_max) or blocks(A, n_max)
-        monkeypatch.setattr(criteria, "_power_blocks", spy)
-        monkeypatch.setattr(stability, "_power_blocks", spy)
-        growth_bound(Analysis(A), RunConfig(seed=0))
+        asked = _spy_powers(monkeypatch)
+        gb = growth_bound(Analysis(A), RunConfig(seed=0))
         assert asked == [10, POWER_STEPS]
+        monkeypatch.undo()
+        assert gb.max_violation_ratio == _full_ratio(A, gb)[0]
 
     def test_shares_the_probe_batch(self, monkeypatch):
         # The Frobenius norms come off the probe batch of the config's
@@ -338,9 +359,9 @@ class TestGrowthBound:
 
     @pytest.mark.parametrize("dim", [2, 4, 8, 16])
     def test_bare_call_propagates_no_probes(self, dim, monkeypatch):
-        # Without a probe batch on the analysis, the Frobenius level of
-        # max_power_excess prunes the powers; every field keeps the bits of
-        # a call that reads the batch.  The ratio cases add maxima at n = 13
+        # Without a probe batch on the analysis, the recursion alone cuts
+        # the powers; every field keeps the bits of a call that reads the
+        # batch.  The ratio cases add maxima at n = 13
         # and n = 1000.
         horizons = []
         batch = criteria.orbit_log_norms_batch
