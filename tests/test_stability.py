@@ -224,7 +224,7 @@ class TestGrowthBound:
         # J_3 at 1e110 and 1e200: the recursion rules out every n > 10, and
         # the verdict is that of the vanishing check on all POWER_STEPS
         # powers.
-        indices = sorted({1, 2, 3, dim // 2, min(dim, 20)} - {0} if dim > 2 else {1, 2})
+        indices = sorted({1, 2, 3, dim // 2, min(dim, 20)}) if dim > 2 else [1, 2]
         cases = [gen_planted_jordan(dim, [(0, i)], 100.0, dim + i) for i in indices]
         cases += [big * np.eye(3, k=1, dtype=complex) for big in (2.0, 1e110, 1e200)] * (dim == 2)
         for A in cases:
