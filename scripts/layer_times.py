@@ -20,6 +20,10 @@ with four distinct eigenvalues is timed four ways:
 e^{0.7i}, 1.0, seed=d), whose probes grow polynomially, and
 ``growth_jordan_ms`` times ``growth_bound`` on that ``Analysis``, with its
 ten shared powers also computed, best of five.
+``serialize_ms`` times ``jsonout.dumps(matrix_to_obj(A))`` of the unitary,
+best of five, and ``parse_ms`` times ``matrix_from_obj(json.loads(text))``
+of that text, best of five: the write and the read of a matrix JSON file
+without the file.
 ``one_step_ms`` times the engine on diag(1e200, 0.5), whose blocks are one
 step long, three times per run.  ``growth_bare_ms`` times ``growth_bound``,
 best of five, each call on a fresh ``Analysis`` of the dim-8 planted
@@ -61,7 +65,8 @@ from bench_pairs import export, git, spread  # noqa: E402
 STEPS = 2000
 DIMS = (4, 8, 16, 32, 64)
 BLAS_THREADS = "1"
-KEYS = ("analyze_ms", "engine_ms", "floor_ms", "classify_ms", "classify_jordan_ms", "growth_jordan_ms")
+KEYS = ("analyze_ms", "engine_ms", "floor_ms", "classify_ms", "classify_jordan_ms", "growth_jordan_ms",
+        "serialize_ms", "parse_ms")
 
 
 def _timed(fn) -> float:
@@ -83,7 +88,7 @@ def measure(src: str, dims) -> dict:
         gen_unitary_finite_spectrum,
         spread_unimodular,
     )
-    from aolab.linalg import matrix_to_obj
+    from aolab.linalg import matrix_from_obj, matrix_to_obj
 
     out = {key: {} for key in KEYS}
     out["numpy"] = np.__version__
@@ -103,7 +108,8 @@ def measure(src: str, dims) -> dict:
             rng = np.random.default_rng(d)
             A = gen_unitary_finite_spectrum(d, spread_unimodular(rng, 4), d)
             inp, report = Path(tmp) / f"d{d}.json", Path(tmp) / f"d{d}.out.json"
-            inp.write_text(jsonout.dumps(matrix_to_obj(A)), encoding="utf-8")
+            text = jsonout.dumps(matrix_to_obj(A))
+            inp.write_text(text, encoding="utf-8")
             argv = ["analyze", "--input", str(inp), "--out", str(report), "--seed", "1"]
             t = _timed(lambda: cli.main(argv))
             if i == 0:
@@ -119,6 +125,8 @@ def measure(src: str, dims) -> dict:
                     criteria._propagate(B, V, stack[: min(k, STEPS - n)])
 
             out["analyze_ms"][d] = t
+            out["serialize_ms"][d] = best_of_five(lambda: jsonout.dumps(matrix_to_obj(A)))
+            out["parse_ms"][d] = best_of_five(lambda: matrix_from_obj(json.loads(text)))
             out["engine_ms"][d] = _timed(lambda: criteria.orbit_log_norms_batch(A, H, STEPS))
             out["floor_ms"][d] = _timed(floor)
             an = warmed(A)
@@ -210,7 +218,8 @@ def main(argv=None) -> int:
                   f"engine {s['engine_ms'][d]['median']:8.2f} ms  floor {s['floor_ms'][d]['median']:8.2f} ms  "
                   f"engine/floor {s['engine_over_floor'][d]:.3f}  classify {s['classify_ms'][d]['median']:.2f} ms  "
                   f"jordan {s['classify_jordan_ms'][d]['median']:.2f} ms  "
-                  f"growth jordan {s['growth_jordan_ms'][d]['median']:.2f} ms")
+                  f"growth jordan {s['growth_jordan_ms'][d]['median']:.2f} ms  "
+                  f"serialize {s['serialize_ms'][d]['median']:.2f} ms  parse {s['parse_ms'][d]['median']:.2f} ms")
         print(f"{side:6s} one-step engine best {s['one_step_ms']['best']:.2f} ms, "
               f"median {s['one_step_ms']['median']:.2f} ms")
         print(f"{side:6s} bare growth d8 cap 1e6 {s['growth_bare_ms']['median']:.2f} ms, "

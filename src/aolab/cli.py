@@ -119,17 +119,28 @@ def cmd_analyze(args) -> int:
 
     text = jsonout.dumps(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if not _write_file(args.out, text):
+            return EXIT_INPUT
     else:
         sys.stdout.write(text)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write("n,power_norm,bound\n")
-            if gb is not None:
-                for n, nrm, bound in growth_csv_rows(an, gb):
-                    fh.write(f"{n},{nrm:.17g},{bound:.17g}\n")
+        lines = ["n,power_norm,bound\n"]
+        if gb is not None:
+            lines += [f"{n},{nrm:.17g},{bound:.17g}\n" for n, nrm, bound in growth_csv_rows(an, gb)]
+        if not _write_file(args.csv, "".join(lines), newline=""):
+            return EXIT_INPUT
     return EXIT_INCONSISTENT if inconsistent else EXIT_OK
+
+
+def _write_file(path: str, text: str, newline: str | None = None) -> bool:
+    """Write text to path; on failure print the error and return False."""
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def cmd_generate(args) -> int:

@@ -107,10 +107,11 @@ def cluster_points(values: np.ndarray, radius, merge=None):
 # ---------------------------------------------------------------------------
 
 def matrix_to_obj(A) -> dict:
-    A = as_matrix(A)
-    d = A.shape[0]
-    flat = A.reshape(-1)
-    return {"dim": d, "entries": [[float(z.real), float(z.imag)] for z in flat]}
+    A = np.ascontiguousarray(as_matrix(A))
+    return {"dim": A.shape[0], "entries": A.view(float).reshape(-1, 2).tolist()}
+
+
+_NUMBER_TYPES = (int, float)  # what json.loads makes of a number; bool is not one
 
 
 def matrix_from_obj(obj) -> np.ndarray:
@@ -119,19 +120,28 @@ def matrix_from_obj(obj) -> np.ndarray:
     if "dim" not in obj:
         raise InvalidInputError("matrix JSON missing field 'dim'")
     d = obj["dim"]
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:
         raise InvalidInputError("field 'dim' must be a positive integer")
     if "entries" not in obj:
         raise InvalidInputError("matrix JSON missing field 'entries'")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != d * d:
         raise InvalidInputError(f"field 'entries' must hold {d * d} [re, im] pairs")
-    vals = np.empty(d * d, dtype=complex)
     for k, pair in enumerate(entries):
-        if (not isinstance(pair, list)) or len(pair) != 2:
+        if not isinstance(pair, list) or len(pair) != 2:
             raise InvalidInputError(f"field 'entries[{k}]' must be an [re, im] pair")
-        try:
-            vals[k] = complex(float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"field 'entries[{k}]' holds non-numeric data") from exc
-    return as_matrix(vals.reshape(d, d))
+        re, im = pair
+        if type(re) not in _NUMBER_TYPES or type(im) not in _NUMBER_TYPES:
+            raise InvalidInputError(f"field 'entries[{k}]' holds non-numeric data")
+    try:
+        vals = np.array(entries, dtype=float)
+    except OverflowError:  # an integer past the float range
+        vals = np.array([_float_pair(k, pair) for k, pair in enumerate(entries)])
+    return as_matrix(vals.view(complex).reshape(d, d))
+
+
+def _float_pair(k: int, pair: list) -> tuple[float, float]:
+    try:
+        return float(pair[0]), float(pair[1])
+    except OverflowError:
+        raise InvalidInputError(f"field 'entries[{k}]' holds a number outside the float range") from None

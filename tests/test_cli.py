@@ -110,6 +110,27 @@ class TestAnalyze:
         assert main(["analyze", "--input", str(p)]) == EXIT_INPUT
         assert "entries" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry, message", [
+        ("[" + "9" * 400 + ", 0]", "field 'entries[0]' holds a number outside the float range"),
+        ("[true, 0]", "field 'entries[0]' holds non-numeric data"),
+        ('["0.5", "0"]', "field 'entries[0]' holds non-numeric data"),
+    ], ids=["integer-400-digits", "bool", "strings"])
+    def test_entry_not_a_float_pair(self, entry, message, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text('{"dim": 1, "entries": [' + entry + "]}")
+        assert main(["analyze", "--input", str(p)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_unwritable_output_path(self, flag, tmp_path, capsys):
+        inp = _write_matrix(tmp_path / "f.json", dft4())
+        target = tmp_path / "missing" / "x.json"
+        assert main(["analyze", "--input", inp, flag, str(target)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}: ") and "No such file" in err
+        assert not target.parent.exists()
+
     def test_huge_entry_report_is_finite(self, tmp_path, capsys):
         # One step multiplies the e0 orbit by 1e12, carrying the row at the
         # 1e300 cut past the float range.

@@ -121,3 +121,28 @@ class TestMatrixJson:
     def test_bad_entry_shape(self):
         with pytest.raises(InvalidInputError):
             matrix_from_obj({"dim": 1, "entries": [[1, 0, 0]]})
+
+    def test_strided_view_roundtrip(self):
+        # A column-strided view whose rows flatten to one strided run.
+        B = (np.arange(32) + 1j * np.arange(32)[::-1]).reshape(4, 8)
+        assert np.array_equal(matrix_from_obj(matrix_to_obj(B[:, ::2])), B[:, ::2])
+
+    def test_integer_entries_accepted(self):
+        A = matrix_from_obj({"dim": 2, "entries": [[1, 0], [0.5, -2], [0, 0], [3, 1]]})
+        assert np.array_equal(A, np.array([[1, 0.5 - 2j], [0, 3 + 1j]]))
+
+    def test_integer_past_float_range_names_entry(self):
+        entries = [[1, 0], [0, 0], [0, -(10**400)], [0, 0]]
+        with pytest.raises(InvalidInputError, match=r"^field 'entries\[2\]' holds a number outside the float range$"):
+            matrix_from_obj({"dim": 2, "entries": entries})
+
+    @pytest.mark.parametrize("bad", [True, False, "0.5", "0", None, [0.5], {"re": 0.5}])
+    def test_non_numeric_entry_names_it(self, bad):
+        for pair in ([bad, 0], [0.0, bad]):
+            with pytest.raises(InvalidInputError, match=r"^field 'entries\[1\]' holds non-numeric data$"):
+                matrix_from_obj({"dim": 2, "entries": [[1, 0], pair, [0, 0], [1, 0]]})
+
+    @pytest.mark.parametrize("dim", [True, 2.0, "2", 0])
+    def test_dim_must_be_an_integer(self, dim):
+        with pytest.raises(InvalidInputError, match="'dim' must be a positive integer"):
+            matrix_from_obj({"dim": dim, "entries": [[1, 0]]})

@@ -164,7 +164,7 @@ def test_layer_times(tmp_path, capsys):
     assert (report["steps"], report["dims"], report["blas_threads"]) == (2000, [4], "1")
     side = report["sides"]["change"]
     assert side["numpy"] and list(report["sides"]) == ["change"]
-    for key in ("analyze_ms", "engine_ms", "floor_ms", "growth_jordan_ms"):
+    for key in ("analyze_ms", "engine_ms", "floor_ms", "growth_jordan_ms", "serialize_ms", "parse_ms"):
         assert side[key]["4"]["median"] > 0
     assert side["engine_over_floor"]["4"] > 0
     assert len(side["one_step_ms"]["values"]) == 3
