@@ -6,6 +6,8 @@ Everything operates on square complex matrices of dimension at most
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .errors import InvalidInputError, SizeError
@@ -134,7 +136,7 @@ def matrix_from_obj(obj) -> np.ndarray:
         if type(re) not in _NUMBER_TYPES or type(im) not in _NUMBER_TYPES:
             raise InvalidInputError(f"field 'entries[{k}]' holds non-numeric data")
     try:
-        vals = np.array(entries, dtype=float)
+        vals = np.fromiter(chain.from_iterable(entries), float, 2 * d * d)
     except OverflowError:  # an integer past the float range
         vals = np.array([_float_pair(k, pair) for k, pair in enumerate(entries)])
     return as_matrix(vals.view(complex).reshape(d, d))
