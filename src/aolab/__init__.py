@@ -16,7 +16,6 @@ from .criteria import (
     is_normaloid,
     is_power_bounded,
     is_unitary,
-    orbit_analyze,
     scalar_re_sequence,
     theorem_check,
 )
@@ -26,7 +25,6 @@ from .errors import (
     IllConditionedSpectrumError,
     InconsistencyError,
     InvalidInputError,
-    NumericalFailureError,
     OutOfScopeError,
     SizeError,
 )

@@ -20,8 +20,8 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import IllConditionedSpectrumError, InconsistencyError, InvalidInputError
-from .linalg import as_matrix, as_vector, operator_norm
-from .structure import GAP, Decomposition, MinimalPoly, decompose, minimal_polynomial
+from .linalg import as_matrix, operator_norm
+from .structure import GAP, Decomposition, MinimalPoly, decide, decompose, minimal_polynomial
 
 # An orbit is read up to the first step where its norm passes this, and is
 # then exponential (``classify_orbits``); ``orbit_norms_batch`` cuts a whole
@@ -39,6 +39,9 @@ COMPONENT_TOL = 1e-10
 # Power steps behind the empirical power-bound check and the growth bound;
 # probe batches run at least this far (``Analysis.orbits``).
 POWER_STEPS = 1000
+
+# Powers tested by ``is_normaloid`` and always formed by ``growth_bound``: one shared prefix.
+FIRST_POWERS = 10
 
 # ||A|| <= 1 (a contraction) and r(A) <= 1 both mean x <= 1 + UNIT_TOL
 # (``at_most_one``).
@@ -195,12 +198,6 @@ def classify_orbits(logs: np.ndarray, window: int = RunConfig.window, tol: float
         else:
             classes[j] = Classification(kind="bounded-nonconvergent")
     return ends, classes
-
-
-def classify_sequence(norms) -> Classification:
-    """``classify_orbits`` of one sequence of norms, under the default window rule."""
-    with np.errstate(divide="ignore"):
-        return classify_orbits(np.log(np.asarray(norms, dtype=float))[:, np.newaxis])[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +406,6 @@ class OrbitRecord:
     structural_exponent: int | None
     classification: Classification
 
-    @property
-    def norms(self) -> np.ndarray:
-        """||A^n h||, clamped like in ``orbit_norms_batch``."""
-        return _clamped_exp(np.array(self.log_norms))
-
     def to_obj(self):
         first, last = _clamped_exp(self.log_norms[[0, -1]])
         return {
@@ -534,18 +526,18 @@ class Analysis:
     def block_overlap(self):
         """(kind, margin, pair): kind 0 if the unimodular blocks are
         pairwise orthogonal, 1 if some pair is undecided, 2 if some pair is
-        oblique.  Two blocks with cosine c (top singular value of
-        basis_a^H basis_b) and basis errors r (``_basis_error``, summed) are
-        orthogonal when c <= COMPONENT_TOL + r, oblique past COMPONENT_TOL
-        + GAP r.  The margin is the largest cosine among the pairs of the
-        worst kind, pair = (a, b, r) its block indices and r."""
+        oblique.  A pair's kind is ``decide(c, COMPONENT_TOL, r)`` of its
+        cosine c (top singular value of basis_a^H basis_b) and the sum r of
+        its basis errors (``_basis_error``).  The margin is the largest
+        cosine among the pairs of the worst kind, pair = (a, b, r) its block
+        indices and r."""
         blocks = {k: b for k, b in enumerate(self.decomposition.blocks) if unimodular(b.z)}
         err = {k: _basis_error(self, b) for k, b in blocks.items()} if len(blocks) > 1 else {}
         kind, margin, pair = 0, 0.0, None
         for a, b in combinations(blocks, 2):
             c = float(np.linalg.svd(blocks[a].basis.conj().T @ blocks[b].basis, compute_uv=False)[0])
             r = err[a] + err[b]
-            k = int(c > COMPONENT_TOL + r) + int(c > COMPONENT_TOL + GAP * r)
+            k = int(decide(c, COMPONENT_TOL, r))
             if (k, c) > (kind, margin):
                 kind, margin, pair = k, c, (a, b, r)
         return kind, margin, pair
@@ -592,12 +584,20 @@ def as_analysis(a) -> Analysis:
 
 def at_most_one(x: float) -> bool:
     """x <= 1 up to UNIT_TOL: the test behind ||A|| <= 1 and r(A) <= 1."""
-    return x <= 1 + UNIT_TOL
+    return bool(decide(x, 1 + UNIT_TOL) == 0)
 
 
 def unimodular(z):
     """Whether |z| lies within CIRCLE_TOL of 1 (elementwise for arrays)."""
-    return np.abs(np.abs(z) - 1) <= CIRCLE_TOL
+    return decide(np.abs(np.abs(z) - 1), CIRCLE_TOL) == 0
+
+
+# Times d; Haar and finite-spectrum unitaries at d4-d64 read ||A^H A - I||_F <= 6e-16 d.
+UNITARY_TOL = 1e-10
+# Times max(1, ||A||); unitary and normaloid generators at d4-d64 read |r - ||A||| <= 1e-14.
+NORMALOID_TOL = 1e-8
+# Relative, the window rule's default; on the same matrices log ||A^n|| is n log ||A|| to 9e-16 n.
+POWER_TEST_TOL = 1e-6
 
 
 def is_unitary(A) -> bool:
@@ -608,31 +608,24 @@ def is_unitary(A) -> bool:
     if np.abs(A).max() > 2:
         return False
     I = np.eye(d)
-    return bool(
-        np.linalg.norm(A.conj().T @ A - I) <= 1e-10 * d
-        and np.linalg.norm(A @ A.conj().T - I) <= 1e-10 * d
-    )
+    defect = max(np.linalg.norm(A.conj().T @ A - I), np.linalg.norm(A @ A.conj().T - I))
+    return bool(decide(defect, UNITARY_TOL * d) == 0)
 
 
 def is_normaloid(A) -> bool:
-    """Spectral radius equals operator norm.
+    """Spectral radius equals operator norm, within NORMALOID_TOL.
 
-    Cross-checks ||A^n|| = ||A||^n (relative 1e-6, n = 2..10) and warns on
-    disagreement outside ||A|| <= (1 + 1e-6) r, where r^n <= ||A^n|| <=
-    ||A||^n leaves the power test no way to fail.
+    Cross-checks ||A^n|| = ||A||^n (relative POWER_TEST_TOL, n = 2..FIRST_POWERS)
+    and warns on disagreement outside ||A|| <= (1 + POWER_TEST_TOL) r, where
+    r^n <= ||A^n|| <= ||A||^n leaves the power test no way to fail.
     """
     an = as_analysis(A)
-    nrm, r, rel = an.norm, an.spectral_radius, 1e-6
-    structural = abs(r - nrm) <= 1e-8 * max(1.0, nrm)
-    if nrm > 0:
-        logs = an.power_logs(10)
-        empirical = all(
-            abs(logs[n - 1] - n * np.log(nrm)) <= np.log1p(rel) * n + rel
-            for n in range(2, 11)
-        )
-    else:
-        empirical = True
-    if structural != empirical and nrm > (1 + rel) * r:
+    nrm, r = an.norm, an.spectral_radius
+    structural = bool(decide(abs(r - nrm), NORMALOID_TOL * max(1.0, nrm)) == 0)
+    n = np.arange(2, FIRST_POWERS + 1)
+    excess = np.abs(an.power_logs(FIRST_POWERS)[1:] - n * np.log(nrm)) if nrm > 0 else 0.0
+    empirical = bool(np.all(decide(excess, np.log1p(POWER_TEST_TOL) * n + POWER_TEST_TOL) == 0))
+    if structural != empirical and decide(nrm, (1 + POWER_TEST_TOL) * r) == 2:
         warnings.warn(
             f"normaloid tests disagree: r vs ||A|| says {structural}, "
             f"power norms say {empirical}",
@@ -659,6 +652,12 @@ def frobenius_log_norms(logs: np.ndarray, d: int) -> np.ndarray:
     return 0.5 * np.logaddexp.reduce(2.0 * logs[:, :d], axis=1)
 
 
+# log ||A^n||_F past this is unbounded: 90 below log OVERFLOW_LIMIT, where orbits are cut.
+UNBOUNDED_LOG = 600
+# Fewer finite ||A^n||_F than this: the powers vanished (nilpotent), too few rows to classify.
+MIN_FINITE_POWERS = 4
+
+
 def is_power_bounded(A, config: RunConfig | None = None) -> bool:
     """sup_n ||A^n|| finite, decided structurally: spectral radius at most 1
     and every root of modulus (near) 1 simple in the minimal polynomial.
@@ -671,10 +670,10 @@ def is_power_bounded(A, config: RunConfig | None = None) -> bool:
     structural = power_bounded_roots(an.minpoly.roots)
     logs = an.frobenius_logs(config or RunConfig())
     finite = logs[np.isfinite(logs)]
-    if finite.size < 4:
+    if finite.size < MIN_FINITE_POWERS:
         empirical = True  # nilpotent: powers vanish
-    elif np.max(finite) >= 600:
-        empirical = False  # powers reached e^600: unbounded
+    elif np.max(finite) >= UNBOUNDED_LOG:
+        empirical = False  # powers reached e^UNBOUNDED_LOG: unbounded
     else:
         _, (cls,) = classify_orbits(finite[:, np.newaxis])
         empirical = cls.kind in ("convergent", "bounded-nonconvergent")
@@ -706,9 +705,13 @@ def block_components(H: np.ndarray, D: Decomposition):
     COMPONENT_TOL ||h|| (norms of ``_unit_columns``), and mu the largest
     |z_j| over each h's present blocks (0 if none)."""
     thr = COMPONENT_TOL * np.linalg.norm(H, axis=0)
-    present = np.array([np.linalg.norm(V, axis=0) > t
+    present = np.array([decide(np.linalg.norm(V, axis=0), t) == 2
                         for V, t in (_unit_columns(b.projection @ H, thr) for b in D.blocks)])
     return present, np.where(present, np.abs([[b.z] for b in D.blocks]), 0.0).max(axis=0)
+
+
+# Same modulus as mu: over 1e5 steps |z|^n of moduli this close differ by at most e^-1e-3.
+SAME_MODULUS_TOL = 1e-8
 
 
 def structural_exponents(A: np.ndarray, H: np.ndarray, D: Decomposition) -> list:
@@ -719,7 +722,7 @@ def structural_exponents(A: np.ndarray, H: np.ndarray, D: Decomposition) -> list
     present, mu = block_components(H, D)
     thr = COMPONENT_TOL * np.linalg.norm(H, axis=0)
     best = np.where(present.any(axis=0), 0, -1)
-    chosen = present & (np.abs(np.abs([[b.z] for b in D.blocks]) - mu) <= 1e-8)
+    chosen = present & (decide(np.abs(np.abs([[b.z] for b in D.blocks]) - mu), SAME_MODULUS_TOL) == 0)
     for b, sel in zip(D.blocks, chosen):
         if b.index == 1 or not sel.any():
             continue
@@ -728,28 +731,9 @@ def structural_exponents(A: np.ndarray, H: np.ndarray, D: Decomposition) -> list
         k = np.zeros(V.shape[1], dtype=int)
         for j in range(1, b.index):
             V, t = _unit_columns(B @ V, t)
-            k[np.linalg.norm(V, axis=0) > t] = j
+            k[decide(np.linalg.norm(V, axis=0), t) == 2] = j
         best[sel] = np.maximum(best[sel], k)
     return [None if k < 0 else int(k) for k in best]
-
-
-def orbit_analyze(A, h, config: RunConfig | None = None) -> OrbitRecord:
-    """Iterate h, A h, A^2 h, ... and classify the norm sequence; attach the
-    structural exponent from the eigenspace decomposition.  The horizon,
-    window and tolerance come from ``config``.
-    """
-    cfg = config or RunConfig()
-    an = as_analysis(A)
-    A = an.A
-    h = as_vector(h, A.shape[0])
-    if np.linalg.norm(h) == 0:
-        raise InvalidInputError("orbit vector must be nonzero")
-    if cfg.n_max < 100:
-        raise InvalidInputError("n_max must be at least 100")
-    logs = orbit_log_norms_batch(A, h.reshape(-1, 1), cfg.n_max)
-    (end,), (cls,) = classify_orbits(logs, cfg.window, cfg.tol_conv)
-    (exponent,) = structural_exponents(A, h.reshape(-1, 1), an.decomposition)
-    return OrbitRecord(h=h, log_norms=logs[:end, 0], structural_exponent=exponent, classification=cls)
 
 
 # ---------------------------------------------------------------------------
@@ -857,19 +841,26 @@ def theorem_check(A, config: RunConfig | None = None) -> CriteriaReport:
 # Scalar sequence lemma probe
 # ---------------------------------------------------------------------------
 
+# |w| = 1 to this keeps |w^n| within 1e-7 of 1 over 1e5 steps, below SCALAR_RESOLUTION.
+SCALAR_W_TOL = 1e-12
+# The window rule's default tolerance: closer tail values are one cluster, a smaller b is 0.
+SCALAR_RESOLUTION = 1e-6
+
+
 def scalar_re_sequence(w: complex, b: complex, n_max: int = 100_000) -> ScalarSeqVerdict:
     """Finite probe of the scalar lemma: for |w| = 1, w != +-1, the sequence
     Re(w^n b) converges only if b = 0.
 
-    Cluster points are estimated from the tail half with merge radius 1e-6.
-    Raises InconsistencyError if the window rule reports convergence for a
-    clearly nonzero b (finite-horizon failure surfaced, not hidden).
+    Cluster points are estimated from the tail half with merge radius
+    SCALAR_RESOLUTION.  Raises InconsistencyError if the window rule reports
+    convergence for a b above SCALAR_RESOLUTION (finite-horizon failure
+    surfaced, not hidden).
     """
     w = complex(w)
     b = complex(b)
-    if abs(abs(w) - 1) > 1e-12:
-        raise InvalidInputError("w must be unimodular (within 1e-12)")
-    if abs(w - 1) <= 1e-12 or abs(w + 1) <= 1e-12:
+    if decide(abs(abs(w) - 1), SCALAR_W_TOL) == 2:
+        raise InvalidInputError(f"w must be unimodular (within {SCALAR_W_TOL:g})")
+    if decide(min(abs(w - 1), abs(w + 1)), SCALAR_W_TOL) == 0:
         raise InvalidInputError("w = +-1 is excluded")
     # w^n b formed in place: these 1e5-term probes set the suites' peak memory.
     seq = np.full(n_max + 1, w)
@@ -879,11 +870,11 @@ def scalar_re_sequence(w: complex, b: complex, n_max: int = 100_000) -> ScalarSe
     seq = seq.real
     convergent, _ = window_limit(seq)
     tail = np.sort(seq[n_max // 2:])
-    # A cluster starts wherever the sorted tail jumps by more than 1e-6.
-    starts = np.flatnonzero(np.diff(tail, prepend=-np.inf) > 1e-6)
+    # A cluster starts wherever the sorted tail jumps by more than SCALAR_RESOLUTION.
+    starts = np.flatnonzero(decide(np.diff(tail, prepend=-np.inf), SCALAR_RESOLUTION) == 2)
     clusters = np.add.reduceat(tail, starts)
     clusters /= np.diff(starts, append=tail.size)
-    if convergent and abs(b) > 1e-6:
+    if convergent and decide(abs(b), SCALAR_RESOLUTION) == 2:
         raise InconsistencyError(
             "window rule reports convergence for nonzero b; w is too close "
             "to +-1 for this horizon"

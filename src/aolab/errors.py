@@ -14,10 +14,6 @@ class SizeError(InvalidInputError):
     """Matrix dimension beyond the supported desk scale."""
 
 
-class NumericalFailureError(AolabError):
-    """An iterative numerical procedure failed to converge."""
-
-
 class IllConditionedSpectrumError(AolabError):
     """The roots or indices of the minimal polynomial cannot be decided: a
     rank decision found no singular-value gap, or the kernels at a root do

@@ -31,17 +31,6 @@ def as_matrix(a) -> np.ndarray:
     return A.copy()
 
 
-def as_vector(v, dim: int | None = None) -> np.ndarray:
-    V = np.asarray(v, dtype=complex).reshape(-1)
-    if V.size == 0:
-        raise InvalidInputError("empty vector")
-    if dim is not None and V.size != dim:
-        raise InvalidInputError(f"vector has dim {V.size}, expected {dim}")
-    if not np.all(np.isfinite(V.real)) or not np.all(np.isfinite(V.imag)):
-        raise InvalidInputError("vector entries must be finite")
-    return V.copy()
-
-
 def as_columns(H, dim: int) -> np.ndarray:
     """Validate and return the columns of H as a fresh (dim, P) complex
     array, P >= 1; a 1-D H is one column."""

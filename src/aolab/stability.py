@@ -17,6 +17,7 @@ from .config import RunConfig
 from .criteria import (
     Analysis,
     BLOCK_GROWTH_LOG2,
+    FIRST_POWERS,
     POWER_STEPS,
     STACK_ENTRIES,
     UNIT_TOL,
@@ -39,11 +40,13 @@ from .criteria import (
 )
 from .errors import InconsistencyError, InvalidInputError, OutOfScopeError
 from .linalg import as_columns
+from .structure import decide
 
 # Unused here, but bench/selftest.py checks that the tracer patches this
 # binding.
 from .structure import minimal_polynomial  # noqa: F401
 
+# Roots up to this modulus are 0; planted nilpotents at d2-d64 (cond cap 100) read r <= 9e-15.
 _NILPOTENT_RADIUS = 1e-12
 
 # Largest log ||A^n h||^2 whose exponential is a finite float.
@@ -125,14 +128,22 @@ def normaloid_equivalence(A, config: RunConfig | None = None) -> NormaloidReport
     return rep
 
 
+# Times max(||A||^2, _NORM_SQ_FLOOR); unitaries at d4-d64 read ||A^H A - A A^H||_F <= 1e-14 ||A||^2.
+_NORMALITY_TOL = 1e-10
+# Keeps the normality threshold positive where ||A||^2 underflows (||A|| < 1e-154).
+_NORM_SQ_FLOOR = 1e-300
+# Times max(1, ||h||^2): the window rule's default tolerance, which bounds its limit's error.
+_LIMIT_TOL = 1e-6
+
+
 def normal_limit(A, H):
     """lim ||A^n h||^2 for a normal contraction and each column h of H (a
     1-D H is one column and gives a float): equals <Q h, h> with Q the
     orthogonal projection onto the unimodular eigenspaces, the sum of the
     projections of the unimodular blocks of the decomposition.  Each
-    column's identity is cross-checked, to 1e-6 * max(1, ||h||^2), against
-    the window limit of its orbit over ``RunConfig.n_max`` steps; the
-    columns advance together in one ``orbit_norms_batch``."""
+    column's identity is cross-checked, to _LIMIT_TOL * max(1, ||h||^2),
+    against the window limit of its orbit over ``RunConfig.n_max`` steps;
+    the columns advance together in one ``orbit_norms_batch``."""
     an = as_analysis(A)
     A = an.A
     single = np.ndim(H) == 1
@@ -140,7 +151,8 @@ def normal_limit(A, H):
     # Contraction first: the normality products of a huge matrix overflow.
     if not an.contraction:
         raise InvalidInputError("normal_limit requires a contraction")
-    if np.linalg.norm(A.conj().T @ A - A @ A.conj().T) > 1e-10 * max(an.norm**2, 1e-300):
+    commutator = np.linalg.norm(A.conj().T @ A - A @ A.conj().T)
+    if decide(commutator, _NORMALITY_TOL * max(an.norm**2, _NORM_SQ_FLOOR)) == 2:
         raise InvalidInputError("normal_limit requires a normal matrix")
     Q = sum((b.projection for b in an.decomposition.blocks if unimodular(b.z)), np.zeros_like(A))
     # Column by column, so that a value does not depend on the other columns.
@@ -148,7 +160,7 @@ def normal_limit(A, H):
     norms, _ = orbit_norms_batch(A, H, RunConfig.n_max)
     for j in range(H.shape[1]):
         _, limit = window_limit(norms[:, j] ** 2)
-        if abs(limit - q[j]) > 1e-6 * max(1.0, norms[0, j] ** 2):
+        if decide(abs(limit - q[j]), _LIMIT_TOL * max(1.0, norms[0, j] ** 2)) == 2:
             raise InconsistencyError(
                 f"orbit limit {limit} disagrees with projection value {q[j]}"
             )
@@ -201,7 +213,7 @@ def recursion_log_norms(an: Analysis, n_max: int) -> np.ndarray:
     if not gap > 0:
         return np.full(n_max, np.inf)
     r = max(abs(b.z) for b in blocks)
-    t = r if r > _NILPOTENT_RADIUS else an.norm or 1.0
+    t = r if decide(r, _NILPOTENT_RADIUS) == 2 else an.norm or 1.0
     index = [b.index for b in blocks]
     heads = np.cumsum([0, *index[:-1]])
     deg = sum(index)
@@ -247,7 +259,7 @@ def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
     N_j the nilpotent part in the block basis; alpha aggregates via
     alpha = sum_j ||P_j|| alpha_j.  Verified empirically up to POWER_STEPS:
     the largest ratio ||A^n|| / bound_n is taken over the exact spectral
-    norms (``Analysis.power_logs``) of the first ten powers and of every
+    norms (``Analysis.power_logs``) of powers 1..FIRST_POWERS and of every
     power up to the last n whose Frobenius norm (``Analysis.frobenius_logs``
     of ``config``'s seed, when that probe batch is already propagated) and
     whose block recursion bound (``recursion_log_norms``) could both still
@@ -264,7 +276,7 @@ def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
         raise OutOfScopeError(f"growth bound requires r(A) <= 1, got {r}")
     kappa = mp.degree - 1
 
-    if r <= _NILPOTENT_RADIUS:
+    if decide(r, _NILPOTENT_RADIUS) == 0:
         # Nilpotent: powers vanish identically from n = deg p on.  The
         # threshold is taken in log space, where ||A||^deg p cannot overflow;
         # it bounds every power from deg p on, and no earlier one.
@@ -273,7 +285,7 @@ def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
         upper = recursion_log_norms(an, POWER_STEPS)
         upper[: valid_from - 1] = -np.inf
         m = _reach(upper - vanish, -_FROBENIUS_SLACK)
-        live = np.flatnonzero(an.power_logs(m)[valid_from - 1 :] > vanish)
+        live = np.flatnonzero(decide(an.power_logs(m)[valid_from - 1 :], vanish) == 2)
         if live.size:
             raise InconsistencyError(
                 f"nilpotent matrix has nonzero power at n={valid_from + live[0]}"
@@ -290,7 +302,7 @@ def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
     for b in an.decomposition.blocks:
         M = b.basis.conj().T @ A @ b.basis
         N = M - b.z * np.eye(b.dim)
-        if abs(b.z) > _NILPOTENT_RADIUS:
+        if decide(abs(b.z), _NILPOTENT_RADIUS) == 2:
             aj = 1.0  # the k = 0 term, ||I||
             Nk = np.eye(b.dim, dtype=complex)
             fact = 1.0
@@ -313,18 +325,18 @@ def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
     log_bound = np.log(alpha) + kappa * np.log(n) + n * np.log(r)
     # No n past the last one whose Frobenius excess off the probe batch,
     # or whose recursion excess, comes within the slack of the best exact
-    # excess of the first ten powers can hold the maximum.  A bare call
-    # propagates no batch, and the recursion starts from all POWER_STEPS
-    # powers.
+    # excess of the first FIRST_POWERS powers can hold the maximum.  A bare
+    # call propagates no batch, and the recursion starts from all
+    # POWER_STEPS powers.
     cfg, m = config or RunConfig(), POWER_STEPS
-    floor = _worst_excess(an.power_logs(10), log_bound) - _FROBENIUS_SLACK
+    floor = _worst_excess(an.power_logs(FIRST_POWERS), log_bound) - _FROBENIUS_SLACK
     if an.has_orbits(cfg.seed):
         m = _reach(an.frobenius_logs(cfg) - log_bound, floor)
-    if m > 10:
+    if m > FIRST_POWERS:
         m = _reach(recursion_log_norms(an, m) - log_bound[:m], floor)
-    worst = _worst_excess(an.power_logs(max(m, 10)), log_bound)
+    worst = _worst_excess(an.power_logs(max(m, FIRST_POWERS)), log_bound)
     ratio = float(np.exp(worst)) if np.isfinite(worst) else 0.0
-    if ratio > 1 + _RATIO_TOL:
+    if decide(ratio, 1 + _RATIO_TOL) == 2:
         raise InconsistencyError(f"growth bound violated: ratio {ratio}")
     return GrowthBound(
         kappa=kappa,
@@ -337,7 +349,7 @@ def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
 
 def growth_csv_rows(A, gb: GrowthBound):
     """(n, ||A^n||, bound_n) rows for n = 1..POWER_STEPS, for external
-    plotting; norms are clamped at 1e308 like ``OrbitRecord.norms``."""
+    plotting; norms are clamped at 1e308 (``criteria._clamped_exp``)."""
     norms = _clamped_exp(np.array(as_analysis(A).power_logs()))
     rows = []
     for n in range(1, POWER_STEPS + 1):
@@ -387,10 +399,14 @@ def uniform_stability(A, config: RunConfig | None = None) -> StabilityVerdict:
     )
 
 
+# Covers the fit's band on log rho, 1 / 1501 at the default horizon (``criteria._envelope_fit``).
+_ROOT_LIMIT_TOL = 1e-3
+
+
 def orbit_root_limit(A, H):
     """Empirical limit of ||A^n h||^{1/n} over ``RunConfig.n_max`` steps for
     each column h of H (a 1-D H is one column and gives a float),
-    cross-checked within 1e-3 against the structural prediction
+    cross-checked within _ROOT_LIMIT_TOL against the structural prediction
     max{|z_j| : P_j h != 0}.
 
     The n-th root sequence converges like 1 + O(log n / n), too slowly for
@@ -409,6 +425,6 @@ def orbit_root_limit(A, H):
     live = logs[-1] > -np.inf
     empirical[live] = np.exp(_envelope_fit(logs)[0][live])
     for e, mu in zip(empirical, block_components(H, an.decomposition)[1]):
-        if abs(e - mu) > 1e-3:
+        if decide(abs(e - mu), _ROOT_LIMIT_TOL) == 2:
             raise InconsistencyError(f"root limit {e} disagrees with structural value {mu}")
     return float(empirical[0]) if single else empirical

@@ -30,6 +30,15 @@ CLUSTER_FACTOR = 1e-8
 GAP = 1e3
 
 
+def decide(value, threshold, error=0.0):
+    """The grade of every decision, elementwise: 0 (holds) when value <=
+    threshold + error, 2 (fails) past threshold + GAP * error, 1 (undecided)
+    between or for NaN.  With error 0 it is 0 exactly when value <= threshold."""
+    holds = np.less_equal(value, threshold + error)
+    # An int dtype: numpy adds bools as a logical or.
+    return np.add(~holds, np.greater(value, threshold + GAP * error), dtype=int)
+
+
 @dataclass(frozen=True)
 class MinimalPoly:
     """Monic minimal polynomial given by roots z_j with indices i_j."""
@@ -63,13 +72,14 @@ def _kernel(M: np.ndarray, tol: float, z: complex, step: int):
         # singular values; the adjoint takes another path through it.
         u, s, _ = np.linalg.svd(M.conj().T)
         vh = u.conj().T
-    band = s[(s > tol) & (s <= GAP * tol)]
+    grade = decide(s, 0.0, tol)
+    band = s[grade == 1]
     if band.size:
         raise IllConditionedSpectrumError(
             f"root {z:.6g}, staircase step {step}: singular value {band[-1]:.3g} "
             f"lies in the gap band above the threshold {tol:.3g} (up to {GAP:g} times it)"
         )
-    return int(np.sum(s <= tol)), vh.conj().T
+    return int(np.sum(grade == 0)), vh.conj().T
 
 
 def _staircase(A: np.ndarray, z: complex, tol: float, steps: int, mult: int | None = None):
@@ -138,8 +148,8 @@ def minimal_polynomial(A, norm: float | None = None) -> MinimalPoly:
         # Within the smallest radius, eigenvalues are one root unchecked;
         # the staircase still checks the cluster.
         m = (w[i] + w[j]) / 2
-        return abs(w[i] - w[j]) <= CLUSTER_FACTOR * scale or (
-            np.linalg.svd(A - m * np.eye(d), compute_uv=False)[-1] <= tol
+        return decide(abs(w[i] - w[j]), CLUSTER_FACTOR * scale) == 0 or (
+            decide(np.linalg.svd(A - m * np.eye(d), compute_uv=False)[-1], tol) == 0
         )
 
     # Disks of radius r overlap within r_i + r_j: linking distance 2r.

@@ -15,16 +15,15 @@ from aolab.criteria import (
     Analysis,
     Classification,
     classify_orbits,
-    classify_sequence,
     frobenius_log_norms,
     is_normaloid,
     is_power_bounded,
     is_unitary,
-    orbit_analyze,
     orbit_log_norms_batch,
     orbit_norms_batch,
     power_log_norms,
     scalar_re_sequence,
+    structural_exponents,
     theorem_check,
     window_limit,
 )
@@ -226,6 +225,12 @@ class TestWindowLimit:
         assert ok and L == pytest.approx(c)
 
 
+def classify_one(s):
+    """The classification of one norm sequence: ``classify_orbits`` of its logs as one column."""
+    with np.errstate(divide="ignore"):
+        return classify_orbits(np.log(s)[:, np.newaxis])[1][0]
+
+
 class TestClassifySequence:
     # Long horizons here: the window deviation of s_n / n^d scales like
     # window / n^2, so short sequences blur neighboring degrees.
@@ -233,36 +238,36 @@ class TestClassifySequence:
 
     def test_convergent(self):
         n = np.arange(self.N, dtype=float)
-        c = classify_sequence(2.0 + 1.0 / (n + 1))
+        c = classify_one(2.0 + 1.0 / (n + 1))
         assert c.kind == "convergent" and c.limit == pytest.approx(2.0, abs=1e-3)
 
     def test_polynomial_degrees(self):
         n = np.arange(self.N, dtype=float)
         for d in (1, 2, 3):
-            c = classify_sequence(0.5 * n**d + n ** (d - 1))
+            c = classify_one(0.5 * n**d + n ** (d - 1))
             assert (c.kind, c.degree) == ("polynomial-growth", d)
 
     def test_exponential(self):
         s = np.exp(0.01 * np.arange(3000))
-        c = classify_sequence(s)
+        c = classify_one(s)
         assert c.kind == "exponential-growth"
         assert c.rate == pytest.approx(np.exp(0.01), rel=1e-3)
 
     def test_bounded_nonconvergent(self):
         s = 1.0 + 0.5 * np.cos(np.arange(self.N) * 0.3)
-        c = classify_sequence(s)
+        c = classify_one(s)
         assert c.kind == "bounded-nonconvergent"
 
     def test_slow_oscillation_not_polynomial(self):
         # Bounded but slowly oscillating: n^d-normalization drifts below
         # tol yet the sequence does not grow.  Must not report growth.
         s = 2.0 + np.sin(np.arange(2000) * 0.004)
-        c = classify_sequence(s)
+        c = classify_one(s)
         assert c.kind in ("bounded-nonconvergent", "convergent")
 
     def test_dead_sequence_converges_to_zero(self):
         s = np.concatenate([np.ones(100), np.zeros(400)])
-        c = classify_sequence(s)
+        c = classify_one(s)
         assert c.kind == "convergent" and c.limit == 0.0
 
     def test_overflowed_is_exponential(self):
@@ -826,22 +831,32 @@ class TestScalarSequence:
 
 
 class TestOrbitAnalyze:
+    """One probe's orbit: ``classify_orbits`` of a one-column batch and its
+    ``structural_exponents``."""
+
+    @staticmethod
+    def analyze(A, h, n_max=RunConfig.n_max):
+        H = h.reshape(-1, 1)
+        (cls,) = classify_orbits(orbit_log_norms_batch(A, H, n_max))[1]
+        (exponent,) = structural_exponents(A, H, Analysis(A).decomposition)
+        return cls, exponent
+
     def test_jordan_probe_grows_linearly(self):
         A = gen_jordan_perturbation(2, 1.0, 1.0, seed=0)
-        h = np.array([0.0, 1.0], dtype=complex)
-        rec = orbit_analyze(A, h, RunConfig(n_max=20000))
-        assert rec.classification.kind == "polynomial-growth"
-        assert rec.classification.degree == 1
+        cls, exponent = self.analyze(A, np.array([0.0, 1.0], dtype=complex), n_max=20000)
+        assert cls.kind == "polynomial-growth"
+        assert cls.degree == 1
+        assert exponent == 1
 
     def test_kernel_probe_stays_flat(self):
         A = gen_jordan_perturbation(2, 1.0, 1.0, seed=0)
-        h = np.array([1.0, 0.0], dtype=complex)
-        rec = orbit_analyze(A, h)
-        assert rec.classification.kind == "convergent"
-        assert rec.classification.limit == pytest.approx(1.0, abs=1e-6)
+        cls, exponent = self.analyze(A, np.array([1.0, 0.0], dtype=complex))
+        assert cls.kind == "convergent"
+        assert cls.limit == pytest.approx(1.0, abs=1e-6)
+        assert exponent == 0
 
     def test_horizon_from_config(self):
         A = gen_jordan_perturbation(2, 1.0, 1.0, seed=0)
-        h = np.array([0.0, 1.0], dtype=complex)
-        rec = orbit_analyze(A, h, config=RunConfig(n_max=500))
-        assert rec.norms.shape == (501,)
+        rep = theorem_check(A, RunConfig(n_max=500))
+        rec = dict(rep.probes)["e1"]
+        assert rec.log_norms.shape == (501,)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from aolab.errors import InvalidInputError, SizeError
 from aolab.linalg import (
     MAX_DIM,
+    as_columns,
     as_matrix,
-    as_vector,
     cluster_points,
     matrix_from_obj,
     matrix_to_obj,
@@ -37,7 +37,7 @@ class TestValidation:
 
     def test_vector_dim_mismatch(self):
         with pytest.raises(InvalidInputError):
-            as_vector([1, 2, 3], dim=2)
+            as_columns([1, 2, 3], dim=2)
 
 
 class TestNormsAndRank:

@@ -1,15 +1,21 @@
-"""Minimal polynomials and generalized eigenspace decompositions."""
+"""Minimal polynomials, generalized eigenspace decompositions and the
+decision rule."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aolab
 from aolab.errors import DecompositionError, IllConditionedSpectrumError
 from aolab.generators import canonical_oblique, dft4, gen_planted_jordan, spread_unimodular
 from aolab.linalg import operator_norm
 from aolab.structure import (
+    GAP,
     MinimalPoly,
+    decide,
     decompose,
     minimal_polynomial,
     minimal_poly_to_obj,
@@ -205,3 +211,42 @@ class TestSerialization:
         assert obj["degree"] == 3
         assert len(obj["roots"]) == 3
         assert all(set(r) == {"z", "index"} for r in obj["roots"])
+
+
+class TestDecide:
+    @pytest.mark.parametrize("threshold", [0.0, 1e-10, 1 + 1e-10, -3.5, 1e300])
+    def test_error_zero_is_at_most(self, threshold):
+        values = np.array([np.nextafter(threshold, -np.inf), threshold, np.nextafter(threshold, np.inf)])
+        for v in values:
+            assert decide(v, threshold) == (0 if v <= threshold else 2)
+            assert decide(float(v), threshold) == (0 if v <= threshold else 2)
+        grades = decide(values, threshold)
+        assert grades.dtype.kind == "i"
+        assert grades.tolist() == [0, 0, 2]
+
+    @pytest.mark.parametrize("threshold, error", [(0.0, 1e-12), (1e-10, 3e-9), (1.0, 0.25), (-2.0, 1e-3)])
+    def test_three_grades(self, threshold, error):
+        lo, hi = threshold + error, threshold + GAP * error
+        values = np.array([lo, np.nextafter(lo, np.inf), (lo + hi) / 2, hi, np.nextafter(hi, np.inf), np.nan])
+        want = [0, 1, 1, 1, 2, 1]
+        assert decide(values, threshold, error).tolist() == want
+        assert [int(decide(float(v), threshold, error)) for v in values] == want
+
+
+def test_no_unnamed_decision_literals():
+    """No float literal with 0 < |x| < 1e-2 inside a function body of the
+    modules that decide: each threshold is a named constant."""
+    src = Path(aolab.__file__).parent
+    found = []
+    for name in ("criteria.py", "stability.py", "structure.py"):
+        tree = ast.parse((src / name).read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{name}:{node.lineno} {fn.name}: {node.value!r}"
+                    for stmt in fn.body
+                    for node in ast.walk(stmt)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, float)
+                    and 0 < abs(node.value) < 1e-2
+                ]
+    assert not found, found
