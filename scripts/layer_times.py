@@ -34,7 +34,8 @@ spectral norms to be formed (a second call on the same ``Analysis`` would
 read them from its cache).  ``growth_nilpotent_ms`` times ``growth_bound``,
 best of five, on the matrix of gen_planted_jordan(8, [(0, 3)], 100.0,
 seed=8), the nilpotent shape of the growth suite, each call on a fresh
-``Analysis`` as the suite makes it.
+``Analysis`` as the suite makes it.  ``verify_ms`` times one
+``aolab verify --suite all --trials 10 --seed 0``, its stdout captured.
 
 Every run is a fresh process with BLAS pinned to one thread.  The checkout
 this script lies in is the ``change`` side.  With ``--parent COMMIT`` the
@@ -47,6 +48,8 @@ versions, the BLAS thread count and the host's core count.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -148,6 +151,9 @@ def measure(src: str, dims) -> dict:
     out["growth_bare_ms"] = min(_timed(partial(stability.growth_bound, bare(), cfg)) for _ in range(5))
     nilpotent = gen_planted_jordan(8, [(0, 3)], 100.0, 8)
     out["growth_nilpotent_ms"] = best_of_five(lambda: stability.growth_bound(nilpotent, cfg))
+    verify = ["verify", "--suite", "all", "--trials", "10", "--seed", "0"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        out["verify_ms"] = _timed(lambda: cli.main(verify))
     return out
 
 
@@ -171,7 +177,7 @@ def _side(runs, dims) -> dict:
     }
     one = [t for r in runs for t in r["one_step_ms"]]
     side["one_step_ms"] = {**spread(one), "best": min(one)}
-    for key in ("growth_bare_ms", "growth_nilpotent_ms"):
+    for key in ("growth_bare_ms", "growth_nilpotent_ms", "verify_ms"):
         side[key] = spread([r[key] for r in runs])
     side["numpy"] = runs[0]["numpy"]
     return side
@@ -224,6 +230,7 @@ def main(argv=None) -> int:
               f"median {s['one_step_ms']['median']:.2f} ms")
         print(f"{side:6s} bare growth d8 cap 1e6 {s['growth_bare_ms']['median']:.2f} ms, "
               f"nilpotent d8 {s['growth_nilpotent_ms']['median']:.2f} ms")
+        print(f"{side:6s} verify --suite all --trials 10 {s['verify_ms']['median']:.1f} ms")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")

@@ -654,8 +654,6 @@ def frobenius_log_norms(logs: np.ndarray, d: int) -> np.ndarray:
 
 # log ||A^n||_F past this is unbounded: 90 below log OVERFLOW_LIMIT, where orbits are cut.
 UNBOUNDED_LOG = 600
-# Fewer finite ||A^n||_F than this: the powers vanished (nilpotent), too few rows to classify.
-MIN_FINITE_POWERS = 4
 
 
 def is_power_bounded(A, config: RunConfig | None = None) -> bool:
@@ -669,13 +667,13 @@ def is_power_bounded(A, config: RunConfig | None = None) -> bool:
     an = as_analysis(A)
     structural = power_bounded_roots(an.minpoly.roots)
     logs = an.frobenius_logs(config or RunConfig())
-    finite = logs[np.isfinite(logs)]
-    if finite.size < MIN_FINITE_POWERS:
-        empirical = True  # nilpotent: powers vanish
-    elif np.max(finite) >= UNBOUNDED_LOG:
+    # A row reads -inf once every basis orbit died, and so does every later row.
+    if logs[-1] == -np.inf:
+        empirical = True  # the powers vanished exactly: nilpotent
+    elif np.max(logs) >= UNBOUNDED_LOG:
         empirical = False  # powers reached e^UNBOUNDED_LOG: unbounded
     else:
-        _, (cls,) = classify_orbits(finite[:, np.newaxis])
+        _, (cls,) = classify_orbits(logs[:, np.newaxis])
         empirical = cls.kind in ("convergent", "bounded-nonconvergent")
     if structural != empirical:
         raise InconsistencyError(

@@ -50,16 +50,6 @@ class MinimalPoly:
     # minimal_polynomial (None for hand-built instances).
     bases: tuple | None = field(default=None, compare=False, repr=False)
 
-    def evaluate(self, A: np.ndarray) -> np.ndarray:
-        """p(A) by repeated multiplication."""
-        A = as_matrix(A)
-        P = np.eye(A.shape[0], dtype=complex)
-        for z, i in self.roots:
-            B = A - z * np.eye(A.shape[0])
-            for _ in range(i):
-                P = P @ B
-        return P
-
 
 def _kernel(M: np.ndarray, tol: float, z: complex, step: int):
     """(nullity, right singular vectors) of M: the singular values at most

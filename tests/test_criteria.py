@@ -623,6 +623,15 @@ class TestPredicates:
         assert not is_power_bounded(np.array([[1, 1], [0, 1]], dtype=complex))
         assert not is_power_bounded(1.2 * np.eye(2))
 
+    @pytest.mark.parametrize("scale, k", [(1e100, 5), (1e60, 6), (1e110, 3), (1.0, 5), (1e30, 8)])
+    def test_vanishing_powers_are_bounded(self, scale, k):
+        # c J_k has finite Frobenius norms up to n = k - 1, the largest past
+        # e^UNBOUNDED_LOG for the first two, and exactly zero powers after.
+        an = Analysis(scale * np.eye(k, k=1))
+        logs = an.frobenius_logs(RunConfig())
+        assert np.isfinite(logs).sum() == k - 1 and logs[-1] == -np.inf
+        assert is_power_bounded(an)
+
     @pytest.mark.parametrize("dim", [4, 8, 16])
     def test_frobenius_power_bound_agrees_with_structure(self, dim):
         # is_power_bounded raises when the Frobenius norms of the basis
