@@ -22,10 +22,10 @@ def test_error_fails_each_trial(monkeypatch):
 def test_detail_follows_the_label(monkeypatch):
     bound = SimpleNamespace(max_violation_ratio=2.0, valid_from=1)
     monkeypatch.setattr(suites, "growth_bound", lambda A: bound)
-    # Two trials: one planted (ratio 2 fails it), then one nilpotent.
+    # Two trials: one planted (ratio 2 fails it), then one nilpotent of
+    # index at least 2 (valid_from 1 fails it).
     res = suites.suite_growth(2, 0)
-    assert res.failures[0] == "trial0: ratio 2.0"
-    assert res.total == 2
+    assert res.failures == ["trial0: ratio 2.0", "trial1: valid_from 1"]
 
 
 def test_empty_detail_is_a_bare_label(monkeypatch):
