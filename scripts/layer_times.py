@@ -12,7 +12,8 @@ with four distinct eigenvalues is timed four ways:
 - ``engine_ms``: ``orbit_log_norms_batch`` of the analyze probe batch (the
   basis and 20 random probes) over 2000 steps;
 - ``floor_ms``: the same 2000 products in blocks of the engine's length,
-  with no norms and no rescales, the floor the engine's bookkeeping sits on;
+  through the engine's own stepper (``criteria._stepper``), with no norms
+  and no rescales, the floor the engine's bookkeeping sits on;
 - ``classify_ms``: ``orbit_convergence`` on an ``Analysis`` whose structure
   and probe batch are already computed, so that the call is the
   classification of the batch and the structural verdict, best of five.
@@ -122,10 +123,15 @@ def measure(src: str, dims) -> dict:
             V = H.astype(complex)
             k = criteria._block_steps(d, H.shape[1])
             stack = np.empty((min(k, STEPS), d, H.shape[1]), dtype=complex)
+            if hasattr(criteria, "_stepper"):
+                propagate = criteria._stepper(B, stack)
+            else:  # a tree from before the stepper, timed as its engine ran
+                def propagate(start, steps):
+                    criteria._propagate(B, start, stack[:steps])
 
             def floor():
                 for n in range(0, STEPS, k):
-                    criteria._propagate(B, V, stack[: min(k, STEPS - n)])
+                    propagate(V, min(k, STEPS - n))
 
             out["analyze_ms"][d] = t
             out["serialize_ms"][d] = best_of_five(lambda: jsonout.dumps(matrix_to_obj(A)))

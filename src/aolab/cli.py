@@ -171,10 +171,10 @@ def cmd_generate(args) -> int:
         else:
             print(f"error: unknown kind {kind!r}", file=sys.stderr)
             return EXIT_INPUT
+        sys.stdout.write(jsonout.dumps(matrix_to_obj(A)))  # non-finite parameters fail here
     except (InvalidInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    sys.stdout.write(jsonout.dumps(matrix_to_obj(A)))
     return EXIT_OK
 
 

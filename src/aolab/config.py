@@ -34,7 +34,7 @@ class RunConfig:
     def __post_init__(self):
         if self.n_max < 1 or self.window < 1 or self.window >= self.n_max:
             raise InvalidInputError("require 1 <= window < n_max")
-        if self.tol_conv <= 0:
-            raise InvalidInputError("tolerances must be positive")
+        if not 0 < self.tol_conv < float("inf"):  # NaN fails too
+            raise InvalidInputError("tolerances must be positive and finite")
         if self.trials < 1:
             raise InvalidInputError("trials must be positive")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
 
 import numpy as np
@@ -266,15 +266,20 @@ def _block_norms(W: np.ndarray, live, limit: int):
     return norms, limit
 
 
-def _propagate(A: np.ndarray, start: np.ndarray, W: np.ndarray) -> None:
-    """W[j] = A^(j+1) start for every step j of the block W: one product
-    per step.  ``np.dot`` makes the ``matmul`` call with less dispatch, but
-    takes a 1 x 1 A for a scalar, with other bits."""
-    product = np.dot if A.size > 1 else np.matmul
-    prev = start
-    for step in W:
-        product(A, prev, out=step)
-        prev = step
+def _stepper(A: np.ndarray, stack: np.ndarray):
+    """propagate(start, k) -> stack[:k], with stack[j] = A^(j+1) start: one
+    product per step into step views made once, by ``A.dot`` (``np.dot``
+    without its dispatch wrapper).  ``dot`` takes a 1 x 1 A for a scalar,
+    with other bits, so that one keeps ``matmul``."""
+    product = A.dot if A.size > 1 else partial(np.matmul, A)
+    steps = list(stack)
+
+    def propagate(start: np.ndarray, k: int) -> np.ndarray:
+        for step in steps[:k]:
+            start = product(start, out=step)
+        return stack[:k]
+
+    return propagate
 
 
 def orbit_log_norms_batch(A: np.ndarray, H: np.ndarray, n_max: int) -> np.ndarray:
@@ -283,15 +288,16 @@ def orbit_log_norms_batch(A: np.ndarray, H: np.ndarray, n_max: int) -> np.ndarra
     The propagation engine behind every orbit in the package: all columns
     advance together by one ``A @ V`` per step (never by powering A), with A
     prescaled by a power of two (``_prescaled``).  The steps run in blocks
-    of plain products in a preallocated stack (``_block_steps``); the
-    column norms of a whole block come from one sum of squares, and the
-    block ends with one exact power-of-two rescale per column, so the
-    log-norms neither overflow nor underflow.  A block is cut before a
-    live column's norm falls below TINY_NORM (``_block_norms``).  A column
-    that reaches exactly zero reads -inf from then on.  The engine runs
-    the full horizon, and a shorter horizon gives a bit-for-bit prefix of a
-    longer one; its readers cut the rows at an overflow (each column at its
-    own in ``classify_orbits``, the whole batch in ``orbit_norms_batch``).
+    of plain products in a preallocated stack (``_block_steps``,
+    ``_stepper``); the column norms of a whole block come from one sum of
+    squares, and the block ends with one exact power-of-two rescale per
+    column, so the log-norms neither overflow nor underflow.  A block is cut
+    before a live column's norm falls below TINY_NORM (``_block_norms``).  A
+    column that reaches exactly zero reads -inf from then on.  The engine
+    runs the full horizon, and a shorter horizon gives a bit-for-bit prefix
+    of a longer one; its readers cut the rows at an overflow (each column at
+    its own in ``classify_orbits``, the whole batch in
+    ``orbit_norms_batch``).
     """
     A, e = _prescaled(A)
     V = np.array(H, dtype=complex, order="C")
@@ -310,12 +316,12 @@ def orbit_log_norms_batch(A: np.ndarray, H: np.ndarray, n_max: int) -> np.ndarra
     np.ldexp(V_parts, -shed[:, np.newaxis], out=V_parts)
     ne = e * np.arange(n_max + 1)[:, np.newaxis]
     live = np.ones(P, dtype=bool)
+    propagate = _stepper(A, stack)
     n = 0
     # log(0) = -inf is how a dead column is recorded.
     with np.errstate(divide="ignore"):
         while n < n_max:
-            W = stack[: min(limit, n_max - n)]
-            _propagate(A, V, W)
+            W = propagate(V, min(limit, n_max - n))
             norms, limit = _block_norms(W, live, limit)
             kept = norms.shape[0]
             rows = out[n + 1 : n + kept + 1]
@@ -374,11 +380,11 @@ def power_log_norms(A: np.ndarray, n_max: int) -> np.ndarray:
     limit = _block_steps(d, d)
     stack = np.empty((min(limit, n_max), d, d), dtype=complex)
     M = np.eye(d, dtype=complex)
+    propagate = _stepper(A, stack)
     shed = 0  # A^n = 2^(shed + n e) M
     n = 0
     while n < n_max:
-        W = stack[: min(limit, n_max - n)]
-        _propagate(A, M, W)
+        W = propagate(M, min(limit, n_max - n))
         fro, limit = _block_norms(W.reshape(W.shape[0], d * d, 1), True, limit)
         fro = fro[:, 0]
         if fro[-1] == 0.0:

@@ -157,8 +157,8 @@ def gen_normaloid_nonnormal(dim: int, seed: int = 0, target_norm: float = 3.0) -
     """Block-diagonal N (normal, ||N|| = r(N) = target_norm) plus a 2x2
     square-zero block of norm <= target_norm: normaloid but not normal."""
     _check_dim(dim, minimum=3)
-    if target_norm <= 0:
-        raise InvalidInputError("target_norm must be positive")
+    if not 0 < target_norm < math.inf:  # an infinite norm would make NaNs, with a warning
+        raise InvalidInputError("target_norm must be positive and finite")
     rng = np.random.default_rng(seed)
     k = dim - 2
     moduli = rng.uniform(0.2, 0.9, size=k) * target_norm

@@ -17,12 +17,6 @@ import numpy as np
 _NONFINITE = "non-finite float in JSON output"
 
 
-def _fmt_float(x: float) -> str:
-    """One float as ``dumps`` writes it: integral values below 1e16 as
-    ``x.0``, every other value with 17 significant digits."""
-    return dumps(float(x))[:-1]
-
-
 def dumps(obj, indent: int = 2) -> str:
     out, floats = [], []
     _layout(obj, out, floats, indent, 0)

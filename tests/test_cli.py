@@ -122,6 +122,14 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == ""
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+    def test_tolerance_must_be_finite(self, tol, tmp_path, capsys):
+        # NaN fails `tol_conv <= 0`; with only that check, [[1.0]] read as
+        # empirically non-convergent under a NaN tolerance (exit 2).
+        inp = _write_matrix(tmp_path / "one.json", np.array([[1.0]]))
+        assert main(["analyze", "--input", inp, f"--tol-conv={tol}"]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: tolerances must be positive and finite\n")
+
     @pytest.mark.parametrize("flag", ["--out", "--csv"])
     def test_unwritable_output_path(self, flag, tmp_path, capsys):
         inp = _write_matrix(tmp_path / "f.json", dft4())
@@ -317,6 +325,20 @@ class TestGenerate:
 
     def test_unknown_kind(self, capsys):
         assert main(["generate", "--kind", "zebra", "--dim", "2"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--kind", "jordan", "--dim", "3", "--scale", "nan"], "matrix entries must be finite"),
+            (["--kind", "planted", "--dim", "3", "--eigenvalues", "nan"], "matrix entries must be finite"),
+            (["--kind", "rotation", "--dim", "2", "--theta", "nan"], "matrix entries must be finite"),
+            (["--kind", "normaloid", "--dim", "4", "--scale", "inf"], "target_norm must be positive and finite"),
+        ],
+        ids=["jordan-scale-nan", "planted-eigenvalue-nan", "rotation-theta-nan", "normaloid-scale-inf"],
+    )
+    def test_non_finite_parameter(self, args, message, capsys):
+        assert main(["generate", *args]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_missing_eigenvalues(self, capsys):
         assert main(["generate", "--kind", "unitary", "--dim", "2"]) == EXIT_INPUT

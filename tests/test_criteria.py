@@ -667,7 +667,7 @@ class TestTheoremCheck:
 
         rep = theorem_check(dft4(), RunConfig(seed=0))
         text = jsonout.dumps(rep.to_obj())
-        assert f'"orbits_margin": {jsonout._fmt_float(rep.orbits_margin)}' in text
+        assert f'"orbits_margin": {jsonout.dumps(rep.orbits_margin)[:-1]}' in text
         assert "orbits_note" not in text
 
     def test_orthogonal_blocks_get_no_overlap_probe(self):
