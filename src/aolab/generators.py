@@ -85,8 +85,8 @@ def gen_oblique(dim: int, eigenvalues, cond_cap: float = 50.0, seed: int = 0) ->
         for j in range(i + 1, dim):
             if abs(vals[i] - vals[j]) <= 1e-8:
                 raise InvalidInputError("eigenvalues must be distinct")
-    if cond_cap < 1:
-        raise InvalidInputError("cond_cap must be >= 1")
+    if not 1 <= cond_cap < math.inf:  # NaN fails too
+        raise InvalidInputError("cond_cap must be finite and >= 1")
 
     if dim == 2 and seed == 0 and sorted((v.real, v.imag) for v in vals) == [(-1.0, 0.0), (1.0, 0.0)]:
         # Canonical fixture anchoring the counterexample family.
@@ -190,8 +190,8 @@ def gen_planted_jordan(
     total = sum(i for _, i in roots)
     if total > dim:
         raise InvalidInputError(f"sum of indices {total} exceeds dim {dim}")
-    if cond_cap < 1:
-        raise InvalidInputError("cond_cap must be >= 1")
+    if not 1 <= cond_cap < math.inf:  # NaN fails too
+        raise InvalidInputError("cond_cap must be finite and >= 1")
     rng = np.random.default_rng(seed)
     J = np.zeros((dim, dim), dtype=complex)
     pos = 0

@@ -333,8 +333,13 @@ class TestGenerate:
             (["--kind", "planted", "--dim", "3", "--eigenvalues", "nan"], "matrix entries must be finite"),
             (["--kind", "rotation", "--dim", "2", "--theta", "nan"], "matrix entries must be finite"),
             (["--kind", "normaloid", "--dim", "4", "--scale", "inf"], "target_norm must be positive and finite"),
+            (["--kind", "planted", "--dim", "3", "--eigenvalues", "1", "--cond-cap", "inf"],
+             "cond_cap must be finite and >= 1"),
+            (["--kind", "oblique", "--dim", "2", "--eigenvalues", "1,-1", "--cond-cap", "nan"],
+             "cond_cap must be finite and >= 1"),
         ],
-        ids=["jordan-scale-nan", "planted-eigenvalue-nan", "rotation-theta-nan", "normaloid-scale-inf"],
+        ids=["jordan-scale-nan", "planted-eigenvalue-nan", "rotation-theta-nan", "normaloid-scale-inf",
+             "planted-cond-cap-inf", "oblique-cond-cap-nan"],
     )
     def test_non_finite_parameter(self, args, message, capsys):
         assert main(["generate", *args]) == EXIT_INPUT
