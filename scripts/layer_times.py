@@ -35,7 +35,11 @@ spectral norms to be formed (a second call on the same ``Analysis`` would
 read them from its cache).  ``growth_nilpotent_ms`` times ``growth_bound``,
 best of five, on the matrix of gen_planted_jordan(8, [(0, 3)], 100.0,
 seed=8), the nilpotent shape of the growth suite, each call on a fresh
-``Analysis`` as the suite makes it.  ``verify_ms`` times one
+``Analysis`` as the suite makes it.  ``scalar_ms`` times
+``scalar_re_sequence(e^{0.7i}, 0.3 + 0.4i)`` at its 1e5-step default and
+``density_ms`` one ``suite_density()``, best of five each;
+``scalar_peak_kib`` and ``density_peak_kib`` are their ``tracemalloc``
+heap peaks, in KiB, taken on a further call.  ``verify_ms`` times one
 ``aolab verify --suite all --trials 10 --seed 0``, its stdout captured.
 
 Every run is a fresh process with BLAS pinned to one thread.  The checkout
@@ -58,6 +62,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -84,7 +89,7 @@ def measure(src: str, dims) -> dict:
     sys.path.insert(0, src)
     import numpy as np
 
-    from aolab import cli, criteria, jsonout, stability
+    from aolab import cli, criteria, jsonout, stability, suites
     from aolab.config import RunConfig
     from aolab.generators import (
         gen_jordan_perturbation,
@@ -157,6 +162,14 @@ def measure(src: str, dims) -> dict:
     out["growth_bare_ms"] = min(_timed(partial(stability.growth_bound, bare(), cfg)) for _ in range(5))
     nilpotent = gen_planted_jordan(8, [(0, 3)], 100.0, 8)
     out["growth_nilpotent_ms"] = best_of_five(lambda: stability.growth_bound(nilpotent, cfg))
+    probes = {"scalar": lambda: criteria.scalar_re_sequence(np.exp(0.7j), 0.3 + 0.4j),
+              "density": suites.suite_density}
+    for name, probe in probes.items():
+        out[f"{name}_ms"] = best_of_five(probe)
+        tracemalloc.start()
+        probe()
+        out[f"{name}_peak_kib"] = tracemalloc.get_traced_memory()[1] / 1024
+        tracemalloc.stop()
     verify = ["verify", "--suite", "all", "--trials", "10", "--seed", "0"]
     with contextlib.redirect_stdout(io.StringIO()):
         out["verify_ms"] = _timed(lambda: cli.main(verify))
@@ -183,7 +196,8 @@ def _side(runs, dims) -> dict:
     }
     one = [t for r in runs for t in r["one_step_ms"]]
     side["one_step_ms"] = {**spread(one), "best": min(one)}
-    for key in ("growth_bare_ms", "growth_nilpotent_ms", "verify_ms"):
+    for key in ("growth_bare_ms", "growth_nilpotent_ms", "scalar_ms", "density_ms", "scalar_peak_kib",
+                "density_peak_kib", "verify_ms"):
         side[key] = spread([r[key] for r in runs])
     side["numpy"] = runs[0]["numpy"]
     return side
@@ -236,6 +250,8 @@ def main(argv=None) -> int:
               f"median {s['one_step_ms']['median']:.2f} ms")
         print(f"{side:6s} bare growth d8 cap 1e6 {s['growth_bare_ms']['median']:.2f} ms, "
               f"nilpotent d8 {s['growth_nilpotent_ms']['median']:.2f} ms")
+        print(f"{side:6s} scalar lemma {s['scalar_ms']['median']:.2f} ms, {s['scalar_peak_kib']['median']:.0f} KiB; "
+              f"density {s['density_ms']['median']:.2f} ms, {s['density_peak_kib']['median']:.0f} KiB")
         print(f"{side:6s} verify --suite all --trials 10 {s['verify_ms']['median']:.1f} ms")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -15,6 +15,8 @@ import functools
 import json
 import sys
 
+import numpy as np
+
 from . import jsonout
 from .config import RunConfig, default_seed
 from .criteria import Analysis, theorem_check
@@ -46,11 +48,11 @@ EXIT_SUITE = 3
 def _parse_complex_list(text: str):
     out = []
     for tok in text.split(","):
-        tok = tok.strip().replace("i", "j")
+        tok = tok.strip()
         if not tok:
             continue
-        try:
-            out.append(complex(tok))
+        try:  # a trailing i is the imaginary unit; "inf" keeps its i
+            out.append(complex(tok[:-1] + "j" if tok.endswith("i") else tok))
         except ValueError as exc:
             raise InvalidInputError(f"cannot parse eigenvalue {tok!r}") from exc
     if not out:
@@ -143,6 +145,9 @@ def _write_file(path: str, text: str, newline: str | None = None) -> bool:
     return True
 
 
+# A non-finite parameter fails at the matrix check, without numpy's warnings
+# (inf * 0) in the generator on the way.
+@np.errstate(all="ignore")
 def cmd_generate(args) -> int:
     try:
         kind = args.kind

@@ -427,7 +427,7 @@ class ScalarSeqVerdict:
     w: complex
     b: complex
     convergent: bool
-    cluster_points: tuple
+    cluster_points: np.ndarray = field(compare=False)  # read-only, ascending
 
 
 @dataclass
@@ -851,14 +851,43 @@ SCALAR_W_TOL = 1e-12
 SCALAR_RESOLUTION = 1e-6
 
 
+def _scalar_terms(w: complex, b: complex, start: int, n_max: int) -> np.ndarray:
+    """Re(w^n b) for n = start..n_max.  w^n advances in chunks of
+    STACK_ENTRIES, each one cumprod from the last product before it, so
+    that every w^n is the product of one cumprod over n = 0..n_max."""
+    out = np.empty(n_max + 1 - start)
+    chunk = np.full(min(STACK_ENTRIES, n_max + 1), w)
+    chunk[0] = 1.0
+    n = 0  # chunk[0] is w^n, a term already taken unless n = 0
+    while True:
+        steps = min(chunk.size - 1, n_max - n)
+        if n_max - n - steps == 1 and steps > 1:
+            # A cumprod of one product runs another numpy loop, with other
+            # bits: two are left for the last chunk, as the full cumprod has.
+            steps -= 1
+        part = chunk[: steps + 1]
+        np.cumprod(part, out=part)
+        lo = max(start, n + (n > 0))
+        if n + steps >= lo:
+            # Out of place: numpy multiplies a slice in place by another
+            # loop at some lengths and offsets, with other bits.
+            out[lo - start : n + steps + 1 - start] = (part[lo - n :] * b).real
+        n += steps
+        if n == n_max:
+            return out
+        chunk[0] = part[-1]
+        chunk[1:] = w
+
+
 def scalar_re_sequence(w: complex, b: complex, n_max: int = 100_000) -> ScalarSeqVerdict:
     """Finite probe of the scalar lemma: for |w| = 1, w != +-1, the sequence
     Re(w^n b) converges only if b = 0.
 
     Cluster points are estimated from the tail half with merge radius
-    SCALAR_RESOLUTION.  Raises InconsistencyError if the window rule reports
-    convergence for a b above SCALAR_RESOLUTION (finite-horizon failure
-    surfaced, not hidden).
+    SCALAR_RESOLUTION, as a read-only ascending array.  Only the terms the
+    window rule and the tail half read are kept (``_scalar_terms``).
+    Raises InconsistencyError if the window rule reports convergence for a
+    b above SCALAR_RESOLUTION (finite-horizon failure surfaced, not hidden).
     """
     w = complex(w)
     b = complex(b)
@@ -866,21 +895,19 @@ def scalar_re_sequence(w: complex, b: complex, n_max: int = 100_000) -> ScalarSe
         raise InvalidInputError(f"w must be unimodular (within {SCALAR_W_TOL:g})")
     if decide(min(abs(w - 1), abs(w + 1)), SCALAR_W_TOL) == 0:
         raise InvalidInputError("w = +-1 is excluded")
-    # w^n b formed in place: these 1e5-term probes set the suites' peak memory.
-    seq = np.full(n_max + 1, w)
-    seq[0] = 1.0
-    np.cumprod(seq, out=seq)
-    seq *= b
-    seq = seq.real
+    start = max(0, min(n_max // 2, n_max + 1 - RunConfig.window))
+    seq = _scalar_terms(w, b, start, n_max)
     convergent, _ = window_limit(seq)
-    tail = np.sort(seq[n_max // 2:])
-    # A cluster starts wherever the sorted tail jumps by more than SCALAR_RESOLUTION.
-    starts = np.flatnonzero(decide(np.diff(tail, prepend=-np.inf), SCALAR_RESOLUTION) == 2)
+    tail = seq[n_max // 2 - start :]
+    tail.sort()
+    # A cluster starts at 0 and wherever the sorted tail jumps by more than SCALAR_RESOLUTION.
+    starts = np.flatnonzero(np.concatenate(([True], decide(np.diff(tail), SCALAR_RESOLUTION) == 2)))
     clusters = np.add.reduceat(tail, starts)
     clusters /= np.diff(starts, append=tail.size)
+    clusters.flags.writeable = False
     if convergent and decide(abs(b), SCALAR_RESOLUTION) == 2:
         raise InconsistencyError(
             "window rule reports convergence for nonzero b; w is too close "
             "to +-1 for this horizon"
         )
-    return ScalarSeqVerdict(w=w, b=b, convergent=convergent, cluster_points=tuple(clusters.tolist()))
+    return ScalarSeqVerdict(w=w, b=b, convergent=convergent, cluster_points=clusters)

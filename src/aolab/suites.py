@@ -180,17 +180,20 @@ def suite_jadro(trials: int, probes: int, seed: int) -> SuiteResult:
         _, s, vh = np.linalg.svd(N)
         kdim = int(np.sum(s <= 1e-10 * max(1.0, s[0])))
         kb = vh[dim - kdim:].conj().T
-        for p in range(probes):
-            last = p == probes - 1 and kdim > 0
-            h = kb @ _gaussian(sub_rng, kdim) if last else _gaussian(sub_rng, dim)
+        # The probes, drawn in order, propagate as one batch (rows here).
+        hs = np.array([
+            kb @ _gaussian(sub_rng, kdim) if p == probes - 1 and kdim > 0 else _gaussian(sub_rng, dim)
+            for p in range(probes)
+        ])
+        norms, _ = orbit_norms_batch(A, hs.T, n_terms)
+        for p, h in enumerate(hs):
             Nh = N @ h
             predicted = (
                 np.linalg.norm(h) ** 2
                 + 2 * ns * np.real(alpha * np.vdot(Nh, h))
                 + ns**2 * np.linalg.norm(Nh) ** 2
             )
-            norms, _ = orbit_norms_batch(A, h.reshape(-1, 1), n_terms)
-            actual = norms[:, 0] ** 2
+            actual = norms[:, p] ** 2
             rel = np.max(np.abs(actual - predicted) / np.maximum(predicted, 1e-300))
             if rel > 1e-10:
                 return False, f"probe{p} rel err {rel:g}"
@@ -375,17 +378,18 @@ def suite_density(
     res = SuiteResult("rotation-density")
     A = gen_scalar_rotation(1, SQRT2)
     z = A[0, 0]
-    angles = (np.arange(n_max + 1) * (2 * math.pi * SQRT2)) % (2 * math.pi)
-    pts = np.exp(1j * angles)
+    angles = np.arange(n_max + 1, dtype=float)
+    angles *= 2 * math.pi * SQRT2
+    np.remainder(angles, 2 * math.pi, out=angles)
     targets = np.exp(2j * math.pi * np.arange(n_targets) / n_targets)
     # The nearest orbit point lies next to the target's angle in the sorted
     # angles (around the circle); two neighbours on each side cover the
-    # rounding of the distances.
+    # rounding of the distances.  Only those neighbours are exponentiated.
     order = np.argsort(angles)
-    at = np.searchsorted(angles[order], 2 * math.pi * np.arange(n_targets) / n_targets)
-    near = order[(at[:, np.newaxis] + np.arange(-2, 3)) % order.size]
+    at = np.searchsorted(angles, 2 * math.pi * np.arange(n_targets) / n_targets, sorter=order)
+    near = np.exp(1j * angles[order[(at[:, np.newaxis] + np.arange(-2, 3)) % order.size]])
     for k, tgt in enumerate(targets):
-        dist = float(np.min(np.abs(pts[near[k]] - tgt)))
+        dist = float(np.min(np.abs(near[k] - tgt)))
         res.record(f"target{k}", dist <= tol, f"min distance {dist:g}")
     # sanity: the generator really is the scalar rotation
     res.record("fixture", abs(z - np.exp(2j * math.pi * SQRT2)) < 1e-12)

@@ -25,7 +25,7 @@ from aolab.generators import (
     gen_normaloid_nonnormal,
     haar_unitary,
 )
-from aolab.linalg import matrix_to_obj
+from aolab.linalg import matrix_from_obj, matrix_to_obj
 from aolab.structure import minimal_polynomial
 
 
@@ -344,6 +344,24 @@ class TestGenerate:
     def test_non_finite_parameter(self, args, message, capsys):
         assert main(["generate", *args]) == EXIT_INPUT
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("token", ["inf", "-inf", "infinity", "nan"])
+    def test_non_finite_eigenvalue_token(self, token, capsys):
+        # "inf" keeps its i; "=" keeps argparse from reading "-inf" as an option.
+        assert main(["generate", "--kind", "planted", "--dim", "3", f"--eigenvalues={token}"]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: matrix entries must be finite\n")
+
+    @pytest.mark.parametrize("token, value", [("i", 1j), ("2i", 2j), ("1+2i", 1 + 2j)])
+    def test_imaginary_unit_token(self, token, value, capsys):
+        assert main(["generate", "--kind", "planted", "--dim", "3", "--eigenvalues", token]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        eig = np.linalg.eigvals(matrix_from_obj(json.loads(out)))
+        assert np.allclose(eig, value, atol=1e-8)
+
+    def test_bad_token_named_as_written(self, capsys):
+        assert main(["generate", "--kind", "planted", "--dim", "3", "--eigenvalues", "1,pi"]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: cannot parse eigenvalue 'pi'\n")
 
     def test_missing_eigenvalues(self, capsys):
         assert main(["generate", "--kind", "unitary", "--dim", "2"]) == EXIT_INPUT

@@ -39,7 +39,7 @@ from aolab.generators import (
     spread_unimodular,
 )
 from aolab.stability import normaloid_equivalence, orbit_root_limit, uniform_stability
-from aolab.structure import minimal_polynomial
+from aolab.structure import decide, minimal_polynomial
 
 
 def _near_unitary(eps):
@@ -806,7 +806,38 @@ class TestAnalysis:
             assert np.array_equal(s.log_norms, f.log_norms[:501])
 
 
+def _reference_scalar_re_sequence(w, b, n_max):
+    """(convergent, cluster points) of the full-horizon probe the chunked
+    ``scalar_re_sequence`` replaced: all n_max + 1 terms of one cumprod."""
+    seq = np.full(n_max + 1, complex(w))
+    seq[0] = 1.0
+    np.cumprod(seq, out=seq)
+    seq *= complex(b)
+    seq = seq.real
+    convergent, _ = window_limit(seq)
+    tail = np.sort(seq[n_max // 2:])
+    starts = np.flatnonzero(decide(np.diff(tail, prepend=-np.inf), criteria.SCALAR_RESOLUTION) == 2)
+    clusters = np.add.reduceat(tail, starts)
+    clusters /= np.diff(starts, append=tail.size)
+    return convergent, clusters
+
+
 class TestScalarSequence:
+    @pytest.mark.parametrize("n_max", [
+        7, 60, 101, criteria.STACK_ENTRIES - 1, criteria.STACK_ENTRIES, criteria.STACK_ENTRIES + 1,
+        2 * criteria.STACK_ENTRIES - 1, 20000, 100_000,
+    ])
+    @pytest.mark.parametrize("b", [0.0, 0.3 + 0.4j, -1.7 + 0.05j])
+    def test_same_as_full_horizon(self, n_max, b):
+        # Chunks end at every n here: inside the window, on a chunk edge, one
+        # past it (a last chunk of one product), and far from it.
+        for w in (np.exp(0.7j), np.exp(2.9j), np.exp(-1.3j)):
+            v = scalar_re_sequence(w, b, n_max)
+            convergent, clusters = _reference_scalar_re_sequence(w, b, n_max)
+            assert v.convergent == convergent
+            assert np.array_equal(v.cluster_points, clusters)
+            assert not v.cluster_points.flags.writeable
+
     def test_b_zero_convergent(self):
         v = scalar_re_sequence(np.exp(0.7j), 0.0, n_max=20000)
         assert v.convergent

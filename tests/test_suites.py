@@ -1,10 +1,18 @@
 """The failure path of the property suites' trial runner: an oracle that
-raises or disagrees fails its trial with a ``trial{t}: detail`` entry."""
+raises or disagrees fails its trial with a ``trial{t}: detail`` entry; and
+the 1e5-step probes against their full-horizon forms."""
 
+import math
+import tracemalloc
 from types import SimpleNamespace
 
+import numpy as np
+import pytest
+
 import aolab.suites as suites
+from aolab.criteria import scalar_re_sequence
 from aolab.errors import InconsistencyError
+from aolab.generators import SQRT2
 
 
 def _raise_boom(*args, **kwargs):
@@ -40,3 +48,45 @@ def test_jadro_records_an_error(monkeypatch):
     res = suites.suite_jadro(1, 2, 0)
     assert (res.passed, res.total, res.failures) == (0, 1, ["trial0: boom"])
 
+
+
+def _reference_density_failures(n_targets, n_max):
+    """The failures of the full-orbit ``suite_density`` at tol = -1 (every
+    target fails): the whole orbit exponentiated, and sorted by a copy."""
+    angles = (np.arange(n_max + 1) * (2 * math.pi * SQRT2)) % (2 * math.pi)
+    pts = np.exp(1j * angles)
+    targets = np.exp(2j * math.pi * np.arange(n_targets) / n_targets)
+    order = np.argsort(angles)
+    at = np.searchsorted(angles[order], 2 * math.pi * np.arange(n_targets) / n_targets)
+    near = order[(at[:, np.newaxis] + np.arange(-2, 3)) % order.size]
+    return [f"target{k}: min distance {float(np.min(np.abs(pts[near[k]] - t))):g}"
+            for k, t in enumerate(targets)]
+
+
+@pytest.mark.parametrize("n_targets, n_max", [(100, 100_000), (37, 12345)])
+def test_density_same_as_full_orbit(n_targets, n_max):
+    res = suites.suite_density(n_targets, n_max, tol=-1.0)
+    assert res.failures == _reference_density_failures(n_targets, n_max)
+    assert (res.passed, res.total) == (1, n_targets + 1)
+
+
+def _traced_peak_kib(fn):
+    """The tracemalloc peak of fn(), in KiB, after one untraced warm call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
+# The 1e5-step probes keep only the terms they read: each peaks below half
+# of its full-horizon heap peak, 4,295 KiB for the scalar lemma and 3,912
+# KiB for the density orbit.
+@pytest.mark.parametrize("probe, full_kib", [
+    (lambda: scalar_re_sequence(np.exp(0.7j), 0.3 + 0.4j), 4295),
+    (suites.suite_density, 3912),
+], ids=["scalar", "density"])
+def test_probe_heap_peak_halved(probe, full_kib):
+    assert _traced_peak_kib(probe) < full_kib / 2
