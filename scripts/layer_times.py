@@ -45,7 +45,10 @@ heap peaks, in KiB, taken on a further call.  ``verify_ms`` times one
 Every run is a fresh process with BLAS pinned to one thread.  The checkout
 this script lies in is the ``change`` side.  With ``--parent COMMIT`` the
 commit is exported with ``git archive`` and timed as the ``parent`` side,
-the two sides alternating which runs first.  Each side reports the median
+the two sides alternating which runs first.  The parent must build an
+``Analysis`` with its config (``Analysis(A, config)``) and take
+``growth_bound`` without one, as every commit from the one-config
+``Analysis`` on does; older commits cannot be timed.  Each side reports the median
 and quartiles of every timing, and the JSON records the numpy and Python
 versions, the BLAS thread count and the host's core count.
 """
@@ -108,8 +111,8 @@ def measure(src: str, dims) -> dict:
 
     def warmed(A):
         """An Analysis of A with its structure and probe batch computed."""
-        an = criteria.Analysis(A)
-        criteria.orbit_convergence(an, cfg)
+        an = criteria.Analysis(A, cfg)
+        criteria.orbit_convergence(an)
         return an
 
     with tempfile.TemporaryDirectory(prefix="layer-times-") as tmp:
@@ -128,11 +131,7 @@ def measure(src: str, dims) -> dict:
             V = H.astype(complex)
             k = criteria._block_steps(d, H.shape[1])
             stack = np.empty((min(k, STEPS), d, H.shape[1]), dtype=complex)
-            if hasattr(criteria, "_stepper"):
-                propagate = criteria._stepper(B, stack)
-            else:  # a tree from before the stepper, timed as its engine ran
-                def propagate(start, steps):
-                    criteria._propagate(B, start, stack[:steps])
+            propagate = criteria._stepper(B, stack)
 
             def floor():
                 for n in range(0, STEPS, k):
@@ -144,24 +143,24 @@ def measure(src: str, dims) -> dict:
             out["engine_ms"][d] = _timed(lambda: criteria.orbit_log_norms_batch(A, H, STEPS))
             out["floor_ms"][d] = _timed(floor)
             an = warmed(A)
-            out["classify_ms"][d] = best_of_five(lambda: criteria.orbit_convergence(an, cfg))
+            out["classify_ms"][d] = best_of_five(lambda: criteria.orbit_convergence(an))
             an = warmed(gen_jordan_perturbation(d, np.exp(0.7j), 1.0, seed=d))
-            out["classify_jordan_ms"][d] = best_of_five(lambda: criteria.orbit_convergence(an, cfg))
+            out["classify_jordan_ms"][d] = best_of_five(lambda: criteria.orbit_convergence(an))
             an.power_logs(10)
-            out["growth_jordan_ms"][d] = best_of_five(lambda: stability.growth_bound(an, cfg))
+            out["growth_jordan_ms"][d] = best_of_five(lambda: stability.growth_bound(an))
     one = (np.diag([1e200, 0.5]), np.eye(2))
     out["one_step_ms"] = [_timed(lambda: criteria.orbit_log_norms_batch(*one, STEPS)) for _ in range(3)]
     A = gen_planted_jordan(8, [(0.95 * np.exp(1j), 2), (np.exp(0.5j), 1), (0.5j, 1)], 1e6, 4)
 
     def bare():
-        an = criteria.Analysis(A)
+        an = criteria.Analysis(A, cfg)
         an.decomposition
         an.power_logs(10)
         return an
 
-    out["growth_bare_ms"] = min(_timed(partial(stability.growth_bound, bare(), cfg)) for _ in range(5))
+    out["growth_bare_ms"] = min(_timed(partial(stability.growth_bound, bare())) for _ in range(5))
     nilpotent = gen_planted_jordan(8, [(0, 3)], 100.0, 8)
-    out["growth_nilpotent_ms"] = best_of_five(lambda: stability.growth_bound(nilpotent, cfg))
+    out["growth_nilpotent_ms"] = best_of_five(lambda: stability.growth_bound(nilpotent))
     probes = {"scalar": lambda: criteria.scalar_re_sequence(np.exp(0.7j), 0.3 + 0.4j),
               "density": suites.suite_density}
     for name, probe in probes.items():

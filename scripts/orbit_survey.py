@@ -59,13 +59,13 @@ def main(argv=None) -> int:
         stab = Counter()
         for A in _instances(family, rng, args.trials, args.seed):
             # Both stages read the structure and probe orbits of one analysis.
-            an = Analysis(A)
-            rep = theorem_check(an, cfg)
+            an = Analysis(A, cfg)
+            rep = theorem_check(an)
             key = (rep.unitary, rep.contraction, rep.orbits_convergent, rep.power_bounded)
             conds[key] += 1
             for _, rec in rep.probes:
                 kinds[rec.classification.kind] += 1
-            v = uniform_stability(an, cfg)
+            v = uniform_stability(an)
             stab[(v.uniformly_stable, v.strongly_stable, v.power_bounded)] += 1
         print(f"family {family} ({args.trials} instances)")
         print("  (unitary, contraction, orbits_conv, power_bdd):")

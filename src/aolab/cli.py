@@ -91,8 +91,8 @@ def cmd_analyze(args) -> int:
     report = {"input": {"dim": int(A.shape[0])}}
     gb = None
     try:
-        # Every stage below reads its structure off this one analysis.
-        an = Analysis(A)
+        # Every stage below reads its structure and config off this one analysis.
+        an = Analysis(A, cfg)
         report["minimal_polynomial"] = minimal_poly_to_obj(an.minpoly)
         report["decomposition"] = {
             "blocks": [
@@ -103,14 +103,14 @@ def cmd_analyze(args) -> int:
         }
         # The criteria and stability sections read one probe-orbit batch,
         # propagated once and kept on the analysis.
-        report["criteria"] = theorem_check(an, cfg).to_obj()
+        report["criteria"] = theorem_check(an).to_obj()
         inconsistent = not report["criteria"]["consistent"]
         try:
-            gb = growth_bound(an, cfg)
+            gb = growth_bound(an)
             report["growth_bound"] = gb.to_obj()
         except OutOfScopeError as exc:
             report["growth_bound"] = {"skipped": str(exc)}
-        report["stability"] = uniform_stability(an, cfg).to_obj()
+        report["stability"] = uniform_stability(an).to_obj()
     except InconsistencyError as exc:
         report["inconsistency"] = str(exc)
         inconsistent = True
@@ -235,6 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a signed eigenvalue list (-1,1) for an option unless
+    # it is joined to its flag.
+    for k in range(len(argv) - 1, 0, -1):
+        if argv[k - 1] == "--eigenvalues" and argv[k].startswith("-") and not argv[k].startswith("--"):
+            argv[k - 1 : k + 1] = [f"--eigenvalues={argv[k]}"]
     args = build_parser().parse_args(argv)
     # AOLAB_SEED is read only when --seed is absent.
     if args.seed is None:

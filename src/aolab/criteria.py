@@ -469,20 +469,18 @@ class CriteriaReport:
 # ---------------------------------------------------------------------------
 
 class Analysis:
-    """One matrix and the structure every stage reads off it: ``norm``
-    (||A||), ``contraction``, ``minpoly``, ``spectral_radius`` (the largest
-    modulus among its roots), ``decomposition`` and ``block_overlap``,
-    each computed once, on first use; the probe ``orbits`` and the
-    Frobenius norms of the powers read off them (``frobenius_logs``), once
-    per seed; and the spectral power-norm trajectory ``power_logs(n)``,
-    formed again only when a longer one than the kept one is asked for.
-    Structure that cannot be certified raises on first use.  Every stage
-    that reads them takes a matrix or an Analysis (``as_analysis``)."""
+    """One matrix, its run settings ``config`` and, each computed once on
+    first use, what every stage reads off them: ``norm`` (||A||),
+    ``contraction``, ``minpoly``, ``spectral_radius`` (the largest root
+    modulus), ``decomposition``, ``block_overlap``, the probe ``orbits`` and
+    the Frobenius norms of the powers off them (``frobenius_logs``); and the
+    power-norm trajectory ``power_logs(n)``, formed again only for a longer
+    one than the kept one.  Uncertifiable structure raises on first use.
+    Every stage takes a matrix or an Analysis (``as_analysis``)."""
 
-    def __init__(self, A):
+    def __init__(self, A, config: RunConfig | None = None):
         self.A = as_matrix(A)
-        self._orbits = {}
-        self._frobenius = {}
+        self.config = config or RunConfig()
         self._power_logs = np.empty(0)
 
     @cached_property
@@ -514,18 +512,12 @@ class Analysis:
             self._power_logs.flags.writeable = False
         return self._power_logs[:n]
 
-    def frobenius_logs(self, config: RunConfig) -> np.ndarray:
+    @cached_property
+    def frobenius_logs(self) -> np.ndarray:
         """log ||A^n||_F for n = 1..POWER_STEPS, read off the basis columns
-        of the probe batch of ``config``'s seed (``frobenius_log_norms``),
-        once per seed.  The batch is asked for at max(n_max, POWER_STEPS),
-        the horizon ``orbits(seed, n_max)`` propagates, so every reader of
-        ``config`` shares one batch in any call order.  Read-only."""
-        logs = self._frobenius.get(config.seed)
-        if logs is None:
-            _, batch = self.orbits(config.seed, max(config.n_max, POWER_STEPS))
-            logs = frobenius_log_norms(batch[1 : POWER_STEPS + 1], self.A.shape[0])
-            logs.flags.writeable = False
-            self._frobenius[config.seed] = logs
+        of the probe batch (``frobenius_log_norms``).  Read-only."""
+        logs = frobenius_log_norms(self.orbits[1][1 : POWER_STEPS + 1], self.A.shape[0])
+        logs.flags.writeable = False
         return logs
 
     @cached_property
@@ -548,40 +540,38 @@ class Analysis:
                 kind, margin, pair = k, c, (a, b, r)
         return kind, margin, pair
 
-    def has_orbits(self, seed: int) -> bool:
-        """Whether the probe batch of ``seed`` is already propagated."""
-        return seed in self._orbits
+    @property
+    def has_orbits(self) -> bool:
+        """Whether the probe batch is already propagated."""
+        return "orbits" in self.__dict__
 
-    def orbits(self, seed: int, n_max: int):
-        """(probes, logs): ``probe_set`` for ``seed``, plus the witness
-        x_a + x_b of an oblique pair's top singular vectors (label
-        ``overlap{a}+{b}``), and the rows n = 0..n_max of their
-        ``orbit_log_norms_batch``.  The batch runs max(n_max, POWER_STEPS)
-        steps, so that its basis columns also serve the power-bound check
-        (``frobenius_log_norms``), and is propagated once per seed unless a
-        longer horizon is asked for; by the engine's prefix property the rows
-        are bit for bit those of an n_max-step batch.  Every reader shares
-        the logs, so they are read-only."""
-        probes, logs = self._orbits.get(seed, (None, None))
-        if logs is None or logs.shape[0] <= n_max:
-            probes = probe_set(self.A.shape[0], np.random.default_rng(seed))
-            kind, _, pair = self.block_overlap
-            if kind == 2:
-                a, b, _ = pair
-                Ba, Bb = (self.decomposition.blocks[k].basis for k in (a, b))
-                u, _, vh = np.linalg.svd(Ba.conj().T @ Bb)
-                probes.append((f"overlap{a}+{b}", Ba @ u[:, 0] + Bb @ vh[0].conj()))
-            H = np.column_stack([v for _, v in probes])
-            logs = orbit_log_norms_batch(self.A, H, max(n_max, POWER_STEPS))
-            logs.flags.writeable = False
-            probes = tuple(probes)
-            self._orbits[seed] = (probes, logs)
-        return probes, logs[: n_max + 1]
+    @cached_property
+    def orbits(self):
+        """(probes, logs): ``probe_set`` for the config's seed, plus the
+        witness x_a + x_b of an oblique pair's top singular vectors (label
+        ``overlap{a}+{b}``), and the read-only rows n = 0..max(n_max,
+        POWER_STEPS) of their ``orbit_log_norms_batch``.  Orbit readers take
+        rows 0..n_max, bit for bit an n_max-step batch (the engine's prefix
+        property); the power-bound check reads the basis columns."""
+        probes = probe_set(self.A.shape[0], np.random.default_rng(self.config.seed))
+        kind, _, pair = self.block_overlap
+        if kind == 2:
+            a, b, _ = pair
+            Ba, Bb = (self.decomposition.blocks[k].basis for k in (a, b))
+            u, _, vh = np.linalg.svd(Ba.conj().T @ Bb)
+            probes.append((f"overlap{a}+{b}", Ba @ u[:, 0] + Bb @ vh[0].conj()))
+        H = np.column_stack([v for _, v in probes])
+        logs = orbit_log_norms_batch(self.A, H, max(self.config.n_max, POWER_STEPS))
+        logs.flags.writeable = False
+        return tuple(probes), logs
 
 
-def as_analysis(a) -> Analysis:
-    """``a`` itself if it is an Analysis, else an Analysis of the matrix ``a``."""
-    return a if isinstance(a, Analysis) else Analysis(a)
+def as_analysis(a, config: RunConfig | None = None) -> Analysis:
+    """``a`` itself if it is an Analysis, which holds its own config (a
+    second one raises InvalidInputError), else ``Analysis(a, config)``."""
+    if isinstance(a, Analysis) and config is not None:
+        raise InvalidInputError("an Analysis holds its own config; pass the config to Analysis")
+    return a if isinstance(a, Analysis) else Analysis(a, config)
 
 
 # ---------------------------------------------------------------------------
@@ -666,13 +656,13 @@ def is_power_bounded(A, config: RunConfig | None = None) -> bool:
     """sup_n ||A^n|| finite, decided structurally: spectral radius at most 1
     and every root of modulus (near) 1 simple in the minimal polynomial.
     Cross-checked against log ||A^n||_F for n = 1..POWER_STEPS, read off the
-    basis columns of the probe batch of ``config``'s seed
-    (``Analysis.frobenius_logs``); power-boundedness does not depend on the
-    norm.  Disagreement raises InconsistencyError.
+    basis columns of the probe batch (``Analysis.frobenius_logs``);
+    power-boundedness does not depend on the norm.  Disagreement raises
+    InconsistencyError.
     """
-    an = as_analysis(A)
+    an = as_analysis(A, config)
     structural = power_bounded_roots(an.minpoly.roots)
-    logs = an.frobenius_logs(config or RunConfig())
+    logs = an.frobenius_logs
     # A row reads -inf once every basis orbit died, and so does every later row.
     if logs[-1] == -np.inf:
         empirical = True  # the powers vanished exactly: nilpotent
@@ -778,8 +768,8 @@ def orbit_convergence(A, config: RunConfig | None = None):
     margin); an undecided pair raises IllConditionedSpectrumError if the
     roots are power-bounded.
     """
-    cfg = config or RunConfig()
-    an = as_analysis(A)
+    an = as_analysis(A, config)
+    cfg = an.config
     kind, margin, pair = an.block_overlap
     roots_ok = power_bounded_roots(an.minpoly.roots)
     if kind == 1 and roots_ok:
@@ -789,7 +779,8 @@ def orbit_convergence(A, config: RunConfig | None = None):
             f"orbit convergence: the blocks of roots {za:.6g} and {zb:.6g} have "
             f"cosine {margin:.3g}, within {GAP:g} times their basis error {r:.3g} above COMPONENT_TOL"
         )
-    probes, logs = an.orbits(cfg.seed, cfg.n_max)
+    probes, logs = an.orbits
+    logs = logs[: cfg.n_max + 1]
     ends, classes = classify_orbits(logs, cfg.window, cfg.tol_conv)
     structural = roots_ok and kind == 0
     empirical = all(cls.kind == "convergent" for cls in classes)
@@ -804,20 +795,20 @@ def theorem_check(A, config: RunConfig | None = None) -> CriteriaReport:
     """Evaluate the four equivalent unitarity conditions and cross-check
     their agreement under the hypotheses (algebraic, unimodular spectrum).
 
-    ``A`` is a matrix or an Analysis; an inconsistent power-bound or
-    orbit-convergence verdict raises InconsistencyError.
+    ``A`` is a matrix, analysed under ``config``, or an Analysis; an
+    inconsistent power-bound or orbit-convergence verdict raises
+    InconsistencyError.
     """
-    cfg = config or RunConfig()
-    an = as_analysis(A)
+    an = as_analysis(A, config)
     A = an.A
     mp = an.minpoly
     in_circle = all(unimodular(z) for z, _ in mp.roots)
 
     unitary = is_unitary(A)
     normaloid = is_normaloid(an)
-    pb = is_power_bounded(an, cfg)
+    pb = is_power_bounded(an)
 
-    convergent, margin, probes, logs, ends, classes = orbit_convergence(an, cfg)
+    convergent, margin, probes, logs, ends, classes = orbit_convergence(an)
     exponents = structural_exponents(A, np.column_stack([v for _, v in probes]), an.decomposition)
     records = [(label, OrbitRecord(v, logs[:end, j], k, cls))
                for j, ((label, v), end, k, cls) in enumerate(zip(probes, ends, exponents, classes))]
@@ -886,23 +877,32 @@ def scalar_re_sequence(w: complex, b: complex, n_max: int = 100_000) -> ScalarSe
     Cluster points are estimated from the tail half with merge radius
     SCALAR_RESOLUTION, as a read-only ascending array.  Only the terms the
     window rule and the tail half read are kept (``_scalar_terms``).
-    Raises InconsistencyError if the window rule reports convergence for a
-    b above SCALAR_RESOLUTION (finite-horizon failure surfaced, not hidden).
+    Raises InvalidInputError for a non-finite w or b and for a b whose
+    terms or their sums overflow, and InconsistencyError if the window rule
+    reports convergence for a b above SCALAR_RESOLUTION (finite-horizon
+    failure surfaced, not hidden).
     """
     w = complex(w)
     b = complex(b)
+    if not (np.isfinite(w) and np.isfinite(b)):
+        raise InvalidInputError(f"w and b must be finite, got w = {w}, b = {b}")
     if decide(abs(abs(w) - 1), SCALAR_W_TOL) == 2:
         raise InvalidInputError(f"w must be unimodular (within {SCALAR_W_TOL:g})")
     if decide(min(abs(w - 1), abs(w + 1)), SCALAR_W_TOL) == 0:
         raise InvalidInputError("w = +-1 is excluded")
     start = max(0, min(n_max // 2, n_max + 1 - RunConfig.window))
-    seq = _scalar_terms(w, b, start, n_max)
-    convergent, _ = window_limit(seq)
-    tail = seq[n_max // 2 - start :]
-    tail.sort()
-    # A cluster starts at 0 and wherever the sorted tail jumps by more than SCALAR_RESOLUTION.
-    starts = np.flatnonzero(np.concatenate(([True], decide(np.diff(tail), SCALAR_RESOLUTION) == 2)))
-    clusters = np.add.reduceat(tail, starts)
+    try:
+        with np.errstate(over="raise"):
+            seq = _scalar_terms(w, b, start, n_max)
+            convergent, _ = window_limit(seq)
+            tail = seq[n_max // 2 - start :]
+            tail.sort()
+            # A cluster starts at 0 and wherever the sorted tail jumps by more than SCALAR_RESOLUTION.
+            jumps = decide(np.diff(tail), SCALAR_RESOLUTION) == 2
+            starts = np.flatnonzero(np.concatenate(([True], jumps)))
+            clusters = np.add.reduceat(tail, starts)
+    except FloatingPointError:
+        raise InvalidInputError(f"b = {b} is too large: Re(w^n b) or a sum of terms overflows") from None
     clusters /= np.diff(starts, append=tail.size)
     clusters.flags.writeable = False
     if convergent and decide(abs(b), SCALAR_RESOLUTION) == 2:

@@ -50,20 +50,18 @@ def operator_norm(A) -> float:
     return float(np.linalg.norm(A, 2))
 
 
-def cluster_points(values: np.ndarray, radius, merge=None):
-    """Single-linkage clustering of complex values.
+def cluster_points(values: np.ndarray, radius: np.ndarray, merge):
+    """Single-linkage clustering of complex values under a merge check.
 
     Returns a list of (center, count) with centers the cluster means,
-    sorted by (real, imag).  ``radius`` is one float or one per value;
-    values i and j are linked when |v_i - v_j| <= (r_i + r_j) / 2, and
-    linked values end up in the same cluster (transitively).  Given
-    ``merge(i, j) -> bool``, a link joins two clusters only if ``merge``
-    accepts it; links are tried closest first, and ``merge`` is asked at
-    most once per pair of clusters.
+    sorted by (real, imag).  ``radius`` holds one float per value; values
+    i and j are linked when |v_i - v_j| <= (r_i + r_j) / 2.  A link joins
+    the clusters of i and j only if ``merge(i, j) -> bool`` accepts it;
+    links are tried closest first, and ``merge`` is asked at most once per
+    pair of clusters.
     """
     vals = np.asarray(values, dtype=complex).reshape(-1)
     n = vals.size
-    r = np.broadcast_to(np.asarray(radius, dtype=float), (n,))
     parent = list(range(n))
 
     def find(i):
@@ -74,14 +72,14 @@ def cluster_points(values: np.ndarray, radius, merge=None):
 
     iu, ju = np.triu_indices(n, 1)
     dist = np.abs(vals[iu] - vals[ju])
-    linked = np.flatnonzero(dist <= (r[iu] + r[ju]) / 2)
+    linked = np.flatnonzero(dist <= (radius[iu] + radius[ju]) / 2)
     asked = set()
     for k in linked[np.argsort(dist[linked], kind="stable")]:
         i, j = int(iu[k]), int(ju[k])
         ri, rj = find(i), find(j)
         if ri == rj or frozenset((ri, rj)) in asked:
             continue
-        if merge is None or merge(i, j):
+        if merge(i, j):
             parent[ri] = rj
         else:
             asked.add(frozenset((ri, rj)))

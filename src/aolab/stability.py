@@ -36,7 +36,6 @@ from .criteria import (
     orbit_norms_batch,
     power_bounded_roots,
     unimodular,
-    window_limit,
 )
 from .errors import InconsistencyError, InvalidInputError, OutOfScopeError
 from .linalg import as_columns
@@ -116,12 +115,11 @@ def normaloid_equivalence(A, config: RunConfig | None = None) -> NormaloidReport
     """For a normaloid matrix: orbit convergence, power boundedness and
     being a contraction stand or fall together.  Raises InconsistencyError
     if the three evaluated conditions disagree."""
-    cfg = config or RunConfig()
-    an = as_analysis(A)
+    an = as_analysis(A, config)
     if not is_normaloid(an):
         raise InvalidInputError("normaloid_equivalence requires a normaloid matrix")
-    pb = is_power_bounded(an, cfg)
-    convergent = orbit_convergence(an, cfg)[0]
+    pb = is_power_bounded(an)
+    convergent = orbit_convergence(an)[0]
     rep = NormaloidReport(orbits_convergent=convergent, power_bounded=pb, contraction=an.contraction)
     if not rep.all_agree():
         raise InconsistencyError(f"normaloid equivalence violated: {rep}")
@@ -143,7 +141,8 @@ def normal_limit(A, H):
     projections of the unimodular blocks of the decomposition.  Each
     column's identity is cross-checked, to _LIMIT_TOL * max(1, ||h||^2),
     against the window limit of its orbit over ``RunConfig.n_max`` steps;
-    the columns advance together in one ``orbit_norms_batch``."""
+    the columns advance together in one ``orbit_norms_batch`` and share one
+    window rule."""
     an = as_analysis(A)
     A = an.A
     single = np.ndim(H) == 1
@@ -158,12 +157,12 @@ def normal_limit(A, H):
     # Column by column, so that a value does not depend on the other columns.
     q = np.array([np.vdot(h, Q @ h).real for h in H.T.copy()])
     norms, _ = orbit_norms_batch(A, H, RunConfig.n_max)
-    for j in range(H.shape[1]):
-        _, limit = window_limit(norms[:, j] ** 2)
-        if decide(abs(limit - q[j]), _LIMIT_TOL * max(1.0, norms[0, j] ** 2)) == 2:
-            raise InconsistencyError(
-                f"orbit limit {limit} disagrees with projection value {q[j]}"
-            )
+    tails = np.ascontiguousarray((norms[-RunConfig.window :] ** 2).T)
+    _, limits = _window_rule(tails, RunConfig.tol_conv)
+    off = np.flatnonzero(decide(np.abs(limits - q), _LIMIT_TOL * np.maximum(1.0, norms[0] ** 2)) == 2)
+    if off.size:
+        j = off[0]
+        raise InconsistencyError(f"orbit limit {limits[j]} disagrees with projection value {q[j]}")
     return float(q[0]) if single else q
 
 
@@ -252,7 +251,7 @@ def recursion_log_norms(an: Analysis, n_max: int) -> np.ndarray:
     return out - np.log(gap) + np.arange(1, n_max + 1) * np.log(t)
 
 
-def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
+def growth_bound(A) -> GrowthBound:
     """Certified constant for ||A^n|| <= alpha n^kappa r^n.
 
     Per block: alpha_j = sum_k ||N_j^k|| / (k! |z_j|^k) over k < i_j, with
@@ -260,11 +259,10 @@ def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
     alpha = sum_j ||P_j|| alpha_j.  Verified empirically up to POWER_STEPS:
     the largest ratio ||A^n|| / bound_n is taken over the exact spectral
     norms (``Analysis.power_logs``) of powers 1..FIRST_POWERS and of every
-    power up to the last n whose Frobenius norm (``Analysis.frobenius_logs``
-    of ``config``'s seed, when that probe batch is already propagated) and
-    whose block recursion bound (``recursion_log_norms``) could both still
-    exceed that ratio; it equals the maximum over all POWER_STEPS powers
-    bit for bit.  A nilpotent matrix is checked against the vanishing level
+    power up to the last n whose Frobenius norm (``Analysis.frobenius_logs``,
+    when the probe batch is already propagated) and whose block recursion
+    bound (``recursion_log_norms``) could both still exceed that ratio; it
+    equals the maximum over all POWER_STEPS powers bit for bit.  A nilpotent matrix is checked against the vanishing level
     from n = deg p on, up to the last n whose recursion bound could still
     exceed it, and the first power past the level is named.
     """
@@ -328,10 +326,8 @@ def growth_bound(A, config: RunConfig | None = None) -> GrowthBound:
     # excess of the first FIRST_POWERS powers can hold the maximum.  A bare
     # call propagates no batch, and the recursion starts from all
     # POWER_STEPS powers.
-    cfg, m = config or RunConfig(), POWER_STEPS
     floor = _worst_excess(an.power_logs(FIRST_POWERS), log_bound) - _FROBENIUS_SLACK
-    if an.has_orbits(cfg.seed):
-        m = _reach(an.frobenius_logs(cfg) - log_bound, floor)
+    m = _reach(an.frobenius_logs - log_bound, floor) if an.has_orbits else POWER_STEPS
     if m > FIRST_POWERS:
         m = _reach(recursion_log_norms(an, m) - log_bound[:m], floor)
     worst = _worst_excess(an.power_logs(max(m, FIRST_POWERS)), log_bound)
@@ -373,10 +369,11 @@ def uniform_stability(A, config: RunConfig | None = None) -> StabilityVerdict:
     the batch's basis columns (``frobenius_log_norms``; decay does not
     depend on the norm, and a zero power counts as falling).
     """
-    cfg = config or RunConfig()
-    an = as_analysis(A)
+    an = as_analysis(A, config)
+    cfg = an.config
     uniformly = an.spectral_radius < 1 - UNIT_TOL
-    probes, ologs = an.orbits(cfg.seed, cfg.n_max)
+    probes, ologs = an.orbits
+    ologs = ologs[: cfg.n_max + 1]
     if uniformly:
         mid, end = frobenius_log_norms(ologs[[cfg.n_max // 2 + 1, cfg.n_max]], an.A.shape[0])
         if end > -np.inf and end >= mid:

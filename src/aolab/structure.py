@@ -46,9 +46,8 @@ class MinimalPoly:
     roots: tuple  # of (complex, int), sorted by (re, im)
     degree: int
     # Orthonormal bases of the generalized eigenspaces ker (A - z_j I)^{i_j},
-    # same order as roots; populated when the polynomial came out of
-    # minimal_polynomial (None for hand-built instances).
-    bases: tuple | None = field(default=None, compare=False, repr=False)
+    # same order as roots: the staircase bases of ``minimal_polynomial``.
+    bases: tuple = field(compare=False, repr=False)
 
 
 def _kernel(M: np.ndarray, tol: float, z: complex, step: int):
@@ -72,31 +71,32 @@ def _kernel(M: np.ndarray, tol: float, z: complex, step: int):
     return int(np.sum(grade == 0)), vh.conj().T
 
 
-def _staircase(A: np.ndarray, z: complex, tol: float, steps: int, mult: int | None = None):
+def _staircase(A: np.ndarray, z: complex, tol: float, mult: int):
     """(index, basis): the Kublanovskaya staircase on A - zI.  Each step
     splits off the kernel of the current matrix and compresses the matrix
     to the kernel's orthogonal complement, so the kernels of the first k
-    steps span ker (A - zI)^k.  It stops at the first empty kernel, after
-    ``steps`` steps, or once the kernels reach ``mult``; given ``mult``,
-    kernels that do not add up to it raise IllConditionedSpectrumError."""
+    steps span ker (A - zI)^k.  It stops at the first empty kernel or once
+    the kernels reach ``mult``; kernels that do not add up to ``mult``
+    raise IllConditionedSpectrumError."""
     d = A.shape[0]
     B = A - z * np.eye(d)
     Q = np.eye(d, dtype=complex)
     kernels = [np.zeros((d, 0), dtype=complex)]
-    for step in range(1, steps + 1):
+    # Every step before the last adds a kernel vector: at most mult steps.
+    for step in range(1, mult + 1):
         nul, V = _kernel(B, tol, z, step)
         if nul == 0:
             break
         n = B.shape[0]
         kernels.append(Q @ V[:, n - nul:])
-        if mult is not None and d - n + nul >= mult:
+        if d - n + nul >= mult:
             break
         C = V[:, : n - nul]
         Q, B = Q @ C, C.conj().T @ B @ C
     # Deepest kernel first: the first column then has the longest chain
     # under A - zI, index - 1 steps to zero.
     basis = np.hstack(kernels[::-1])
-    if mult is not None and basis.shape[1] != mult:
+    if basis.shape[1] != mult:
         raise IllConditionedSpectrumError(
             f"root {z:.6g}, staircase step {step}: the kernels add up to {basis.shape[1]}, "
             f"not the multiplicity {mult}, at the threshold {tol:.3g}"
@@ -145,7 +145,7 @@ def minimal_polynomial(A, norm: float | None = None) -> MinimalPoly:
     # Disks of radius r overlap within r_i + r_j: linking distance 2r.
     roots, bases = [], []
     for z, mult in cluster_points(w, 2 * radius, merge):
-        index, basis = _staircase(A, z, tol, mult, mult)
+        index, basis = _staircase(A, z, tol, mult)
         roots.append((z, index))
         bases.append(basis)
     return MinimalPoly(
@@ -186,31 +186,28 @@ class Decomposition:
 def decompose(A, p: MinimalPoly) -> Decomposition:
     """Generalized eigenspace decomposition for the minimal polynomial p.
 
-    Kernel bases are the staircase bases of ``minimal_polynomial`` (for a
-    hand-built p, a staircase of i_j steps on A - z_j I); projections come
-    from the basis-change formula P_j = B E_j B^{-1} in the concatenated
-    basis B.
+    Kernel bases are the bases p carries (``minimal_polynomial``'s
+    staircase bases); projections come from the basis-change formula
+    P_j = B E_j B^{-1} in the concatenated basis B.  Bases that do not
+    fill the space, or whose concatenation is singular, raise
+    DecompositionError.
     """
     A = as_matrix(A)
     d = A.shape[0]
-    bases = p.bases
-    if bases is None:
-        tol = KERNEL_TOL * d * max(1.0, operator_norm(A))
-        bases = [_staircase(A, z, tol, i)[1] for z, i in p.roots]
-    dims = [b.shape[1] for b in bases]
+    dims = [b.shape[1] for b in p.bases]
     if sum(dims) != d:
         raise DecompositionError(
             f"kernel dimensions {dims} do not sum to dim {d}; "
             "polynomial not minimal or tolerances inconsistent"
         )
-    B = np.hstack(bases)
+    B = np.hstack(p.bases)
     try:
         Binv = np.linalg.inv(B)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError("concatenated kernel bases are singular") from exc
     blocks = []
     offset = 0
-    for (z, i), basis in zip(p.roots, bases):
+    for (z, i), basis in zip(p.roots, p.bases):
         sel = slice(offset, offset + basis.shape[1])
         P = B[:, sel] @ Binv[sel, :]
         # ||P|| = ||Binv[sel, :]||, since the basis columns are orthonormal.

@@ -347,7 +347,7 @@ class TestGenerate:
 
     @pytest.mark.parametrize("token", ["inf", "-inf", "infinity", "nan"])
     def test_non_finite_eigenvalue_token(self, token, capsys):
-        # "inf" keeps its i; "=" keeps argparse from reading "-inf" as an option.
+        # "inf" keeps its i.
         assert main(["generate", "--kind", "planted", "--dim", "3", f"--eigenvalues={token}"]) == EXIT_INPUT
         assert capsys.readouterr() == ("", "error: matrix entries must be finite\n")
 
@@ -358,6 +358,17 @@ class TestGenerate:
         assert err == ""
         eig = np.linalg.eigvals(matrix_from_obj(json.loads(out)))
         assert np.allclose(eig, value, atol=1e-8)
+
+    @pytest.mark.parametrize("values", ["-1,1", "-0.5i,0.5i", "-1-1i,1", ".5,-.5"])
+    def test_signed_eigenvalue_list_either_form(self, values, capsys):
+        # argparse reads a value that starts with "-" as an option unless it
+        # is a plain negative number; "--eigenvalues -1,1" and
+        # "--eigenvalues=-1,1" must give the same bytes.
+        args = ["generate", "--kind", "planted", "--dim", "2", "--seed", "3"]
+        assert main([*args, "--eigenvalues", values]) == EXIT_OK
+        spaced = capsys.readouterr()
+        assert main([*args, f"--eigenvalues={values}"]) == EXIT_OK
+        assert capsys.readouterr() == spaced and spaced.err == ""
 
     def test_bad_token_named_as_written(self, capsys):
         assert main(["generate", "--kind", "planted", "--dim", "3", "--eigenvalues", "1,pi"]) == EXIT_INPUT

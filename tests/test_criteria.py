@@ -1,5 +1,6 @@
 """Window rule, orbit classification, and the equivalence checks."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -314,8 +315,8 @@ class TestBatchClassifier:
             "jordan": gen_jordan_perturbation(dim, z[0], 1.0, seed=dim),
             "normaloid": gen_normaloid_nonnormal(dim, seed=dim, target_norm=1.0),
         }.items():
-            an = Analysis(A)
-            probes, logs = an.orbits(cfg.seed, cfg.n_max)
+            an = Analysis(A, cfg)
+            probes, logs = an.orbits
             ends, classes = classify_orbits(logs)
             assert ends.tolist() == [cfg.n_max + 1] * len(probes), name
             want = [_reference_classify(logs[:, j]) for j in range(len(probes))]
@@ -324,7 +325,7 @@ class TestBatchClassifier:
             exponents = criteria.structural_exponents(A, H, an.decomposition)
             assert exponents == [_reference_exponent(A, v, an.decomposition) for _, v in probes], name
             assert all(c.degree == k for c, k in zip(classes, exponents) if c.kind == "polynomial-growth"), name
-            verdict = uniform_stability(an, cfg)
+            verdict = uniform_stability(an)
             assert verdict.strongly_stable is verdict.uniformly_stable, name
             limits = _reference_stability_limits(probes, logs, cfg)
             assert list(verdict.limit_projection_norm_sq.items()) == list(limits.items()), name
@@ -335,8 +336,8 @@ class TestBatchClassifier:
         import tracemalloc
 
         A = gen_jordan_perturbation(64, np.exp(0.7j), 1.0, seed=0)
-        an = Analysis(A)
-        _, logs = an.orbits(0, 2000)
+        an = Analysis(A, RunConfig(seed=0))
+        _, logs = an.orbits
         assert logs.shape == (2001, 84)
         tracemalloc.start()
         try:
@@ -392,11 +393,11 @@ class TestEnvelopeClasses:
 
     @pytest.mark.parametrize("name", list(_slow_decay_instances()))
     def test_slow_decay_converges(self, name):
-        an, cfg = Analysis(_slow_decay_instances()[name]), RunConfig(seed=0)
-        rep = theorem_check(an, cfg)
+        an = Analysis(_slow_decay_instances()[name], RunConfig(seed=0))
+        rep = theorem_check(an)
         assert rep.orbits_convergent and rep.power_bounded and rep.consistent
         assert all(r.classification == Classification(kind="convergent", limit=0.0) for _, r in rep.probes)
-        verdict = uniform_stability(an, cfg)
+        verdict = uniform_stability(an)
         assert verdict.uniformly_stable and verdict.strongly_stable
 
     @pytest.mark.parametrize("dim", [4, 8, 16])
@@ -571,7 +572,7 @@ class TestOrbitIteration:
     def test_frobenius_logs_huge_entries(self, big):
         # The squares of 1e150 overflow: the Frobenius norms are taken in
         # log space (a RuntimeWarning fails the test).
-        _, logs = Analysis(np.diag([big, 0.5])).orbits(0, 2000)
+        _, logs = Analysis(np.diag([big, 0.5]), RunConfig(seed=0)).orbits
         fro = frobenius_log_norms(logs, 2)
         assert fro[2000] == pytest.approx(2000 * np.log(big), rel=1e-12)
         assert np.diff(fro[1:]) == pytest.approx(np.full(1999, np.log(big)), rel=1e-9)
@@ -628,7 +629,7 @@ class TestPredicates:
         # c J_k has finite Frobenius norms up to n = k - 1, the largest past
         # e^UNBOUNDED_LOG for the first two, and exactly zero powers after.
         an = Analysis(scale * np.eye(k, k=1))
-        logs = an.frobenius_logs(RunConfig())
+        logs = an.frobenius_logs
         assert np.isfinite(logs).sum() == k - 1 and logs[-1] == -np.inf
         assert is_power_bounded(an)
 
@@ -744,10 +745,23 @@ class TestTheoremCheck:
 class TestAnalysis:
     def test_analysis_matches_matrix(self):
         A = canonical_oblique()
-        an = Analysis(A)
-        assert theorem_check(an, RunConfig(seed=0)).to_obj() == theorem_check(A, RunConfig(seed=0)).to_obj()
+        an = Analysis(A, RunConfig(seed=0))
+        assert theorem_check(an).to_obj() == theorem_check(A, RunConfig(seed=0)).to_obj()
         assert np.array_equal(an.power_logs(10), power_log_norms(A, 10))
         assert is_normaloid(an) is is_normaloid(A)
+
+    @pytest.mark.parametrize("stage", [
+        theorem_check, is_power_bounded, criteria.orbit_convergence,
+        normaloid_equivalence, uniform_stability,
+    ])
+    def test_analysis_with_config_rejected(self, stage):
+        # An Analysis holds one config: a second one is refused, not
+        # ignored, and nothing is propagated for it.
+        an = Analysis(dft4(), RunConfig(seed=0))
+        with pytest.raises(InvalidInputError, match="holds its own config"):
+            stage(an, RunConfig(seed=7))
+        assert not an.has_orbits
+        assert criteria.as_analysis(an) is an
 
     def test_bare_is_normaloid_reads_ten_steps(self, monkeypatch):
         import aolab.criteria as criteria
@@ -790,17 +804,18 @@ class TestAnalysis:
         monkeypatch.setattr(
             criteria, "orbit_log_norms_batch", lambda A, H, n_max: horizons.append(n_max) or batch(A, H, n_max)
         )
-        an, cfg = Analysis(dft4()), RunConfig(seed=0)
-        theorem_check(an, cfg)
-        normaloid_equivalence(an, cfg)
-        uniform_stability(an, cfg)
+        cfg = RunConfig(seed=0)
+        an = Analysis(dft4(), cfg)
+        theorem_check(an)
+        normaloid_equivalence(an)
+        uniform_stability(an)
         assert steps == [10] and horizons == [cfg.n_max]
         # Below POWER_STEPS the batch still runs POWER_STEPS steps, once, and
         # the probes read its prefix: bit for bit the longer run's rows.
         horizons.clear()
-        short = theorem_check(Analysis(canonical_oblique()), RunConfig(n_max=500, seed=0))
+        short = theorem_check(Analysis(canonical_oblique(), RunConfig(n_max=500, seed=0)))
         assert horizons == [POWER_STEPS]
-        full = theorem_check(Analysis(canonical_oblique()), RunConfig(seed=0))
+        full = theorem_check(Analysis(canonical_oblique(), RunConfig(seed=0)))
         assert [lab for lab, _ in short.probes] == [lab for lab, _ in full.probes]
         for (_, s), (_, f) in zip(short.probes, full.probes):
             assert np.array_equal(s.log_norms, f.log_norms[:501])
@@ -856,6 +871,24 @@ class TestScalarSequence:
     def test_nonunimodular_rejected(self):
         with pytest.raises(InvalidInputError):
             scalar_re_sequence(0.9, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("w, b", [
+        (np.exp(0.7j), np.inf), (np.exp(0.7j), complex(0, np.nan)),
+        (complex(np.nan, 0), 1.0), (complex(np.inf, 1), 1.0),
+    ])
+    def test_non_finite_rejected(self, w, b):
+        message = f"w and b must be finite, got w = {complex(w)}, b = {complex(b)}"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            scalar_re_sequence(w, b)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("b", [1e308 + 1e308j, 5e307, -1e308])
+    def test_overflowing_b_rejected(self, b):
+        # At 1e308 + 1e308i the product w^n b overflows; at 5e307 the sum
+        # of the window's terms does.
+        with pytest.raises(InvalidInputError, match=re.escape(f"b = {complex(b)} is too large")):
+            scalar_re_sequence(np.exp(0.7j), b)
 
     @given(
         st.floats(0.02, 0.48),

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -173,3 +174,12 @@ def test_layer_times(tmp_path, capsys):
         assert side[key]["median"] > 0
     assert side["verify_ms"]["median"] > 0
     assert "change d4" in capsys.readouterr().out
+
+
+def test_bench_selftest_wrapping():
+    # The benchmark's tracer patches functions by module and name; a
+    # refactor that drops a binding it wraps fails here.
+    bench = SCRIPTS.parent / "bench"
+    proc = subprocess.run([sys.executable, "selftest.py", "Wrapping"], cwd=bench,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 """Growth bounds, stability taxonomy, normal limits, root limits."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -133,12 +134,11 @@ class TestGrowthBound:
         # alpha reads each ||P_j|| off its block: growth_bound takes norms
         # of the 2- and 4-dim blocks only, none of a 6 x 6 matrix.
         A = gen_planted_jordan(6, [(0.8j, 2), (-0.5, 2)], cond_cap=40.0, seed=11)
-        an = Analysis(A)
+        an = Analysis(A, RunConfig(seed=0))
         for b in an.decomposition.blocks:
             assert b.projection_norm == pytest.approx(operator_norm(b.projection), rel=1e-12)
-        cfg = RunConfig(seed=0)
         an.power_logs()
-        an.frobenius_logs(cfg)
+        an.frobenius_logs
         norm = np.linalg.norm
 
         def block_norm(M, *args, **kwargs):
@@ -146,14 +146,14 @@ class TestGrowthBound:
             return norm(M, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "norm", block_norm)
-        assert growth_bound(an, cfg).max_violation_ratio <= 1 + 1e-8
+        assert growth_bound(an).max_violation_ratio <= 1 + 1e-8
 
     @pytest.mark.parametrize("name", [*_RATIO_CASES, *_JORDAN_CASES])
     def test_violation_ratio_matches_loop(self, name):
         # The per-n reference loop over the full trajectory; growth_bound
         # forms only a prefix of it, so the ratio must match bit for bit.
         A, argmax = (_JORDAN_CASES[name](), None) if name in _JORDAN_CASES else _RATIO_CASES[name]()
-        gb = growth_bound(Analysis(A), RunConfig(seed=0))
+        gb = growth_bound(Analysis(A, RunConfig(seed=0)))
         logs = power_log_norms(A, POWER_STEPS)
         worst, at = -np.inf, None
         for n in range(1, POWER_STEPS + 1):
@@ -173,11 +173,10 @@ class TestGrowthBound:
         # is the full maximum bit for bit.
         A = _JORDAN_CASES[name]() if name in _JORDAN_CASES else _RATIO_CASES[name]()[0]
         want, at = _full_ratio(A, growth_bound(A))
-        cfg = RunConfig(seed=0)
-        an = Analysis(A)
-        an.orbits(cfg.seed, cfg.n_max)
+        an = Analysis(A, RunConfig(seed=0))
+        an.orbits
         asked = _spy_powers(monkeypatch)
-        assert growth_bound(an, cfg).max_violation_ratio == want
+        assert growth_bound(an).max_violation_ratio == want
         assert asked[0] == 10 and len(asked) <= 2 and max(asked) >= at
 
     @pytest.mark.parametrize("seed", range(3))
@@ -210,7 +209,7 @@ class TestGrowthBound:
         A[0, 1] = A[1, 2] = 10**10.1
         A[3, 3] = 1e5
         an = Analysis(A)
-        an.minpoly = MinimalPoly(roots=((0j, 3),), degree=3)
+        an.minpoly = MinimalPoly(roots=((0j, 3),), degree=3, bases=(np.eye(4)[:, :3],))
         # A decomposition with ||I - sum_j P_j||_F = 2: the recursion rules
         # no power out.
         block = Block(z=0j, index=3, basis=np.eye(4)[:, :3], projection=np.zeros((4, 4)), projection_norm=1.0)
@@ -277,7 +276,7 @@ class TestGrowthBound:
         cfg = RunConfig(n_max=POWER_STEPS, seed=0)
         for A in cases:
             spectral = power_log_norms(A, POWER_STEPS)
-            excess = spectral - Analysis(A).frobenius_logs(cfg)
+            excess = spectral - Analysis(A, cfg).frobenius_logs
             assert np.max(excess[np.isfinite(spectral)]) <= 0.01 * stability._FROBENIUS_SLACK
 
     @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32, 64])
@@ -321,10 +320,10 @@ class TestGrowthBound:
         logs = power_log_norms(A, POWER_STEPS)
         asked = _spy_powers(monkeypatch)
         cfg = RunConfig(seed=0)
-        bare = growth_bound(Analysis(A), cfg)
-        an = Analysis(A)
-        an.orbits(cfg.seed, cfg.n_max)
-        assert growth_bound(an, cfg) == bare
+        bare = growth_bound(Analysis(A, cfg))
+        an = Analysis(A, cfg)
+        an.orbits
+        assert growth_bound(an) == bare
         assert asked == [10, 10]
         n = np.arange(1, POWER_STEPS + 1)
         log_bound = np.log(bare.alpha) + bare.kappa * np.log(n) + n * np.log(bare.spectral_radius)
@@ -336,14 +335,14 @@ class TestGrowthBound:
         # ratio keeps the bits of the full maximum.
         A = _RATIO_CASES["planted-d8-cap1e6"]()[0]
         asked = _spy_powers(monkeypatch)
-        gb = growth_bound(Analysis(A), RunConfig(seed=0))
+        gb = growth_bound(Analysis(A, RunConfig(seed=0)))
         assert asked == [10, POWER_STEPS]
         monkeypatch.undo()
         assert gb.max_violation_ratio == _full_ratio(A, gb)[0]
 
     def test_shares_the_probe_batch(self, monkeypatch):
-        # The Frobenius norms come off the probe batch of the config's
-        # seed: growth_bound before theorem_check propagates it once.
+        # The Frobenius norms come off the probe batch of the analysis:
+        # growth_bound before theorem_check propagates it once.
         horizons = []
         batch = criteria.orbit_log_norms_batch
         monkeypatch.setattr(
@@ -351,10 +350,10 @@ class TestGrowthBound:
         )
         for cfg in (RunConfig(seed=0), RunConfig(n_max=500, seed=0)):
             horizons.clear()
-            an = Analysis(canonical_oblique())
-            growth_bound(an, cfg)
-            theorem_check(an, cfg)
-            uniform_stability(an, cfg)
+            an = Analysis(canonical_oblique(), cfg)
+            growth_bound(an)
+            theorem_check(an)
+            uniform_stability(an)
             assert horizons == [max(cfg.n_max, POWER_STEPS)]
 
     @pytest.mark.parametrize("dim", [2, 4, 8, 16])
@@ -376,13 +375,13 @@ class TestGrowthBound:
         cases.append(_RATIO_CASES[{2: "jordan2", 4: "jordan-argmax-1000", 8: "jordan-argmax-13"}.get(dim, "jordan-d16")]()[0])
         cfg = RunConfig(seed=0)
         for A in cases:
-            bare = growth_bound(Analysis(A), cfg)
+            bare = growth_bound(Analysis(A, cfg))
             assert horizons == []
-            an = Analysis(A)
-            an.orbits(cfg.seed, cfg.n_max)  # the batch theorem_check propagates
+            an = Analysis(A, cfg)
+            an.orbits  # the batch theorem_check propagates
             assert horizons == [max(cfg.n_max, POWER_STEPS)]
             horizons.clear()
-            assert growth_bound(an, cfg) == bare and horizons == []
+            assert growth_bound(an) == bare and horizons == []
 
     def test_csv_rows_clamp_huge_powers(self):
         # ||A^2|| = 1e400 for 1e200 times the dim-3 shift: its row is
@@ -433,6 +432,23 @@ class TestNormalLimit:
         q = normal_limit(A, h)
         for scale in (1e3, 1e6):
             assert normal_limit(A, scale * h) == pytest.approx(scale**2 * q, rel=1e-12)
+
+    def test_disagreement_names_first_column(self, monkeypatch):
+        # The columns share one window rule; a limit off by 1 from the third
+        # column on is reported at the third column, h = 3 e_2.
+        rule = stability._window_rule
+
+        def shifted(T, tol):
+            ok, L = rule(T, tol)
+            L[2:] += 1.0
+            return ok, L
+
+        monkeypatch.setattr(stability, "_window_rule", shifted)
+        with pytest.raises(InconsistencyError) as exc:
+            normal_limit(dft4(), np.diag([1.0, 2.0, 3.0, 4.0]))
+        limit, q = (float(x) for x in re.fullmatch(
+            r"orbit limit (\S+) disagrees with projection value (\S+)", str(exc.value)).groups())
+        assert limit == pytest.approx(10.0, rel=1e-12) and q == pytest.approx(9.0, rel=1e-12)
 
     def test_strictly_stable_limit_zero(self):
         A = 0.5 * np.eye(3, dtype=complex)
@@ -497,9 +513,9 @@ class TestUniformStability:
             criteria, "power_log_norms", lambda A, n_max: steps.append(n_max) or trajectory(A, n_max)
         )
         cfg = RunConfig(n_max=5000, seed=0)
-        v = uniform_stability(Analysis(dft4()), cfg)
+        v = uniform_stability(Analysis(dft4(), cfg))
         assert v.power_bounded and not v.uniformly_stable
-        v = uniform_stability(Analysis(0.5 * dft4()), cfg)
+        v = uniform_stability(Analysis(0.5 * dft4(), cfg))
         assert v.uniformly_stable and v.strongly_stable
         assert steps == []
 
@@ -507,10 +523,10 @@ class TestUniformStability:
         # r < 1 must show as log ||A^n||_F falling from n_max/2 + 1 to
         # n_max: a radius misread below 1 on a unitary raises, and the zero
         # powers of a nilpotent count as falling.
-        an = Analysis(dft4())
+        an = Analysis(dft4(), RunConfig(seed=0))
         an.spectral_radius = 0.5
         with pytest.raises(InconsistencyError, match="do not decay"):
-            uniform_stability(an, RunConfig(seed=0))
+            uniform_stability(an)
         assert uniform_stability(np.eye(3, k=1, dtype=complex), RunConfig(seed=0)).uniformly_stable
 
     def test_strict_contraction(self):
@@ -535,12 +551,12 @@ class TestUniformStability:
     )
     def test_shared_probe_orbits_match_fresh_analysis(self, A):
         # theorem_check and uniform_stability read one cached probe batch;
-        # a reader that writes into it, or a cache keyed on the wrong thing,
-        # makes a later stage or seed differ from a fresh Analysis.
-        an = Analysis(A)
+        # a reader that writes into it, or a cache that ignores the config,
+        # makes a later stage differ from a fresh Analysis.
         for cfg in (RunConfig(seed=0), RunConfig(seed=7)):
+            an = Analysis(A, cfg)
             for stage in (theorem_check, uniform_stability):
-                assert stage(an, cfg).to_obj() == stage(Analysis(A), cfg).to_obj(), (stage, cfg.seed)
+                assert stage(an).to_obj() == stage(Analysis(A, cfg)).to_obj(), (stage, cfg.seed)
 
     def test_mixed_spectrum_power_bounded_not_stable(self):
         A = gen_planted_jordan(4, [(1.0, 1), (0.4, 2)], cond_cap=20.0, seed=6)

@@ -81,8 +81,8 @@ class TestMinimalPolynomial:
         assert res <= 1e-8 * max(1.0, operator_norm(A)) ** mp.degree
 
     def test_evaluate_monomial(self):
-        mp = MinimalPoly(roots=((2.0 + 0j, 2),), degree=2)
         A = np.diag([2.0, 3.0]).astype(complex)
+        mp = MinimalPoly(roots=((2.0 + 0j, 2),), degree=2, bases=(np.eye(2)[:, :1],))
         P = _evaluate(mp, A)
         assert P[0, 0] == pytest.approx(0.0)
         assert P[1, 1] == pytest.approx(1.0)
@@ -198,9 +198,11 @@ class TestDecompose:
                 assert np.linalg.norm(p) <= D.constant_c * total * (1 + 1e-8)
 
     def test_nonminimal_polynomial_rejected(self):
-        # Wrong root: kernels cannot fill the space.
+        # Wrong root: the kernels of A - I and A - 3I, span(e0) and {0},
+        # cannot fill the space.
         A = np.diag([1.0, 2.0]).astype(complex)
-        bad = MinimalPoly(roots=((1.0 + 0j, 1), (3.0 + 0j, 1)), degree=2)
+        bases = (np.eye(2)[:, :1], np.zeros((2, 0), dtype=complex))
+        bad = MinimalPoly(roots=((1.0 + 0j, 1), (3.0 + 0j, 1)), degree=2, bases=bases)
         with pytest.raises(DecompositionError):
             decompose(A, bad)
 
