@@ -50,7 +50,8 @@ the two sides alternating which runs first.  The parent must build an
 ``growth_bound`` without one, as every commit from the one-config
 ``Analysis`` on does; older commits cannot be timed.  Each side reports the median
 and quartiles of every timing, and the JSON records the numpy and Python
-versions, the BLAS thread count and the host's core count.
+versions, the BLAS thread count, the host's core count and the checkout's
+revision (null outside a git checkout).
 """
 
 from __future__ import annotations
@@ -202,6 +203,15 @@ def _side(runs, dims) -> dict:
     return side
 
 
+def _revision() -> str | None:
+    """HEAD, marked when the working tree differs from it; None where git
+    cannot answer (outside a checkout, such as a ``git archive`` export)."""
+    try:
+        return git("rev-parse", "HEAD") + (" + working tree" if git("status", "--porcelain") else "")
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", default=None, help="commit to time beside this checkout")
@@ -232,7 +242,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "blas_threads": BLAS_THREADS,
         "cpu_count": os.cpu_count(),
-        "change": git("rev-parse", "HEAD") + (" + working tree" if git("status", "--porcelain") else ""),
+        "change": _revision(),
         "sides": {side: _side(side_runs, dims) for side, side_runs in runs.items()},
     }
     if args.parent:

@@ -87,6 +87,7 @@ def cmd_analyze(args) -> int:
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    del obj  # the parsed lists are much larger than A; only A is read on
 
     report = {"input": {"dim": int(A.shape[0])}}
     gb = None

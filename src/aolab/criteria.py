@@ -424,10 +424,11 @@ class OrbitRecord:
 
 @dataclass(frozen=True)
 class ScalarSeqVerdict:
+    """The window rule's verdict on Re(w^n b); no term of the sequence is kept."""
+
     w: complex
     b: complex
     convergent: bool
-    cluster_points: np.ndarray = field(compare=False)  # read-only, ascending
 
 
 @dataclass
@@ -838,7 +839,7 @@ def theorem_check(A, config: RunConfig | None = None) -> CriteriaReport:
 
 # |w| = 1 to this keeps |w^n| within 1e-7 of 1 over 1e5 steps, below SCALAR_RESOLUTION.
 SCALAR_W_TOL = 1e-12
-# The window rule's default tolerance: closer tail values are one cluster, a smaller b is 0.
+# A smaller |b| reads as 0; it equals the window rule's default tolerance.
 SCALAR_RESOLUTION = 1e-6
 
 
@@ -874,13 +875,11 @@ def scalar_re_sequence(w: complex, b: complex, n_max: int = 100_000) -> ScalarSe
     """Finite probe of the scalar lemma: for |w| = 1, w != +-1, the sequence
     Re(w^n b) converges only if b = 0.
 
-    Cluster points are estimated from the tail half with merge radius
-    SCALAR_RESOLUTION, as a read-only ascending array.  Only the terms the
-    window rule and the tail half read are kept (``_scalar_terms``).
-    Raises InvalidInputError for a non-finite w or b and for a b whose
-    terms or their sums overflow, and InconsistencyError if the window rule
-    reports convergence for a b above SCALAR_RESOLUTION (finite-horizon
-    failure surfaced, not hidden).
+    Only the last window of terms, all the window rule reads, is kept
+    (``_scalar_terms``).  Raises InvalidInputError for a non-finite w or b
+    and for a b whose terms or their sum overflow, and InconsistencyError if
+    the window rule reports convergence for a b above SCALAR_RESOLUTION
+    (finite-horizon failure surfaced, not hidden).
     """
     w = complex(w)
     b = complex(b)
@@ -890,24 +889,14 @@ def scalar_re_sequence(w: complex, b: complex, n_max: int = 100_000) -> ScalarSe
         raise InvalidInputError(f"w must be unimodular (within {SCALAR_W_TOL:g})")
     if decide(min(abs(w - 1), abs(w + 1)), SCALAR_W_TOL) == 0:
         raise InvalidInputError("w = +-1 is excluded")
-    start = max(0, min(n_max // 2, n_max + 1 - RunConfig.window))
     try:
         with np.errstate(over="raise"):
-            seq = _scalar_terms(w, b, start, n_max)
-            convergent, _ = window_limit(seq)
-            tail = seq[n_max // 2 - start :]
-            tail.sort()
-            # A cluster starts at 0 and wherever the sorted tail jumps by more than SCALAR_RESOLUTION.
-            jumps = decide(np.diff(tail), SCALAR_RESOLUTION) == 2
-            starts = np.flatnonzero(np.concatenate(([True], jumps)))
-            clusters = np.add.reduceat(tail, starts)
+            convergent, _ = window_limit(_scalar_terms(w, b, max(0, n_max + 1 - RunConfig.window), n_max))
     except FloatingPointError:
-        raise InvalidInputError(f"b = {b} is too large: Re(w^n b) or a sum of terms overflows") from None
-    clusters /= np.diff(starts, append=tail.size)
-    clusters.flags.writeable = False
+        raise InvalidInputError(f"b = {b} is too large: Re(w^n b) or the sum of terms overflows") from None
     if convergent and decide(abs(b), SCALAR_RESOLUTION) == 2:
         raise InconsistencyError(
             "window rule reports convergence for nonzero b; w is too close "
             "to +-1 for this horizon"
         )
-    return ScalarSeqVerdict(w=w, b=b, convergent=convergent, cluster_points=clusters)
+    return ScalarSeqVerdict(w=w, b=b, convergent=convergent)

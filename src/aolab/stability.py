@@ -235,8 +235,10 @@ def recursion_log_norms(an: Analysis, n_max: int) -> np.ndarray:
     # Powers of the blocks below r underflow harmlessly against the top
     # block, whose head never decreases while r > 0; on a nilpotent matrix
     # the state may reach 0 (log -inf).  The stack stops doubling once an
-    # entry passes 2^BLOCK_GROWTH_LOG2, so that no chunk overflows.
-    with np.errstate(under="ignore", divide="ignore"):
+    # entry passes 2^BLOCK_GROWTH_LOG2, so that no chunk overflows unless T
+    # itself is that large; an overflowing state is a bound of +inf, which
+    # rules no power out.
+    with np.errstate(under="ignore", divide="ignore", over="ignore"):
         j = 1
         while j < k and stack[:j].max() <= 2.0**BLOCK_GROWTH_LOG2:
             h = min(j, k - j)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .criteria import Analysis, orbit_norms_batch, scalar_re_sequence, theorem_check
+from .criteria import STACK_ENTRIES, Analysis, orbit_norms_batch, scalar_re_sequence, theorem_check
 from .errors import AolabError
 from .generators import (
     SQRT2,
@@ -374,23 +374,28 @@ def suite_density(
     n_targets: int = 100, n_max: int = 100_000, tol: float = 1e-2
 ) -> SuiteResult:
     """The orbit of e1 under e^{2 pi i sqrt(2)} I visits every point of the
-    unit circle within tol by step n_max."""
+    unit circle within tol by step n_max.  The orbit's angles are formed,
+    sorted and searched one chunk of STACK_ENTRIES steps at a time."""
     res = SuiteResult("rotation-density")
     A = gen_scalar_rotation(1, SQRT2)
     z = A[0, 0]
-    angles = np.arange(n_max + 1, dtype=float)
-    angles *= 2 * math.pi * SQRT2
-    np.remainder(angles, 2 * math.pi, out=angles)
-    targets = np.exp(2j * math.pi * np.arange(n_targets) / n_targets)
-    # The nearest orbit point lies next to the target's angle in the sorted
-    # angles (around the circle); two neighbours on each side cover the
-    # rounding of the distances.  Only those neighbours are exponentiated.
-    order = np.argsort(angles)
-    at = np.searchsorted(angles, 2 * math.pi * np.arange(n_targets) / n_targets, sorter=order)
-    near = np.exp(1j * angles[order[(at[:, np.newaxis] + np.arange(-2, 3)) % order.size]])
-    for k, tgt in enumerate(targets):
-        dist = float(np.min(np.abs(near[k] - tgt)))
-        res.record(f"target{k}", dist <= tol, f"min distance {dist:g}")
+    target_angles = 2 * math.pi * np.arange(n_targets) / n_targets
+    targets = np.exp(2j * math.pi * np.arange(n_targets) / n_targets)[:, np.newaxis]
+    dist = np.full(n_targets, np.inf)
+    for lo in range(0, n_max + 1, STACK_ENTRIES):
+        angles = np.arange(lo, min(lo + STACK_ENTRIES, n_max + 1), dtype=float)
+        angles *= 2 * math.pi * SQRT2
+        np.remainder(angles, 2 * math.pi, out=angles)
+        angles.sort()
+        # The nearest orbit point lies next to the target's angle among the
+        # sorted angles of its chunk (around the circle); two neighbours on
+        # each side cover the rounding of the distances.  Only those
+        # neighbours are exponentiated.
+        at = np.searchsorted(angles, target_angles)
+        near = np.exp(1j * angles[(at[:, np.newaxis] + np.arange(-2, 3)) % angles.size])
+        np.minimum(dist, np.abs(near - targets).min(axis=1), out=dist)
+    for k, d in enumerate(dist.tolist()):
+        res.record(f"target{k}", d <= tol, f"min distance {d:g}")
     # sanity: the generator really is the scalar rotation
     res.record("fixture", abs(z - np.exp(2j * math.pi * SQRT2)) < 1e-12)
     return res

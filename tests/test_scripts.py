@@ -176,6 +176,15 @@ def test_layer_times(tmp_path, capsys):
     assert "change d4" in capsys.readouterr().out
 
 
+def test_layer_times_outside_a_checkout(tmp_path, monkeypatch):
+    # Git cannot answer here, as in a ``git archive`` export: the run
+    # records no revision instead of failing.
+    monkeypatch.setenv("GIT_DIR", str(tmp_path / "no-repo"))
+    out = tmp_path / "layers.json"
+    assert _load("layer_times").main(["--runs", "1", "--dims", "4", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["change"] is None
+
+
 def test_bench_selftest_wrapping():
     # The benchmark's tracer patches functions by module and name; a
     # refactor that drops a binding it wraps fails here.

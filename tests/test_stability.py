@@ -311,6 +311,17 @@ class TestGrowthBound:
             shifted.decomposition = replace(an.decomposition, blocks=blocks)
             assert np.all(stability.recursion_log_norms(shifted, POWER_STEPS) >= bound)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_recursion_is_infinite_without_warning(self):
+        # [[1, 1e200], [0, 0]]: the recursion state overflows, which reads
+        # as a bound of +inf for those n and rules none of them out.  The
+        # wrong structure of this matrix still fails the growth check.
+        an = Analysis(np.array([[1, 1e200], [0, 0]], dtype=complex))
+        bound = stability.recursion_log_norms(an, POWER_STEPS)
+        assert np.isposinf(bound).any() and not np.isnan(bound).any()
+        with pytest.raises(InconsistencyError, match="growth bound violated"):
+            growth_bound(an)
+
     @pytest.mark.parametrize("name", _JORDAN_CASES)
     def test_recursion_forms_no_power_past_ten(self, name, monkeypatch):
         # ||A^n||_F rules out no n on alpha I + N, but the recursion rules
