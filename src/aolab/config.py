@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidInputError
 
 
 def default_seed() -> int:
-    """Default RNG seed; the AOLAB_SEED environment variable overrides 0."""
+    """The CLI's default RNG seed when --seed is absent: the AOLAB_SEED
+    environment variable, else 0."""
     raw = os.environ.get("AOLAB_SEED")
     if raw is None:
         return 0
@@ -28,7 +29,7 @@ class RunConfig:
     n_max: int = 2000
     window: int = 50
     tol_conv: float = 1e-6
-    seed: int = field(default_factory=default_seed)
+    seed: int = 0
     trials: int = 100
 
     def __post_init__(self):

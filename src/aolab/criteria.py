@@ -604,8 +604,8 @@ def is_unitary(A) -> bool:
     # only overflow the products below.
     if np.abs(A).max() > 2:
         return False
-    I = np.eye(d)
-    defect = max(np.linalg.norm(A.conj().T @ A - I), np.linalg.norm(A @ A.conj().T - I))
+    # For square A, ||A^H A - I||_F = ||A A^H - I||_F in exact arithmetic.
+    defect = np.linalg.norm(A.conj().T @ A - np.eye(d))
     return bool(decide(defect, UNITARY_TOL * d) == 0)
 
 
@@ -837,52 +837,25 @@ def theorem_check(A, config: RunConfig | None = None) -> CriteriaReport:
 # Scalar sequence lemma probe
 # ---------------------------------------------------------------------------
 
-# |w| = 1 to this keeps |w^n| within 1e-7 of 1 over 1e5 steps, below SCALAR_RESOLUTION.
+# |w| = 1 to this keeps |w^n| within 1e-7 of 1 over 1e5 steps, below RunConfig.tol_conv.
 SCALAR_W_TOL = 1e-12
-# A smaller |b| reads as 0; it equals the window rule's default tolerance.
-SCALAR_RESOLUTION = 1e-6
-
-
-def _scalar_terms(w: complex, b: complex, start: int, n_max: int) -> np.ndarray:
-    """Re(w^n b) for n = start..n_max.  w^n advances in chunks of
-    STACK_ENTRIES, each one cumprod from the last product before it, so
-    that every w^n is the product of one cumprod over n = 0..n_max."""
-    out = np.empty(n_max + 1 - start)
-    chunk = np.full(min(STACK_ENTRIES, n_max + 1), w)
-    chunk[0] = 1.0
-    n = 0  # chunk[0] is w^n, a term already taken unless n = 0
-    while True:
-        steps = min(chunk.size - 1, n_max - n)
-        if n_max - n - steps == 1 and steps > 1:
-            # A cumprod of one product runs another numpy loop, with other
-            # bits: two are left for the last chunk, as the full cumprod has.
-            steps -= 1
-        part = chunk[: steps + 1]
-        np.cumprod(part, out=part)
-        lo = max(start, n + (n > 0))
-        if n + steps >= lo:
-            # Out of place: numpy multiplies a slice in place by another
-            # loop at some lengths and offsets, with other bits.
-            out[lo - start : n + steps + 1 - start] = (part[lo - n :] * b).real
-        n += steps
-        if n == n_max:
-            return out
-        chunk[0] = part[-1]
-        chunk[1:] = w
 
 
 def scalar_re_sequence(w: complex, b: complex, n_max: int = 100_000) -> ScalarSeqVerdict:
     """Finite probe of the scalar lemma: for |w| = 1, w != +-1, the sequence
     Re(w^n b) converges only if b = 0.
 
-    Only the last window of terms, all the window rule reads, is kept
-    (``_scalar_terms``).  Raises InvalidInputError for a non-finite w or b
-    and for a b whose terms or their sum overflow, and InconsistencyError if
-    the window rule reports convergence for a b above SCALAR_RESOLUTION
+    Only the last window of terms, all the window rule reads, is formed,
+    each as w^n b.  Raises InvalidInputError for n_max < 0, for a non-finite
+    w or b and for a b whose terms or their sum overflow, and
+    InconsistencyError if the window rule reports convergence for a |b|
+    above ``RunConfig.tol_conv``, which it cannot tell from 0
     (finite-horizon failure surfaced, not hidden).
     """
     w = complex(w)
     b = complex(b)
+    if n_max < 0:
+        raise InvalidInputError(f"n_max must be nonnegative, got {n_max}")
     if not (np.isfinite(w) and np.isfinite(b)):
         raise InvalidInputError(f"w and b must be finite, got w = {w}, b = {b}")
     if decide(abs(abs(w) - 1), SCALAR_W_TOL) == 2:
@@ -891,10 +864,11 @@ def scalar_re_sequence(w: complex, b: complex, n_max: int = 100_000) -> ScalarSe
         raise InvalidInputError("w = +-1 is excluded")
     try:
         with np.errstate(over="raise"):
-            convergent, _ = window_limit(_scalar_terms(w, b, max(0, n_max + 1 - RunConfig.window), n_max))
+            n = np.arange(max(0, n_max + 1 - RunConfig.window), n_max + 1)
+            convergent, _ = window_limit((np.power(w, n) * b).real)
     except FloatingPointError:
         raise InvalidInputError(f"b = {b} is too large: Re(w^n b) or the sum of terms overflows") from None
-    if convergent and decide(abs(b), SCALAR_RESOLUTION) == 2:
+    if convergent and decide(abs(b), RunConfig.tol_conv) == 2:
         raise InconsistencyError(
             "window rule reports convergence for nonzero b; w is too close "
             "to +-1 for this horizon"

@@ -33,10 +33,8 @@ def as_matrix(a) -> np.ndarray:
 
 def as_columns(H, dim: int) -> np.ndarray:
     """Validate and return the columns of H as a fresh (dim, P) complex
-    array, P >= 1; a 1-D H is one column."""
+    array, P >= 1."""
     H = np.asarray(H, dtype=complex)
-    if H.ndim == 1:
-        H = H.reshape(-1, 1)
     if H.ndim != 2 or H.shape[0] != dim or H.shape[1] == 0:
         raise InvalidInputError(f"expected {dim}-dim vectors as columns, got shape {H.shape}")
     if not np.all(np.isfinite(H.real)) or not np.all(np.isfinite(H.imag)):

@@ -135,17 +135,15 @@ _LIMIT_TOL = 1e-6
 
 
 def normal_limit(A, H):
-    """lim ||A^n h||^2 for a normal contraction and each column h of H (a
-    1-D H is one column and gives a float): equals <Q h, h> with Q the
-    orthogonal projection onto the unimodular eigenspaces, the sum of the
-    projections of the unimodular blocks of the decomposition.  Each
-    column's identity is cross-checked, to _LIMIT_TOL * max(1, ||h||^2),
-    against the window limit of its orbit over ``RunConfig.n_max`` steps;
-    the columns advance together in one ``orbit_norms_batch`` and share one
-    window rule."""
+    """lim ||A^n h||^2 for a normal contraction and each column h of H:
+    equals <Q h, h> with Q the orthogonal projection onto the unimodular
+    eigenspaces, the sum of the projections of the unimodular blocks of
+    the decomposition.  Each column's identity is cross-checked, to
+    _LIMIT_TOL * max(1, ||h||^2), against the window limit of its orbit
+    over ``RunConfig.n_max`` steps; the columns advance together in one
+    ``orbit_norms_batch`` and share one window rule."""
     an = as_analysis(A)
     A = an.A
-    single = np.ndim(H) == 1
     H = as_columns(H, A.shape[0])
     # Contraction first: the normality products of a huge matrix overflow.
     if not an.contraction:
@@ -163,7 +161,7 @@ def normal_limit(A, H):
     if off.size:
         j = off[0]
         raise InconsistencyError(f"orbit limit {limits[j]} disagrees with projection value {q[j]}")
-    return float(q[0]) if single else q
+    return q
 
 
 def _worst_excess(logs, log_bound):
@@ -300,24 +298,19 @@ def growth_bound(A) -> GrowthBound:
 
     alpha = 0.0
     for b in an.decomposition.blocks:
-        M = b.basis.conj().T @ A @ b.basis
-        N = M - b.z * np.eye(b.dim)
-        if decide(abs(b.z), _NILPOTENT_RADIUS) == 2:
-            aj = 1.0  # the k = 0 term, ||I||
+        aj = 1.0  # the k = 0 term, ||I||, all an index-1 block has
+        if b.index > 1:
+            N = b.basis.conj().T @ A @ b.basis - b.z * np.eye(b.dim)
+            # A zero-eigenvalue block inside a matrix with r > 0 dies at
+            # n >= i_j; its term covers the finitely many live powers.
+            nonzero = decide(abs(b.z), _NILPOTENT_RADIUS) == 2
             Nk = np.eye(b.dim, dtype=complex)
             fact = 1.0
             for k in range(1, b.index):
                 Nk = Nk @ N
                 fact *= k
-                aj += float(np.linalg.norm(Nk, 2)) / (fact * abs(b.z) ** k)
-        else:
-            # Zero-eigenvalue block inside a matrix with r > 0: the block
-            # dies at n >= i_j; cover the finitely many live powers.
-            aj = 1.0
-            Nk = np.eye(b.dim, dtype=complex)
-            for n in range(1, b.index):
-                Nk = Nk @ N
-                aj = max(aj, float(np.linalg.norm(Nk, 2)) / (n**kappa * r**n))
+                nrm = float(np.linalg.norm(Nk, 2))
+                aj = aj + nrm / (fact * abs(b.z) ** k) if nonzero else max(aj, nrm / (k**kappa * r**k))
         alpha += b.projection_norm * aj
 
     valid_from = 1
@@ -404,9 +397,8 @@ _ROOT_LIMIT_TOL = 1e-3
 
 def orbit_root_limit(A, H):
     """Empirical limit of ||A^n h||^{1/n} over ``RunConfig.n_max`` steps for
-    each column h of H (a 1-D H is one column and gives a float),
-    cross-checked within _ROOT_LIMIT_TOL against the structural prediction
-    max{|z_j| : P_j h != 0}.
+    each column h of H, cross-checked within _ROOT_LIMIT_TOL against the
+    structural prediction max{|z_j| : P_j h != 0}.
 
     The n-th root sequence converges like 1 + O(log n / n), too slowly for
     the plain window rule at desk horizons; the limit is therefore rho of
@@ -416,7 +408,6 @@ def orbit_root_limit(A, H):
     ``orbit_log_norms_batch``.
     """
     an = as_analysis(A)
-    single = np.ndim(H) == 1
     H = as_columns(H, an.A.shape[0])
     logs = orbit_log_norms_batch(an.A, H, RunConfig.n_max)
     # A column that reached zero has root limit 0.
@@ -426,4 +417,4 @@ def orbit_root_limit(A, H):
     for e, mu in zip(empirical, block_components(H, an.decomposition)[1]):
         if decide(abs(e - mu), _ROOT_LIMIT_TOL) == 2:
             raise InconsistencyError(f"root limit {e} disagrees with structural value {mu}")
-    return float(empirical[0]) if single else empirical
+    return empirical

@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import aolab
 import aolab.criteria as criteria
 from aolab import jsonout
 from aolab.cli import (
@@ -431,6 +432,12 @@ class TestSeedEnv:
         capsys.readouterr()
         assert main(["verify", "--suite", "scalar", "--trials", "1"]) == EXIT_INPUT
         assert capsys.readouterr().err == "error: AOLAB_SEED must be an integer, got 'abc'\n"
+
+    def test_bad_env_seed_leaves_library_calls(self, monkeypatch):
+        # Only the CLI reads AOLAB_SEED; RunConfig's seed defaults to 0.
+        monkeypatch.setenv("AOLAB_SEED", "abc")
+        assert aolab.growth_bound([[0.5]]).spectral_radius == 0.5
+        assert aolab.theorem_check([[1.0]]).unitary
 
     def test_env_seed_changes_generate(self, monkeypatch, capsys):
         args = ["generate", "--kind", "normaloid", "--dim", "4"]

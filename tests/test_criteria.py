@@ -822,19 +822,29 @@ class TestAnalysis:
 
 
 def _reference_scalar_re_sequence(w, b, n_max):
-    """(convergent, cluster points) of the full-horizon probe the chunked
-    ``scalar_re_sequence`` replaced: all n_max + 1 terms of one cumprod."""
+    """The full-horizon probe ``scalar_re_sequence`` replaced: all n_max + 1
+    terms of one cumprod through the window rule, with the same overflow
+    and nonzero-b errors."""
     seq = np.full(n_max + 1, complex(w))
     seq[0] = 1.0
-    np.cumprod(seq, out=seq)
-    seq *= complex(b)
-    seq = seq.real
-    convergent, _ = window_limit(seq)
-    tail = np.sort(seq[n_max // 2:])
-    starts = np.flatnonzero(decide(np.diff(tail, prepend=-np.inf), criteria.SCALAR_RESOLUTION) == 2)
-    clusters = np.add.reduceat(tail, starts)
-    clusters /= np.diff(starts, append=tail.size)
-    return convergent, clusters
+    try:
+        with np.errstate(over="raise"):
+            np.cumprod(seq, out=seq)
+            seq *= complex(b)
+            convergent, _ = window_limit(seq.real)
+    except FloatingPointError:
+        raise InvalidInputError("b is too large") from None
+    if convergent and decide(abs(b), RunConfig.tol_conv) == 2:
+        raise InconsistencyError("window rule reports convergence for nonzero b")
+    return convergent
+
+
+def _outcome(probe, *args):
+    """probe(*args)'s verdict, or the class of the error it raised."""
+    try:
+        return probe(*args)
+    except (InvalidInputError, InconsistencyError) as exc:
+        return type(exc)
 
 
 class TestScalarSequence:
@@ -842,14 +852,14 @@ class TestScalarSequence:
         7, 60, 101, criteria.STACK_ENTRIES - 1, criteria.STACK_ENTRIES, criteria.STACK_ENTRIES + 1,
         2 * criteria.STACK_ENTRIES - 1, 20000, 100_000,
     ])
-    @pytest.mark.parametrize("b", [0.0, 0.3 + 0.4j, -1.7 + 0.05j])
+    @pytest.mark.parametrize("b", [0.0, 0.3 + 0.4j, -1.7 + 0.05j, 1e-7, 1e-6j, -1e-5 + 1e-6j])
     def test_same_as_full_horizon(self, n_max, b):
-        # Chunks end at every n here: inside the window, on a chunk edge, one
-        # past it (a last chunk of one product), and far from it.
-        for w in (np.exp(0.7j), np.exp(2.9j), np.exp(-1.3j)):
-            v = scalar_re_sequence(w, b, n_max)
-            convergent, _ = _reference_scalar_re_sequence(w, b, n_max)
-            assert v.convergent == convergent
+        # Horizons around the window and the old chunk edges, and near-edge
+        # inputs: |b| about the window tolerance, w within 0.001 turns of +-1.
+        for w in (np.exp(0.7j), np.exp(2.9j), np.exp(-1.3j),
+                  np.exp(2e-3j * np.pi), np.exp(-2e-4j * np.pi), -np.exp(1e-3j * np.pi)):
+            v = _outcome(lambda: scalar_re_sequence(w, b, n_max).convergent)
+            assert v == _outcome(_reference_scalar_re_sequence, w, b, n_max)
 
     def test_b_zero_convergent(self):
         v = scalar_re_sequence(np.exp(0.7j), 0.0, n_max=20000)
@@ -868,6 +878,10 @@ class TestScalarSequence:
     def test_nonunimodular_rejected(self):
         with pytest.raises(InvalidInputError):
             scalar_re_sequence(0.9, 1.0)
+
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(InvalidInputError, match="n_max must be nonnegative, got -1"):
+            scalar_re_sequence(np.exp(0.7j), 1.0, -1)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("w, b", [

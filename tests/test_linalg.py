@@ -39,6 +39,10 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             as_columns([1, 2, 3], dim=2)
 
+    def test_vector_must_be_a_column(self):
+        with pytest.raises(InvalidInputError, match=r"got shape \(2,\)"):
+            as_columns([1, 2], dim=2)
+
 
 class TestNormsAndRank:
     def test_operator_norm_diagonal(self):

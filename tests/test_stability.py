@@ -414,7 +414,7 @@ class TestNormalLimit:
         Q = U[:, :2] @ U[:, :2].conj().T
         for t in range(5):
             h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            q = normal_limit(A, h)
+            q = normal_limit(A, h[:, None])[0]
             assert q == pytest.approx(float(np.real(np.vdot(h, Q @ h))), abs=1e-9)
 
     def test_columns_match_single_calls(self):
@@ -428,7 +428,7 @@ class TestNormalLimit:
             H[:, 0] = np.ones(d)
             q = normal_limit(A, H)
             assert q.shape == (5,)
-            assert np.array_equal(q, [normal_limit(A, H[:, j]) for j in range(5)])
+            assert np.array_equal(q, [normal_limit(A, H[:, j, None])[0] for j in range(5)])
             H[:, 3] = 0.0
             with pytest.raises(InvalidInputError):
                 normal_limit(A, H)
@@ -440,9 +440,9 @@ class TestNormalLimit:
         U = haar_unitary(6, rng)
         A = U @ np.diag([1, 1j, -1, 0.99, 0.5, 0.2]).astype(complex) @ U.conj().T
         h = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        q = normal_limit(A, h)
+        q = normal_limit(A, h[:, None])[0]
         for scale in (1e3, 1e6):
-            assert normal_limit(A, scale * h) == pytest.approx(scale**2 * q, rel=1e-12)
+            assert normal_limit(A, scale * h[:, None])[0] == pytest.approx(scale**2 * q, rel=1e-12)
 
     def test_disagreement_names_first_column(self, monkeypatch):
         # The columns share one window rule; a limit off by 1 from the third
@@ -463,25 +463,25 @@ class TestNormalLimit:
 
     def test_strictly_stable_limit_zero(self):
         A = 0.5 * np.eye(3, dtype=complex)
-        assert normal_limit(A, np.ones(3)) == pytest.approx(0.0, abs=1e-12)
+        assert normal_limit(A, np.ones((3, 1)))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_unitary_limit_full_norm(self):
         A = dft4()
         h = np.array([1.0, 0, 0, 0], dtype=complex)
-        assert normal_limit(A, h) == pytest.approx(1.0, rel=1e-10)
+        assert normal_limit(A, h[:, None])[0] == pytest.approx(1.0, rel=1e-10)
 
     def test_rejects_nonnormal(self):
         J = np.array([[1, 1], [0, 1]], dtype=complex)
         for A in (J, 0.5 * J):  # the second is a contraction
             with pytest.raises(InvalidInputError):
-                normal_limit(A, np.ones(2))
+                normal_limit(A, np.ones((2, 1)))
 
     def test_rejects_expansive(self):
         # diag(1e200, 0.5) is rejected before its normality products overflow
         # (a RuntimeWarning fails the test).
         for A in (2 * np.eye(2), np.diag([1e200, 0.5])):
             with pytest.raises(InvalidInputError):
-                normal_limit(A, np.ones(2))
+                normal_limit(A, np.ones((2, 1)))
 
 
 class TestNormaloidEquivalence:
@@ -579,24 +579,24 @@ class TestUniformStability:
 class TestOrbitRootLimit:
     def test_diagonal_dominant_modulus(self):
         A = np.diag([0.9, 0.5]).astype(complex)
-        rho = orbit_root_limit(A, np.array([1.0, 1.0]))
+        rho = orbit_root_limit(A, np.array([[1.0], [1.0]]))[0]
         assert rho == pytest.approx(0.9, abs=1e-3)
 
     def test_probe_outside_dominant_eigenspace(self):
         A = np.diag([0.9, 0.5]).astype(complex)
-        rho = orbit_root_limit(A, np.array([0.0, 1.0]))
+        rho = orbit_root_limit(A, np.array([[0.0], [1.0]]))[0]
         assert rho == pytest.approx(0.5, abs=1e-3)
 
     def test_unitary_orbit_limit_one(self):
         A = gen_unitary_finite_spectrum(4, [1j, -1], seed=5)
         rng = np.random.default_rng(2)
         h = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        assert orbit_root_limit(A, h) == pytest.approx(1.0, abs=1e-3)
+        assert orbit_root_limit(A, h[:, None])[0] == pytest.approx(1.0, abs=1e-3)
 
     def test_defective_root_polynomial_factor_removed(self):
         A = gen_planted_jordan(4, [(0.7, 3)], cond_cap=20.0, seed=8)
         h = np.ones(4, dtype=complex)
-        assert orbit_root_limit(A, h) == pytest.approx(0.7, abs=1e-3)
+        assert orbit_root_limit(A, h[:, None])[0] == pytest.approx(0.7, abs=1e-3)
 
     def test_columns_match_single_calls(self):
         # Several columns advance by one matrix product where one column
@@ -613,12 +613,12 @@ class TestOrbitRootLimit:
             H = rng.standard_normal((d, 4)) + 1j * rng.standard_normal((d, 4))
             H[:, 1] = np.eye(d)[:, -1]
             rho = orbit_root_limit(A, H)
-            single = [orbit_root_limit(A, H[:, j]) for j in range(4)]
+            single = [orbit_root_limit(A, H[:, j, None])[0] for j in range(4)]
             assert rho.shape == (4,)
             assert np.allclose(rho, single, rtol=0, atol=1e-11)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(InvalidInputError):
-            orbit_root_limit(np.eye(2), np.zeros(2))
+            orbit_root_limit(np.eye(2), np.zeros((2, 1)))
         with pytest.raises(InvalidInputError):
             orbit_root_limit(np.eye(2), np.array([[1.0, 0.0], [1.0, 0.0]]))
