@@ -11,8 +11,9 @@ running the script at both commits and diffing the output:
 
 The set: every ``generate`` kind at dims 4, 8 and 16 and seeds 0-2, jordan
 with alpha i and scale 0.5, normaloid with scale 3, dft4, diag(big, 0.5)
-for big = 1e12, 1e160 and 1e200, nilpotent-1e200 (1e200 times the dim-3
-shift, whose orbits pass 1e300 one step before they die), and three
+for big = 1e12, 1e160, 1e200 and 1e301 (diag-1e301, whose growing orbits
+are cut at step 1), nilpotent-1e200 (1e200 times the dim-3 shift, whose
+orbits pass 1e300 one step before they die), and three
 planted structures: the first
 circle/d16 instance of the structure-stress benchmark (12 simple unimodular
 roots, cond cap 1e4), roots of index 4 and 2 at dim 8, and a dim-32 shape
@@ -30,7 +31,10 @@ e^{0.3i} I + N at dim 64 with ||N|| = 2.9, like the analyze-large jordan
 op, whose Frobenius norms rule out no power of the growth check but whose
 block recursion rules out every n > 10 (exit 0); and planted-nilpotent-d8,
 the root 0 of index 3 at dim 8, the shape of the growth suite's nilpotent
-trials, whose powers from n = 3 on are rounding noise (exit 0).
+trials, whose powers from n = 3 on are rounding noise (exit 0); and two
+whose last windows hold finite squared norms with a sum past the float
+range, jordan-1e150, [[1, 1e150], [0, 1]], and window-square-overflow,
+diag(e^(709.5/4000), 0.5) (exit 0).
 
 A change that moves trailing digits changes most digests, so two runs can
 also be compared field by field:
@@ -125,7 +129,7 @@ def instances():
                 ["--kind", "jordan", "--dim", "4", "--eigenvalues", "i", "--scale", "0.5"]))
     out.append(("normaloid-scale-3", ["--kind", "normaloid", "--dim", "8", "--scale", "3"]))
     out.append(("dft4", dft4()))
-    for big in ("1e12", "1e160", "1e200"):
+    for big in ("1e12", "1e160", "1e200", "1e301"):
         out.append((f"diag-{big}", np.diag([float(big), 0.5]).astype(complex)))
     out.append(("nilpotent-1e200", 1e200 * np.eye(3, k=1, dtype=complex)))
     out.append(("stress-circle-d16", _stress_circle_d16()))
@@ -141,6 +145,8 @@ def instances():
     out.append(("jordan-d64", gen_jordan_perturbation(64, np.exp(0.3j), 2.9, 0)))
     out.append(("planted-nilpotent-d8", ["--kind", "planted", "--dim", "8", "--eigenvalues", "0",
                                          "--indices", "3", "--seed", "0"]))
+    out.append(("jordan-1e150", np.array([[1, 1e150], [0, 1]], dtype=complex)))
+    out.append(("window-square-overflow", np.diag([math.exp(709.5 / 4000), 0.5]).astype(complex)))
     return out
 
 

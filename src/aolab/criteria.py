@@ -80,14 +80,6 @@ def _window_rule(T: np.ndarray, tol: float):
     return np.abs(T - L[:, np.newaxis]).max(axis=1) <= np.maximum(tol, tol * np.abs(L)), L
 
 
-def window_limit(seq: np.ndarray, window: int = RunConfig.window, tol: float = RunConfig.tol_conv):
-    """Finite-horizon convergence test: (converged, L), whether each of the
-    final ``window`` terms lies within max(tol, tol * |L|) of their mean L."""
-    s = np.asarray(seq, dtype=float)
-    ok, L = _window_rule(np.ascontiguousarray(s[-min(window, s.size):][np.newaxis]), tol)
-    return bool(ok[0]), float(L[0])
-
-
 @dataclass(frozen=True)
 class Classification:
     kind: str  # convergent | bounded-nonconvergent | polynomial-growth | exponential-growth
@@ -108,9 +100,10 @@ class Classification:
 
 def _tail_log_slopes(logs: np.ndarray) -> np.ndarray:
     """Least-squares slope of every column of a log-norm batch over its tail
-    half: one matvec of the centred n over the ``logs[n0:]`` view (0 with
-    fewer than two rows; nan for a column with -inf there)."""
-    n0 = max(1, logs.shape[0] // 2)
+    half, and over at least its last two rows: one matvec of the centred n
+    over the ``logs[n0:]`` view (0 with fewer than two rows; nan for a
+    column with -inf there)."""
+    n0 = max(0, min(logs.shape[0] // 2, logs.shape[0] - 2))
     x = np.arange(n0, logs.shape[0], dtype=float)
     if x.size < 2:
         return np.zeros(logs.shape[1])
@@ -152,10 +145,10 @@ def classify_orbits(logs: np.ndarray, window: int = RunConfig.window, tol: float
     Per column, in this order: a column that died (its last ``window``
     norms at most ``tol``, or its last -inf) converges to 0.  A column past
     log OVERFLOW_LIMIT is cut at its first such row and grows exponentially
-    at the rate fitted to that log prefix.  Any other column is read off
-    its ``_envelope_fit``; a trend must show along the orbit, as the
-    maximum of the last window over the one at row rows // 4: above 2 for
-    growth, below 1/2 for decay.  Exponential at rate rho if log rho lies
+    at the rate fitted to that log prefix, clamped at _NORM_CLAMP.  Any
+    other column is read off its ``_envelope_fit``; a trend must show along
+    the orbit, as the maximum of the last window over the one at row
+    rows // 4: above 2 for growth, below 1/2 for decay.  Exponential at rate rho if log rho lies
     above the band and the column grows; convergent to 0 if log rho lies
     below minus the band and the column falls; polynomial of degree
     round(k), limit the window mean of s_n / n^d, if log rho lies within
@@ -174,7 +167,9 @@ def classify_orbits(logs: np.ndarray, window: int = RunConfig.window, tol: float
     for j in np.flatnonzero(over):
         ends[j] = np.argmax(logs[:, j] > cap) + 1
         slope = _tail_log_slopes(logs[: ends[j], j : j + 1])[0]
-        classes[j] = Classification(kind="exponential-growth", rate=float(np.exp(max(slope, 0.0))))
+        with np.errstate(over="ignore"):
+            rate = min(np.exp(max(slope, 0.0)), _NORM_CLAMP)
+        classes[j] = Classification(kind="exponential-growth", rate=float(rate))
     live = np.flatnonzero(~dead & ~over)
     # T: the live columns' last windows as C-contiguous rows (_window_rule).
     T, q = np.ascontiguousarray(tail[:, live].T), rows // 4
@@ -664,11 +659,9 @@ def is_power_bounded(A, config: RunConfig | None = None) -> bool:
     an = as_analysis(A, config)
     structural = power_bounded_roots(an.minpoly.roots)
     logs = an.frobenius_logs
-    # A row reads -inf once every basis orbit died, and so does every later row.
-    if logs[-1] == -np.inf:
-        empirical = True  # the powers vanished exactly: nilpotent
-    elif np.max(logs) >= UNBOUNDED_LOG:
-        empirical = False  # powers reached e^UNBOUNDED_LOG: unbounded
+    # Powers that vanished exactly end in -inf: a dead column to classify_orbits.
+    if logs[-1] > -np.inf and np.max(logs) >= UNBOUNDED_LOG:
+        empirical = False  # live powers reached e^UNBOUNDED_LOG: unbounded
     else:
         _, (cls,) = classify_orbits(logs[:, np.newaxis])
         empirical = cls.kind in ("convergent", "bounded-nonconvergent")
@@ -865,9 +858,11 @@ def scalar_re_sequence(w: complex, b: complex, n_max: int = 100_000) -> ScalarSe
     try:
         with np.errstate(over="raise"):
             n = np.arange(max(0, n_max + 1 - RunConfig.window), n_max + 1)
-            convergent, _ = window_limit((np.power(w, n) * b).real)
+            terms = np.ascontiguousarray((np.power(w, n) * b).real)
+            (ok,), _ = _window_rule(terms[np.newaxis], RunConfig.tol_conv)
     except FloatingPointError:
         raise InvalidInputError(f"b = {b} is too large: Re(w^n b) or the sum of terms overflows") from None
+    convergent = bool(ok)
     if convergent and decide(abs(b), RunConfig.tol_conv) == 2:
         raise InconsistencyError(
             "window rule reports convergence for nonzero b; w is too close "

@@ -48,9 +48,6 @@ from .structure import minimal_polynomial  # noqa: F401
 # Roots up to this modulus are 0; planted nilpotents at d2-d64 (cond cap 100) read r <= 9e-15.
 _NILPOTENT_RADIUS = 1e-12
 
-# Largest log ||A^n h||^2 whose exponential is a finite float.
-_LOG_SQ_MAX = np.log(np.finfo(float).max)
-
 # ``growth_bound`` forms no power A^n past the last n whose upper bound on
 # the excess log ||A^n||_2 - log bound_n comes within this of the best
 # exact excess (0 on a nilpotent matrix): the Frobenius norm off the probe
@@ -130,8 +127,6 @@ def normaloid_equivalence(A, config: RunConfig | None = None) -> NormaloidReport
 _NORMALITY_TOL = 1e-10
 # Keeps the normality threshold positive where ||A||^2 underflows (||A|| < 1e-154).
 _NORM_SQ_FLOOR = 1e-300
-# Times max(1, ||h||^2): the window rule's default tolerance, which bounds its limit's error.
-_LIMIT_TOL = 1e-6
 
 
 def normal_limit(A, H):
@@ -139,7 +134,8 @@ def normal_limit(A, H):
     equals <Q h, h> with Q the orthogonal projection onto the unimodular
     eigenspaces, the sum of the projections of the unimodular blocks of
     the decomposition.  Each column's identity is cross-checked, to
-    _LIMIT_TOL * max(1, ||h||^2), against the window limit of its orbit
+    RunConfig.tol_conv * max(1, ||h||^2) (the window rule's own tolerance,
+    which bounds its limit's error), against the window limit of its orbit
     over ``RunConfig.n_max`` steps; the columns advance together in one
     ``orbit_norms_batch`` and share one window rule."""
     an = as_analysis(A)
@@ -157,7 +153,8 @@ def normal_limit(A, H):
     norms, _ = orbit_norms_batch(A, H, RunConfig.n_max)
     tails = np.ascontiguousarray((norms[-RunConfig.window :] ** 2).T)
     _, limits = _window_rule(tails, RunConfig.tol_conv)
-    off = np.flatnonzero(decide(np.abs(limits - q), _LIMIT_TOL * np.maximum(1.0, norms[0] ** 2)) == 2)
+    tol = RunConfig.tol_conv * np.maximum(1.0, norms[0] ** 2)
+    off = np.flatnonzero(decide(np.abs(limits - q), tol) == 2)
     if off.size:
         j = off[0]
         raise InconsistencyError(f"orbit limit {limits[j]} disagrees with projection value {q[j]}")
@@ -374,15 +371,14 @@ def uniform_stability(A, config: RunConfig | None = None) -> StabilityVerdict:
         if end > -np.inf and end >= mid:
             raise InconsistencyError("r < 1 but power norms do not decay")
 
-    w = cfg.window
-    live = ologs[-1] > -np.inf
-    # The window rule reads only the last w terms; past _LOG_SQ_MAX the
-    # squared norms overflow and the window has no finite limit.
-    fits = np.flatnonzero(live & (2 * ologs[-w:].max(axis=0) <= _LOG_SQ_MAX))
-    ok, L = _window_rule(np.exp(2 * np.ascontiguousarray(ologs[-w:, fits].T)), cfg.tol_conv)
-    converged = dict(zip(fits[ok].tolist(), L[ok].tolist()))
-    limits = {label: max(converged.get(j, 0.0), 0.0)
-              for j, (label, _) in enumerate(probes) if j in converged or not live[j]}
+    # A dead probe's limit is 0.  A window whose squares or their sum
+    # overflow has no finite limit: the rule reads it as inf or nan.
+    dead = ologs[-1] == -np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok, L = _window_rule(np.exp(2 * np.ascontiguousarray(ologs[-cfg.window :].T)), cfg.tol_conv)
+    L[dead] = 0.0
+    kept = dead | ok & np.isfinite(L)
+    limits = {label: float(L[j]) for j, (label, _) in enumerate(probes) if kept[j]}
     return StabilityVerdict(
         uniformly_stable=uniformly,
         strongly_stable=uniformly,

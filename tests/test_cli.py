@@ -171,6 +171,23 @@ class TestAnalyze:
         assert e1["norm_last"] == 0.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "A, kept",
+        [([[1, 1e150], [0, 1]], ["e0"]), (np.diag([np.exp(709.5 / 4000), 0.5]), ["e1"])],
+        ids=["jordan-1e150", "window-square-overflow"],
+    )
+    def test_window_whose_squares_overflow(self, A, kept, tmp_path, capsys):
+        # Some probes' last windows hold finite squared norms whose sum
+        # overflows (``TestUniformStability`` names them): the report
+        # leaves them out of the limits, with the other growing probes, and
+        # stays finite.
+        inp = _write_matrix(tmp_path / "m.json", np.array(A, dtype=complex))
+        assert main(["analyze", "--input", inp, "--seed", "0"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert list(_finite_report(out)["stability"]["limit_projection_norm_sq"]) == kept
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("big", [1e110, 1e200])
     def test_nilpotent_huge_entries_converge(self, big, tmp_path, capsys):
         # The orbits of big * shift pass 1e300 one step before they die (at
@@ -320,6 +337,17 @@ class TestGenerate:
         report = json.loads(capsys.readouterr().out)
         assert report["criteria"]["power_bounded"] is True
         assert report["criteria"]["unitary"] is False
+
+    def test_short_horizon_reads_no_trend(self, tmp_path, capsys):
+        # --nmax 11 leaves 2 rows past the envelope fit's n0 = 10: the fit
+        # reads no trend, and the window rule finds no probe convergent.
+        main(["generate", "--kind", "oblique", "--dim", "4",
+              "--eigenvalues", "1,i,-1,-i", "--seed", "1"])
+        p = tmp_path / "m.json"
+        p.write_text(capsys.readouterr().out)
+        assert main(["analyze", "--input", str(p), "--nmax", "11", "--window", "5"]) == EXIT_OK
+        probes = _finite_report(capsys.readouterr().out)["criteria"]["probes"]
+        assert {q["classification"]["kind"] for q in probes} == {"bounded-nonconvergent"}
 
     def test_close_unitary_roots_analyze(self, tmp_path, capsys):
         # Eigenvalues 1e-7 apart: eigenvectors computed a few 1e-9 off

@@ -26,7 +26,6 @@ from aolab.criteria import (
     scalar_re_sequence,
     structural_exponents,
     theorem_check,
-    window_limit,
 )
 from aolab.errors import IllConditionedSpectrumError, InconsistencyError, InvalidInputError
 from aolab.generators import (
@@ -204,25 +203,26 @@ def _engine_instances(dim):
 
 
 class TestWindowLimit:
+    # The window rule on the last RunConfig.window terms of one sequence.
     def test_constant_converges(self):
-        ok, L = window_limit(np.full(500, 2.5))
+        (ok,), (L,) = criteria._window_rule(np.full(500, 2.5)[np.newaxis, -50:], 1e-6)
         assert ok and L == pytest.approx(2.5)
 
     def test_oscillation_rejected(self):
         seq = 1.0 + 0.5 * np.cos(np.arange(2000) * 0.7)
-        ok, _ = window_limit(seq, window=50, tol=1e-6)
+        (ok,), _ = criteria._window_rule(seq[np.newaxis, -50:], 1e-6)
         assert not ok
 
     def test_decaying_tail_converges(self):
         seq = 3.0 + 0.9 ** np.arange(2000)
-        ok, L = window_limit(seq, window=50, tol=1e-6)
+        (ok,), (L,) = criteria._window_rule(seq[np.newaxis, -50:], 1e-6)
         assert ok and L == pytest.approx(3.0, abs=1e-4)
 
     @given(st.floats(0.1, 10.0), st.integers(0, 1000))
     @settings(max_examples=50, deadline=None)
     def test_eventually_constant(self, c, burn):
         seq = np.concatenate([np.linspace(0, c, burn), np.full(300, c)])
-        ok, L = window_limit(seq, window=50, tol=1e-6)
+        (ok,), (L,) = criteria._window_rule(seq[np.newaxis, -50:], 1e-6)
         assert ok and L == pytest.approx(c)
 
 
@@ -329,6 +329,30 @@ class TestBatchClassifier:
             assert verdict.strongly_stable is verdict.uniformly_stable, name
             limits = _reference_stability_limits(probes, logs, cfg)
             assert list(verdict.limit_projection_norm_sq.items()) == list(limits.items()), name
+
+    @pytest.mark.parametrize("top, rate", [(693.1, np.exp(693.1)), (713.6, 1e308)], ids=["693.1", "713.6"])
+    def test_cut_at_step_one(self, top, rate):
+        # A column past log OVERFLOW_LIMIT at row 1 keeps rows 0 and 1, and
+        # its rate is the slope fitted over both; a rate past the float
+        # range is clamped at 1e308, as norms are.
+        logs = np.full((2001, 1), top)
+        logs[0] = 0.0
+        ends, (cls,) = classify_orbits(logs)
+        assert ends.tolist() == [2] and cls.kind == "exponential-growth"
+        assert cls.rate == pytest.approx(rate, rel=1e-12) and cls.rate <= 1e308
+
+    def test_short_batch_fits_no_trend(self):
+        # 12 rows leave 2 past the envelope fit's n0 = 10: the fit is 0 with
+        # an infinite band, so no column reads a trend, and each is
+        # convergent or bounded-nonconvergent by the window rule alone.
+        n = np.arange(12.0)[:, np.newaxis]
+        logs = np.hstack([np.full_like(n, np.log(2.0)), 0.5 * n, -np.log(2) * n, np.log1p(n)])
+        log_rho, k, band = criteria._envelope_fit(logs)
+        assert not log_rho.any() and not k.any() and band == np.inf
+        ends, classes = classify_orbits(logs)
+        assert ends.tolist() == [12] * 4
+        assert classes[0] == Classification(kind="convergent", limit=pytest.approx(2.0, rel=1e-15))
+        assert classes[1:] == [Classification(kind="bounded-nonconvergent")] * 3
 
     def test_working_set(self):
         # Classifying a d64 batch (84 columns, 2001 rows) exponentiates only
@@ -831,7 +855,7 @@ def _reference_scalar_re_sequence(w, b, n_max):
         with np.errstate(over="raise"):
             np.cumprod(seq, out=seq)
             seq *= complex(b)
-            convergent, _ = window_limit(seq.real)
+            convergent, _ = _reference_window_limit(seq.real, RunConfig.window, RunConfig.tol_conv)
     except FloatingPointError:
         raise InvalidInputError("b is too large") from None
     if convergent and decide(abs(b), RunConfig.tol_conv) == 2:

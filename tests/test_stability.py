@@ -569,6 +569,27 @@ class TestUniformStability:
             for stage in (theorem_check, uniform_stability):
                 assert stage(an).to_obj() == stage(Analysis(A, cfg)).to_obj(), (stage, cfg.seed)
 
+    @pytest.mark.parametrize(
+        "A, kept",
+        [(np.array([[1, 1e150], [0, 1]], dtype=complex), {"e0": 1.0}),
+         (np.diag([np.exp(709.5 / 4000), 0.5]).astype(complex), {"e1": 0.0})],
+        ids=["jordan-1e150", "window-square-overflow"],
+    )
+    def test_window_whose_squares_overflow(self, A, kept):
+        # Every squared norm of the last window is finite, but for some
+        # probes the sum their mean is taken from is not: those have no
+        # finite limit and are left out, as are the other growing probes,
+        # which fail the rule.
+        cfg = RunConfig(seed=0)
+        probes, logs = Analysis(A, cfg).orbits
+        window = logs[cfg.n_max + 1 - cfg.window : cfg.n_max + 1]
+        assert 2 * window.max() < np.log(np.finfo(float).max)
+        sum_sq = np.logaddexp.reduce(2 * window, axis=0)
+        overflow = {label for (label, _), m in zip(probes, sum_sq) if m > np.log(np.finfo(float).max)}
+        limits = uniform_stability(A, cfg).limit_projection_norm_sq
+        assert overflow and not overflow & set(limits)
+        assert limits == pytest.approx(kept, abs=1e-12)
+
     def test_mixed_spectrum_power_bounded_not_stable(self):
         A = gen_planted_jordan(4, [(1.0, 1), (0.4, 2)], cond_cap=20.0, seed=6)
         v = uniform_stability(A, RunConfig(seed=0))
