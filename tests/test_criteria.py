@@ -203,7 +203,7 @@ def _engine_instances(dim):
 
 
 class TestWindowLimit:
-    # The window rule on the last RunConfig.window terms of one sequence.
+    # The window rule on the last 50 terms of one sequence at tol 1e-6, the RunConfig defaults.
     def test_constant_converges(self):
         (ok,), (L,) = criteria._window_rule(np.full(500, 2.5)[np.newaxis, -50:], 1e-6)
         assert ok and L == pytest.approx(2.5)
