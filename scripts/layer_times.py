@@ -41,6 +41,12 @@ seed=8), the nilpotent shape of the growth suite, each call on a fresh
 ``scalar_peak_kib`` and ``density_peak_kib`` are their ``tracemalloc``
 heap peaks, in KiB, taken on a further call.  ``verify_ms`` times one
 ``aolab verify --suite all --trials 10 --seed 0``, its stdout captured.
+``import_ms`` is the median of five imports of the package and its ten
+modules, each after every ``aolab`` module is dropped from
+``sys.modules``, as the benchmark's set-up re-imports it; the run has
+``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPYCACHEPREFIX`` at an empty
+directory, so that every import compiles from source on both sides, the
+checkout's cached bytecode unread.
 
 Every run is a fresh process with BLAS pinned to one thread.  The checkout
 this script lies in is the ``change`` side.  With ``--parent COMMIT`` the
@@ -58,10 +64,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -78,6 +86,8 @@ from bench_pairs import export, git, spread  # noqa: E402
 STEPS = 2000
 DIMS = (4, 8, 16, 32, 64)
 BLAS_THREADS = "1"
+MODULES = ("config", "errors", "linalg", "structure", "criteria", "stability", "generators", "suites",
+           "jsonout", "cli")
 KEYS = ("analyze_ms", "engine_ms", "floor_ms", "classify_ms", "classify_jordan_ms", "growth_jordan_ms",
         "serialize_ms", "parse_ms")
 
@@ -93,6 +103,13 @@ def measure(src: str, dims) -> dict:
     sys.path.insert(0, src)
     import numpy as np
 
+    def reimport():
+        for name in [n for n in sys.modules if n == "aolab" or n.startswith("aolab.")]:
+            del sys.modules[name]
+        for name in ("aolab", *(f"aolab.{m}" for m in MODULES)):
+            importlib.import_module(name)
+
+    import_ms = statistics.median(_timed(reimport) for _ in range(5))
     from aolab import cli, criteria, jsonout, stability, suites
     from aolab.config import RunConfig
     from aolab.generators import (
@@ -105,6 +122,7 @@ def measure(src: str, dims) -> dict:
 
     out = {key: {} for key in KEYS}
     out["numpy"] = np.__version__
+    out["import_ms"] = import_ms
     cfg = RunConfig(seed=1)
 
     def best_of_five(fn) -> float:
@@ -181,7 +199,9 @@ def _run(src: Path, dims) -> dict:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = BLAS_THREADS
     cmd = [sys.executable, __file__, "--measure", str(src), "--dims", ",".join(map(str, dims))]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=src.parent)
+    with tempfile.TemporaryDirectory(prefix="layer-times-pyc-") as pyc:
+        env.update(PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=pyc)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=src.parent)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} failed:\n{proc.stderr}")
     return json.loads(proc.stdout)
@@ -197,7 +217,7 @@ def _side(runs, dims) -> dict:
     one = [t for r in runs for t in r["one_step_ms"]]
     side["one_step_ms"] = {**spread(one), "best": min(one)}
     for key in ("growth_bare_ms", "growth_nilpotent_ms", "scalar_ms", "density_ms", "scalar_peak_kib",
-                "density_peak_kib", "verify_ms"):
+                "density_peak_kib", "verify_ms", "import_ms"):
         side[key] = spread([r[key] for r in runs])
     side["numpy"] = runs[0]["numpy"]
     return side
@@ -262,6 +282,7 @@ def main(argv=None) -> int:
         print(f"{side:6s} scalar lemma {s['scalar_ms']['median']:.2f} ms, {s['scalar_peak_kib']['median']:.0f} KiB; "
               f"density {s['density_ms']['median']:.2f} ms, {s['density_peak_kib']['median']:.0f} KiB")
         print(f"{side:6s} verify --suite all --trials 10 {s['verify_ms']['median']:.1f} ms")
+        print(f"{side:6s} import, from source {s['import_ms']['median']:.1f} ms")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,8 +80,7 @@ def _window_rule(T: np.ndarray, tol: float):
     return np.abs(T - L[:, np.newaxis]).max(axis=1) <= np.maximum(tol, tol * np.abs(L)), L
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: str  # convergent | bounded-nonconvergent | polynomial-growth | exponential-growth
     limit: float | None = None
     degree: int | None = None
@@ -400,8 +399,7 @@ def power_log_norms(A: np.ndarray, n_max: int) -> np.ndarray:
 # Domain records
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(NamedTuple):
     h: np.ndarray
     log_norms: np.ndarray  # up to its overflow cut, a view into its batch
     structural_exponent: int | None
@@ -417,8 +415,7 @@ class OrbitRecord:
         }
 
 
-@dataclass(frozen=True)
-class ScalarSeqVerdict:
+class ScalarSeqVerdict(NamedTuple):
     """The window rule's verdict on Re(w^n b); no term of the sequence is kept."""
 
     w: complex
@@ -426,8 +423,7 @@ class ScalarSeqVerdict:
     convergent: bool
 
 
-@dataclass
-class CriteriaReport:
+class CriteriaReport(NamedTuple):
     is_algebraic: bool
     minpoly_degree: int
     spectrum_in_circle: bool
@@ -439,7 +435,7 @@ class CriteriaReport:
     power_bounded: bool
     witness: np.ndarray | None
     consistent: bool
-    probes: list = field(default_factory=list)  # (label, OrbitRecord)
+    probes: list  # (label, OrbitRecord)
 
     def to_obj(self):
         return {

@@ -44,10 +44,12 @@ def _string(s: str) -> str:
 def _layout(obj, out, floats, indent, level):
     # No value is an instance of two of these types, except a bool, which
     # is also an int; floats and containers, the most frequent, go first.
+    # Containers are plain lists and tuples only: a record (a named tuple)
+    # is written through its to_obj(), never as a list.
     if isinstance(obj, float):
         out.append("%s")
         floats.append(obj)
-    elif isinstance(obj, (list, tuple)):
+    elif type(obj) in (list, tuple):
         if not obj:
             out.append("[]")
             return

@@ -43,9 +43,12 @@ def as_columns(H, dim: int) -> np.ndarray:
 
 
 def operator_norm(A) -> float:
-    """Largest singular value."""
-    A = as_matrix(A)
-    return float(np.linalg.norm(A, 2))
+    """Largest singular value.  Raises InvalidInputError when it exceeds
+    the float range."""
+    norm = float(np.linalg.norm(as_matrix(A), 2))
+    if not np.isfinite(norm):
+        raise InvalidInputError("||A|| exceeds the float range")
+    return norm
 
 
 def cluster_points(values: np.ndarray, radius: np.ndarray, merge):

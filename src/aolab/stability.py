@@ -9,7 +9,7 @@ limit of orbit norms.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +68,7 @@ _RATIO_TOL = 1e-8
 _VANISHING_LEVEL = 1e-10
 
 
-@dataclass(frozen=True)
-class GrowthBound:
+class GrowthBound(NamedTuple):
     kappa: int
     alpha: float
     spectral_radius: float
@@ -77,11 +76,10 @@ class GrowthBound:
     max_violation_ratio: float
 
     def to_obj(self):
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     uniformly_stable: bool
     strongly_stable: bool
     power_bounded: bool
@@ -98,8 +96,7 @@ class StabilityVerdict:
         }
 
 
-@dataclass(frozen=True)
-class NormaloidReport:
+class NormaloidReport(NamedTuple):
     orbits_convergent: bool
     power_bounded: bool
     contraction: bool

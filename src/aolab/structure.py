@@ -10,7 +10,7 @@ c = max_j ||P_j||.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,15 +39,25 @@ def decide(value, threshold, error=0.0):
     return np.add(~holds, np.greater(value, threshold + GAP * error), dtype=int)
 
 
-@dataclass(frozen=True)
-class MinimalPoly:
+class MinimalPoly(NamedTuple):
     """Monic minimal polynomial given by roots z_j with indices i_j."""
 
     roots: tuple  # of (complex, int), sorted by (re, im)
     degree: int
     # Orthonormal bases of the generalized eigenspaces ker (A - z_j I)^{i_j},
     # same order as roots: the staircase bases of ``minimal_polynomial``.
-    bases: tuple = field(compare=False, repr=False)
+    bases: tuple
+
+    # Equal, and hashed alike, on (roots, degree) only: the bases are one
+    # choice among many.
+    def __eq__(self, other):
+        return type(other) is MinimalPoly and self[:2] == other[:2]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:2])
 
 
 def _kernel(M: np.ndarray, tol: float, z: complex, step: int):
@@ -153,8 +163,7 @@ def minimal_polynomial(A, norm: float | None = None) -> MinimalPoly:
     )
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """One generalized eigenspace: root, index, orthonormal basis of
     H_j = ker (T - z I)^i, and the oblique projection onto it with its
     norm."""
@@ -170,8 +179,7 @@ class Block:
         return self.basis.shape[1]
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     blocks: tuple  # of Block
     constant_c: float
 

@@ -7,7 +7,6 @@ Each suite returns a SuiteResult with per-trial pass counts; the CLI
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,12 +36,9 @@ from .stability import (
 from .structure import decompose, minimal_polynomial
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    passed: int = 0
-    total: int = 0
-    failures: list = field(default_factory=list)
+    def __init__(self, name: str):
+        self.name, self.passed, self.total, self.failures = name, 0, 0, []
 
     @property
     def ok(self) -> bool:

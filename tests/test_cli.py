@@ -4,7 +4,6 @@ import json
 import os
 import sys
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -251,7 +250,7 @@ class TestAnalyze:
         def index_2(A, *args):
             mp = minimal_polynomial(A, *args)
             (z, _), *rest = mp.roots
-            return replace(mp, roots=((z, 2), *rest), degree=mp.degree + 1)
+            return mp._replace(roots=((z, 2), *rest), degree=mp.degree + 1)
 
         monkeypatch.setattr(criteria, "minimal_polynomial", index_2)
         inp = _write_matrix(tmp_path / "m.json", canonical_oblique())
@@ -259,6 +258,30 @@ class TestAnalyze:
         report = json.loads(capsys.readouterr().out)
         assert report["inconsistency"].startswith("power boundedness")
         assert "criteria" not in report
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_norm_past_float_range_exits_1(self, tmp_path, capsys):
+        # ||A|| = 2.1e308 overflows; read as inf, it made the matrix
+        # normaloid (inf <= inf) and its root 1.5e308 a root 7.5e307.
+        inp = _write_matrix(tmp_path / "m.json", np.array([[1.5e308, 0], [1.5e308, 0.5]]))
+        assert main(["analyze", "--input", inp]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: ||A|| exceeds the float range\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_norm_within_float_range(self, tmp_path, capsys):
+        # The same shape at 1.5e300 keeps its report: not normaloid, since
+        # ||A e0|| = sqrt(2) r, and both roots certified.
+        inp = _write_matrix(tmp_path / "m.json", np.array([[1.5e300, 0], [1.5e300, 0.5]]))
+        assert main(["analyze", "--input", inp]) == EXIT_OK
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert err == ""
+        assert [r["z"] for r in report["minimal_polynomial"]["roots"]] == [[0.5, 0.0], [1.5e300, 0.0]]
+        assert report["decomposition"]["constant_c"] == pytest.approx(np.sqrt(2), rel=1e-12)
+        crit = report["criteria"]
+        assert (crit["normaloid"], crit["unitary"], crit["power_bounded"], crit["consistent"]) == (
+            False, False, False, True)
+        assert report["growth_bound"] == {"skipped": "growth bound requires r(A) <= 1, got 1.5e+300"}
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_near_unitary_exits_2(self, tmp_path, capsys):

@@ -1,7 +1,6 @@
 """Window rule, orbit classification, and the equivalence checks."""
 
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,7 +53,7 @@ def _with_unimodular_index_2(A, *args):
     when A is power-bounded and that root unimodular."""
     mp = minimal_polynomial(A, *args)
     (z, _), *rest = mp.roots
-    return replace(mp, roots=((z, 2), *rest), degree=mp.degree + 1)
+    return mp._replace(roots=((z, 2), *rest), degree=mp.degree + 1)
 
 
 def _reference_orbit_log_norms(A, h, n_max):

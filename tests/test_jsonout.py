@@ -24,6 +24,7 @@ from aolab.generators import (
     gen_unitary_finite_spectrum,
 )
 from aolab.linalg import matrix_to_obj
+from aolab.stability import GrowthBound
 
 
 def reference_fmt_float(x: float) -> str:
@@ -220,3 +221,13 @@ def test_first_bad_value_decides(first, second):
     ]
     for doc in docs:
         assert _raised(jsonout.dumps, doc) == _raised(reference_dumps, doc)
+
+
+def test_record_is_not_a_list():
+    # A record is a named tuple; one put in a document in place of its
+    # to_obj() is refused, not written as a JSON list.
+    gb = GrowthBound(kappa=0, alpha=1.0, spectral_radius=1.0, valid_from=1, max_violation_ratio=1.0)
+    for doc in ({"g": gb}, [0.5, gb], gb):
+        with pytest.raises(TypeError, match="^cannot serialize GrowthBound$"):
+            jsonout.dumps(doc)
+    assert jsonout.dumps({"g": gb.to_obj()}) == reference_dumps({"g": gb.to_obj()})

@@ -55,6 +55,12 @@ class TestNormsAndRank:
         phi = (1 + np.sqrt(5)) / 2
         assert operator_norm(A) == pytest.approx(phi, rel=1e-12)
 
+    def test_operator_norm_past_float_range_raises(self):
+        # Finite entries whose 2-norm, 2.1e308, is not a float.
+        with pytest.raises(InvalidInputError, match=r"^\|\|A\|\| exceeds the float range$"):
+            operator_norm([[1.5e308, 0], [1.5e308, 0.5]])
+        assert operator_norm([[1.5e300, 0], [1.5e300, 0.5]]) == pytest.approx(np.sqrt(4.5) * 1e300, rel=1e-12)
+
 
 def _always(i, j):
     return True

@@ -172,7 +172,7 @@ def test_layer_times(tmp_path, capsys):
     assert side["growth_bare_ms"]["median"] > 0 and side["growth_nilpotent_ms"]["median"] > 0
     for key in ("scalar_ms", "density_ms", "scalar_peak_kib", "density_peak_kib"):
         assert side[key]["median"] > 0
-    assert side["verify_ms"]["median"] > 0
+    assert side["verify_ms"]["median"] > 0 and side["import_ms"]["median"] > 0
     assert "change d4" in capsys.readouterr().out
 
 

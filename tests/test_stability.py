@@ -1,7 +1,6 @@
 """Growth bounds, stability taxonomy, normal limits, root limits."""
 
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -307,8 +306,8 @@ class TestGrowthBound:
             assert np.all(np.isfinite(bound))
             assert np.max(spectral[finite] - bound[finite]) <= 0.01 * stability._FROBENIUS_SLACK
             shifted = Analysis(A)
-            blocks = tuple(replace(b, z=b.z + 1e-3) for b in an.decomposition.blocks)
-            shifted.decomposition = replace(an.decomposition, blocks=blocks)
+            blocks = tuple(b._replace(z=b.z + 1e-3) for b in an.decomposition.blocks)
+            shifted.decomposition = an.decomposition._replace(blocks=blocks)
             assert np.all(stability.recursion_log_norms(shifted, POWER_STEPS) >= bound)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -2,14 +2,18 @@
 decision rule."""
 
 import ast
+import dataclasses
+import importlib
 import math
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import aolab
-from aolab.errors import DecompositionError, IllConditionedSpectrumError
+from aolab.config import RunConfig
+from aolab.errors import DecompositionError, IllConditionedSpectrumError, InvalidInputError
 from aolab.generators import canonical_oblique, dft4, gen_planted_jordan, spread_unimodular
 from aolab.linalg import operator_norm
 from aolab.structure import (
@@ -86,6 +90,19 @@ class TestMinimalPolynomial:
         P = _evaluate(mp, A)
         assert P[0, 0] == pytest.approx(0.0)
         assert P[1, 1] == pytest.approx(1.0)
+
+    def test_norm_past_float_range_raises(self):
+        with pytest.raises(InvalidInputError, match="exceeds the float range"):
+            minimal_polynomial([[1.5e308, 0], [1.5e308, 0.5]])
+
+    def test_equality_ignores_bases(self):
+        # The bases are one choice among many: two polys with the same roots
+        # and degree are equal, and hash alike, whatever their bases.
+        mp = minimal_polynomial(dft4())
+        other = mp._replace(bases=tuple(-b for b in mp.bases))
+        assert mp == other and not mp != other and hash(mp) == hash(other)
+        assert mp != mp._replace(degree=mp.degree + 1)
+        assert mp != tuple(mp)
 
 
 def _shape_roots(kind, indices):
@@ -261,3 +278,15 @@ def test_no_unnamed_decision_literals():
                     and 0 < abs(node.value) < 1e-2
                 ]
     assert not found, found
+
+
+def test_runconfig_is_the_only_dataclass():
+    """The records are named tuples: a dataclass generates and compiles its
+    methods at import, which cost most of the package's import time."""
+    found = [
+        f"{info.name}.{name}"
+        for info in pkgutil.iter_modules(aolab.__path__)
+        for name, obj in vars(importlib.import_module(f"aolab.{info.name}")).items()
+        if isinstance(obj, type) and obj.__module__ == f"aolab.{info.name}" and dataclasses.is_dataclass(obj)
+    ]
+    assert found == ["config.RunConfig"] and RunConfig.__module__ == "aolab.config"
