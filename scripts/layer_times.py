@@ -110,6 +110,7 @@ def measure(src: str, dims) -> dict:
             importlib.import_module(name)
 
     import_ms = statistics.median(_timed(reimport) for _ in range(5))
+
     from aolab import cli, criteria, jsonout, stability, suites
     from aolab.config import RunConfig
     from aolab.generators import (
