@@ -6,11 +6,13 @@ write the medians as JSON.
     python scripts/layer_times.py --parent HEAD~1 --runs 5 --out BENCH_layers.json
 
 For each dimension (4, 8, 16, 32 and 64 by default) one seeded unitary
-with four distinct eigenvalues is timed four ways:
+with four distinct eigenvalues is timed five ways:
 - ``analyze_ms``: one ``aolab analyze`` of its matrix JSON file, report
   written to a file, as the CLI runs it;
 - ``engine_ms``: ``orbit_log_norms_batch`` of the analyze probe batch (the
   basis and 20 random probes) over 2000 steps;
+- ``power_ms``: ``power_log_norms`` over POWER_STEPS powers, the power
+  loop alone, best of five;
 - ``floor_ms``: the same 2000 products in blocks of the engine's length,
   through the engine's own stepper (``criteria._stepper``), with no norms
   and no rescales, the floor the engine's bookkeeping sits on;
@@ -46,7 +48,11 @@ modules, each after every ``aolab`` module is dropped from
 ``sys.modules``, as the benchmark's set-up re-imports it; the run has
 ``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPYCACHEPREFIX`` at an empty
 directory, so that every import compiles from source on both sides, the
-checkout's cached bytecode unread.
+checkout's cached bytecode unread.  Separate processes differ by about a
+quarter in that time, so with ``--parent`` each run also starts one
+process that imports the two trees in turn, IMPORTS times each, switching
+``sys.path`` and dropping every ``aolab`` module between imports, and
+each side's ``import_ms`` for that run is its tree's median there.
 
 Every run is a fresh process with BLAS pinned to one thread.  The checkout
 this script lies in is the ``change`` side.  With ``--parent COMMIT`` the
@@ -84,11 +90,12 @@ sys.path.insert(0, str(SCRIPTS))
 from bench_pairs import export, git, spread  # noqa: E402
 
 STEPS = 2000
+IMPORTS = 11
 DIMS = (4, 8, 16, 32, 64)
 BLAS_THREADS = "1"
 MODULES = ("config", "errors", "linalg", "structure", "criteria", "stability", "generators", "suites",
            "jsonout", "cli")
-KEYS = ("analyze_ms", "engine_ms", "floor_ms", "classify_ms", "classify_jordan_ms", "growth_jordan_ms",
+KEYS = ("analyze_ms", "engine_ms", "power_ms", "floor_ms", "classify_ms", "classify_jordan_ms", "growth_jordan_ms",
         "serialize_ms", "parse_ms")
 
 
@@ -98,18 +105,32 @@ def _timed(fn) -> float:
     return (time.perf_counter() - t0) * 1e3
 
 
+def _reimport() -> None:
+    """Import the package and its modules afresh from ``sys.path``."""
+    for name in [n for n in sys.modules if n == "aolab" or n.startswith("aolab.")]:
+        del sys.modules[name]
+    for name in ("aolab", *(f"aolab.{m}" for m in MODULES)):
+        importlib.import_module(name)
+
+
+def import_medians(trees: dict) -> dict:
+    """The median of IMPORTS imports of each tree's package (side -> src),
+    the trees taking turns in this one process."""
+    times = {side: [] for side in trees}
+    for i in range(IMPORTS):
+        for side in sorted(trees, reverse=bool(i % 2)):
+            sys.path.insert(0, trees[side])
+            times[side].append(_timed(_reimport))
+            del sys.path[0]
+    return {side: statistics.median(t) for side, t in times.items()}
+
+
 def measure(src: str, dims) -> dict:
     """One run of every timing, with the ``aolab`` package under ``src``."""
     sys.path.insert(0, src)
     import numpy as np
 
-    def reimport():
-        for name in [n for n in sys.modules if n == "aolab" or n.startswith("aolab.")]:
-            del sys.modules[name]
-        for name in ("aolab", *(f"aolab.{m}" for m in MODULES)):
-            importlib.import_module(name)
-
-    import_ms = statistics.median(_timed(reimport) for _ in range(5))
+    import_ms = statistics.median(_timed(_reimport) for _ in range(5))
 
     from aolab import cli, criteria, jsonout, stability, suites
     from aolab.config import RunConfig
@@ -161,6 +182,7 @@ def measure(src: str, dims) -> dict:
             out["serialize_ms"][d] = best_of_five(lambda: jsonout.dumps(matrix_to_obj(A)))
             out["parse_ms"][d] = best_of_five(lambda: matrix_from_obj(json.loads(text)))
             out["engine_ms"][d] = _timed(lambda: criteria.orbit_log_norms_batch(A, H, STEPS))
+            out["power_ms"][d] = best_of_five(lambda: criteria.power_log_norms(A, criteria.POWER_STEPS))
             out["floor_ms"][d] = _timed(floor)
             an = warmed(A)
             out["classify_ms"][d] = best_of_five(lambda: criteria.orbit_convergence(an))
@@ -195,17 +217,27 @@ def measure(src: str, dims) -> dict:
     return out
 
 
-def _run(src: Path, dims) -> dict:
+def _run(args, cwd: Path) -> dict:
+    """The JSON that this script prints with ``args``, in a fresh process
+    with BLAS at BLAS_THREADS and every import compiled from source."""
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = BLAS_THREADS
-    cmd = [sys.executable, __file__, "--measure", str(src), "--dims", ",".join(map(str, dims))]
+    cmd = [sys.executable, __file__, *args]
     with tempfile.TemporaryDirectory(prefix="layer-times-pyc-") as pyc:
         env.update(PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=pyc)
-        proc = subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=src.parent)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=cwd)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} failed:\n{proc.stderr}")
     return json.loads(proc.stdout)
+
+
+def alternating_imports(trees: dict) -> dict:
+    """``import_medians`` of the trees (side -> src directory) in one fresh
+    process."""
+    sides = sorted(trees)
+    medians = _run(["--imports", *(f"{side}={trees[side]}" for side in sides)], ROOT)
+    return {side: medians[side] for side in sides}
 
 
 def _side(runs, dims) -> dict:
@@ -240,10 +272,14 @@ def main(argv=None) -> int:
     p.add_argument("--dims", default=",".join(map(str, DIMS)))
     p.add_argument("--out", default=str(ROOT / ".bench_out" / "layers.json"))
     p.add_argument("--measure", default=None, help=argparse.SUPPRESS)
+    p.add_argument("--imports", nargs="+", default=None, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     dims = [int(d) for d in args.dims.split(",")]
     if args.measure:
         print(json.dumps(measure(args.measure, dims)))
+        return 0
+    if args.imports:
+        print(json.dumps(import_medians(dict(tree.split("=", 1) for tree in args.imports))))
         return 0
 
     runs = {"change": []}
@@ -253,9 +289,13 @@ def main(argv=None) -> int:
             runs["parent"] = []
             export(git("rev-parse", "--verify", f"{args.parent}^{{commit}}"), Path(tmp))
             trees["parent"] = Path(tmp) / "src"
+        measure_args = ["--dims", ",".join(map(str, dims)), "--measure"]
         for r in range(args.runs):
             for side in sorted(runs, reverse=bool(r % 2)):
-                runs[side].append(_run(trees[side], dims))
+                runs[side].append(_run([*measure_args, str(trees[side])], trees[side].parent))
+            if args.parent:
+                for side, ms in alternating_imports(trees).items():
+                    runs[side][-1]["import_ms"] = ms
     report = {
         "steps": STEPS,
         "runs": args.runs,
@@ -271,7 +311,7 @@ def main(argv=None) -> int:
     for side, s in report["sides"].items():
         for d in dims:
             print(f"{side:6s} d{d:<3d} analyze {s['analyze_ms'][d]['median']:9.2f} ms  "
-                  f"engine {s['engine_ms'][d]['median']:8.2f} ms  floor {s['floor_ms'][d]['median']:8.2f} ms  "
+                  f"engine {s['engine_ms'][d]['median']:8.2f} ms  power {s['power_ms'][d]['median']:8.2f} ms  floor {s['floor_ms'][d]['median']:8.2f} ms  "
                   f"engine/floor {s['engine_over_floor'][d]:.3f}  classify {s['classify_ms'][d]['median']:.2f} ms  "
                   f"jordan {s['classify_jordan_ms'][d]['median']:.2f} ms  "
                   f"growth jordan {s['growth_jordan_ms'][d]['median']:.2f} ms  "

@@ -60,6 +60,16 @@ def _parse_complex_list(text: str):
     return out
 
 
+def _parse_indices(text: str):
+    out = []
+    for tok in text.split(","):
+        try:
+            out.append(int(tok))
+        except ValueError as exc:
+            raise InvalidInputError(f"cannot parse index {tok!r}") from exc
+    return out
+
+
 def _required_eigenvalues(args):
     if not args.eigenvalues:
         raise InvalidInputError(f"--eigenvalues required for kind {args.kind!r}")
@@ -167,10 +177,7 @@ def cmd_generate(args) -> int:
             A = gen_normaloid_nonnormal(args.dim, args.seed, args.scale)
         elif kind == "planted":
             vals = _required_eigenvalues(args)
-            if args.indices:
-                idx = [int(s) for s in args.indices.split(",")]
-            else:
-                idx = [1] * len(vals)
+            idx = _parse_indices(args.indices) if args.indices else [1] * len(vals)
             if len(idx) != len(vals):
                 raise InvalidInputError("--indices must match --eigenvalues in length")
             A = gen_planted_jordan(args.dim, list(zip(vals, idx)), args.cond_cap, args.seed)

@@ -34,7 +34,7 @@ class RunConfig:
 
     def __post_init__(self):
         if self.n_max < 1 or self.window < 1 or self.window >= self.n_max:
-            raise InvalidInputError("require 1 <= window < n_max")
+            raise InvalidInputError(f"require 1 <= window < n_max, got window {self.window} and n_max {self.n_max}")
         if not 0 < self.tol_conv < float("inf"):  # NaN fails too
             raise InvalidInputError("tolerances must be positive and finite")
         if self.trials < 1:

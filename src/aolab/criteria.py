@@ -51,8 +51,8 @@ UNIT_TOL = 1e-10
 # (``unimodular``).
 CIRCLE_TOL = 1e-8
 
-# A propagation stack holds at most this many complex entries (256 KiB): k
-# steps of the orbit engine's d x P batch, or k powers in ``power_log_norms``.
+# A block stack (``_blocks``) holds at most this many complex entries (256
+# KiB): k steps of the orbit engine's d x P batch, or k powers.
 STACK_ENTRIES = 2**14
 
 # A block of k plain steps grows a prescaled unit vector or power by at most
@@ -218,22 +218,22 @@ def _block_steps(d: int, width: int) -> int:
 
 
 def _block_norms(W: np.ndarray, live, limit: int):
-    """(norms, limit) for a block W of k plain steps, shape (k, m, P): the
-    2-norms of its columns at the steps the block keeps, shape (kept, P),
-    and the length of later blocks.
+    """(norms, limit) for a block W of k steps in norm groups, shape
+    (k, m, g): the 2-norms of its groups at the steps the block keeps,
+    shape (kept, g), and the length of later blocks.
 
     The block ends before the first step after its first where a live
-    column's norm is below TINY_NORM or exactly 0, so that the next block
-    retakes that step from a rescaled vector.  If the first step already
-    has such a column, the block is that one step and its norms are taken
-    with ``hypot``, whose squares do not underflow.  When the offending norm
-    is positive, later blocks are no longer than this one; an exact zero (a
-    column or power that dies) shortens nothing.  Once blocks are one step
-    long, every norm is taken with ``hypot``.
+    group's norm is below TINY_NORM or exactly 0, so that the next block
+    retakes that step from a rescaled start.  If the first step already
+    has such a group, the block is that one step and its norms are taken
+    with ``hypot``, whose squares do not underflow.  A positive offending
+    norm caps later blocks at this one's length; an exact zero (a group
+    that dies) does not.  Once blocks are one step long, every norm is
+    taken with ``hypot``.
     """
     if limit == 1:
         return np.hypot.reduce(np.abs(W), axis=1), limit
-    if W.shape[2] == 1:  # one column, as in the power loop: faster strided
+    if W.shape[2] == 1:  # one group, as in the power loop: faster strided
         sq = np.einsum("kmp,kmp->kp", W.real, W.real)
         sq += np.einsum("kmp,kmp->kp", W.imag, W.imag)
     else:  # one sum over the contiguous real view: the same order, faster
@@ -276,60 +276,73 @@ def _stepper(A: np.ndarray, stack: np.ndarray):
     return propagate
 
 
-def orbit_log_norms_batch(A: np.ndarray, H: np.ndarray, n_max: int) -> np.ndarray:
-    """log ||A^n h|| for every column h of H, n = 0..n_max.
+def _blocks(A: np.ndarray, V: np.ndarray, shed: np.ndarray, n_max: int):
+    """The one block loop of the orbit engine and the power loop: yields
+    (n, W, norms, exps) per block of k = len(norms) steps, with
+    A^(n+1+i) V0 = 2^exps[i] W[i] for i < k and the start V0 = 2^shed V.
 
-    The propagation engine behind every orbit in the package: all columns
-    advance together by one ``A @ V`` per step (never by powering A), with A
-    prescaled by a power of two (``_prescaled``).  The steps run in blocks
-    of plain products in a preallocated stack (``_block_steps``,
-    ``_stepper``); the column norms of a whole block come from one sum of
-    squares, and the block ends with one exact power-of-two rescale per
-    column, so the log-norms neither overflow nor underflow.  A block is cut
-    before a live column's norm falls below TINY_NORM (``_block_norms``).  A
-    column that reaches exactly zero reads -inf from then on.  The engine
-    runs the full horizon, and a shorter horizon gives a bit-for-bit prefix
-    of a longer one; its readers cut the rows at an overflow (each column at
-    its own in ``classify_orbits``, the whole batch in
-    ``orbit_norms_batch``).
+    A is prescaled (``_prescaled``) and V advances by one plain product per
+    step into a preallocated stack (``_block_steps``, ``_stepper``).  The
+    columns of V form ``shed.size`` groups of equal width (one per column
+    in the engine, one for the whole matrix in the power loop), each with
+    its own 2-norm and binary exponent.  A block is cut before a live
+    group's norm falls below TINY_NORM (``_block_norms``).  Before the
+    block is yielded, V is carried from its last step, rescaled exactly by
+    2^-m per group (m the exponent of the group's last norm), so W may be
+    overwritten.  Blocks do not depend on n_max: a shorter horizon yields
+    a prefix of a longer one.  V and shed are updated in place.
     """
     A, e = _prescaled(A)
-    V = np.array(H, dtype=complex, order="C")
-    s = np.linalg.norm(V, axis=0)
-    if not np.all(s > 0):
-        raise InvalidInputError("orbit vectors must be nonzero")
     d, P = V.shape
-    out = np.empty((n_max + 1, P))
-    np.log(s, out=out[0])
+    g = shed.size
     limit = _block_steps(d, P)
     stack = np.empty((min(limit, n_max), d, P), dtype=complex)
     # Real and imaginary parts side by side, for the exact rescales.
     parts, V_parts = stack.view(float).reshape(-1, d, P, 2), V.view(float).reshape(d, P, 2)
-    # A^n h = 2^(shed + n e) times the block's current vector V.
-    shed = np.frexp(s)[1].astype(np.int64)
-    np.ldexp(V_parts, -shed[:, np.newaxis], out=V_parts)
+    groups = stack.reshape(len(stack), d * P // g, g)
     ne = e * np.arange(n_max + 1)[:, np.newaxis]
-    live = np.ones(P, dtype=bool)
+    live = np.ones(g, dtype=bool)
     propagate = _stepper(A, stack)
     n = 0
-    # log(0) = -inf is how a dead column is recorded.
-    with np.errstate(divide="ignore"):
-        while n < n_max:
-            W = propagate(V, min(limit, n_max - n))
-            norms, limit = _block_norms(W, live, limit)
-            kept = norms.shape[0]
-            rows = out[n + 1 : n + kept + 1]
+    while n < n_max:
+        k = min(limit, n_max - n)
+        propagate(V, k)
+        norms, limit = _block_norms(groups[:k], live, limit)
+        kept = norms.shape[0]
+        exps = shed + ne[n + 1 : n + kept + 1]
+        m = np.frexp(norms[-1])[1]
+        if kept == 1:
+            np.ldexp(parts[0], -m[:, np.newaxis], out=V_parts)
+        else:  # live norms >= TINY_NORM: 2^-m is normal and rounds like ldexp
+            scale = np.ldexp(1.0, -np.repeat(m, 2 * P // g))
+            np.multiply(parts[kept - 1].reshape(d, -1), scale, out=V_parts.reshape(d, -1))
+        shed += m
+        live = norms[-1] > 0
+        yield n, stack, norms, exps
+        n += kept
+
+
+def orbit_log_norms_batch(A: np.ndarray, H: np.ndarray, n_max: int) -> np.ndarray:
+    """log ||A^n h|| for every column h of H, n = 0..n_max: the orbit engine,
+    all columns advancing together through ``_blocks``.  A column that
+    reaches exactly zero reads -inf from then on.  Readers cut the rows at
+    an overflow (each column at its own in ``classify_orbits``, the whole
+    batch in ``orbit_norms_batch``).
+    """
+    V = np.array(H, dtype=complex, order="C")
+    s = np.linalg.norm(V, axis=0)
+    if not np.all(s > 0):
+        raise InvalidInputError("orbit vectors must be nonzero")
+    out = np.empty((n_max + 1, V.shape[1]))
+    np.log(s, out=out[0])
+    shed = np.frexp(s)[1].astype(np.int64)
+    parts = V.view(float).reshape(*V.shape, 2)
+    np.ldexp(parts, -shed[:, np.newaxis], out=parts)  # each column starts at unit scale
+    with np.errstate(divide="ignore"):  # log(0) = -inf records a dead column
+        for n, _, norms, exps in _blocks(A, V, shed, n_max):
+            rows = out[n + 1 : n + norms.shape[0] + 1]
             np.log(norms, out=rows)
-            rows += (shed + ne[n + 1 : n + kept + 1]) * _LN2
-            m = np.frexp(norms[-1])[1]
-            if kept == 1:
-                np.ldexp(parts[0], -m[:, np.newaxis], out=V_parts)
-            else:  # live norms >= TINY_NORM: 2^-m is normal and rounds like ldexp
-                scale = np.ldexp(1.0, -np.repeat(m, 2))
-                np.multiply(parts[kept - 1].reshape(d, -1), scale, out=V_parts.reshape(d, -1))
-            shed += m
-            live = norms[-1] > 0
-            n += kept
+            rows += exps * _LN2
     return out
 
 
@@ -357,41 +370,21 @@ def power_log_norms(A: np.ndarray, n_max: int) -> np.ndarray:
     """log ||A^n|| (operator norm) for n = 1..n_max, immune to overflow and
     underflow; -inf from the first power that is exactly zero.
 
-    A is prescaled by 2^-e (``_prescaled``).  The powers are formed in
-    blocks of plain products, like the orbits of ``orbit_log_norms_batch``:
-    one product per step into a stack of at most STACK_ENTRIES entries, the
-    Frobenius norms of a block from one reduction, and the same block cut
-    (``_block_norms``).  Each power is scaled by an exact power of two to
-    Frobenius norm in [1/2, 1), and its spectral norm is half the log of
-    the top eigenvalue of its Gram matrix (one batched ``eigvalsh`` per
-    block).  Block boundaries do not depend on n_max, so
-    ``power_log_norms(A, m)`` equals ``power_log_norms(A, n)[:m]`` bit for
-    bit for m <= n.
+    The powers are the blocks of ``_blocks`` from I, with one exponent for
+    the whole matrix.  Each is scaled by an exact power of two to Frobenius
+    norm in [1/2, 1), and its spectral norm is half the log of the top
+    eigenvalue of its Gram matrix (one batched ``eigvalsh`` per block).
     """
+    A = as_matrix(A)
     out = np.full(n_max, -np.inf)
-    A, e = _prescaled(as_matrix(A))
-    d = A.shape[0]
-    limit = _block_steps(d, d)
-    stack = np.empty((min(limit, n_max), d, d), dtype=complex)
-    M = np.eye(d, dtype=complex)
-    propagate = _stepper(A, stack)
-    shed = 0  # A^n = 2^(shed + n e) M
-    n = 0
-    while n < n_max:
-        W = propagate(M, min(limit, n_max - n))
-        fro, limit = _block_norms(W.reshape(W.shape[0], d * d, 1), True, limit)
-        fro = fro[:, 0]
-        if fro[-1] == 0.0:
+    for n, W, fro, exps in _blocks(A, np.eye(A.shape[0], dtype=complex), np.zeros(1, dtype=np.int64), n_max):
+        if fro[-1, 0] == 0.0:
             break
-        W = W[: fro.size]
-        m = np.frexp(fro)[1]
+        m = np.frexp(fro[:, 0])[1]
+        W = W[: m.size]
         np.ldexp(W.view(float), -m[:, np.newaxis, np.newaxis], out=W.view(float))
-        np.copyto(M, W[-1])
-        p = shed + m + e * np.arange(n + 1, n + fro.size + 1)  # A^j = 2^p W
         G = np.matmul(np.conjugate(W).mT, W)
-        out[n : n + fro.size] = 0.5 * np.log(np.linalg.eigvalsh(G)[:, -1]) + p * _LN2
-        shed += int(m[-1])
-        n += fro.size
+        out[n : n + m.size] = 0.5 * np.log(np.linalg.eigvalsh(G)[:, -1]) + (exps[:, 0] + m) * _LN2
     return out
 
 

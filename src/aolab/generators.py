@@ -104,7 +104,10 @@ def gen_oblique(dim: int, eigenvalues, cond_cap: float = 50.0, seed: int = 0) ->
         else:
             s = np.ones(dim)
         S = U @ np.diag(s) @ Vh
-        A = S @ np.diag(vals) @ np.linalg.inv(S)
+        try:
+            A = S @ np.diag(vals) @ np.linalg.inv(S)
+        except np.linalg.LinAlgError as exc:
+            raise InvalidInputError(f"cond_cap {cond_cap:g} leaves S singular in floating point") from exc
         if cond_cap == 1:
             return A
         cols = S / np.linalg.norm(S, axis=0)

@@ -445,6 +445,16 @@ class TestGenerate:
         assert main(["generate", "--kind", "planted", "--dim", "3", "--eigenvalues", "1,pi"]) == EXIT_INPUT
         assert capsys.readouterr() == ("", "error: cannot parse eigenvalue 'pi'\n")
 
+    def test_bad_index_named_as_written(self, capsys):
+        args = ["generate", "--kind", "planted", "--dim", "4", "--eigenvalues", "0.5", "--indices", "x"]
+        assert main(args) == EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: cannot parse index 'x'\n")
+
+    def test_singular_similarity_names_cond_cap(self, capsys):
+        args = ["generate", "--kind", "oblique", "--dim", "3", "--eigenvalues", "1,i,-1", "--cond-cap", "1e300"]
+        assert main(args) == EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: cond_cap 1e+300 leaves S singular in floating point\n")
+
     def test_missing_eigenvalues(self, capsys):
         assert main(["generate", "--kind", "unitary", "--dim", "2"]) == EXIT_INPUT
 
@@ -461,6 +471,10 @@ class TestVerify:
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         assert "growth-bound: 5/5 PASS" in out
+
+    def test_horizon_below_window_gives_both(self, capsys):
+        assert main(["verify", "--suite", "scalar", "--trials", "1", "--nmax", "1"]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: require 1 <= window < n_max, got window 50 and n_max 1\n")
 
     def test_window_flags_belong_to_analyze(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

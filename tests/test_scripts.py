@@ -165,7 +165,7 @@ def test_layer_times(tmp_path, capsys):
     assert (report["steps"], report["dims"], report["blas_threads"]) == (2000, [4], "1")
     side = report["sides"]["change"]
     assert side["numpy"] and list(report["sides"]) == ["change"]
-    for key in ("analyze_ms", "engine_ms", "floor_ms", "growth_jordan_ms", "serialize_ms", "parse_ms"):
+    for key in ("analyze_ms", "engine_ms", "power_ms", "floor_ms", "growth_jordan_ms", "serialize_ms", "parse_ms"):
         assert side[key]["4"]["median"] > 0
     assert side["engine_over_floor"]["4"] > 0
     assert len(side["one_step_ms"]["values"]) == 3
@@ -174,6 +174,13 @@ def test_layer_times(tmp_path, capsys):
         assert side[key]["median"] > 0
     assert side["verify_ms"]["median"] > 0 and side["import_ms"]["median"] > 0
     assert "change d4" in capsys.readouterr().out
+
+
+def test_alternating_imports():
+    # One process imports the two trees in turn; here both are this checkout.
+    src = SCRIPTS.parent / "src"
+    medians = _load("layer_times").alternating_imports({"parent": src, "change": src})
+    assert sorted(medians) == ["change", "parent"] and all(ms > 0 for ms in medians.values())
 
 
 def test_layer_times_outside_a_checkout(tmp_path, monkeypatch):
