@@ -235,9 +235,7 @@ def _run(args, cwd: Path) -> dict:
 def alternating_imports(trees: dict) -> dict:
     """``import_medians`` of the trees (side -> src directory) in one fresh
     process."""
-    sides = sorted(trees)
-    medians = _run(["--imports", *(f"{side}={trees[side]}" for side in sides)], ROOT)
-    return {side: medians[side] for side in sides}
+    return _run(["--imports", *(f"{side}={src}" for side, src in trees.items())], ROOT)
 
 
 def _side(runs, dims) -> dict:
@@ -311,7 +309,8 @@ def main(argv=None) -> int:
     for side, s in report["sides"].items():
         for d in dims:
             print(f"{side:6s} d{d:<3d} analyze {s['analyze_ms'][d]['median']:9.2f} ms  "
-                  f"engine {s['engine_ms'][d]['median']:8.2f} ms  power {s['power_ms'][d]['median']:8.2f} ms  floor {s['floor_ms'][d]['median']:8.2f} ms  "
+                  f"engine {s['engine_ms'][d]['median']:8.2f} ms  power {s['power_ms'][d]['median']:8.2f} ms  "
+                  f"floor {s['floor_ms'][d]['median']:8.2f} ms  "
                   f"engine/floor {s['engine_over_floor'][d]:.3f}  classify {s['classify_ms'][d]['median']:.2f} ms  "
                   f"jordan {s['classify_jordan_ms'][d]['median']:.2f} ms  "
                   f"growth jordan {s['growth_jordan_ms'][d]['median']:.2f} ms  "

@@ -105,9 +105,10 @@ def gen_oblique(dim: int, eigenvalues, cond_cap: float = 50.0, seed: int = 0) ->
             s = np.ones(dim)
         S = U @ np.diag(s) @ Vh
         try:
-            A = S @ np.diag(vals) @ np.linalg.inv(S)
+            S_inv = np.linalg.inv(S)
         except np.linalg.LinAlgError as exc:
             raise InvalidInputError(f"cond_cap {cond_cap:g} leaves S singular in floating point") from exc
+        A = S @ np.diag(vals) @ S_inv
         if cond_cap == 1:
             return A
         cols = S / np.linalg.norm(S, axis=0)
