@@ -43,16 +43,16 @@ seed=8), the nilpotent shape of the growth suite, each call on a fresh
 ``scalar_peak_kib`` and ``density_peak_kib`` are their ``tracemalloc``
 heap peaks, in KiB, taken on a further call.  ``verify_ms`` times one
 ``aolab verify --suite all --trials 10 --seed 0``, its stdout captured.
-``import_ms`` is the median of five imports of the package and its ten
+``import_ms`` is the median of IMPORTS imports of the package and its ten
 modules, each after every ``aolab`` module is dropped from
-``sys.modules``, as the benchmark's set-up re-imports it; the run has
-``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPYCACHEPREFIX`` at an empty
-directory, so that every import compiles from source on both sides, the
-checkout's cached bytecode unread.  Separate processes differ by about a
-quarter in that time, so with ``--parent`` each run also starts one
-process that imports the two trees in turn, IMPORTS times each, switching
-``sys.path`` and dropping every ``aolab`` module between imports, and
-each side's ``import_ms`` for that run is its tree's median there.
+``sys.modules``, as the benchmark's set-up re-imports it.  Separate
+processes differ by about a quarter in that time, so each run starts one
+more process that imports the trees (the checkout's, and with
+``--parent`` the parent's) in turn, switching ``sys.path`` between
+imports, and each side's ``import_ms`` for that run is its tree's median
+there.  Every process has ``PYTHONDONTWRITEBYTECODE=1`` and
+``PYTHONPYCACHEPREFIX`` at an empty directory, so that every import
+compiles from source on both sides, the checkout's cached bytecode unread.
 
 Every run is a fresh process with BLAS pinned to one thread.  The checkout
 this script lies in is the ``change`` side.  With ``--parent COMMIT`` the
@@ -129,9 +129,6 @@ def measure(src: str, dims) -> dict:
     """One run of every timing, with the ``aolab`` package under ``src``."""
     sys.path.insert(0, src)
     import numpy as np
-
-    import_ms = statistics.median(_timed(_reimport) for _ in range(5))
-
     from aolab import cli, criteria, jsonout, stability, suites
     from aolab.config import RunConfig
     from aolab.generators import (
@@ -144,7 +141,6 @@ def measure(src: str, dims) -> dict:
 
     out = {key: {} for key in KEYS}
     out["numpy"] = np.__version__
-    out["import_ms"] = import_ms
     cfg = RunConfig(seed=1)
 
     def best_of_five(fn) -> float:
@@ -291,9 +287,8 @@ def main(argv=None) -> int:
         for r in range(args.runs):
             for side in sorted(runs, reverse=bool(r % 2)):
                 runs[side].append(_run([*measure_args, str(trees[side])], trees[side].parent))
-            if args.parent:
-                for side, ms in alternating_imports(trees).items():
-                    runs[side][-1]["import_ms"] = ms
+            for side, ms in alternating_imports(trees).items():
+                runs[side][-1]["import_ms"] = ms
     report = {
         "steps": STEPS,
         "runs": args.runs,

@@ -282,10 +282,10 @@ def _blocks(A: np.ndarray, V: np.ndarray, shed: np.ndarray, n_max: int):
     A^(n+1+i) V0 = 2^exps[i] W[i] for i < k and the start V0 = 2^shed V.
 
     A is prescaled (``_prescaled``) and V advances by one plain product per
-    step into a preallocated stack (``_block_steps``, ``_stepper``).  The
-    columns of V form ``shed.size`` groups of equal width (one per column
-    in the engine, one for the whole matrix in the power loop), each with
-    its own 2-norm and binary exponent.  A block is cut before a live
+    step into a preallocated stack (``_block_steps``, ``_stepper``).  shed
+    holds one binary exponent, with its own 2-norm, per column of V (the
+    engine) or a single one for the whole of V (the power loop); no other
+    grouping is supported.  A block is cut before a live
     group's norm falls below TINY_NORM (``_block_norms``).  Before the
     block is yielded, V is carried from its last step, rescaled exactly by
     2^-m per group (m the exponent of the group's last norm), so W may be

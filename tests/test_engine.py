@@ -177,24 +177,19 @@ def test_desk_shapes(dim, seed):
 
 @pytest.mark.parametrize("dim", [4, 8, 16])
 def test_horizons_at_block_boundaries(dim):
-    # Horizons that end one step before, at and one step after the end of
-    # the first block, k steps long, of the probe batch and of the powers.
+    # The shortest horizons, and horizons that end one step before, at and
+    # one step after the end of the first block, k steps long, of the probe
+    # batch and of the powers.
     rng = np.random.default_rng([dim, 7])
     for family in FAMILIES:
         A = _shape_matrix(family, dim, rng)
         H = np.column_stack([v for _, v in probe_set(dim, rng)])
         k = criteria._block_steps(dim, H.shape[1])
-        for n in (k - 1, k, k + 1):
+        for n in (0, 1, k - 1, k, k + 1):
             assert _same_bits(orbit_log_norms_batch(A, H, n), reference_orbit_log_norms(A, H, n))
         k = criteria._block_steps(dim, dim)
-        for n in (k - 1, k, k + 1):
+        for n in (0, 1, k - 1, k, k + 1):
             assert _same_bits(power_log_norms(A, n), reference_power_log_norms(A, n))
-
-
-@pytest.mark.parametrize("n_max", [0, 1])
-def test_shortest_horizons(n_max):
-    A = _shape_matrix("jordan", 4, np.random.default_rng(n_max))
-    _check(A, np.eye(4), n_max, n_max)
 
 
 def test_powers_stop_at_the_first_zero(monkeypatch):
