@@ -79,13 +79,18 @@ def spread(values) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "values": values}
 
 
+def change_wins(parent, change, higher: bool) -> int:
+    """The aligned pairs in which the change read better; ties count for
+    neither."""
+    return sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+
+
 def compare(parent_runs, change_runs, metric) -> dict:
     """One end-to-end metric (a BENCHMARK.json entry) over aligned pairs."""
     name, higher = metric["name"], metric["better"] == "higher"
     p = [r["metrics"][name]["value"] for r in parent_runs]
     c = [r["metrics"][name]["value"] for r in change_runs]
-    wins = sum((cv > pv) if higher else (cv < pv) for pv, cv in zip(p, c))
-    ps, cs = spread(p), spread(c)
+    wins, ps, cs = change_wins(p, c, higher), spread(p), spread(c)
     ratio = cs["median"] / ps["median"]
     worse = (1 - ratio) if higher else (ratio - 1)
     better = cs["median"] > ps["median"] if higher else cs["median"] < ps["median"]

@@ -115,16 +115,17 @@ def cmd_analyze(args) -> int:
         # The criteria and stability sections read one probe-orbit batch,
         # propagated once and kept on the analysis.
         report["criteria"] = theorem_check(an).to_obj()
-        inconsistent = not report["criteria"]["consistent"]
         try:
             gb = growth_bound(an)
             report["growth_bound"] = gb.to_obj()
         except OutOfScopeError as exc:
             report["growth_bound"] = {"skipped": str(exc)}
         report["stability"] = uniform_stability(an).to_obj()
+        broken = broken_implication(report)
+        if broken:
+            report["inconsistency"] = broken
     except InconsistencyError as exc:
         report["inconsistency"] = str(exc)
-        inconsistent = True
         gb = None
     except AolabError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -142,7 +143,41 @@ def cmd_analyze(args) -> int:
             lines += [f"{n},{nrm:.17g},{bound:.17g}\n" for n, nrm, bound in growth_csv_rows(an, gb)]
         if not _write_file(args.csv, "".join(lines), newline=""):
             return EXIT_INPUT
-    return EXIT_INCONSISTENT if inconsistent else EXIT_OK
+    return EXIT_INCONSISTENT if "inconsistency" in report else EXIT_OK
+
+
+def broken_implication(report: dict) -> str | None:
+    """The first implication between the verdicts of an analyze report's
+    ``criteria`` and ``stability`` sections that they break, named by its
+    fields; None if they hold every one.
+
+    r < 1 puts every root inside the circle and sends every orbit to 0.  A
+    unitary is a contraction, normaloid and power-bounded, with convergent
+    orbit norms and its roots on the circle.  A contraction is
+    power-bounded, and so is a matrix whose orbit norms all converge
+    (uniform boundedness).  The two sections decide power-boundedness
+    alike.  With the spectrum on the circle, the four conditions of the
+    theorem agree (the report's ``consistent``).
+    """
+    verdict = {f"{section}.{field}": value
+               for section in ("criteria", "stability") for field, value in report[section].items()}
+    rules = [
+        (("stability.uniformly_stable",), "criteria.spectrum_in_circle", False),
+        (("stability.uniformly_stable",), "stability.power_bounded", True),
+        (("stability.uniformly_stable",), "criteria.orbits_convergent", True),
+        *((("criteria.unitary",), f"criteria.{field}", True)
+          for field in ("contraction", "normaloid", "power_bounded", "orbits_convergent", "spectrum_in_circle")),
+        (("criteria.contraction",), "criteria.power_bounded", True),
+        (("criteria.orbits_convergent",), "criteria.power_bounded", True),
+        (("criteria.power_bounded",), "stability.power_bounded", True),
+        (("stability.power_bounded",), "criteria.power_bounded", True),
+        *((("criteria.spectrum_in_circle", f"criteria.{field}"), "criteria.unitary", True)
+          for field in ("normaloid", "contraction", "orbits_convergent")),
+    ]
+    for premises, conclusion, value in rules:
+        if all(verdict[p] for p in premises) and verdict[conclusion] != value:
+            return f"{' and '.join(premises)} implies {'' if value else 'not '}{conclusion}"
+    return None
 
 
 def _write_file(path: str, text: str, newline: str | None = None) -> bool:

@@ -1,9 +1,11 @@
 """End-to-end CLI behavior: subcommands, exit codes, determinism."""
 
+import importlib.util
 import json
 import os
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from aolab.cli import (
     EXIT_INCONSISTENT,
     EXIT_INPUT,
     EXIT_OK,
+    broken_implication,
     main,
 )
 from aolab.config import default_seed
@@ -322,6 +325,33 @@ class TestAnalyze:
         finally:
             tracemalloc.stop()
         assert peak_kib < 2750
+
+    def test_broken_implication_exits_2(self, tmp_path, capsys):
+        # S C S^-1 with C the cyclic shift of order 4 and S a product of unit
+        # integer shears, exact in floating point: every root lies on the
+        # circle, yet the stability section reads r < 1.
+        A = np.array([[-5768, -2669, 1441, -236], [8311, 3844, -2079, 340],
+                      [-5573, -2577, 1395, -228], [12913, 6006, -3178, 529]], dtype=complex)
+        inp = _write_matrix(tmp_path / "m.json", A)
+        assert main(["analyze", "--input", inp]) == EXIT_INCONSISTENT
+        report = json.loads(capsys.readouterr().out)
+        assert report["inconsistency"] == "stability.uniformly_stable implies not criteria.spectrum_in_circle"
+        assert report["criteria"]["consistent"] is True
+
+    def test_digest_reports_break_no_implication(self, tmp_path):
+        path = Path(__file__).resolve().parent.parent / "scripts" / "report_digests.py"
+        spec = importlib.util.spec_from_file_location("report_digests", path)
+        digests = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(digests)
+        without_both = []
+        for name, source in digests.instances():
+            report = json.loads(digests.run_instance(name, source, tmp_path)["out.json"] or "{}")
+            if "criteria" in report and "stability" in report:
+                assert broken_implication(report) is None, name
+            else:
+                without_both.append(name)
+        # An input error and an orbit-convergence inconsistency.
+        assert without_both == ["no-gap-d32", "near-unitary-1e-7"]
 
 
 class TestGenerate:

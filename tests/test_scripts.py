@@ -176,11 +176,20 @@ def test_layer_times(tmp_path, capsys):
     assert "change d4" in capsys.readouterr().out
 
 
-def test_alternating_imports():
-    # One process imports the two trees in turn; here both are this checkout.
+def test_alternating_run():
+    # One process times every row of the two trees in turn; here both are
+    # this checkout.
+    module = _load("layer_times")
     src = SCRIPTS.parent / "src"
-    medians = _load("layer_times").alternating_imports({"parent": src, "change": src})
-    assert sorted(medians) == ["change", "parent"] and all(ms > 0 for ms in medians.values())
+    report = module.summarize([module.one_run({"parent": src, "change": src}, [4])])
+    rows = {*module.KEYS, "one_step_ms", "growth_bare_ms", "growth_nilpotent_ms", "scalar_ms", "density_ms",
+            "scalar_peak_kib", "density_peak_kib", "verify_ms", "import_ms"}
+    for side in ("parent", "change"):
+        assert set(report["sides"][side]) == {*rows, "engine_over_floor", "numpy"}
+        assert report["sides"][side]["import_ms"]["median"] > 0
+        assert len(report["sides"][side]["engine_ms"]["4"]["values"]) == module.REPS
+    assert set(report["change_wins"]) == rows
+    assert 0 <= report["change_wins"]["engine_ms"]["4"] <= module.REPS
 
 
 def test_layer_times_outside_a_checkout(tmp_path, monkeypatch):
