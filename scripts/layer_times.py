@@ -6,7 +6,7 @@ process per run, and write the medians and pair counts as JSON.
     python scripts/layer_times.py --parent HEAD~1 --runs 5 --out BENCH_layers.json
 
 Rows.  For each dimension (4, 8, 16, 32 and 64 by default) one seeded
-unitary with four distinct eigenvalues is timed nine ways:
+unitary with four distinct eigenvalues is timed twelve ways:
 - ``analyze_ms``: one ``aolab analyze`` of its matrix JSON file, report
   written to a file, as the CLI runs it;
 - ``engine_ms``: ``orbit_log_norms_batch`` of the analyze probe batch (the
@@ -16,6 +16,11 @@ unitary with four distinct eigenvalues is timed nine ways:
 - ``floor_ms``: the same 2000 products in blocks of the engine's length,
   through the engine's own stepper (``criteria._stepper``), with no norms
   and no rescales, the floor the engine's bookkeeping sits on;
+- ``minpoly_ms``: ``minimal_polynomial`` of the unitary given its norm, as
+  an ``Analysis`` calls it; ``decompose_ms``: ``decompose`` of the unitary
+  on that minimal polynomial; ``frobenius_ms``: ``frobenius_log_norms`` of
+  the engine's batch over POWER_STEPS steps, as ``Analysis.frobenius_logs``
+  reads it: the three layers that ``analyze`` runs once per matrix;
 - ``classify_ms``: ``orbit_convergence`` on an ``Analysis`` whose structure
   and probe batch are already computed, so that the call is the
   classification of the batch and the structural verdict;
@@ -109,8 +114,8 @@ DIMS = (4, 8, 16, 32, 64)
 BLAS_THREADS = "1"
 MODULES = ("config", "errors", "linalg", "structure", "criteria", "stability", "generators", "suites",
            "jsonout", "cli")
-KEYS = ("analyze_ms", "engine_ms", "power_ms", "floor_ms", "classify_ms", "classify_jordan_ms", "growth_jordan_ms",
-        "serialize_ms", "parse_ms")
+KEYS = ("analyze_ms", "engine_ms", "power_ms", "floor_ms", "minpoly_ms", "decompose_ms", "frobenius_ms", "classify_ms",
+        "classify_jordan_ms", "growth_jordan_ms", "serialize_ms", "parse_ms")
 VERIFY = ["verify", "--suite", "all", "--trials", "10", "--seed", "0"]
 
 
@@ -188,11 +193,16 @@ def _rows(t, src, inputs, tmp: Path) -> dict:
         stack = np.empty((min(k, STEPS), d, H.shape[1]), dtype=complex)
         jordan = warmed(J)
         jordan.power_logs(10)
+        norm = t.linalg.operator_norm(A)
+        logs = c.orbit_log_norms_batch(A, H, STEPS)[1 : c.POWER_STEPS + 1]
         return {
             "analyze_ms": partial(t.cli.main, argv),
             "engine_ms": partial(c.orbit_log_norms_batch, A, H, STEPS),
             "power_ms": partial(c.power_log_norms, A, c.POWER_STEPS),
             "floor_ms": partial(_floor, c._stepper(c._prescaled(A)[0], stack), H.astype(complex), k),
+            "minpoly_ms": partial(t.structure.minimal_polynomial, A, norm),
+            "decompose_ms": partial(t.structure.decompose, A, t.structure.minimal_polynomial(A, norm)),
+            "frobenius_ms": partial(c.frobenius_log_norms, logs, d),
             "classify_ms": partial(c.orbit_convergence, warmed(A)),
             "classify_jordan_ms": partial(c.orbit_convergence, jordan),
             "growth_jordan_ms": partial(t.stability.growth_bound, jordan),

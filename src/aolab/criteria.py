@@ -87,14 +87,7 @@ class Classification(NamedTuple):
     rate: float | None = None
 
     def to_obj(self):
-        out = {"kind": self.kind}
-        if self.limit is not None:
-            out["limit"] = float(self.limit)
-        if self.degree is not None:
-            out["degree"] = int(self.degree)
-        if self.rate is not None:
-            out["rate"] = float(self.rate)
-        return out
+        return {k: v for k, v in self._asdict().items() if v is not None}
 
 
 def _tail_log_slopes(logs: np.ndarray) -> np.ndarray:
@@ -426,25 +419,14 @@ class CriteriaReport(NamedTuple):
     orbits_convergent: bool
     orbits_margin: float
     power_bounded: bool
-    witness: np.ndarray | None
     consistent: bool
+    witness: np.ndarray | None
     probes: list  # (label, OrbitRecord)
 
     def to_obj(self):
         return {
-            "is_algebraic": self.is_algebraic,
-            "minpoly_degree": self.minpoly_degree,
-            "spectrum_in_circle": self.spectrum_in_circle,
-            "unitary": self.unitary,
-            "normaloid": self.normaloid,
-            "contraction": self.contraction,
-            "orbits_convergent": self.orbits_convergent,
-            "orbits_margin": self.orbits_margin,
-            "power_bounded": self.power_bounded,
-            "consistent": self.consistent,
-            "witness": None
-            if self.witness is None
-            else [[float(z.real), float(z.imag)] for z in self.witness],
+            **self._asdict(),
+            "witness": None if self.witness is None else [[float(z.real), float(z.imag)] for z in self.witness],
             "probes": [{"label": lab, **rec.to_obj()} for lab, rec in self.probes],
         }
 
@@ -628,9 +610,15 @@ def power_bounded_roots(roots) -> bool:
 def frobenius_log_norms(logs: np.ndarray, d: int) -> np.ndarray:
     """log ||A^n||_F for every row n of a probe batch's log-norms, read off
     its first d columns, the standard basis (``probe_set``): ||A^n||_F^2 =
-    sum_i ||A^n e_i||^2, one ``logaddexp`` reduction over the columns.  A
-    row whose basis orbits all died reads -inf."""
-    return 0.5 * np.logaddexp.reduce(2.0 * logs[:, :d], axis=1)
+    sum_i ||A^n e_i||^2, one exp, sum and log over the columns, shifted by
+    each row's largest, on the one temporary ``2 logs[:, :d]``.  A row
+    whose basis orbits all died reads -inf."""
+    x = 2.0 * logs[:, :d]
+    top = x.max(axis=1)
+    top[top == -np.inf] = 0.0
+    x -= top[:, np.newaxis]
+    with np.errstate(divide="ignore"):  # log 0 of a dead row
+        return 0.5 * (top + np.log(np.exp(x, out=x).sum(axis=1)))
 
 
 # log ||A^n||_F past this is unbounded: 90 below log OVERFLOW_LIMIT, where orbits are cut.
@@ -809,8 +797,8 @@ def theorem_check(A, config: RunConfig | None = None) -> CriteriaReport:
         orbits_convergent=convergent,
         orbits_margin=margin,
         power_bounded=pb,
-        witness=witness,
         consistent=consistent,
+        witness=witness,
         probes=records,
     )
 

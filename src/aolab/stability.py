@@ -86,14 +86,7 @@ class StabilityVerdict(NamedTuple):
     limit_projection_norm_sq: dict
 
     def to_obj(self):
-        return {
-            "uniformly_stable": self.uniformly_stable,
-            "strongly_stable": self.strongly_stable,
-            "power_bounded": self.power_bounded,
-            "limit_projection_norm_sq": {
-                k: float(v) for k, v in self.limit_projection_norm_sq.items()
-            },
-        }
+        return self._asdict()
 
 
 class NormaloidReport(NamedTuple):

@@ -14,6 +14,7 @@ from aolab.criteria import (
     POWER_STEPS,
     Analysis,
     Classification,
+    CriteriaReport,
     classify_orbits,
     frobenius_log_norms,
     is_normaloid,
@@ -37,7 +38,7 @@ from aolab.generators import (
     haar_unitary,
     spread_unimodular,
 )
-from aolab.stability import normaloid_equivalence, orbit_root_limit, uniform_stability
+from aolab.stability import growth_bound, normaloid_equivalence, orbit_root_limit, uniform_stability
 from aolab.structure import decide, minimal_polynomial
 
 
@@ -693,6 +694,24 @@ class TestTheoremCheck:
         text = jsonout.dumps(rep.to_obj())
         assert f'"orbits_margin": {jsonout.dumps(rep.orbits_margin)[:-1]}' in text
         assert "orbits_note" not in text
+
+    def test_report_keys_are_record_fields(self):
+        # A record's JSON keys are its fields, in order; a Classification
+        # leaves out the fields it does not set.
+        an = Analysis(gen_jordan_perturbation(4, np.exp(0.7j), 1.0, seed=4), RunConfig(seed=0))
+        rep = theorem_check(an)
+        assert rep.witness is not None
+        assert list(rep.to_obj()) == list(CriteriaReport._fields)
+        for record in (uniform_stability(an), growth_bound(an)):
+            assert list(record.to_obj()) == list(record._fields)
+        classes = [rec.classification for _, rec in rep.probes] + [
+            Classification(kind="convergent", limit=0.5),
+            Classification(kind="polynomial-growth", limit=0.5, degree=2),
+            Classification(kind="exponential-growth", rate=2.0),
+            Classification(kind="bounded-nonconvergent"),
+        ]
+        for cls in classes:
+            assert list(cls.to_obj()) == [f for f in cls._fields if getattr(cls, f) is not None]
 
     def test_orthogonal_blocks_get_no_overlap_probe(self):
         rep = theorem_check(dft4(), RunConfig(seed=0))
