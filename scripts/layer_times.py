@@ -5,8 +5,9 @@ process per run, and write the medians and pair counts as JSON.
     python scripts/layer_times.py --out BENCH_layers.json
     python scripts/layer_times.py --parent HEAD~1 --runs 5 --out BENCH_layers.json
 
-Rows.  For each dimension (4, 8, 16, 32 and 64 by default) one seeded
-unitary with four distinct eigenvalues is timed twelve ways:
+Rows.  For each dimension (4, 8, 16, 32 and 64 by default) thirteen rows
+are timed, most of them on one seeded unitary with four distinct
+eigenvalues:
 - ``analyze_ms``: one ``aolab analyze`` of its matrix JSON file, report
   written to a file, as the CLI runs it;
 - ``engine_ms``: ``orbit_log_norms_batch`` of the analyze probe batch (the
@@ -21,6 +22,10 @@ unitary with four distinct eigenvalues is timed twelve ways:
   on that minimal polynomial; ``frobenius_ms``: ``frobenius_log_norms`` of
   the engine's batch over POWER_STEPS steps, as ``Analysis.frobenius_logs``
   reads it: the three layers that ``analyze`` runs once per matrix;
+- ``overlap_ms``: ``Analysis.block_overlap`` of gen_oblique(d, the d-th
+  roots of unity, 50, seed=d), the principal-angle decision on all pairs
+  of its d unimodular blocks, on its cached decomposition, the cached
+  decision dropped before each call;
 - ``classify_ms``: ``orbit_convergence`` on an ``Analysis`` whose structure
   and probe batch are already computed, so that the call is the
   classification of the batch and the structural verdict;
@@ -77,7 +82,8 @@ the change read lower (``bench_pairs.change_wins``; ties count for
 neither).
 The parent must build an ``Analysis`` with its config (``Analysis(A,
 config)``), take ``growth_bound`` without one and have the engine's
-helpers in ``criteria``, as every commit from the one block loop on does;
+helpers in ``criteria`` and cache ``block_overlap`` on the ``Analysis``, as
+every commit from the one block loop on does;
 older commits cannot be timed.  The JSON records the numpy and Python
 versions, the BLAS thread count, the host's core count and the checkout's
 revision (null outside a git checkout).
@@ -114,8 +120,8 @@ DIMS = (4, 8, 16, 32, 64)
 BLAS_THREADS = "1"
 MODULES = ("config", "errors", "linalg", "structure", "criteria", "stability", "generators", "suites",
            "jsonout", "cli")
-KEYS = ("analyze_ms", "engine_ms", "power_ms", "floor_ms", "minpoly_ms", "decompose_ms", "frobenius_ms", "classify_ms",
-        "classify_jordan_ms", "growth_jordan_ms", "serialize_ms", "parse_ms")
+KEYS = ("analyze_ms", "engine_ms", "power_ms", "floor_ms", "minpoly_ms", "decompose_ms", "frobenius_ms", "overlap_ms",
+        "classify_ms", "classify_jordan_ms", "growth_jordan_ms", "serialize_ms", "parse_ms")
 VERIFY = ["verify", "--suite", "all", "--trials", "10", "--seed", "0"]
 
 
@@ -159,8 +165,8 @@ def _floor(propagate, V, k) -> None:
 def _inputs(t, dims, tmp: Path):
     """The matrices every tree's rows read, made by the package ``t``: per
     dimension the unitary, its JSON text (also written to ``tmp``), its
-    probe batch and the jordan matrix; then the bare and nilpotent growth
-    shapes."""
+    probe batch, the jordan matrix and the oblique one; then the bare and
+    nilpotent growth shapes."""
     g, per_dim = t.generators, {}
     for d in dims:
         rng = np.random.default_rng(d)
@@ -168,7 +174,8 @@ def _inputs(t, dims, tmp: Path):
         text = t.jsonout.dumps(t.linalg.matrix_to_obj(A))
         (tmp / f"d{d}.json").write_text(text, encoding="utf-8")
         H = np.column_stack([v for _, v in t.criteria.probe_set(d, rng)])
-        per_dim[d] = (A, text, H, g.gen_jordan_perturbation(d, np.exp(0.7j), 1.0, seed=d))
+        J = g.gen_jordan_perturbation(d, np.exp(0.7j), 1.0, seed=d)
+        per_dim[d] = (A, text, H, J, g.gen_oblique(d, np.exp(2j * np.pi * np.arange(d) / d), 50.0, seed=d))
     bare = g.gen_planted_jordan(8, [(0.95 * np.exp(1j), 2), (np.exp(0.5j), 1), (0.5j, 1)], 1e6, 4)
     return per_dim, bare, g.gen_planted_jordan(8, [(0, 3)], 100.0, 8)
 
@@ -186,14 +193,21 @@ def _rows(t, src, inputs, tmp: Path) -> dict:
         c.orbit_convergence(an)
         return an
 
+    def overlap(an):
+        """``an.block_overlap`` decided afresh on its cached decomposition."""
+        vars(an).pop("block_overlap", None)
+        return an.block_overlap
+
     def at(d) -> dict:
-        A, text, H, J = per_dim[d]
+        A, text, H, J, O = per_dim[d]
         argv = ["analyze", "--input", str(tmp / f"d{d}.json"), "--out", str(tmp / f"d{d}.out.json"), "--seed", "1"]
         k = c._block_steps(d, H.shape[1])
         stack = np.empty((min(k, STEPS), d, H.shape[1]), dtype=complex)
         jordan = warmed(J)
         jordan.power_logs(10)
         norm = t.linalg.operator_norm(A)
+        oblique = c.Analysis(O, cfg)
+        oblique.decomposition
         logs = c.orbit_log_norms_batch(A, H, STEPS)[1 : c.POWER_STEPS + 1]
         return {
             "analyze_ms": partial(t.cli.main, argv),
@@ -203,6 +217,7 @@ def _rows(t, src, inputs, tmp: Path) -> dict:
             "minpoly_ms": partial(t.structure.minimal_polynomial, A, norm),
             "decompose_ms": partial(t.structure.decompose, A, t.structure.minimal_polynomial(A, norm)),
             "frobenius_ms": partial(c.frobenius_log_norms, logs, d),
+            "overlap_ms": partial(overlap, oblique),
             "classify_ms": partial(c.orbit_convergence, warmed(A)),
             "classify_jordan_ms": partial(c.orbit_convergence, jordan),
             "growth_jordan_ms": partial(t.stability.growth_bound, jordan),

@@ -664,41 +664,36 @@ def _unit_columns(V: np.ndarray, t: np.ndarray):
     return W, np.ldexp(t, -m)
 
 
-def block_components(H: np.ndarray, D: Decomposition):
-    """(present, mu) for the columns h of H, from one product P_j H per
-    block j of D: present[j] whether each h has a component P_j h above
-    COMPONENT_TOL ||h|| (norms of ``_unit_columns``), and mu the largest
-    |z_j| over each h's present blocks (0 if none)."""
-    thr = COMPONENT_TOL * np.linalg.norm(H, axis=0)
-    present = np.array([decide(np.linalg.norm(V, axis=0), t) == 2
-                        for V, t in (_unit_columns(b.projection @ H, thr) for b in D.blocks)])
-    return present, np.where(present, np.abs([[b.z] for b in D.blocks]), 0.0).max(axis=0)
-
-
 # Same modulus as mu: over 1e5 steps |z|^n of moduli this close differ by at most e^-1e-3.
 SAME_MODULUS_TOL = 1e-8
 
 
-def structural_exponents(A: np.ndarray, H: np.ndarray, D: Decomposition) -> list:
-    """For every column h of H: the largest k with (A - z_j I)^k P_j h != 0
-    over the blocks of largest modulus mu where h has a component
-    (``block_components``), or None.  The index - 1 products of a block act
-    on its chosen columns at once, each rescaled by ``_unit_columns``."""
-    present, mu = block_components(H, D)
+def structural_envelope(A: np.ndarray, H: np.ndarray, D: Decomposition):
+    """(mu, e) of the envelope n^e mu^n of ||A^n h|| for each column h of H,
+    from one P_j H per block j (``_unit_columns``): mu the largest |z_j|
+    where ||P_j h|| > COMPONENT_TOL ||h|| (else 0), e the largest k with
+    (A - z_j I)^k P_j h != 0 over those of modulus mu (else None)."""
     thr = COMPONENT_TOL * np.linalg.norm(H, axis=0)
-    best = np.where(present.any(axis=0), 0, -1)
-    chosen = present & (decide(np.abs(np.abs([[b.z] for b in D.blocks]) - mu), SAME_MODULUS_TOL) == 0)
-    for b, sel in zip(D.blocks, chosen):
-        if b.index == 1 or not sel.any():
+    moduli = np.abs([[b.z] for b in D.blocks])
+    present, starts = [], []
+    for b in D.blocks:
+        V, t = _unit_columns(b.projection @ H, thr)
+        present.append(decide(np.linalg.norm(V, axis=0), t) == 2)
+        starts.append((V, t) if b.index > 1 else None)  # its chain starts from the chosen columns
+    mu = np.where(present, moduli, 0.0).max(axis=0)
+    best = np.where(np.any(present, axis=0), 0, -1)
+    chosen = present & (decide(np.abs(moduli - mu), SAME_MODULUS_TOL) == 0)
+    for b, start, sel in zip(D.blocks, starts, chosen):
+        if start is None or not sel.any():
             continue
         B = A - b.z * np.eye(A.shape[0])
-        V, t = _unit_columns(b.projection @ H[:, sel], thr[sel])
+        V, t = start[0][:, sel], start[1][sel]
         k = np.zeros(V.shape[1], dtype=int)
         for j in range(1, b.index):
             V, t = _unit_columns(B @ V, t)
             k[decide(np.linalg.norm(V, axis=0), t) == 2] = j
         best[sel] = np.maximum(best[sel], k)
-    return [None if k < 0 else int(k) for k in best]
+    return mu, [None if k < 0 else int(k) for k in best]
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +775,7 @@ def theorem_check(A, config: RunConfig | None = None) -> CriteriaReport:
     pb = is_power_bounded(an)
 
     convergent, margin, probes, logs, ends, classes = orbit_convergence(an)
-    exponents = structural_exponents(A, np.column_stack([v for _, v in probes]), an.decomposition)
+    _, exponents = structural_envelope(A, np.column_stack([v for _, v in probes]), an.decomposition)
     records = [(label, OrbitRecord(v, logs[:end, j], k, cls))
                for j, ((label, v), end, k, cls) in enumerate(zip(probes, ends, exponents, classes))]
     witness = next((rec.h for _, rec in records if rec.classification.kind != "convergent"), None)

@@ -27,7 +27,6 @@ from .criteria import (
     _window_rule,
     as_analysis,
     at_most_one,
-    block_components,
     frobenius_log_norms,
     is_normaloid,
     is_power_bounded,
@@ -35,6 +34,7 @@ from .criteria import (
     orbit_log_norms_batch,
     orbit_norms_batch,
     power_bounded_roots,
+    structural_envelope,
     unimodular,
 )
 from .errors import InconsistencyError, InvalidInputError, OutOfScopeError
@@ -124,10 +124,10 @@ def normal_limit(A, H):
     equals <Q h, h> with Q the orthogonal projection onto the unimodular
     eigenspaces, the sum of the projections of the unimodular blocks of
     the decomposition.  Each column's identity is cross-checked, to
-    RunConfig.tol_conv * max(1, ||h||^2) (the window rule's own tolerance,
-    which bounds its limit's error), against the window limit of its orbit
-    over ``RunConfig.n_max`` steps; the columns advance together in one
-    ``orbit_norms_batch`` and share one window rule."""
+    tol_conv * max(1, ||h||^2) (the window rule's own tolerance, which
+    bounds its limit's error), against the window limit of its orbit over
+    the ``n_max`` steps of the analysis's config; the columns advance
+    together in one ``orbit_norms_batch`` and share one window rule."""
     an = as_analysis(A)
     A = an.A
     H = as_columns(H, A.shape[0])
@@ -140,10 +140,10 @@ def normal_limit(A, H):
     Q = sum((b.projection for b in an.decomposition.blocks if unimodular(b.z)), np.zeros_like(A))
     # Column by column, so that a value does not depend on the other columns.
     q = np.array([np.vdot(h, Q @ h).real for h in H.T.copy()])
-    norms, _ = orbit_norms_batch(A, H, RunConfig.n_max)
-    tails = np.ascontiguousarray((norms[-RunConfig.window :] ** 2).T)
-    _, limits = _window_rule(tails, RunConfig.tol_conv)
-    tol = RunConfig.tol_conv * np.maximum(1.0, norms[0] ** 2)
+    norms, _ = orbit_norms_batch(A, H, an.config.n_max)
+    tails = np.ascontiguousarray((norms[-an.config.window :] ** 2).T)
+    _, limits = _window_rule(tails, an.config.tol_conv)
+    tol = an.config.tol_conv * np.maximum(1.0, norms[0] ** 2)
     off = np.flatnonzero(decide(np.abs(limits - q), tol) == 2)
     if off.size:
         j = off[0]
@@ -313,6 +313,8 @@ def growth_bound(A) -> GrowthBound:
     if m > FIRST_POWERS:
         m = _reach(recursion_log_norms(an, m) - log_bound[:m], floor)
     worst = _worst_excess(an.power_logs(max(m, FIRST_POWERS)), log_bound)
+    if worst > np.log(np.finfo(float).max):  # the ratio itself overflows
+        raise InconsistencyError(f"growth bound violated: log ratio {worst:.2f}")
     ratio = float(np.exp(worst)) if np.isfinite(worst) else 0.0
     if decide(ratio, 1 + _RATIO_TOL) == 2:
         raise InconsistencyError(f"growth bound violated: ratio {ratio}")
@@ -382,9 +384,9 @@ _ROOT_LIMIT_TOL = 1e-3
 
 
 def orbit_root_limit(A, H):
-    """Empirical limit of ||A^n h||^{1/n} over ``RunConfig.n_max`` steps for
-    each column h of H, cross-checked within _ROOT_LIMIT_TOL against the
-    structural prediction max{|z_j| : P_j h != 0}.
+    """Empirical limit of ||A^n h||^{1/n} over the ``n_max`` steps of the
+    analysis's config for each column h of H, cross-checked within
+    _ROOT_LIMIT_TOL against mu = max{|z_j| : P_j h != 0} (``structural_envelope``).
 
     The n-th root sequence converges like 1 + O(log n / n), too slowly for
     the plain window rule at desk horizons; the limit is therefore rho of
@@ -395,12 +397,12 @@ def orbit_root_limit(A, H):
     """
     an = as_analysis(A)
     H = as_columns(H, an.A.shape[0])
-    logs = orbit_log_norms_batch(an.A, H, RunConfig.n_max)
+    logs = orbit_log_norms_batch(an.A, H, an.config.n_max)
     # A column that reached zero has root limit 0.
     empirical = np.zeros(H.shape[1])
     live = logs[-1] > -np.inf
     empirical[live] = np.exp(_envelope_fit(logs)[0][live])
-    for e, mu in zip(empirical, block_components(H, an.decomposition)[1]):
+    for e, mu in zip(empirical, structural_envelope(an.A, H, an.decomposition)[0]):
         if decide(abs(e - mu), _ROOT_LIMIT_TOL) == 2:
             raise InconsistencyError(f"root limit {e} disagrees with structural value {mu}")
     return empirical

@@ -338,6 +338,22 @@ class TestAnalyze:
         assert report["inconsistency"] == "stability.uniformly_stable implies not criteria.spectrum_in_circle"
         assert report["criteria"]["consistent"] is True
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_growth_ratio_past_float_range_exits_2(self, tmp_path, capsys):
+        # i I + S J_4 S^-1 with S a product of unit integer shears (cond
+        # 1.2e12): the worst excess of the growth check lies past the float
+        # range, so the message names its finite log, not an infinite ratio.
+        S_J_Sinv = np.array([[-102442652613, 4893455425, -38284862493, 12622026105],
+                             [4207995446, -201005706, 1572611806, -518469341],
+                             [276106792392, -13189001615, 103186615255, -34019298332],
+                             [4406730531, -210500802, 1646883122, -542956936]], dtype=complex)
+        inp = _write_matrix(tmp_path / "m.json", S_J_Sinv + 1j * np.eye(4))
+        assert main(["analyze", "--input", inp]) == EXIT_INCONSISTENT
+        out, err = capsys.readouterr()
+        message = json.loads(out)["inconsistency"]
+        assert message.startswith("growth bound violated: log ratio ") and err == ""
+        assert 709.8 < float(message.rsplit(" ", 1)[1]) < float("inf")
+
     def test_digest_reports_break_no_implication(self, tmp_path):
         path = Path(__file__).resolve().parent.parent / "scripts" / "report_digests.py"
         spec = importlib.util.spec_from_file_location("report_digests", path)

@@ -24,7 +24,7 @@ from aolab.criteria import (
     orbit_norms_batch,
     power_log_norms,
     scalar_re_sequence,
-    structural_exponents,
+    structural_envelope,
     theorem_check,
 )
 from aolab.errors import IllConditionedSpectrumError, InconsistencyError, InvalidInputError
@@ -34,6 +34,7 @@ from aolab.generators import (
     gen_jordan_perturbation,
     gen_normaloid_nonnormal,
     gen_oblique,
+    gen_planted_jordan,
     gen_unitary_finite_spectrum,
     haar_unitary,
     spread_unimodular,
@@ -322,7 +323,7 @@ class TestBatchClassifier:
             want = [_reference_classify(logs[:, j]) for j in range(len(probes))]
             _assert_same_classes(classes, want, name)
             H = np.column_stack([v for _, v in probes])
-            exponents = criteria.structural_exponents(A, H, an.decomposition)
+            _, exponents = criteria.structural_envelope(A, H, an.decomposition)
             assert exponents == [_reference_exponent(A, v, an.decomposition) for _, v in probes], name
             assert all(c.degree == k for c, k in zip(classes, exponents) if c.kind == "polynomial-growth"), name
             verdict = uniform_stability(an)
@@ -695,6 +696,18 @@ class TestTheoremCheck:
         assert f'"orbits_margin": {jsonout.dumps(rep.orbits_margin)[:-1]}' in text
         assert "orbits_note" not in text
 
+    def test_one_product_per_block(self, monkeypatch):
+        # Each block's P_j H is formed and rescaled once, and the chain of
+        # the index-2 root -0.7, of largest modulus, starts from its columns:
+        # two blocks and one chain step.
+        an = Analysis(gen_planted_jordan(6, [(0.4j, 3), (-0.7, 2)], 50.0, 2), RunConfig(seed=0))
+        assert [b.index for b in an.decomposition.blocks] == [2, 3]
+        unit_columns, calls = criteria._unit_columns, []
+        monkeypatch.setattr(criteria, "_unit_columns", lambda V, t: calls.append(V.shape) or unit_columns(V, t))
+        rep = theorem_check(an)
+        assert calls == [(6, 26)] * 3
+        assert [r.structural_exponent for _, r in rep.probes] == [1] * 26
+
     def test_report_keys_are_record_fields(self):
         # A record's JSON keys are its fields, in order; a Classification
         # leaves out the fields it does not set.
@@ -958,13 +971,13 @@ class TestScalarSequence:
 
 class TestOrbitAnalyze:
     """One probe's orbit: ``classify_orbits`` of a one-column batch and its
-    ``structural_exponents``."""
+    structural exponent (``structural_envelope``)."""
 
     @staticmethod
     def analyze(A, h, n_max=RunConfig.n_max):
         H = h.reshape(-1, 1)
         (cls,) = classify_orbits(orbit_log_norms_batch(A, H, n_max))[1]
-        (exponent,) = structural_exponents(A, H, Analysis(A).decomposition)
+        (exponent,) = structural_envelope(A, H, Analysis(A).decomposition)[1]
         return cls, exponent
 
     def test_jordan_probe_grows_linearly(self):

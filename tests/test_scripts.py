@@ -166,7 +166,7 @@ def test_layer_times(tmp_path, capsys):
     side = report["sides"]["change"]
     assert side["numpy"] and list(report["sides"]) == ["change"]
     for key in ("analyze_ms", "engine_ms", "power_ms", "floor_ms", "minpoly_ms", "decompose_ms", "frobenius_ms",
-                "growth_jordan_ms", "serialize_ms", "parse_ms"):
+                "overlap_ms", "growth_jordan_ms", "serialize_ms", "parse_ms"):
         assert side[key]["4"]["median"] > 0
     assert side["engine_over_floor"]["4"] > 0
     assert len(side["one_step_ms"]["values"]) == 3

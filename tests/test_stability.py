@@ -637,6 +637,18 @@ class TestOrbitRootLimit:
             assert rho.shape == (4,)
             assert np.allclose(rho, single, rtol=0, atol=1e-11)
 
+    def test_stages_take_the_horizon_of_their_analysis(self, monkeypatch):
+        # normal_limit and orbit_root_limit propagate the n_max of the
+        # analysis they are given, not the default.
+        steps = []
+        for name in ("orbit_norms_batch", "orbit_log_norms_batch"):
+            engine = getattr(stability, name)
+            monkeypatch.setattr(stability, name, lambda A, H, n, _engine=engine: steps.append(n) or _engine(A, H, n))
+        an = Analysis(np.diag([1.0, -1.0, 0.5]).astype(complex), RunConfig(n_max=300))
+        assert normal_limit(an, np.ones((3, 1)))[0] == pytest.approx(2.0, rel=1e-12)
+        assert orbit_root_limit(an, np.ones((3, 1)))[0] == pytest.approx(1.0, abs=1e-3)
+        assert steps == [300, 300]
+
     def test_zero_vector_rejected(self):
         with pytest.raises(InvalidInputError):
             orbit_root_limit(np.eye(2), np.zeros((2, 1)))
