@@ -11,6 +11,8 @@ behaviour wherever both are available.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from functools import cached_property, partial
 from itertools import combinations
@@ -52,7 +54,8 @@ UNIT_TOL = 1e-10
 CIRCLE_TOL = 1e-8
 
 # A block stack (``_blocks``) holds at most this many complex entries (256
-# KiB): k steps of the orbit engine's d x P batch, or k powers.
+# KiB): k steps of the orbit engine's d x P batch, or k powers.  The two
+# halves of a split batch (``_split_rows``) stack 2k steps each: twice this.
 STACK_ENTRIES = 2**14
 
 # A block of k plain steps grows a prescaled unit vector or power by at most
@@ -63,6 +66,12 @@ BLOCK_GROWTH_LOG2 = 400
 # A live norm below this, or exactly 0, ends a block before its step
 # (``_block_norms``): its squares could underflow.
 TINY_NORM = 2.0**-500
+
+# A probe batch splits over two threads (``_split_rows``) when a step takes this
+# many complex multiply-adds (d d P; the analyze batch, P = d + 20, from d = 45).
+# Split over serial time of that batch at 2000 steps (2 cores, BLAS at 1 thread):
+# 1.79 at d24, 1.31 d32, 1.05 d40, 0.92 d44, 0.87 d48, 0.88 d56, 0.73 d64.
+SPLIT_MULADDS = 2**17
 
 _LN2 = math.log(2.0)
 
@@ -269,73 +278,133 @@ def _stepper(A: np.ndarray, stack: np.ndarray):
     return propagate
 
 
-def _blocks(A: np.ndarray, V: np.ndarray, shed: np.ndarray, n_max: int):
+def _blocks(A: np.ndarray, e: int, V: np.ndarray, shed: np.ndarray, n_max: int, pair: int = 0):
     """The one block loop of the orbit engine and the power loop: yields
     (n, W, norms, exps) per block of k = len(norms) steps, with
-    A^(n+1+i) V0 = 2^exps[i] W[i] for i < k and the start V0 = 2^shed V.
+    (A 2^e)^(n+1+i) V0 = 2^exps[i] W[i] for i < k and the start V0 = 2^shed V.
 
-    A is prescaled (``_prescaled``) and V advances by one plain product per
-    step into a preallocated stack (``_block_steps``, ``_stepper``).  shed
-    holds one binary exponent, with its own 2-norm, per column of V (the
-    engine) or a single one for the whole of V (the power loop); no other
-    grouping is supported.  A block is cut before a live
-    group's norm falls below TINY_NORM (``_block_norms``).  Before the
-    block is yielded, V is carried from its last step, rescaled exactly by
-    2^-m per group (m the exponent of the group's last norm), so W may be
-    overwritten.  Blocks do not depend on n_max: a shorter horizon yields
-    a prefix of a longer one.  V and shed are updated in place.
-    """
-    A, e = _prescaled(A)
+    A comes prescaled by 2^-e (``_prescaled``); V advances by one plain
+    product per step into a preallocated stack (``_block_steps``,
+    ``_stepper``).  shed holds one binary exponent, with its own 2-norm, per
+    column of V (the engine) or a single one for the whole of V (the power
+    loop).  A block is cut before a live group's norm falls below TINY_NORM
+    (``_block_norms``).  Before the block is yielded, V is carried from its
+    last step, rescaled exactly by 2^-m per group (m the exponent of the
+    group's last norm), so W may be overwritten; (A 2^e)^n V0 = 2^shed V at
+    each block's start n.  Blocks do not depend on n_max: a shorter horizon
+    yields a prefix of a longer one.
+
+    The one mode, pair = k > 0 (``_split_rows``), runs two blocks of k steps
+    of the frozen schedule per block, without the rescale between them.  A
+    power-of-two scale commutes exactly with products, sums and square
+    roots of normal floats, so the first block's last norms give the
+    skipped exponents and the second block keeps the frozen bits.  The loop
+    stops where that schedule cuts a block: a norm below TINY_NORM in
+    either frame, or a column that dies."""
     d, P = V.shape
     g = shed.size
-    limit = _block_steps(d, P)
-    stack = np.empty((min(limit, n_max), d, P), dtype=complex)
+    limit = pair or _block_steps(d, P)
+    stack = np.empty((min(2 * pair or limit, n_max), d, P), dtype=complex)
     # Real and imaginary parts side by side, for the exact rescales.
     parts, V_parts = stack.view(float).reshape(-1, d, P, 2), V.view(float).reshape(d, P, 2)
     groups = stack.reshape(len(stack), d * P // g, g)
-    ne = e * np.arange(n_max + 1)[:, np.newaxis]
+    ek = e * np.arange(1, len(stack) + 1)[:, np.newaxis]  # e n past the block's start n
     live = np.ones(g, dtype=bool)
     propagate = _stepper(A, stack)
     n = 0
     while n < n_max:
-        k = min(limit, n_max - n)
+        k = min(2 * pair or limit, n_max - n)
         propagate(V, k)
         norms, limit = _block_norms(groups[:k], live, limit)
         kept = norms.shape[0]
-        exps = shed + ne[n + 1 : n + kept + 1]
-        m = np.frexp(norms[-1])[1]
-        if kept == 1:
-            np.ldexp(parts[0], -m[:, np.newaxis], out=V_parts)
-        else:  # live norms >= TINY_NORM: 2^-m is normal and rounds like ldexp
-            scale = np.ldexp(1.0, -np.repeat(m, 2 * P // g))
-            np.multiply(parts[kept - 1].reshape(d, -1), scale, out=V_parts.reshape(d, -1))
-        shed += m
+        exps = shed + ek[:kept]
+        shift = 0
+        if kept > pair > 0:  # the second block, in the frame of the skipped rescale
+            shift = np.frexp(norms[pair - 1])[1]
+            np.ldexp(norms[pair:], -shift, out=norms[pair:])
+            exps[pair:] += shift
+        if pair and (kept < k or norms.min() < TINY_NORM):
+            return
+        m = np.frexp(norms[-1])[1] + shift
+        # ldexp by one exponent per real part: faster than a product with
+        # 2^-m, which can overflow after a one-step block's hypot norms.
+        np.ldexp(parts[kept - 1].reshape(d, -1), -np.repeat(m, 2 * P // g), out=V_parts.reshape(d, -1))
+        shed += m + e * kept
         live = norms[-1] > 0
         yield n, stack, norms, exps
         n += kept
 
 
+def _unit_start(H: np.ndarray, shed: np.ndarray) -> np.ndarray:
+    """H as a C-contiguous complex start, column j times 2^-shed[j]."""
+    return np.ldexp(np.array(H, dtype=complex, order="C").view(float), -np.repeat(shed, 2)).view(complex)
+
+
+def _orbit_rows(A: np.ndarray, e: int, V: np.ndarray, shed: np.ndarray, out: np.ndarray, pair=0, stop=None) -> bool:
+    """Rows 1.. of the engine's out from the blocks of ``_blocks``; whether
+    they reached the last row.  A run that stops short or raises sets stop,
+    and a run that finds stop set ends."""
+    n_max, done = out.shape[0] - 1, 0
+    try:
+        with np.errstate(divide="ignore"):  # log(0) = -inf records a dead column
+            for n, _, norms, exps in _blocks(A, e, V, shed, n_max, pair):
+                if stop and stop.is_set():
+                    return False
+                done = n + norms.shape[0]
+                rows = out[n + 1 : done + 1]
+                np.log(norms, out=rows)
+                rows += exps * _LN2
+    finally:
+        if done < n_max and stop:
+            stop.set()
+    return done == n_max
+
+
+def _split_rows(A: np.ndarray, e: int, H: np.ndarray, shed: np.ndarray, out: np.ndarray) -> bool:
+    """Whether two threads wrote rows 1.. of the engine's out, in the pair
+    mode of ``_blocks`` on the schedule k of the whole batch: the caller
+    the columns of H before a cut at a multiple of 8, where zgemm keeps
+    every column's bits, a worker thread the rest.  False if a half stopped
+    short, and before any thread starts below SPLIT_MULADDS, for one-step
+    blocks or 2k steps that could overflow a square, on one CPU, or for a
+    nonzero part of A or of the unit-scale columns below TINY_NORM: the
+    products of the others are normal in both frames.  Not ruled out: an
+    entry that cancels 2^500 below its column's norm later in the run."""
+    d, P = H.shape
+    k = _block_steps(d, P)
+    if d * d * P < SPLIT_MULADDS or P < 16 or k < 2 or 2 * k * math.log2(d) > BLOCK_GROWTH_LOG2:
+        return False
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return False
+    cut = 8 * (P // 16)
+    stop = threading.Event()  # a half that stops short or raises ends the other
+    halves = [(_unit_start(H[:, c], shed[c]), shed[c].copy(), out[:, c], k, stop) for c in (np.s_[:cut], np.s_[cut:])]
+    inputs = map(np.abs, (A.view(float), *(h[0].view(float) for h in halves)))
+    if any(np.any((x > 0) & (x < TINY_NORM)) for x in inputs):
+        return False
+    from concurrent.futures import ThreadPoolExecutor  # 4 ms, paid by the first split only
+    with ThreadPoolExecutor(1) as pool:  # joined on exit, also when a half raises
+        theirs = pool.submit(_orbit_rows, A, e, *halves[1])
+        mine = _orbit_rows(A, e, *halves[0])
+        return theirs.result() and mine
+
+
 def orbit_log_norms_batch(A: np.ndarray, H: np.ndarray, n_max: int) -> np.ndarray:
     """log ||A^n h|| for every column h of H, n = 0..n_max: the orbit engine,
-    all columns advancing together through ``_blocks``.  A column that
-    reaches exactly zero reads -inf from then on.  Readers cut the rows at
-    an overflow (each column at its own in ``classify_orbits``, the whole
-    batch in ``orbit_norms_batch``).
+    all columns advancing together through ``_blocks`` (or in two halves,
+    ``_split_rows``).  A column that reaches exactly zero reads -inf from
+    then on.  Readers cut the rows at an overflow (each column at its own
+    in ``classify_orbits``, the whole batch in ``orbit_norms_batch``).
     """
-    V = np.array(H, dtype=complex, order="C")
-    s = np.linalg.norm(V, axis=0)
+    s = _column_norms(H)
     if not np.all(s > 0):
         raise InvalidInputError("orbit vectors must be nonzero")
-    out = np.empty((n_max + 1, V.shape[1]))
+    out = np.empty((n_max + 1, s.size))
     np.log(s, out=out[0])
-    shed = np.frexp(s)[1].astype(np.int64)
-    parts = V.view(float).reshape(*V.shape, 2)
-    np.ldexp(parts, -shed[:, np.newaxis], out=parts)  # each column starts at unit scale
-    with np.errstate(divide="ignore"):  # log(0) = -inf records a dead column
-        for n, _, norms, exps in _blocks(A, V, shed, n_max):
-            rows = out[n + 1 : n + norms.shape[0] + 1]
-            np.log(norms, out=rows)
-            rows += exps * _LN2
+    shed = np.frexp(s)[1].astype(np.int64)  # each column starts at unit scale
+    A, e = _prescaled(A)
+    if not _split_rows(A, e, H, shed, out):
+        _orbit_rows(A, e, _unit_start(H, shed), shed, out)
     return out
 
 
@@ -370,7 +439,7 @@ def power_log_norms(A: np.ndarray, n_max: int) -> np.ndarray:
     """
     A = as_matrix(A)
     out = np.full(n_max, -np.inf)
-    for n, W, fro, exps in _blocks(A, np.eye(A.shape[0], dtype=complex), np.zeros(1, dtype=np.int64), n_max):
+    for n, W, fro, exps in _blocks(*_prescaled(A), np.eye(A.shape[0], dtype=complex), np.zeros(1, dtype=np.int64), n_max):
         if fro[-1, 0] == 0.0:
             break
         m = np.frexp(fro[:, 0])[1]
@@ -653,15 +722,26 @@ def is_power_bounded(A, config: RunConfig | None = None) -> bool:
 # Orbit analysis
 # ---------------------------------------------------------------------------
 
-def _unit_columns(V: np.ndarray, t: np.ndarray):
-    """(V 2^-m, t 2^-m): each column of V, and its threshold in t, times
-    the exact power of two that brings the column's largest entry into
-    [1/2, 1) (m = 0 for a zero column), so that its 2-norm squares no huge
-    entry."""
+def _scaled_columns(V: np.ndarray):
+    """(V 2^-m, m): each column of V times the power of two that brings its
+    largest entry into [1/2, 1) (m = 0 for a zero column)."""
     m = np.frexp(np.abs(V).max(axis=0))[1]
-    W = np.array(V, dtype=complex)
+    W = np.array(V, dtype=complex, order="C")
     np.ldexp(W.view(float), -np.repeat(m, 2), out=W.view(float))
+    return W, m
+
+
+def _unit_columns(V: np.ndarray, t: np.ndarray):
+    """(V 2^-m, t 2^-m): ``_scaled_columns``, with the thresholds t."""
+    W, m = _scaled_columns(V)
     return W, np.ldexp(t, -m)
+
+
+def _column_norms(V: np.ndarray) -> np.ndarray:
+    """2-norms of the columns of V at unit scale (``_scaled_columns``), scaled
+    back: the plain norm's bits where no square over- or underflows."""
+    W, m = _scaled_columns(V)
+    return np.ldexp(np.linalg.norm(W, axis=0), m)
 
 
 # Same modulus as mu: over 1e5 steps |z|^n of moduli this close differ by at most e^-1e-3.
@@ -673,7 +753,7 @@ def structural_envelope(A: np.ndarray, H: np.ndarray, D: Decomposition):
     from one P_j H per block j (``_unit_columns``): mu the largest |z_j|
     where ||P_j h|| > COMPONENT_TOL ||h|| (else 0), e the largest k with
     (A - z_j I)^k P_j h != 0 over those of modulus mu (else None)."""
-    thr = COMPONENT_TOL * np.linalg.norm(H, axis=0)
+    thr = COMPONENT_TOL * _column_norms(H)
     moduli = np.abs([[b.z] for b in D.blocks])
     present, starts = [], []
     for b in D.blocks:

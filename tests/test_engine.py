@@ -7,7 +7,10 @@ multiplies with ``matmul``; the package's loops cut that bookkeeping down,
 and every log-norm they return must keep its bits.
 """
 
+import importlib
+import inspect
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -258,3 +261,136 @@ def test_edge_matrices(A):
     R = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
     for H in (np.eye(d), np.column_stack([np.eye(d), R]), R[:, :1]):
         _check(A, H, 2000, 1000)
+
+
+# ---------------------------------------------------------------------------
+# The split batch: two threads, the frozen bits
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def paths(monkeypatch):
+    """The pair argument of every ``_blocks`` call: [k, k] for a split run,
+    [0] for a serial one and [k, k, 0] for a split run redone serially.
+    The host is taken to allow two CPUs, so that the split runs anywhere."""
+    monkeypatch.setattr(criteria.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    calls, blocks = [], criteria._blocks
+
+    def recorded(A, e, V, shed, n_max, pair=0):
+        calls.append(pair)
+        return blocks(A, e, V, shed, n_max, pair)
+
+    monkeypatch.setattr(criteria, "_blocks", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("extra", [0, 1, 3])
+@pytest.mark.parametrize("dim", [48, 64])
+def test_split_widths(dim, extra, paths):
+    # The analyze batch and one or three more columns, so that the second
+    # half is not a multiple of 8 wide: every horizon up to 2k + 1 against
+    # a reference prefix (block boundaries do not depend on the horizon),
+    # and one family over 2000 steps.  The normaloid matrices have a
+    # square-zero block, whose basis columns die: their runs are redone.
+    rng = np.random.default_rng([dim, extra])
+    for family in FAMILIES:
+        A = _shape_matrix(family, dim, rng)
+        H = np.column_stack([v for _, v in probe_set(dim, rng)] + list(rng.standard_normal((extra, dim))))
+        k = criteria._block_steps(dim, H.shape[1])
+        ref = reference_orbit_log_norms(A, H, 2 * k + 1)
+        for n in (0, 1, k - 1, k, k + 1, 2 * k - 1, 2 * k, 2 * k + 1):
+            paths.clear()
+            assert _same_bits(orbit_log_norms_batch(A, H, n), ref[: n + 1]), (family, n)
+            assert paths == [k, k] + [0] * (family == "normaloid" and n > 0)
+    A = _shape_matrix(FAMILIES[extra % 5], dim, rng)
+    assert _same_bits(orbit_log_norms_batch(A, H, 2000), reference_orbit_log_norms(A, H, 2000))
+
+
+def _coupled():
+    # A subnormal entry in A: a pair-mode half would keep bits the frozen
+    # rescale rounds away (column e0 differs in most rows).
+    A = np.diag([0.3] * 63 + [0.9])
+    A[63, 0] = 1.37 * 2.0**-1030
+    return A
+
+
+def _square_zero():
+    # e1 -> e0 -> 0: the basis column e1 dies at step 2.
+    A = np.diag(np.full(64, 0.9))
+    A[:2, :2] = [[0.0, 1.0], [0.0, 0.0]]
+    return A
+
+
+def _decaying():
+    # e63 falls by 2^-300 a step, far below TINY_NORM by step 2.
+    return np.diag([0.9] * 63 + [2.0**-300])
+
+
+@pytest.mark.parametrize(
+    "make, path",
+    [(_coupled, [0]), (_square_zero, [3, 3, 0]), (_decaying, [3, 3, 0])],
+    ids=["subnormal-coupling", "square-zero", "decaying"],
+)
+def test_split_edge_matrices(make, path, paths):
+    # The guard on the inputs keeps the first off the split; the other two
+    # start it, stop where the frozen schedule cuts a block and are redone.
+    A = make()
+    H = np.column_stack([v for _, v in probe_set(64, np.random.default_rng(64))])
+    assert _same_bits(orbit_log_norms_batch(A, H, 2000), reference_orbit_log_norms(A, H, 2000))
+    assert paths == path
+
+
+def _split_batch():
+    rng = np.random.default_rng(5)
+    A = _shape_matrix("unitary", 64, rng)
+    return A, np.column_stack([v for _, v in probe_set(64, rng)])
+
+
+@pytest.mark.parametrize("width", [40, 44], ids=["caller", "worker"])
+def test_split_raises_from_either_half(width, paths, monkeypatch):
+    # P = 84 splits at 40 columns: the caller steps 40, the worker 44.
+    stepper = criteria._stepper
+
+    def failing(A, stack):
+        if stack.shape[2] == width:
+            raise FloatingPointError(f"half of {width}")
+        return stepper(A, stack)
+
+    A, H = _split_batch()
+    threads = threading.active_count()
+    assert orbit_log_norms_batch(A, H, 50).shape == (51, 84)
+    assert threading.active_count() == threads
+    monkeypatch.setattr(criteria, "_stepper", failing)
+    with pytest.raises(FloatingPointError, match=f"half of {width}"):
+        orbit_log_norms_batch(A, H, 50)
+    assert threading.active_count() == threads
+    assert paths == [3, 3, 3, 3]
+
+
+# The modules whose public functions bench/tracer.py wraps; its span stack
+# assumes one thread.
+TRACED = ("linalg", "structure", "criteria", "stability", "generators", "suites", "cli", "jsonout")
+
+
+def test_worker_calls_no_traced_function(paths):
+    modules = [importlib.import_module(f"aolab.{name}") for name in TRACED]
+    public = {
+        (m.__name__, name)
+        for m in modules
+        for name, f in vars(m).items()
+        if inspect.isfunction(f) and f.__module__ == m.__name__ and not name.startswith("_")
+    }
+    seen = set()
+
+    def hook(frame, event, arg):
+        if event == "call" and threading.current_thread() is not threading.main_thread():
+            seen.add((frame.f_globals.get("__name__"), frame.f_code.co_name))
+
+    A, H = _split_batch()
+    threading.setprofile(hook)
+    try:
+        orbit_log_norms_batch(A, H, 50)
+    finally:
+        threading.setprofile(None)
+    assert paths == [3, 3]
+    assert ("aolab.criteria", "_blocks") in seen
+    assert not seen & public

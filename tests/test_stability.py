@@ -1,6 +1,8 @@
 """Growth bounds, stability taxonomy, normal limits, root limits."""
 
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -648,6 +650,19 @@ class TestOrbitRootLimit:
         assert normal_limit(an, np.ones((3, 1)))[0] == pytest.approx(2.0, rel=1e-12)
         assert orbit_root_limit(an, np.ones((3, 1)))[0] == pytest.approx(1.0, abs=1e-3)
         assert steps == [300, 300]
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    def test_probe_entries_past_the_square_range(self, scale):
+        # The squares of these entries under- or overflow; both norms of a
+        # probe, the engine's and the envelope's threshold, are taken at
+        # unit scale, so no warning is raised and row 0 is log ||h||.
+        A, H = np.diag([0.5, 0.25]), np.full((2, 1), scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert orbit_root_limit(A, H) == pytest.approx([0.5], abs=1e-3)
+            logs = criteria.orbit_log_norms_batch(A, H, 10)
+        assert logs[0, 0] == pytest.approx(math.log(math.hypot(scale, scale)), rel=1e-15)
+        assert np.all(np.isfinite(logs))
 
     def test_zero_vector_rejected(self):
         with pytest.raises(InvalidInputError):
