@@ -11,12 +11,14 @@ eigenvalues:
 - ``analyze_ms``: one ``aolab analyze`` of its matrix JSON file, report
   written to a file, as the CLI runs it;
 - ``engine_ms``: ``orbit_log_norms_batch`` of the analyze probe batch (the
-  basis and 20 random probes) over 2000 steps;
+  basis and 20 random probes) over 2000 steps, split over two threads at
+  d64 (``criteria.SPLIT_MULADDS``) where the process may use two CPUs;
 - ``power_ms``: ``power_log_norms`` over POWER_STEPS powers, the power
   loop alone;
 - ``floor_ms``: the same 2000 products in blocks of the engine's length,
   through the engine's own stepper (``criteria._stepper``), with no norms
-  and no rescales, the floor the engine's bookkeeping sits on;
+  and no rescales, the floor the engine's bookkeeping sits on, on one
+  thread at every dimension;
 - ``minpoly_ms``: ``minimal_polynomial`` of the unitary given its norm, as
   an ``Analysis`` calls it; ``decompose_ms``: ``decompose`` of the unitary
   on that minimal polynomial; ``frobenius_ms``: ``frobenius_log_norms`` of

@@ -298,9 +298,9 @@ def _blocks(A: np.ndarray, e: int, V: np.ndarray, shed: np.ndarray, n_max: int, 
     of the frozen schedule per block, without the rescale between them.  A
     power-of-two scale commutes exactly with products, sums and square
     roots of normal floats, so the first block's last norms give the
-    skipped exponents and the second block keeps the frozen bits.  The loop
-    stops where that schedule cuts a block: a norm below TINY_NORM in
-    either frame, or a column that dies."""
+    skipped exponents, and the second block's norms (not its W) divided by
+    them keep the frozen bits.  The loop stops where that schedule cuts a
+    block: a norm below TINY_NORM in either frame, or a column that dies."""
     d, P = V.shape
     g = shed.size
     limit = pair or _block_steps(d, P)
@@ -318,14 +318,13 @@ def _blocks(A: np.ndarray, e: int, V: np.ndarray, shed: np.ndarray, n_max: int, 
         norms, limit = _block_norms(groups[:k], live, limit)
         kept = norms.shape[0]
         exps = shed + ek[:kept]
-        shift = 0
+        m = np.frexp(norms[-1])[1]
         if kept > pair > 0:  # the second block, in the frame of the skipped rescale
             shift = np.frexp(norms[pair - 1])[1]
             np.ldexp(norms[pair:], -shift, out=norms[pair:])
             exps[pair:] += shift
         if pair and (kept < k or norms.min() < TINY_NORM):
             return
-        m = np.frexp(norms[-1])[1] + shift
         # ldexp by one exponent per real part: faster than a product with
         # 2^-m, which can overflow after a one-step block's hypot norms.
         np.ldexp(parts[kept - 1].reshape(d, -1), -np.repeat(m, 2 * P // g), out=V_parts.reshape(d, -1))

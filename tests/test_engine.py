@@ -10,6 +10,7 @@ and every log-norm they return must keep its bits.
 import importlib
 import inspect
 import math
+import sys
 import threading
 
 import numpy as np
@@ -394,3 +395,29 @@ def test_worker_calls_no_traced_function(paths):
     assert paths == [3, 3]
     assert ("aolab.criteria", "_blocks") in seen
     assert not seen & public
+
+
+def test_split_under_contention(paths):
+    # Three callers split at once, six threads on the host's cores, with the
+    # interpreter switching threads every 10 us: every result keeps the
+    # frozen bits, so no half wrote another's columns.
+    A, H = _split_batch()
+    want = reference_orbit_log_norms(A, H, 300)
+    got = [None] * 3
+
+    def call(i):
+        got[i] = orbit_log_norms_batch(A, H, 300)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(3)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert all(g is not None and _same_bits(g, want) for g in got)
+    assert paths == [3] * 6
