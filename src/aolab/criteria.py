@@ -67,10 +67,9 @@ BLOCK_GROWTH_LOG2 = 400
 # (``_block_norms``): its squares could underflow.
 TINY_NORM = 2.0**-500
 
-# A probe batch splits over two threads (``_split_rows``) when a step takes this
-# many complex multiply-adds (d d P; the analyze batch, P = d + 20, from d = 45).
-# Split over serial time of that batch at 2000 steps (2 cores, BLAS at 1 thread):
-# 1.79 at d24, 1.31 d32, 1.05 d40, 0.92 d44, 0.87 d48, 0.88 d56, 0.73 d64.
+# A batch splits over two threads (``_split_rows``) from this many complex multiply-adds
+# per step, d d P (the analyze batch from d45).  Split over serial time, 2000 steps, 2
+# cores, BLAS at 1 thread: 1.79 at d24, 1.31 d32, 1.05 d40, 0.92 d44, 0.87 d48, 0.73 d64.
 SPLIT_MULADDS = 2**17
 
 _LN2 = math.log(2.0)
@@ -308,7 +307,7 @@ def _blocks(A: np.ndarray, e: int, V: np.ndarray, shed: np.ndarray, n_max: int, 
     # Real and imaginary parts side by side, for the exact rescales.
     parts, V_parts = stack.view(float).reshape(-1, d, P, 2), V.view(float).reshape(d, P, 2)
     groups = stack.reshape(len(stack), d * P // g, g)
-    ek = e * np.arange(1, len(stack) + 1)[:, np.newaxis]  # e n past the block's start n
+    ek = e * np.arange(1, len(stack) + 1)[:, np.newaxis]  # e j at a block's step j; shed holds e n
     live = np.ones(g, dtype=bool)
     propagate = _stepper(A, stack)
     n = 0
@@ -325,10 +324,12 @@ def _blocks(A: np.ndarray, e: int, V: np.ndarray, shed: np.ndarray, n_max: int, 
             exps[pair:] += shift
         if pair and (kept < k or norms.min() < TINY_NORM):
             return
-        # ldexp by one exponent per real part: faster than a product with
-        # 2^-m, which can overflow after a one-step block's hypot norms.
-        np.ldexp(parts[kept - 1].reshape(d, -1), -np.repeat(m, 2 * P // g), out=V_parts.reshape(d, -1))
-        shed += m + e * kept
+        if kept == 1:  # fewer calls, for the many small one-step blocks
+            np.ldexp(parts[0], -m[:, np.newaxis], out=V_parts)
+        else:  # one exponent per real part of the rows: faster than broadcasting over (P, 2)
+            np.ldexp(parts[kept - 1].reshape(d, -1), -np.repeat(m, 2 * P // g), out=V_parts.reshape(d, -1))
+        m += e * kept
+        shed += m
         live = norms[-1] > 0
         yield n, stack, norms, exps
         n += kept
