@@ -10,20 +10,21 @@ are timed, most of them on one seeded unitary with four distinct
 eigenvalues:
 - ``analyze_ms``: one ``aolab analyze`` of its matrix JSON file, report
   written to a file, as the CLI runs it;
-- ``engine_ms``: ``orbit_log_norms_batch`` of the analyze probe batch (the
-  basis and 20 random probes) over 2000 steps, split over two threads at
-  d64 (``criteria.SPLIT_MULADDS``) where the process may use two CPUs;
+- ``engine_ms``: ``orbit_log_norms_batch`` of the tree's analyze probe
+  batch (``criteria.probe_set``: the 20 random probes, 20 columns at every
+  dimension; a tree whose probe set holds the basis too runs d + 20) over
+  2000 steps;
 - ``power_ms``: ``power_log_norms`` over POWER_STEPS powers, the power
   loop alone;
 - ``floor_ms``: the same 2000 products in blocks of the engine's length,
   through the engine's own stepper (``criteria._stepper``), with no norms
-  and no rescales, the floor the engine's bookkeeping sits on, on one
-  thread at every dimension;
+  and no rescales, the floor the engine's bookkeeping sits on;
 - ``minpoly_ms``: ``minimal_polynomial`` of the unitary given its norm, as
   an ``Analysis`` calls it; ``decompose_ms``: ``decompose`` of the unitary
   on that minimal polynomial; ``frobenius_ms``: ``frobenius_log_norms`` of
-  the engine's batch over POWER_STEPS steps, as ``Analysis.frobenius_logs``
-  reads it: the three layers that ``analyze`` runs once per matrix;
+  the first 20 columns of the engine's batch over POWER_STEPS steps, as
+  ``Analysis.frobenius_logs`` reads the random probes: the three layers
+  that ``analyze`` runs once per matrix;
 - ``overlap_ms``: ``Analysis.block_overlap`` of gen_oblique(d, the d-th
   roots of unity, 50, seed=d), the principal-angle decision on all pairs
   of its d unimodular blocks, on its cached decomposition, the cached
@@ -218,7 +219,7 @@ def _rows(t, src, inputs, tmp: Path) -> dict:
             "floor_ms": partial(_floor, c._stepper(c._prescaled(A)[0], stack), H.astype(complex), k),
             "minpoly_ms": partial(t.structure.minimal_polynomial, A, norm),
             "decompose_ms": partial(t.structure.decompose, A, t.structure.minimal_polynomial(A, norm)),
-            "frobenius_ms": partial(c.frobenius_log_norms, logs, d),
+            "frobenius_ms": partial(c.frobenius_log_norms, logs, 20),
             "overlap_ms": partial(overlap, oblique),
             "classify_ms": partial(c.orbit_convergence, warmed(A)),
             "classify_jordan_ms": partial(c.orbit_convergence, jordan),

@@ -28,8 +28,8 @@ off orthogonal, within the error of their bases (exit 0); slow-decay,
 horizon are still large (exit 0); poly-IJ4, I + J_4, whose probes grow
 like n^k for their structural exponents k (exit 0); and jordan-d64,
 e^{0.3i} I + N at dim 64 with ||N|| = 2.9, like the analyze-large jordan
-op, whose Frobenius norms rule out no power of the growth check but whose
-block recursion rules out every n > 10 (exit 0); and planted-nilpotent-d8,
+op, whose block recursion rules out every power of the growth check past
+n = 10, where ||A^n||_F would rule out none (exit 0); and planted-nilpotent-d8,
 the root 0 of index 3 at dim 8, the shape of the growth suite's nilpotent
 trials, whose powers from n = 3 on are rounding noise (exit 0); and two
 whose last windows hold finite squared norms with a sum past the float

@@ -11,8 +11,6 @@ behaviour wherever both are available.
 from __future__ import annotations
 
 import math
-import os
-import threading
 import warnings
 from functools import cached_property, partial
 from itertools import combinations
@@ -54,8 +52,7 @@ UNIT_TOL = 1e-10
 CIRCLE_TOL = 1e-8
 
 # A block stack (``_blocks``) holds at most this many complex entries (256
-# KiB): k steps of the orbit engine's d x P batch, or k powers.  The two
-# halves of a split batch (``_split_rows``) stack 2k steps each: twice this.
+# KiB): k steps of the orbit engine's d x P batch, or k powers.
 STACK_ENTRIES = 2**14
 
 # A block of k plain steps grows a prescaled unit vector or power by at most
@@ -66,11 +63,6 @@ BLOCK_GROWTH_LOG2 = 400
 # A live norm below this, or exactly 0, ends a block before its step
 # (``_block_norms``): its squares could underflow.
 TINY_NORM = 2.0**-500
-
-# A batch splits over two threads (``_split_rows``) from this many complex multiply-adds
-# per step, d d P (the analyze batch from d45).  Split over serial time, 2000 steps, 2
-# cores, BLAS at 1 thread: 1.79 at d24, 1.31 d32, 1.05 d40, 0.92 d44, 0.87 d48, 0.73 d64.
-SPLIT_MULADDS = 2**17
 
 _LN2 = math.log(2.0)
 
@@ -277,33 +269,26 @@ def _stepper(A: np.ndarray, stack: np.ndarray):
     return propagate
 
 
-def _blocks(A: np.ndarray, e: int, V: np.ndarray, shed: np.ndarray, n_max: int, pair: int = 0):
+def _blocks(A: np.ndarray, V: np.ndarray, shed: np.ndarray, n_max: int):
     """The one block loop of the orbit engine and the power loop: yields
     (n, W, norms, exps) per block of k = len(norms) steps, with
-    (A 2^e)^(n+1+i) V0 = 2^exps[i] W[i] for i < k and the start V0 = 2^shed V.
+    A^(n+1+i) V0 = 2^exps[i] W[i] for i < k and the start V0 = 2^shed V.
 
-    A comes prescaled by 2^-e (``_prescaled``); V advances by one plain
-    product per step into a preallocated stack (``_block_steps``,
-    ``_stepper``).  shed holds one binary exponent, with its own 2-norm, per
-    column of V (the engine) or a single one for the whole of V (the power
-    loop).  A block is cut before a live group's norm falls below TINY_NORM
+    A is prescaled by 2^-e (``_prescaled``); V advances by one plain product
+    per step into a preallocated stack (``_block_steps``, ``_stepper``).
+    shed holds one binary exponent, with its own 2-norm, per column of V
+    (the engine) or a single one for the whole of V (the power loop).  A
+    block is cut before a live group's norm falls below TINY_NORM
     (``_block_norms``).  Before the block is yielded, V is carried from its
     last step, rescaled exactly by 2^-m per group (m the exponent of the
-    group's last norm), so W may be overwritten; (A 2^e)^n V0 = 2^shed V at
-    each block's start n.  Blocks do not depend on n_max: a shorter horizon
-    yields a prefix of a longer one.
-
-    The one mode, pair = k > 0 (``_split_rows``), runs two blocks of k steps
-    of the frozen schedule per block, without the rescale between them.  A
-    power-of-two scale commutes exactly with products, sums and square
-    roots of normal floats, so the first block's last norms give the
-    skipped exponents, and the second block's norms (not its W) divided by
-    them keep the frozen bits.  The loop stops where that schedule cuts a
-    block: a norm below TINY_NORM in either frame, or a column that dies."""
+    group's last norm), so W may be overwritten; A^n V0 = 2^shed V at each
+    block's start n.  Blocks do not depend on n_max: a shorter horizon
+    yields a prefix of a longer one."""
+    A, e = _prescaled(A)
     d, P = V.shape
     g = shed.size
-    limit = pair or _block_steps(d, P)
-    stack = np.empty((min(2 * pair or limit, n_max), d, P), dtype=complex)
+    limit = _block_steps(d, P)
+    stack = np.empty((min(limit, n_max), d, P), dtype=complex)
     # Real and imaginary parts side by side, for the exact rescales.
     parts, V_parts = stack.view(float).reshape(-1, d, P, 2), V.view(float).reshape(d, P, 2)
     groups = stack.reshape(len(stack), d * P // g, g)
@@ -312,18 +297,12 @@ def _blocks(A: np.ndarray, e: int, V: np.ndarray, shed: np.ndarray, n_max: int, 
     propagate = _stepper(A, stack)
     n = 0
     while n < n_max:
-        k = min(2 * pair or limit, n_max - n)
+        k = min(limit, n_max - n)
         propagate(V, k)
         norms, limit = _block_norms(groups[:k], live, limit)
         kept = norms.shape[0]
         exps = shed + ek[:kept]
         m = np.frexp(norms[-1])[1]
-        if kept > pair > 0:  # the second block, in the frame of the skipped rescale
-            shift = np.frexp(norms[pair - 1])[1]
-            np.ldexp(norms[pair:], -shift, out=norms[pair:])
-            exps[pair:] += shift
-        if pair and (kept < k or norms.min() < TINY_NORM):
-            return
         if kept == 1:  # fewer calls, for the many small one-step blocks
             np.ldexp(parts[0], -m[:, np.newaxis], out=V_parts)
         else:  # one exponent per real part of the rows: faster than broadcasting over (P, 2)
@@ -335,66 +314,12 @@ def _blocks(A: np.ndarray, e: int, V: np.ndarray, shed: np.ndarray, n_max: int, 
         n += kept
 
 
-def _unit_start(H: np.ndarray, shed: np.ndarray) -> np.ndarray:
-    """H as a C-contiguous complex start, column j times 2^-shed[j]."""
-    return np.ldexp(np.array(H, dtype=complex, order="C").view(float), -np.repeat(shed, 2)).view(complex)
-
-
-def _orbit_rows(A: np.ndarray, e: int, V: np.ndarray, shed: np.ndarray, out: np.ndarray, pair=0, stop=None) -> bool:
-    """Rows 1.. of the engine's out from the blocks of ``_blocks``; whether
-    they reached the last row.  A run that stops short or raises sets stop,
-    and a run that finds stop set ends."""
-    n_max, done = out.shape[0] - 1, 0
-    try:
-        with np.errstate(divide="ignore"):  # log(0) = -inf records a dead column
-            for n, _, norms, exps in _blocks(A, e, V, shed, n_max, pair):
-                if stop and stop.is_set():
-                    return False
-                done = n + norms.shape[0]
-                rows = out[n + 1 : done + 1]
-                np.log(norms, out=rows)
-                rows += exps * _LN2
-    finally:
-        if done < n_max and stop:
-            stop.set()
-    return done == n_max
-
-
-def _split_rows(A: np.ndarray, e: int, H: np.ndarray, shed: np.ndarray, out: np.ndarray) -> bool:
-    """Whether two threads wrote rows 1.. of the engine's out, in the pair
-    mode of ``_blocks`` on the schedule k of the whole batch: the caller
-    the columns of H before a cut at a multiple of 8, where zgemm keeps
-    every column's bits, a worker thread the rest.  False if a half stopped
-    short, and before any thread starts below SPLIT_MULADDS, for one-step
-    blocks or 2k steps that could overflow a square, on one CPU, or for a
-    nonzero part of A or of the unit-scale columns below TINY_NORM: the
-    products of the others are normal in both frames.  Not ruled out: an
-    entry that cancels 2^500 below its column's norm later in the run."""
-    d, P = H.shape
-    k = _block_steps(d, P)
-    if d * d * P < SPLIT_MULADDS or P < 16 or k < 2 or 2 * k * math.log2(d) > BLOCK_GROWTH_LOG2:
-        return False
-    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
-        return False
-    cut = 8 * (P // 16)
-    stop = threading.Event()  # a half that stops short or raises ends the other
-    halves = [(_unit_start(H[:, c], shed[c]), shed[c].copy(), out[:, c], k, stop) for c in (np.s_[:cut], np.s_[cut:])]
-    inputs = map(np.abs, (A.view(float), *(h[0].view(float) for h in halves)))
-    if any(np.any((x > 0) & (x < TINY_NORM)) for x in inputs):
-        return False
-    from concurrent.futures import ThreadPoolExecutor  # 4 ms, paid by the first split only
-    with ThreadPoolExecutor(1) as pool:  # joined on exit, also when a half raises
-        theirs = pool.submit(_orbit_rows, A, e, *halves[1])
-        mine = _orbit_rows(A, e, *halves[0])
-        return theirs.result() and mine
-
-
 def orbit_log_norms_batch(A: np.ndarray, H: np.ndarray, n_max: int) -> np.ndarray:
     """log ||A^n h|| for every column h of H, n = 0..n_max: the orbit engine,
-    all columns advancing together through ``_blocks`` (or in two halves,
-    ``_split_rows``).  A column that reaches exactly zero reads -inf from
-    then on.  Readers cut the rows at an overflow (each column at its own
-    in ``classify_orbits``, the whole batch in ``orbit_norms_batch``).
+    all columns advancing together through ``_blocks``.  A column that
+    reaches exactly zero reads -inf from then on.  Readers cut the rows at
+    an overflow (each column at its own in ``classify_orbits``, the whole
+    batch in ``orbit_norms_batch``).
     """
     s = _column_norms(H)
     if not np.all(s > 0):
@@ -402,9 +327,12 @@ def orbit_log_norms_batch(A: np.ndarray, H: np.ndarray, n_max: int) -> np.ndarra
     out = np.empty((n_max + 1, s.size))
     np.log(s, out=out[0])
     shed = np.frexp(s)[1].astype(np.int64)  # each column starts at unit scale
-    A, e = _prescaled(A)
-    if not _split_rows(A, e, H, shed, out):
-        _orbit_rows(A, e, _unit_start(H, shed), shed, out)
+    V = np.ldexp(np.array(H, dtype=complex, order="C").view(float), -np.repeat(shed, 2)).view(complex)
+    with np.errstate(divide="ignore"):  # log(0) = -inf records a dead column
+        for n, _, norms, exps in _blocks(A, V, shed, n_max):
+            rows = out[n + 1 : n + norms.shape[0] + 1]
+            np.log(norms, out=rows)
+            rows += exps * _LN2
     return out
 
 
@@ -439,7 +367,7 @@ def power_log_norms(A: np.ndarray, n_max: int) -> np.ndarray:
     """
     A = as_matrix(A)
     out = np.full(n_max, -np.inf)
-    for n, W, fro, exps in _blocks(*_prescaled(A), np.eye(A.shape[0], dtype=complex), np.zeros(1, dtype=np.int64), n_max):
+    for n, W, fro, exps in _blocks(A, np.eye(A.shape[0], dtype=complex), np.zeros(1, dtype=np.int64), n_max):
         if fro[-1, 0] == 0.0:
             break
         m = np.frexp(fro[:, 0])[1]
@@ -509,9 +437,10 @@ class Analysis:
     first use, what every stage reads off them: ``norm`` (||A||),
     ``contraction``, ``minpoly``, ``spectral_radius`` (the largest root
     modulus), ``decomposition``, ``block_overlap``, the probe ``orbits`` and
-    the Frobenius norms of the powers off them (``frobenius_logs``); and the
-    power-norm trajectory ``power_logs(n)``, formed again only for a longer
-    one than the kept one.  Uncertifiable structure raises on first use.
+    the Frobenius norms of the powers times the random probes off them
+    (``frobenius_logs``); and the power-norm trajectory ``power_logs(n)``,
+    formed again only for a longer one than the kept one.  Uncertifiable
+    structure raises on first use.
     Every stage takes a matrix or an Analysis (``as_analysis``)."""
 
     def __init__(self, A, config: RunConfig | None = None):
@@ -550,9 +479,10 @@ class Analysis:
 
     @cached_property
     def frobenius_logs(self) -> np.ndarray:
-        """log ||A^n||_F for n = 1..POWER_STEPS, read off the basis columns
-        of the probe batch (``frobenius_log_norms``).  Read-only."""
-        logs = frobenius_log_norms(self.orbits[1][1 : POWER_STEPS + 1], self.A.shape[0])
+        """log ||A^n R||_F for n = 1..POWER_STEPS, R the 20 random probes,
+        the first columns of the probe batch (``frobenius_log_norms``).
+        Read-only."""
+        logs = frobenius_log_norms(self.orbits[1][1 : POWER_STEPS + 1], 20)
         logs.flags.writeable = False
         return logs
 
@@ -576,11 +506,6 @@ class Analysis:
                 kind, margin, pair = k, c, (a, b, r)
         return kind, margin, pair
 
-    @property
-    def has_orbits(self) -> bool:
-        """Whether the probe batch is already propagated."""
-        return "orbits" in self.__dict__
-
     @cached_property
     def orbits(self):
         """(probes, logs): ``probe_set`` for the config's seed, plus the
@@ -588,7 +513,7 @@ class Analysis:
         ``overlap{a}+{b}``), and the read-only rows n = 0..max(n_max,
         POWER_STEPS) of their ``orbit_log_norms_batch``.  Orbit readers take
         rows 0..n_max, bit for bit an n_max-step batch (the engine's prefix
-        property); the power-bound check reads the basis columns."""
+        property); the power-bound check reads the random columns."""
         probes = probe_set(self.A.shape[0], np.random.default_rng(self.config.seed))
         kind, _, pair = self.block_overlap
         if kind == 2:
@@ -676,13 +601,17 @@ def power_bounded_roots(roots) -> bool:
     )
 
 
-def frobenius_log_norms(logs: np.ndarray, d: int) -> np.ndarray:
-    """log ||A^n||_F for every row n of a probe batch's log-norms, read off
-    its first d columns, the standard basis (``probe_set``): ||A^n||_F^2 =
-    sum_i ||A^n e_i||^2, one exp, sum and log over the columns, shifted by
-    each row's largest, on the one temporary ``2 logs[:, :d]``.  A row
-    whose basis orbits all died reads -inf."""
-    x = 2.0 * logs[:, :d]
+def frobenius_log_norms(logs: np.ndarray, p: int) -> np.ndarray:
+    """log ||A^n R||_F for every row n of a batch's log-norms, R its first p
+    columns: ||A^n R||_F^2 = sum_j ||A^n r_j||^2, one exp, sum and log over
+    the columns, shifted by each row's largest, on the one temporary
+    ``2 logs[:, :p]``.  A row whose p orbits all died reads -inf.
+
+    With R the standard basis this is ||A^n||_F.  With R the random unit
+    probes of ``probe_set`` it is not an upper bound on ||A^n||, but it is
+    bounded iff the powers are, and tends to 0 iff they do, for every R off
+    a proper algebraic subset, which random probes miss."""
+    x = 2.0 * logs[:, :p]
     top = x.max(axis=1)
     top[top == -np.inf] = 0.0
     x -= top[:, np.newaxis]
@@ -690,17 +619,18 @@ def frobenius_log_norms(logs: np.ndarray, d: int) -> np.ndarray:
         return 0.5 * (top + np.log(np.exp(x, out=x).sum(axis=1)))
 
 
-# log ||A^n||_F past this is unbounded: 90 below log OVERFLOW_LIMIT, where orbits are cut.
+# log ||A^n R||_F over the random probes past this is unbounded: 90 below log OVERFLOW_LIMIT,
+# where orbits are cut.
 UNBOUNDED_LOG = 600
 
 
 def is_power_bounded(A, config: RunConfig | None = None) -> bool:
     """sup_n ||A^n|| finite, decided structurally: spectral radius at most 1
     and every root of modulus (near) 1 simple in the minimal polynomial.
-    Cross-checked against log ||A^n||_F for n = 1..POWER_STEPS, read off the
-    basis columns of the probe batch (``Analysis.frobenius_logs``);
-    power-boundedness does not depend on the norm.  Disagreement raises
-    InconsistencyError.
+    Cross-checked against log ||A^n R||_F for n = 1..POWER_STEPS, R the
+    random columns of the probe batch (``Analysis.frobenius_logs``): the
+    powers are bounded iff A^n R is, for every R off a proper algebraic
+    subset.  Disagreement raises InconsistencyError.
     """
     an = as_analysis(A, config)
     structural = power_bounded_roots(an.minpoly.roots)
@@ -781,13 +711,13 @@ def structural_envelope(A: np.ndarray, H: np.ndarray, D: Decomposition):
 # ---------------------------------------------------------------------------
 
 def probe_set(d: int, rng: np.random.Generator):
-    """(label, vector) probes in C^d: the standard basis and 20 random unit
-    vectors."""
+    """(label, vector) probes in C^d: 20 random unit vectors, rand0..rand19.
+
+    The criteria quantify over every h, but a cross-check needs only a
+    generic one: the h whose orbits converge, or stay bounded, form a
+    real-algebraic subset of C^d: all of it, or a proper part of measure
+    zero, which a random probe misses with probability 1."""
     probes = []
-    for i in range(d):
-        e = np.zeros(d, dtype=complex)
-        e[i] = 1.0
-        probes.append((f"e{i}", e))
     for t in range(20):
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         probes.append((f"rand{t}", v / np.linalg.norm(v)))

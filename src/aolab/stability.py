@@ -48,16 +48,12 @@ from .structure import minimal_polynomial  # noqa: F401
 # Roots up to this modulus are 0; planted nilpotents at d2-d64 (cond cap 100) read r <= 9e-15.
 _NILPOTENT_RADIUS = 1e-12
 
-# ``growth_bound`` forms no power A^n past the last n whose upper bound on
-# the excess log ||A^n||_2 - log bound_n comes within this of the best
-# exact excess (0 on a nilpotent matrix): the Frobenius norm off the probe
-# batch and the block recursion (``recursion_log_norms``).  It covers the
-# rounding of log ||A^n||_2 (``power_log_norms``) against them.  Over 105
-# planted and oblique cases at dims 4-64 and cond caps 1e2-1e6, and
-# 0.99 I + 30 J at dim 4, it exceeded log ||A^n||_F off the batch by at
-# most 6.8e-14 (on the last).  It exceeded the recursion by at most
-# 4.2e-14 (on z I).
-_FROBENIUS_SLACK = 1e-8
+# ``growth_bound`` forms no power A^n past the last n whose block recursion
+# bound (``recursion_log_norms``) on the excess log ||A^n||_2 - log bound_n
+# comes within this of the best exact excess (0 on a nilpotent matrix).  It
+# covers the rounding of log ||A^n||_2 (``power_log_norms``) against the
+# recursion, which it exceeded by at most 4.2e-14 (on z I).
+_RECURSION_SLACK = 1e-8
 
 # The growth bound holds when the largest ratio ||A^n|| / bound_n is at most
 # 1 + _RATIO_TOL.
@@ -246,10 +242,10 @@ def growth_bound(A) -> GrowthBound:
     alpha = sum_j ||P_j|| alpha_j.  Verified empirically up to POWER_STEPS:
     the largest ratio ||A^n|| / bound_n is taken over the exact spectral
     norms (``Analysis.power_logs``) of powers 1..FIRST_POWERS and of every
-    power up to the last n whose Frobenius norm (``Analysis.frobenius_logs``,
-    when the probe batch is already propagated) and whose block recursion
-    bound (``recursion_log_norms``) could both still exceed that ratio; it
-    equals the maximum over all POWER_STEPS powers bit for bit.  A nilpotent matrix is checked against the vanishing level
+    power up to the last n whose block recursion bound
+    (``recursion_log_norms``, over all POWER_STEPS powers) could still
+    exceed that ratio; it equals the maximum over all POWER_STEPS powers
+    bit for bit.  A nilpotent matrix is checked against the vanishing level
     from n = deg p on, up to the last n whose recursion bound could still
     exceed it, and the first power past the level is named.
     """
@@ -269,7 +265,7 @@ def growth_bound(A) -> GrowthBound:
         vanish = np.log(_VANISHING_LEVEL) + mp.degree * np.log(max(1.0, an.norm))
         upper = recursion_log_norms(an, POWER_STEPS)
         upper[: valid_from - 1] = -np.inf
-        m = _reach(upper - vanish, -_FROBENIUS_SLACK)
+        m = _reach(upper - vanish, -_RECURSION_SLACK)
         live = np.flatnonzero(decide(an.power_logs(m)[valid_from - 1 :], vanish) == 2)
         if live.size:
             raise InconsistencyError(
@@ -303,15 +299,11 @@ def growth_bound(A) -> GrowthBound:
     valid_from = 1
     n = np.arange(valid_from, POWER_STEPS + 1)
     log_bound = np.log(alpha) + kappa * np.log(n) + n * np.log(r)
-    # No n past the last one whose Frobenius excess off the probe batch,
-    # or whose recursion excess, comes within the slack of the best exact
-    # excess of the first FIRST_POWERS powers can hold the maximum.  A bare
-    # call propagates no batch, and the recursion starts from all
-    # POWER_STEPS powers.
-    floor = _worst_excess(an.power_logs(FIRST_POWERS), log_bound) - _FROBENIUS_SLACK
-    m = _reach(an.frobenius_logs - log_bound, floor) if an.has_orbits else POWER_STEPS
-    if m > FIRST_POWERS:
-        m = _reach(recursion_log_norms(an, m) - log_bound[:m], floor)
+    # No n past the last one whose recursion excess comes within the slack
+    # of the best exact excess of the first FIRST_POWERS powers can hold
+    # the maximum.
+    floor = _worst_excess(an.power_logs(FIRST_POWERS), log_bound) - _RECURSION_SLACK
+    m = _reach(recursion_log_norms(an, POWER_STEPS) - log_bound, floor)
     worst = _worst_excess(an.power_logs(max(m, FIRST_POWERS)), log_bound)
     if worst > np.log(np.finfo(float).max):  # the ratio itself overflows
         raise InconsistencyError(f"growth bound violated: log ratio {worst:.2f}")
@@ -349,9 +341,10 @@ def uniform_stability(A, config: RunConfig | None = None) -> StabilityVerdict:
 
     The probe orbits are ``Analysis.orbits``, the batch ``theorem_check``
     classifies, read over the full horizon.  r < 1 is cross-checked by
-    log ||A^n||_F falling from n = n_max // 2 + 1 to n = n_max, read off
-    the batch's basis columns (``frobenius_log_norms``; decay does not
-    depend on the norm, and a zero power counts as falling).
+    log ||A^n R||_F falling from n = n_max // 2 + 1 to n = n_max, R the
+    batch's 20 random columns (``frobenius_log_norms``; A^n R tends to 0
+    iff the powers do, for every R off a proper algebraic subset, and a
+    zero power counts as falling).
     """
     an = as_analysis(A, config)
     cfg = an.config
@@ -359,7 +352,7 @@ def uniform_stability(A, config: RunConfig | None = None) -> StabilityVerdict:
     probes, ologs = an.orbits
     ologs = ologs[: cfg.n_max + 1]
     if uniformly:
-        mid, end = frobenius_log_norms(ologs[[cfg.n_max // 2 + 1, cfg.n_max]], an.A.shape[0])
+        mid, end = frobenius_log_norms(ologs[[cfg.n_max // 2 + 1, cfg.n_max]], 20)
         if end > -np.inf and end >= mid:
             raise InconsistencyError("r < 1 but power norms do not decay")
 

@@ -158,49 +158,60 @@ class TestAnalyze:
     def test_entries_whose_squares_overflow(self, big, tmp_path, capsys):
         # Squares of the entries from 1e150 on pass the float range: in
         # norms, in is_unitary's products, and, past 1e154, in the orbit
-        # engines.  At every size the e0 orbit's own cut step passes 1e308,
+        # engines.  At every size each probe's own cut step passes 1e308,
         # so its norm there is clamped.
-        inp = _write_matrix(tmp_path / "m.json", np.diag([big, 0.5]).astype(complex))
+        A = np.diag([big, 0.5]).astype(complex)
+        inp = _write_matrix(tmp_path / "m.json", A)
         assert main(["analyze", "--input", inp]) == EXIT_OK
         crit = _finite_report(capsys.readouterr().out)["criteria"]
         assert crit["normaloid"] is True and crit["power_bounded"] is False
-        e0, e1 = crit["probes"][:2]
+        for probe in crit["probes"]:
+            assert probe["classification"]["rate"] == pytest.approx(big, rel=1e-9)
+            assert probe["norm_last"] == pytest.approx(1e308, rel=1e-12)
+        # In a batch of the basis, the e1 orbit is not cut where e0
+        # overflows: 0.5^n runs the full horizon, dies and converges;
+        # 0.5^2000 underflows in its record.
+        logs = criteria.orbit_log_norms_batch(A, np.eye(2), 2000)
+        ends, classes = criteria.classify_orbits(logs)
+        e0, e1 = (criteria.OrbitRecord(None, logs[: ends[j], j], None, classes[j]).to_obj() for j in (0, 1))
         assert e0["classification"]["rate"] == pytest.approx(big, rel=1e-9)
         assert e0["norm_last"] == pytest.approx(1e308, rel=1e-12)
-        # The e1 orbit is not cut where e0 overflows: 0.5^n runs the full
-        # horizon, dies and converges; 0.5^2000 underflows in the report.
-        assert e1["label"] == "e1" and e1["classification"] == {"kind": "convergent", "limit": 0.0}
+        assert ends[1] == 2001 and e1["classification"] == {"kind": "convergent", "limit": 0.0}
         assert e1["norm_last"] == 0.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "A, kept",
-        [([[1, 1e150], [0, 1]], ["e0"]), (np.diag([np.exp(709.5 / 4000), 0.5]), ["e1"])],
+        "A",
+        [[[1, 1e150], [0, 1]], np.diag([np.exp(709.5 / 4000), 0.5])],
         ids=["jordan-1e150", "window-square-overflow"],
     )
-    def test_window_whose_squares_overflow(self, A, kept, tmp_path, capsys):
+    def test_window_whose_squares_overflow(self, A, tmp_path, capsys):
         # Some probes' last windows hold finite squared norms whose sum
-        # overflows (``TestUniformStability`` names them): the report
-        # leaves them out of the limits, with the other growing probes, and
-        # stays finite.
+        # overflows (``TestUniformStability`` names them, and keeps the
+        # basis probe that does not grow): the report leaves them out of
+        # the limits, with the other growing probes, and stays finite.
         inp = _write_matrix(tmp_path / "m.json", np.array(A, dtype=complex))
         assert main(["analyze", "--input", inp, "--seed", "0"]) == EXIT_OK
         out, err = capsys.readouterr()
         assert err == ""
-        assert list(_finite_report(out)["stability"]["limit_projection_norm_sq"]) == kept
+        assert _finite_report(out)["stability"]["limit_projection_norm_sq"] == {}
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("big", [1e110, 1e200])
     def test_nilpotent_huge_entries_converge(self, big, tmp_path, capsys):
         # The orbits of big * shift pass 1e300 one step before they die (at
         # 1e200): death is read before the overflow cut, so every probe
-        # converges, as the structure says.
-        inp = _write_matrix(tmp_path / "m.json", big * np.eye(3, k=1, dtype=complex))
+        # converges, as the structure says, and so does every basis orbit,
+        # e0 at once and e1 a step later.
+        A = big * np.eye(3, k=1, dtype=complex)
+        inp = _write_matrix(tmp_path / "m.json", A)
         assert main(["analyze", "--input", inp]) == EXIT_OK
         crit = _finite_report(capsys.readouterr().out)["criteria"]
         assert crit["orbits_convergent"] is True
         assert all(p["classification"] == {"kind": "convergent", "limit": 0.0} for p in crit["probes"])
-        assert [p["structural_exponent"] for p in crit["probes"]] == [0, 1] + [2] * 21
+        assert [p["structural_exponent"] for p in crit["probes"]] == [2] * 20
+        _, classes = criteria.classify_orbits(criteria.orbit_log_norms_batch(A, np.eye(3), 2000))
+        assert classes == [criteria.Classification(kind="convergent", limit=0.0)] * 3
 
     def test_analyze_computes_structure_once(self, tmp_path, monkeypatch, capsys):
         calls = _record_calls(
@@ -224,7 +235,7 @@ class TestAnalyze:
 
     def test_analyze_without_csv_forms_ten_powers(self, tmp_path, monkeypatch, capsys):
         # The growth bound of canonical_oblique peaks within the first ten
-        # powers, and its Frobenius norms rule out every later one.
+        # powers, and its block recursion rules out every later one.
         calls = _record_calls(monkeypatch, ["power_log_norms", "orbit_log_norms_batch"])
         inp = _write_matrix(tmp_path / "m.json", canonical_oblique())
         assert main(["analyze", "--input", inp]) == EXIT_OK
@@ -313,8 +324,8 @@ class TestAnalyze:
 
     def test_d64_heap_peak(self, tmp_path, capsys):
         # The parsed JSON lists are dropped once the matrix is built: one
-        # d64 analyze peaks near 2,450 KiB, against 3,010 KiB while they
-        # were kept.
+        # d64 analyze peaks near 1,680 KiB with its 20-column probe batch,
+        # against 3,010 KiB while they were kept, with d + 20 columns.
         U = gen_unitary_finite_spectrum(64, spread_unimodular(np.random.default_rng(1), 4), 1)
         inp = _write_matrix(tmp_path / "m.json", U)
         assert main(["analyze", "--input", inp]) == EXIT_OK

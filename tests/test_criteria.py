@@ -356,14 +356,15 @@ class TestBatchClassifier:
         assert classes[1:] == [Classification(kind="bounded-nonconvergent")] * 3
 
     def test_working_set(self):
-        # Classifying a d64 batch (84 columns, 2001 rows) exponentiates only
-        # the windows the rules read: no copy of the batch.
+        # Classifying a d64 batch (20 columns, 2001 rows, 313 KiB)
+        # exponentiates only the windows the rules read: no copy of the
+        # batch.
         import tracemalloc
 
         A = gen_jordan_perturbation(64, np.exp(0.7j), 1.0, seed=0)
         an = Analysis(A, RunConfig(seed=0))
         _, logs = an.orbits
-        assert logs.shape == (2001, 84)
+        assert logs.shape == (2001, 20)
         tracemalloc.start()
         try:
             classify_orbits(logs)
@@ -377,12 +378,15 @@ class TestBatchClassifier:
     def test_structural_exponents_huge_entries(self, big):
         # (A - zI)^k P_j h reaches big^2: its norms are taken from columns
         # rescaled by powers of two, so nothing overflows (a RuntimeWarning
-        # fails the test), and the exponents are those of the plain shift.
-        rep = theorem_check(big * np.eye(3, k=1), RunConfig(seed=0))
+        # fails the test), and the exponents are those of the plain shift:
+        # 2 for the random probes, k for the basis vector e_k.
+        an = Analysis(big * np.eye(3, k=1), RunConfig(seed=0))
+        rep = theorem_check(an)
         exponents = [r.structural_exponent for _, r in rep.probes]
         assert exponents == [r.structural_exponent for _, r in theorem_check(np.eye(3, k=1), RunConfig(seed=0)).probes]
-        assert exponents == [0, 1] + [2] * 21
+        assert exponents == [2] * 20
         assert rep.orbits_convergent and all(r.classification.kind == "convergent" for _, r in rep.probes)
+        assert structural_envelope(an.A, np.eye(3), an.decomposition)[1] == [0, 1, 2]
 
 
 def _slow_decay_instances():
@@ -579,8 +583,9 @@ class TestOrbitIteration:
 
     @pytest.mark.parametrize("dim", [4, 16, 64])
     def test_frobenius_logs_match_reference(self, dim):
-        # The power-bound and decay checks read log ||A^n||_F off the basis
-        # orbits; the nilpotent shift reads -inf on every row from n = dim.
+        # Off the basis orbits, the log-sum of the power-bound and decay
+        # checks is log ||A^n||_F; the nilpotent shift reads -inf on every
+        # row from n = dim.
         for name, A in _engine_instances(dim).items():
             fro = frobenius_log_norms(orbit_log_norms_batch(A, np.eye(dim), 300), dim)
             assert fro[0] == pytest.approx(0.5 * np.log(dim), rel=1e-15), name
@@ -596,11 +601,14 @@ class TestOrbitIteration:
     @pytest.mark.parametrize("big", [1e150, 1e200])
     def test_frobenius_logs_huge_entries(self, big):
         # The squares of 1e150 overflow: the Frobenius norms are taken in
-        # log space (a RuntimeWarning fails the test).
-        _, logs = Analysis(np.diag([big, 0.5]), RunConfig(seed=0)).orbits
-        fro = frobenius_log_norms(logs, 2)
+        # log space (a RuntimeWarning fails the test), off the basis orbits
+        # and off the random probes of the analysis.
+        A = np.diag([big, 0.5])
+        fro = frobenius_log_norms(orbit_log_norms_batch(A, np.eye(2), 2000), 2)
         assert fro[2000] == pytest.approx(2000 * np.log(big), rel=1e-12)
-        assert np.diff(fro[1:]) == pytest.approx(np.full(1999, np.log(big)), rel=1e-9)
+        _, logs = Analysis(A, RunConfig(seed=0)).orbits
+        for fro in (fro, frobenius_log_norms(logs, 20)):
+            assert np.diff(fro[1:]) == pytest.approx(np.full(1999, np.log(big)), rel=1e-9)
 
     def test_tiny_entries(self):
         # The squares of 1e-170 underflow to zero: unscaled, every power
@@ -651,7 +659,7 @@ class TestPredicates:
 
     @pytest.mark.parametrize("scale, k", [(1e100, 5), (1e60, 6), (1e110, 3), (1.0, 5), (1e30, 8)])
     def test_vanishing_powers_are_bounded(self, scale, k):
-        # c J_k has finite Frobenius norms up to n = k - 1, the largest past
+        # c J_k R has finite Frobenius norms up to n = k - 1, the largest past
         # e^UNBOUNDED_LOG for the first two, and exactly zero powers after.
         an = Analysis(scale * np.eye(k, k=1))
         logs = an.frobenius_logs
@@ -660,8 +668,8 @@ class TestPredicates:
 
     @pytest.mark.parametrize("dim", [4, 8, 16])
     def test_frobenius_power_bound_agrees_with_structure(self, dim):
-        # is_power_bounded raises when the Frobenius norms of the basis
-        # orbits and the roots disagree.  The cond caps stay below 1e4,
+        # is_power_bounded raises when the Frobenius norms of the powers
+        # times the random probes and the roots disagree.  The cond caps stay below 1e4,
         # where the fixed UNIT_TOL starts to misread computed roots.
         cfg = RunConfig(n_max=POWER_STEPS, seed=0)
         for seed in range(3):
@@ -705,8 +713,8 @@ class TestTheoremCheck:
         unit_columns, calls = criteria._unit_columns, []
         monkeypatch.setattr(criteria, "_unit_columns", lambda V, t: calls.append(V.shape) or unit_columns(V, t))
         rep = theorem_check(an)
-        assert calls == [(6, 26)] * 3
-        assert [r.structural_exponent for _, r in rep.probes] == [1] * 26
+        assert calls == [(6, 20)] * 3
+        assert [r.structural_exponent for _, r in rep.probes] == [1] * 20
 
     def test_report_keys_are_record_fields(self):
         # A record's JSON keys are its fields, in order; a Classification
@@ -730,7 +738,7 @@ class TestTheoremCheck:
         rep = theorem_check(dft4(), RunConfig(seed=0))
         assert rep.orbits_convergent and rep.orbits_margin <= COMPONENT_TOL
         labels = [label for label, _ in rep.probes]
-        assert labels == [f"e{i}" for i in range(4)] + [f"rand{t}" for t in range(20)]
+        assert labels == [f"rand{t}" for t in range(20)]
 
     def test_oblique_overlap_probe_last(self):
         rep = theorem_check(canonical_oblique(), RunConfig(seed=0))
@@ -815,7 +823,7 @@ class TestAnalysis:
         an = Analysis(dft4(), RunConfig(seed=0))
         with pytest.raises(InvalidInputError, match="holds its own config"):
             stage(an, RunConfig(seed=7))
-        assert not an.has_orbits
+        assert "orbits" not in an.__dict__
         assert criteria.as_analysis(an) is an
 
     def test_bare_is_normaloid_reads_ten_steps(self, monkeypatch):
@@ -997,5 +1005,5 @@ class TestOrbitAnalyze:
     def test_horizon_from_config(self):
         A = gen_jordan_perturbation(2, 1.0, 1.0, seed=0)
         rep = theorem_check(A, RunConfig(n_max=500))
-        rec = dict(rep.probes)["e1"]
+        rec = dict(rep.probes)["rand0"]
         assert rec.log_norms.shape == (501,)

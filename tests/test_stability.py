@@ -139,7 +139,6 @@ class TestGrowthBound:
         for b in an.decomposition.blocks:
             assert b.projection_norm == pytest.approx(operator_norm(b.projection), rel=1e-12)
         an.power_logs()
-        an.frobenius_logs
         norm = np.linalg.norm
 
         def block_norm(M, *args, **kwargs):
@@ -167,11 +166,10 @@ class TestGrowthBound:
 
     @pytest.mark.parametrize("name", [*_RATIO_CASES, *_JORDAN_CASES])
     def test_certified_maximum_matches_trajectory(self, name, monkeypatch):
-        # With the probe batch propagated, growth_bound reads the powers up
-        # to the last n that the Frobenius norms off the batch and the
-        # recursion leave in play: first ten, then at most one longer
-        # prefix, which holds the argmax of the full trajectory.  The ratio
-        # is the full maximum bit for bit.
+        # With the probe batch propagated, as without, growth_bound reads
+        # the powers up to the last n that the recursion leaves in play:
+        # first ten, then at most one longer prefix, which holds the argmax
+        # of the full trajectory.  The ratio is the full maximum bit for bit.
         A = _JORDAN_CASES[name]() if name in _JORDAN_CASES else _RATIO_CASES[name]()[0]
         want, at = _full_ratio(A, growth_bound(A))
         an = Analysis(A, RunConfig(seed=0))
@@ -190,7 +188,7 @@ class TestGrowthBound:
         log_bound = logs + np.random.default_rng(seed).random(POWER_STEPS)
         want = stability._worst_excess(logs, log_bound)
         upper = stability.recursion_log_norms(Analysis(A), POWER_STEPS) - log_bound
-        m = stability._reach(upper, want - stability._FROBENIUS_SLACK)
+        m = stability._reach(upper, want - stability._RECURSION_SLACK)
         assert stability._worst_excess(logs[:m], log_bound) == want
 
     @pytest.mark.parametrize("big", [1e110, 1e200])
@@ -263,8 +261,8 @@ class TestGrowthBound:
 
     @pytest.mark.parametrize("dim", [4, 8, 16, 32, 64])
     def test_frobenius_rounding_within_slack(self, dim):
-        # growth_bound skips n by log ||A^n||_F off the probe batch, which
-        # must bound the computed log ||A^n||_2 up to far less than the
+        # log ||A^n||_F, off the basis orbits of an engine batch, bounds the
+        # computed log ||A^n||_2 up to 1e-10, a hundredth of the recursion's
         # slack: planted structures at cond caps 1e2-1e6, oblique ones at
         # 1e3 and alpha I + N.
         planted = [(0.95 * np.exp(1j), 2), (0.7j, 1), (-0.5, 1)]
@@ -274,11 +272,11 @@ class TestGrowthBound:
         if dim < 64:
             cases += [gen_planted_jordan(dim, [(np.exp(1j), 1), (-0.6, 2)], 1e6, 0),
                       gen_oblique(dim, np.exp(2j * np.pi * (np.arange(dim) + 0.1) / dim), 1e3, dim)]
-        cfg = RunConfig(n_max=POWER_STEPS, seed=0)
         for A in cases:
             spectral = power_log_norms(A, POWER_STEPS)
-            excess = spectral - Analysis(A, cfg).frobenius_logs
-            assert np.max(excess[np.isfinite(spectral)]) <= 0.01 * stability._FROBENIUS_SLACK
+            basis = criteria.orbit_log_norms_batch(A, np.eye(dim), POWER_STEPS)
+            excess = spectral - criteria.frobenius_log_norms(basis, dim)[1:]
+            assert np.max(excess[np.isfinite(spectral)]) <= 0.01 * stability._RECURSION_SLACK
 
     @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32, 64])
     def test_recursion_rounding_within_slack(self, dim):
@@ -306,7 +304,7 @@ class TestGrowthBound:
             finite = np.isfinite(spectral)
             bound = stability.recursion_log_norms(an, POWER_STEPS)
             assert np.all(np.isfinite(bound))
-            assert np.max(spectral[finite] - bound[finite]) <= 0.01 * stability._FROBENIUS_SLACK
+            assert np.max(spectral[finite] - bound[finite]) <= 0.01 * stability._RECURSION_SLACK
             shifted = Analysis(A)
             blocks = tuple(b._replace(z=b.z + 1e-3) for b in an.decomposition.blocks)
             shifted.decomposition = an.decomposition._replace(blocks=blocks)
@@ -325,9 +323,9 @@ class TestGrowthBound:
 
     @pytest.mark.parametrize("name", _JORDAN_CASES)
     def test_recursion_forms_no_power_past_ten(self, name, monkeypatch):
-        # ||A^n||_F rules out no n on alpha I + N, but the recursion rules
-        # out every n > 10, with or without the probe batch; the ratio keeps
-        # the bits of the maximum over the full trajectory.
+        # The recursion rules out every n > 10 on alpha I + N, with or
+        # without the probe batch; the ratio keeps the bits of the maximum
+        # over the full trajectory.
         A = _JORDAN_CASES[name]()
         logs = power_log_norms(A, POWER_STEPS)
         asked = _spy_powers(monkeypatch)
@@ -353,8 +351,8 @@ class TestGrowthBound:
         assert gb.max_violation_ratio == _full_ratio(A, gb)[0]
 
     def test_shares_the_probe_batch(self, monkeypatch):
-        # The Frobenius norms come off the probe batch of the analysis:
-        # growth_bound before theorem_check propagates it once.
+        # growth_bound propagates no probe batch; theorem_check and
+        # uniform_stability after it propagate one and share it.
         horizons = []
         batch = criteria.orbit_log_norms_batch
         monkeypatch.setattr(
@@ -517,8 +515,9 @@ class TestNormaloidEquivalence:
 
 class TestUniformStability:
     def test_long_n_max_needs_no_long_trajectory(self, monkeypatch):
-        # The decay cross-check reads log ||A^n||_F at n_max and n_max/2 + 1
-        # off the probe batch, not off a trajectory of n_max steps.
+        # The decay cross-check reads log ||A^n R||_F at n_max and
+        # n_max/2 + 1 off the probe batch, not off a trajectory of n_max
+        # steps.
         steps = []
         trajectory = criteria.power_log_norms
         monkeypatch.setattr(
@@ -532,7 +531,7 @@ class TestUniformStability:
         assert steps == []
 
     def test_decay_check_reads_frobenius_norms(self):
-        # r < 1 must show as log ||A^n||_F falling from n_max/2 + 1 to
+        # r < 1 must show as log ||A^n R||_F falling from n_max/2 + 1 to
         # n_max: a radius misread below 1 on a unitary raises, and the zero
         # powers of a nilpotent count as falling.
         an = Analysis(dft4(), RunConfig(seed=0))
@@ -580,16 +579,22 @@ class TestUniformStability:
         # Every squared norm of the last window is finite, but for some
         # probes the sum their mean is taken from is not: those have no
         # finite limit and are left out, as are the other growing probes,
-        # which fail the rule.
+        # which fail the rule.  Every random probe grows; a batch of the
+        # basis, set on the analysis, has one probe that does not, and it
+        # is kept.
         cfg = RunConfig(seed=0)
-        probes, logs = Analysis(A, cfg).orbits
-        window = logs[cfg.n_max + 1 - cfg.window : cfg.n_max + 1]
-        assert 2 * window.max() < np.log(np.finfo(float).max)
-        sum_sq = np.logaddexp.reduce(2 * window, axis=0)
-        overflow = {label for (label, _), m in zip(probes, sum_sq) if m > np.log(np.finfo(float).max)}
-        limits = uniform_stability(A, cfg).limit_projection_norm_sq
-        assert overflow and not overflow & set(limits)
-        assert limits == pytest.approx(kept, abs=1e-12)
+        basis = Analysis(A, cfg)
+        H = np.eye(2, dtype=complex)
+        basis.orbits = (("e0", H[:, 0]), ("e1", H[:, 1])), criteria.orbit_log_norms_batch(A, H, 2000)
+        for an, want in ((Analysis(A, cfg), {}), (basis, kept)):
+            probes, logs = an.orbits
+            window = logs[cfg.n_max + 1 - cfg.window : cfg.n_max + 1]
+            assert 2 * window.max() < np.log(np.finfo(float).max)
+            sum_sq = np.logaddexp.reduce(2 * window, axis=0)
+            overflow = {label for (label, _), m in zip(probes, sum_sq) if m > np.log(np.finfo(float).max)}
+            limits = uniform_stability(an).limit_projection_norm_sq
+            assert overflow and not overflow & set(limits)
+            assert limits == pytest.approx(want, abs=1e-12)
 
     def test_mixed_spectrum_power_bounded_not_stable(self):
         A = gen_planted_jordan(4, [(1.0, 1), (0.4, 2)], cond_cap=20.0, seed=6)
