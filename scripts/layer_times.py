@@ -10,10 +10,9 @@ are timed, most of them on one seeded unitary with four distinct
 eigenvalues:
 - ``analyze_ms``: one ``aolab analyze`` of its matrix JSON file, report
   written to a file, as the CLI runs it;
-- ``engine_ms``: ``orbit_log_norms_batch`` of the tree's analyze probe
-  batch (``criteria.probe_set``: the 20 random probes, 20 columns at every
-  dimension; a tree whose probe set holds the basis too runs d + 20) over
-  2000 steps;
+- ``engine_ms``: ``orbit_log_norms_batch`` of the analyze probe batch of
+  the ``change`` tree, which every tree's rows read (``criteria.probe_set``:
+  the 20 random probes), over 2000 steps;
 - ``power_ms``: ``power_log_norms`` over POWER_STEPS powers, the power
   loop alone;
 - ``floor_ms``: the same 2000 products in blocks of the engine's length,
