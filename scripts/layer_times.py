@@ -5,7 +5,7 @@ process per run, and write the medians and pair counts as JSON.
     python scripts/layer_times.py --out BENCH_layers.json
     python scripts/layer_times.py --parent HEAD~1 --runs 5 --out BENCH_layers.json
 
-Rows.  For each dimension (4, 8, 16, 32 and 64 by default) thirteen rows
+Rows.  For each dimension (4, 8, 16, 32 and 64 by default) fourteen rows
 are timed, most of them on one seeded unitary with four distinct
 eigenvalues:
 - ``analyze_ms``: one ``aolab analyze`` of its matrix JSON file, report
@@ -27,7 +27,9 @@ eigenvalues:
 - ``overlap_ms``: ``Analysis.block_overlap`` of gen_oblique(d, the d-th
   roots of unity, 50, seed=d), the principal-angle decision on all pairs
   of its d unimodular blocks, on its cached decomposition, the cached
-  decision dropped before each call;
+  decision dropped before each call; ``minpoly_oblique_ms``:
+  ``minimal_polynomial`` of that oblique given its norm, one staircase for
+  each of its d roots;
 - ``classify_ms``: ``orbit_convergence`` on an ``Analysis`` whose structure
   and probe batch are already computed, so that the call is the
   classification of the batch and the structural verdict;
@@ -123,7 +125,7 @@ BLAS_THREADS = "1"
 MODULES = ("config", "errors", "linalg", "structure", "criteria", "stability", "generators", "suites",
            "jsonout", "cli")
 KEYS = ("analyze_ms", "engine_ms", "power_ms", "floor_ms", "minpoly_ms", "decompose_ms", "frobenius_ms", "overlap_ms",
-        "classify_ms", "classify_jordan_ms", "growth_jordan_ms", "serialize_ms", "parse_ms")
+        "minpoly_oblique_ms", "classify_ms", "classify_jordan_ms", "growth_jordan_ms", "serialize_ms", "parse_ms")
 VERIFY = ["verify", "--suite", "all", "--trials", "10", "--seed", "0"]
 
 
@@ -220,6 +222,7 @@ def _rows(t, src, inputs, tmp: Path) -> dict:
             "decompose_ms": partial(t.structure.decompose, A, t.structure.minimal_polynomial(A, norm)),
             "frobenius_ms": partial(c.frobenius_log_norms, logs, 20),
             "overlap_ms": partial(overlap, oblique),
+            "minpoly_oblique_ms": partial(t.structure.minimal_polynomial, O, oblique.norm),
             "classify_ms": partial(c.orbit_convergence, warmed(A)),
             "classify_jordan_ms": partial(c.orbit_convergence, jordan),
             "growth_jordan_ms": partial(t.stability.growth_bound, jordan),

@@ -34,7 +34,9 @@ the root 0 of index 3 at dim 8, the shape of the growth suite's nilpotent
 trials, whose powers from n = 3 on are rounding noise (exit 0); and two
 whose last windows hold finite squared norms with a sum past the float
 range, jordan-1e150, [[1, 1e150], [0, 1]], and window-square-overflow,
-diag(e^(709.5/4000), 0.5) (exit 0).
+diag(e^(709.5/4000), 0.5) (exit 0); and oblique-d32, the first oblique/d32
+instance of the analyze-large benchmark, 32 simple unimodular roots whose
+496 pairs of blocks the principal-angle decision reads (exit 0).
 
 A change that moves trailing digits changes most digests, so two runs can
 also be compared field by field:
@@ -73,7 +75,7 @@ import numpy as np
 import aolab
 from aolab import jsonout
 from aolab.cli import main as aolab_main
-from aolab.generators import dft4, gen_jordan_perturbation, gen_planted_jordan, haar_unitary
+from aolab.generators import dft4, gen_jordan_perturbation, gen_oblique, gen_planted_jordan, haar_unitary
 from aolab.linalg import matrix_to_obj
 
 
@@ -100,6 +102,17 @@ def _stress_circle_d16():
     angles = rng.uniform(0, 2 * math.pi) + base * np.arange(12) + rng.uniform(-0.12, 0.12, 12) * base
     roots = [(complex(math.cos(a), math.sin(a)), 1) for a in angles]
     return gen_planted_jordan(16, roots, 1e4, int(rng.integers(2**31)))
+
+
+def _large_oblique_d32():
+    """The first oblique/d32 instance of the analyze-large benchmark (rng
+    [1, 0, 0]): 32 simple unimodular roots, 496 pairs of blocks, cond cap
+    50."""
+    rng = np.random.default_rng([1, 0, 0])
+    seed = int(rng.integers(2**31))
+    base = 2 * math.pi / 32
+    angles = rng.uniform(0, 2 * math.pi) + base * np.arange(32) + rng.uniform(-0.12, 0.12, 32) * base
+    return gen_oblique(32, [complex(math.cos(a), math.sin(a)) for a in angles], 50.0, seed)
 
 
 def _no_gap_d32():
@@ -147,6 +160,7 @@ def instances():
                                          "--indices", "3", "--seed", "0"]))
     out.append(("jordan-1e150", np.array([[1, 1e150], [0, 1]], dtype=complex)))
     out.append(("window-square-overflow", np.diag([math.exp(709.5 / 4000), 0.5]).astype(complex)))
+    out.append(("oblique-d32", _large_oblique_d32()))
     return out
 
 

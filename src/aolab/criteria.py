@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import warnings
 from functools import cached_property, partial
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -491,20 +490,36 @@ class Analysis:
         """(kind, margin, pair): kind 0 if the unimodular blocks are
         pairwise orthogonal, 1 if some pair is undecided, 2 if some pair is
         oblique.  A pair's kind is ``decide(c, COMPONENT_TOL, r)`` of its
-        cosine c (top singular value of basis_a^H basis_b) and the sum r of
-        its basis errors (``_basis_error``).  The margin is the largest
-        cosine among the pairs of the worst kind, pair = (a, b, r) its block
-        indices and r."""
-        blocks = {k: b for k, b in enumerate(self.decomposition.blocks) if unimodular(b.z)}
-        err = {k: _basis_error(self, b) for k, b in blocks.items()} if len(blocks) > 1 else {}
-        kind, margin, pair = 0, 0.0, None
-        for a, b in combinations(blocks, 2):
-            c = float(np.linalg.svd(blocks[a].basis.conj().T @ blocks[b].basis, compute_uv=False)[0])
-            r = err[a] + err[b]
-            k = int(decide(c, COMPONENT_TOL, r))
-            if (k, c) > (kind, margin):
-                kind, margin, pair = k, c, (a, b, r)
-        return kind, margin, pair
+        cosine c and the sum r of its basis errors (``_basis_error``).  The
+        cosines come from one Gram product G = B^H B of the stacked
+        unimodular bases: c is |G_ab| for two 1-dim blocks and the top
+        singular value of their sub-block of G otherwise (the largest
+        principal-angle cosine of basis_a^H basis_b).  The margin is the
+        largest cosine among the pairs of the worst kind, pair = (a, b, r)
+        its block indices and r, the first such pair in the order of
+        ``itertools.combinations``; (0, 0.0, None) when every cosine is 0."""
+        uni = [k for k, b in enumerate(self.decomposition.blocks) if unimodular(b.z)]
+        if len(uni) < 2:
+            return 0, 0.0, None
+        bases = [self.decomposition.blocks[k].basis for k in uni]
+        B = np.hstack(bases)
+        G = B.conj().T @ B
+        dims = np.array([b.shape[1] for b in bases])
+        ends = np.cumsum(dims)
+        starts = ends - dims
+        ia, ib = np.triu_indices(len(uni), 1)  # the pairs in combinations order
+        c = np.abs(G[starts[ia], starts[ib]])
+        for i in np.flatnonzero((dims[ia] > 1) | (dims[ib] > 1)):
+            sub = G[starts[ia[i]] : ends[ia[i]], starts[ib[i]] : ends[ib[i]]]
+            c[i] = np.linalg.svd(sub, compute_uv=False)[0]
+        err = np.array([_basis_error(self, k) for k in uni])
+        r = err[ia] + err[ib]
+        kinds = decide(c, COMPONENT_TOL, r)
+        worst = np.flatnonzero(kinds == kinds.max())
+        i = worst[np.argmax(c[worst])]
+        if (kinds[i], c[i]) <= (0, 0.0):
+            return 0, 0.0, None
+        return int(kinds[i]), float(c[i]), (uni[ia[i]], uni[ib[i]], r[i])
 
     @cached_property
     def orbits(self):
@@ -724,13 +739,14 @@ def probe_set(d: int, rng: np.random.Generator):
     return probes
 
 
-def _basis_error(an: Analysis, b) -> float:
-    """Error bound on the basis of a simple root's block, one of several:
-    (d eps max(1, ||A||) + s_0) / s_1 from the singular values of A - zI,
-    s_0 the largest counted as zero and s_1 the next."""
+def _basis_error(an: Analysis, k: int) -> float:
+    """Error bound on the basis of block k, that of a simple root z among
+    several: (d eps max(1, ||A||) + s_0) / s_1 from the singular values of
+    A - zI that the root's staircase kept (``MinimalPoly.spectra``), s_0 the
+    largest counted as zero and s_1 the next.  It takes no SVD."""
     d = an.A.shape[0]
-    s = np.linalg.svd(an.A - b.z * np.eye(d), compute_uv=False)
-    return (d * np.finfo(float).eps * max(1.0, an.norm) + s[d - b.dim]) / s[d - b.dim - 1]
+    s, dim = an.minpoly.spectra[k], an.minpoly.bases[k].shape[1]
+    return (d * np.finfo(float).eps * max(1.0, an.norm) + s[d - dim]) / s[d - dim - 1]
 
 
 def orbit_convergence(A, config: RunConfig | None = None):

@@ -40,16 +40,19 @@ def decide(value, threshold, error=0.0):
 
 
 class MinimalPoly(NamedTuple):
-    """Monic minimal polynomial given by roots z_j with indices i_j."""
+    """Monic minimal polynomial given by roots z_j with indices i_j, and the
+    evidence of ``minimal_polynomial``'s staircases, one entry per root in
+    the order of the roots: the orthonormal bases of the generalized
+    eigenspaces ker (A - z_j I)^{i_j}, and the singular values of A - z_j I,
+    descending, from each staircase's first step."""
 
     roots: tuple  # of (complex, int), sorted by (re, im)
     degree: int
-    # Orthonormal bases of the generalized eigenspaces ker (A - z_j I)^{i_j},
-    # same order as roots: the staircase bases of ``minimal_polynomial``.
     bases: tuple
+    spectra: tuple
 
     # Equal, and hashed alike, on (roots, degree) only: the bases are one
-    # choice among many.
+    # choice among many, and the spectra come with them.
     def __eq__(self, other):
         return type(other) is MinimalPoly and self[:2] == other[:2]
 
@@ -61,9 +64,9 @@ class MinimalPoly(NamedTuple):
 
 
 def _kernel(M: np.ndarray, tol: float, z: complex, step: int):
-    """(nullity, right singular vectors) of M: the singular values at most
-    ``tol`` are zero.  Raises IllConditionedSpectrumError when one lies in
-    the gap band (tol, GAP * tol]."""
+    """(nullity, right singular vectors, singular values) of M: the singular
+    values at most ``tol`` are zero.  Raises IllConditionedSpectrumError
+    when one lies in the gap band (tol, GAP * tol]."""
     try:
         _, s, vh = np.linalg.svd(M)
     except np.linalg.LinAlgError:
@@ -78,11 +81,12 @@ def _kernel(M: np.ndarray, tol: float, z: complex, step: int):
             f"root {z:.6g}, staircase step {step}: singular value {band[-1]:.3g} "
             f"lies in the gap band above the threshold {tol:.3g} (up to {GAP:g} times it)"
         )
-    return int(np.sum(grade == 0)), vh.conj().T
+    return int(np.sum(grade == 0)), vh.conj().T, s
 
 
 def _staircase(A: np.ndarray, z: complex, tol: float, mult: int):
-    """(index, basis): the Kublanovskaya staircase on A - zI.  Each step
+    """(index, basis, spectrum): the Kublanovskaya staircase on A - zI, and
+    the singular values of A - zI that its first step computes.  Each step
     splits off the kernel of the current matrix and compresses the matrix
     to the kernel's orthogonal complement, so the kernels of the first k
     steps span ker (A - zI)^k.  It stops at the first empty kernel or once
@@ -94,7 +98,9 @@ def _staircase(A: np.ndarray, z: complex, tol: float, mult: int):
     kernels = [np.zeros((d, 0), dtype=complex)]
     # Every step before the last adds a kernel vector: at most mult steps.
     for step in range(1, mult + 1):
-        nul, V = _kernel(B, tol, z, step)
+        nul, V, s = _kernel(B, tol, z, step)
+        if step == 1:
+            spectrum = s
         if nul == 0:
             break
         n = B.shape[0]
@@ -111,7 +117,7 @@ def _staircase(A: np.ndarray, z: complex, tol: float, mult: int):
             f"root {z:.6g}, staircase step {step}: the kernels add up to {basis.shape[1]}, "
             f"not the multiplicity {mult}, at the threshold {tol:.3g}"
         )
-    return len(kernels) - 1, basis
+    return len(kernels) - 1, basis, spectrum
 
 
 def minimal_polynomial(A, norm: float | None = None) -> MinimalPoly:
@@ -124,7 +130,8 @@ def minimal_polynomial(A, norm: float | None = None) -> MinimalPoly:
     if A - mI is singular at their midpoint m under the rank threshold;
     each pair of clusters is checked once, closest first.  The staircase
     on A - zI at each cluster mean z then gives the index (its number of
-    steps) and the generalized eigenspace basis.  Raises
+    steps), the generalized eigenspace basis and, from its first step, the
+    singular values of A - zI, which ``criteria._basis_error`` reads.  Raises
     IllConditionedSpectrumError when a rank decision has no gap or the
     kernels do not add up to the cluster size.  ``norm`` is ||A|| if the
     caller has it already.
@@ -153,13 +160,14 @@ def minimal_polynomial(A, norm: float | None = None) -> MinimalPoly:
         )
 
     # Disks of radius r overlap within r_i + r_j: linking distance 2r.
-    roots, bases = [], []
+    roots, bases, spectra = [], [], []
     for z, mult in cluster_points(w, 2 * radius, merge):
-        index, basis = _staircase(A, z, tol, mult)
+        index, basis, spectrum = _staircase(A, z, tol, mult)
         roots.append((z, index))
         bases.append(basis)
+        spectra.append(spectrum)
     return MinimalPoly(
-        roots=tuple(roots), degree=sum(i for _, i in roots), bases=tuple(bases)
+        roots=tuple(roots), degree=sum(i for _, i in roots), bases=tuple(bases), spectra=tuple(spectra)
     )
 
 

@@ -1,6 +1,7 @@
 """Window rule, orbit classification, and the equivalence checks."""
 
 import re
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from aolab.generators import (
 )
 from aolab.stability import growth_bound, normaloid_equivalence, orbit_root_limit, uniform_stability
 from aolab.structure import decide, minimal_polynomial
+from test_engine import FAMILIES, _shape_matrix
 
 
 def _near_unitary(eps):
@@ -882,6 +884,120 @@ class TestAnalysis:
         assert [lab for lab, _ in short.probes] == [lab for lab, _ in full.probes]
         for (_, s), (_, f) in zip(short.probes, full.probes):
             assert np.array_equal(s.log_norms, f.log_norms[:501])
+
+
+def _reference_block_overlap(an):
+    """``Analysis.block_overlap`` as one SVD per pair, each basis error from
+    its own SVD of A - zI: the loop that the Gram product replaced, kept as
+    the reference."""
+    blocks = {k: b for k, b in enumerate(an.decomposition.blocks) if criteria.unimodular(b.z)}
+    d = an.A.shape[0]
+    err = {}
+    for k, b in blocks.items():
+        s = np.linalg.svd(an.A - b.z * np.eye(d), compute_uv=False)
+        err[k] = (d * np.finfo(float).eps * max(1.0, an.norm) + s[d - b.dim]) / s[d - b.dim - 1]
+    kind, margin, pair = 0, 0.0, None
+    for a, b in combinations(blocks, 2):
+        c = float(np.linalg.svd(blocks[a].basis.conj().T @ blocks[b].basis, compute_uv=False)[0])
+        r = err[a] + err[b]
+        k = int(decide(c, COMPONENT_TOL, r))
+        if (k, c) > (kind, margin):
+            kind, margin, pair = k, c, (a, b, r)
+    return kind, margin, pair
+
+
+def _unresolved():
+    """Eigenvalues 1e-6 apart, eigenspaces 2e-7 off orthogonal: a cosine
+    within GAP times its basis errors (kind 1)."""
+    U = gen_unitary_finite_spectrum(4, [1, np.exp(1e-6j)], 0)
+    S = np.eye(4) + 1e-7 * np.random.default_rng(1).standard_normal((4, 4))
+    return S @ U @ np.linalg.inv(S)
+
+
+def _tie():
+    """canonical_oblique beside i times itself: the pairs (-1, 1) and
+    (-i, i) are oblique with the same cosine, bit for bit."""
+    O, Z = canonical_oblique(), np.zeros((2, 2))
+    return np.block([[O, Z], [Z, 1j * O]])
+
+
+def _overlap_instances():
+    """(name, matrix): the five desk families at d4-d16, unitaries with
+    repeated roots (blocks of mixed dims), the near- and close-unitary
+    digest inputs, an undecided pair, and two oblique pairs that tie."""
+    out = []
+    for dim in (4, 8, 16):
+        for seed in range(3):
+            rng = np.random.default_rng([dim, seed])
+            out += [(f"{family}-d{dim}-s{seed}", _shape_matrix(family, dim, rng)) for family in FAMILIES]
+            out.append((f"repeated-d{dim}-s{seed}", gen_unitary_finite_spectrum(dim, [1, 1j, -1], seed)))
+    return out + [
+        ("near-unitary-1e-7", _near_unitary(1e-7)),
+        ("close-unitary-1e-7", gen_unitary_finite_spectrum(4, [1, 0.999999999999995 + 1e-7j], 0)),
+        ("unresolved", _unresolved()),
+        ("tie", _tie()),
+    ]
+
+
+class TestBlockOverlap:
+    @pytest.mark.parametrize("A", [pytest.param(A, id=name) for name, A in _overlap_instances()])
+    def test_matches_per_pair_svds(self, A):
+        # The same kind and pair as one SVD per pair; cosines of orthogonal
+        # pairs are rounding noise, so the margins agree to 1e-14 absolute.
+        an = Analysis(A)
+        kind, margin, pair = an.block_overlap
+        ref_kind, ref_margin, ref_pair = _reference_block_overlap(an)
+        assert kind == ref_kind
+        assert (pair is None) == (ref_pair is None)
+        if pair is not None:
+            assert pair[:2] == ref_pair[:2]
+            assert pair[2] == pytest.approx(ref_pair[2], rel=1e-3)
+        assert abs(margin - ref_margin) <= 1e-14
+
+    def test_tie_keeps_the_first_pair(self):
+        # Two oblique pairs with the same cosine, bit for bit: the first in
+        # combinations order wins, as in the loop.
+        an = Analysis(_tie())
+        blocks = an.decomposition.blocks
+        cosines = {(a, b): np.linalg.svd(blocks[a].basis.conj().T @ blocks[b].basis, compute_uv=False)[0]
+                   for a, b in combinations(range(len(blocks)), 2)}
+        top = [p for p, c in cosines.items() if c == max(cosines.values())]
+        assert len(top) == 2
+        assert an.block_overlap[2][:2] == _reference_block_overlap(an)[2][:2] == top[0]
+
+    def test_undecided_message_names_the_reference_pair(self):
+        an = Analysis(_unresolved(), RunConfig(seed=0))
+        kind, margin, (a, b, r) = _reference_block_overlap(an)
+        assert kind == 1
+        za, zb = (an.decomposition.blocks[k].z for k in (a, b))
+        with pytest.raises(IllConditionedSpectrumError) as exc:
+            criteria.orbit_convergence(an)
+        assert f"roots {za:.6g} and {zb:.6g} have cosine {margin:.3g}" in str(exc.value)
+        assert f"basis error {r:.3g} above" in str(exc.value)
+
+    def test_svd_calls(self, monkeypatch):
+        # On a cached decomposition of a d32 oblique with 32 simple
+        # unimodular roots (496 pairs), block_overlap takes no SVD, and
+        # the probe batch takes only the witness pair's.  On unitaries
+        # with blocks of mixed dims, the basis errors take none either,
+        # and every pair with a block of dim > 1 takes one without vectors.
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(k) or svd(*a, **k))
+        an = Analysis(gen_oblique(32, np.exp(2j * np.pi * np.arange(32) / 32), 50.0, seed=32), RunConfig(seed=0))
+        an.decomposition
+        calls.clear()
+        assert an.block_overlap[0] == 2 and calls == []
+        an.orbits
+        assert calls == [{}]
+        mixed = Analysis(gen_unitary_finite_spectrum(32, [1, 1j, -1, np.exp(0.3j)], 0))
+        dims = mixed.decomposition.block_dims()
+        assert len(dims) == 4 and max(dims) > 1
+        calls.clear()
+        errors = [criteria._basis_error(mixed, k) for k in range(4)]
+        assert calls == [] and all(e > 0 for e in errors)
+        assert mixed.block_overlap[0] == 0
+        assert calls == [{"compute_uv": False}] * 6
 
 
 def _reference_scalar_re_sequence(w, b, n_max):

@@ -167,7 +167,7 @@ FAMILIES = ("unitary", "oblique", "planted", "jordan", "normaloid")
 @pytest.mark.parametrize("dim", [4, 8, 16])
 @pytest.mark.parametrize("seed", range(3))
 def test_desk_shapes(dim, seed):
-    # The analyze batch: the basis and 20 random probes, the full horizons.
+    # The analyze batch: the 20 random probes, the full horizons.
     rng = np.random.default_rng([dim, seed])
     for family in FAMILIES:
         A = _shape_matrix(family, dim, rng)

@@ -166,7 +166,7 @@ def test_layer_times(tmp_path, capsys):
     side = report["sides"]["change"]
     assert side["numpy"] and list(report["sides"]) == ["change"]
     for key in ("analyze_ms", "engine_ms", "power_ms", "floor_ms", "minpoly_ms", "decompose_ms", "frobenius_ms",
-                "overlap_ms", "growth_jordan_ms", "serialize_ms", "parse_ms"):
+                "overlap_ms", "minpoly_oblique_ms", "growth_jordan_ms", "serialize_ms", "parse_ms"):
         assert side[key]["4"]["median"] > 0
     assert side["engine_over_floor"]["4"] > 0
     assert len(side["one_step_ms"]["values"]) == 3
@@ -200,6 +200,19 @@ def test_layer_times_outside_a_checkout(tmp_path, monkeypatch):
     out = tmp_path / "layers.json"
     assert _load("layer_times").main(["--runs", "1", "--dims", "4", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["change"] is None
+
+
+def test_acceptance_walls(tmp_path, capsys):
+    # One cheap criterion and a one-trial verify, in one fresh process.
+    out = tmp_path / "walls.json"
+    rc = _load("acceptance_walls").main(["-k", "test_criterion_04", "--trials", "1", "--runs", "1", "--out", str(out)])
+    assert rc == 0
+    report = json.loads(out.read_text())
+    assert report["verify_argv"] == ["verify", "--suite", "all", "--trials", "1"]
+    assert (report["runs"], report["blas_threads"]) == (1, "1") and report["numpy"]
+    assert list(report["walls"]) == ["verify_s", "test_criterion_04_scalar_sequence"]
+    assert all(len(row["values"]) == 1 and row["median"] > 0 for row in report["walls"].values())
+    assert "test_criterion_04_scalar_sequence" in capsys.readouterr().out
 
 
 def test_bench_selftest_wrapping():

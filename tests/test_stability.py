@@ -208,7 +208,8 @@ class TestGrowthBound:
         A[0, 1] = A[1, 2] = 10**10.1
         A[3, 3] = 1e5
         an = Analysis(A)
-        an.minpoly = MinimalPoly(roots=((0j, 3),), degree=3, bases=(np.eye(4)[:, :3],))
+        an.minpoly = MinimalPoly(roots=((0j, 3),), degree=3, bases=(np.eye(4)[:, :3],),
+                                 spectra=(np.linalg.svd(A, compute_uv=False),))
         # A decomposition with ||I - sum_j P_j||_F = 2: the recursion rules
         # no power out.
         block = Block(z=0j, index=3, basis=np.eye(4)[:, :3], projection=np.zeros((4, 4)), projection_norm=1.0)

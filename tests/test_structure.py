@@ -85,7 +85,7 @@ class TestMinimalPolynomial:
 
     def test_evaluate_monomial(self):
         A = np.diag([2.0, 3.0]).astype(complex)
-        mp = MinimalPoly(roots=((2.0 + 0j, 2),), degree=2, bases=(np.eye(2)[:, :1],))
+        mp = MinimalPoly(roots=((2.0 + 0j, 2),), degree=2, bases=(np.eye(2)[:, :1],), spectra=(np.array([1.0, 0.0]),))
         P = _evaluate(mp, A)
         assert P[0, 0] == pytest.approx(0.0)
         assert P[1, 1] == pytest.approx(1.0)
@@ -218,7 +218,8 @@ class TestDecompose:
         # cannot fill the space.
         A = np.diag([1.0, 2.0]).astype(complex)
         bases = (np.eye(2)[:, :1], np.zeros((2, 0), dtype=complex))
-        bad = MinimalPoly(roots=((1.0 + 0j, 1), (3.0 + 0j, 1)), degree=2, bases=bases)
+        spectra = (np.array([1.0, 0.0]), np.array([2.0, 1.0]))
+        bad = MinimalPoly(roots=((1.0 + 0j, 1), (3.0 + 0j, 1)), degree=2, bases=bases, spectra=spectra)
         with pytest.raises(DecompositionError):
             decompose(A, bad)
 
