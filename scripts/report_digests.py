@@ -12,7 +12,7 @@ running the script at both commits and diffing the output:
 The set: every ``generate`` kind at dims 4, 8 and 16 and seeds 0-2, jordan
 with alpha i and scale 0.5, normaloid with scale 3, dft4, diag(big, 0.5)
 for big = 1e12, 1e160, 1e200 and 1e301 (diag-1e301, whose growing orbits
-are cut at step 1), nilpotent-1e200 (1e200 times the dim-3 shift, whose
+pass the float range at step 2), nilpotent-1e200 (1e200 times the dim-3 shift, whose
 orbits pass 1e300 one step before they die), and three
 planted structures: the first
 circle/d16 instance of the structure-stress benchmark (12 simple unimodular
@@ -36,7 +36,10 @@ whose last windows hold finite squared norms with a sum past the float
 range, jordan-1e150, [[1, 1e150], [0, 1]], and window-square-overflow,
 diag(e^(709.5/4000), 0.5) (exit 0); and oblique-d32, the first oblique/d32
 instance of the analyze-large benchmark, 32 simple unimodular roots whose
-496 pairs of blocks the principal-angle decision reads (exit 0).
+496 pairs of blocks the principal-angle decision reads (exit 0); and
+overflow-then-decay, [[0.5, 1e305], [0, 0.5]], whose orbits and powers
+pass 1e300 at the first steps and then decay (exit 0).  The two benchmark
+instances are built by ``bench/workloads.py`` itself, imported read-only.
 
 A change that moves trailing digits changes most digests, so two runs can
 also be compared field by field:
@@ -73,10 +76,13 @@ from pathlib import Path
 import numpy as np
 
 import aolab
-from aolab import jsonout
+from aolab import generators, jsonout
 from aolab.cli import main as aolab_main
-from aolab.generators import dft4, gen_jordan_perturbation, gen_oblique, gen_planted_jordan, haar_unitary
+from aolab.generators import dft4, gen_jordan_perturbation, gen_planted_jordan, haar_unitary
 from aolab.linalg import matrix_to_obj
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import analyze_instance, stress_roots  # noqa: E402
 
 
 def _roots_of_unity(dim):
@@ -98,9 +104,7 @@ def _stress_circle_d16():
     """The first circle/d16 instance of the structure-stress benchmark
     (rng [1, 0, 0]): 12 simple unimodular roots, cond cap 1e4."""
     rng = np.random.default_rng([1, 0, 0])
-    base = 2 * math.pi / 12
-    angles = rng.uniform(0, 2 * math.pi) + base * np.arange(12) + rng.uniform(-0.12, 0.12, 12) * base
-    roots = [(complex(math.cos(a), math.sin(a)), 1) for a in angles]
+    roots = [(z, 1) for z in stress_roots(rng, "circle", 12)]
     return gen_planted_jordan(16, roots, 1e4, int(rng.integers(2**31)))
 
 
@@ -108,11 +112,7 @@ def _large_oblique_d32():
     """The first oblique/d32 instance of the analyze-large benchmark (rng
     [1, 0, 0]): 32 simple unimodular roots, 496 pairs of blocks, cond cap
     50."""
-    rng = np.random.default_rng([1, 0, 0])
-    seed = int(rng.integers(2**31))
-    base = 2 * math.pi / 32
-    angles = rng.uniform(0, 2 * math.pi) + base * np.arange(32) + rng.uniform(-0.12, 0.12, 32) * base
-    return gen_oblique(32, [complex(math.cos(a), math.sin(a)) for a in angles], 50.0, seed)
+    return analyze_instance(generators, "oblique", 32, {}, np.random.default_rng([1, 0, 0]))[0]
 
 
 def _no_gap_d32():
@@ -161,6 +161,7 @@ def instances():
     out.append(("jordan-1e150", np.array([[1, 1e150], [0, 1]], dtype=complex)))
     out.append(("window-square-overflow", np.diag([math.exp(709.5 / 4000), 0.5]).astype(complex)))
     out.append(("oblique-d32", _large_oblique_d32()))
+    out.append(("overflow-then-decay", np.array([[0.5, 1e305], [0, 0.5]], dtype=complex)))
     return out
 
 

@@ -22,13 +22,12 @@ from .errors import IllConditionedSpectrumError, InconsistencyError, InvalidInpu
 from .linalg import as_matrix, operator_norm
 from .structure import GAP, Decomposition, MinimalPoly, decide, decompose, minimal_polynomial
 
-# An orbit is read up to the first step where its norm passes this, and is
-# then exponential (``classify_orbits``); ``orbit_norms_batch`` cuts a whole
-# batch at the first such step.
+# ``orbit_norms_batch`` cuts a whole batch at the first step where a norm
+# passes this.
 OVERFLOW_LIMIT = 1e300
 
-# The cut step can multiply a norm past the float range; norms are clamped
-# here when they are exponentiated, so that they stay finite.
+# Log-norms and fitted rates can pass the float range; they are clamped here
+# when they are exponentiated, so that they stay finite.
 _NORM_CLAMP = 1e308
 
 # Relative threshold deciding whether a block component of a vector is
@@ -89,34 +88,21 @@ class Classification(NamedTuple):
         return {k: v for k, v in self._asdict().items() if v is not None}
 
 
-def _tail_log_slopes(logs: np.ndarray) -> np.ndarray:
-    """Least-squares slope of every column of a log-norm batch over its tail
-    half, and over at least its last two rows: one matvec of the centred n
-    over the ``logs[n0:]`` view (0 with fewer than two rows; nan for a
-    column with -inf there)."""
-    n0 = max(0, min(logs.shape[0] // 2, logs.shape[0] - 2))
-    x = np.arange(n0, logs.shape[0], dtype=float)
-    if x.size < 2:
-        return np.zeros(logs.shape[1])
-    x -= x.mean()
-    with np.errstate(invalid="ignore"):
-        return (x @ logs[n0:]) / (x @ x)
-
-
 def _envelope_fit(logs: np.ndarray):
     """(log rho, k, band): the least-squares fit of the envelope
     log s_n = a + k log n + n log rho to every column of a log-norm batch,
-    shape (rows, P), over the rows n >= n0 = max(10, rows // 4), and the
-    band 1 / (rows - n0) within which log rho cannot be told from 0.
+    shape (rows, P), over the rows n >= n0 = min(max(10, rows // 4),
+    rows - 3), at least the last three, and the band 1 / (rows - n0) within
+    which log rho cannot be told from 0.
 
     Two matvecs of the centred n and the centred log n over the
     ``logs[n0:]`` view, and the 2 x 2 normal equations solved in closed
-    form (nan for a column with -inf there).  With fewer than three rows
-    past n0 every fit is 0 and the band is infinite."""
+    form (nan for a column with -inf there).  With fewer than four rows
+    (log n is -inf at row 0) every fit is 0 and the band is infinite."""
     rows, P = logs.shape
-    n0 = max(10, rows // 4)
-    if rows - n0 < 3:
+    if rows < 4:
         return np.zeros(P), np.zeros(P), np.inf
+    n0 = min(max(10, rows // 4), rows - 3)
     n = np.arange(n0, rows, dtype=float)
     ln = np.log(n)
     n -= n.mean()
@@ -129,39 +115,31 @@ def _envelope_fit(logs: np.ndarray):
 
 
 def classify_orbits(logs: np.ndarray, window: int = RunConfig.window, tol: float = RunConfig.tol_conv):
-    """(ends, classes) for a batch of orbit log-norms, shape (rows, P): the
-    rows each column keeps (up to its own overflow cut) and its
-    classification.
+    """The classification of every column of a batch of orbit log-norms,
+    shape (rows, P).
 
     Per column, in this order: a column that died (its last ``window``
-    norms at most ``tol``, or its last -inf) converges to 0.  A column past
-    log OVERFLOW_LIMIT is cut at its first such row and grows exponentially
-    at the rate fitted to that log prefix, clamped at _NORM_CLAMP.  Any
-    other column is read off its ``_envelope_fit``; a trend must show along
-    the orbit, as the maximum of the last window over the one at row
-    rows // 4: above 2 for growth, below 1/2 for decay.  Exponential at rate rho if log rho lies
-    above the band and the column grows; convergent to 0 if log rho lies
-    below minus the band and the column falls; polynomial of degree
-    round(k), limit the window mean of s_n / n^d, if log rho lies within
-    the band, k >= 1/2 and the column grows; else convergent or
-    bounded-nonconvergent by the window rule.  ``logs`` is only read, and
-    only the last window is exponentiated.
+    norms at most ``tol``, or its last -inf) converges to 0.  Every other
+    column is read off its ``_envelope_fit`` over the whole horizon, in log
+    space, however far past the float range its norms go; a trend must show
+    along the orbit, as the maximum of the last window over the one at row
+    rows // 4: above 2 for growth, below 1/2 for decay.  Exponential at
+    rate rho, clamped at _NORM_CLAMP, if log rho lies above the band and
+    the column grows; convergent to 0 if log rho lies below minus the band
+    and the column falls; polynomial of degree round(k), limit the window
+    mean of s_n / n^d, if log rho lies within the band, k >= 1/2 and the
+    column grows; else convergent or bounded-nonconvergent by the window
+    rule.  A window whose limit is not finite keeps no limit, so its column
+    is not convergent.  ``logs`` is only read, and only the last window is
+    exponentiated.
     """
     rows, P = logs.shape
-    w, cap = min(window, rows), np.log(OVERFLOW_LIMIT)
+    w = min(window, rows)
     with np.errstate(over="ignore"):
         tail = np.exp(logs[-w:])
     dead = np.all(tail <= tol, axis=0) | (logs[-1] == -np.inf)
-    over = ~dead & (logs.max(axis=0) > cap)
-    ends = np.full(P, rows)
     classes = [Classification(kind="convergent", limit=0.0)] * P
-    for j in np.flatnonzero(over):
-        ends[j] = np.argmax(logs[:, j] > cap) + 1
-        slope = _tail_log_slopes(logs[: ends[j], j : j + 1])[0]
-        with np.errstate(over="ignore"):
-            rate = min(np.exp(max(slope, 0.0)), _NORM_CLAMP)
-        classes[j] = Classification(kind="exponential-growth", rate=float(rate))
-    live = np.flatnonzero(~dead & ~over)
+    live = np.flatnonzero(~dead)
     # T: the live columns' last windows as C-contiguous rows (_window_rule).
     T, q = np.ascontiguousarray(tail[:, live].T), rows // 4
     # A bounded slowly-oscillating column can fit a log rho past the band.
@@ -169,21 +147,26 @@ def classify_orbits(logs: np.ndarray, window: int = RunConfig.window, tol: float
     log_rho, k, band = _envelope_fit(logs)
     poly = (np.abs(log_rho[live]) <= band) & (k[live] >= 0.5) & (change > _LN2)
     degree = np.where(poly, k[live] + 0.5, 0).astype(int)
-    ok, limit = _window_rule(T, tol)
-    n = np.maximum(np.arange(rows - w, rows, dtype=float), 1.0)
-    for d in set(degree[poly].tolist()):  # np.unique would add 1.7 MiB to the peak RSS
-        limit[degree == d] = (T[degree == d] / n**d).mean(axis=1)
+    # A window past the float range reads inf, or nan where inf - inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok, limit = _window_rule(T, tol)
+        n = np.maximum(np.arange(rows - w, rows, dtype=float), 1.0)
+        for d in set(degree[poly].tolist()):  # np.unique would add 1.7 MiB to the peak RSS
+            limit[degree == d] = (T[degree == d] / n**d).mean(axis=1)
+        rate = np.minimum(np.exp(log_rho), _NORM_CLAMP)
+    finite = np.isfinite(limit)
     for i, j in enumerate(live):
         if log_rho[j] > band and change[i] > _LN2:
-            classes[j] = Classification(kind="exponential-growth", rate=float(np.exp(log_rho[j])))
+            classes[j] = Classification(kind="exponential-growth", rate=float(rate[j]))
         elif log_rho[j] < -band and change[i] < -_LN2:
             classes[j] = Classification(kind="convergent", limit=0.0)
-        elif ok[i] or degree[i]:
+        elif ok[i] and finite[i] or degree[i]:
             kind = "polynomial-growth" if degree[i] else "convergent"
-            classes[j] = Classification(kind=kind, limit=float(limit[i]), degree=int(degree[i]) or None)
+            L = float(limit[i]) if finite[i] else None
+            classes[j] = Classification(kind=kind, limit=L, degree=int(degree[i]) or None)
         else:
             classes[j] = Classification(kind="bounded-nonconvergent")
-    return ends, classes
+    return classes
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +299,9 @@ def _blocks(A: np.ndarray, V: np.ndarray, shed: np.ndarray, n_max: int):
 def orbit_log_norms_batch(A: np.ndarray, H: np.ndarray, n_max: int) -> np.ndarray:
     """log ||A^n h|| for every column h of H, n = 0..n_max: the orbit engine,
     all columns advancing together through ``_blocks``.  A column that
-    reaches exactly zero reads -inf from then on.  Readers cut the rows at
-    an overflow (each column at its own in ``classify_orbits``, the whole
-    batch in ``orbit_norms_batch``).
+    reaches exactly zero reads -inf from then on.  ``classify_orbits`` reads
+    every row, in log space; ``orbit_norms_batch`` cuts the whole batch at
+    an overflow.
     """
     s = _column_norms(H)
     if not np.all(s > 0):
@@ -383,7 +366,7 @@ def power_log_norms(A: np.ndarray, n_max: int) -> np.ndarray:
 
 class OrbitRecord(NamedTuple):
     h: np.ndarray
-    log_norms: np.ndarray  # up to its overflow cut, a view into its batch
+    log_norms: np.ndarray  # the whole column, a view into its batch
     structural_exponent: int | None
     classification: Classification
 
@@ -634,28 +617,20 @@ def frobenius_log_norms(logs: np.ndarray, p: int) -> np.ndarray:
         return 0.5 * (top + np.log(np.exp(x, out=x).sum(axis=1)))
 
 
-# log ||A^n R||_F over the random probes past this is unbounded: 90 below log OVERFLOW_LIMIT,
-# where orbits are cut.
-UNBOUNDED_LOG = 600
-
-
 def is_power_bounded(A, config: RunConfig | None = None) -> bool:
     """sup_n ||A^n|| finite, decided structurally: spectral radius at most 1
     and every root of modulus (near) 1 simple in the minimal polynomial.
-    Cross-checked against log ||A^n R||_F for n = 1..POWER_STEPS, R the
+    Cross-checked against ``classify_orbits`` of log ||A^n R||_F for
+    n = 1..POWER_STEPS under the analysis's window and tol_conv, R the
     random columns of the probe batch (``Analysis.frobenius_logs``): the
     powers are bounded iff A^n R is, for every R off a proper algebraic
     subset.  Disagreement raises InconsistencyError.
     """
     an = as_analysis(A, config)
     structural = power_bounded_roots(an.minpoly.roots)
-    logs = an.frobenius_logs
     # Powers that vanished exactly end in -inf: a dead column to classify_orbits.
-    if logs[-1] > -np.inf and np.max(logs) >= UNBOUNDED_LOG:
-        empirical = False  # live powers reached e^UNBOUNDED_LOG: unbounded
-    else:
-        _, (cls,) = classify_orbits(logs[:, np.newaxis])
-        empirical = cls.kind in ("convergent", "bounded-nonconvergent")
+    (cls,) = classify_orbits(an.frobenius_logs[:, np.newaxis], an.config.window, an.config.tol_conv)
+    empirical = cls.kind in ("convergent", "bounded-nonconvergent")
     if structural != empirical:
         raise InconsistencyError(
             f"power boundedness: structural={structural} empirical={empirical}"
@@ -750,7 +725,7 @@ def _basis_error(an: Analysis, k: int) -> float:
 
 
 def orbit_convergence(A, config: RunConfig | None = None):
-    """(convergent, margin, probes, logs, ends, classes): whether ||A^n h||
+    """(convergent, margin, probes, logs, classes): whether ||A^n h||
     converges for every h, decided from the decomposition, and the probe
     orbits (``Analysis.orbits``) with their ``classify_orbits``, which
     cross-check it; a disagreement raises InconsistencyError.
@@ -773,14 +748,14 @@ def orbit_convergence(A, config: RunConfig | None = None):
         )
     probes, logs = an.orbits
     logs = logs[: cfg.n_max + 1]
-    ends, classes = classify_orbits(logs, cfg.window, cfg.tol_conv)
+    classes = classify_orbits(logs, cfg.window, cfg.tol_conv)
     structural = roots_ok and kind == 0
     empirical = all(cls.kind == "convergent" for cls in classes)
     if structural != empirical:
         raise InconsistencyError(
             f"orbit convergence: structural={structural} empirical={empirical} (margin {margin:.3g})"
         )
-    return structural, margin, probes, logs, ends, classes
+    return structural, margin, probes, logs, classes
 
 
 def theorem_check(A, config: RunConfig | None = None) -> CriteriaReport:
@@ -800,10 +775,10 @@ def theorem_check(A, config: RunConfig | None = None) -> CriteriaReport:
     normaloid = is_normaloid(an)
     pb = is_power_bounded(an)
 
-    convergent, margin, probes, logs, ends, classes = orbit_convergence(an)
+    convergent, margin, probes, logs, classes = orbit_convergence(an)
     _, exponents = structural_envelope(A, np.column_stack([v for _, v in probes]), an.decomposition)
-    records = [(label, OrbitRecord(v, logs[:end, j], k, cls))
-               for j, ((label, v), end, k, cls) in enumerate(zip(probes, ends, exponents, classes))]
+    records = [(label, OrbitRecord(v, col, k, cls))
+               for (label, v), col, k, cls in zip(probes, logs.T, exponents, classes)]
     witness = next((rec.h for _, rec in records if rec.classification.kind != "convergent"), None)
 
     conditions = [unitary, normaloid, an.contraction, convergent]

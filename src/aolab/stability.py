@@ -385,8 +385,9 @@ def orbit_root_limit(A, H):
     the plain window rule at desk horizons; the limit is therefore rho of
     the envelope fit log ||A^n h|| = a + k log n + n log rho
     (``criteria._envelope_fit``, the fit ``classify_orbits`` reads), which
-    removes the polynomial factor.  The columns advance together in one
-    ``orbit_log_norms_batch``.
+    removes the polynomial factor.  The fit reads at least the last three
+    rows; a horizon of fewer than four rows fits 0, and every live column
+    reads 1.  The columns advance together in one ``orbit_log_norms_batch``.
     """
     an = as_analysis(A)
     H = as_columns(H, an.A.shape[0])

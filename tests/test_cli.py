@@ -146,20 +146,22 @@ class TestAnalyze:
         assert not target.parent.exists()
 
     def test_huge_entry_report_is_finite(self, tmp_path, capsys):
-        # One step multiplies the e0 orbit by 1e12, carrying the row at the
-        # 1e300 cut past the float range.
+        # Each step multiplies the e0 orbit by 1e12, carrying it far past
+        # the float range by the horizon.
         inp = _write_matrix(tmp_path / "m.json", np.diag([1e12, 0.5]).astype(complex))
         assert main(["analyze", "--input", inp]) == EXIT_OK
         report = _finite_report(capsys.readouterr().out)
         assert report["criteria"]["probes"][0]["classification"]["kind"] == "exponential-growth"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("big", [1e12, 1e150, 1e160, 1e200])
+    @pytest.mark.parametrize("big", [1e12, 1e150, 1e160, 1e200, 1e301])
     def test_entries_whose_squares_overflow(self, big, tmp_path, capsys):
         # Squares of the entries from 1e150 on pass the float range: in
         # norms, in is_unitary's products, and, past 1e154, in the orbit
-        # engines.  At every size each probe's own cut step passes 1e308,
-        # so its norm there is clamped.
+        # engines.  At every size each probe's rate is fitted over the whole
+        # horizon in log space, unbiased by the probe's own component
+        # (1e301 passes the float range at step 2), and its last norm is
+        # clamped at 1e308.
         A = np.diag([big, 0.5]).astype(complex)
         inp = _write_matrix(tmp_path / "m.json", A)
         assert main(["analyze", "--input", inp]) == EXIT_OK
@@ -168,15 +170,14 @@ class TestAnalyze:
         for probe in crit["probes"]:
             assert probe["classification"]["rate"] == pytest.approx(big, rel=1e-9)
             assert probe["norm_last"] == pytest.approx(1e308, rel=1e-12)
-        # In a batch of the basis, the e1 orbit is not cut where e0
-        # overflows: 0.5^n runs the full horizon, dies and converges;
-        # 0.5^2000 underflows in its record.
+        # In a batch of the basis, the e1 orbit beside the overflowing e0
+        # dies and converges; 0.5^2000 underflows in its record.
         logs = criteria.orbit_log_norms_batch(A, np.eye(2), 2000)
-        ends, classes = criteria.classify_orbits(logs)
-        e0, e1 = (criteria.OrbitRecord(None, logs[: ends[j], j], None, classes[j]).to_obj() for j in (0, 1))
+        classes = criteria.classify_orbits(logs)
+        e0, e1 = (criteria.OrbitRecord(None, logs[:, j], None, classes[j]).to_obj() for j in (0, 1))
         assert e0["classification"]["rate"] == pytest.approx(big, rel=1e-9)
         assert e0["norm_last"] == pytest.approx(1e308, rel=1e-12)
-        assert ends[1] == 2001 and e1["classification"] == {"kind": "convergent", "limit": 0.0}
+        assert e1["classification"] == {"kind": "convergent", "limit": 0.0}
         assert e1["norm_last"] == 0.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -197,12 +198,25 @@ class TestAnalyze:
         assert _finite_report(out)["stability"]["limit_projection_norm_sq"] == {}
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bounded_orbits_past_overflow_limit(self, tmp_path, capsys):
+        # The orbits and the powers of [[0.5, 1e305], [0, 0.5]] pass 1e300
+        # at the first steps, then decay like n 0.5^n: read over the whole
+        # horizon they converge to 0, and the powers are bounded, as the
+        # roots say.
+        inp = _write_matrix(tmp_path / "m.json", np.array([[0.5, 1e305], [0, 0.5]], dtype=complex))
+        assert main(["analyze", "--input", inp]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        crit = _finite_report(out)["criteria"]
+        assert crit["power_bounded"] is True and crit["orbits_convergent"] is True
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("big", [1e110, 1e200])
     def test_nilpotent_huge_entries_converge(self, big, tmp_path, capsys):
         # The orbits of big * shift pass 1e300 one step before they die (at
-        # 1e200): death is read before the overflow cut, so every probe
-        # converges, as the structure says, and so does every basis orbit,
-        # e0 at once and e1 a step later.
+        # 1e200): a column that died converges, however large its norms
+        # before, so every probe converges, as the structure says, and so
+        # does every basis orbit, e0 at once and e1 a step later.
         A = big * np.eye(3, k=1, dtype=complex)
         inp = _write_matrix(tmp_path / "m.json", A)
         assert main(["analyze", "--input", inp]) == EXIT_OK
@@ -210,7 +224,7 @@ class TestAnalyze:
         assert crit["orbits_convergent"] is True
         assert all(p["classification"] == {"kind": "convergent", "limit": 0.0} for p in crit["probes"])
         assert [p["structural_exponent"] for p in crit["probes"]] == [2] * 20
-        _, classes = criteria.classify_orbits(criteria.orbit_log_norms_batch(A, np.eye(3), 2000))
+        classes = criteria.classify_orbits(criteria.orbit_log_norms_batch(A, np.eye(3), 2000))
         assert classes == [criteria.Classification(kind="convergent", limit=0.0)] * 3
 
     def test_analyze_computes_structure_once(self, tmp_path, monkeypatch, capsys):
@@ -419,8 +433,10 @@ class TestGenerate:
         assert report["criteria"]["unitary"] is False
 
     def test_short_horizon_reads_no_trend(self, tmp_path, capsys):
-        # --nmax 11 leaves 2 rows past the envelope fit's n0 = 10: the fit
-        # reads no trend, and the window rule finds no probe convergent.
+        # --nmax 11 leaves 12 rows, whose last three the envelope fit reads,
+        # but these bounded orbits' window maxima do not change along the
+        # orbit: no trend is read, and the window rule finds no probe
+        # convergent.
         main(["generate", "--kind", "oblique", "--dim", "4",
               "--eigenvalues", "1,i,-1,-i", "--seed", "1"])
         p = tmp_path / "m.json"
@@ -428,6 +444,16 @@ class TestGenerate:
         assert main(["analyze", "--input", str(p), "--nmax", "11", "--window", "5"]) == EXIT_OK
         probes = _finite_report(capsys.readouterr().out)["criteria"]["probes"]
         assert {q["classification"]["kind"] for q in probes} == {"bounded-nonconvergent"}
+
+    def test_short_horizon_reads_decay(self, tmp_path, capsys):
+        # --nmax 11: the envelope fit over the last three of 12 rows reads
+        # log rho near log 0.5, and the window maxima fall along the orbit,
+        # so every probe converges to 0, as the structure says.
+        inp = _write_matrix(tmp_path / "m.json", np.diag([0.5, 0.25]).astype(complex))
+        assert main(["analyze", "--input", inp, "--nmax", "11", "--window", "5"]) == EXIT_OK
+        crit = _finite_report(capsys.readouterr().out)["criteria"]
+        assert crit["orbits_convergent"] is True
+        assert all(p["classification"] == {"kind": "convergent", "limit": 0.0} for p in crit["probes"])
 
     def test_close_unitary_roots_analyze(self, tmp_path, capsys):
         # Eigenvalues 1e-7 apart: eigenvectors computed a few 1e-9 off
@@ -442,7 +468,7 @@ class TestGenerate:
 
     def test_expansive_normaloid_analyze(self, tmp_path, capsys):
         # Norm 3 at dim 16: raw probe vectors pass 1e154 long before the
-        # 1e300 cut, so norms taken from the raw vectors overflowed to inf.
+        # horizon, so norms taken from the raw vectors overflowed to inf.
         main(["generate", "--kind", "normaloid", "--dim", "16",
               "--scale", "3", "--seed", "0"])
         p = tmp_path / "m.json"

@@ -232,7 +232,7 @@ class TestWindowLimit:
 def classify_one(s):
     """The classification of one norm sequence: ``classify_orbits`` of its logs as one column."""
     with np.errstate(divide="ignore"):
-        return classify_orbits(np.log(s)[:, np.newaxis])[1][0]
+        return classify_orbits(np.log(s)[:, np.newaxis])[0]
 
 
 class TestClassifySequence:
@@ -275,13 +275,12 @@ class TestClassifySequence:
         assert c.kind == "convergent" and c.limit == 0.0
 
     def test_overflowed_is_exponential(self):
-        # Each column is cut at its own first row past log OVERFLOW_LIMIT
-        # (0.8 n passes 690.8 at n = 864) and fitted to its own log prefix;
-        # the decaying column beside it runs the full horizon.
+        # A column past the float range (0.8 n passes log 1e308 at n = 887)
+        # is fitted over the whole horizon in log space, like the decaying
+        # and the slowly growing column beside it.
         n = np.arange(2001.0)
         logs = np.column_stack([0.8 * n, n * np.log(0.5), 0.01 * n])
-        ends, classes = classify_orbits(logs)
-        assert ends.tolist() == [865, 2001, 2001]
+        classes = classify_orbits(logs)
         assert classes[0].kind == "exponential-growth"
         assert classes[0].rate == pytest.approx(np.exp(0.8), rel=1e-12)
         assert classes[1] == Classification(kind="convergent", limit=0.0)
@@ -297,8 +296,7 @@ class TestBatchClassifier:
         rng = np.random.default_rng(window)
         families = ("convergent", "polynomial", "exponential", "oscillating", "mixed")
         logs = np.column_stack([_sequence_logs(rng, f) for f in families for _ in range(80)])
-        ends, classes = classify_orbits(logs, window)
-        assert ends.tolist() == [logs.shape[0]] * logs.shape[1]
+        classes = classify_orbits(logs, window)
         want = [_reference_classify(logs[:, j], window) for j in range(logs.shape[1])]
         _assert_same_classes(classes, want, window)
         kinds = {c.kind for c in classes}
@@ -306,8 +304,7 @@ class TestBatchClassifier:
 
     @pytest.mark.parametrize("dim", [4, 8, 16, 32, 64])
     def test_matches_reference_on_probe_batches(self, dim):
-        # The probe batches of analyze, with no column past OVERFLOW_LIMIT:
-        # classes, structural exponents and the stability fields equal the
+        # The probe batches of analyze: classes, structural exponents and the stability fields equal the
         # per-probe reference loops, and every growing probe's degree is its
         # structural exponent.
         z = spread_unimodular(np.random.default_rng(dim), dim)
@@ -320,8 +317,7 @@ class TestBatchClassifier:
         }.items():
             an = Analysis(A, cfg)
             probes, logs = an.orbits
-            ends, classes = classify_orbits(logs)
-            assert ends.tolist() == [cfg.n_max + 1] * len(probes), name
+            classes = classify_orbits(logs)
             want = [_reference_classify(logs[:, j]) for j in range(len(probes))]
             _assert_same_classes(classes, want, name)
             H = np.column_stack([v for _, v in probes])
@@ -333,27 +329,43 @@ class TestBatchClassifier:
             limits = _reference_stability_limits(probes, logs, cfg)
             assert list(verdict.limit_projection_norm_sq.items()) == list(limits.items()), name
 
-    @pytest.mark.parametrize("top, rate", [(693.1, np.exp(693.1)), (713.6, 1e308)], ids=["693.1", "713.6"])
-    def test_cut_at_step_one(self, top, rate):
-        # A column past log OVERFLOW_LIMIT at row 1 keeps rows 0 and 1, and
-        # its rate is the slope fitted over both; a rate past the float
-        # range is clamped at 1e308, as norms are.
+    @pytest.mark.parametrize("top, want", [
+        (693.1, Classification(kind="convergent", limit=pytest.approx(np.exp(693.1), rel=1e-15))),
+        (709.0, Classification(kind="bounded-nonconvergent")),
+        (713.6, Classification(kind="bounded-nonconvergent")),
+    ], ids=["693.1", "709.0", "713.6"])
+    def test_cut_at_step_one(self, top, want):
+        # A column that jumps past log 1e300 at row 1 and stays there is a
+        # bounded orbit: the fit over the whole horizon reads no trend, and
+        # the window rule decides.  At 693.1 the window converges to
+        # e^693.1.  At 709.0 its norms are finite but their sum is not, and
+        # at 713.6 the norms pass the float range: neither window has a
+        # finite limit, so neither converges.
         logs = np.full((2001, 1), top)
         logs[0] = 0.0
-        ends, (cls,) = classify_orbits(logs)
-        assert ends.tolist() == [2] and cls.kind == "exponential-growth"
-        assert cls.rate == pytest.approx(rate, rel=1e-12) and cls.rate <= 1e308
+        assert classify_orbits(logs) == [want]
+
+    def test_polynomial_past_float_range_keeps_no_limit(self):
+        # s_n = e^705 n passes the float range at n = 2: it grows like n,
+        # but its window mean of s_n / n is not finite, so it has no limit.
+        logs = 705.0 + np.log(np.maximum(np.arange(2001.0), 1.0))[:, np.newaxis]
+        assert classify_orbits(logs) == [Classification(kind="polynomial-growth", degree=1)]
 
     def test_short_batch_fits_no_trend(self):
-        # 12 rows leave 2 past the envelope fit's n0 = 10: the fit is 0 with
-        # an infinite band, so no column reads a trend, and each is
-        # convergent or bounded-nonconvergent by the window rule alone.
+        # 12 rows: the envelope fit reads the last three (n0 = 9, band 1/3)
+        # and recovers each straight column's slope, but the window of 12
+        # rows covers the batch, so no column's window maxima change and no
+        # column reads a trend: each is convergent or bounded-nonconvergent
+        # by the window rule alone.  Fewer than four rows fit nothing.
         n = np.arange(12.0)[:, np.newaxis]
         logs = np.hstack([np.full_like(n, np.log(2.0)), 0.5 * n, -np.log(2) * n, np.log1p(n)])
         log_rho, k, band = criteria._envelope_fit(logs)
+        assert band == 1 / 3
+        assert log_rho[:3] == pytest.approx([0.0, 0.5, -np.log(2)], abs=1e-12)
+        assert k[:3] == pytest.approx([0.0] * 3, abs=1e-10)
+        log_rho, k, band = criteria._envelope_fit(logs[:3])
         assert not log_rho.any() and not k.any() and band == np.inf
-        ends, classes = classify_orbits(logs)
-        assert ends.tolist() == [12] * 4
+        classes = classify_orbits(logs)
         assert classes[0] == Classification(kind="convergent", limit=pytest.approx(2.0, rel=1e-15))
         assert classes[1:] == [Classification(kind="bounded-nonconvergent")] * 3
 
@@ -479,20 +491,20 @@ class TestOrbitIteration:
                 assert np.isneginf(logs[dim, 2]) and np.isfinite(logs[dim - 1, 2])
 
     def test_reader_cuts_after_limit(self):
-        # The engine runs the full horizon; the classifier cuts each column
-        # at its own first row past log OVERFLOW_LIMIT, and
-        # orbit_norms_batch cuts the whole batch there.
+        # The engine runs the full horizon, and the classifier reads all of
+        # it; orbit_norms_batch cuts the whole batch at the first row past
+        # log OVERFLOW_LIMIT.
         A = np.diag([3.0, 0.5]).astype(complex)
         full = orbit_log_norms_batch(A, np.eye(2, dtype=complex), 1000)
         assert full.shape == (1001, 2)
-        ends, classes = classify_orbits(full)
-        n = ends[0] - 1
-        assert full[n, 0] > np.log(1e300) >= full[n - 1, 0]
+        classes = classify_orbits(full)
         assert classes[0].kind == "exponential-growth" and classes[0].rate == pytest.approx(3.0)
-        # The e1 column runs the full horizon: 0.5^n dies, so it converges.
-        assert ends[1] == 1001 and classes[1] == Classification(kind="convergent", limit=0.0)
+        # 0.5^n dies, so the e1 column converges.
+        assert classes[1] == Classification(kind="convergent", limit=0.0)
         norms, overflow = orbit_norms_batch(A, np.eye(2, dtype=complex), 1000)
-        assert overflow == n and norms.shape == (n + 1, 2)
+        n = overflow
+        assert full[n, 0] > np.log(1e300) >= full[n - 1, 0]
+        assert norms.shape == (n + 1, 2)
         assert norms[n, 1] == pytest.approx(0.5**n, rel=1e-12)
 
     def test_norms_stay_finite_past_raw_overflow(self):
@@ -659,10 +671,23 @@ class TestPredicates:
         assert not is_power_bounded(np.array([[1, 1], [0, 1]], dtype=complex))
         assert not is_power_bounded(1.2 * np.eye(2))
 
+    def test_power_bound_reads_run_config(self, monkeypatch):
+        # The Frobenius column is classified under the analysis's window
+        # and tol_conv, as every other orbit reader is.
+        seen, classify = [], criteria.classify_orbits
+
+        def recorder(logs, *args):
+            seen.append(args)
+            return classify(logs, *args)
+
+        monkeypatch.setattr(criteria, "classify_orbits", recorder)
+        assert is_power_bounded(Analysis(dft4(), RunConfig(window=40, tol_conv=1e-5)))
+        assert seen == [(40, 1e-5)]
+
     @pytest.mark.parametrize("scale, k", [(1e100, 5), (1e60, 6), (1e110, 3), (1.0, 5), (1e30, 8)])
     def test_vanishing_powers_are_bounded(self, scale, k):
         # c J_k R has finite Frobenius norms up to n = k - 1, the largest past
-        # e^UNBOUNDED_LOG for the first two, and exactly zero powers after.
+        # e^600 for the first two, and exactly zero powers after.
         an = Analysis(scale * np.eye(k, k=1))
         logs = an.frobenius_logs
         assert np.isfinite(logs).sum() == k - 1 and logs[-1] == -np.inf
@@ -783,8 +808,7 @@ class TestTheoremCheck:
         classify = criteria.classify_orbits
 
         def flipped(*args):
-            norms, classes = classify(*args)
-            return norms, [Classification(kind=kind)] * len(classes)
+            return [Classification(kind=kind)] * len(classify(*args))
 
         monkeypatch.setattr(criteria, "classify_orbits", flipped)
         with pytest.raises(InconsistencyError, match="orbit convergence"):
@@ -1100,7 +1124,7 @@ class TestOrbitAnalyze:
     @staticmethod
     def analyze(A, h, n_max=RunConfig.n_max):
         H = h.reshape(-1, 1)
-        (cls,) = classify_orbits(orbit_log_norms_batch(A, H, n_max))[1]
+        (cls,) = classify_orbits(orbit_log_norms_batch(A, H, n_max))
         (exponent,) = structural_envelope(A, H, Analysis(A).decomposition)[1]
         return cls, exponent
 
