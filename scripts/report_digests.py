@@ -12,8 +12,8 @@ running the script at both commits and diffing the output:
 The set: every ``generate`` kind at dims 4, 8 and 16 and seeds 0-2, jordan
 with alpha i and scale 0.5, normaloid with scale 3, dft4, diag(big, 0.5)
 for big = 1e12, 1e160, 1e200 and 1e301 (diag-1e301, whose growing orbits
-pass the float range at step 2), nilpotent-1e200 (1e200 times the dim-3 shift, whose
-orbits pass 1e300 one step before they die), and three
+pass the float range at step 2), nilpotent-1e200 (1e200 times the dim-3
+shift, whose orbits pass 1e300 one step before they die), and three
 planted structures: the first
 circle/d16 instance of the structure-stress benchmark (12 simple unimodular
 roots, cond cap 1e4), roots of index 4 and 2 at dim 8, and a dim-32 shape
