@@ -5,7 +5,7 @@ process per run, and write the medians and pair counts as JSON.
     python scripts/layer_times.py --out BENCH_layers.json
     python scripts/layer_times.py --parent HEAD~1 --runs 5 --out BENCH_layers.json
 
-Rows.  For each dimension (4, 8, 16, 32 and 64 by default) fourteen rows
+Rows.  For each dimension (4, 8, 16, 32 and 64 by default) fifteen rows
 are timed, most of them on one seeded unitary with four distinct
 eigenvalues:
 - ``analyze_ms``: one ``aolab analyze`` of its matrix JSON file, report
@@ -29,7 +29,10 @@ eigenvalues:
   of its d unimodular blocks, on its cached decomposition, the cached
   decision dropped before each call; ``minpoly_oblique_ms``:
   ``minimal_polynomial`` of that oblique given its norm, one staircase for
-  each of its d roots;
+  each of its d roots; ``minpoly_planted_ms``: ``minimal_polynomial``, given
+  its norm, of gen_planted_jordan(d, roots e^{0.3i}, 0.7 e^{2.4i} and 0.5i
+  of indices 4, 3 and 1 (3 and 1 at d4), 1e4, seed=d), whose Jordan blocks
+  split into eigenvalues that only a merge check joins;
 - ``classify_ms``: ``orbit_convergence`` on an ``Analysis`` whose structure
   and probe batch are already computed, so that the call is the
   classification of the batch and the structural verdict;
@@ -125,7 +128,8 @@ BLAS_THREADS = "1"
 MODULES = ("config", "errors", "linalg", "structure", "criteria", "stability", "generators", "suites",
            "jsonout", "cli")
 KEYS = ("analyze_ms", "engine_ms", "power_ms", "floor_ms", "minpoly_ms", "decompose_ms", "frobenius_ms", "overlap_ms",
-        "minpoly_oblique_ms", "classify_ms", "classify_jordan_ms", "growth_jordan_ms", "serialize_ms", "parse_ms")
+        "minpoly_oblique_ms", "minpoly_planted_ms", "classify_ms", "classify_jordan_ms", "growth_jordan_ms",
+        "serialize_ms", "parse_ms")
 VERIFY = ["verify", "--suite", "all", "--trials", "10", "--seed", "0"]
 
 
@@ -169,8 +173,8 @@ def _floor(propagate, V, k) -> None:
 def _inputs(t, dims, tmp: Path):
     """The matrices every tree's rows read, made by the package ``t``: per
     dimension the unitary, its JSON text (also written to ``tmp``), its
-    probe batch, the jordan matrix and the oblique one; then the bare and
-    nilpotent growth shapes."""
+    probe batch, the jordan matrix, the oblique one and the planted one;
+    then the bare and nilpotent growth shapes."""
     g, per_dim = t.generators, {}
     for d in dims:
         rng = np.random.default_rng(d)
@@ -179,7 +183,9 @@ def _inputs(t, dims, tmp: Path):
         (tmp / f"d{d}.json").write_text(text, encoding="utf-8")
         H = np.column_stack([v for _, v in t.criteria.probe_set(d, rng)])
         J = g.gen_jordan_perturbation(d, np.exp(0.7j), 1.0, seed=d)
-        per_dim[d] = (A, text, H, J, g.gen_oblique(d, np.exp(2j * np.pi * np.arange(d) / d), 50.0, seed=d))
+        O = g.gen_oblique(d, np.exp(2j * np.pi * np.arange(d) / d), 50.0, seed=d)
+        roots = zip((np.exp(0.3j), 0.7 * np.exp(2.4j), 0.5j), (3, 1) if d == 4 else (4, 3, 1))
+        per_dim[d] = (A, text, H, J, O, g.gen_planted_jordan(d, list(roots), 1e4, seed=d))
     bare = g.gen_planted_jordan(8, [(0.95 * np.exp(1j), 2), (np.exp(0.5j), 1), (0.5j, 1)], 1e6, 4)
     return per_dim, bare, g.gen_planted_jordan(8, [(0, 3)], 100.0, 8)
 
@@ -203,7 +209,7 @@ def _rows(t, src, inputs, tmp: Path) -> dict:
         return an.block_overlap
 
     def at(d) -> dict:
-        A, text, H, J, O = per_dim[d]
+        A, text, H, J, O, P = per_dim[d]
         argv = ["analyze", "--input", str(tmp / f"d{d}.json"), "--out", str(tmp / f"d{d}.out.json"), "--seed", "1"]
         k = c._block_steps(d, H.shape[1])
         stack = np.empty((min(k, STEPS), d, H.shape[1]), dtype=complex)
@@ -223,6 +229,7 @@ def _rows(t, src, inputs, tmp: Path) -> dict:
             "frobenius_ms": partial(c.frobenius_log_norms, logs, 20),
             "overlap_ms": partial(overlap, oblique),
             "minpoly_oblique_ms": partial(t.structure.minimal_polynomial, O, oblique.norm),
+            "minpoly_planted_ms": partial(t.structure.minimal_polynomial, P, t.linalg.operator_norm(P)),
             "classify_ms": partial(c.orbit_convergence, warmed(A)),
             "classify_jordan_ms": partial(c.orbit_convergence, jordan),
             "growth_jordan_ms": partial(t.stability.growth_bound, jordan),

@@ -38,8 +38,11 @@ diag(e^(709.5/4000), 0.5) (exit 0); and oblique-d32, the first oblique/d32
 instance of the analyze-large benchmark, 32 simple unimodular roots whose
 496 pairs of blocks the principal-angle decision reads (exit 0); and
 overflow-then-decay, [[0.5, 1e305], [0, 0.5]], whose orbits and powers
-pass 1e300 at the first steps and then decay (exit 0).  The two benchmark
-instances are built by ``bench/workloads.py`` itself, imported read-only.
+pass 1e300 at the first steps and then decay (exit 0); and normaloid-d32,
+the first normaloid/d32 instance of analyze-large, whose exact 2x2 Jordan
+block leaves its eigenvector matrix near singular, so that 30 pairs of
+eigenvalues take a merge check and each is refused (exit 0).  The three benchmark instances are built by
+``bench/workloads.py`` itself, imported read-only.
 
 A change that moves trailing digits changes most digests, so two runs can
 also be compared field by field:
@@ -82,7 +85,7 @@ from aolab.generators import dft4, gen_jordan_perturbation, gen_planted_jordan, 
 from aolab.linalg import matrix_to_obj
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
-from workloads import analyze_instance, stress_roots  # noqa: E402
+from workloads import LARGE_SHAPES, analyze_instance, stress_roots  # noqa: E402
 
 
 def _roots_of_unity(dim):
@@ -108,11 +111,11 @@ def _stress_circle_d16():
     return gen_planted_jordan(16, roots, 1e4, int(rng.integers(2**31)))
 
 
-def _large_oblique_d32():
-    """The first oblique/d32 instance of the analyze-large benchmark (rng
-    [1, 0, 0]): 32 simple unimodular roots, 496 pairs of blocks, cond cap
-    50."""
-    return analyze_instance(generators, "oblique", 32, {}, np.random.default_rng([1, 0, 0]))[0]
+def _analyze_large(s):
+    """The first instance of shape s of the analyze-large benchmark (rng
+    [1, 0, s])."""
+    family, dim, params = LARGE_SHAPES[s]
+    return analyze_instance(generators, family, dim, params, np.random.default_rng([1, 0, s]))[0]
 
 
 def _no_gap_d32():
@@ -160,8 +163,9 @@ def instances():
                                          "--indices", "3", "--seed", "0"]))
     out.append(("jordan-1e150", np.array([[1, 1e150], [0, 1]], dtype=complex)))
     out.append(("window-square-overflow", np.diag([math.exp(709.5 / 4000), 0.5]).astype(complex)))
-    out.append(("oblique-d32", _large_oblique_d32()))
+    out.append(("oblique-d32", _analyze_large(0)))
     out.append(("overflow-then-decay", np.array([[0.5, 1e305], [0, 0.5]], dtype=complex)))
+    out.append(("normaloid-d32", _analyze_large(4)))
     return out
 
 
@@ -279,15 +283,18 @@ def _walk_csv(new: bytes, old: bytes, diffs, floats):
         diffs.append(f"csv: {len(rows_old)} rows -> {len(rows_new)}, or another header")
         return
     header = rows_new[0] if rows_new else []
+    # An integer column holds integers only, on both sides: a float that
+    # %.17g writes between 1e16 and 1e17 has neither a point nor an exponent.
+    ints = [all(_is_int(r[c]) for r in rows_new[1:] + rows_old[1:]) for c in range(len(header))]
     for i, (row, was) in enumerate(zip(rows_new[1:], rows_old[1:]), start=1):
-        for col, x, y in zip(header, row, was):
+        for col, is_int, x, y in zip(header, ints, row, was):
             if x == y:
                 continue
             try:
                 a, b = float(x), float(y)
             except ValueError:
                 a = b = None
-            if a is None or (_is_int(x) and _is_int(y)):
+            if a is None or is_int:
                 diffs.append(f"csv row {i} {col}: {y!r} -> {x!r}")
             else:
                 floats.append((f"csv.{col}", _relative(a, b), f"csv row {i} {col}"))

@@ -33,8 +33,12 @@ class RunConfig:
     trials: int = 100
 
     def __post_init__(self):
-        if self.n_max < 1 or self.window < 1 or self.window >= self.n_max:
+        if self.window < 1 or self.window >= self.n_max:
             raise InvalidInputError(f"require 1 <= window < n_max, got window {self.window} and n_max {self.n_max}")
+        # Fewer than 4 rows (n = 0..n_max) give the envelope fit nothing to
+        # fit, and the r < 1 cross-check no two distinct rows to compare.
+        if self.n_max < 3:
+            raise InvalidInputError(f"require n_max >= 3, got n_max {self.n_max}")
         if not 0 < self.tol_conv < float("inf"):  # NaN fails too
             raise InvalidInputError("tolerances must be positive and finite")
         if self.trials < 1:

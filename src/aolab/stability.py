@@ -205,7 +205,7 @@ def recursion_log_norms(an: Analysis, n_max: int) -> np.ndarray:
         for k in range(i):
             s[o + k] = c
             M = D @ M
-            c = float(np.linalg.norm(M, 2)) * b.projection_norm
+            c = float(np.linalg.norm(M, 2 if M.shape[1] > 1 else None)) * b.projection_norm
         T[o : o + i, o : o + i] = abs(b.z) / t * np.eye(i) + np.eye(i, k=1)
         T[o + i - 1, heads] += c / gap
     k = max(1, min(n_max, STACK_ENTRIES // deg**2))
@@ -386,8 +386,8 @@ def orbit_root_limit(A, H):
     the envelope fit log ||A^n h|| = a + k log n + n log rho
     (``criteria._envelope_fit``, the fit ``classify_orbits`` reads), which
     removes the polynomial factor.  The fit reads at least the last three
-    rows; a horizon of fewer than four rows fits 0, and every live column
-    reads 1.  The columns advance together in one ``orbit_log_norms_batch``.
+    of the n_max + 1 >= 4 rows.  The columns advance together in one
+    ``orbit_log_norms_batch``.
     """
     an = as_analysis(A)
     H = as_columns(H, an.A.shape[0])

@@ -63,17 +63,21 @@ class MinimalPoly(NamedTuple):
         return hash(self[:2])
 
 
-def _kernel(M: np.ndarray, tol: float, z: complex, step: int):
+def _kernel(M: np.ndarray, tol: float, z: complex, step: int, vectors: bool = True):
     """(nullity, right singular vectors, singular values) of M: the singular
-    values at most ``tol`` are zero.  Raises IllConditionedSpectrumError
+    values at most ``tol`` are zero.  Without ``vectors`` LAPACK computes
+    none and the vectors are None.  Raises IllConditionedSpectrumError
     when one lies in the gap band (tol, GAP * tol]."""
     try:
-        _, s, vh = np.linalg.svd(M)
+        out = np.linalg.svd(M, compute_uv=vectors)
+        V = out[2].conj().T if vectors else None
     except np.linalg.LinAlgError:
         # The divide-and-conquer SVD can fail to converge on many tiny
-        # singular values; the adjoint takes another path through it.
-        u, s, _ = np.linalg.svd(M.conj().T)
-        vh = u.conj().T
+        # singular values; the adjoint takes another path through it, and
+        # its left singular vectors are the right ones of M.
+        out = np.linalg.svd(M.conj().T, compute_uv=vectors)
+        V = out[0] if vectors else None
+    s = out[1] if vectors else out
     grade = decide(s, 0.0, tol)
     band = s[grade == 1]
     if band.size:
@@ -81,43 +85,46 @@ def _kernel(M: np.ndarray, tol: float, z: complex, step: int):
             f"root {z:.6g}, staircase step {step}: singular value {band[-1]:.3g} "
             f"lies in the gap band above the threshold {tol:.3g} (up to {GAP:g} times it)"
         )
-    return int(np.sum(grade == 0)), vh.conj().T, s
+    return int(np.sum(grade == 0)), V, s
 
 
-def _staircase(A: np.ndarray, z: complex, tol: float, mult: int):
+def _staircase(A: np.ndarray, z: complex, tol: float, mult: int, v: np.ndarray):
     """(index, basis, spectrum): the Kublanovskaya staircase on A - zI, and
     the singular values of A - zI that its first step computes.  Each step
     splits off the kernel of the current matrix and compresses the matrix
     to the kernel's orthogonal complement, so the kernels of the first k
     steps span ker (A - zI)^k.  It stops at the first empty kernel or once
     the kernels reach ``mult``; kernels that do not add up to ``mult``
-    raise IllConditionedSpectrumError."""
+    raise IllConditionedSpectrumError.  A simple root (``mult`` 1) takes
+    its kernel from v, its unit eigenvector, so its one step computes the
+    singular values only."""
     d = A.shape[0]
     B = A - z * np.eye(d)
     Q = np.eye(d, dtype=complex)
     kernels = [np.zeros((d, 0), dtype=complex)]
+    found = 0
     # Every step before the last adds a kernel vector: at most mult steps.
     for step in range(1, mult + 1):
-        nul, V, s = _kernel(B, tol, z, step)
+        nul, V, s = _kernel(B, tol, z, step, vectors=mult > 1)
         if step == 1:
             spectrum = s
         if nul == 0:
             break
         n = B.shape[0]
-        kernels.append(Q @ V[:, n - nul:])
-        if d - n + nul >= mult:
+        found = d - n + nul
+        kernels.append(Q @ V[:, n - nul :] if mult > 1 else v)
+        if found >= mult:
             break
         C = V[:, : n - nul]
         Q, B = Q @ C, C.conj().T @ B @ C
-    # Deepest kernel first: the first column then has the longest chain
-    # under A - zI, index - 1 steps to zero.
-    basis = np.hstack(kernels[::-1])
-    if basis.shape[1] != mult:
+    if found != mult:
         raise IllConditionedSpectrumError(
-            f"root {z:.6g}, staircase step {step}: the kernels add up to {basis.shape[1]}, "
+            f"root {z:.6g}, staircase step {step}: the kernels add up to {found}, "
             f"not the multiplicity {mult}, at the threshold {tol:.3g}"
         )
-    return len(kernels) - 1, basis, spectrum
+    # Deepest kernel first: the first column then has the longest chain
+    # under A - zI, index - 1 steps to zero.
+    return len(kernels) - 1, np.hstack(kernels[::-1]), spectrum
 
 
 def minimal_polynomial(A, norm: float | None = None) -> MinimalPoly:
@@ -127,14 +134,17 @@ def minimal_polynomial(A, norm: float | None = None) -> MinimalPoly:
     Eigenvalue j of A = V diag(w) V^{-1} gets a disk of radius
     max(CLUSTER_FACTOR, d eps kappa_j) max(1, ||A||), kappa_j the norm of
     row j of V^{-1} (unit eigenvectors).  Two overlapping disks merge only
-    if A - mI is singular at their midpoint m under the rank threshold;
-    each pair of clusters is checked once, closest first.  The staircase
-    on A - zI at each cluster mean z then gives the index (its number of
-    steps), the generalized eigenspace basis and, from its first step, the
-    singular values of A - zI, which ``criteria._basis_error`` reads.  Raises
-    IllConditionedSpectrumError when a rank decision has no gap or the
-    kernels do not add up to the cluster size.  ``norm`` is ||A|| if the
-    caller has it already.
+    if A - mI is singular at their midpoint m under the rank threshold:
+    1 / ||(A - mI)^{-1}||_F and sqrt(d) times it bracket its smallest
+    singular value, and an SVD without vectors decides a bracket that
+    straddles the threshold.  Each pair of clusters is checked once,
+    closest first.  The staircase on A - zI at each cluster mean z then
+    gives the index (its number of steps), the generalized eigenspace
+    basis (a simple root's is its column of V) and, from its first step,
+    the singular values of A - zI, which ``criteria._basis_error`` reads.
+    Raises IllConditionedSpectrumError when a rank decision has no gap or
+    the kernels do not add up to the cluster size.  ``norm`` is ||A|| if
+    the caller has it already.
     """
     A = as_matrix(A)
     d = A.shape[0]
@@ -154,15 +164,29 @@ def minimal_polynomial(A, norm: float | None = None) -> MinimalPoly:
     def merge(i, j):
         # Within the smallest radius, eigenvalues are one root unchecked;
         # the staircase still checks the cluster.
+        if decide(abs(w[i] - w[j]), CLUSTER_FACTOR * scale) == 0:
+            return True
         m = (w[i] + w[j]) / 2
-        return decide(abs(w[i] - w[j]), CLUSTER_FACTOR * scale) == 0 or (
-            decide(np.linalg.svd(A - m * np.eye(d), compute_uv=False)[-1], tol) == 0
-        )
+        M = A - m * np.eye(d)
+        # s_min(M) lies between 1 and sqrt(d) over ||M^-1||_F, so only a
+        # bracket that straddles tol takes the SVD.  An M that LAPACK
+        # cannot invert is singular.
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                f = np.linalg.norm(np.linalg.inv(M))
+        except np.linalg.LinAlgError:
+            return True
+        high, low = decide(np.sqrt(d) / f, tol), decide(1 / f, tol)
+        if high == 0 or low == 2:
+            return high == 0
+        return decide(np.linalg.svd(M, compute_uv=False)[-1], tol) == 0
 
     # Disks of radius r overlap within r_i + r_j: linking distance 2r.
     roots, bases, spectra = [], [], []
     for z, mult in cluster_points(w, 2 * radius, merge):
-        index, basis, spectrum = _staircase(A, z, tol, mult)
+        # A simple root's mean z is its eigenvalue: V[:, w == z] is its
+        # unit eigenvector, as exactly equal eigenvalues always merge.
+        index, basis, spectrum = _staircase(A, z, tol, mult, V[:, w == z])
         roots.append((z, index))
         bases.append(basis)
         spectra.append(spectrum)
@@ -226,8 +250,9 @@ def decompose(A, p: MinimalPoly) -> Decomposition:
     for (z, i), basis in zip(p.roots, p.bases):
         sel = slice(offset, offset + basis.shape[1])
         P = B[:, sel] @ Binv[sel, :]
-        # ||P|| = ||Binv[sel, :]||, since the basis columns are orthonormal.
-        norm = float(np.linalg.norm(Binv[sel, :], 2))
+        # ||P|| = ||Binv[sel, :]||, since the basis columns are orthonormal;
+        # for a 1-dim block that is the norm of one row.
+        norm = float(np.linalg.norm(Binv[sel, :], 2 if basis.shape[1] > 1 else None))
         blocks.append(Block(z=z, index=i, basis=basis, projection=P, projection_norm=norm))
         offset += basis.shape[1]
     return Decomposition(blocks=tuple(blocks), constant_c=max(b.projection_norm for b in blocks))

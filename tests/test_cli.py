@@ -455,6 +455,15 @@ class TestGenerate:
         assert crit["orbits_convergent"] is True
         assert all(p["classification"] == {"kind": "convergent", "limit": 0.0} for p in crit["probes"])
 
+    def test_two_step_horizon_is_an_input_error(self, tmp_path, capsys):
+        # At --nmax 2 the r < 1 cross-check compared row n_max // 2 + 1 = 2
+        # with itself, which never falls, and exited 2: the config refuses
+        # n_max < 3, and --nmax 3 reads the decay.
+        inp = _write_matrix(tmp_path / "m.json", np.diag([0.5, 0.25]).astype(complex))
+        assert main(["analyze", "--input", inp, "--nmax", "2", "--window", "1"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: require n_max >= 3, got n_max 2\n"
+        assert main(["analyze", "--input", inp, "--nmax", "3", "--window", "1"]) == EXIT_OK
+
     def test_close_unitary_roots_analyze(self, tmp_path, capsys):
         # Eigenvalues 1e-7 apart: eigenvectors computed a few 1e-9 off
         # orthogonal still read as orthogonal blocks.

@@ -84,6 +84,20 @@ def test_report_digests_compare(tmp_path, monkeypatch, capsys):
     assert "dft4: criteria.probes[0].classification.kind: 'bounded-nonconvergent' -> 'convergent'" in out
 
 
+def test_report_digests_csv_float_columns():
+    # %.17g writes a float between 1e16 and 1e17 with neither a point nor
+    # an exponent: a bound column that holds one is still a float column,
+    # and only the all-integer n column compares exactly.
+    walk = _load("report_digests")._walk_csv
+    old = b"n,power_norm,bound\n1,1.5,2.5\n2,3.0,37059152259838824\n"
+    diffs, floats = [], []
+    walk(old.replace(b"838824", b"838992"), old, diffs, floats)
+    assert diffs == [] and [(f, p) for f, _, p in floats] == [("csv.bound", "csv row 2 bound")]
+    diffs, floats = [], []
+    walk(old.replace(b"\n2,", b"\n3,"), old, diffs, floats)
+    assert diffs == ["csv row 2 n: '2' -> '3'"] and floats == []
+
+
 def test_report_digests_hide_package_path(monkeypatch):
     # A warning names the file it comes from; the digest must not depend
     # on where the checkout lies.
@@ -166,7 +180,8 @@ def test_layer_times(tmp_path, capsys):
     side = report["sides"]["change"]
     assert side["numpy"] and list(report["sides"]) == ["change"]
     for key in ("analyze_ms", "engine_ms", "power_ms", "floor_ms", "minpoly_ms", "decompose_ms", "frobenius_ms",
-                "overlap_ms", "minpoly_oblique_ms", "growth_jordan_ms", "serialize_ms", "parse_ms"):
+                "overlap_ms", "minpoly_oblique_ms", "minpoly_planted_ms", "growth_jordan_ms", "serialize_ms",
+                "parse_ms"):
         assert side[key]["4"]["median"] > 0
     assert side["engine_over_floor"]["4"] > 0
     assert len(side["one_step_ms"]["values"]) == 3

@@ -657,6 +657,15 @@ class TestOrbitRootLimit:
         assert orbit_root_limit(an, np.ones((3, 1)))[0] == pytest.approx(1.0, abs=1e-3)
         assert steps == [300, 300]
 
+    def test_shortest_horizon(self):
+        # Two steps leave three rows, which give the envelope fit nothing
+        # to fit (every live column read 1 and raised): the config refuses
+        # them, and three steps read both roots.
+        A, H = np.diag([0.5, 0.25]), np.eye(2)
+        with pytest.raises(InvalidInputError, match=r"require n_max >= 3, got n_max 2"):
+            orbit_root_limit(Analysis(A, RunConfig(n_max=2, window=1)), H)
+        assert orbit_root_limit(Analysis(A, RunConfig(n_max=3, window=1)), H) == pytest.approx([0.5, 0.25], abs=1e-3)
+
     @pytest.mark.parametrize("scale", [1e-170, 1e160])
     def test_probe_entries_past_the_square_range(self, scale):
         # The squares of these entries under- or overflow; both norms of a

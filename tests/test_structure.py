@@ -13,16 +13,19 @@ import pytest
 
 import aolab
 from aolab.errors import DecompositionError, IllConditionedSpectrumError, InvalidInputError
-from aolab.generators import canonical_oblique, dft4, gen_planted_jordan, spread_unimodular
-from aolab.linalg import operator_norm
+from aolab.generators import canonical_oblique, dft4, gen_oblique, gen_planted_jordan, spread_unimodular
+from aolab.linalg import as_matrix, cluster_points, operator_norm
 from aolab.structure import (
+    CLUSTER_FACTOR,
     GAP,
+    KERNEL_TOL,
     MinimalPoly,
     decide,
     decompose,
     minimal_polynomial,
     minimal_poly_to_obj,
 )
+from test_engine import FAMILIES, _shape_matrix
 
 
 def _evaluate(mp, A):
@@ -166,6 +169,230 @@ class TestStressShapes:
         A = gen_planted_jordan(32, _shape_roots("jordan", (6, 4, 2, 1)), 1e6, 0)
         with pytest.raises(IllConditionedSpectrumError, match="staircase step .* threshold"):
             minimal_polynomial(A)
+
+
+# ---------------------------------------------------------------------------
+# A frozen copy of the minimal polynomial before simple roots read their
+# eigenvectors and merge checks their inverse bracket: a full SVD with
+# vectors at every staircase step and an SVD without vectors per link.
+# ---------------------------------------------------------------------------
+
+def _reference_kernel(M, tol, z, step):
+    try:
+        _, s, vh = np.linalg.svd(M)
+    except np.linalg.LinAlgError:
+        u, s, _ = np.linalg.svd(M.conj().T)
+        vh = u.conj().T
+    grade = decide(s, 0.0, tol)
+    band = s[grade == 1]
+    if band.size:
+        raise IllConditionedSpectrumError(
+            f"root {z:.6g}, staircase step {step}: singular value {band[-1]:.3g} "
+            f"lies in the gap band above the threshold {tol:.3g} (up to {GAP:g} times it)"
+        )
+    return int(np.sum(grade == 0)), vh.conj().T, s
+
+
+def _reference_staircase(A, z, tol, mult):
+    d = A.shape[0]
+    B = A - z * np.eye(d)
+    Q = np.eye(d, dtype=complex)
+    kernels = [np.zeros((d, 0), dtype=complex)]
+    for step in range(1, mult + 1):
+        nul, V, s = _reference_kernel(B, tol, z, step)
+        if step == 1:
+            spectrum = s
+        if nul == 0:
+            break
+        n = B.shape[0]
+        kernels.append(Q @ V[:, n - nul:])
+        if d - n + nul >= mult:
+            break
+        C = V[:, : n - nul]
+        Q, B = Q @ C, C.conj().T @ B @ C
+    basis = np.hstack(kernels[::-1])
+    if basis.shape[1] != mult:
+        raise IllConditionedSpectrumError(
+            f"root {z:.6g}, staircase step {step}: the kernels add up to {basis.shape[1]}, "
+            f"not the multiplicity {mult}, at the threshold {tol:.3g}"
+        )
+    return len(kernels) - 1, basis, spectrum
+
+
+def reference_minimal_polynomial(A):
+    A = as_matrix(A)
+    d = A.shape[0]
+    scale = max(1.0, operator_norm(A))
+    tol = KERNEL_TOL * d * scale
+    w, V = np.linalg.eig(A)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            kappa = np.linalg.norm(np.linalg.inv(V), axis=1)
+        except np.linalg.LinAlgError:
+            kappa = np.full(d, np.inf)
+    kappa[~np.isfinite(kappa)] = np.inf
+    radius = np.maximum(CLUSTER_FACTOR, d * np.finfo(float).eps * kappa) * scale
+
+    def merge(i, j):
+        m = (w[i] + w[j]) / 2
+        return decide(abs(w[i] - w[j]), CLUSTER_FACTOR * scale) == 0 or (
+            decide(np.linalg.svd(A - m * np.eye(d), compute_uv=False)[-1], tol) == 0
+        )
+
+    roots, bases, spectra = [], [], []
+    for z, mult in cluster_points(w, 2 * radius, merge):
+        index, basis, spectrum = _reference_staircase(A, z, tol, mult)
+        roots.append((z, index))
+        bases.append(basis)
+        spectra.append(spectrum)
+    return MinimalPoly(
+        roots=tuple(roots), degree=sum(i for _, i in roots), bases=tuple(bases), spectra=tuple(spectra)
+    )
+
+
+def _outcome(fn, A):
+    """(minimal polynomial, None), or (None, message) if it raised."""
+    try:
+        return fn(A), None
+    except IllConditionedSpectrumError as exc:
+        return None, str(exc)
+
+
+def _assert_as_reference(A):
+    """The same roots (cluster means, hence the same partition), indices,
+    block dims, raises and messages as the reference.  A cluster above
+    size 1 keeps the reference's bits.  A simple root's basis b lies within
+    ``criteria._basis_error``'s bound of the reference kernel, and
+    ||(A - zI) b|| is at most the bound's numerator d eps max(1, ||A||) +
+    s_0, so that the bound still holds for the basis kept."""
+    got, err = _outcome(minimal_polynomial, A)
+    ref, ref_err = _outcome(reference_minimal_polynomial, A)
+    assert err == ref_err
+    if ref is None:
+        return
+    assert got.roots == ref.roots and got.degree == ref.degree
+    assert [b.shape for b in got.bases] == [b.shape for b in ref.bases]
+    d = A.shape[0]
+    floor = d * np.finfo(float).eps * max(1.0, operator_norm(A))
+    for (z, _), b, r, s, s_ref in zip(got.roots, got.bases, ref.bases, got.spectra, ref.spectra):
+        if b.shape[1] > 1:
+            assert np.array_equal(b, r) and np.array_equal(s, s_ref)
+            continue
+        assert np.max(np.abs(s - s_ref)) <= floor
+        residual = np.linalg.norm((A - z * np.eye(d)) @ b)
+        assert residual <= floor + s[-1], (z, residual, floor + s[-1])
+        sine = np.linalg.norm(r - b @ (b.conj().T @ r))  # of the angle between the two lines
+        assert sine <= (floor + s[-1]) / s[-2], (z, sine, (floor + s[-1]) / s[-2])
+
+
+class TestAgainstReference:
+    """``minimal_polynomial`` against the frozen per-root full-SVD staircase
+    and per-link SVD merge check."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("dim", [4, 8, 16, 32, 64])
+    def test_analyze_shapes(self, dim, seed):
+        # The desk (d4-d16) and large (d32, d64) shapes of the analyze benchmarks.
+        rng = np.random.default_rng([dim, seed])
+        for family in FAMILIES:
+            _assert_as_reference(_shape_matrix(family, dim, rng))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "dim, kind, indices, cap",
+        [
+            (16, "circle", (1,) * 12, 1e4),
+            (16, "jordan", (6, 3, 1), 1e2),
+            (16, "close", (1, 1, 2), 1e4),
+            (16, "jordan", (4, 2, 2, 1), 1e6),
+            (32, "circle", (1,) * 16, 1e2),
+            (32, "jordan", (6, 4, 2, 1), 1e6),
+            (32, "close", (2, 1, 3), 1e2),
+            (64, "circle", (1,) * 16, 1e6),
+            (64, "jordan", (6, 5, 3), 1e4),
+            (64, "close", (1, 1, 4), 1e5),
+        ],
+    )
+    def test_stress_shapes(self, dim, kind, indices, cap, seed):
+        _assert_as_reference(gen_planted_jordan(dim, _shape_roots(kind, indices), cap, seed))
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32, 64])
+    @pytest.mark.parametrize("cap", [50.0, 1e3, 1e6])
+    def test_obliques(self, dim, cap):
+        _assert_as_reference(gen_oblique(dim, spread_unimodular(np.random.default_rng(dim), dim), cap, dim))
+
+    def test_exact_inputs(self):
+        for A in (dft4(), np.eye(6), canonical_oblique(), np.diag([1.0, 1.0, 2.0]), np.eye(3, k=1)):
+            _assert_as_reference(A)
+
+
+class _LapackLog:
+    """Records every np.linalg.inv and np.linalg.svd call as (kind, matrix):
+    kind "inv", "svd" (with vectors) or "s" (singular values only)."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        inv, svd = np.linalg.inv, np.linalg.svd
+
+        def logged_inv(a):
+            self.calls.append(("inv", a))
+            return inv(a)
+
+        def logged_svd(a, full_matrices=True, compute_uv=True, hermitian=False):
+            self.calls.append(("svd" if compute_uv else "s", a))
+            return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, hermitian=hermitian)
+
+        monkeypatch.setattr(np.linalg, "inv", logged_inv)
+        monkeypatch.setattr(np.linalg, "svd", logged_svd)
+
+    def of(self, kind):
+        return [a for k, a in self.calls if k == kind]
+
+
+class TestLapackCalls:
+    def test_simple_roots_take_no_singular_vectors(self, monkeypatch):
+        # 32 simple roots: 32 SVDs without vectors, none with (the norm's
+        # own SVD comes before the log).
+        A = gen_oblique(32, spread_unimodular(np.random.default_rng(32), 32), 50.0, 32)
+        norm = operator_norm(A)
+        log = _LapackLog(monkeypatch)
+        mp = minimal_polynomial(A, norm)
+        assert len(mp.roots) == 32
+        assert not log.of("svd")
+        assert len(log.of("s")) == 32
+
+    @pytest.mark.parametrize("dim, indices, seed, straddling", [
+        (16, (4, 2, 2, 1), 0, 0),
+        (16, (4, 2, 2, 1), 26, 3),
+        (32, (6, 4, 2, 1), 14, 3),
+    ])
+    def test_merge_checks_take_an_svd_only_when_undecided(self, monkeypatch, dim, indices, seed, straddling):
+        # Cond cap 1e6: many checked links, of which the last two shapes
+        # have a few whose inverse brackets straddle the threshold (they
+        # then raise in a staircase, after every merge check).
+        A = gen_planted_jordan(dim, _shape_roots("jordan", indices), 1e6, seed)
+        norm = operator_norm(A)
+        tol = KERNEL_TOL * dim * max(1.0, norm)
+        log = _LapackLog(monkeypatch)
+        got, _ = _outcome(lambda M: minimal_polynomial(M, norm), A)
+        monkeypatch.undo()
+        links = log.of("inv")[1:]  # the first inverts the eigenvectors
+        assert len(links) >= 4
+        undecided = []
+        for M in links:
+            f = np.linalg.norm(np.linalg.inv(M))
+            high, low = decide(np.sqrt(dim) / f, tol), decide(1 / f, tol)
+            if high == 0 or low == 2:
+                # A decided bracket agrees with the SVD.
+                assert (high == 0) == (decide(np.linalg.svd(M, compute_uv=False)[-1], tol) == 0)
+            else:
+                undecided.append(M)
+        assert len(undecided) == straddling
+        checked = [a for a in log.of("s") if any(a is M for M in links)]
+        assert len(checked) == straddling and all(any(a is M for M in undecided) for a in checked)
+        if got is not None:
+            # The other SVDs without vectors are the simple roots'.
+            assert len(log.of("s")) - len(checked) == sum(b.shape[1] == 1 for b in got.bases)
 
 
 class TestDecompose:
