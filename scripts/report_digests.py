@@ -41,8 +41,9 @@ overflow-then-decay, [[0.5, 1e305], [0, 0.5]], whose orbits and powers
 pass 1e300 at the first steps and then decay (exit 0); and normaloid-d32,
 the first normaloid/d32 instance of analyze-large, whose exact 2x2 Jordan
 block leaves its eigenvector matrix near singular, so that 30 pairs of
-eigenvalues take a merge check and each is refused (exit 0).  The three benchmark instances are built by
-``bench/workloads.py`` itself, imported read-only.
+eigenvalues take a merge check and each is refused (exit 0).  The three
+benchmark instances are built by ``bench/workloads.py`` itself, imported
+read-only.
 
 A change that moves trailing digits changes most digests, so two runs can
 also be compared field by field:

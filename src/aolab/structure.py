@@ -88,7 +88,7 @@ def _kernel(M: np.ndarray, tol: float, z: complex, step: int, vectors: bool = Tr
     return int(np.sum(grade == 0)), V, s
 
 
-def _staircase(A: np.ndarray, z: complex, tol: float, mult: int, v: np.ndarray):
+def _staircase(A: np.ndarray, z: complex, tol: float, mult: int, v: np.ndarray | None):
     """(index, basis, spectrum): the Kublanovskaya staircase on A - zI, and
     the singular values of A - zI that its first step computes.  Each step
     splits off the kernel of the current matrix and compresses the matrix
@@ -176,7 +176,7 @@ def minimal_polynomial(A, norm: float | None = None) -> MinimalPoly:
                 f = np.linalg.norm(np.linalg.inv(M))
         except np.linalg.LinAlgError:
             return True
-        high, low = decide(np.sqrt(d) / f, tol), decide(1 / f, tol)
+        high, low = decide(np.array([np.sqrt(d), 1.0]) / f, tol)
         if high == 0 or low == 2:
             return high == 0
         return decide(np.linalg.svd(M, compute_uv=False)[-1], tol) == 0
@@ -186,7 +186,7 @@ def minimal_polynomial(A, norm: float | None = None) -> MinimalPoly:
     for z, mult in cluster_points(w, 2 * radius, merge):
         # A simple root's mean z is its eigenvalue: V[:, w == z] is its
         # unit eigenvector, as exactly equal eigenvalues always merge.
-        index, basis, spectrum = _staircase(A, z, tol, mult, V[:, w == z])
+        index, basis, spectrum = _staircase(A, z, tol, mult, V[:, w == z] if mult == 1 else None)
         roots.append((z, index))
         bases.append(basis)
         spectra.append(spectrum)
