@@ -13,7 +13,8 @@ The set: every ``generate`` kind at dims 4, 8 and 16 and seeds 0-2, jordan
 with alpha i and scale 0.5, normaloid with scale 3, dft4, diag(big, 0.5)
 for big = 1e12, 1e160, 1e200 and 1e301 (diag-1e301, whose growing orbits
 pass the float range at step 2), nilpotent-1e200 (1e200 times the dim-3
-shift, whose orbits pass 1e300 one step before they die), and three
+shift, whose orbits pass 1e300 one step before they die), nilpotent-1e-9
+(1e-9 times that shift, not normaloid although ||A|| < 1e-8), and three
 planted structures: the first
 circle/d16 instance of the structure-stress benchmark (12 simple unimodular
 roots, cond cap 1e4), roots of index 4 and 2 at dim 8, and a dim-32 shape
@@ -149,6 +150,7 @@ def instances():
     for big in ("1e12", "1e160", "1e200", "1e301"):
         out.append((f"diag-{big}", np.diag([float(big), 0.5]).astype(complex)))
     out.append(("nilpotent-1e200", 1e200 * np.eye(3, k=1, dtype=complex)))
+    out.append(("nilpotent-1e-9", 1e-9 * np.eye(3, k=1, dtype=complex)))
     out.append(("stress-circle-d16", _stress_circle_d16()))
     out.append(("planted-index-4", ["--kind", "planted", "--dim", "8", "--eigenvalues", "0.5,-0.6i",
                                     "--indices", "4,2", "--seed", "0"]))

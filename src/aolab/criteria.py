@@ -549,7 +549,7 @@ def unimodular(z):
 
 # Times d; Haar and finite-spectrum unitaries at d4-d64 read ||A^H A - I||_F <= 6e-16 d.
 UNITARY_TOL = 1e-10
-# Times max(1, ||A||); unitary and normaloid generators at d4-d64 read |r - ||A||| <= 1e-14.
+# Times ||A||; unitary and normaloid generators at d4-d64 read |r - ||A||| <= 1e-14.
 NORMALOID_TOL = 1e-8
 # Relative, the window rule's default; on the same matrices log ||A^n|| is n log ||A|| to 9e-16 n.
 POWER_TEST_TOL = 1e-6
@@ -568,7 +568,7 @@ def is_unitary(A) -> bool:
 
 
 def is_normaloid(A) -> bool:
-    """Spectral radius equals operator norm, within NORMALOID_TOL.
+    """Spectral radius equals operator norm, within NORMALOID_TOL ||A||.
 
     Cross-checks ||A^n|| = ||A||^n (relative POWER_TEST_TOL, n = 2..FIRST_POWERS)
     and warns on disagreement outside ||A|| <= (1 + POWER_TEST_TOL) r, where
@@ -576,7 +576,7 @@ def is_normaloid(A) -> bool:
     """
     an = as_analysis(A)
     nrm, r = an.norm, an.spectral_radius
-    structural = bool(decide(abs(r - nrm), NORMALOID_TOL * max(1.0, nrm)) == 0)
+    structural = bool(decide(abs(r - nrm), NORMALOID_TOL * nrm) == 0)
     n = np.arange(2, FIRST_POWERS + 1)
     excess = np.abs(an.power_logs(FIRST_POWERS)[1:] - n * np.log(nrm)) if nrm > 0 else 0.0
     empirical = bool(np.all(decide(excess, np.log1p(POWER_TEST_TOL) * n + POWER_TEST_TOL) == 0))
@@ -716,12 +716,12 @@ def probe_set(d: int, rng: np.random.Generator):
 
 def _basis_error(an: Analysis, k: int) -> float:
     """Error bound on the basis of block k, that of a simple root z among
-    several: (d eps max(1, ||A||) + s_0) / s_1 from the singular values of
+    several: (d eps ||A|| + s_0) / s_1 from the singular values of
     A - zI that the root's staircase kept (``MinimalPoly.spectra``), s_0 the
     largest counted as zero and s_1 the next.  It takes no SVD."""
     d = an.A.shape[0]
     s, dim = an.minpoly.spectra[k], an.minpoly.bases[k].shape[1]
-    return (d * np.finfo(float).eps * max(1.0, an.norm) + s[d - dim]) / s[d - dim - 1]
+    return (d * np.finfo(float).eps * an.norm + s[d - dim]) / s[d - dim - 1]
 
 
 def orbit_convergence(A, config: RunConfig | None = None):

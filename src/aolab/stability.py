@@ -239,15 +239,16 @@ def growth_bound(A) -> GrowthBound:
 
     Per block: alpha_j = sum_k ||N_j^k|| / (k! |z_j|^k) over k < i_j, with
     N_j the nilpotent part in the block basis; alpha aggregates via
-    alpha = sum_j ||P_j|| alpha_j.  Verified empirically up to POWER_STEPS:
-    the largest ratio ||A^n|| / bound_n is taken over the exact spectral
-    norms (``Analysis.power_logs``) of powers 1..FIRST_POWERS and of every
-    power up to the last n whose block recursion bound
-    (``recursion_log_norms``, over all POWER_STEPS powers) could still
-    exceed that ratio; it equals the maximum over all POWER_STEPS powers
-    bit for bit.  A nilpotent matrix is checked against the vanishing level
-    from n = deg p on, up to the last n whose recursion bound could still
-    exceed it, and the first power past the level is named.
+    alpha = sum_j ||P_j|| alpha_j.  A nilpotent matrix is the r = 0 case,
+    bounded by the vanishing level from n = deg p on and by +inf before.
+    Verified empirically up to POWER_STEPS on the exact spectral norms
+    (``Analysis.power_logs``) of powers 1..FIRST_POWERS (none if nilpotent)
+    and of every power up to the last n whose block recursion bound
+    (``recursion_log_norms``, over all POWER_STEPS powers) on log ||A^n|| -
+    log bound_n could still reach their best excess (0 if nilpotent).  The
+    largest ratio ||A^n|| / bound_n is the maximum over all POWER_STEPS
+    powers bit for bit; on a nilpotent matrix the first power past the
+    level is named.
     """
     an = as_analysis(A)
     A = an.A
@@ -256,82 +257,65 @@ def growth_bound(A) -> GrowthBound:
     if not at_most_one(r):
         raise OutOfScopeError(f"growth bound requires r(A) <= 1, got {r}")
     kappa = mp.degree - 1
-
-    if decide(r, _NILPOTENT_RADIUS) == 0:
-        # Nilpotent: powers vanish identically from n = deg p on.  The
-        # threshold is taken in log space, where ||A||^deg p cannot overflow;
-        # it bounds every power from deg p on, and no earlier one.
-        valid_from = mp.degree
+    n = np.arange(1, POWER_STEPS + 1)
+    nilpotent = decide(r, _NILPOTENT_RADIUS) == 0
+    if nilpotent:
+        # Powers vanish identically from n = deg p on.  The level is taken in
+        # log space, where ||A||^deg p cannot overflow.
+        alpha, r, valid_from, first, floor = 1.0, 0.0, mp.degree, 0, 0.0
         vanish = np.log(_VANISHING_LEVEL) + mp.degree * np.log(max(1.0, an.norm))
-        upper = recursion_log_norms(an, POWER_STEPS)
-        upper[: valid_from - 1] = -np.inf
-        m = _reach(upper - vanish, -_RECURSION_SLACK)
-        live = np.flatnonzero(decide(an.power_logs(m)[valid_from - 1 :], vanish) == 2)
-        if live.size:
-            raise InconsistencyError(
-                f"nilpotent matrix has nonzero power at n={valid_from + live[0]}"
-            )
-        return GrowthBound(
-            kappa=kappa,
-            alpha=1.0,
-            spectral_radius=0.0,
-            valid_from=valid_from,
-            max_violation_ratio=0.0,
-        )
+        log_bound = np.where(n < valid_from, np.inf, vanish)
+    else:
+        alpha = 0.0
+        for b in an.decomposition.blocks:
+            aj = 1.0  # the k = 0 term, ||I||, all an index-1 block has
+            if b.index > 1:
+                N = b.basis.conj().T @ A @ b.basis - b.z * np.eye(b.dim)
+                # A zero-eigenvalue block inside a matrix with r > 0 dies at
+                # n >= i_j; its term covers the finitely many live powers.
+                nonzero = decide(abs(b.z), _NILPOTENT_RADIUS) == 2
+                Nk = np.eye(b.dim, dtype=complex)
+                fact = 1.0
+                for k in range(1, b.index):
+                    Nk = Nk @ N
+                    fact *= k
+                    nrm = float(np.linalg.norm(Nk, 2))
+                    aj = aj + nrm / (fact * abs(b.z) ** k) if nonzero else max(aj, nrm / (k**kappa * r**k))
+            alpha += b.projection_norm * aj
+        valid_from, first = 1, FIRST_POWERS
+        log_bound = np.log(alpha) + kappa * np.log(n) + n * np.log(r)
+        floor = _worst_excess(an.power_logs(first), log_bound)
 
-    alpha = 0.0
-    for b in an.decomposition.blocks:
-        aj = 1.0  # the k = 0 term, ||I||, all an index-1 block has
-        if b.index > 1:
-            N = b.basis.conj().T @ A @ b.basis - b.z * np.eye(b.dim)
-            # A zero-eigenvalue block inside a matrix with r > 0 dies at
-            # n >= i_j; its term covers the finitely many live powers.
-            nonzero = decide(abs(b.z), _NILPOTENT_RADIUS) == 2
-            Nk = np.eye(b.dim, dtype=complex)
-            fact = 1.0
-            for k in range(1, b.index):
-                Nk = Nk @ N
-                fact *= k
-                nrm = float(np.linalg.norm(Nk, 2))
-                aj = aj + nrm / (fact * abs(b.z) ** k) if nonzero else max(aj, nrm / (k**kappa * r**k))
-        alpha += b.projection_norm * aj
-
-    valid_from = 1
-    n = np.arange(valid_from, POWER_STEPS + 1)
-    log_bound = np.log(alpha) + kappa * np.log(n) + n * np.log(r)
     # No n past the last one whose recursion excess comes within the slack
-    # of the best exact excess of the first FIRST_POWERS powers can hold
-    # the maximum.
-    floor = _worst_excess(an.power_logs(FIRST_POWERS), log_bound) - _RECURSION_SLACK
-    m = _reach(recursion_log_norms(an, POWER_STEPS) - log_bound, floor)
-    worst = _worst_excess(an.power_logs(max(m, FIRST_POWERS)), log_bound)
-    if worst > np.log(np.finfo(float).max):  # the ratio itself overflows
-        raise InconsistencyError(f"growth bound violated: log ratio {worst:.2f}")
-    ratio = float(np.exp(worst)) if np.isfinite(worst) else 0.0
-    if decide(ratio, 1 + _RATIO_TOL) == 2:
-        raise InconsistencyError(f"growth bound violated: ratio {ratio}")
-    return GrowthBound(
-        kappa=kappa,
-        alpha=float(alpha),
-        spectral_radius=float(r),
-        valid_from=valid_from,
-        max_violation_ratio=ratio,
-    )
+    # of the floor can hold the maximum (or a power past the level); +inf -
+    # +inf before deg p is NaN, which rules nothing out.
+    with np.errstate(invalid="ignore"):
+        m = _reach(recursion_log_norms(an, POWER_STEPS) - log_bound, floor - _RECURSION_SLACK)
+    logs = an.power_logs(max(m, first))
+    if nilpotent:
+        live = np.flatnonzero(decide(logs, log_bound[: logs.size]) == 2)
+        if live.size:
+            raise InconsistencyError(f"nilpotent matrix has nonzero power at n={live[0] + 1}")
+        ratio = 0.0
+    else:
+        worst = _worst_excess(logs, log_bound)
+        if worst > np.log(np.finfo(float).max):  # the ratio itself overflows
+            raise InconsistencyError(f"growth bound violated: log ratio {worst:.2f}")
+        ratio = float(np.exp(worst)) if np.isfinite(worst) else 0.0
+        if decide(ratio, 1 + _RATIO_TOL) == 2:
+            raise InconsistencyError(f"growth bound violated: ratio {ratio}")
+    return GrowthBound(kappa, float(alpha), float(r), valid_from, ratio)
 
 
 def growth_csv_rows(A, gb: GrowthBound):
     """(n, ||A^n||, bound_n) rows for n = 1..POWER_STEPS, for external
-    plotting; norms are clamped at 1e308 (``criteria._clamped_exp``)."""
+    plotting; norms are clamped at 1e308 (``criteria._clamped_exp``), and
+    bound_n is ||A^n|| itself before ``valid_from`` (0 from it on at r = 0)."""
     norms = _clamped_exp(np.array(as_analysis(A).power_logs()))
-    rows = []
-    for n in range(1, POWER_STEPS + 1):
-        nrm = float(norms[n - 1])
-        if gb.spectral_radius > 0:
-            bound = gb.alpha * n**gb.kappa * gb.spectral_radius**n
-        else:
-            bound = nrm if n < gb.valid_from else 0.0
-        rows.append((n, nrm, bound))
-    return rows
+    return [
+        (n, nrm, nrm if n < gb.valid_from else gb.alpha * n**gb.kappa * gb.spectral_radius**n)
+        for n, nrm in enumerate(map(float, norms), start=1)
+    ]
 
 
 def uniform_stability(A, config: RunConfig | None = None) -> StabilityVerdict:

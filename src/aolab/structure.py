@@ -18,10 +18,10 @@ from .errors import DecompositionError, IllConditionedSpectrumError
 from .linalg import as_matrix, cluster_points, operator_norm
 
 # Rank threshold: a singular value of A - zI (or of one of its staircase
-# compressions) is zero when it is at most KERNEL_TOL * dim * max(1, ||A||).
+# compressions) is zero when it is at most KERNEL_TOL * dim * ||A||.
 KERNEL_TOL = 1e-13
 
-# Eigenvalues within CLUSTER_FACTOR max(1, ||A||) of each other are one
+# Eigenvalues within CLUSTER_FACTOR ||A|| of each other are one
 # root without a rank check (``minimal_polynomial``).
 CLUSTER_FACTOR = 1e-8
 
@@ -132,7 +132,7 @@ def minimal_polynomial(A, norm: float | None = None) -> MinimalPoly:
     staircase per root.
 
     Eigenvalue j of A = V diag(w) V^{-1} gets a disk of radius
-    max(CLUSTER_FACTOR, d eps kappa_j) max(1, ||A||), kappa_j the norm of
+    max(CLUSTER_FACTOR, d eps kappa_j) ||A||, kappa_j the norm of
     row j of V^{-1} (unit eigenvectors).  Two overlapping disks merge only
     if A - mI is singular at their midpoint m under the rank threshold:
     1 / ||(A - mI)^{-1}||_F and sqrt(d) times it bracket its smallest
@@ -148,7 +148,7 @@ def minimal_polynomial(A, norm: float | None = None) -> MinimalPoly:
     """
     A = as_matrix(A)
     d = A.shape[0]
-    scale = max(1.0, operator_norm(A) if norm is None else norm)
+    scale = operator_norm(A) if norm is None else norm
     tol = KERNEL_TOL * d * scale
     w, V = np.linalg.eig(A)
     # An exactly defective A has a singular V: its kappa overflows to inf,

@@ -653,6 +653,17 @@ class TestPredicates:
         assert not is_normaloid(np.array([[1, 1], [0, 1]], dtype=complex))
         assert not is_normaloid(canonical_oblique())
 
+    @pytest.mark.parametrize(
+        "A",
+        [dft4(), np.eye(3, k=1, dtype=complex), gen_normaloid_nonnormal(5, seed=0, target_norm=2.0)],
+        ids=["unitary", "J3", "normaloid-nonnormal"],
+    )
+    def test_normaloid_scale_invariant(self, A):
+        # r and ||A|| scale together, and so does the tolerance between
+        # them: 1e-9 J_3 (r = 0 < ||A||) is not normaloid.
+        want = is_normaloid(A)
+        assert [is_normaloid(c * A) for c in 10.0 ** np.arange(-12, 7)] == [want] * 19
+
     @pytest.mark.parametrize("eps", [1e-7, 1e-8])
     def test_normaloid_no_warning_in_power_band(self, eps):
         # ||A|| <= (1 + 1e-6) r: the power test cannot fail, so "r vs ||A||

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from aolab import criteria
 from aolab.criteria import Analysis, is_normaloid, is_unitary
 from aolab.errors import InvalidInputError
 from aolab.generators import (
@@ -72,12 +73,29 @@ class TestOblique:
         for z in np.linalg.eigvals(A):
             assert abs(abs(z) - 1) <= 1e-8
 
+    def test_accepts_on_the_gram_test_alone(self, monkeypatch):
+        # S = U diag(linspace(1, cond)) V^H has sigma_min = 1, so an 80
+        # degree column pair already rules out a unitary S and a unitary A.
+        vals = [np.exp(2j * np.pi * k / 6) for k in range(6)]
+        want = [gen_oblique(6, vals, cap, seed).tobytes() for cap in (1.5, 50.0, 1e6) for seed in range(3)]
+
+        def refuse(A):
+            raise AssertionError("gen_oblique called is_unitary")
+
+        monkeypatch.setattr(criteria, "is_unitary", refuse)
+        assert [gen_oblique(6, vals, cap, seed).tobytes() for cap in (1.5, 50.0, 1e6) for seed in range(3)] == want
+
     def test_fixture_special_case(self):
         assert np.array_equal(gen_oblique(2, [1, -1], seed=0), canonical_oblique())
 
     def test_rejects_repeated_eigenvalues(self):
         with pytest.raises(InvalidInputError):
             gen_oblique(2, [1.0, 1.0], seed=0)
+
+    def test_rejects_cond_cap_past_inverse_eps(self):
+        # cond(S) = 1e16 puts the rounding of S at its smallest singular value.
+        with pytest.raises(InvalidInputError, match="cond_cap 1e\\+16 leaves S singular"):
+            gen_oblique(3, [1, 1j, -1], cond_cap=1e16, seed=0)
 
     def test_rejects_cond_cap_below_one(self):
         with pytest.raises(InvalidInputError):

@@ -68,6 +68,14 @@ class TestMinimalPolynomial:
         mp = minimal_polynomial(A)
         assert _roots_rounded(mp) == [(0.0, 0.0, 3)]
 
+    @pytest.mark.parametrize("c", [1e-12, 1e-9, 1e-3, 1e6])
+    def test_structure_scales_with_the_matrix(self, c):
+        # The thresholds are relative to ||A||: at small norms the roots
+        # +-c of c [[0, 1], [1, 0]] stay apart and c J_3 keeps its index.
+        mp = minimal_polynomial(c * np.array([[0, 1], [1, 0]], dtype=complex))
+        assert [(round(z.real / c, 6), i) for z, i in mp.roots] == [(-1.0, 1), (1.0, 1)]
+        assert minimal_polynomial(c * np.eye(3, k=1, dtype=complex)).roots == ((0j, 3),)
+
     def test_canonical_oblique(self):
         mp = minimal_polynomial(canonical_oblique())
         assert mp.degree == 2
