@@ -930,7 +930,7 @@ def _reference_block_overlap(an):
     err = {}
     for k, b in blocks.items():
         s = np.linalg.svd(an.A - b.z * np.eye(d), compute_uv=False)
-        err[k] = (d * np.finfo(float).eps * max(1.0, an.norm) + s[d - b.dim]) / s[d - b.dim - 1]
+        err[k] = (d * np.finfo(float).eps * an.norm + s[d - b.dim]) / s[d - b.dim - 1]
     kind, margin, pair = 0, 0.0, None
     for a, b in combinations(blocks, 2):
         c = float(np.linalg.svd(blocks[a].basis.conj().T @ blocks[b].basis, compute_uv=False)[0])

@@ -77,13 +77,16 @@ class TestOblique:
         # S = U diag(linspace(1, cond)) V^H has sigma_min = 1, so an 80
         # degree column pair already rules out a unitary S and a unitary A.
         vals = [np.exp(2j * np.pi * k / 6) for k in range(6)]
-        want = [gen_oblique(6, vals, cap, seed).tobytes() for cap in (1.5, 50.0, 1e6) for seed in range(3)]
+
+        def draws():
+            return [gen_oblique(6, vals, cap, seed).tobytes() for cap in (1.5, 50.0, 1e6) for seed in range(3)]
 
         def refuse(A):
             raise AssertionError("gen_oblique called is_unitary")
 
+        want = draws()
         monkeypatch.setattr(criteria, "is_unitary", refuse)
-        assert [gen_oblique(6, vals, cap, seed).tobytes() for cap in (1.5, 50.0, 1e6) for seed in range(3)] == want
+        assert draws() == want
 
     def test_fixture_special_case(self):
         assert np.array_equal(gen_oblique(2, [1, -1], seed=0), canonical_oblique())

@@ -230,7 +230,7 @@ def _reference_staircase(A, z, tol, mult):
 def reference_minimal_polynomial(A):
     A = as_matrix(A)
     d = A.shape[0]
-    scale = max(1.0, operator_norm(A))
+    scale = operator_norm(A)
     tol = KERNEL_TOL * d * scale
     w, V = np.linalg.eig(A)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -271,7 +271,7 @@ def _assert_as_reference(A):
     block dims, raises and messages as the reference.  A cluster above
     size 1 keeps the reference's bits.  A simple root's basis b lies within
     ``criteria._basis_error``'s bound of the reference kernel, and
-    ||(A - zI) b|| is at most the bound's numerator d eps max(1, ||A||) +
+    ||(A - zI) b|| is at most the bound's numerator d eps ||A|| +
     s_0, so that the bound still holds for the basis kept."""
     got, err = _outcome(minimal_polynomial, A)
     ref, ref_err = _outcome(reference_minimal_polynomial, A)
@@ -281,7 +281,7 @@ def _assert_as_reference(A):
     assert got.roots == ref.roots and got.degree == ref.degree
     assert [b.shape for b in got.bases] == [b.shape for b in ref.bases]
     d = A.shape[0]
-    floor = d * np.finfo(float).eps * max(1.0, operator_norm(A))
+    floor = d * np.finfo(float).eps * operator_norm(A)
     for (z, _), b, r, s, s_ref in zip(got.roots, got.bases, ref.bases, got.spectra, ref.spectra):
         if b.shape[1] > 1:
             assert np.array_equal(b, r) and np.array_equal(s, s_ref)
@@ -380,7 +380,7 @@ class TestLapackCalls:
         # then raise in a staircase, after every merge check).
         A = gen_planted_jordan(dim, _shape_roots("jordan", indices), 1e6, seed)
         norm = operator_norm(A)
-        tol = KERNEL_TOL * dim * max(1.0, norm)
+        tol = KERNEL_TOL * dim * norm
         log = _LapackLog(monkeypatch)
         got, _ = _outcome(lambda M: minimal_polynomial(M, norm), A)
         monkeypatch.undo()
