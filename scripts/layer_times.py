@@ -21,7 +21,8 @@ eigenvalues:
 - ``minpoly_ms``: ``minimal_polynomial`` of the unitary given its norm, as
   an ``Analysis`` calls it; ``decompose_ms``: ``decompose`` of the unitary
   on that minimal polynomial; ``frobenius_ms``: ``frobenius_log_norms`` of
-  the first 20 columns of the engine's batch over POWER_STEPS steps, as
+  the first ``criteria.RANDOM_PROBES`` columns (of the change tree) of the
+  engine's batch over POWER_STEPS steps, as
   ``Analysis.frobenius_logs`` reads the random probes: the three layers
   that ``analyze`` runs once per matrix;
 - ``overlap_ms``: ``Analysis.block_overlap`` of gen_oblique(d, the d-th
@@ -174,7 +175,7 @@ def _inputs(t, dims, tmp: Path):
     """The matrices every tree's rows read, made by the package ``t``: per
     dimension the unitary, its JSON text (also written to ``tmp``), its
     probe batch, the jordan matrix, the oblique one and the planted one;
-    then the bare and nilpotent growth shapes."""
+    then the bare and nilpotent growth shapes, and the random probe count."""
     g, per_dim = t.generators, {}
     for d in dims:
         rng = np.random.default_rng(d)
@@ -187,7 +188,7 @@ def _inputs(t, dims, tmp: Path):
         roots = zip((np.exp(0.3j), 0.7 * np.exp(2.4j), 0.5j), (3, 1) if d == 4 else (4, 3, 1))
         per_dim[d] = (A, text, H, J, O, g.gen_planted_jordan(d, list(roots), 1e4, seed=d))
     bare = g.gen_planted_jordan(8, [(0.95 * np.exp(1j), 2), (np.exp(0.5j), 1), (0.5j, 1)], 1e6, 4)
-    return per_dim, bare, g.gen_planted_jordan(8, [(0, 3)], 100.0, 8)
+    return per_dim, bare, g.gen_planted_jordan(8, [(0, 3)], 100.0, 8), t.criteria.RANDOM_PROBES
 
 
 def _rows(t, src, inputs, tmp: Path) -> dict:
@@ -195,7 +196,7 @@ def _rows(t, src, inputs, tmp: Path) -> dict:
     {row: {dimension, or "" for a row without one: a call that returns one
     measurement}}."""
     c, cfg = t.criteria, t.config.RunConfig(seed=1)
-    per_dim, planted, nilpotent = inputs
+    per_dim, planted, nilpotent, probes = inputs
 
     def warmed(A):
         """An Analysis of A with its structure and probe batch computed."""
@@ -226,7 +227,7 @@ def _rows(t, src, inputs, tmp: Path) -> dict:
             "floor_ms": partial(_floor, c._stepper(c._prescaled(A)[0], stack), H.astype(complex), k),
             "minpoly_ms": partial(t.structure.minimal_polynomial, A, norm),
             "decompose_ms": partial(t.structure.decompose, A, t.structure.minimal_polynomial(A, norm)),
-            "frobenius_ms": partial(c.frobenius_log_norms, logs, 20),
+            "frobenius_ms": partial(c.frobenius_log_norms, logs, probes),
             "overlap_ms": partial(overlap, oblique),
             "minpoly_oblique_ms": partial(t.structure.minimal_polynomial, O, oblique.norm),
             "minpoly_planted_ms": partial(t.structure.minimal_polynomial, P, t.linalg.operator_norm(P)),

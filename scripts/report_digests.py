@@ -42,7 +42,10 @@ overflow-then-decay, [[0.5, 1e305], [0, 0.5]], whose orbits and powers
 pass 1e300 at the first steps and then decay (exit 0); and normaloid-d32,
 the first normaloid/d32 instance of analyze-large, whose exact 2x2 Jordan
 block leaves its eigenvector matrix near singular, so that 30 pairs of
-eigenvalues take a merge check and each is refused (exit 0).  The three
+eigenvalues take a merge check and each is refused (exit 0); and
+dft4-1e-13, 1e-13 dft4, whose powers 1e-13^n never vanish, so that no root
+is 0 on the scale of ||A|| (exit 0); and subnormal-1e-320, the dim-1 matrix
+[[1e-320]], whose block recursion scales by the subnormal r (exit 0).  The three
 benchmark instances are built by ``bench/workloads.py`` itself, imported
 read-only.
 
@@ -169,6 +172,8 @@ def instances():
     out.append(("oblique-d32", _analyze_large(0)))
     out.append(("overflow-then-decay", np.array([[0.5, 1e305], [0, 0.5]], dtype=complex)))
     out.append(("normaloid-d32", _analyze_large(4)))
+    out.append(("dft4-1e-13", 1e-13 * dft4()))
+    out.append(("subnormal-1e-320", np.array([[1e-320]], dtype=complex)))
     return out
 
 

@@ -41,13 +41,16 @@ POWER_STEPS = 1000
 # Powers tested by ``is_normaloid`` and always formed by ``growth_bound``: one shared prefix.
 FIRST_POWERS = 10
 
-# ||A|| <= 1 (a contraction) and r(A) <= 1 both mean x <= 1 + UNIT_TOL
-# (``at_most_one``).
+# ||A|| <= 1 (a contraction) and r(A) <= 1 mean x <= 1 + UNIT_TOL, and r(A) < 1
+# means r(A) < 1 - UNIT_TOL (``Analysis.contraction``, ``Analysis.grading``).
 UNIT_TOL = 1e-10
 
-# A root is unimodular when its modulus lies within CIRCLE_TOL of 1
-# (``unimodular``).
+# A root is unimodular when ||z| - 1| <= CIRCLE_TOL (``Analysis.grading``).
 CIRCLE_TOL = 1e-8
+
+# A root is 0 when |z| <= ZERO_RADIUS min(1, ||A||); none of 1e-13 dft4 or [[1, 1e150], [0, 1]] is.
+# Planted nilpotents at d2-d64 (index 2-6, cond cap 1-1e4) read r <= 8.5e-13, r / ||A|| <= 5.4e-16.
+ZERO_RADIUS = 1e-12
 
 # A block stack (``_blocks``) holds at most this many complex entries (256
 # KiB): k steps of the orbit engine's d x P batch, or k powers.
@@ -388,6 +391,16 @@ class ScalarSeqVerdict(NamedTuple):
     convergent: bool
 
 
+class Grading(NamedTuple):
+    """The roots of a minimal polynomial against the unit circle, in block
+    order: one ``decide`` over their moduli per grade (``Analysis.grading``)."""
+
+    circle: np.ndarray  # ||z| - 1| <= CIRCLE_TOL: unimodular
+    past: np.ndarray  # |z| > 1 + UNIT_TOL
+    below: np.ndarray  # |z| < 1 - UNIT_TOL, strictly
+    zero: np.ndarray  # |z| <= ZERO_RADIUS min(1, ||A||)
+
+
 class CriteriaReport(NamedTuple):
     is_algebraic: bool
     minpoly_degree: int
@@ -418,11 +431,11 @@ class Analysis:
     """One matrix, its run settings ``config`` and, each computed once on
     first use, what every stage reads off them: ``norm`` (||A||),
     ``contraction``, ``minpoly``, ``spectral_radius`` (the largest root
-    modulus), ``decomposition``, ``block_overlap``, the probe ``orbits`` and
-    the Frobenius norms of the powers times the random probes off them
-    (``frobenius_logs``); and the power-norm trajectory ``power_logs(n)``,
-    formed again only for a longer one than the kept one.  Uncertifiable
-    structure raises on first use.
+    modulus), ``grading``, ``power_bounded``, ``decomposition``,
+    ``block_overlap``, the probe ``orbits`` and the Frobenius norms of the
+    powers times the random probes off them (``frobenius_logs``); and the
+    power-norm trajectory ``power_logs(n)``, formed again only for a longer
+    one than the kept one.  Uncertifiable structure raises on first use.
     Every stage takes a matrix or an Analysis (``as_analysis``)."""
 
     def __init__(self, A, config: RunConfig | None = None):
@@ -436,7 +449,7 @@ class Analysis:
 
     @cached_property
     def contraction(self) -> bool:
-        return at_most_one(self.norm)
+        return bool(decide(self.norm, 1 + UNIT_TOL) == 0)
 
     @cached_property
     def minpoly(self) -> MinimalPoly:
@@ -445,6 +458,23 @@ class Analysis:
     @cached_property
     def spectral_radius(self) -> float:
         return max(abs(z) for z, _ in self.minpoly.roots)
+
+    @cached_property
+    def grading(self) -> Grading:
+        """Every verdict that places a root against the unit circle reads this."""
+        m = np.array([abs(z) for z, _ in self.minpoly.roots])
+        return Grading(
+            circle=decide(np.abs(m - 1), CIRCLE_TOL) == 0,
+            past=decide(m, 1 + UNIT_TOL) != 0,
+            below=decide(1 - UNIT_TOL, m) == 2,  # fails exactly when m < 1 - UNIT_TOL
+            zero=decide(m, ZERO_RADIUS * min(1.0, self.norm)) == 0,
+        )
+
+    @cached_property
+    def power_bounded(self) -> bool:
+        """The structural criterion: no root past 1, every unimodular root simple."""
+        g = self.grading
+        return not g.past.any() and all(i == 1 for (_, i), c in zip(self.minpoly.roots, g.circle) if c)
 
     @cached_property
     def decomposition(self) -> Decomposition:
@@ -461,10 +491,10 @@ class Analysis:
 
     @cached_property
     def frobenius_logs(self) -> np.ndarray:
-        """log ||A^n R||_F for n = 1..POWER_STEPS, R the 20 random probes,
-        the first columns of the probe batch (``frobenius_log_norms``).
-        Read-only."""
-        logs = frobenius_log_norms(self.orbits[1][1 : POWER_STEPS + 1], 20)
+        """log ||A^n R||_F for n = 1..POWER_STEPS, R the RANDOM_PROBES
+        random probes, the first columns of the probe batch
+        (``frobenius_log_norms``).  Read-only."""
+        logs = frobenius_log_norms(self.orbits[1][1 : POWER_STEPS + 1], RANDOM_PROBES)
         logs.flags.writeable = False
         return logs
 
@@ -481,7 +511,7 @@ class Analysis:
         largest cosine among the pairs of the worst kind, pair = (a, b, r)
         its block indices and r, the first such pair in the order of
         ``itertools.combinations``; (0, 0.0, None) when every cosine is 0."""
-        uni = [k for k, b in enumerate(self.decomposition.blocks) if unimodular(b.z)]
+        uni = np.flatnonzero(self.grading.circle).tolist()
         if len(uni) < 2:
             return 0, 0.0, None
         bases = [self.decomposition.blocks[k].basis for k in uni]
@@ -537,16 +567,6 @@ def as_analysis(a, config: RunConfig | None = None) -> Analysis:
 # Structural predicates
 # ---------------------------------------------------------------------------
 
-def at_most_one(x: float) -> bool:
-    """x <= 1 up to UNIT_TOL: the test behind ||A|| <= 1 and r(A) <= 1."""
-    return bool(decide(x, 1 + UNIT_TOL) == 0)
-
-
-def unimodular(z):
-    """Whether |z| lies within CIRCLE_TOL of 1 (elementwise for arrays)."""
-    return decide(np.abs(np.abs(z) - 1), CIRCLE_TOL) == 0
-
-
 # Times d; Haar and finite-spectrum unitaries at d4-d64 read ||A^H A - I||_F <= 6e-16 d.
 UNITARY_TOL = 1e-10
 # Times ||A||; unitary and normaloid generators at d4-d64 read |r - ||A||| <= 1e-14.
@@ -590,15 +610,6 @@ def is_normaloid(A) -> bool:
     return structural
 
 
-def power_bounded_roots(roots) -> bool:
-    """The structural power-bound criterion on the roots (z, index) of a
-    minimal polynomial: the largest |z| at most 1 and every unimodular root
-    simple."""
-    return at_most_one(max(abs(z) for z, _ in roots)) and all(
-        i == 1 for z, i in roots if unimodular(z)
-    )
-
-
 def frobenius_log_norms(logs: np.ndarray, p: int) -> np.ndarray:
     """log ||A^n R||_F for every row n of a batch's log-norms, R its first p
     columns: ||A^n R||_F^2 = sum_j ||A^n r_j||^2, one exp, sum and log over
@@ -618,8 +629,8 @@ def frobenius_log_norms(logs: np.ndarray, p: int) -> np.ndarray:
 
 
 def is_power_bounded(A, config: RunConfig | None = None) -> bool:
-    """sup_n ||A^n|| finite, decided structurally: spectral radius at most 1
-    and every root of modulus (near) 1 simple in the minimal polynomial.
+    """sup_n ||A^n|| finite, decided structurally (``Analysis.power_bounded``):
+    no root past 1 and every unimodular root simple.
     Cross-checked against ``classify_orbits`` of log ||A^n R||_F for
     n = 1..POWER_STEPS under the analysis's window and tol_conv, R the
     random columns of the probe batch (``Analysis.frobenius_logs``): the
@@ -627,15 +638,12 @@ def is_power_bounded(A, config: RunConfig | None = None) -> bool:
     subset.  Disagreement raises InconsistencyError.
     """
     an = as_analysis(A, config)
-    structural = power_bounded_roots(an.minpoly.roots)
     # Powers that vanished exactly end in -inf: a dead column to classify_orbits.
     (cls,) = classify_orbits(an.frobenius_logs[:, np.newaxis], an.config.window, an.config.tol_conv)
     empirical = cls.kind in ("convergent", "bounded-nonconvergent")
-    if structural != empirical:
-        raise InconsistencyError(
-            f"power boundedness: structural={structural} empirical={empirical}"
-        )
-    return structural
+    if an.power_bounded != empirical:
+        raise InconsistencyError(f"power boundedness: structural={an.power_bounded} empirical={empirical}")
+    return an.power_bounded
 
 
 # ---------------------------------------------------------------------------
@@ -700,15 +708,18 @@ def structural_envelope(A: np.ndarray, H: np.ndarray, D: Decomposition):
 # Theorem check
 # ---------------------------------------------------------------------------
 
+RANDOM_PROBES = 20  # random unit vectors in every probe batch
+
+
 def probe_set(d: int, rng: np.random.Generator):
-    """(label, vector) probes in C^d: 20 random unit vectors, rand0..rand19.
+    """(label, vector) probes in C^d: RANDOM_PROBES random unit vectors, rand0, ....
 
     The criteria quantify over every h, but a cross-check needs only a
     generic one: the h whose orbits converge, or stay bounded, form a
     real-algebraic subset of C^d: all of it, or a proper part of measure
     zero, which a random probe misses with probability 1."""
     probes = []
-    for t in range(20):
+    for t in range(RANDOM_PROBES):
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         probes.append((f"rand{t}", v / np.linalg.norm(v)))
     return probes
@@ -730,7 +741,7 @@ def orbit_convergence(A, config: RunConfig | None = None):
     orbits (``Analysis.orbits``) with their ``classify_orbits``, which
     cross-check it; a disagreement raises InconsistencyError.
 
-    Orbits converge iff ``power_bounded_roots`` holds and the unimodular
+    Orbits converge iff ``Analysis.power_bounded`` holds and the unimodular
     blocks are orthogonal (``Analysis.block_overlap``, which gives the
     margin); an undecided pair raises IllConditionedSpectrumError if the
     roots are power-bounded.
@@ -738,8 +749,7 @@ def orbit_convergence(A, config: RunConfig | None = None):
     an = as_analysis(A, config)
     cfg = an.config
     kind, margin, pair = an.block_overlap
-    roots_ok = power_bounded_roots(an.minpoly.roots)
-    if kind == 1 and roots_ok:
+    if kind == 1 and an.power_bounded:
         a, b, r = pair
         za, zb = (an.decomposition.blocks[k].z for k in (a, b))
         raise IllConditionedSpectrumError(
@@ -749,7 +759,7 @@ def orbit_convergence(A, config: RunConfig | None = None):
     probes, logs = an.orbits
     logs = logs[: cfg.n_max + 1]
     classes = classify_orbits(logs, cfg.window, cfg.tol_conv)
-    structural = roots_ok and kind == 0
+    structural = an.power_bounded and kind == 0
     empirical = all(cls.kind == "convergent" for cls in classes)
     if structural != empirical:
         raise InconsistencyError(
@@ -768,8 +778,7 @@ def theorem_check(A, config: RunConfig | None = None) -> CriteriaReport:
     """
     an = as_analysis(A, config)
     A = an.A
-    mp = an.minpoly
-    in_circle = all(unimodular(z) for z, _ in mp.roots)
+    in_circle = bool(an.grading.circle.all())
 
     unitary = is_unitary(A)
     normaloid = is_normaloid(an)
@@ -785,7 +794,7 @@ def theorem_check(A, config: RunConfig | None = None) -> CriteriaReport:
     consistent = (not in_circle) or all(c == conditions[0] for c in conditions)
     return CriteriaReport(
         is_algebraic=True,  # the minimal polynomial is certified above
-        minpoly_degree=mp.degree,
+        minpoly_degree=an.minpoly.degree,
         spectrum_in_circle=in_circle,
         unitary=unitary,
         normaloid=normaloid,

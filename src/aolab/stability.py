@@ -19,23 +19,20 @@ from .criteria import (
     BLOCK_GROWTH_LOG2,
     FIRST_POWERS,
     POWER_STEPS,
+    RANDOM_PROBES,
     STACK_ENTRIES,
-    UNIT_TOL,
     _LN2,
     _clamped_exp,
     _envelope_fit,
     _window_rule,
     as_analysis,
-    at_most_one,
     frobenius_log_norms,
     is_normaloid,
     is_power_bounded,
     orbit_convergence,
     orbit_log_norms_batch,
     orbit_norms_batch,
-    power_bounded_roots,
     structural_envelope,
-    unimodular,
 )
 from .errors import InconsistencyError, InvalidInputError, OutOfScopeError
 from .linalg import as_columns
@@ -44,9 +41,6 @@ from .structure import decide
 # Unused here, but bench/selftest.py checks that the tracer patches this
 # binding.
 from .structure import minimal_polynomial  # noqa: F401
-
-# Roots up to this modulus are 0; planted nilpotents at d2-d64 (cond cap 100) read r <= 9e-15.
-_NILPOTENT_RADIUS = 1e-12
 
 # ``growth_bound`` forms no power A^n past the last n whose block recursion
 # bound (``recursion_log_norms``) on the excess log ||A^n||_2 - log bound_n
@@ -133,7 +127,7 @@ def normal_limit(A, H):
     commutator = np.linalg.norm(A.conj().T @ A - A @ A.conj().T)
     if decide(commutator, _NORMALITY_TOL * max(an.norm**2, _NORM_SQ_FLOOR)) == 2:
         raise InvalidInputError("normal_limit requires a normal matrix")
-    Q = sum((b.projection for b in an.decomposition.blocks if unimodular(b.z)), np.zeros_like(A))
+    Q = sum((b.projection for b, c in zip(an.decomposition.blocks, an.grading.circle) if c), np.zeros_like(A))
     # Column by column, so that a value does not depend on the other columns.
     q = np.array([np.vdot(h, Q @ h).real for h in H.T.copy()])
     norms, _ = orbit_norms_batch(A, H, an.config.n_max)
@@ -178,12 +172,12 @@ def recursion_log_norms(an: Analysis, n_max: int) -> np.ndarray:
 
     The state runs scaled, x_{j,k}(n) / t^(n+k), as s(n+1) = T s(n) for a
     nonnegative T of order deg p whose largest diagonal entry is |z_j| / t:
-    t = r = max |z_j|, or ||A|| on a nilpotent matrix (r <= the nilpotent
-    radius; 1 on the zero matrix, whose powers are exactly 0).  Any t > 0
-    gives the same bound in exact arithmetic.  The state advances in chunks
-    of the stack T^1..T^k (k from STACK_ENTRIES, the stack formed by
-    doubling) and is rescaled by a power of two after each chunk.  Since
-    ||B_j|| = 1 (orthonormal columns), c_{j,0} = ||P_j||.
+    t = r = max |z_j|, or ||A|| on a nilpotent matrix (every root graded 0
+    by ``Analysis.grading``; 1 on the zero matrix, whose powers are exactly
+    0).  Any t > 0 gives the same bound in exact arithmetic.  The state
+    advances in chunks of the stack T^1..T^k (k from STACK_ENTRIES, the
+    stack formed by doubling) and is rescaled by a power of two after each
+    chunk.  Since ||B_j|| = 1 (orthonormal columns), c_{j,0} = ||P_j||.
     """
     A = an.A
     d = A.shape[0]
@@ -192,15 +186,15 @@ def recursion_log_norms(an: Analysis, n_max: int) -> np.ndarray:
     gap = 1.0 - float(np.sqrt(np.vdot(R, R).real))
     if not gap > 0:
         return np.full(n_max, np.inf)
-    r = max(abs(b.z) for b in blocks)
-    t = r if decide(r, _NILPOTENT_RADIUS) == 2 else an.norm or 1.0
+    t = (an.norm or 1.0) if an.grading.zero.all() else an.spectral_radius
     index = [b.index for b in blocks]
     heads = np.cumsum([0, *index[:-1]])
     deg = sum(index)
     T, s = np.zeros((deg, deg)), np.empty(deg)
     for b, o in zip(blocks, heads.tolist()):
         i = b.index
-        D = (A - b.z * np.eye(d)) / t
+        # The real view by t: a complex division multiplies by 1 / t, inf for a subnormal t.
+        D = ((A - b.z * np.eye(d)).view(float) / t).view(complex)
         M, c = b.basis, b.projection_norm
         for k in range(i):
             s[o + k] = c
@@ -239,8 +233,9 @@ def growth_bound(A) -> GrowthBound:
 
     Per block: alpha_j = sum_k ||N_j^k|| / (k! |z_j|^k) over k < i_j, with
     N_j the nilpotent part in the block basis; alpha aggregates via
-    alpha = sum_j ||P_j|| alpha_j.  A nilpotent matrix is the r = 0 case,
-    bounded by the vanishing level from n = deg p on and by +inf before.
+    alpha = sum_j ||P_j|| alpha_j.  A nilpotent matrix (every root 0 in
+    ``Analysis.grading``) is the r = 0 case, bounded by the vanishing level
+    from n = deg p on and by +inf before.
     Verified empirically up to POWER_STEPS on the exact spectral norms
     (``Analysis.power_logs``) of powers 1..FIRST_POWERS (none if nilpotent)
     and of every power up to the last n whose block recursion bound
@@ -253,12 +248,12 @@ def growth_bound(A) -> GrowthBound:
     an = as_analysis(A)
     A = an.A
     mp = an.minpoly
-    r = an.spectral_radius
-    if not at_most_one(r):
+    r, zero = an.spectral_radius, an.grading.zero
+    if an.grading.past.any():
         raise OutOfScopeError(f"growth bound requires r(A) <= 1, got {r}")
     kappa = mp.degree - 1
     n = np.arange(1, POWER_STEPS + 1)
-    nilpotent = decide(r, _NILPOTENT_RADIUS) == 0
+    nilpotent = bool(zero.all())
     if nilpotent:
         # Powers vanish identically from n = deg p on.  The level is taken in
         # log space, where ||A||^deg p cannot overflow.
@@ -267,20 +262,19 @@ def growth_bound(A) -> GrowthBound:
         log_bound = np.where(n < valid_from, np.inf, vanish)
     else:
         alpha = 0.0
-        for b in an.decomposition.blocks:
+        for b, b_zero in zip(an.decomposition.blocks, zero):
             aj = 1.0  # the k = 0 term, ||I||, all an index-1 block has
             if b.index > 1:
                 N = b.basis.conj().T @ A @ b.basis - b.z * np.eye(b.dim)
                 # A zero-eigenvalue block inside a matrix with r > 0 dies at
                 # n >= i_j; its term covers the finitely many live powers.
-                nonzero = decide(abs(b.z), _NILPOTENT_RADIUS) == 2
                 Nk = np.eye(b.dim, dtype=complex)
                 fact = 1.0
                 for k in range(1, b.index):
                     Nk = Nk @ N
                     fact *= k
                     nrm = float(np.linalg.norm(Nk, 2))
-                    aj = aj + nrm / (fact * abs(b.z) ** k) if nonzero else max(aj, nrm / (k**kappa * r**k))
+                    aj = max(aj, nrm / (k**kappa * r**k)) if b_zero else aj + nrm / (fact * abs(b.z) ** k)
             alpha += b.projection_norm * aj
         valid_from, first = 1, FIRST_POWERS
         log_bound = np.log(alpha) + kappa * np.log(n) + n * np.log(r)
@@ -326,17 +320,17 @@ def uniform_stability(A, config: RunConfig | None = None) -> StabilityVerdict:
     The probe orbits are ``Analysis.orbits``, the batch ``theorem_check``
     classifies, read over the full horizon.  r < 1 is cross-checked by
     log ||A^n R||_F falling from n = n_max // 2 + 1 to n = n_max, R the
-    batch's 20 random columns (``frobenius_log_norms``; A^n R tends to 0
-    iff the powers do, for every R off a proper algebraic subset, and a
-    zero power counts as falling).
+    batch's RANDOM_PROBES random columns (``frobenius_log_norms``; A^n R
+    tends to 0 iff the powers do, for every R off a proper algebraic
+    subset, and a zero power counts as falling).
     """
     an = as_analysis(A, config)
     cfg = an.config
-    uniformly = an.spectral_radius < 1 - UNIT_TOL
+    uniformly = bool(an.grading.below.all())
     probes, ologs = an.orbits
     ologs = ologs[: cfg.n_max + 1]
     if uniformly:
-        mid, end = frobenius_log_norms(ologs[[cfg.n_max // 2 + 1, cfg.n_max]], 20)
+        mid, end = frobenius_log_norms(ologs[[cfg.n_max // 2 + 1, cfg.n_max]], RANDOM_PROBES)
         if end > -np.inf and end >= mid:
             raise InconsistencyError("r < 1 but power norms do not decay")
 
@@ -348,12 +342,8 @@ def uniform_stability(A, config: RunConfig | None = None) -> StabilityVerdict:
     L[dead] = 0.0
     kept = dead | ok & np.isfinite(L)
     limits = {label: float(L[j]) for j, (label, _) in enumerate(probes) if kept[j]}
-    return StabilityVerdict(
-        uniformly_stable=uniformly,
-        strongly_stable=uniformly,
-        power_bounded=power_bounded_roots(an.minpoly.roots),
-        limit_projection_norm_sq=limits,
-    )
+    return StabilityVerdict(uniformly_stable=uniformly, strongly_stable=uniformly,
+                            power_bounded=an.power_bounded, limit_projection_norm_sq=limits)
 
 
 # Covers the fit's band on log rho, 1 / 1501 at the default horizon (``criteria._envelope_fit``).

@@ -336,6 +336,14 @@ class TestAnalyze:
         assert report["stability"]["power_bounded"] is False
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_norm_without_overflow_warnings(self, tmp_path, capsys):
+        # The block recursion scales by t = r = 1e-320, subnormal: a complex
+        # division by t would multiply by 1 / t, which overflows.
+        inp = _write_matrix(tmp_path / "m.json", np.array([[1e-320]], dtype=complex))
+        assert main(["analyze", "--input", inp]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["growth_bound"]["spectral_radius"] == 1e-320
+
     def test_d64_heap_peak(self, tmp_path, capsys):
         # The parsed JSON lists are dropped once the matrix is built: one
         # d64 analyze peaks near 1,680 KiB with its 20-column probe batch,

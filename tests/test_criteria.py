@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import aolab.criteria as criteria
 from aolab.config import RunConfig
 from aolab.criteria import (
+    CIRCLE_TOL,
     COMPONENT_TOL,
     POWER_STEPS,
     Analysis,
@@ -925,7 +926,7 @@ def _reference_block_overlap(an):
     """``Analysis.block_overlap`` as one SVD per pair, each basis error from
     its own SVD of A - zI: the loop that the Gram product replaced, kept as
     the reference."""
-    blocks = {k: b for k, b in enumerate(an.decomposition.blocks) if criteria.unimodular(b.z)}
+    blocks = {k: b for k, b in enumerate(an.decomposition.blocks) if abs(abs(b.z) - 1) <= CIRCLE_TOL}
     d = an.A.shape[0]
     err = {}
     for k, b in blocks.items():

@@ -191,6 +191,29 @@ class TestGrowthBound:
         m = stability._reach(upper, want - stability._RECURSION_SLACK)
         assert stability._worst_excess(logs[:m], log_bound) == want
 
+    @pytest.mark.parametrize("c", 10.0 ** np.arange(-13, 4))
+    def test_zero_radius_scales_below_unit_norm(self, c):
+        # No root of c dft4 is 0 at any scale: ||A^n|| = c^n never vanishes.
+        an = Analysis(c * dft4())
+        assert not an.grading.zero.any()
+        if c > 1:
+            with pytest.raises(OutOfScopeError):
+                growth_bound(an)
+        else:
+            gb = growth_bound(an)
+            assert gb.spectral_radius == pytest.approx(c, rel=1e-12) and gb.valid_from == 1
+
+    @pytest.mark.parametrize("c", 10.0 ** np.arange(-12, 7))
+    def test_scaled_shift_stays_nilpotent(self, c):
+        gb = growth_bound(c * np.eye(3, k=1, dtype=complex))
+        assert (gb.spectral_radius, gb.valid_from, gb.max_violation_ratio) == (0.0, 3, 0.0)
+
+    @pytest.mark.parametrize("A, r", [([[1, 1e150], [0, 1]], 1.0), ([[0.5, 1e305], [0, 0.5]], 0.5)])
+    def test_zero_radius_absolute_above_unit_norm(self, A, r):
+        # A radius of 1e-12 ||A|| would read these exact roots as 0 and the
+        # matrices as nilpotent.
+        assert growth_bound(np.array(A, dtype=complex)).spectral_radius == r
+
     @pytest.mark.parametrize("big", [1e110, 1e200])
     def test_nilpotent_huge_entries(self, big):
         # ||A||^deg p passes the float range from 1e103 on; the check that
@@ -514,6 +537,50 @@ class TestNormaloidEquivalence:
             normaloid_equivalence(canonical_oblique(), RunConfig(seed=0))
 
 
+class TestOneGrading:
+    """Every root verdict reads ``Analysis.grading``: a grading assigned to a
+    fresh analysis before first use decides each of them."""
+
+    @staticmethod
+    def _graded(A, circle=False, past=False, below=False, zero=False):
+        an = Analysis(A, RunConfig(seed=0))
+        m = len(an.minpoly.roots)
+        an.grading = criteria.Grading(*(np.full(m, g) for g in (circle, past, below, zero)))
+        return an
+
+    def test_spectrum_in_circle(self):
+        assert not theorem_check(self._graded(dft4())).spectrum_in_circle
+        assert theorem_check(self._graded(0.5 * dft4(), circle=True)).spectrum_in_circle
+
+    def test_unimodular_blocks(self):
+        assert self._graded(canonical_oblique()).block_overlap == (0, 0.0, None)
+        assert self._graded(canonical_oblique(), circle=True).block_overlap[0] == 2
+
+    def test_power_bounded(self):
+        an = self._graded(dft4(), past=True)
+        assert not uniform_stability(an).power_bounded
+        with pytest.raises(InconsistencyError, match="structural=False empirical=True"):
+            criteria.is_power_bounded(an)
+        # I + J_2 is unbounded only while its root 1 is on the circle.
+        A = _jordan_block(1, 1, 2)
+        assert self._graded(A).power_bounded and not self._graded(A, circle=True).power_bounded
+
+    def test_uniformly_stable(self):
+        assert not uniform_stability(self._graded(0.5 * dft4())).uniformly_stable
+        assert uniform_stability(self._graded(0.5 * dft4(), below=True)).uniformly_stable
+
+    def test_growth_bound_scope_and_zero(self):
+        with pytest.raises(OutOfScopeError, match="r\\(A\\) <= 1, got 0.5"):
+            growth_bound(self._graded(0.5 * dft4(), past=True))
+        # Read as nilpotent of degree 3, its powers 0.5^n do not vanish.
+        with pytest.raises(InconsistencyError, match="nonzero power at n=3$"):
+            growth_bound(self._graded(0.5 * dft4(), zero=True))
+
+    def test_normal_limit_projection(self):
+        with pytest.raises(InconsistencyError, match="projection value 0.0$"):
+            normal_limit(self._graded(dft4()), np.eye(4))
+
+
 class TestUniformStability:
     def test_long_n_max_needs_no_long_trajectory(self, monkeypatch):
         # The decay cross-check reads log ||A^n R||_F at n_max and
@@ -536,7 +603,7 @@ class TestUniformStability:
         # n_max: a radius misread below 1 on a unitary raises, and the zero
         # powers of a nilpotent count as falling.
         an = Analysis(dft4(), RunConfig(seed=0))
-        an.spectral_radius = 0.5
+        an.grading = an.grading._replace(below=np.ones_like(an.grading.below))
         with pytest.raises(InconsistencyError, match="do not decay"):
             uniform_stability(an)
         assert uniform_stability(np.eye(3, k=1, dtype=complex), RunConfig(seed=0)).uniformly_stable

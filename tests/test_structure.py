@@ -515,6 +515,33 @@ def test_no_unnamed_decision_literals():
     assert not found, found
 
 
+def test_unit_circle_thresholds_have_one_reader():
+    """No function of the modules that grade roots names UNIT_TOL,
+    CIRCLE_TOL or ZERO_RADIUS but ``Analysis.grading``, and UNIT_TOL also the
+    contraction test on ||A||; stability.py imports none of them."""
+    src = Path(aolab.__file__).parent
+    names = {"UNIT_TOL", "CIRCLE_TOL", "ZERO_RADIUS"}
+    allowed = {"grading": names, "contraction": {"UNIT_TOL"}}
+    found = []
+    for name in ("criteria.py", "stability.py"):
+        tree = ast.parse((src / name).read_text())
+        found += [
+            f"{name}:{node.lineno} import {alias.name}"
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name in names
+        ]
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{name}:{node.lineno} {fn.name}: {ident}"
+                    for stmt in fn.body
+                    for node in ast.walk(stmt)
+                    for ident in [getattr(node, "id", None) or getattr(node, "attr", None)]
+                    if ident in names and ident not in allowed.get(fn.name, ())
+                ]
+    assert not found, found
+
+
 def test_runconfig_is_the_only_dataclass():
     """The records are named tuples: a dataclass generates and compiles its
     methods at import, which cost most of the package's import time."""
