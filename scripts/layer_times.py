@@ -12,7 +12,7 @@ eigenvalues:
   written to a file, as the CLI runs it;
 - ``engine_ms``: ``orbit_log_norms_batch`` of the analyze probe batch of
   the ``change`` tree, which every tree's rows read (``criteria.probe_set``:
-  the 20 random probes), over 2000 steps;
+  the ``criteria.RANDOM_PROBES`` random probes), over 2000 steps;
 - ``power_ms``: ``power_log_norms`` over POWER_STEPS powers, the power
   loop alone;
 - ``floor_ms``: the same 2000 products in blocks of the engine's length,

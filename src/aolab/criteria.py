@@ -489,12 +489,16 @@ class Analysis:
             self._power_logs.flags.writeable = False
         return self._power_logs[:n]
 
+    def frobenius_rows(self, n) -> np.ndarray:
+        """log ||A^n R||_F at the batch rows n (an index or a slice), R the
+        RANDOM_PROBES random probes, the first columns of the probe batch
+        (``frobenius_log_norms``)."""
+        return frobenius_log_norms(self.orbits[1][n], RANDOM_PROBES)
+
     @cached_property
     def frobenius_logs(self) -> np.ndarray:
-        """log ||A^n R||_F for n = 1..POWER_STEPS, R the RANDOM_PROBES
-        random probes, the first columns of the probe batch
-        (``frobenius_log_norms``).  Read-only."""
-        logs = frobenius_log_norms(self.orbits[1][1 : POWER_STEPS + 1], RANDOM_PROBES)
+        """``frobenius_rows`` for n = 1..POWER_STEPS.  Read-only."""
+        logs = self.frobenius_rows(slice(1, POWER_STEPS + 1))
         logs.flags.writeable = False
         return logs
 
@@ -708,7 +712,7 @@ def structural_envelope(A: np.ndarray, H: np.ndarray, D: Decomposition):
 # Theorem check
 # ---------------------------------------------------------------------------
 
-RANDOM_PROBES = 20  # random unit vectors in every probe batch
+RANDOM_PROBES = 4  # random unit vectors in every probe batch
 
 
 def probe_set(d: int, rng: np.random.Generator):

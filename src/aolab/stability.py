@@ -19,14 +19,12 @@ from .criteria import (
     BLOCK_GROWTH_LOG2,
     FIRST_POWERS,
     POWER_STEPS,
-    RANDOM_PROBES,
     STACK_ENTRIES,
     _LN2,
     _clamped_exp,
     _envelope_fit,
     _window_rule,
     as_analysis,
-    frobenius_log_norms,
     is_normaloid,
     is_power_bounded,
     orbit_convergence,
@@ -320,7 +318,7 @@ def uniform_stability(A, config: RunConfig | None = None) -> StabilityVerdict:
     The probe orbits are ``Analysis.orbits``, the batch ``theorem_check``
     classifies, read over the full horizon.  r < 1 is cross-checked by
     log ||A^n R||_F falling from n = n_max // 2 + 1 to n = n_max, R the
-    batch's RANDOM_PROBES random columns (``frobenius_log_norms``; A^n R
+    batch's random columns (``Analysis.frobenius_rows``; A^n R
     tends to 0 iff the powers do, for every R off a proper algebraic
     subset, and a zero power counts as falling).
     """
@@ -330,7 +328,7 @@ def uniform_stability(A, config: RunConfig | None = None) -> StabilityVerdict:
     probes, ologs = an.orbits
     ologs = ologs[: cfg.n_max + 1]
     if uniformly:
-        mid, end = frobenius_log_norms(ologs[[cfg.n_max // 2 + 1, cfg.n_max]], RANDOM_PROBES)
+        mid, end = an.frobenius_rows([cfg.n_max // 2 + 1, cfg.n_max])
         if end > -np.inf and end >= mid:
             raise InconsistencyError("r < 1 but power norms do not decay")
 

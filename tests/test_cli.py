@@ -223,7 +223,7 @@ class TestAnalyze:
         crit = _finite_report(capsys.readouterr().out)["criteria"]
         assert crit["orbits_convergent"] is True
         assert all(p["classification"] == {"kind": "convergent", "limit": 0.0} for p in crit["probes"])
-        assert [p["structural_exponent"] for p in crit["probes"]] == [2] * 20
+        assert [p["structural_exponent"] for p in crit["probes"]] == [2] * criteria.RANDOM_PROBES
         classes = criteria.classify_orbits(criteria.orbit_log_norms_batch(A, np.eye(3), 2000))
         assert classes == [criteria.Classification(kind="convergent", limit=0.0)] * 3
 
@@ -346,8 +346,9 @@ class TestAnalyze:
 
     def test_d64_heap_peak(self, tmp_path, capsys):
         # The parsed JSON lists are dropped once the matrix is built: one
-        # d64 analyze peaks near 1,680 KiB with its 20-column probe batch,
-        # against 3,010 KiB while they were kept, with d + 20 columns.
+        # d64 analyze peaks near 1,684 KiB with its 4-column probe batch, as
+        # with 20 columns (the peak lies outside the batch), against
+        # 3,010 KiB while the lists were kept, with d + 20 columns.
         U = gen_unitary_finite_spectrum(64, spread_unimodular(np.random.default_rng(1), 4), 1)
         inp = _write_matrix(tmp_path / "m.json", U)
         assert main(["analyze", "--input", inp]) == EXIT_OK

@@ -166,13 +166,19 @@ FAMILIES = ("unitary", "oblique", "planted", "jordan", "normaloid")
 
 @pytest.mark.parametrize("dim", [4, 8, 16])
 @pytest.mark.parametrize("seed", range(3))
-def test_desk_shapes(dim, seed):
-    # The analyze batch: the 20 random probes, the full horizons.
+def test_desk_shapes(dim, seed, monkeypatch):
+    # The analyze batch of RANDOM_PROBES random probes, and a batch of 20
+    # from the same rng, whose blocks are shorter (51 steps against 100
+    # at d16), over the full horizons.
     rng = np.random.default_rng([dim, seed])
+    widths = (criteria.RANDOM_PROBES, 20)
     for family in FAMILIES:
         A = _shape_matrix(family, dim, rng)
-        H = np.column_stack([v for _, v in probe_set(dim, rng)])
-        _check(A, H, 2000, 1000)
+        for width in widths:
+            monkeypatch.setattr(criteria, "RANDOM_PROBES", width)
+            H = np.column_stack([v for _, v in probe_set(dim, rng)])
+            assert H.shape[1] == width
+            _check(A, H, 2000, 1000)
 
 
 @pytest.mark.parametrize("dim", [4, 8, 16])

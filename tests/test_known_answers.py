@@ -36,6 +36,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from aolab import criteria
 from aolab.cli import broken_implication
 from aolab.config import RunConfig
 from aolab.criteria import Analysis, theorem_check
@@ -221,21 +222,24 @@ def _exact_runs():
     return runs
 
 
-@functools.cache
-def _obliques():
-    """The unit-circle sweep's obliques gen_oblique(d, e^(2 pi i u), cap,
-    seed=s) at caps 1e3-1e5, d = 4 and 8 and seeds 0-4: u from a fresh
+def _sweep(caps, keep=lambda d, s: True):
+    """(cap, d, s, A) of the unit-circle sweep's obliques A = gen_oblique(d,
+    e^(2 pi i u), cap, seed=s) that keep(d, s) picks: u from a fresh
     default_rng(0) per cap, d draws per instance, d = 4, 8, 16 outer and
     s = 0..39 inner, as the full sweep draws them."""
-    out = []
-    for cap in (1e3, 1e4, 1e5):
+    for cap in caps:
         rng = np.random.default_rng(0)
         for d in (4, 8, 16):
             for s in range(40):
                 u = rng.random(d)
-                if d <= 8 and s < 5:
-                    out.append(_run(gen_oblique(d, np.exp(2j * np.pi * u), cap, seed=s), s))
-    return out
+                if keep(d, s):
+                    yield cap, d, s, gen_oblique(d, np.exp(2j * np.pi * u), cap, seed=s)
+
+
+@functools.cache
+def _obliques():
+    """The sweep's obliques at caps 1e3-1e5, d = 4 and 8 and seeds 0-4."""
+    return [_run(A, s) for _, _, s, A in _sweep((1e3, 1e4, 1e5), lambda d, s: d <= 8 and s < 5)]
 
 
 def _wrong(known, verdicts):
@@ -304,3 +308,14 @@ def test_warnings():
 def test_symmetries(cases, ratchet):
     changed = {name: sum(run[-2][name] for run in cases()) for name in ratchet}
     assert _within(changed, ratchet), changed
+
+
+def test_default_probes_read_what_twenty_read(monkeypatch):
+    # The exit code and verdicts of the default probe batch are those of
+    # twenty random probes, on the exact cases and on d4 sweep obliques at
+    # caps 1e3 and 1e4; probe records may differ.  scripts/probe_outcomes.py
+    # measures the same on 1,152 inputs.
+    obliques = [A for *_, A in _sweep((1e3, 1e4), lambda d, s: d == 4 and s < 3)]
+    default = [run[-3][:2] for run in _exact_runs()] + [_analyze(A)[:2] for A in obliques]
+    monkeypatch.setattr(criteria, "RANDOM_PROBES", 20)
+    assert [_analyze(A)[:2] for A in [run[2] for run in _exact_runs()] + obliques] == default

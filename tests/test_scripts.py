@@ -237,3 +237,16 @@ def test_bench_selftest_wrapping():
     proc = subprocess.run([sys.executable, "selftest.py", "Wrapping"], cwd=bench,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_probe_outcomes(tmp_path, capsys):
+    from aolab import criteria
+
+    default, out = criteria.RANDOM_PROBES, tmp_path / "probes.json"
+    assert _load("probe_outcomes").main(["--probes", "4", "20", "--limit", "3", "--out", str(out)]) == 0
+    assert criteria.RANDOM_PROBES == default
+    report = json.loads(out.read_text())
+    assert report["cases"] == {"exact": 3, "wide": 3, "sweep": 3}
+    assert report["moved"] == {"4": {"exact": [], "wide": [], "sweep": []}}
+    assert report["sweep_power_bound_raises"] == {"4": {"1e+03": 0}, "20": {"1e+03": 0}}
+    assert "4 probes against 20: exact 0 moved, wide 0 moved, sweep 0 moved" in capsys.readouterr().out

@@ -643,18 +643,24 @@ class TestUniformStability:
          (np.diag([np.exp(709.5 / 4000), 0.5]).astype(complex), {"e1": 0.0})],
         ids=["jordan-1e150", "window-square-overflow"],
     )
-    def test_window_whose_squares_overflow(self, A, kept):
+    def test_window_whose_squares_overflow(self, A, kept, monkeypatch):
         # Every squared norm of the last window is finite, but for some
         # probes the sum their mean is taken from is not: those have no
         # finite limit and are left out, as are the other growing probes,
-        # which fail the rule.  Every random probe grows; a batch of the
-        # basis, set on the analysis, has one probe that does not, and it
-        # is kept.
+        # which fail the rule.  Two batches are set on the analysis.  In
+        # twenty random probes every probe grows, and some overflow (at
+        # jordan-1e150 only a probe with |h_1|^2 > 0.93 does, which the
+        # analysis's own few probes may lack).  In the basis one probe does
+        # not grow, and it is kept.
         cfg = RunConfig(seed=0)
-        basis = Analysis(A, cfg)
-        H = np.eye(2, dtype=complex)
-        basis.orbits = (("e0", H[:, 0]), ("e1", H[:, 1])), criteria.orbit_log_norms_batch(A, H, 2000)
-        for an, want in ((Analysis(A, cfg), {}), (basis, kept)):
+        with monkeypatch.context() as m:
+            m.setattr(criteria, "RANDOM_PROBES", 20)
+            rand = criteria.probe_set(2, np.random.default_rng(cfg.seed))
+        e = np.eye(2, dtype=complex)
+        for probes, want in ((rand, {}), ((("e0", e[:, 0]), ("e1", e[:, 1])), kept)):
+            an = Analysis(A, cfg)
+            H = np.column_stack([v for _, v in probes])
+            an.orbits = tuple(probes), criteria.orbit_log_norms_batch(A, H, cfg.n_max)
             probes, logs = an.orbits
             window = logs[cfg.n_max + 1 - cfg.window : cfg.n_max + 1]
             assert 2 * window.max() < np.log(np.finfo(float).max)
