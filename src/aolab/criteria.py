@@ -490,7 +490,7 @@ class Analysis:
         return self._power_logs[:n]
 
     def frobenius_rows(self, n) -> np.ndarray:
-        """log ||A^n R||_F at the batch rows n (an index or a slice), R the
+        """log ||A^n R||_F at the batch rows n (indices or a slice), R the
         RANDOM_PROBES random probes, the first columns of the probe batch
         (``frobenius_log_norms``)."""
         return frobenius_log_norms(self.orbits[1][n], RANDOM_PROBES)

@@ -582,6 +582,18 @@ class TestOneGrading:
 
 
 class TestUniformStability:
+    def test_probe_count_has_one_binding(self, monkeypatch):
+        # The power-bound and decay cross-checks sum the random columns that
+        # probe_set draws: one count, read from criteria when they run.
+        seen, frobenius = [], criteria.frobenius_log_norms
+        monkeypatch.setattr(criteria, "RANDOM_PROBES", 7)
+        monkeypatch.setattr(criteria, "frobenius_log_norms",
+                            lambda logs, p: seen.append((logs.shape, p)) or frobenius(logs, p))
+        an = Analysis(np.diag([0.5, 0.25]), RunConfig(seed=0))
+        assert criteria.is_power_bounded(an) and uniform_stability(an).uniformly_stable
+        assert an.orbits[1].shape[1] == 7
+        assert seen == [((POWER_STEPS, 7), 7), ((2, 7), 7)]
+
     def test_long_n_max_needs_no_long_trajectory(self, monkeypatch):
         # The decay cross-check reads log ||A^n R||_F at n_max and
         # n_max/2 + 1 off the probe batch, not off a trajectory of n_max
