@@ -10,9 +10,10 @@ are timed, most of them on one seeded unitary with four distinct
 eigenvalues:
 - ``analyze_ms``: one ``aolab analyze`` of its matrix JSON file, report
   written to a file, as the CLI runs it;
-- ``engine_ms``: ``orbit_log_norms_batch`` of the analyze probe batch of
-  the ``change`` tree, which every tree's rows read (``criteria.probe_set``:
-  the ``criteria.RANDOM_PROBES`` random probes), over 2000 steps;
+- ``engine_ms``: ``orbit_log_norms_batch`` of the tree's own analyze probe
+  batch (its ``criteria.probe_set``: its ``criteria.RANDOM_PROBES`` random
+  probes, drawn from the same generator state on every tree), over 2000
+  steps;
 - ``power_ms``: ``power_log_norms`` over POWER_STEPS powers, the power
   loop alone;
 - ``floor_ms``: the same 2000 products in blocks of the engine's length,
@@ -21,10 +22,9 @@ eigenvalues:
 - ``minpoly_ms``: ``minimal_polynomial`` of the unitary given its norm, as
   an ``Analysis`` calls it; ``decompose_ms``: ``decompose`` of the unitary
   on that minimal polynomial; ``frobenius_ms``: ``frobenius_log_norms`` of
-  the first ``criteria.RANDOM_PROBES`` columns (of the change tree) of the
-  engine's batch over POWER_STEPS steps, as
-  ``Analysis.frobenius_logs`` reads the random probes: the three layers
-  that ``analyze`` runs once per matrix;
+  the tree's first ``criteria.RANDOM_PROBES`` columns of its engine batch
+  over POWER_STEPS steps, as ``Analysis.frobenius_logs`` reads the random
+  probes: the three layers that ``analyze`` runs once per matrix;
 - ``overlap_ms``: ``Analysis.block_overlap`` of gen_oblique(d, the d-th
   roots of unity, 50, seed=d), the principal-angle decision on all pairs
   of its d unimodular blocks, on its cached decomposition, the cached
@@ -70,7 +70,7 @@ and no tree reads cached bytecode, as on a host that writes none (numpy
 keeps its cache).  It imports
 each tree's package once and keeps its module objects, makes the inputs
 once with the change tree's generators, builds each tree's rows on them
-and warms each tree up with one untimed ``analyze`` at the first
+(each tree drawing its own probe batch with its own ``probe_set``) and warms each tree up with one untimed ``analyze`` at the first
 dimension.  Then it times the rows one after another: each row with a
 dimension REPS times per tree and each row without one REPS_OTHER times
 (``verify_ms`` alone costs as much as all the others at d4).  The trees
@@ -101,6 +101,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import importlib
 import io
 import json
@@ -173,30 +174,31 @@ def _floor(propagate, V, k) -> None:
 
 def _inputs(t, dims, tmp: Path):
     """The matrices every tree's rows read, made by the package ``t``: per
-    dimension the unitary, its JSON text (also written to ``tmp``), its
-    probe batch, the jordan matrix, the oblique one and the planted one;
-    then the bare and nilpotent growth shapes, and the random probe count."""
+    dimension the unitary, its JSON text (also written to ``tmp``), the
+    generator that draws its probe batch, in the state after the unitary's
+    draws, the jordan matrix, the oblique one and the planted one; then the
+    bare and nilpotent growth shapes."""
     g, per_dim = t.generators, {}
     for d in dims:
         rng = np.random.default_rng(d)
         A = g.gen_unitary_finite_spectrum(d, g.spread_unimodular(rng, 4), d)
         text = t.jsonout.dumps(t.linalg.matrix_to_obj(A))
         (tmp / f"d{d}.json").write_text(text, encoding="utf-8")
-        H = np.column_stack([v for _, v in t.criteria.probe_set(d, rng)])
         J = g.gen_jordan_perturbation(d, np.exp(0.7j), 1.0, seed=d)
         O = g.gen_oblique(d, np.exp(2j * np.pi * np.arange(d) / d), 50.0, seed=d)
         roots = zip((np.exp(0.3j), 0.7 * np.exp(2.4j), 0.5j), (3, 1) if d == 4 else (4, 3, 1))
-        per_dim[d] = (A, text, H, J, O, g.gen_planted_jordan(d, list(roots), 1e4, seed=d))
+        per_dim[d] = (A, text, rng, J, O, g.gen_planted_jordan(d, list(roots), 1e4, seed=d))
     bare = g.gen_planted_jordan(8, [(0.95 * np.exp(1j), 2), (np.exp(0.5j), 1), (0.5j, 1)], 1e6, 4)
-    return per_dim, bare, g.gen_planted_jordan(8, [(0, 3)], 100.0, 8), t.criteria.RANDOM_PROBES
+    return per_dim, bare, g.gen_planted_jordan(8, [(0, 3)], 100.0, 8)
 
 
 def _rows(t, src, inputs, tmp: Path) -> dict:
     """The rows of the package ``t`` (imported from ``src``) on the inputs:
     {row: {dimension, or "" for a row without one: a call that returns one
-    measurement}}."""
+    measurement}}.  The probe batch is the tree's own, so that a change of
+    its width shows in ``engine_ms``, ``floor_ms`` and ``frobenius_ms``."""
     c, cfg = t.criteria, t.config.RunConfig(seed=1)
-    per_dim, planted, nilpotent, probes = inputs
+    per_dim, planted, nilpotent = inputs
 
     def warmed(A):
         """An Analysis of A with its structure and probe batch computed."""
@@ -210,7 +212,8 @@ def _rows(t, src, inputs, tmp: Path) -> dict:
         return an.block_overlap
 
     def at(d) -> dict:
-        A, text, H, J, O, P = per_dim[d]
+        A, text, rng, J, O, P = per_dim[d]
+        H = np.column_stack([v for _, v in c.probe_set(d, copy.deepcopy(rng))])
         argv = ["analyze", "--input", str(tmp / f"d{d}.json"), "--out", str(tmp / f"d{d}.out.json"), "--seed", "1"]
         k = c._block_steps(d, H.shape[1])
         stack = np.empty((min(k, STEPS), d, H.shape[1]), dtype=complex)
@@ -227,7 +230,7 @@ def _rows(t, src, inputs, tmp: Path) -> dict:
             "floor_ms": partial(_floor, c._stepper(c._prescaled(A)[0], stack), H.astype(complex), k),
             "minpoly_ms": partial(t.structure.minimal_polynomial, A, norm),
             "decompose_ms": partial(t.structure.decompose, A, t.structure.minimal_polynomial(A, norm)),
-            "frobenius_ms": partial(c.frobenius_log_norms, logs, probes),
+            "frobenius_ms": partial(c.frobenius_log_norms, logs, c.RANDOM_PROBES),
             "overlap_ms": partial(overlap, oblique),
             "minpoly_oblique_ms": partial(t.structure.minimal_polynomial, O, oblique.norm),
             "minpoly_planted_ms": partial(t.structure.minimal_polynomial, P, t.linalg.operator_norm(P)),

@@ -45,7 +45,9 @@ block leaves its eigenvector matrix near singular, so that 30 pairs of
 eigenvalues take a merge check and each is refused (exit 0); and
 dft4-1e-13, 1e-13 dft4, whose powers 1e-13^n never vanish, so that no root
 is 0 on the scale of ||A|| (exit 0); and subnormal-1e-320, the dim-1 matrix
-[[1e-320]], whose block recursion scales by the subnormal r (exit 0).  The three
+[[1e-320]], whose block recursion scales by the subnormal r (exit 0); and
+planted-cap-1e16, a planted structure at cond cap 1e16, which ``generate``
+refuses (exit 1, no report).  The three
 benchmark instances are built by ``bench/workloads.py`` itself, imported
 read-only.
 
@@ -174,6 +176,8 @@ def instances():
     out.append(("normaloid-d32", _analyze_large(4)))
     out.append(("dft4-1e-13", 1e-13 * dft4()))
     out.append(("subnormal-1e-320", np.array([[1e-320]], dtype=complex)))
+    out.append(("planted-cap-1e16", ["--kind", "planted", "--dim", "4", "--eigenvalues", "0.5,0.25",
+                                     "--cond-cap", "1e16"]))
     return out
 
 
@@ -205,12 +209,13 @@ def _run(argv):
 
 def run_instance(name, source, work: Path) -> dict:
     """``analyze`` on one instance: its exit code, report, growth CSV
-    (empty if not written) and stderr, each as bytes."""
+    (empty if not written) and stderr, each as bytes; or, where
+    ``generate`` refuses the instance, its exit code and stderr."""
     inp, report, csv_path = work / f"{name}.json", work / f"{name}.out.json", work / f"{name}.csv"
     if isinstance(source, list):
         rc, text, err = _run(["generate", *source])
         if rc != 0:
-            raise RuntimeError(f"generate failed for {name}: {err}")
+            return {"exit": str(rc).encode(), "out.json": b"", "csv": b"", "stderr": err.encode()}
     else:
         text = jsonout.dumps(matrix_to_obj(source))
     inp.write_text(text)

@@ -154,8 +154,7 @@ def classify_orbits(logs: np.ndarray, window: int = RunConfig.window, tol: float
     with np.errstate(over="ignore", invalid="ignore"):
         ok, limit = _window_rule(T, tol)
         n = np.maximum(np.arange(rows - w, rows, dtype=float), 1.0)
-        for d in set(degree[poly].tolist()):  # np.unique would add 1.7 MiB to the peak RSS
-            limit[degree == d] = (T[degree == d] / n**d).mean(axis=1)
+        limit[poly] = (T[poly] / n ** degree[poly, np.newaxis]).mean(axis=1)
         rate = np.minimum(np.exp(log_rho), _NORM_CLAMP)
     finite = np.isfinite(limit)
     for i, j in enumerate(live):
@@ -239,17 +238,16 @@ def _block_norms(W: np.ndarray, live, limit: int):
 
 
 def _stepper(A: np.ndarray, stack: np.ndarray):
-    """propagate(start, k) -> stack[:k], with stack[j] = A^(j+1) start: one
-    product per step into step views made once, by ``A.dot`` (``np.dot``
-    without its dispatch wrapper).  ``dot`` takes a 1 x 1 A for a scalar,
-    with other bits, so that one keeps ``matmul``."""
+    """propagate(start, k), which fills stack[j] = A^(j+1) start for j < k:
+    one product per step into step views made once, by ``A.dot``
+    (``np.dot`` without its dispatch wrapper).  ``dot`` takes a 1 x 1 A for
+    a scalar, with other bits, so that one keeps ``matmul``."""
     product = A.dot if A.size > 1 else partial(np.matmul, A)
     steps = list(stack)
 
-    def propagate(start: np.ndarray, k: int) -> np.ndarray:
+    def propagate(start: np.ndarray, k: int) -> None:
         for step in steps[:k]:
             start = product(start, out=step)
-        return stack[:k]
 
     return propagate
 
@@ -265,9 +263,10 @@ def _blocks(A: np.ndarray, V: np.ndarray, shed: np.ndarray, n_max: int):
     (the engine) or a single one for the whole of V (the power loop).  A
     block is cut before a live group's norm falls below TINY_NORM
     (``_block_norms``).  Before the block is yielded, V is carried from its
-    last step, rescaled exactly by 2^-m per group (m the exponent of the
-    group's last norm), so W may be overwritten; A^n V0 = 2^shed V at each
-    block's start n.  Blocks do not depend on n_max: a shorter horizon
+    last step by one ``ldexp`` over its real and imaginary parts, which
+    broadcasts 2^-m per group (m the exponent of the group's last norm) and
+    is exact, so W may be overwritten; A^n V0 = 2^shed V at each block's
+    start n.  Blocks do not depend on n_max: a shorter horizon
     yields a prefix of a longer one."""
     A, e = _prescaled(A)
     d, P = V.shape
@@ -288,10 +287,7 @@ def _blocks(A: np.ndarray, V: np.ndarray, shed: np.ndarray, n_max: int):
         kept = norms.shape[0]
         exps = shed + ek[:kept]
         m = np.frexp(norms[-1])[1]
-        if kept == 1:  # fewer calls, for the many small one-step blocks
-            np.ldexp(parts[0], -m[:, np.newaxis], out=V_parts)
-        else:  # one exponent per real part of the rows: faster than broadcasting over (P, 2)
-            np.ldexp(parts[kept - 1].reshape(d, -1), -np.repeat(m, 2 * P // g), out=V_parts.reshape(d, -1))
+        np.ldexp(parts[kept - 1], -m[:, np.newaxis], out=V_parts)
         m += e * kept
         shed += m
         live = norms[-1] > 0

@@ -57,6 +57,21 @@ def _check_dim(dim: int, minimum: int = 1):
         raise InvalidInputError(f"dim must lie in [{minimum}, {MAX_DIM}], got {dim}")
 
 
+def _similarity(rng, dim: int, cond_cap: float, low: float) -> np.ndarray:
+    """S = U diag(linspace(1, c, dim)) V^H, with U and V from the SVD of a
+    complex Gaussian and c drawn uniformly from [low, cond_cap], so that
+    cond(S) = c; S is unitary at cond_cap 1 or dim 1.  A cap below 1, not
+    finite, or of 1 / eps or more is refused: past cond(S) = 1 / eps the
+    rounding of S reaches its smallest singular value."""
+    if not 1 <= cond_cap < math.inf:  # NaN fails too
+        raise InvalidInputError("cond_cap must be finite and >= 1")
+    if cond_cap * np.finfo(float).eps >= 1:
+        raise InvalidInputError(f"cond_cap {cond_cap:g} leaves S singular in floating point")
+    U, _, Vh = np.linalg.svd(_complex_gaussian(rng, dim, dim))
+    s = np.linspace(1.0, rng.uniform(low, cond_cap), dim) if cond_cap > 1 and dim > 1 else np.ones(dim)
+    return U @ np.diag(s) @ Vh
+
+
 def gen_unitary_finite_spectrum(dim: int, eigenvalues, seed: int) -> np.ndarray:
     """U D U* with Haar-ish unitary U; every listed unimodular eigenvalue
     appears at least once on D."""
@@ -87,32 +102,19 @@ def gen_oblique(dim: int, eigenvalues, cond_cap: float = 50.0, seed: int = 0) ->
         for j in range(i + 1, dim):
             if abs(vals[i] - vals[j]) <= 1e-8:
                 raise InvalidInputError("eigenvalues must be distinct")
-    if not 1 <= cond_cap < math.inf:  # NaN fails too
-        raise InvalidInputError("cond_cap must be finite and >= 1")
-
+    rng = np.random.default_rng(seed)
+    S = _similarity(rng, dim, cond_cap, min(2.0, cond_cap))  # refuses a bad cap, the fixture's too
     if dim == 2 and seed == 0 and sorted((v.real, v.imag) for v in vals) == [(-1.0, 0.0), (1.0, 0.0)]:
         # Canonical fixture anchoring the counterexample family.
         return canonical_oblique()
-
-    # Past cond(S) = 1 / eps the rounding of S reaches its smallest singular value.
-    if cond_cap * np.finfo(float).eps >= 1:
-        raise InvalidInputError(f"cond_cap {cond_cap:g} leaves S singular in floating point")
-    rng = np.random.default_rng(seed)
     for _ in range(200):
-        Z = _complex_gaussian(rng, dim, dim)
-        U, _, Vh = np.linalg.svd(Z)
-        if cond_cap > 1:
-            cond = rng.uniform(min(2.0, cond_cap), cond_cap)
-            s = np.linspace(1.0, cond, dim)
-        else:
-            s = np.ones(dim)
-        S = U @ np.diag(s) @ Vh
         A = S @ np.diag(vals) @ np.linalg.inv(S)
         if cond_cap == 1:
             return A
         cols = S / np.linalg.norm(S, axis=0)
         if np.abs(cols.conj().T @ cols - np.eye(dim)).max() >= math.cos(math.radians(80.0)):
             return A
+        S = _similarity(rng, dim, cond_cap, min(2.0, cond_cap))
     raise InvalidInputError("failed to sample an oblique similarity; relax cond_cap")
 
 
@@ -188,8 +190,6 @@ def gen_planted_jordan(
     total = sum(i for _, i in roots)
     if total > dim:
         raise InvalidInputError(f"sum of indices {total} exceeds dim {dim}")
-    if not 1 <= cond_cap < math.inf:  # NaN fails too
-        raise InvalidInputError("cond_cap must be finite and >= 1")
     rng = np.random.default_rng(seed)
     J = np.zeros((dim, dim), dtype=complex)
     pos = 0
@@ -200,14 +200,7 @@ def gen_planted_jordan(
         z, _ = roots[rng.integers(len(roots))]
         J[pos, pos] = z
         pos += 1
-    Z = _complex_gaussian(rng, dim, dim)
-    U, _, Vh = np.linalg.svd(Z)
-    if cond_cap > 1 and dim > 1:
-        cond = rng.uniform(1.0, cond_cap)
-        s = np.linspace(1.0, cond, dim)
-    else:
-        s = np.ones(dim)
-    S = U @ np.diag(s) @ Vh
+    S = _similarity(rng, dim, cond_cap, 1.0)
     return S @ J @ np.linalg.inv(S)
 
 

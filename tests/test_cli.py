@@ -400,8 +400,8 @@ class TestAnalyze:
                 assert broken_implication(report) is None, name
             else:
                 without_both.append(name)
-        # An input error and an orbit-convergence inconsistency.
-        assert without_both == ["no-gap-d32", "near-unitary-1e-7"]
+        # An input error, an orbit-convergence inconsistency and a cap that generate refuses.
+        assert without_both == ["no-gap-d32", "near-unitary-1e-7", "planted-cap-1e16"]
 
 
 class TestGenerate:
@@ -555,6 +555,12 @@ class TestGenerate:
         args = ["generate", "--kind", "oblique", "--dim", "3", "--eigenvalues", "1,i,-1", "--cond-cap", "1e300"]
         assert main(args) == EXIT_INPUT
         assert capsys.readouterr() == ("", "error: cond_cap 1e+300 leaves S singular in floating point\n")
+
+    def test_planted_refuses_the_oblique_cap(self, capsys):
+        # The planted kind draws S as the oblique one does and refuses the same caps.
+        args = ["generate", "--kind", "planted", "--dim", "4", "--eigenvalues", "0.5,0.25", "--cond-cap", "1e16"]
+        assert main(args) == EXIT_INPUT
+        assert capsys.readouterr() == ("", "error: cond_cap 1e+16 leaves S singular in floating point\n")
 
     def test_missing_eigenvalues(self, capsys):
         assert main(["generate", "--kind", "unitary", "--dim", "2"]) == EXIT_INPUT

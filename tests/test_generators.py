@@ -1,5 +1,7 @@
 """Instance generators: fixtures, spectra, determinism, input checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -160,3 +162,75 @@ class TestPlantedJordan:
         A = gen_planted_jordan(4, roots, seed=5)
         B = gen_planted_jordan(4, roots, seed=5)
         assert np.array_equal(A, B)
+
+    def test_rejects_cond_cap_past_inverse_eps(self):
+        # The refusal gen_oblique makes: at cap 1e16 the output's roots lie
+        # far from the planted 0.5 and 0.25 (modulus 2.6e6 at seed 0).
+        with pytest.raises(InvalidInputError, match="cond_cap 1e\\+16 leaves S singular"):
+            gen_planted_jordan(4, [(0.5, 1), (0.25, 1)], 1e16, 0)
+
+
+def _frozen_oblique(dim, vals, cond_cap, seed):
+    """gen_oblique past its argument checks and fixture, with its own draw of
+    S, as it was before the similarity draw was shared."""
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        Z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / SQRT2
+        U, _, Vh = np.linalg.svd(Z)
+        if cond_cap > 1:
+            cond = rng.uniform(min(2.0, cond_cap), cond_cap)
+            s = np.linspace(1.0, cond, dim)
+        else:
+            s = np.ones(dim)
+        S = U @ np.diag(s) @ Vh
+        A = S @ np.diag(vals) @ np.linalg.inv(S)
+        if cond_cap == 1:
+            return A
+        cols = S / np.linalg.norm(S, axis=0)
+        if np.abs(cols.conj().T @ cols - np.eye(dim)).max() >= math.cos(math.radians(80.0)):
+            return A
+    return None  # gen_oblique raises here
+
+
+def _frozen_planted(dim, roots, cond_cap, seed):
+    """gen_planted_jordan past its argument checks, with its own draw of S."""
+    rng = np.random.default_rng(seed)
+    J = np.zeros((dim, dim), dtype=complex)
+    pos = 0
+    for z, i in roots:
+        J[pos:pos + i, pos:pos + i] = z * np.eye(i) + np.diag(np.ones(i - 1), 1)
+        pos += i
+    while pos < dim:
+        z, _ = roots[rng.integers(len(roots))]
+        J[pos, pos] = z
+        pos += 1
+    Z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / SQRT2
+    U, _, Vh = np.linalg.svd(Z)
+    if cond_cap > 1 and dim > 1:
+        cond = rng.uniform(1.0, cond_cap)
+        s = np.linspace(1.0, cond, dim)
+    else:
+        s = np.ones(dim)
+    S = U @ np.diag(s) @ Vh
+    return S @ J @ np.linalg.inv(S)
+
+
+def test_shared_similarity_draw_keeps_the_bits():
+    # Both float generators draw S through one helper; below cap 1 / eps
+    # they return the bits of their own former draws, and gen_oblique
+    # fails where its former loop found no oblique S.  At dim 1 past cap 1
+    # that is every draw, as one column is its own Gram matrix, so the
+    # former loop is not rerun there.
+    for dim in range(1, 17):
+        vals = list(np.exp(2j * np.pi * (np.arange(dim) + 0.5) / dim))
+        roots = [(0.5, min(dim, 2))] + ([(0.25j, 1)] if dim >= 3 else [])
+        for cap in (1.0, 1.5, 2.0, 50.0, 1e4, 1e8, 1e12):
+            for seed in range(6):
+                want = None if dim == 1 < cap else _frozen_oblique(dim, vals, cap, seed)
+                if want is None:
+                    with pytest.raises(InvalidInputError, match="failed to sample an oblique similarity"):
+                        gen_oblique(dim, vals, cap, seed)
+                else:
+                    assert np.array_equal(gen_oblique(dim, vals, cap, seed), want)
+                want = _frozen_planted(dim, [(complex(z), i) for z, i in roots], cap, seed)
+                assert np.array_equal(gen_planted_jordan(dim, roots, cap, seed), want)

@@ -208,6 +208,40 @@ def test_alternating_run():
     assert 0 <= report["change_wins"]["engine_ms"]["4"] <= module.REPS
 
 
+def test_layer_times_rows_read_the_tree_batch(tmp_path, monkeypatch):
+    # A tree's engine, floor and Frobenius rows time its own probe batch: a
+    # tree with two random probes steps and sums two columns, although the
+    # inputs were made with four.
+    import aolab
+    from aolab import cli, criteria, generators, jsonout, suites  # noqa: F401 (the rows read them off aolab)
+
+    module = _load("layer_times")
+    inputs = module._inputs(aolab, [4], tmp_path)
+    widths, stepper, frobenius = [], criteria._stepper, criteria.frobenius_log_norms
+
+    def counted_stepper(A, stack):
+        propagate = stepper(A, stack)
+
+        def counted(start, k):
+            widths.append(start.shape[1])
+            propagate(start, k)
+
+        return counted
+
+    def counted_frobenius(logs, k):
+        widths.append(k)
+        return frobenius(logs, k)
+
+    monkeypatch.setattr(criteria, "_stepper", counted_stepper)
+    monkeypatch.setattr(criteria, "frobenius_log_norms", counted_frobenius)
+    monkeypatch.setattr(criteria, "RANDOM_PROBES", 2)
+    rows = module._rows(aolab, SCRIPTS.parent / "src", inputs, tmp_path)
+    widths.clear()
+    for key in ("engine_ms", "floor_ms", "frobenius_ms"):
+        assert rows[key]["4"]() > 0
+    assert widths and set(widths) == {2}
+
+
 def test_layer_times_outside_a_checkout(tmp_path, monkeypatch):
     # Git cannot answer here, as in a ``git archive`` export: the run
     # records no revision instead of failing.
