@@ -154,7 +154,8 @@ def classify_orbits(logs: np.ndarray, window: int = RunConfig.window, tol: float
     with np.errstate(over="ignore", invalid="ignore"):
         ok, limit = _window_rule(T, tol)
         n = np.maximum(np.arange(rows - w, rows, dtype=float), 1.0)
-        limit[poly] = (T[poly] / n ** degree[poly, np.newaxis]).mean(axis=1)
+        if poly.any():  # on no column the expression still costs about 12 us
+            limit[poly] = (T[poly] / n ** degree[poly, np.newaxis]).mean(axis=1)
         rate = np.minimum(np.exp(log_rho), _NORM_CLAMP)
     finite = np.isfinite(limit)
     for i, j in enumerate(live):
