@@ -70,9 +70,10 @@ and no tree reads cached bytecode, as on a host that writes none (numpy
 keeps its cache).  It imports
 each tree's package once and keeps its module objects, makes the inputs
 once with the change tree's generators, builds each tree's rows on them
-(each tree drawing its own probe batch with its own ``probe_set``) and warms each tree up with one untimed ``analyze`` at the first
-dimension.  Then it times the rows one after another: each row with a
-dimension REPS times per tree and each row without one REPS_OTHER times
+(each tree drawing its own probe batch with its own ``probe_set``) and
+warms each tree up with one untimed ``analyze`` at the first dimension.
+Then it times the rows one after another: each row with a dimension
+REPS times per tree and each row without one REPS_OTHER times
 (``verify_ms`` alone costs as much as all the others at d4).  The trees
 take turns at every repetition, the tree that goes first alternating
 from one repetition to the next and from one run to the next, so that

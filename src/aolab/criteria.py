@@ -154,7 +154,7 @@ def classify_orbits(logs: np.ndarray, window: int = RunConfig.window, tol: float
     with np.errstate(over="ignore", invalid="ignore"):
         ok, limit = _window_rule(T, tol)
         n = np.maximum(np.arange(rows - w, rows, dtype=float), 1.0)
-        if poly.any():  # on no column the expression still costs about 12 us
+        if poly.any():  # most batches have none, and on none the expression costs about 12 us
             limit[poly] = (T[poly] / n ** degree[poly, np.newaxis]).mean(axis=1)
         rate = np.minimum(np.exp(log_rho), _NORM_CLAMP)
     finite = np.isfinite(limit)
