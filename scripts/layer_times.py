@@ -30,7 +30,9 @@ eigenvalues:
   of its d unimodular blocks, on its cached decomposition, the cached
   decision dropped before each call; ``minpoly_oblique_ms``:
   ``minimal_polynomial`` of that oblique given its norm, one staircase for
-  each of its d roots; ``minpoly_planted_ms``: ``minimal_polynomial``, given
+  each of its d roots; ``decompose_oblique_ms``: ``decompose`` of that
+  oblique on its cached minimal polynomial, d blocks of one dimension
+  each, where the unitary has four; ``minpoly_planted_ms``: ``minimal_polynomial``, given
   its norm, of gen_planted_jordan(d, roots e^{0.3i}, 0.7 e^{2.4i} and 0.5i
   of indices 4, 3 and 1 (3 and 1 at d4), 1e4, seed=d), whose Jordan blocks
   split into eigenvalues that only a merge check joins;
@@ -131,7 +133,7 @@ BLAS_THREADS = "1"
 MODULES = ("config", "errors", "linalg", "structure", "criteria", "stability", "generators", "suites",
            "jsonout", "cli")
 KEYS = ("analyze_ms", "engine_ms", "power_ms", "floor_ms", "minpoly_ms", "decompose_ms", "frobenius_ms", "overlap_ms",
-        "minpoly_oblique_ms", "minpoly_planted_ms", "classify_ms", "classify_jordan_ms", "growth_jordan_ms",
+        "minpoly_oblique_ms", "decompose_oblique_ms", "minpoly_planted_ms", "classify_ms", "classify_jordan_ms", "growth_jordan_ms",
         "serialize_ms", "parse_ms")
 VERIFY = ["verify", "--suite", "all", "--trials", "10", "--seed", "0"]
 
@@ -234,6 +236,7 @@ def _rows(t, src, inputs, tmp: Path) -> dict:
             "frobenius_ms": partial(c.frobenius_log_norms, logs, c.RANDOM_PROBES),
             "overlap_ms": partial(overlap, oblique),
             "minpoly_oblique_ms": partial(t.structure.minimal_polynomial, O, oblique.norm),
+            "decompose_oblique_ms": partial(t.structure.decompose, O, oblique.minpoly),
             "minpoly_planted_ms": partial(t.structure.minimal_polynomial, P, t.linalg.operator_norm(P)),
             "classify_ms": partial(c.orbit_convergence, warmed(A)),
             "classify_jordan_ms": partial(c.orbit_convergence, jordan),

@@ -47,8 +47,10 @@ dft4-1e-13, 1e-13 dft4, whose powers 1e-13^n never vanish, so that no root
 is 0 on the scale of ||A|| (exit 0); and subnormal-1e-320, the dim-1 matrix
 [[1e-320]], whose block recursion scales by the subnormal r (exit 0); and
 planted-cap-1e16, a planted structure at cond cap 1e16, which ``generate``
-refuses (exit 1, no report).  The three
-benchmark instances are built by ``bench/workloads.py`` itself, imported
+refuses (exit 1, no report); and oblique-d64, the 64th roots of unity
+under an oblique similarity (seed 1, cond cap 50), whose 64 blocks each
+give their component of every probe from one product B^-1 H (exit 0).
+The three benchmark instances are built by ``bench/workloads.py`` itself, imported
 read-only.
 
 A change that moves trailing digits changes most digests, so two runs can
@@ -178,6 +180,8 @@ def instances():
     out.append(("subnormal-1e-320", np.array([[1e-320]], dtype=complex)))
     out.append(("planted-cap-1e16", ["--kind", "planted", "--dim", "4", "--eigenvalues", "0.5,0.25",
                                      "--cond-cap", "1e16"]))
+    out.append(("oblique-d64", ["--kind", "oblique", "--dim", "64", "--eigenvalues", _roots_of_unity(64),
+                                "--seed", "1"]))
     return out
 
 

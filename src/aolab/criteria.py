@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from functools import cached_property, partial
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -679,16 +680,18 @@ SAME_MODULUS_TOL = 1e-8
 
 def structural_envelope(A: np.ndarray, H: np.ndarray, D: Decomposition):
     """(mu, e) of the envelope n^e mu^n of ||A^n h|| for each column h of H,
-    from one P_j H per block j (``_unit_columns``): mu the largest |z_j|
-    where ||P_j h|| > COMPONENT_TOL ||h|| (else 0), e the largest k with
-    (A - z_j I)^k P_j h != 0 over those of modulus mu (else None)."""
+    from one product B^{-1} H, block j's rows R_j H rescaled once
+    (``_unit_columns``): mu the largest |z_j| where ||P_j h|| = ||R_j h|| >
+    COMPONENT_TOL ||h|| (else 0), e the largest k with (A - z_j I)^k P_j h
+    != 0 over those of modulus mu (else None), P_j h = B_j (R_j h)."""
     thr = COMPONENT_TOL * _column_norms(H)
     moduli = np.abs([[b.z] for b in D.blocks])
+    X = np.vstack([b.rows for b in D.blocks]) @ H
     present, starts = [], []
-    for b in D.blocks:
-        V, t = _unit_columns(b.projection @ H, thr)
+    for b, end in zip(D.blocks, accumulate(D.block_dims())):
+        V, t = _unit_columns(X[end - b.dim : end], thr)
         present.append(decide(np.linalg.norm(V, axis=0), t) == 2)
-        starts.append((V, t) if b.index > 1 else None)  # its chain starts from the chosen columns
+        starts.append((V, t) if b.index > 1 else None)  # its chain starts from B_j times the chosen columns
     mu = np.where(present, moduli, 0.0).max(axis=0)
     best = np.where(np.any(present, axis=0), 0, -1)
     chosen = present & (decide(np.abs(moduli - mu), SAME_MODULUS_TOL) == 0)
@@ -696,7 +699,7 @@ def structural_envelope(A: np.ndarray, H: np.ndarray, D: Decomposition):
         if start is None or not sel.any():
             continue
         B = A - b.z * np.eye(A.shape[0])
-        V, t = start[0][:, sel], start[1][sel]
+        V, t = b.basis @ start[0][:, sel], start[1][sel]
         k = np.zeros(V.shape[1], dtype=int)
         for j in range(1, b.index):
             V, t = _unit_columns(B @ V, t)

@@ -110,8 +110,8 @@ _NORM_SQ_FLOOR = 1e-300
 def normal_limit(A, H):
     """lim ||A^n h||^2 for a normal contraction and each column h of H:
     equals <Q h, h> with Q the orthogonal projection onto the unimodular
-    eigenspaces, the sum of the projections of the unimodular blocks of
-    the decomposition.  Each column's identity is cross-checked, to
+    eigenspaces: one product of the unimodular blocks' bases side by side
+    and their rows of B^{-1}.  Each column's identity is cross-checked, to
     tol_conv * max(1, ||h||^2) (the window rule's own tolerance, which
     bounds its limit's error), against the window limit of its orbit over
     the ``n_max`` steps of the analysis's config; the columns advance
@@ -125,7 +125,9 @@ def normal_limit(A, H):
     commutator = np.linalg.norm(A.conj().T @ A - A @ A.conj().T)
     if decide(commutator, _NORMALITY_TOL * max(an.norm**2, _NORM_SQ_FLOOR)) == 2:
         raise InvalidInputError("normal_limit requires a normal matrix")
-    Q = sum((b.projection for b, c in zip(an.decomposition.blocks, an.grading.circle) if c), np.zeros_like(A))
+    B, Binv = an.decomposition.factors()
+    on = np.repeat(an.grading.circle, an.decomposition.block_dims())
+    Q = B[:, on] @ Binv[on]
     # Column by column, so that a value does not depend on the other columns.
     q = np.array([np.vdot(h, Q @ h).real for h in H.T.copy()])
     norms, _ = orbit_norms_batch(A, H, an.config.n_max)
@@ -156,7 +158,7 @@ def _reach(upper, floor) -> int:
 def recursion_log_norms(an: Analysis, n_max: int) -> np.ndarray:
     """Upper bounds on log ||A^n||, n = 1..n_max, read off the
     decomposition before any power is formed (+inf throughout if rho =
-    ||I - sum_j P_j||_F >= 1).
+    ||I - sum_j P_j||_F = ||I - B B^{-1}||_F >= 1).
 
     With D_j = A - z_j I and c_{j,k} = ||D_j^k B_j||_2 ||P_j||, k =
     0..i_j, the recursion x_{j,k}(0) = c_{j,k}, x_{j,k}(n+1) =
@@ -180,7 +182,7 @@ def recursion_log_norms(an: Analysis, n_max: int) -> np.ndarray:
     A = an.A
     d = A.shape[0]
     blocks = an.decomposition.blocks
-    R = np.eye(d, dtype=complex) - sum(b.projection for b in blocks)
+    R = np.eye(d, dtype=complex) - np.matmul(*an.decomposition.factors())
     gap = 1.0 - float(np.sqrt(np.vdot(R, R).real))
     if not gap > 0:
         return np.full(n_max, np.inf)

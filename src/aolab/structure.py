@@ -10,6 +10,7 @@ c = max_j ||P_j||.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -196,14 +197,14 @@ def minimal_polynomial(A, norm: float | None = None) -> MinimalPoly:
 
 
 class Block(NamedTuple):
-    """One generalized eigenspace: root, index, orthonormal basis of
-    H_j = ker (T - z I)^i, and the oblique projection onto it with its
-    norm."""
+    """One generalized eigenspace: root, index, orthonormal basis B_j of
+    H_j = ker (T - z I)^i, its rows R_j of B^{-1} (B all bases side by
+    side) and the norm of the oblique projection P_j = B_j R_j onto H_j."""
 
     z: complex
     index: int
     basis: np.ndarray  # dim x d_j, orthonormal columns
-    projection: np.ndarray  # dim x dim
+    rows: np.ndarray  # d_j x dim
     projection_norm: float
 
     @property
@@ -222,14 +223,18 @@ class Decomposition(NamedTuple):
     def block_dims(self):
         return [b.dim for b in self.blocks]
 
+    def factors(self):
+        """(B, B^{-1}): the bases side by side and the rows stacked."""
+        return np.hstack([b.basis for b in self.blocks]), np.vstack([b.rows for b in self.blocks])
+
 
 def decompose(A, p: MinimalPoly) -> Decomposition:
     """Generalized eigenspace decomposition for the minimal polynomial p.
 
     Kernel bases are the bases p carries (``minimal_polynomial``'s
-    staircase bases); projections come from the basis-change formula
-    P_j = B E_j B^{-1} in the concatenated basis B.  Bases that do not
-    fill the space, or whose concatenation is singular, raise
+    staircase bases); block j keeps its rows R_j of B^{-1}, B the
+    concatenated basis, so that P_j = B E_j B^{-1} = B_j R_j.  Bases that
+    do not fill the space, or whose concatenation is singular, raise
     DecompositionError.
     """
     A = as_matrix(A)
@@ -240,21 +245,17 @@ def decompose(A, p: MinimalPoly) -> Decomposition:
             f"kernel dimensions {dims} do not sum to dim {d}; "
             "polynomial not minimal or tolerances inconsistent"
         )
-    B = np.hstack(p.bases)
     try:
-        Binv = np.linalg.inv(B)
+        Binv = np.linalg.inv(np.hstack(p.bases))
     except np.linalg.LinAlgError as exc:
         raise DecompositionError("concatenated kernel bases are singular") from exc
     blocks = []
-    offset = 0
-    for (z, i), basis in zip(p.roots, p.bases):
-        sel = slice(offset, offset + basis.shape[1])
-        P = B[:, sel] @ Binv[sel, :]
-        # ||P|| = ||Binv[sel, :]||, since the basis columns are orthonormal;
-        # for a 1-dim block that is the norm of one row.
-        norm = float(np.linalg.norm(Binv[sel, :], 2 if basis.shape[1] > 1 else None))
-        blocks.append(Block(z=z, index=i, basis=basis, projection=P, projection_norm=norm))
-        offset += basis.shape[1]
+    for (z, i), basis, end in zip(p.roots, p.bases, accumulate(dims)):
+        rows = Binv[end - basis.shape[1] : end]
+        # ||P_j|| = ||R_j||, since the basis columns are orthonormal; for a
+        # 1-dim block that is the norm of one row.
+        norm = float(np.linalg.norm(rows, 2 if basis.shape[1] > 1 else None))
+        blocks.append(Block(z=z, index=i, basis=basis, rows=rows, projection_norm=norm))
     return Decomposition(blocks=tuple(blocks), constant_c=max(b.projection_norm for b in blocks))
 
 

@@ -27,6 +27,7 @@ from aolab.generators import (
     dft4,
     gen_jordan_perturbation,
     gen_normaloid_nonnormal,
+    gen_oblique,
     gen_unitary_finite_spectrum,
     haar_unitary,
     spread_unimodular,
@@ -38,6 +39,18 @@ from aolab.structure import minimal_polynomial
 def _write_matrix(path, A):
     path.write_text(jsonout.dumps(matrix_to_obj(A)))
     return str(path)
+
+
+def _warm_analyze_peak_kib(inp):
+    """The tracemalloc peak, in KiB, of one ``analyze`` of ``inp`` after a
+    first, warming one."""
+    assert main(["analyze", "--input", inp]) == EXIT_OK
+    tracemalloc.start()
+    try:
+        assert main(["analyze", "--input", inp]) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
 
 
 def _finite_report(text):
@@ -350,15 +363,14 @@ class TestAnalyze:
         # with 20 columns (the peak lies outside the batch), against
         # 3,010 KiB while the lists were kept, with d + 20 columns.
         U = gen_unitary_finite_spectrum(64, spread_unimodular(np.random.default_rng(1), 4), 1)
-        inp = _write_matrix(tmp_path / "m.json", U)
-        assert main(["analyze", "--input", inp]) == EXIT_OK
-        tracemalloc.start()
-        try:
-            assert main(["analyze", "--input", inp]) == EXIT_OK
-            peak_kib = tracemalloc.get_traced_memory()[1] / 1024
-        finally:
-            tracemalloc.stop()
-        assert peak_kib < 2750
+        assert _warm_analyze_peak_kib(_write_matrix(tmp_path / "m.json", U)) < 2750
+
+    def test_d64_many_blocks_heap_peak(self, tmp_path, capsys):
+        # 64 blocks, each kept as its basis and its rows of B^-1: one d64
+        # analyze peaks near 1,574 KiB, against 5,606 KiB while every block
+        # held its dense 64 x 64 projection.
+        A = gen_oblique(64, np.exp(2j * np.pi * np.arange(64) / 64), 50.0, 1)
+        assert _warm_analyze_peak_kib(_write_matrix(tmp_path / "m.json", A)) < 2750
 
     def test_broken_implication_exits_2(self, tmp_path, capsys):
         # S C S^-1 with C the cyclic shift of order 4 and S a product of unit
@@ -555,6 +567,12 @@ class TestGenerate:
         args = ["generate", "--kind", "oblique", "--dim", "3", "--eigenvalues", "1,i,-1", "--cond-cap", "1e300"]
         assert main(args) == EXIT_INPUT
         assert capsys.readouterr() == ("", "error: cond_cap 1e+300 leaves S singular in floating point\n")
+
+    def test_oblique_fixture_keeps_cap_one_unitary(self, capsys):
+        # The canonical oblique fixture's S has cond 2.618, past cap 1.
+        args = ["generate", "--kind", "oblique", "--dim", "2", "--eigenvalues", "1,-1", "--cond-cap", "1"]
+        assert main(args) == EXIT_OK
+        assert criteria.is_unitary(matrix_from_obj(json.loads(capsys.readouterr().out)))
 
     def test_planted_refuses_the_oblique_cap(self, capsys):
         # The planted kind draws S as the oblique one does and refuses the same caps.

@@ -148,7 +148,7 @@ def _assert_same_classes(got, want, where):
 def _reference_exponent(A, h, D):
     """Per-probe structural exponent, kept as the reference."""
     hn = float(np.linalg.norm(h))
-    comps = [(b, b.projection @ h) for b in D.blocks]
+    comps = [(b, b.basis @ b.rows @ h) for b in D.blocks]
     comps = [(b, ph) for b, ph in comps if np.linalg.norm(ph) > COMPONENT_TOL * hn]
     if not comps:
         return None
@@ -745,15 +745,15 @@ class TestTheoremCheck:
         assert "orbits_note" not in text
 
     def test_one_product_per_block(self, monkeypatch):
-        # Each block's P_j H is formed and rescaled once, and the chain of
-        # the index-2 root -0.7, of largest modulus, starts from its columns:
-        # two blocks and one chain step.
+        # Each block's rows R_j H of the one product B^-1 H are rescaled
+        # once, and the chain of the index-2 root -0.7, of largest modulus,
+        # starts from B_j times its columns: two blocks and one chain step.
         an = Analysis(gen_planted_jordan(6, [(0.4j, 3), (-0.7, 2)], 50.0, 2), RunConfig(seed=0))
         assert [b.index for b in an.decomposition.blocks] == [2, 3]
         unit_columns, calls = criteria._unit_columns, []
         monkeypatch.setattr(criteria, "_unit_columns", lambda V, t: calls.append(V.shape) or unit_columns(V, t))
         rep = theorem_check(an)
-        assert calls == [(6, RANDOM_PROBES)] * 3
+        assert calls == [(b.dim, RANDOM_PROBES) for b in an.decomposition.blocks] + [(6, RANDOM_PROBES)]
         assert [r.structural_exponent for _, r in rep.probes] == [1] * RANDOM_PROBES
 
     def test_report_keys_are_record_fields(self):

@@ -93,6 +93,14 @@ class TestOblique:
     def test_fixture_special_case(self):
         assert np.array_equal(gen_oblique(2, [1, -1], seed=0), canonical_oblique())
 
+    def test_fixture_only_within_its_cap(self):
+        # The fixture's S has cond 2.618: cap 1 draws a unitary S, hence a
+        # unitary output, and a cap below 2.618 draws like any other spec.
+        assert is_unitary(gen_oblique(2, [1, -1], 1.0, 0))
+        for cap in (1.5, 2.6):
+            assert not np.array_equal(gen_oblique(2, [1, -1], cap, 0), canonical_oblique())
+        assert np.array_equal(gen_oblique(2, [1, -1], 2.62, 0), canonical_oblique())
+
     def test_rejects_repeated_eigenvalues(self):
         with pytest.raises(InvalidInputError):
             gen_oblique(2, [1.0, 1.0], seed=0)

@@ -137,7 +137,7 @@ class TestGrowthBound:
         A = gen_planted_jordan(6, [(0.8j, 2), (-0.5, 2)], cond_cap=40.0, seed=11)
         an = Analysis(A, RunConfig(seed=0))
         for b in an.decomposition.blocks:
-            assert b.projection_norm == pytest.approx(operator_norm(b.projection), rel=1e-12)
+            assert b.projection_norm == pytest.approx(operator_norm(b.basis @ b.rows), rel=1e-12)
         an.power_logs()
         norm = np.linalg.norm
 
@@ -235,7 +235,7 @@ class TestGrowthBound:
                                  spectra=(np.linalg.svd(A, compute_uv=False),))
         # A decomposition with ||I - sum_j P_j||_F = 2: the recursion rules
         # no power out.
-        block = Block(z=0j, index=3, basis=np.eye(4)[:, :3], projection=np.zeros((4, 4)), projection_norm=1.0)
+        block = Block(z=0j, index=3, basis=np.eye(4)[:, :3], rows=np.zeros((3, 4)), projection_norm=1.0)
         an.decomposition = Decomposition(blocks=(block,), constant_c=1.0)
         with pytest.raises(InconsistencyError, match="nonzero power at n=5$"):
             growth_bound(an)

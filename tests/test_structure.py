@@ -424,17 +424,18 @@ class TestDecompose:
         A = gen_planted_jordan(6, [(0.8j, 2), (-0.5, 2)], cond_cap=40.0, seed=11)
         mp = minimal_polynomial(A)
         D = decompose(A, mp)
-        total = sum(b.projection for b in D.blocks)
-        assert np.linalg.norm(total - np.eye(6)) <= 1e-8
-        for b in D.blocks:
-            assert np.linalg.norm(b.projection @ b.projection - b.projection) <= 1e-8
+        projections = [b.basis @ b.rows for b in D.blocks]
+        assert np.linalg.norm(sum(projections) - np.eye(6)) <= 1e-8
+        for P in projections:
+            assert np.linalg.norm(P @ P - P) <= 1e-8
 
     def test_projections_commute_with_matrix(self):
         A = gen_planted_jordan(5, [(1.0, 2), (1j, 1)], cond_cap=25.0, seed=5)
         mp = minimal_polynomial(A)
         D = decompose(A, mp)
         for b in D.blocks:
-            assert np.linalg.norm(A @ b.projection - b.projection @ A) <= 1e-7
+            P = b.basis @ b.rows
+            assert np.linalg.norm(A @ P - P @ A) <= 1e-7
 
     def test_oblique_constant_sqrt2(self):
         T = canonical_oblique()
