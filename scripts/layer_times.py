@@ -17,7 +17,9 @@ eigenvalues:
 - ``power_ms``: ``power_log_norms`` over POWER_STEPS powers, the power
   loop alone;
 - ``floor_ms``: the same 2000 products in blocks of the engine's length,
-  through the engine's own stepper (``criteria._stepper``), with no norms
+  through the engine's own stepper (``criteria._stepper``) on the
+  engine's own operand (the real form of A on [Re H; Im H], or the complex
+  A on H on a tree whose ``criteria._prescaled`` returns it), with no norms
   and no rescales, the floor the engine's bookkeeping sits on;
 - ``minpoly_ms``: ``minimal_polynomial`` of the unitary given its norm, as
   an ``Analysis`` calls it; ``decompose_ms``: ``decompose`` of the unitary
@@ -219,7 +221,11 @@ def _rows(t, src, inputs, tmp: Path) -> dict:
         H = np.column_stack([v for _, v in c.probe_set(d, copy.deepcopy(rng))])
         argv = ["analyze", "--input", str(tmp / f"d{d}.json"), "--out", str(tmp / f"d{d}.out.json"), "--seed", "1"]
         k = c._block_steps(d, H.shape[1])
-        stack = np.empty((min(k, STEPS), d, H.shape[1]), dtype=complex)
+        # The floor steps what the tree's engine steps: a real form R
+        # (2d x 2d) on [Re H; Im H], or on an older tree the complex A on H.
+        R = c._prescaled(A)[0]
+        start = np.concatenate((H.real, H.imag)) if R.dtype.kind == "f" else H.astype(complex)
+        stack = np.empty((min(k, STEPS), *start.shape), dtype=start.dtype)
         jordan = warmed(J)
         jordan.power_logs(10)
         norm = t.linalg.operator_norm(A)
@@ -230,7 +236,7 @@ def _rows(t, src, inputs, tmp: Path) -> dict:
             "analyze_ms": partial(t.cli.main, argv),
             "engine_ms": partial(c.orbit_log_norms_batch, A, H, STEPS),
             "power_ms": partial(c.power_log_norms, A, c.POWER_STEPS),
-            "floor_ms": partial(_floor, c._stepper(c._prescaled(A)[0], stack), H.astype(complex), k),
+            "floor_ms": partial(_floor, c._stepper(R, stack), start, k),
             "minpoly_ms": partial(t.structure.minimal_polynomial, A, norm),
             "decompose_ms": partial(t.structure.decompose, A, t.structure.minimal_polynomial(A, norm)),
             "frobenius_ms": partial(c.frobenius_log_norms, logs, c.RANDOM_PROBES),

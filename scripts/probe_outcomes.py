@@ -29,8 +29,20 @@ The three sets:
   InconsistencyError.
 
 ``--limit N`` runs only the first N inputs of each set, and the sweep at
-its first cap only (a smoke run).  Warnings are silenced.  The script
-exits 1 when any outcome moved.
+its first cap only (a smoke run).  Warnings are silenced.
+
+Two trees are compared as ``report_digests.py`` compares their digests:
+
+    PYTHONPATH=src python scripts/probe_outcomes.py --keep /tmp/before
+    (check out the other commit)
+    PYTHONPATH=src python scripts/probe_outcomes.py --against /tmp/before
+
+``--keep DIR`` writes every outcome and the sweep's power-bound raises to
+DIR/outcomes.json.  ``--against DIR`` compares this run with the one kept
+in DIR, which must hold the same inputs: for every probe count both runs
+made, the JSON lists under ``against`` each input whose outcome differs
+from the kept one, and both runs' power-bound raises.  The script exits 1
+when any outcome or raise count moved.
 """
 
 from __future__ import annotations
@@ -58,6 +70,7 @@ from aolab.config import RunConfig  # noqa: E402
 from aolab.errors import AolabError, InconsistencyError  # noqa: E402
 
 CAPS = (1e3, 1e4, 1e5, 1e6)
+KEPT = "outcomes.json"
 
 
 def exact_inputs():
@@ -106,10 +119,20 @@ def outcomes(sets, counts):
     return out, raises
 
 
+def _moved(labels, runs, ref):
+    """{set: [{case, reference, outcome}, ...]}: each input whose outcome
+    in ``runs`` differs from the one in ``ref``."""
+    return {name: [{"case": case, "reference": ref[name][i], "outcome": runs[name][i]}
+                   for i, case in enumerate(cases) if runs[name][i] != ref[name][i]]
+            for name, cases in labels.items()}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--probes", type=int, nargs="+", default=[4, 20], help="probe counts; the last is the reference")
     p.add_argument("--limit", type=int, default=None, help="run only the first N inputs of each set")
+    p.add_argument("--keep", type=Path, help=f"write this run's outcomes to DIR/{KEPT}")
+    p.add_argument("--against", type=Path, help=f"compare this run with the outcomes kept in DIR/{KEPT}")
     p.add_argument("--out", default=str(ROOT / ".bench_out" / "probe_outcomes.json"))
     args = p.parse_args(argv)
     if min(args.probes) < 1:
@@ -118,33 +141,48 @@ def main(argv=None) -> int:
     caps = CAPS[:1] if args.limit else CAPS
     sets = {name: list(islice(inputs, args.limit))
             for name, inputs in (("exact", exact_inputs()), ("wide", wide_inputs()), ("sweep", sweep_inputs(caps)))}
+    labels = {name: [case for case, _ in inputs] for name, inputs in sets.items()}
+    kept = json.loads((args.against / KEPT).read_text(encoding="utf-8")) if args.against else None
+    if kept and kept["labels"] != labels:
+        p.error(f"{args.against / KEPT} holds other inputs")
     t0 = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         runs, raises = outcomes(sets, args.probes)
-    ref = args.probes[-1]
-    moved = {
-        str(k): {
-            name: [{"case": case, "reference": runs[ref][name][i], "outcome": runs[k][name][i]}
-                   for i, (case, _) in enumerate(inputs) if runs[k][name][i] != runs[ref][name][i]]
-            for name, inputs in sets.items()
-        }
-        for k in args.probes[:-1]
-    }
-    report = {"probes": args.probes, "reference": ref, "cases": {name: len(v) for name, v in sets.items()},
-              "moved": moved, "sweep_power_bound_raises": {str(k): v for k, v in raises.items()},
-              "exit_codes": {str(k): {name: np.bincount([code for code, _ in rows], minlength=3).tolist()
-                                      for name, rows in runs[k].items()} for k in args.probes},
+    # As JSON writes them, so that a kept run compares equal.
+    runs, raises = json.loads(json.dumps({str(k): v for k, v in runs.items()})), {str(k): v for k, v in raises.items()}
+    ref = str(args.probes[-1])
+    moved = {k: _moved(labels, runs[k], runs[ref]) for k in runs if k != ref}
+    report = {"probes": args.probes, "reference": args.probes[-1], "cases": {name: len(v) for name, v in sets.items()},
+              "moved": moved, "sweep_power_bound_raises": raises,
+              "exit_codes": {k: {name: np.bincount([code for code, _ in rows], minlength=3).tolist()
+                                 for name, rows in per_set.items()} for k, per_set in runs.items()},
               "seconds": round(time.perf_counter() - t0, 1), "python": platform.python_version(),
               "numpy": np.__version__, "change": _revision()}
     for k, per_set in moved.items():
         print(f"{k} probes against {ref}: " + ", ".join(f"{name} {len(m)} moved" for name, m in per_set.items()))
     for k, per_cap in raises.items():
         print(f"{k} probes: sweep power-bound raises " + ", ".join(f"{cap} {n}" for cap, n in per_cap.items()))
+    failed = any(m for per_set in moved.values() for m in per_set.values())
+    if args.keep:
+        args.keep.mkdir(parents=True, exist_ok=True)
+        kept_run = {"labels": labels, "outcomes": runs, "sweep_power_bound_raises": raises, "change": _revision()}
+        (args.keep / KEPT).write_text(json.dumps(kept_run) + "\n", encoding="utf-8")
+    if kept:
+        shared = [k for k in runs if k in kept["outcomes"]]
+        against = {k: _moved(labels, runs[k], kept["outcomes"][k]) for k in shared}
+        report["against"] = {"kept_change": kept["change"], "moved": against,
+                             "kept_sweep_power_bound_raises": {k: kept["sweep_power_bound_raises"][k] for k in shared}}
+        for k in shared:
+            print(f"{k} probes against {args.against}: "
+                  + ", ".join(f"{name} {len(m)} moved" for name, m in against[k].items())
+                  + ("" if raises[k] == kept["sweep_power_bound_raises"][k] else ", sweep power-bound raises moved"))
+        failed |= any(m for per_set in against.values() for m in per_set.values())
+        failed |= any(raises[k] != kept["sweep_power_bound_raises"][k] for k in shared)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
-    return int(any(m for per_set in moved.values() for m in per_set.values()))
+    return int(failed)
 
 
 if __name__ == "__main__":

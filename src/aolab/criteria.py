@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -53,8 +53,8 @@ CIRCLE_TOL = 1e-8
 # Planted nilpotents at d2-d64 (index 2-6, cond cap 1-1e4) read r <= 8.5e-13, r / ||A|| <= 5.4e-16.
 ZERO_RADIUS = 1e-12
 
-# A block stack (``_blocks``) holds at most this many complex entries (256
-# KiB): k steps of the orbit engine's d x P batch, or k powers.
+# A block stack (``_blocks``) holds at most this many complex entries, as 2^15
+# reals (256 KiB): k steps of the orbit engine's d x P batch, or k powers.
 STACK_ENTRIES = 2**14
 
 # A block of k plain steps grows a prescaled unit vector or power by at most
@@ -178,13 +178,17 @@ def classify_orbits(logs: np.ndarray, window: int = RunConfig.window, tol: float
 # ---------------------------------------------------------------------------
 
 def _prescaled(A: np.ndarray):
-    """(A 2^-e, e): A as a complex matrix scaled by an exact power of two,
-    with e taken from its largest entry, so that every entry of A 2^-e is
-    below 1 and ||A 2^-e v|| < d ||v||.  The zero matrix has e = 0."""
+    """(R, e): A 2^-e as its real form R = [[Re, -Im], [Im, Re]], 2d x 2d,
+    which maps [Re v; Im v] to [Re; Im] of A 2^-e v, with e taken from A's
+    largest entry, so that every entry of A 2^-e is below 1 and
+    ||A 2^-e v|| < d ||v||.  The zero matrix has e = 0."""
     e = math.frexp(float(np.abs(A).max()))[1]
-    B = np.array(A, dtype=complex, order="C")
-    np.ldexp(B.view(float), -e, out=B.view(float))
-    return B, e
+    d = len(A)
+    R = np.empty((2 * d, 2 * d))
+    R[:d, :d] = R[d:, d:] = np.real(A)
+    R[d:, :d] = np.imag(A)
+    R[:d, d:] = -R[d:, :d]
+    return np.ldexp(R, -e, out=R), e
 
 
 def _block_steps(d: int, width: int) -> int:
@@ -197,9 +201,9 @@ def _block_steps(d: int, width: int) -> int:
 
 
 def _block_norms(W: np.ndarray, live, limit: int):
-    """(norms, limit) for a block W of k steps in norm groups, shape
-    (k, m, g): the 2-norms of its groups at the steps the block keeps,
-    shape (kept, g), and the length of later blocks.
+    """(norms, limit) for a real block W of k steps in norm groups, shape
+    (k, m, g), m >= 2: the 2-norms of its groups at the steps the block
+    keeps, shape (kept, g), and the length of later blocks.
 
     The block ends before the first step after its first where a live
     group's norm is below TINY_NORM or exactly 0, so that the next block
@@ -211,14 +215,8 @@ def _block_norms(W: np.ndarray, live, limit: int):
     taken with ``hypot``.
     """
     if limit == 1:
-        return np.hypot.reduce(np.abs(W), axis=1), limit
-    if W.shape[2] == 1:  # one group, as in the power loop: faster strided
-        sq = np.einsum("kmp,kmp->kp", W.real, W.real)
-        sq += np.einsum("kmp,kmp->kp", W.imag, W.imag)
-    else:  # one sum over the contiguous real view: the same order, faster
-        x = W.view(float).reshape(*W.shape, 2)
-        sq = np.einsum("kmpc,kmpc->kpc", x, x)
-        sq = sq[..., 0] + sq[..., 1]
+        return np.hypot.reduce(W, axis=1), limit
+    sq = np.einsum("kmp,kmp->kp", W, W)
     norms = np.sqrt(sq, out=sq)
     if norms.min() >= TINY_NORM:
         return norms, limit
@@ -229,7 +227,7 @@ def _block_norms(W: np.ndarray, live, limit: int):
     kept = int(hit[0])
     if kept == 0:
         kept = 1
-        norms = np.hypot.reduce(np.abs(W[:1]), axis=1)
+        norms = np.hypot.reduce(W[:1], axis=1)
         offending = norms[0, tiny[0]]
     else:
         offending = norms[kept, tiny[kept]]
@@ -239,12 +237,11 @@ def _block_norms(W: np.ndarray, live, limit: int):
     return norms, limit
 
 
-def _stepper(A: np.ndarray, stack: np.ndarray):
-    """propagate(start, k), which fills stack[j] = A^(j+1) start for j < k:
-    one product per step into step views made once, by ``A.dot``
-    (``np.dot`` without its dispatch wrapper).  ``dot`` takes a 1 x 1 A for
-    a scalar, with other bits, so that one keeps ``matmul``."""
-    product = A.dot if A.size > 1 else partial(np.matmul, A)
+def _stepper(R: np.ndarray, stack: np.ndarray):
+    """propagate(start, k), which fills stack[j] = R^(j+1) start for j < k:
+    one dgemm per step into step views made once, by ``R.dot`` (``np.dot``
+    without its dispatch wrapper), R a real form and at least 2 x 2."""
+    product = R.dot
     steps = list(stack)
 
     def propagate(start: np.ndarray, k: int) -> None:
@@ -257,30 +254,28 @@ def _stepper(A: np.ndarray, stack: np.ndarray):
 def _blocks(A: np.ndarray, V: np.ndarray, shed: np.ndarray, n_max: int):
     """The one block loop of the orbit engine and the power loop: yields
     (n, W, norms, exps) per block of k = len(norms) steps, with
-    A^(n+1+i) V0 = 2^exps[i] W[i] for i < k and the start V0 = 2^shed V.
+    A^(n+1+i) V0 = 2^exps[i] W[i] for i < k and the start V0 = 2^shed V,
+    each complex d x P matrix held as its real form [Re; Im], (2d, P).
 
-    A is prescaled by 2^-e (``_prescaled``); V advances by one plain product
-    per step into a preallocated stack (``_block_steps``, ``_stepper``).
-    shed holds one binary exponent, with its own 2-norm, per column of V
-    (the engine) or a single one for the whole of V (the power loop).  A
-    block is cut before a live group's norm falls below TINY_NORM
-    (``_block_norms``).  Before the block is yielded, V is carried from its
-    last step by one ``ldexp`` over its real and imaginary parts, which
-    broadcasts 2^-m per group (m the exponent of the group's last norm) and
-    is exact, so W may be overwritten; A^n V0 = 2^shed V at each block's
-    start n.  Blocks do not depend on n_max: a shorter horizon
-    yields a prefix of a longer one."""
-    A, e = _prescaled(A)
-    d, P = V.shape
+    A is prescaled by 2^-e and stepped as its real form (``_prescaled``);
+    V advances by one real product per step into a preallocated stack
+    (``_block_steps``, ``_stepper``).  shed holds one binary exponent, with
+    its own 2-norm, per column of V (the engine) or a single one for the
+    whole of V (the power loop).  A block is cut before a live group's norm
+    falls below TINY_NORM (``_block_norms``).  Before the block is yielded,
+    V is carried from its last step by one ``ldexp``, which broadcasts 2^-m
+    per group (m the exponent of the group's last norm) and is exact, so W
+    may be overwritten; A^n V0 = 2^shed V at each block's start n.  Blocks
+    do not depend on n_max: a shorter horizon yields a prefix of a longer
+    one."""
+    R, e = _prescaled(A)
     g = shed.size
-    limit = _block_steps(d, P)
-    stack = np.empty((min(limit, n_max), d, P), dtype=complex)
-    # Real and imaginary parts side by side, for the exact rescales.
-    parts, V_parts = stack.view(float).reshape(-1, d, P, 2), V.view(float).reshape(d, P, 2)
-    groups = stack.reshape(len(stack), d * P // g, g)
+    limit = _block_steps(len(A), V.shape[1])
+    stack = np.empty((min(limit, n_max), *V.shape))
+    groups = stack.reshape(len(stack), V.size // g, g)
     ek = e * np.arange(1, len(stack) + 1)[:, np.newaxis]  # e j at a block's step j; shed holds e n
     live = np.ones(g, dtype=bool)
-    propagate = _stepper(A, stack)
+    propagate = _stepper(R, stack)
     n = 0
     while n < n_max:
         k = min(limit, n_max - n)
@@ -289,9 +284,8 @@ def _blocks(A: np.ndarray, V: np.ndarray, shed: np.ndarray, n_max: int):
         kept = norms.shape[0]
         exps = shed + ek[:kept]
         m = np.frexp(norms[-1])[1]
-        np.ldexp(parts[kept - 1], -m[:, np.newaxis], out=V_parts)
-        m += e * kept
-        shed += m
+        np.ldexp(stack[kept - 1], -m, out=V)
+        shed += m + e * kept
         live = norms[-1] > 0
         yield n, stack, norms, exps
         n += kept
@@ -310,7 +304,7 @@ def orbit_log_norms_batch(A: np.ndarray, H: np.ndarray, n_max: int) -> np.ndarra
     out = np.empty((n_max + 1, s.size))
     np.log(s, out=out[0])
     shed = np.frexp(s)[1].astype(np.int64)  # each column starts at unit scale
-    V = np.ldexp(np.array(H, dtype=complex, order="C").view(float), -np.repeat(shed, 2)).view(complex)
+    V = np.ldexp(np.concatenate((np.real(H), np.imag(H))), -shed, order="C", dtype=float)
     with np.errstate(divide="ignore"):  # log(0) = -inf records a dead column
         for n, _, norms, exps in _blocks(A, V, shed, n_max):
             rows = out[n + 1 : n + norms.shape[0] + 1]
@@ -343,20 +337,25 @@ def power_log_norms(A: np.ndarray, n_max: int) -> np.ndarray:
     """log ||A^n|| (operator norm) for n = 1..n_max, immune to overflow and
     underflow; -inf from the first power that is exactly zero.
 
-    The powers are the blocks of ``_blocks`` from I, with one exponent for
-    the whole matrix.  Each is scaled by an exact power of two to Frobenius
-    norm in [1/2, 1), and its spectral norm is half the log of the top
-    eigenvalue of its Gram matrix (one batched ``eigvalsh`` per block).
+    The powers W are the blocks of ``_blocks`` from I, with one exponent
+    for the whole matrix, each as X = [Re W; Im W].  Each is scaled in place
+    by an exact power of two to Frobenius norm in [1/2, 1); its spectral
+    norm is half the log of the top eigenvalue (one batched ``eigvalsh``
+    per block) of W^H W = X^T X + i (T - T^T), T = (Re W)^T Im W.
     """
     A = as_matrix(A)
+    d = A.shape[0]
     out = np.full(n_max, -np.inf)
-    for n, W, fro, exps in _blocks(A, np.eye(A.shape[0], dtype=complex), np.zeros(1, dtype=np.int64), n_max):
+    for n, X, fro, exps in _blocks(A, np.eye(2 * d, d), np.zeros(1, dtype=np.int64), n_max):
         if fro[-1, 0] == 0.0:
             break
         m = np.frexp(fro[:, 0])[1]
-        W = W[: m.size]
-        np.ldexp(W.view(float), -m[:, np.newaxis, np.newaxis], out=W.view(float))
-        G = np.matmul(np.conjugate(W).mT, W)
+        X = X[: m.size]
+        np.ldexp(X, -m[:, np.newaxis, np.newaxis], out=X)
+        G = np.empty((m.size, d, d), dtype=complex)
+        G.real = np.matmul(X.mT, X)
+        T = np.matmul(X[:, :d].mT, X[:, d:])
+        np.subtract(T, T.mT, out=G.imag)
         out[n : n + m.size] = 0.5 * np.log(np.linalg.eigvalsh(G)[:, -1]) + (exps[:, 0] + m) * _LN2
     return out
 

@@ -211,19 +211,21 @@ def test_alternating_run():
 def test_layer_times_rows_read_the_tree_batch(tmp_path, monkeypatch):
     # A tree's engine, floor and Frobenius rows time its own probe batch: a
     # tree with two random probes steps and sums two columns, although the
-    # inputs were made with four.
+    # inputs were made with four.  Engine and floor step the same operand,
+    # the real form of the d4 matrix, on the real form of the batch.
     import aolab
     from aolab import cli, criteria, generators, jsonout, suites  # noqa: F401 (the rows read them off aolab)
 
     module = _load("layer_times")
     inputs = module._inputs(aolab, [4], tmp_path)
-    widths, stepper, frobenius = [], criteria._stepper, criteria.frobenius_log_norms
+    widths, operands, stepper, frobenius = [], set(), criteria._stepper, criteria.frobenius_log_norms
 
     def counted_stepper(A, stack):
         propagate = stepper(A, stack)
 
         def counted(start, k):
             widths.append(start.shape[1])
+            operands.add((A.shape, A.dtype.kind, start.shape, start.dtype.kind))
             propagate(start, k)
 
         return counted
@@ -237,9 +239,11 @@ def test_layer_times_rows_read_the_tree_batch(tmp_path, monkeypatch):
     monkeypatch.setattr(criteria, "RANDOM_PROBES", 2)
     rows = module._rows(aolab, SCRIPTS.parent / "src", inputs, tmp_path)
     widths.clear()
+    operands.clear()
     for key in ("engine_ms", "floor_ms", "frobenius_ms"):
         assert rows[key]["4"]() > 0
     assert widths and set(widths) == {2}
+    assert operands == {((8, 8), "f", (8, 2), "f")}
 
 
 def test_layer_times_outside_a_checkout(tmp_path, monkeypatch):
@@ -284,3 +288,28 @@ def test_probe_outcomes(tmp_path, capsys):
     assert report["moved"] == {"4": {"exact": [], "wide": [], "sweep": []}}
     assert report["sweep_power_bound_raises"] == {"4": {"1e+03": 0}, "20": {"1e+03": 0}}
     assert "4 probes against 20: exact 0 moved, wide 0 moved, sweep 0 moved" in capsys.readouterr().out
+
+
+def test_probe_outcomes_against_a_kept_run(tmp_path, capsys):
+    # One tree's outcomes kept and compared with a second run: nothing
+    # moves; an outcome or a raise count altered in the kept run does.
+    module, kept, out = _load("probe_outcomes"), tmp_path / "kept", tmp_path / "probes.json"
+    argv = ["--probes", "4", "--limit", "2", "--out", str(out)]
+    assert module.main([*argv, "--keep", str(kept)]) == 0
+    assert module.main([*argv, "--against", str(kept)]) == 0
+    report = json.loads(out.read_text())
+    assert report["against"]["moved"] == {"4": {"exact": [], "wide": [], "sweep": []}}
+    assert report["against"]["kept_sweep_power_bound_raises"] == {"4": {"1e+03": 0}}
+    capsys.readouterr()
+
+    path = kept / module.KEPT
+    run = json.loads(path.read_text())
+    run["outcomes"]["4"]["wide"][1] = [1, "DecompositionError"]
+    run["sweep_power_bound_raises"]["4"]["1e+03"] = 1
+    path.write_text(json.dumps(run))
+    assert module.main([*argv, "--against", str(kept)]) == 1
+    (moved,) = json.loads(out.read_text())["against"]["moved"]["4"]["wide"]
+    assert moved["case"] == 1001 and moved["reference"] == [1, "DecompositionError"]
+    assert "wide 1 moved, sweep 0 moved, sweep power-bound raises moved" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        module.main(["--probes", "4", "--limit", "1", "--out", str(out), "--against", str(kept)])
