@@ -221,9 +221,7 @@ def _rows(t, src, inputs, tmp: Path) -> dict:
         H = np.column_stack([v for _, v in c.probe_set(d, copy.deepcopy(rng))])
         argv = ["analyze", "--input", str(tmp / f"d{d}.json"), "--out", str(tmp / f"d{d}.out.json"), "--seed", "1"]
         k = c._block_steps(d, H.shape[1])
-        # The floor steps what the tree's engine steps: a real form R
-        # (2d x 2d) on [Re H; Im H], or on an older tree the complex A on H.
-        R = c._prescaled(A)[0]
+        R = c._prescaled(A)[0]  # a real form on a tree whose engine steps one
         start = np.concatenate((H.real, H.imag)) if R.dtype.kind == "f" else H.astype(complex)
         stack = np.empty((min(k, STEPS), *start.shape), dtype=start.dtype)
         jordan = warmed(J)
