@@ -3,9 +3,9 @@
 process per run, and write the medians and pair counts as JSON.
 
     python scripts/layer_times.py --out BENCH_layers.json
-    python scripts/layer_times.py --parent HEAD~1 --runs 5 --out BENCH_layers.json
+    python scripts/layer_times.py --parent HEAD~1 --reference 491ed93 --runs 5 --out BENCH_layers.json
 
-Rows.  For each dimension (4, 8, 16, 32 and 64 by default) fifteen rows
+Rows.  For each dimension (4, 8, 16, 32 and 64 by default) seventeen rows
 are timed, most of them on one seeded unitary with four distinct
 eigenvalues:
 - ``analyze_ms``: one ``aolab analyze`` of its matrix JSON file, report
@@ -34,7 +34,12 @@ eigenvalues:
   ``minimal_polynomial`` of that oblique given its norm, one staircase for
   each of its d roots; ``decompose_oblique_ms``: ``decompose`` of that
   oblique on its cached minimal polynomial, d blocks of one dimension
-  each, where the unitary has four; ``minpoly_planted_ms``: ``minimal_polynomial``, given
+  each, where the unitary has four; ``minpoly_circle_ms``:
+  ``minimal_polynomial``, given its norm, of a circle shape of the
+  structure-stress benchmark, gen_planted_jordan(d, d/2 simple roots
+  spread on the unit circle, 1e2, seed=d), whose remaining d/2 dimensions
+  repeat those roots, so that most roots have index 1 and multiplicity
+  2 or more; ``minpoly_planted_ms``: ``minimal_polynomial``, given
   its norm, of gen_planted_jordan(d, roots e^{0.3i}, 0.7 e^{2.4i} and 0.5i
   of indices 4, 3 and 1 (3 and 1 at d4), 1e4, seed=d), whose Jordan blocks
   split into eigenvalues that only a merge check joins;
@@ -67,8 +72,9 @@ dropped from ``sys.modules``, as the benchmark's set-up re-imports it.
 
 Runs.  The checkout this script lies in is the ``change`` tree; with
 ``--parent COMMIT`` the commit is exported with ``git archive`` as the
-``parent`` tree.  Each run is one fresh process with BLAS pinned to one
-thread and ``PYTHONDONTWRITEBYTECODE=1``.  It points ``sys.pycache_prefix``
+``parent`` tree, and with ``--reference COMMIT`` as the ``reference``
+tree, a commit pinned for a span of changes.  Each run is one fresh
+process with BLAS pinned to one thread and ``PYTHONDONTWRITEBYTECODE=1``.  It points ``sys.pycache_prefix``
 at an empty directory, so that every ``aolab`` import compiles from source
 and no tree reads cached bytecode, as on a host that writes none (numpy
 keeps its cache).  It imports
@@ -79,25 +85,32 @@ warms each tree up with one untimed ``analyze`` at the first dimension.
 Then it times the rows one after another: each row with a dimension
 REPS times per tree and each row without one REPS_OTHER times
 (``verify_ms`` alone costs as much as all the others at d4).  The trees
-take turns at every repetition, the tree that goes first alternating
-from one repetition to the next and from one run to the next, so that
-each call but a row's first follows a call of the same row.  Before
-every call the tree's modules are put into ``sys.modules``, so that an
-import made at call time resolves to the same tree.  Separate processes
-of one tree differ by up to a fifth on a 2-core host, while the two trees
-of one process share its state.
+take turns at every repetition, the order of the trees reversing from
+one repetition to the next and from one run to the next, so that each
+call but a row's first follows a call of the same row.  Before each
+repetition, once per ``hostspeed.EVERY_S`` elapsed, the run times the
+kernel of ``bench/hostspeed.py`` (imported read-only from ``bench/``),
+whose mean over the run divided by its nominal time is the run's host
+factor.  Before every call the tree's modules are put into
+``sys.modules``, so that an import made at call time resolves to the
+same tree.  Separate processes of one tree differ by up to a fifth on a
+2-core host, while the trees of one process share its state.
 
 Output.  Each side reports the median, quartiles and best of every row's
 measurements over all runs (``values``), and ``engine_over_floor``, the
 ratio of the engine and floor medians.  With ``--parent``,
 ``change_wins`` gives per row the pairs, one per measurement, in which
 the change read lower (``bench_pairs.change_wins``; ties count for
-neither).
-The parent must build an ``Analysis`` with its config (``Analysis(A,
-config)``), take ``growth_bound`` without one and have the engine's
-helpers in ``criteria`` and cache ``block_overlap`` on the ``Analysis``, as
-every commit from the one block loop on does;
-older commits cannot be timed.  The JSON records the numpy and Python
+neither).  With ``--reference``, ``over_reference`` gives per row the
+median over the pairs of change / reference, each pair two calls of one
+repetition, so that the host's speed divides out, and the pair count:
+ratios that can be compared across runs and hosts where raw medians
+cannot.  ``host`` records each run's host factor and kernel samples.
+The parent and the reference must build an ``Analysis`` with its config
+(``Analysis(A, config)``), take ``growth_bound`` without one and have the
+engine's helpers in ``criteria`` and cache ``block_overlap`` on the
+``Analysis``, as every commit from the one block loop on does; older
+commits cannot be timed.  The JSON records the numpy and Python
 versions, the BLAS thread count, the host's core count and the checkout's
 revision (null outside a git checkout).
 """
@@ -112,6 +125,7 @@ import io
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -125,18 +139,21 @@ import numpy as np
 SCRIPTS = Path(__file__).resolve().parent
 ROOT = SCRIPTS.parent
 sys.path.insert(0, str(SCRIPTS))
+sys.path.append(str(ROOT / "bench"))
 from bench_pairs import change_wins, export, git, spread  # noqa: E402
+from hostspeed import HostSpeed  # noqa: E402
 
 STEPS = 2000
 REPS = 9  # per tree and run, of each row with a dimension
 REPS_OTHER = 3  # of each row without one, as verify_ms alone costs as much as all the others at d4
 DIMS = (4, 8, 16, 32, 64)
 BLAS_THREADS = "1"
+HOST_DIM = 8  # of the host-speed kernel
 MODULES = ("config", "errors", "linalg", "structure", "criteria", "stability", "generators", "suites",
            "jsonout", "cli")
 KEYS = ("analyze_ms", "engine_ms", "power_ms", "floor_ms", "minpoly_ms", "decompose_ms", "frobenius_ms", "overlap_ms",
-        "minpoly_oblique_ms", "decompose_oblique_ms", "minpoly_planted_ms", "classify_ms", "classify_jordan_ms", "growth_jordan_ms",
-        "serialize_ms", "parse_ms")
+        "minpoly_oblique_ms", "decompose_oblique_ms", "minpoly_circle_ms", "minpoly_planted_ms", "classify_ms",
+        "classify_jordan_ms", "growth_jordan_ms", "serialize_ms", "parse_ms")
 VERIFY = ["verify", "--suite", "all", "--trials", "10", "--seed", "0"]
 
 
@@ -181,8 +198,8 @@ def _inputs(t, dims, tmp: Path):
     """The matrices every tree's rows read, made by the package ``t``: per
     dimension the unitary, its JSON text (also written to ``tmp``), the
     generator that draws its probe batch, in the state after the unitary's
-    draws, the jordan matrix, the oblique one and the planted one; then the
-    bare and nilpotent growth shapes."""
+    draws, the jordan matrix, the oblique one, the circle one and the
+    planted one; then the bare and nilpotent growth shapes."""
     g, per_dim = t.generators, {}
     for d in dims:
         rng = np.random.default_rng(d)
@@ -191,8 +208,10 @@ def _inputs(t, dims, tmp: Path):
         (tmp / f"d{d}.json").write_text(text, encoding="utf-8")
         J = g.gen_jordan_perturbation(d, np.exp(0.7j), 1.0, seed=d)
         O = g.gen_oblique(d, np.exp(2j * np.pi * np.arange(d) / d), 50.0, seed=d)
+        C = g.gen_planted_jordan(d, [(z, 1) for z in g.spread_unimodular(np.random.default_rng([d, 1]), d // 2)],
+                                 1e2, seed=d)
         roots = zip((np.exp(0.3j), 0.7 * np.exp(2.4j), 0.5j), (3, 1) if d == 4 else (4, 3, 1))
-        per_dim[d] = (A, text, rng, J, O, g.gen_planted_jordan(d, list(roots), 1e4, seed=d))
+        per_dim[d] = (A, text, rng, J, O, C, g.gen_planted_jordan(d, list(roots), 1e4, seed=d))
     bare = g.gen_planted_jordan(8, [(0.95 * np.exp(1j), 2), (np.exp(0.5j), 1), (0.5j, 1)], 1e6, 4)
     return per_dim, bare, g.gen_planted_jordan(8, [(0, 3)], 100.0, 8)
 
@@ -217,7 +236,7 @@ def _rows(t, src, inputs, tmp: Path) -> dict:
         return an.block_overlap
 
     def at(d) -> dict:
-        A, text, rng, J, O, P = per_dim[d]
+        A, text, rng, J, O, C, P = per_dim[d]
         H = np.column_stack([v for _, v in c.probe_set(d, copy.deepcopy(rng))])
         argv = ["analyze", "--input", str(tmp / f"d{d}.json"), "--out", str(tmp / f"d{d}.out.json"), "--seed", "1"]
         k = c._block_steps(d, H.shape[1])
@@ -241,6 +260,7 @@ def _rows(t, src, inputs, tmp: Path) -> dict:
             "overlap_ms": partial(overlap, oblique),
             "minpoly_oblique_ms": partial(t.structure.minimal_polynomial, O, oblique.norm),
             "decompose_oblique_ms": partial(t.structure.decompose, O, oblique.minpoly),
+            "minpoly_circle_ms": partial(t.structure.minimal_polynomial, C, t.linalg.operator_norm(C)),
             "minpoly_planted_ms": partial(t.structure.minimal_polynomial, P, t.linalg.operator_norm(P)),
             "classify_ms": partial(c.orbit_convergence, warmed(A)),
             "classify_jordan_ms": partial(c.orbit_convergence, jordan),
@@ -281,9 +301,10 @@ def _rows(t, src, inputs, tmp: Path) -> dict:
 
 def alternate(trees: dict, dims) -> dict:
     """One run in this process: the rows of every tree (side -> src), the
-    trees taking turns from the first one given;
-    {side: {row: {dimension or "": [measurements]}}}."""
-    out = {side: {} for side in trees}
+    trees taking turns from the first one given, and the host-speed kernel
+    between repetitions; {"times": {side: {row: {dimension or "":
+    [measurements]}}}, "host_factor": factor, "host_samples": count}."""
+    out, host = {side: {} for side in trees}, HostSpeed(HOST_DIM)
     with tempfile.TemporaryDirectory(prefix="layer-times-") as tmp:
         sys.pycache_prefix = tmp  # no bytecode there: every aolab import compiles from source
         mods = {side: _import(src) for side, src in trees.items()}
@@ -294,13 +315,15 @@ def alternate(trees: dict, dims) -> dict:
             sys.modules.update(mods[side])
             rows[side] = _rows(mods[side]["aolab"], src, inputs, Path(tmp))
             rows[side]["analyze_ms"][str(dims[0])]()  # warms the tree up; the time is dropped
+        host.sample()
         for key, cells in rows["change"].items():
             for cell in cells:
                 for rep in range(REPS if cell else REPS_OTHER):
+                    host.keep_up()
                     for side in list(trees)[::-1 if rep % 2 else 1]:
                         sys.modules.update(mods[side])
                         out[side].setdefault(key, {}).setdefault(cell, []).append(rows[side][key][cell]())
-    return out
+    return {"times": out, "host_factor": host.factor(), "host_samples": len(host.samples)}
 
 
 def one_run(trees: dict, dims) -> dict:
@@ -325,22 +348,29 @@ def _flat(table: dict) -> dict:
 
 def summarize(runs) -> dict:
     """Each side's median, quartiles and best of every row over all the
-    runs' repetitions, and with a parent the pairs the change won."""
-    sides, wins = {side: {} for side in runs[0]}, {}
-    for key, cells in runs[0]["change"].items():
+    runs' repetitions, with a parent the pairs the change won, with a
+    reference the median change / reference ratio over the pairs, and each
+    run's host factor."""
+    sides, wins, ratios = {side: {} for side in runs[0]["times"]}, {}, {}
+    for key, cells in runs[0]["times"]["change"].items():
         for cell in cells:
-            got = {side: [v for run in runs for v in run[side][key][cell]] for side in sides}
+            got = {side: [v for run in runs for v in run["times"][side][key][cell]] for side in sides}
             for side, values in got.items():
                 sides[side].setdefault(key, {})[cell] = {**spread(values), "best": min(values)}
             if "parent" in got:
                 wins.setdefault(key, {})[cell] = change_wins(got["parent"], got["change"], higher=False)
-    sides, wins = {side: _flat(table) for side, table in sides.items()}, _flat(wins)
+            if "reference" in got:
+                pairs = [c / r for c, r in zip(got["change"], got["reference"])]
+                ratios.setdefault(key, {})[cell] = {"ratio": statistics.median(pairs), "pairs": len(pairs)}
+    sides, wins, ratios = {side: _flat(table) for side, table in sides.items()}, _flat(wins), _flat(ratios)
     for side in sides.values():
         side["engine_over_floor"] = {
             d: side["engine_ms"][d]["median"] / side["floor_ms"][d]["median"] for d in side["engine_ms"]
         }
         side["numpy"] = np.__version__
-    return {"sides": sides, **({"change_wins": wins} if wins else {})}
+    host = {"factors": [run["host_factor"] for run in runs], "samples": [run["host_samples"] for run in runs]}
+    return {"sides": sides, "host": host, **({"change_wins": wins} if wins else {}),
+            **({"over_reference": ratios} if ratios else {})}
 
 
 def _revision() -> str | None:
@@ -355,6 +385,8 @@ def _revision() -> str | None:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", default=None, help="commit to time beside this checkout")
+    p.add_argument("--reference", default=None, help="pinned commit to time beside this checkout, "
+                   "reported as change / reference ratios")
     p.add_argument("--runs", type=int, default=5, help="processes, each timing both trees in turn")
     p.add_argument("--dims", default=",".join(map(str, DIMS)))
     p.add_argument("--out", default=str(ROOT / ".bench_out" / "layers.json"))
@@ -367,20 +399,27 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="layer-times-") as tmp:
         trees = {"change": ROOT / "src"}
-        if args.parent:
-            export(git("rev-parse", "--verify", f"{args.parent}^{{commit}}"), Path(tmp))
-            trees["parent"] = Path(tmp) / "src"
+        for side in ("parent", "reference"):
+            if getattr(args, side):
+                export(git("rev-parse", "--verify", f"{getattr(args, side)}^{{commit}}"), Path(tmp) / side)
+                trees[side] = Path(tmp) / side / "src"
         runs = [one_run(dict(list(trees.items())[::-1 if r % 2 else 1]), dims) for r in range(args.runs)]
     report = {"steps": STEPS, "reps": REPS, "runs": args.runs, "dims": dims, "python": platform.python_version(),
               "blas_threads": BLAS_THREADS, "cpu_count": os.cpu_count(), "change": _revision(), **summarize(runs)}
-    if args.parent:
-        report["parent"] = git("rev-parse", args.parent)
+    for side in ("parent", "reference"):
+        if getattr(args, side):
+            report[side] = git("rev-parse", getattr(args, side))
     for side, s in report["sides"].items():
         for d in map(str, dims):
             print(f"{side:6s} d{d:<3s} " + "  ".join(f"{key} {s[key][d]['median']:.2f}" for key in KEYS)
                   + f"  engine/floor {s['engine_over_floor'][d]:.3f}")
         print(f"{side:6s} " + "  ".join(f"{key} {row['median']:.2f}" for key, row in s.items()
                                         if key not in (*KEYS, "engine_over_floor", "numpy")))
+    for key, row in report.get("over_reference", {}).items():
+        cells = {"": row} if "ratio" in row else row
+        text = "  ".join(f"d{d} {c['ratio']:.3f}" if d else f"{c['ratio']:.3f}" for d, c in cells.items())
+        print(f"change/reference {key} {text}  ({next(iter(cells.values()))['pairs']} pairs each)")
+    print(f"host factor per run: {', '.join(f'{f:.3f}' for f in report['host']['factors'])}")
     if "change_wins" in report:
         print(f"pairs the change won, of {args.runs * REPS} per row with a dimension and {args.runs * REPS_OTHER} "
               f"per other row: {json.dumps(report['change_wins'])}")

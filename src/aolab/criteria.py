@@ -729,13 +729,13 @@ def probe_set(d: int, rng: np.random.Generator):
 
 
 def _basis_error(an: Analysis, k: int) -> float:
-    """Error bound on the basis of block k, that of a simple root z among
-    several: (d eps ||A|| + s_0) / s_1 from the singular values of
-    A - zI that the root's staircase kept (``MinimalPoly.spectra``), s_0 the
-    largest counted as zero and s_1 the next.  It takes no SVD."""
-    d = an.A.shape[0]
-    s, dim = an.minpoly.spectra[k], an.minpoly.bases[k].shape[1]
-    return (d * np.finfo(float).eps * an.norm + s[d - dim]) / s[d - dim - 1]
+    """Error bound on the basis of block k, that of a root z among several:
+    (d eps ||A|| + s_0) / s_1 from the bounds on the singular values of
+    A - zI that ``minimal_polynomial`` kept (``MinimalPoly.spectra``): s_0
+    at least the largest counted as zero (a certified root's residual
+    ||(A - zI) Q||_F) and s_1 at most the next.  It takes no SVD."""
+    s_0, s_1 = an.minpoly.spectra[k]
+    return (an.A.shape[0] * np.finfo(float).eps * an.norm + s_0) / s_1
 
 
 def orbit_convergence(A, config: RunConfig | None = None):

@@ -54,8 +54,9 @@ def operator_norm(A) -> float:
 def cluster_points(values: np.ndarray, radius: np.ndarray, merge):
     """Single-linkage clustering of complex values under a merge check.
 
-    Returns a list of (center, count) with centers the cluster means,
-    sorted by (real, imag).  ``radius`` holds one float per value; values
+    Returns a list of (center, members) with centers the cluster means,
+    sorted by (real, imag), and members the indices of the cluster's
+    values, ascending.  ``radius`` holds one float per value; values
     i and j are linked when |v_i - v_j| <= (r_i + r_j) / 2.  A link joins
     the clusters of i and j only if ``merge(i, j) -> bool`` accepts it;
     links are tried closest first, and ``merge`` is asked at most once per
@@ -87,7 +88,7 @@ def cluster_points(values: np.ndarray, radius: np.ndarray, merge):
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    out = [(complex(np.mean(vals[idx])), len(idx)) for idx in groups.values()]
+    out = [(complex(np.mean(vals[idx])), idx) for idx in groups.values()]
     out.sort(key=lambda zc: (zc[0].real, zc[0].imag))
     return out
 

@@ -10,6 +10,7 @@ c = max_j ||P_j||.
 
 from __future__ import annotations
 
+import math
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -42,10 +43,10 @@ def decide(value, threshold, error=0.0):
 
 class MinimalPoly(NamedTuple):
     """Monic minimal polynomial given by roots z_j with indices i_j, and the
-    evidence of ``minimal_polynomial``'s staircases, one entry per root in
-    the order of the roots: the orthonormal bases of the generalized
-    eigenspaces ker (A - z_j I)^{i_j}, and the singular values of A - z_j I,
-    descending, from each staircase's first step."""
+    evidence of ``minimal_polynomial``, one entry per root in the order of
+    the roots: the orthonormal bases of the generalized eigenspaces
+    ker (A - z_j I)^{i_j}, and bounds (s_0, s_1) on the m_j-th and next
+    smallest singular values of A - z_j I, m_j the root's multiplicity."""
 
     roots: tuple  # of (complex, int), sorted by (re, im)
     degree: int
@@ -90,8 +91,9 @@ def _kernel(M: np.ndarray, tol: float, z: complex, step: int, vectors: bool = Tr
 
 
 def _staircase(A: np.ndarray, z: complex, tol: float, mult: int, v: np.ndarray | None):
-    """(index, basis, spectrum): the Kublanovskaya staircase on A - zI, and
-    the singular values of A - zI that its first step computes.  Each step
+    """(index, basis, (s_0, s_1)): the Kublanovskaya staircase on A - zI,
+    and the mult-th and next smallest singular values of A - zI, which its
+    first step computes (s_1 inf when mult is the dimension).  Each step
     splits off the kernel of the current matrix and compresses the matrix
     to the kernel's orthogonal complement, so the kernels of the first k
     steps span ker (A - zI)^k.  It stops at the first empty kernel or once
@@ -108,7 +110,7 @@ def _staircase(A: np.ndarray, z: complex, tol: float, mult: int, v: np.ndarray |
     for step in range(1, mult + 1):
         nul, V, s = _kernel(B, tol, z, step, vectors=mult > 1)
         if step == 1:
-            spectrum = s
+            spectrum = s[d - mult], s[d - mult - 1] if mult < d else np.inf
         if nul == 0:
             break
         n = B.shape[0]
@@ -128,9 +130,40 @@ def _staircase(A: np.ndarray, z: complex, tol: float, mult: int, v: np.ndarray |
     return len(kernels) - 1, np.hstack(kernels[::-1]), spectrum
 
 
+def _certify(A: np.ndarray, w, V, X, kappa, clusters, tol: float) -> list:
+    """Per cluster (z, members J), (1, Q, (s_0, s_1)) when the bounds of
+    ``minimal_polynomial`` settle index 1, else None."""
+    out, nX = [None] * len(clusters), math.sqrt(kappa @ kappa)
+    # s_1 > GAP tol needs g > GAP tol nV nX, nV >= 1, and every g is at most 2 max |w|.
+    if not 2 * float(np.abs(w).max()) > GAP * float(tol) * nX:
+        return out
+    # Norms past the float range read inf or NaN and settle nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        nV = float(np.linalg.norm(V))
+        dist = np.abs(w - np.array([z for z, _ in clusters])[:, np.newaxis])
+        for k, (_, J) in enumerate(clusters):
+            dist[k, J] = np.inf
+        g = dist.min(axis=1)
+        nF = np.linalg.norm(V @ X - np.eye(len(w))) if g.max() > GAP * tol * nV * nX else 1.0
+        if not nF < 0.5:
+            return out
+        E = A @ V - V * w
+        low = g * (1 - nF) / (nV * nX) - np.linalg.norm(E) * nX / (1 - nF)
+        ks, Qs, high = np.flatnonzero(decide(low, 0.0, tol) == 2), [], []
+        residuals = np.linalg.norm(E, axis=0)  # ||E e_j||, a simple root's s_0
+        for k in ks:
+            z, J = clusters[k]
+            Qs.append(V[:, J] if len(J) == 1 else np.linalg.qr(V[:, J])[0])
+            high.append(residuals[J[0]] if len(J) == 1 else np.linalg.norm(A @ Qs[-1] - z * Qs[-1]))
+        for k, Q, s_0, grade in zip(ks, Qs, high, decide(np.array(high), 0.0, tol)):
+            if grade == 0:
+                out[k] = 1, Q, (s_0, low[k])
+    return out
+
+
 def minimal_polynomial(A, norm: float | None = None) -> MinimalPoly:
-    """Minimal polynomial from condition-clustered eigenvalues and one
-    staircase per root.
+    """Minimal polynomial from condition-clustered eigenvalues, each root
+    settled by the one eigendecomposition or by a staircase.
 
     Eigenvalue j of A = V diag(w) V^{-1} gets a disk of radius
     max(CLUSTER_FACTOR, d eps kappa_j) ||A||, kappa_j the norm of
@@ -139,13 +172,22 @@ def minimal_polynomial(A, norm: float | None = None) -> MinimalPoly:
     1 / ||(A - mI)^{-1}||_F and sqrt(d) times it bracket its smallest
     singular value, and an SVD without vectors decides a bracket that
     straddles the threshold.  Each pair of clusters is checked once,
-    closest first.  The staircase on A - zI at each cluster mean z then
-    gives the index (its number of steps), the generalized eigenspace
-    basis (a simple root's is its column of V) and, from its first step,
-    the singular values of A - zI, which ``criteria._basis_error`` reads.
-    Raises IllConditionedSpectrumError when a rank decision has no gap or
-    the kernels do not add up to the cluster size.  ``norm`` is ||A|| if
-    the caller has it already.
+    closest first.  A cluster J of m eigenvalues with mean z has index 1
+    and basis Q, the unit eigenvector or the Q factor of V[:, J], when
+    s_0 = ||(A - zI) Q||_F <= tol and s_1 = g / (||V||_F ||V^-1||') -
+    ||E||_F ||V^-1||' > GAP tol: the m-th smallest singular value of
+    A - zI is at most s_0, and the next at least s_1 (Bauer and Fike).
+    Here E = A V - V diag(w), g = min over k not in J of |w_k - z|, and
+    ||V^-1||' = ||X||_F / (1 - ||F||_F) for the computed inverse X and
+    F = V X - I, ||F||_F < 1/2; neither product is formed unless some g
+    exceeds GAP tol ||V||_F ||X||_F, and none does if V is singular.  Any
+    other cluster takes the staircase on A - zI, which gives the index
+    (its number of steps), the basis (a simple root's is its column of V)
+    and s_0 and s_1 as singular values from its first step.
+    ``criteria._basis_error`` reads (s_0, s_1).  Raises
+    IllConditionedSpectrumError when a rank decision has no gap or the
+    kernels do not add up to the cluster size.  ``norm`` is ||A|| if the
+    caller has it already.
     """
     A = as_matrix(A)
     d = A.shape[0]
@@ -153,12 +195,13 @@ def minimal_polynomial(A, norm: float | None = None) -> MinimalPoly:
     tol = KERNEL_TOL * d * scale
     w, V = np.linalg.eig(A)
     # An exactly defective A has a singular V: its kappa overflows to inf,
-    # which only makes every link a checked one.
+    # which only makes every link a checked one and certifies no root.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            kappa = np.linalg.norm(np.linalg.inv(V), axis=1)
+            X = np.linalg.inv(V)
         except np.linalg.LinAlgError:
-            kappa = np.full(d, np.inf)
+            X = np.full((d, d), np.inf)
+        kappa = np.linalg.norm(X, axis=1)
     kappa[~np.isfinite(kappa)] = np.inf
     radius = np.maximum(CLUSTER_FACTOR, d * np.finfo(float).eps * kappa) * scale
 
@@ -183,17 +226,13 @@ def minimal_polynomial(A, norm: float | None = None) -> MinimalPoly:
         return decide(np.linalg.svd(M, compute_uv=False)[-1], tol) == 0
 
     # Disks of radius r overlap within r_i + r_j: linking distance 2r.
-    roots, bases, spectra = [], [], []
-    for z, mult in cluster_points(w, 2 * radius, merge):
-        # A simple root's mean z is its eigenvalue: V[:, w == z] is its
-        # unit eigenvector, as exactly equal eigenvalues always merge.
-        index, basis, spectrum = _staircase(A, z, tol, mult, V[:, w == z] if mult == 1 else None)
-        roots.append((z, index))
-        bases.append(basis)
-        spectra.append(spectrum)
-    return MinimalPoly(
-        roots=tuple(roots), degree=sum(i for _, i in roots), bases=tuple(bases), spectra=tuple(spectra)
-    )
+    clusters = cluster_points(w, 2 * radius, merge)
+    # A simple root's mean z is its eigenvalue, and V[:, J] its unit eigenvector.
+    found = [known or _staircase(A, z, tol, len(J), V[:, J] if len(J) == 1 else None)
+             for (z, J), known in zip(clusters, _certify(A, w, V, X, kappa, clusters, tol))]
+    indices, bases, spectra = zip(*found)
+    roots = tuple(zip([z for z, _ in clusters], indices))
+    return MinimalPoly(roots=roots, degree=sum(i for _, i in roots), bases=bases, spectra=spectra)
 
 
 class Block(NamedTuple):

@@ -35,6 +35,16 @@ from .stability import (
 )
 from .structure import decompose, minimal_polynomial
 
+ROOT_MATCH_TOL = 1e-6  # a recovered root lies this close to its planted one
+RESTRICTION_TOL = 1e-4  # A compressed to a block has eigenvalues this close to the block's root
+REL_SLACK = 1e-8  # relative slack of a checked inequality: the projection bound, a kernel orbit, a growth ratio
+FORMULA_TOL = 1e-10  # relative: the orbit formula's error, and a zero singular value or N h of alpha I + N
+LIMIT_ZERO = 1e-10  # a projection Q or an orbit limit this small is zero
+SEEN_TOL = 1e-6  # a probe h with ||Q h|| above this sees the unimodular part
+TINY = 1e-300  # floor of a relative error's divisor
+RADIUS_TOL = 1e-3  # an orbit's root limit lies this close to the spectral radius
+FIXTURE_TOL = 1e-12  # the scalar-rotation fixture against e^{2 pi i sqrt 2}
+
 
 class SuiteResult:
     def __init__(self, name: str):
@@ -129,7 +139,7 @@ def suite_decomposition(trials: int, seed: int) -> SuiteResult:
         mp = minimal_polynomial(A)
         want = sorted(planted, key=lambda zi: (zi[0].real, zi[0].imag))
         roots_ok = len(want) == len(mp.roots) and all(
-            abs(w[0] - g[0]) <= 1e-6 and w[1] == g[1] for w, g in zip(want, mp.roots)
+            abs(w[0] - g[0]) <= ROOT_MATCH_TOL and w[1] == g[1] for w, g in zip(want, mp.roots)
         )
         D = decompose(A, mp)
         dims_ok = sum(D.block_dims()) == dim
@@ -139,12 +149,12 @@ def suite_decomposition(trials: int, seed: int) -> SuiteResult:
         def violated():
             parts = [b.basis @ _gaussian(sub_rng, b.dim) for b in D.blocks]
             total = np.linalg.norm(sum(parts))
-            return any(np.linalg.norm(p) > D.constant_c * total * (1 + 1e-8) for p in parts)
+            return any(np.linalg.norm(p) > D.constant_c * total * (1 + REL_SLACK) for p in parts)
 
         lobos_ok = not any(violated() for _ in range(20))
         # The compression of A to each block has only the block's root.
         restr_ok = all(
-            np.all(np.abs(np.linalg.eigvals(b.basis.conj().T @ A @ b.basis) - b.z) <= 1e-4)
+            np.all(np.abs(np.linalg.eigvals(b.basis.conj().T @ A @ b.basis) - b.z) <= RESTRICTION_TOL)
             for b in D.blocks
         )
         good = roots_ok and dims_ok and lobos_ok and restr_ok
@@ -174,7 +184,7 @@ def suite_jadro(trials: int, probes: int, seed: int) -> SuiteResult:
         sub_rng = np.random.default_rng(sub)
         # Kernel probe: orbit must stay bounded.
         _, s, vh = np.linalg.svd(N)
-        kdim = int(np.sum(s <= 1e-10 * max(1.0, s[0])))
+        kdim = int(np.sum(s <= FORMULA_TOL * max(1.0, s[0])))
         kb = vh[dim - kdim:].conj().T
         # The probes, drawn in order, propagate as one batch (rows here).
         hs = np.array([
@@ -190,14 +200,14 @@ def suite_jadro(trials: int, probes: int, seed: int) -> SuiteResult:
                 + ns**2 * np.linalg.norm(Nh) ** 2
             )
             actual = norms[:, p] ** 2
-            rel = np.max(np.abs(actual - predicted) / np.maximum(predicted, 1e-300))
-            if rel > 1e-10:
+            rel = np.max(np.abs(actual - predicted) / np.maximum(predicted, TINY))
+            if rel > FORMULA_TOL:
                 return False, f"probe{p} rel err {rel:g}"
-            diverges_pred = np.linalg.norm(Nh) > 1e-10 * np.linalg.norm(h)
+            diverges_pred = np.linalg.norm(Nh) > FORMULA_TOL * np.linalg.norm(h)
             diverges_emp = actual[-1] > actual[0] + 0.5 * n_terms**2 * np.linalg.norm(Nh) ** 2
             if diverges_pred and not diverges_emp:
                 return False, f"probe{p} expected divergence"
-            if not diverges_pred and np.max(actual) > actual[0] * (1 + 1e-8):
+            if not diverges_pred and np.max(actual) > actual[0] * (1 + REL_SLACK):
                 return False, f"probe{p} kernel orbit grew"
         return True, ""
 
@@ -214,7 +224,7 @@ def suite_growth(trials: int, seed: int, nilpotent_fraction: float = 0.1) -> Sui
         if t < trials - n_nil:
             planted = planted_roots(rng, dim)
             gb = growth_bound(gen_planted_jordan(dim, planted, cond_cap=100.0, seed=sub))
-            good = gb.max_violation_ratio <= 1 + 1e-8 and gb.valid_from == 1
+            good = gb.max_violation_ratio <= 1 + REL_SLACK and gb.valid_from == 1
             return good, f"ratio {gb.max_violation_ratio}"
         i = int(rng.integers(2, min(4, dim + 1)))
         gb = growth_bound(gen_planted_jordan(dim, [(0.0, i)], cond_cap=100.0, seed=sub))
@@ -273,12 +283,12 @@ def suite_normal_limit(trials: int, probes: int, seed: int) -> SuiteResult:
         H = np.column_stack([_gaussian(sub_rng, dim) for _ in range(probes)])
         # Raises where a limit and its projection value disagree.
         limits = normal_limit(A, H)
-        if np.linalg.norm(Q) > 1e-10:
+        if np.linalg.norm(Q) > LIMIT_ZERO:
             # A generic probe must see the unimodular part.
-            lost = limits[0] <= 1e-10 and np.linalg.norm(Q @ H[:, 0]) > 1e-6
+            lost = limits[0] <= LIMIT_ZERO and np.linalg.norm(Q @ H[:, 0]) > SEEN_TOL
             return not lost, "projection value lost"
         for p, q in enumerate(limits):
-            if q > 1e-10:
+            if q > LIMIT_ZERO:
                 return False, f"probe{p} limit {q} with Q=0"
         return True, ""
 
@@ -331,9 +341,9 @@ def suite_root_limit(trials: int, seed: int) -> SuiteResult:
         an = Analysis(A)
         r = an.spectral_radius
         for p, rho in enumerate(orbit_root_limit(an, H)):
-            if rho > r + 1e-3:
+            if rho > r + RADIUS_TOL:
                 return False, f"probe{p} rho {rho} exceeds r {r}"
-            if abs(rho - r) > 1e-3:  # generic h sees the full radius
+            if abs(rho - r) > RADIUS_TOL:  # generic h sees the full radius
                 return False, f"probe{p} rho {rho} != r {r}"
         return True, ""
 
@@ -393,7 +403,7 @@ def suite_density(
     for k, d in enumerate(dist.tolist()):
         res.record(f"target{k}", d <= tol, f"min distance {d:g}")
     # sanity: the generator really is the scalar rotation
-    res.record("fixture", abs(z - np.exp(2j * math.pi * SQRT2)) < 1e-12)
+    res.record("fixture", abs(z - np.exp(2j * math.pi * SQRT2)) < FIXTURE_TOL)
     return res
 
 

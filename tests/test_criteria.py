@@ -924,15 +924,19 @@ class TestAnalysis:
 
 
 def _reference_block_overlap(an):
-    """``Analysis.block_overlap`` as one SVD per pair, each basis error from
-    its own SVD of A - zI: the loop that the Gram product replaced, kept as
-    the reference."""
+    """``Analysis.block_overlap`` as one SVD per pair: the loop that the
+    Gram product replaced, kept as the reference.  Each basis error is
+    ``_basis_error``'s, from the rank evidence that the minimal polynomial
+    kept, and must be at least s_{d-m+1} / s_{d-m} from an SVD of A - zI
+    (m < d the block's dim), the bound that evidence brackets."""
     blocks = {k: b for k, b in enumerate(an.decomposition.blocks) if abs(abs(b.z) - 1) <= CIRCLE_TOL}
     d = an.A.shape[0]
     err = {}
     for k, b in blocks.items():
-        s = np.linalg.svd(an.A - b.z * np.eye(d), compute_uv=False)
-        err[k] = (d * np.finfo(float).eps * an.norm + s[d - b.dim]) / s[d - b.dim - 1]
+        err[k] = criteria._basis_error(an, k)
+        if b.dim < d:
+            s = np.linalg.svd(an.A - b.z * np.eye(d), compute_uv=False)
+            assert err[k] >= s[d - b.dim] / s[d - b.dim - 1], (b.z, err[k], s[d - b.dim] / s[d - b.dim - 1])
     kind, margin, pair = 0, 0.0, None
     for a, b in combinations(blocks, 2):
         c = float(np.linalg.svd(blocks[a].basis.conj().T @ blocks[b].basis, compute_uv=False)[0])

@@ -70,14 +70,13 @@ class TestClusterPoints:
     def test_merges_nearby(self):
         pts = np.array([1.0, 1.0 + 1e-9, 2.0], dtype=complex)
         out = cluster_points(pts, np.full(3, 1e-6), _always)
-        assert [c for _, c in out] == [1, 2] or [c for _, c in out] == [2, 1]
-        assert sum(c for _, c in out) == 3
+        assert [members for _, members in out] == [[0, 1], [2]]
 
     def test_chain_merging_is_single_linkage(self):
         # 0, r/2, r: all one cluster through the middle point.
         pts = np.array([0.0, 0.5, 1.0], dtype=complex)
         out = cluster_points(pts, np.full(3, 0.6), _always)
-        assert len(out) == 1 and out[0][1] == 3
+        assert len(out) == 1 and out[0][1] == [0, 1, 2]
 
     def test_merge_asked_once_per_cluster_pair(self):
         # Every pair is linked; links are tried closest first, and once 0.1
@@ -91,7 +90,7 @@ class TestClusterPoints:
             return abs(pts[i] - pts[j]) < 0.5
 
         out = cluster_points(pts, np.full(4, 2.5), merge)
-        assert [c for _, c in out] == [2, 2]
+        assert [members for _, members in out] == [[0, 1], [2, 3]]
         assert asked == [(0, 1), (2, 3), (1, 2)]
 
     @given(
@@ -106,7 +105,9 @@ class TestClusterPoints:
     @settings(max_examples=60, deadline=None)
     def test_counts_partition_the_input(self, vals):
         out = cluster_points(np.array(vals), np.full(len(vals), 1e-3), _always)
-        assert sum(c for _, c in out) == len(vals)
+        assert sorted(i for _, members in out for i in members) == list(range(len(vals)))
+        assert all(members == sorted(members) for _, members in out)
+        assert all(z == complex(np.mean(np.array(vals)[members])) for z, members in out)
         centers = [z for z, _ in out]
         assert centers == sorted(centers, key=lambda z: (z.real, z.imag))
 

@@ -180,7 +180,8 @@ def test_layer_times(tmp_path, capsys):
     side = report["sides"]["change"]
     assert side["numpy"] and list(report["sides"]) == ["change"]
     for key in ("analyze_ms", "engine_ms", "power_ms", "floor_ms", "minpoly_ms", "decompose_ms", "frobenius_ms",
-                "overlap_ms", "minpoly_oblique_ms", "decompose_oblique_ms", "minpoly_planted_ms", "growth_jordan_ms",
+                "overlap_ms", "minpoly_oblique_ms", "decompose_oblique_ms", "minpoly_circle_ms", "minpoly_planted_ms",
+                "growth_jordan_ms",
                 "serialize_ms", "parse_ms"):
         assert side[key]["4"]["median"] > 0
     assert side["engine_over_floor"]["4"] > 0
@@ -244,6 +245,32 @@ def test_layer_times_rows_read_the_tree_batch(tmp_path, monkeypatch):
         assert rows[key]["4"]() > 0
     assert widths and set(widths) == {2}
     assert operands == {((8, 8), "f", (8, 2), "f")}
+
+
+def test_layer_times_reference(tmp_path, monkeypatch, capsys):
+    # A pinned reference tree, here an export of this checkout's package,
+    # is timed in the same alternation: every row reports change /
+    # reference over its pairs, and the run its host factor.
+    import shutil
+
+    module = _load("layer_times")
+    pinned = "0" * 40
+    monkeypatch.setattr(module, "git", lambda *args: "" if args[0] == "status" else pinned)
+    monkeypatch.setattr(module, "export", lambda commit, dest: shutil.copytree(SCRIPTS.parent / "src", dest / "src"))
+    out = tmp_path / "layers.json"
+    assert module.main(["--runs", "1", "--dims", "4", "--reference", "pinned", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["reference"] == pinned and list(report["sides"]) == ["change", "reference"]
+    ratios = report["over_reference"]
+    assert set(ratios) == set(report["sides"]["change"]) - {"engine_over_floor", "numpy"}
+    for key in module.KEYS:
+        assert ratios[key]["4"]["ratio"] > 0 and ratios[key]["4"]["pairs"] == module.REPS
+    assert ratios["verify_ms"]["ratio"] > 0 and ratios["verify_ms"]["pairs"] == module.REPS_OTHER
+    assert ratios["density_peak_kib"]["ratio"] == 1.0
+    assert len(report["host"]["factors"]) == 1 and report["host"]["factors"][0] > 0
+    assert report["host"]["samples"][0] >= 1
+    text = capsys.readouterr().out
+    assert "change/reference minpoly_circle_ms d4 " in text and "host factor per run: " in text
 
 
 def test_layer_times_outside_a_checkout(tmp_path, monkeypatch):

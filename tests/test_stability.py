@@ -231,8 +231,8 @@ class TestGrowthBound:
         A[0, 1] = A[1, 2] = 10**10.1
         A[3, 3] = 1e5
         an = Analysis(A)
-        an.minpoly = MinimalPoly(roots=((0j, 3),), degree=3, bases=(np.eye(4)[:, :3],),
-                                 spectra=(np.linalg.svd(A, compute_uv=False),))
+        s = np.linalg.svd(A, compute_uv=False)
+        an.minpoly = MinimalPoly(roots=((0j, 3),), degree=3, bases=(np.eye(4)[:, :3],), spectra=((s[1], s[0]),))
         # A decomposition with ||I - sum_j P_j||_F = 2: the recursion rules
         # no power out.
         block = Block(z=0j, index=3, basis=np.eye(4)[:, :3], rows=np.zeros((3, 4)), projection_norm=1.0)

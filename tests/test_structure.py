@@ -7,11 +7,13 @@ import importlib
 import math
 import pkgutil
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import aolab
+from aolab import structure
 from aolab.errors import DecompositionError, IllConditionedSpectrumError, InvalidInputError
 from aolab.generators import canonical_oblique, dft4, gen_oblique, gen_planted_jordan, spread_unimodular
 from aolab.linalg import as_matrix, cluster_points, operator_norm
@@ -103,7 +105,7 @@ class TestMinimalPolynomial:
 
     def test_evaluate_monomial(self):
         A = np.diag([2.0, 3.0]).astype(complex)
-        mp = MinimalPoly(roots=((2.0 + 0j, 2),), degree=2, bases=(np.eye(2)[:, :1],), spectra=(np.array([1.0, 0.0]),))
+        mp = MinimalPoly(roots=((2.0 + 0j, 2),), degree=2, bases=(np.eye(2)[:, :1],), spectra=((0.0, 1.0),))
         P = _evaluate(mp, A)
         assert P[0, 0] == pytest.approx(0.0)
         assert P[1, 1] == pytest.approx(1.0)
@@ -255,8 +257,8 @@ def reference_minimal_polynomial(A):
         )
 
     roots, bases, spectra = [], [], []
-    for z, mult in cluster_points(w, 2 * radius, merge):
-        index, basis, spectrum = _reference_staircase(A, z, tol, mult)
+    for z, members in cluster_points(w, 2 * radius, merge):
+        index, basis, spectrum = _reference_staircase(A, z, tol, len(members))
         roots.append((z, index))
         bases.append(basis)
         spectra.append(spectrum)
@@ -275,12 +277,19 @@ def _outcome(fn, A):
 
 def _assert_as_reference(A):
     """The same roots (cluster means, hence the same partition), indices,
-    block dims, raises and messages as the reference.  A cluster above
-    size 1 keeps the reference's bits.  A simple root's basis b lies within
-    ``criteria._basis_error``'s bound of the reference kernel, and
-    ||(A - zI) b|| is at most the bound's numerator d eps ||A|| +
-    s_0, so that the bound still holds for the basis kept."""
-    got, err = _outcome(minimal_polynomial, A)
+    block dims, raises and messages as the reference.  A root of m
+    eigenvalues that took the staircase keeps the reference's bits if
+    m > 1, and its two singular values to d eps ||A|| if m = 1.  A root
+    that the eigendecomposition certified keeps evidence that brackets
+    the reference's singular values of A - zI: s_0 >= s_{d-m+1} and
+    s_1 <= s_{d-m}, the first to the SVD's own rounding, d eps ||A||, as
+    a singular value counted as zero is rounding noise.  Every basis b
+    lies within ``criteria._basis_error``'s bound of the reference kernel,
+    and ||(A - zI) b|| is at most the bound's numerator d eps ||A|| + s_0,
+    so that the bound holds for the basis kept."""
+    stairs, staircase = [], structure._staircase
+    with mock.patch.object(structure, "_staircase", lambda M, z, *a: stairs.append(z) or staircase(M, z, *a)):
+        got, err = _outcome(minimal_polynomial, A)
     ref, ref_err = _outcome(reference_minimal_polynomial, A)
     assert err == ref_err
     if ref is None:
@@ -289,15 +298,20 @@ def _assert_as_reference(A):
     assert [b.shape for b in got.bases] == [b.shape for b in ref.bases]
     d = A.shape[0]
     floor = d * np.finfo(float).eps * operator_norm(A)
-    for (z, _), b, r, s, s_ref in zip(got.roots, got.bases, ref.bases, got.spectra, ref.spectra):
-        if b.shape[1] > 1:
-            assert np.array_equal(b, r) and np.array_equal(s, s_ref)
+    for (z, _), b, r, (s_0, s_1), s_ref in zip(got.roots, got.bases, ref.bases, got.spectra, ref.spectra):
+        m = b.shape[1]
+        ref_0, ref_1 = s_ref[d - m], s_ref[d - m - 1] if m < d else np.inf
+        if z not in stairs:
+            assert s_0 + floor >= ref_0 and s_1 <= ref_1, (z, s_0, ref_0, s_1, ref_1)
+        elif m > 1:
+            assert np.array_equal(b, r) and (s_0, s_1) == (ref_0, ref_1)
             continue
-        assert np.max(np.abs(s - s_ref)) <= floor
-        residual = np.linalg.norm((A - z * np.eye(d)) @ b)
-        assert residual <= floor + s[-1], (z, residual, floor + s[-1])
-        sine = np.linalg.norm(r - b @ (b.conj().T @ r))  # of the angle between the two lines
-        assert sine <= (floor + s[-1]) / s[-2], (z, sine, (floor + s[-1]) / s[-2])
+        else:
+            assert max(abs(s_0 - ref_0), abs(s_1 - ref_1)) <= floor
+        residual = np.linalg.norm((A - z * np.eye(d)) @ b, 2)
+        assert residual <= floor + s_0, (z, residual, floor + s_0)
+        sine = np.linalg.norm(r - b @ (b.conj().T @ r), 2)  # of the largest principal angle
+        assert m == d or sine <= (floor + s_0) / s_1, (z, sine, (floor + s_0) / s_1)
 
 
 class TestAgainstReference:
@@ -366,15 +380,36 @@ class _LapackLog:
 
 class TestLapackCalls:
     def test_simple_roots_take_no_singular_vectors(self, monkeypatch):
-        # 32 simple roots: 32 SVDs without vectors, none with (the norm's
-        # own SVD comes before the log).
-        A = gen_oblique(32, spread_unimodular(np.random.default_rng(32), 32), 50.0, 32)
+        # 32 simple roots under a similarity of condition up to 1e6, too
+        # ill-conditioned for the eigendecomposition to certify: 32 SVDs
+        # without vectors, none with (the norm's own SVD comes before the log).
+        A = gen_planted_jordan(32, [(z, 1) for z in spread_unimodular(np.random.default_rng(32), 32)], 1e6, 0)
         norm = operator_norm(A)
         log = _LapackLog(monkeypatch)
         mp = minimal_polynomial(A, norm)
         assert len(mp.roots) == 32
         assert not log.of("svd")
         assert len(log.of("s")) == 32
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_certified_roots_take_no_svd(self, monkeypatch, seed):
+        # The d32 oblique (32 simple roots, cond cap 50) and the d32 circle
+        # shape of the structure-stress benchmark (16 roots of index 1, most
+        # of multiplicity 2-4, cond cap 1e2): the eigendecomposition
+        # certifies every root, so no SVD runs, and each root of m > 1
+        # eigenvalues has the orthonormal Q factor of its eigenvectors.
+        oblique = gen_oblique(32, spread_unimodular(np.random.default_rng(32 + seed), 32), 50.0, 32 + seed)
+        circle = gen_planted_jordan(32, _shape_roots("circle", (1,) * 16), 1e2, seed)
+        for A, roots in ((oblique, 32), (circle, 16)):
+            norm = operator_norm(A)
+            log = _LapackLog(monkeypatch)
+            mp = minimal_polynomial(A, norm)
+            monkeypatch.undo()
+            assert len(mp.roots) == roots and all(i == 1 for _, i in mp.roots)
+            assert not log.of("svd") and not log.of("s")
+            for b in mp.bases:
+                assert np.linalg.norm(b.conj().T @ b - np.eye(b.shape[1])) <= 1e-14 * A.shape[0]
+        assert max(b.shape[1] for b in mp.bases) > 1
 
     @pytest.mark.parametrize("dim, indices, seed, straddling", [
         (16, (4, 2, 2, 1), 0, 0),
@@ -461,7 +496,7 @@ class TestDecompose:
         # cannot fill the space.
         A = np.diag([1.0, 2.0]).astype(complex)
         bases = (np.eye(2)[:, :1], np.zeros((2, 0), dtype=complex))
-        spectra = (np.array([1.0, 0.0]), np.array([2.0, 1.0]))
+        spectra = ((0.0, 1.0), (1.0, 2.0))
         bad = MinimalPoly(roots=((1.0 + 0j, 1), (3.0 + 0j, 1)), degree=2, bases=bases, spectra=spectra)
         with pytest.raises(DecompositionError):
             decompose(A, bad)
@@ -506,10 +541,10 @@ class TestDecide:
 
 def test_no_unnamed_decision_literals():
     """No float literal with 0 < |x| < 1e-2 inside a function body of the
-    modules that decide: each threshold is a named constant."""
+    modules that decide or check: each threshold is a named constant."""
     src = Path(aolab.__file__).parent
     found = []
-    for name in ("criteria.py", "stability.py", "structure.py"):
+    for name in ("criteria.py", "stability.py", "structure.py", "suites.py"):
         tree = ast.parse((src / name).read_text())
         for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
