@@ -5,7 +5,7 @@ process per run, and write the medians and pair counts as JSON.
     python scripts/layer_times.py --out BENCH_layers.json
     python scripts/layer_times.py --parent HEAD~1 --reference 491ed93 --runs 5 --out BENCH_layers.json
 
-Rows.  For each dimension (4, 8, 16, 32 and 64 by default) seventeen rows
+Rows.  For each dimension (4, 8, 16, 32 and 64 by default) eighteen rows
 are timed, most of them on one seeded unitary with four distinct
 eigenvalues:
 - ``analyze_ms``: one ``aolab analyze`` of its matrix JSON file, report
@@ -51,7 +51,9 @@ eigenvalues:
   ``growth_bound`` on that ``Analysis``, its ten shared powers computed;
 - ``serialize_ms``: ``jsonout.dumps(matrix_to_obj(A))`` of the unitary, and
   ``parse_ms`` ``matrix_from_obj(json.loads(text))`` of that text: the
-  write and the read of a matrix JSON file without the file.
+  write and the read of a matrix JSON file without the file;
+- ``report_ms``: ``jsonout.dumps`` of the unitary's ``analyze`` report, the
+  document that ``aolab analyze`` writes, built once with the change tree.
 The rows without a dimension: ``one_step_ms`` times the engine on
 diag(1e200, 0.5), whose blocks are one step long.  ``growth_bare_ms``
 times ``growth_bound``, each call on a fresh ``Analysis`` (made untimed)
@@ -133,6 +135,7 @@ import time
 import tracemalloc
 from functools import partial
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -153,7 +156,7 @@ MODULES = ("config", "errors", "linalg", "structure", "criteria", "stability", "
            "jsonout", "cli")
 KEYS = ("analyze_ms", "engine_ms", "power_ms", "floor_ms", "minpoly_ms", "decompose_ms", "frobenius_ms", "overlap_ms",
         "minpoly_oblique_ms", "decompose_oblique_ms", "minpoly_circle_ms", "minpoly_planted_ms", "classify_ms",
-        "classify_jordan_ms", "growth_jordan_ms", "serialize_ms", "parse_ms")
+        "classify_jordan_ms", "growth_jordan_ms", "serialize_ms", "report_ms", "parse_ms")
 VERIFY = ["verify", "--suite", "all", "--trials", "10", "--seed", "0"]
 
 
@@ -196,7 +199,8 @@ def _floor(propagate, V, k) -> None:
 
 def _inputs(t, dims, tmp: Path):
     """The matrices every tree's rows read, made by the package ``t``: per
-    dimension the unitary, its JSON text (also written to ``tmp``), the
+    dimension the unitary, its JSON text (also written to ``tmp``), its
+    ``analyze`` report as the document handed to ``jsonout.dumps``, the
     generator that draws its probe batch, in the state after the unitary's
     draws, the jordan matrix, the oblique one, the circle one and the
     planted one; then the bare and nilpotent growth shapes."""
@@ -206,12 +210,16 @@ def _inputs(t, dims, tmp: Path):
         A = g.gen_unitary_finite_spectrum(d, g.spread_unimodular(rng, 4), d)
         text = t.jsonout.dumps(t.linalg.matrix_to_obj(A))
         (tmp / f"d{d}.json").write_text(text, encoding="utf-8")
+        argv = ["analyze", "--input", str(tmp / f"d{d}.json"), "--out", str(tmp / f"d{d}.out.json"), "--seed", "1"]
+        with mock.patch.object(t.jsonout, "dumps", wraps=t.jsonout.dumps) as spy:
+            t.cli.main(argv)
+        report = spy.call_args.args[0]
         J = g.gen_jordan_perturbation(d, np.exp(0.7j), 1.0, seed=d)
         O = g.gen_oblique(d, np.exp(2j * np.pi * np.arange(d) / d), 50.0, seed=d)
         C = g.gen_planted_jordan(d, [(z, 1) for z in g.spread_unimodular(np.random.default_rng([d, 1]), d // 2)],
                                  1e2, seed=d)
         roots = zip((np.exp(0.3j), 0.7 * np.exp(2.4j), 0.5j), (3, 1) if d == 4 else (4, 3, 1))
-        per_dim[d] = (A, text, rng, J, O, C, g.gen_planted_jordan(d, list(roots), 1e4, seed=d))
+        per_dim[d] = (A, text, report, rng, J, O, C, g.gen_planted_jordan(d, list(roots), 1e4, seed=d))
     bare = g.gen_planted_jordan(8, [(0.95 * np.exp(1j), 2), (np.exp(0.5j), 1), (0.5j, 1)], 1e6, 4)
     return per_dim, bare, g.gen_planted_jordan(8, [(0, 3)], 100.0, 8)
 
@@ -236,7 +244,7 @@ def _rows(t, src, inputs, tmp: Path) -> dict:
         return an.block_overlap
 
     def at(d) -> dict:
-        A, text, rng, J, O, C, P = per_dim[d]
+        A, text, report, rng, J, O, C, P = per_dim[d]
         H = np.column_stack([v for _, v in c.probe_set(d, copy.deepcopy(rng))])
         argv = ["analyze", "--input", str(tmp / f"d{d}.json"), "--out", str(tmp / f"d{d}.out.json"), "--seed", "1"]
         k = c._block_steps(d, H.shape[1])
@@ -266,6 +274,7 @@ def _rows(t, src, inputs, tmp: Path) -> dict:
             "classify_jordan_ms": partial(c.orbit_convergence, jordan),
             "growth_jordan_ms": partial(t.stability.growth_bound, jordan),
             "serialize_ms": lambda: t.jsonout.dumps(t.linalg.matrix_to_obj(A)),
+            "report_ms": partial(t.jsonout.dumps, report),
             "parse_ms": lambda: t.linalg.matrix_from_obj(json.loads(text)),
         }
 

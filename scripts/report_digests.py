@@ -63,13 +63,16 @@ also be compared field by field:
 Warnings in stderr name the ``aolab`` package directory as ``<aolab>``, so
 the digests do not depend on where the checkout lies.
 
-``--keep DIR`` writes each instance's exit code, report, growth CSV and
-stderr to DIR (``NAME.exit``, ``NAME.out.json``, ``NAME.csv``,
-``NAME.stderr``).  ``--against DIR`` compares this run with one kept in DIR:
-it lists every exit-code, stderr or non-float difference, then the largest
-relative float difference per field name (JSON path without list indices,
-or ``csv.COLUMN``) and where it occurs.  The script exits 1 on any
-non-float difference.
+``--keep DIR`` writes each instance's exit code, input matrix JSON (the
+``generate`` stdout, or the file the script writes itself), report, growth
+CSV and stderr to DIR (``NAME.exit``, ``NAME.in.json``, ``NAME.out.json``,
+``NAME.csv``, ``NAME.stderr``).  The input is not in the digest, so that
+the printed lines stay comparable with runs that did not keep it.
+``--against DIR`` compares this run with one kept in DIR: it lists every
+exit-code, stderr, input or non-float difference (the input compared byte
+for byte), then the largest relative float difference per field name (JSON
+path without list indices, or ``csv.COLUMN``) and where it occurs.  The
+script exits 1 on any non-float difference.
 """
 
 import argparse
@@ -212,25 +215,27 @@ def _run(argv):
 
 
 def run_instance(name, source, work: Path) -> dict:
-    """``analyze`` on one instance: its exit code, report, growth CSV
-    (empty if not written) and stderr, each as bytes; or, where
-    ``generate`` refuses the instance, its exit code and stderr."""
+    """``analyze`` on one instance: its exit code, input matrix JSON,
+    report, growth CSV (empty if not written) and stderr, each as bytes;
+    or, where ``generate`` refuses the instance, its exit code, stdout and
+    stderr."""
     inp, report, csv_path = work / f"{name}.json", work / f"{name}.out.json", work / f"{name}.csv"
     if isinstance(source, list):
         rc, text, err = _run(["generate", *source])
         if rc != 0:
-            return {"exit": str(rc).encode(), "out.json": b"", "csv": b"", "stderr": err.encode()}
+            return {"exit": str(rc).encode(), "in.json": text.encode(), "out.json": b"", "csv": b"",
+                    "stderr": err.encode()}
     else:
         text = jsonout.dumps(matrix_to_obj(source))
     inp.write_text(text)
     rc, _, err = _run(["analyze", "--input", str(inp), "--out", str(report), "--csv", str(csv_path)])
     parts = {suffix: path.read_bytes() if path.exists() else b""
              for suffix, path in (("out.json", report), ("csv", csv_path))}
-    return {"exit": str(rc).encode(), **parts, "stderr": err.encode()}
+    return {"exit": str(rc).encode(), "in.json": text.encode(), **parts, "stderr": err.encode()}
 
 
 def digest(name, result) -> str:
-    """``name exit_code sha256`` for one instance."""
+    """``name exit_code sha256`` for one instance; the input is left out."""
     h = hashlib.sha256()
     for part in ("out.json", "csv"):
         h.update(result[part])
@@ -239,7 +244,7 @@ def digest(name, result) -> str:
     return f"{name} {result['exit'].decode()} {h.hexdigest()}"
 
 
-PARTS = ("exit", "out.json", "csv", "stderr")
+PARTS = ("exit", "in.json", "out.json", "csv", "stderr")
 
 
 def keep(name, result, dest: Path) -> None:
@@ -328,6 +333,8 @@ def compare(name, new, old):
         diffs.append(f"exit code {old['exit'].decode()} -> {new['exit'].decode()}")
     if new["stderr"] != old["stderr"]:
         diffs.append("stderr differs")
+    if new["in.json"] != old["in.json"]:
+        diffs.append("input JSON differs")
     if bool(new["out.json"]) != bool(old["out.json"]):
         diffs.append("report written on one side only")
     elif new["out.json"]:

@@ -32,8 +32,6 @@ from .generators import (
 )
 from .linalg import matrix_from_obj, matrix_to_obj
 from .stability import growth_bound, growth_csv_rows, uniform_stability
-from .structure import minimal_poly_to_obj
-
 # Unused here, but bench/selftest.py checks that the tracer patches this
 # binding.
 from .structure import minimal_polynomial  # noqa: F401
@@ -104,14 +102,8 @@ def cmd_analyze(args) -> int:
     try:
         # Every stage below reads its structure and config off this one analysis.
         an = Analysis(A, cfg)
-        report["minimal_polynomial"] = minimal_poly_to_obj(an.minpoly)
-        report["decomposition"] = {
-            "blocks": [
-                {"z": [b.z.real, b.z.imag], "index": b.index, "dim": b.dim}
-                for b in an.decomposition.blocks
-            ],
-            "constant_c": an.decomposition.constant_c,
-        }
+        report["minimal_polynomial"] = an.minpoly.to_obj()
+        report["decomposition"] = an.decomposition.to_obj()
         # The criteria and stability sections read one probe-orbit batch,
         # propagated once and kept on the analysis.
         report["criteria"] = theorem_check(an).to_obj()

@@ -2,53 +2,39 @@
 dicts we build), floats with 17 significant digits, so identical inputs give
 byte-identical reports.
 
-One traversal lays the document out as a %-format string, with a ``%s``
-placeholder per float.  The finiteness check and the choice of each float's
-format run as array operations over all the floats, and one ``%`` call
-formats them.
+One recursive pass writes each value where the traversal meets it: a float
+as ``%.1f`` when it is integral and |x| < 1e16, else as ``%.17g``, and keys
+and strings through ``json.dumps``.  A non-finite float raises ValueError
+and an unsupported value TypeError on the spot, so the first bad value in
+document order names the exception.
 """
 
 from __future__ import annotations
 
 import json
-
-import numpy as np
-
-_NONFINITE = "non-finite float in JSON output"
+import math
 
 
 def dumps(obj, indent: int = 2) -> str:
-    out, floats = [], []
-    _layout(obj, out, floats, indent, 0)
+    out = []
+    _write(obj, out, indent, 0)
     out.append("\n")
-    x = _finite(floats)
-    integral = (x == np.trunc(x)) & (np.abs(x) < 1e16)
-    specs = np.where(integral, "%.1f", "%.17g").tolist()
-    # The first % puts each float's format in its placeholder, the second
-    # formats the floats.
-    return ("".join(out) % tuple(specs)) % tuple(floats)
+    return "".join(out)
 
 
-def _finite(floats) -> np.ndarray:
-    x = np.array(floats, dtype=float)
-    if not np.isfinite(x).all():
-        raise ValueError(_NONFINITE)
-    return x
+def _float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError("non-finite float in JSON output")
+    return "%.1f" % x if abs(x) < 1e16 and x.is_integer() else "%.17g" % x
 
 
-def _string(s: str) -> str:
-    # Escaped once for each of the two % calls in dumps.
-    return json.dumps(s).replace("%", "%%%%")
-
-
-def _layout(obj, out, floats, indent, level):
+def _write(obj, out, indent, level):
     # No value is an instance of two of these types, except a bool, which
     # is also an int; floats and containers, the most frequent, go first.
     # Containers are plain lists and tuples only: a record (a named tuple)
     # is written through its to_obj(), never as a list.
     if isinstance(obj, float):
-        out.append("%s")
-        floats.append(obj)
+        out.append(_float(obj))
     elif type(obj) in (list, tuple):
         if not obj:
             out.append("[]")
@@ -57,11 +43,16 @@ def _layout(obj, out, floats, indent, level):
         sep = "[\n" + pad
         for v in obj:
             out.append(sep)
-            if isinstance(v, float):
-                out.append("%s")
-                floats.append(v)
+            # Most items are Python floats, finite and not integral, written
+            # here: x % 1.0 is 0 exactly when x is integral, nan when it is
+            # not finite.
+            r = v % 1.0 if type(v) is float else 0.0
+            if r and r == r:
+                out.append("%.17g" % v)
+            elif isinstance(v, float):
+                out.append(_float(v))
             else:
-                _layout(v, out, floats, indent, level + 1)
+                _write(v, out, indent, level + 1)
             sep = ",\n" + pad
         out.append("\n" + " " * (indent * level) + "]")
     elif isinstance(obj, dict):
@@ -71,12 +62,12 @@ def _layout(obj, out, floats, indent, level):
         pad = " " * (indent * (level + 1))
         sep = "{\n"
         for k, v in obj.items():
-            out.append(f"{sep}{pad}{_string(str(k))}: ")
-            _layout(v, out, floats, indent, level + 1)
+            out.append(f"{sep}{pad}{json.dumps(str(k))}: ")
+            _write(v, out, indent, level + 1)
             sep = ",\n"
         out.append("\n" + " " * (indent * level) + "}")
     elif isinstance(obj, str):
-        out.append(_string(obj))
+        out.append(json.dumps(obj))
     elif obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -84,5 +75,4 @@ def _layout(obj, out, floats, indent, level):
     elif isinstance(obj, int):
         out.append(str(obj))
     else:
-        _finite(floats)  # a non-finite float earlier in the document is the first fault
         raise TypeError(f"cannot serialize {type(obj).__name__}")

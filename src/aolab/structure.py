@@ -64,6 +64,12 @@ class MinimalPoly(NamedTuple):
     def __hash__(self):
         return hash(self[:2])
 
+    def to_obj(self):
+        return {
+            "degree": self.degree,
+            "roots": [{"z": [float(z.real), float(z.imag)], "index": i} for z, i in self.roots],
+        }
+
 
 def _kernel(M: np.ndarray, tol: float, z: complex, step: int, vectors: bool = True):
     """(nullity, right singular vectors, singular values) of M: the singular
@@ -266,6 +272,13 @@ class Decomposition(NamedTuple):
         """(B, B^{-1}): the bases side by side and the rows stacked."""
         return np.hstack([b.basis for b in self.blocks]), np.vstack([b.rows for b in self.blocks])
 
+    def to_obj(self):
+        return {
+            "blocks": [{"z": [float(b.z.real), float(b.z.imag)], "index": b.index, "dim": b.dim}
+                       for b in self.blocks],
+            "constant_c": self.constant_c,
+        }
+
 
 def decompose(A, p: MinimalPoly) -> Decomposition:
     """Generalized eigenspace decomposition for the minimal polynomial p.
@@ -296,16 +309,3 @@ def decompose(A, p: MinimalPoly) -> Decomposition:
         norm = float(np.linalg.norm(rows, 2 if basis.shape[1] > 1 else None))
         blocks.append(Block(z=z, index=i, basis=basis, rows=rows, projection_norm=norm))
     return Decomposition(blocks=tuple(blocks), constant_c=max(b.projection_norm for b in blocks))
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-# ---------------------------------------------------------------------------
-
-def minimal_poly_to_obj(p: MinimalPoly) -> dict:
-    return {
-        "degree": p.degree,
-        "roots": [
-            {"z": [float(z.real), float(z.imag)], "index": i} for z, i in p.roots
-        ],
-    }

@@ -258,7 +258,7 @@ def suite_scalar(trials: int, seed: int, n_max: int = 100_000) -> SuiteResult:
 # Stability suites
 # ---------------------------------------------------------------------------
 
-def _random_normal_contraction(rng: np.random.Generator, dim: int, sub: int):
+def _random_normal_contraction(dim: int, sub: int):
     """(A, Q): a normal contraction with eigenvalue moduli either exactly 1
     or at most 0.99 (keeps geometric decay resolvable at horizon 2000), and
     the orthogonal projection onto its unimodular eigenvectors."""
@@ -278,7 +278,7 @@ def suite_normal_limit(trials: int, probes: int, seed: int) -> SuiteResult:
 
     def trial(t, rng, sub):
         dim = int(rng.integers(2, 9))
-        A, Q = _random_normal_contraction(rng, dim, sub)
+        A, Q = _random_normal_contraction(dim, sub)
         sub_rng = np.random.default_rng(sub + 1)
         H = np.column_stack([_gaussian(sub_rng, dim) for _ in range(probes)])
         # Raises where a limit and its projection value disagree.

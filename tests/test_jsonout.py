@@ -2,9 +2,10 @@
 the same bytes on every document, and the same exception, with the same
 message, at the first bad value in document order.
 
-The reference writes each value as the traversal meets it, one call per
-float; the package's writer lays the document out first and formats all
-floats at once, and every byte must stay as the reference writes it.
+The reference is the f-string recursion that an earlier two-pass writer
+(a %-template of the document, all floats formatted at once) replaced; the
+package's one-pass writer must still write every byte as the reference
+does, on fixed documents and on random nestings.
 """
 
 import json
@@ -12,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aolab import jsonout
 from aolab.cli import EXIT_INCONSISTENT, EXIT_OK, main
@@ -231,3 +234,48 @@ def test_record_is_not_a_list():
         with pytest.raises(TypeError, match="^cannot serialize GrowthBound$"):
             jsonout.dumps(doc)
     assert jsonout.dumps({"g": gb.to_obj()}) == reference_dumps({"g": gb.to_obj()})
+
+
+# Random nestings of every supported type, with the float edges, strings
+# that hold % and quotes, non-finite floats and an occasional record.  The
+# specials come first: Hypothesis draws the first branch of one_of most.
+PROPERTY_FLOATS = [0.0, -0.0, 1e16, -1e16, np.nextafter(1e16, 0), -np.nextafter(1e16, 0), 1e16 + 2,
+                   2.0**53, -(2.0**53), 2.0**53 - 1, 2.0**53 + 2, 5e-324, -5e-324, 2.225073858507201e-308,
+                   math.inf, -math.inf, math.nan]
+_floats = st.one_of(st.sampled_from(PROPERTY_FLOATS), st.floats())
+_strings = st.text(st.one_of(st.sampled_from('%"\\s.17gé☃ключ\n'), st.characters()), max_size=6)
+_record = GrowthBound(kappa=1, alpha=2.0, spectral_radius=1.0, valid_from=3, max_violation_ratio=0.5)
+_common = st.one_of(_floats, _floats.map(np.float64), st.integers(), st.booleans(), st.none(), _strings)
+_leaves = st.integers(0, 39).flatmap(lambda k: st.just(_record) if k == 0 else _common)
+_documents = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.one_of(_strings, st.integers()), inner, max_size=4)),
+    max_leaves=16,
+)
+
+
+def _as_unsupported(obj):
+    """obj with each record replaced by an object of a class of the
+    record's name: the reference writes a record as a list, the package
+    refuses it as it refuses any unsupported value."""
+    if hasattr(obj, "_fields"):
+        return type(type(obj).__name__, (), {})()
+    if type(obj) in (list, tuple):
+        return type(obj)(_as_unsupported(v) for v in obj)
+    if isinstance(obj, dict):
+        return {k: _as_unsupported(v) for k, v in obj.items()}
+    return obj
+
+
+def _outcome(fn, doc):
+    try:
+        return fn(doc)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_documents)
+def test_random_documents_match_reference(doc):
+    assert _outcome(jsonout.dumps, doc) == _outcome(reference_dumps, _as_unsupported(doc))

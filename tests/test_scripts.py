@@ -59,7 +59,8 @@ def test_report_digests_compare(tmp_path, monkeypatch, capsys):
     kept = tmp_path / "kept"
     assert module.main(["--keep", str(kept)]) == 0
     assert sorted(p.name for p in kept.iterdir()) == [
-        "dft4.csv", "dft4.exit", "dft4.out.json", "dft4.stderr"]
+        "dft4.csv", "dft4.exit", "dft4.in.json", "dft4.out.json", "dft4.stderr"]
+    assert json.loads((kept / "dft4.in.json").read_text())["dim"] == 4
     capsys.readouterr()
     assert module.main(["--against", str(kept)]) == 0
     out = capsys.readouterr().out
@@ -82,6 +83,19 @@ def test_report_digests_compare(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "dft4: exit code 2 -> 0" in out
     assert "dft4: criteria.probes[0].classification.kind: 'bounded-nonconvergent' -> 'convergent'" in out
+
+    # The input matrix JSON is compared byte for byte: one float written
+    # otherwise, the same number, is a difference.
+    (kept / "dft4.exit").write_text("0")
+    obj["criteria"]["probes"][0]["classification"]["kind"] = "convergent"
+    report.write_text(json.dumps(obj))
+    matrix = kept / "dft4.in.json"
+    text = matrix.read_text()
+    matrix.write_text(text.replace("0.0", "0.00", 1))
+    assert json.loads(matrix.read_text()) == json.loads(text)
+    assert module.main(["--against", str(kept)]) == 1
+    out = capsys.readouterr().out
+    assert "1 non-float differences" in out and "dft4: input JSON differs" in out
 
 
 def test_report_digests_csv_float_columns():
@@ -182,7 +196,7 @@ def test_layer_times(tmp_path, capsys):
     for key in ("analyze_ms", "engine_ms", "power_ms", "floor_ms", "minpoly_ms", "decompose_ms", "frobenius_ms",
                 "overlap_ms", "minpoly_oblique_ms", "decompose_oblique_ms", "minpoly_circle_ms", "minpoly_planted_ms",
                 "growth_jordan_ms",
-                "serialize_ms", "parse_ms"):
+                "serialize_ms", "report_ms", "parse_ms"):
         assert side[key]["4"]["median"] > 0
     assert side["engine_over_floor"]["4"] > 0
     assert len(side["one_step_ms"]["values"]) == 3

@@ -25,7 +25,6 @@ from aolab.structure import (
     decide,
     decompose,
     minimal_polynomial,
-    minimal_poly_to_obj,
 )
 from test_engine import FAMILIES, _shape_matrix
 
@@ -513,7 +512,7 @@ class TestDecompose:
 class TestSerialization:
     def test_minimal_poly_obj(self):
         mp = minimal_polynomial(dft4())
-        obj = minimal_poly_to_obj(mp)
+        obj = mp.to_obj()
         assert obj["degree"] == 3
         assert len(obj["roots"]) == 3
         assert all(set(r) == {"z", "index"} for r in obj["roots"])
