@@ -6,27 +6,18 @@
 For each count k of ``--probes`` the script sets ``criteria.RANDOM_PROBES``
 to k in its own process (the batch is then the first k of the same rng
 draws) and runs every input through the stages of ``analyze``
-(``_analyze`` of ``tests/test_known_answers.py``, imported read-only).  An
-input's outcome is its exit code and its verdict tuple, or the class of
-the error that ended the run.  The last count given is the reference: for
-every other count the JSON lists each input whose outcome differs from the
-reference's.
+(``analyze`` of ``tests/exact_cases.py``, which reads the CLI's own
+report).  An input's outcome is its exit code and its verdict tuple, or
+the class of the error that ended the run.  The last count given is the
+reference: for every other count the JSON lists each input whose outcome
+differs from the reference's.
 
-The three sets:
-
-- ``exact``: the 72 exact cases of ``tests/test_known_answers.py``, in its
-  order (d = 4, 8, 16, 32 outer, then family, then cond target; three
-  targets at d32);
-- ``wide``: ``_exact_case(family, d, n, target)`` for n = 1000..1599, d 4,
-  8, 12 or 16 by n mod 4, the family by (n // 4) mod 4 and the target
-  10^(2 + 6 frac(0.618 n));
-- ``sweep``: the 480 obliques of the unit-circle sweep (``_sweep`` of the
-  same file) at caps 1e3-1e6: ``gen_oblique(d, e^(2 pi i u), cap,
-  seed=s)``, d = 4, 8, 16 outer and s = 0..39 inner, u drawn from a fresh
-  ``default_rng(0)`` per cap, d draws per instance.
-  For the sweep the JSON also counts, per cap and probe count, the
-  instances on which ``theorem_check`` alone raises the power-bound
-  InconsistencyError.
+The three sets are those of ``tests/exact_cases.py``: ``exact``, the 72
+exact cases of the known-answer ratchets (``exact_set``); ``wide``, 600
+more (``wide_set``); and ``sweep``, the 480 obliques of the unit-circle
+sweep at caps 1e3-1e6 (``sweep``).  For the sweep the JSON also counts,
+per cap and probe count, the instances on which ``theorem_check`` alone
+raises the power-bound InconsistencyError.
 
 ``--limit N`` runs only the first N inputs of each set, and the sweep at
 its first cap only (a smoke run).  Warnings are silenced.
@@ -62,35 +53,14 @@ SCRIPTS = Path(__file__).resolve().parent
 ROOT = SCRIPTS.parent
 sys.path.insert(0, str(ROOT / "tests"))
 sys.path.insert(0, str(SCRIPTS))
-import test_known_answers as known  # noqa: E402
+from exact_cases import CAPS, analyze, exact_set, sweep, wide_set  # noqa: E402
 from layer_times import _revision  # noqa: E402
 
 from aolab import criteria  # noqa: E402
 from aolab.config import RunConfig  # noqa: E402
 from aolab.errors import AolabError, InconsistencyError  # noqa: E402
 
-CAPS = (1e3, 1e4, 1e5, 1e6)
 KEPT = "outcomes.json"
-
-
-def exact_inputs():
-    n = 0
-    for d in known.DIMS:
-        for family in known.FAMILIES:
-            for target in known.TARGETS if d < 32 else known.TARGETS[::2]:
-                yield n, known._exact_case(family, d, n, target)[0]
-                n += 1
-
-
-def wide_inputs():
-    for n in range(1000, 1600):
-        target = 10 ** (2 + 6 * ((0.618 * n) % 1))
-        yield n, known._exact_case(known.FAMILIES[(n // 4) % 4], (4, 8, 12, 16)[n % 4], n, target)[0]
-
-
-def sweep_inputs(caps=CAPS):
-    for cap, d, s, A in known._sweep(caps):
-        yield f"{cap:.0e}/d{d}/s{s}", A
 
 
 def power_bound_raises(A) -> bool:
@@ -109,7 +79,7 @@ def outcomes(sets, counts):
     try:
         for k in counts:
             criteria.RANDOM_PROBES = k
-            out[k] = {name: [list(known._analyze(A)[:2]) for _, A in inputs] for name, inputs in sets.items()}
+            out[k] = {name: [list(analyze(A)[:2]) for _, A in inputs] for name, inputs in sets.items()}
             per_cap = raises[k] = {}
             for label, A in sets["sweep"]:
                 cap = label.split("/")[0]
@@ -139,8 +109,9 @@ def main(argv=None) -> int:
         p.error("probe counts must be positive")
 
     caps = CAPS[:1] if args.limit else CAPS
-    sets = {name: list(islice(inputs, args.limit))
-            for name, inputs in (("exact", exact_inputs()), ("wide", wide_inputs()), ("sweep", sweep_inputs(caps)))}
+    inputs = {"exact": ((n, A) for n, _, A, *_ in exact_set()), "wide": ((n, A) for n, _, A, *_ in wide_set()),
+              "sweep": ((f"{cap:.0e}/d{d}/s{s}", A) for cap, d, s, A in sweep(caps))}
+    sets = {name: list(islice(cases, args.limit)) for name, cases in inputs.items()}
     labels = {name: [case for case, _ in inputs] for name, inputs in sets.items()}
     kept = json.loads((args.against / KEPT).read_text(encoding="utf-8")) if args.against else None
     if kept and kept["labels"] != labels:

@@ -49,7 +49,10 @@ is 0 on the scale of ||A|| (exit 0); and subnormal-1e-320, the dim-1 matrix
 planted-cap-1e16, a planted structure at cond cap 1e16, which ``generate``
 refuses (exit 1, no report); and oblique-d64, the 64th roots of unity
 under an oblique similarity (seed 1, cond cap 50), whose 64 blocks each
-give their component of every probe from one product B^-1 H (exit 0).
+give their component of every probe from one product B^-1 H (exit 0); and
+merge-1e-300, 1e-300 (0.5 I_2 + J_2 + 0.25), whose merge checks take
+||(A - mI)^-1||_F at the scale of ||A||, where the unscaled squares
+overflowed and merged every root (exit 0).
 The three benchmark instances are built by ``bench/workloads.py`` itself, imported
 read-only.
 
@@ -185,6 +188,7 @@ def instances():
                                      "--cond-cap", "1e16"]))
     out.append(("oblique-d64", ["--kind", "oblique", "--dim", "64", "--eigenvalues", _roots_of_unity(64),
                                 "--seed", "1"]))
+    out.append(("merge-1e-300", 1e-300 * np.array([[0.5, 1, 0], [0, 0.5, 0], [0, 0, 0.25]], dtype=complex)))
     return out
 
 

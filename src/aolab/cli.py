@@ -90,35 +90,14 @@ def cmd_analyze(args) -> int:
         print(f"error: malformed JSON in {args.input}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        A = matrix_from_obj(obj)
-        cfg = RunConfig(n_max=args.nmax, window=args.window, tol_conv=args.tol_conv, seed=args.seed)
+        an = Analysis(matrix_from_obj(obj), RunConfig(n_max=args.nmax, window=args.window,
+                                                      tol_conv=args.tol_conv, seed=args.seed))
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     del obj  # the parsed lists are much larger than A; only A is read on
-
-    report = {"input": {"dim": int(A.shape[0])}}
-    gb = None
     try:
-        # Every stage below reads its structure and config off this one analysis.
-        an = Analysis(A, cfg)
-        report["minimal_polynomial"] = an.minpoly.to_obj()
-        report["decomposition"] = an.decomposition.to_obj()
-        # The criteria and stability sections read one probe-orbit batch,
-        # propagated once and kept on the analysis.
-        report["criteria"] = theorem_check(an).to_obj()
-        try:
-            gb = growth_bound(an)
-            report["growth_bound"] = gb.to_obj()
-        except OutOfScopeError as exc:
-            report["growth_bound"] = {"skipped": str(exc)}
-        report["stability"] = uniform_stability(an).to_obj()
-        broken = broken_implication(report)
-        if broken:
-            report["inconsistency"] = broken
-    except InconsistencyError as exc:
-        report["inconsistency"] = str(exc)
-        gb = None
+        report, gb = _report(an)
     except AolabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -136,6 +115,33 @@ def cmd_analyze(args) -> int:
         if not _write_file(args.csv, "".join(lines), newline=""):
             return EXIT_INPUT
     return EXIT_INCONSISTENT if "inconsistency" in report else EXIT_OK
+
+
+def _report(an: Analysis):
+    """(report, growth bound or None): the stages of ``analyze`` on one
+    analysis, in order, each adding its section to the report.  An
+    InconsistencyError ends them, its message under ``inconsistency``, and
+    so does a broken implication (``broken_implication``) after the last;
+    any other AolabError propagates."""
+    report = {"input": {"dim": int(an.A.shape[0])}}
+    try:
+        report["minimal_polynomial"] = an.minpoly.to_obj()
+        report["decomposition"] = an.decomposition.to_obj()
+        # The criteria and stability sections read one probe-orbit batch,
+        # propagated once and kept on the analysis.
+        report["criteria"] = theorem_check(an).to_obj()
+        try:
+            gb = growth_bound(an)
+            report["growth_bound"] = gb.to_obj()
+        except OutOfScopeError as exc:
+            gb, report["growth_bound"] = None, {"skipped": str(exc)}
+        report["stability"] = uniform_stability(an).to_obj()
+    except InconsistencyError as exc:
+        report["inconsistency"] = str(exc)
+        return report, None
+    if broken := broken_implication(report):
+        report["inconsistency"] = broken
+    return report, gb
 
 
 def broken_implication(report: dict) -> str | None:

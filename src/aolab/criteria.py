@@ -177,12 +177,17 @@ def classify_orbits(logs: np.ndarray, window: int = RunConfig.window, tol: float
 # Orbit iteration
 # ---------------------------------------------------------------------------
 
+def _exponent(A: np.ndarray) -> int:
+    """e with A's largest entry in [2^(e-1), 2^e), so that every entry of
+    A 2^-e is below 1; 0 for the zero matrix."""
+    return math.frexp(float(np.abs(A).max()))[1]
+
+
 def _prescaled(A: np.ndarray):
     """(R, e): A 2^-e as its real form R = [[Re, -Im], [Im, Re]], 2d x 2d,
-    which maps [Re v; Im v] to [Re; Im] of A 2^-e v, with e taken from A's
-    largest entry, so that every entry of A 2^-e is below 1 and
-    ||A 2^-e v|| < d ||v||.  The zero matrix has e = 0."""
-    e = math.frexp(float(np.abs(A).max()))[1]
+    which maps [Re v; Im v] to [Re; Im] of A 2^-e v, with e = ``_exponent``
+    of A, so that ||A 2^-e v|| < d ||v||."""
+    e = _exponent(A)
     d = len(A)
     R = np.empty((2 * d, 2 * d))
     R[:d, :d] = R[d:, d:] = np.real(A)
@@ -682,8 +687,10 @@ def structural_envelope(A: np.ndarray, H: np.ndarray, D: Decomposition):
     from one product B^{-1} H, block j's rows R_j H rescaled once
     (``_unit_columns``): mu the largest |z_j| where ||P_j h|| = ||R_j h|| >
     COMPONENT_TOL ||h|| (else 0), e the largest k with (A - z_j I)^k P_j h
-    != 0 over those of modulus mu (else None), P_j h = B_j (R_j h)."""
-    thr = COMPONENT_TOL * _column_norms(H)
+    != 0 over those of modulus mu (else None), P_j h = B_j (R_j h).  The
+    chain steps (A - z_j I) 2^-s, s = ``_exponent`` of A, so that the test
+    against COMPONENT_TOL ||h|| is the same for A and 2^k A."""
+    thr, s = COMPONENT_TOL * _column_norms(H), _exponent(A)
     moduli = np.abs([[b.z] for b in D.blocks])
     X = np.vstack([b.rows for b in D.blocks]) @ H
     present, starts = [], []
@@ -697,7 +704,7 @@ def structural_envelope(A: np.ndarray, H: np.ndarray, D: Decomposition):
     for b, start, sel in zip(D.blocks, starts, chosen):
         if start is None or not sel.any():
             continue
-        B = A - b.z * np.eye(A.shape[0])
+        B = np.ldexp((A - b.z * np.eye(A.shape[0])).view(float), -s).view(complex)
         V, t = b.basis @ start[0][:, sel], start[1][sel]
         k = np.zeros(V.shape[1], dtype=int)
         for j in range(1, b.index):

@@ -22,6 +22,10 @@ SQRT2 = math.sqrt(2.0)
 OBLIQUE_S = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
 JORDAN_N = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
+UNIMODULAR_TOL = 1e-12  # a requested eigenvalue lies this close to the unit circle
+DISTINCT_TOL = 1e-8  # gen_oblique's eigenvalues lie further apart than this
+NILPOTENT_FLOOR = 1e-8  # gen_jordan_perturbation redraws an N of norm at most this
+
 
 def dft4() -> np.ndarray:
     """The unitary 4x4 DFT matrix (1/2) [omega^(jk)] with omega = -i."""
@@ -46,9 +50,9 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return Q * (d / np.abs(d))
 
 
-def _check_unimodular(values, tol=1e-12):
+def _check_unimodular(values):
     for z in values:
-        if abs(abs(complex(z)) - 1) > tol:
+        if abs(abs(complex(z)) - 1) > UNIMODULAR_TOL:
             raise InvalidInputError(f"eigenvalue {z} is not unimodular")
 
 
@@ -98,7 +102,7 @@ def gen_oblique(dim: int, eigenvalues, cond_cap: float = 50.0, seed: int = 0) ->
     if len(vals) != dim:
         raise InvalidInputError("need exactly dim eigenvalues")
     _check_unimodular(vals)
-    if any(abs(vals[i] - vals[j]) <= 1e-8 for i in range(dim) for j in range(i + 1, dim)):
+    if any(abs(vals[i] - vals[j]) <= DISTINCT_TOL for i in range(dim) for j in range(i + 1, dim)):
         raise InvalidInputError("eigenvalues must be distinct")
     rng = np.random.default_rng(seed)
     S = _similarity(rng, dim, cond_cap, min(2.0, cond_cap))  # refuses a bad cap, the fixture's too
@@ -139,7 +143,7 @@ def gen_jordan_perturbation(
             C = C0 - (C0 @ B) @ np.linalg.pinv(B)
             N = B @ C
             nrm = operator_norm(N)
-            if nrm > 1e-8:
+            if nrm > NILPOTENT_FLOOR:
                 break
         N = N * (nilpotent_scale / nrm)
     return alpha * np.eye(dim) + N

@@ -210,6 +210,11 @@ def minimal_polynomial(A, norm: float | None = None) -> MinimalPoly:
         kappa = np.linalg.norm(X, axis=1)
     kappa[~np.isfinite(kappa)] = np.inf
     radius = np.maximum(CLUSTER_FACTOR, d * np.finfo(float).eps * kappa) * scale
+    # The merge bracket reads (M 2^-e)^-1 = M^-1 2^e against tol 2^-e, 2^e
+    # the power of two of ||A||: exact scalings, so every decision keeps its
+    # bits, and no square of the inverse's norm over- or underflows.
+    e = math.frexp(scale)[1]
+    unit_tol = KERNEL_TOL * d * math.ldexp(scale, -e)
 
     def merge(i, j):
         # Within the smallest radius, eigenvalues are one root unchecked;
@@ -223,10 +228,10 @@ def minimal_polynomial(A, norm: float | None = None) -> MinimalPoly:
         # cannot invert is singular.
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                f = np.linalg.norm(np.linalg.inv(M))
+                f = np.linalg.norm(np.ldexp(np.linalg.inv(M).view(float), e).view(complex))
         except np.linalg.LinAlgError:
             return True
-        high, low = decide(np.array([np.sqrt(d), 1.0]) / f, tol)
+        high, low = decide(np.array([np.sqrt(d), 1.0]) / f, unit_tol)
         if high == 0 or low == 2:
             return high == 0
         return decide(np.linalg.svd(M, compute_uv=False)[-1], tol) == 0

@@ -352,7 +352,8 @@ def suite_root_limit(trials: int, seed: int) -> SuiteResult:
 
 def suite_taxonomy(trials: int, seed: int) -> SuiteResult:
     """uniformly stable => strongly stable => power bounded on mixed
-    instances."""
+    instances, and a strongly stable matrix sends every probe orbit to 0:
+    each kept limit of ||A^n h||^2 is at most LIMIT_ZERO."""
 
     def trial(t, rng, sub):
         dim = int(rng.integers(2, 7))
@@ -368,8 +369,9 @@ def suite_taxonomy(trials: int, seed: int) -> SuiteResult:
             phi = rng.uniform(0, 2 * math.pi)
             A = gen_jordan_perturbation(dim, complex(math.cos(phi), math.sin(phi)), 1.0, sub)
         v = uniform_stability(A, RunConfig(seed=sub))
+        limits = v.limit_projection_norm_sq.values()
         good = (not v.uniformly_stable or v.strongly_stable) and (
-            not v.strongly_stable or v.power_bounded
+            not v.strongly_stable or v.power_bounded and all(q <= LIMIT_ZERO for q in limits)
         )
         return good, "" if good else repr(v.to_obj())
 

@@ -357,6 +357,16 @@ class TestAnalyze:
         assert main(["analyze", "--input", inp]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["growth_bound"]["spectral_radius"] == 1e-320
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_normaloid_without_overflow_warnings(self, tmp_path, capsys):
+        # Its Jordan chain steps A - zI at the scale of A's largest entry,
+        # not at 1e-320, where the rescaled thresholds overflowed.
+        assert main(["generate", "--kind", "normaloid", "--dim", "3", "--scale", "1e-320", "--seed", "0"]) == EXIT_OK
+        inp = tmp_path / "m.json"
+        inp.write_text(capsys.readouterr().out)
+        assert main(["analyze", "--input", str(inp)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_d64_heap_peak(self, tmp_path, capsys):
         # The parsed JSON lists are dropped once the matrix is built: one
         # d64 analyze peaks near 1,684 KiB with its 4-column probe batch, as

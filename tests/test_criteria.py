@@ -404,6 +404,14 @@ class TestBatchClassifier:
         assert rep.orbits_convergent and all(r.classification.kind == "convergent" for _, r in rep.probes)
         assert structural_envelope(an.A, np.eye(3), an.decomposition)[1] == [0, 1, 2]
 
+    @pytest.mark.parametrize("c", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e9])
+    def test_structural_exponents_do_not_depend_on_scale(self, c):
+        # The chain steps A - zI at the scale of A's largest entry, so the
+        # index-3 root of c (0.5 I_3 + J_3) gives every probe the exponent 2
+        # at every c, as at c = 1.
+        rep = theorem_check(c * (0.5 * np.eye(3) + np.eye(3, k=1)), RunConfig(seed=0))
+        assert [r.structural_exponent for _, r in rep.probes] == [2] * RANDOM_PROBES
+
 
 def _slow_decay_instances():
     """r < 1 with a large transient: the norms at n = 2000 are still large

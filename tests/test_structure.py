@@ -84,6 +84,17 @@ class TestMinimalPolynomial:
         assert [(round(z.real / c, 6), i) for z, i in mp.roots] == [(-1.0, 1), (1.0, 1)]
         assert minimal_polynomial(c * np.eye(3, k=1, dtype=complex)).roots == ((0j, 3),)
 
+    @pytest.mark.parametrize("c", [1e-300, 1e-200, 1e200, 1e300])
+    def test_merge_bracket_at_extreme_scales(self, c):
+        # The merge bracket inverts A - mI at the scale of ||A||: no square
+        # of its inverse's norm over- or underflows (a RuntimeWarning fails
+        # the test), and c (0.5 I_2 + J_2 + 0.25) reads c times the roots of
+        # c = 1, with their indices.
+        A = np.array([[0.5, 1, 0], [0, 0.5, 0], [0, 0, 0.25]], dtype=complex)
+        ref, got = minimal_polynomial(A).roots, minimal_polynomial(c * A).roots
+        assert [i for _, i in got] == [i for _, i in ref] == [1, 2]
+        np.testing.assert_allclose([z / c for z, _ in got], [z for z, _ in ref], rtol=1e-15)
+
     def test_canonical_oblique(self):
         mp = minimal_polynomial(canonical_oblique())
         assert mp.degree == 2
@@ -543,7 +554,7 @@ def test_no_unnamed_decision_literals():
     modules that decide or check: each threshold is a named constant."""
     src = Path(aolab.__file__).parent
     found = []
-    for name in ("criteria.py", "stability.py", "structure.py", "suites.py"):
+    for name in ("criteria.py", "stability.py", "structure.py", "suites.py", "generators.py"):
         tree = ast.parse((src / name).read_text())
         for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import aolab.suites as suites
+from aolab.config import RunConfig
 from aolab.criteria import STACK_ENTRIES, scalar_re_sequence
 from aolab.errors import InconsistencyError
 from aolab.generators import SQRT2
@@ -47,6 +48,34 @@ def test_jadro_records_an_error(monkeypatch):
     monkeypatch.setattr(suites, "orbit_norms_batch", _raise_boom)
     res = suites.suite_jadro(1, 2, 0)
     assert (res.passed, res.total, res.failures) == (0, 1, ["trial0: boom"])
+
+
+def test_taxonomy_trials_pass():
+    # One trial of each family: planted roots inside the circle, a unitary, a Jordan perturbation.
+    res = suites.suite_taxonomy(3, 0)
+    assert (res.passed, res.total) == (3, 3), res.failures
+
+
+def test_taxonomy_fails_a_strongly_stable_orbit_that_keeps_its_norm(monkeypatch):
+    # Trial 0 plants roots inside the circle, so its matrix is strongly stable.
+    stability = suites.uniform_stability
+    monkeypatch.setattr(suites, "uniform_stability", lambda A, config: stability(A, config)._replace(
+        limit_projection_norm_sq={"rand0": 0.0, "rand1": 1.0}))
+    res = suites.suite_taxonomy(1, 0)
+    assert (res.passed, res.total) == (0, 1)
+    assert res.failures[0].startswith("trial0: {'uniformly_stable': True, 'strongly_stable': True")
+
+
+def test_run_suites_all_in_verify_order():
+    names = [r.name for r in suites.run_suites("all", RunConfig(trials=1))]
+    assert names == ["theorem-unitary", "theorem-oblique", "decomposition", "growth-bound", "jadro-formula",
+                     "normal-limit", "normaloid-equivalence", "root-limit", "stability-taxonomy",
+                     "rotation-density", "scalar-lemma"]
+
+
+def test_run_suites_unknown_name():
+    with pytest.raises(ValueError, match="unknown suite 'theorems'"):
+        suites.run_suites("theorems", RunConfig(trials=1))
 
 
 
