@@ -48,7 +48,7 @@ eigenvalues:
   classification of the batch and the structural verdict;
 - ``classify_jordan_ms``: the same on gen_jordan_perturbation(d, e^{0.7i},
   1.0, seed=d), whose probes grow polynomially, and ``growth_jordan_ms``
-  ``growth_bound`` on that ``Analysis``, its ten shared powers computed;
+  ``growth_bound`` on that ``Analysis``, its first ten powers solved;
 - ``serialize_ms``: ``jsonout.dumps(matrix_to_obj(A))`` of the unitary, and
   ``parse_ms`` ``matrix_from_obj(json.loads(text))`` of that text: the
   write and the read of a matrix JSON file without the file;
@@ -58,7 +58,7 @@ The rows without a dimension: ``one_step_ms`` times the engine on
 diag(1e200, 0.5), whose blocks are one step long.  ``growth_bare_ms``
 times ``growth_bound``, each call on a fresh ``Analysis`` (made untimed)
 of the dim-8 planted structure with roots 0.95 e^{i} (index 2), e^{0.5i}
-and 0.5i at cond cap 1e6 (seed 4), its structure and ten shared powers
+and 0.5i at cond cap 1e6 (seed 4), its structure and first ten powers
 computed and no probe batch: a bare call whose loose recursion bound
 leaves all POWER_STEPS spectral norms to be formed.
 ``growth_nilpotent_ms`` times ``growth_bound`` on the matrix of

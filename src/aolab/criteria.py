@@ -39,7 +39,7 @@ COMPONENT_TOL = 1e-10
 # probe batches run at least this far (``Analysis.orbits``).
 POWER_STEPS = 1000
 
-# Powers tested by ``is_normaloid`` and always formed by ``growth_bound``: one shared prefix.
+# ``is_normaloid`` tests ||A^n|| = ||A||^n for n = 2..FIRST_POWERS.
 FIRST_POWERS = 10
 
 # ||A|| <= 1 (a contraction) and r(A) <= 1 mean x <= 1 + UNIT_TOL, and r(A) < 1
@@ -338,15 +338,18 @@ def orbit_norms_batch(A: np.ndarray, H: np.ndarray, n_max: int):
     return (_clamped_exp(logs[: hit[0] + 1]), int(hit[0])) if hit.size else (_clamped_exp(logs), None)
 
 
-def power_log_norms(A: np.ndarray, n_max: int) -> np.ndarray:
+def power_log_norms(A: np.ndarray, n_max: int, solve=None) -> np.ndarray:
     """log ||A^n|| (operator norm) for n = 1..n_max, immune to overflow and
-    underflow; -inf from the first power that is exactly zero.
+    underflow; -inf from the first power that is exactly zero.  With
+    ``solve``, a boolean mask of length n_max, only the powers it holds are
+    solved, each bit for bit as in any longer trajectory, and the others
+    read nan.
 
     The powers W are the blocks of ``_blocks`` from I, with one exponent
-    for the whole matrix, each as X = [Re W; Im W].  Each is scaled in place
-    by an exact power of two to Frobenius norm in [1/2, 1); its spectral
-    norm is half the log of the top eigenvalue (one batched ``eigvalsh``
-    per block) of W^H W = X^T X + i (T - T^T), T = (Re W)^T Im W.
+    for the whole matrix, each as X = [Re W; Im W].  Each solved one is
+    scaled by an exact power of two to Frobenius norm in [1/2, 1); its
+    spectral norm is half the log of the top eigenvalue (one batched
+    ``eigvalsh`` per block) of W^H W = X^T X + i (T - T^T), T = (Re W)^T Im W.
     """
     A = as_matrix(A)
     d = A.shape[0]
@@ -354,14 +357,19 @@ def power_log_norms(A: np.ndarray, n_max: int) -> np.ndarray:
     for n, X, fro, exps in _blocks(A, np.eye(2 * d, d), np.zeros(1, dtype=np.int64), n_max):
         if fro[-1, 0] == 0.0:
             break
-        m = np.frexp(fro[:, 0])[1]
-        X = X[: m.size]
+        sel = slice(fro.shape[0]) if solve is None else np.flatnonzero(solve[n : n + fro.shape[0]])
+        m = np.frexp(fro[sel, 0])[1]
+        if not m.size:
+            continue
+        X = X[sel]
         np.ldexp(X, -m[:, np.newaxis, np.newaxis], out=X)
         G = np.empty((m.size, d, d), dtype=complex)
         G.real = np.matmul(X.mT, X)
         T = np.matmul(X[:, :d].mT, X[:, d:])
         np.subtract(T, T.mT, out=G.imag)
-        out[n : n + m.size] = 0.5 * np.log(np.linalg.eigvalsh(G)[:, -1]) + (exps[:, 0] + m) * _LN2
+        out[n:][sel] = 0.5 * np.log(np.linalg.eigvalsh(G)[:, -1]) + (exps[sel, 0] + m) * _LN2
+    if solve is not None:
+        out[~solve] = np.nan
     return out
 
 
@@ -436,8 +444,8 @@ class Analysis:
     modulus), ``grading``, ``power_bounded``, ``decomposition``,
     ``block_overlap``, the probe ``orbits`` and the Frobenius norms of the
     powers times the random probes off them (``frobenius_logs``); and the
-    power-norm trajectory ``power_logs(n)``, formed again only for a longer
-    one than the kept one.  Uncertifiable structure raises on first use.
+    spectral norms of the powers (``power_logs``), each solved on first
+    request and kept.  Uncertifiable structure raises on first use.
     Every stage takes a matrix or an Analysis (``as_analysis``)."""
 
     def __init__(self, A, config: RunConfig | None = None):
@@ -482,14 +490,25 @@ class Analysis:
     def decomposition(self) -> Decomposition:
         return decompose(self.A, self.minpoly)
 
-    def power_logs(self, n: int = POWER_STEPS) -> np.ndarray:
-        """log ||A^k|| for k = 1..n (``power_log_norms``): the prefix of the
-        longest trajectory asked for so far, bit for bit a trajectory of n
-        steps, formed again only when a longer one is asked for.  Read-only."""
-        if self._power_logs.size < n:
-            self._power_logs = power_log_norms(self.A, n)
-            self._power_logs.flags.writeable = False
-        return self._power_logs[:n]
+    def power_logs(self, n: int = POWER_STEPS, solve=None) -> np.ndarray:
+        """log ||A^k|| for k = 1..n (``power_log_norms``) where the mask
+        ``solve`` (length n; every k by default) holds, and nan at a k
+        neither asked for now nor solved before.  Each power is solved
+        once and kept, bit for bit as in a trajectory of any length; one
+        request steps once, to its last unsolved power.  Read-only."""
+        logs = self._power_logs
+        if logs.size < n:
+            logs = self._power_logs = np.concatenate((logs, np.full(n - logs.size, np.nan)))
+        want = np.isnan(logs[:n])
+        if solve is not None:
+            want &= solve
+        ask = np.flatnonzero(want)
+        if ask.size:
+            top = int(ask[-1]) + 1
+            logs[ask] = power_log_norms(self.A, top, want[:top])[ask]
+        view = logs[:n]
+        view.flags.writeable = False
+        return view
 
     def frobenius_rows(self, n) -> np.ndarray:
         """log ||A^n R||_F at the batch rows n (indices or a slice), R the
@@ -596,17 +615,25 @@ def is_unitary(A) -> bool:
 def is_normaloid(A) -> bool:
     """Spectral radius equals operator norm, within NORMALOID_TOL ||A||.
 
-    Cross-checks ||A^n|| = ||A||^n (relative POWER_TEST_TOL, n = 2..FIRST_POWERS)
-    and warns on disagreement outside ||A|| <= (1 + POWER_TEST_TOL) r, where
-    r^n <= ||A^n|| <= ||A||^n leaves the power test no way to fail.
+    Cross-checks ||A^n|| = ||A||^n (relative POWER_TEST_TOL, n =
+    2..FIRST_POWERS) and warns on disagreement.  Within ||A|| <= (1 +
+    POWER_TEST_TOL) r, r^n <= ||A^n|| <= ||A||^n leaves the power test no
+    way to warn, and no power is solved.  Past it, powers 1 and 2 are
+    solved in one request (``growth_bound`` reads power 1), and the rest
+    only if n = 2 passes.
     """
     an = as_analysis(A)
     nrm, r = an.norm, an.spectral_radius
     structural = bool(decide(abs(r - nrm), NORMALOID_TOL * nrm) == 0)
-    n = np.arange(2, FIRST_POWERS + 1)
-    excess = np.abs(an.power_logs(FIRST_POWERS)[1:] - n * np.log(nrm)) if nrm > 0 else 0.0
-    empirical = bool(np.all(decide(excess, np.log1p(POWER_TEST_TOL) * n + POWER_TEST_TOL) == 0))
-    if structural != empirical and decide(nrm, (1 + POWER_TEST_TOL) * r) == 2:
+    if decide(nrm, (1 + POWER_TEST_TOL) * r) != 2:
+        return structural
+    for last in (2, FIRST_POWERS):
+        n = np.arange(2, last + 1)
+        excess = np.abs(an.power_logs(last)[1:] - n * np.log(nrm))
+        empirical = bool(np.all(decide(excess, np.log1p(POWER_TEST_TOL) * n + POWER_TEST_TOL) == 0))
+        if not empirical:
+            break
+    if structural != empirical:
         warnings.warn(
             f"normaloid tests disagree: r vs ||A|| says {structural}, "
             f"power norms say {empirical}",

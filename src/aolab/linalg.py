@@ -26,7 +26,7 @@ def as_matrix(a) -> np.ndarray:
         raise InvalidInputError(f"expected a nonempty square matrix, got shape {A.shape}")
     if A.shape[0] > MAX_DIM:
         raise SizeError(f"dimension {A.shape[0]} exceeds supported maximum {MAX_DIM}")
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+    if not np.isfinite(A).all():  # a complex entry is finite when both its parts are
         raise InvalidInputError("matrix entries must be finite")
     return A.copy()
 
@@ -37,7 +37,7 @@ def as_columns(H, dim: int) -> np.ndarray:
     H = np.asarray(H, dtype=complex)
     if H.ndim != 2 or H.shape[0] != dim or H.shape[1] == 0:
         raise InvalidInputError(f"expected {dim}-dim vectors as columns, got shape {H.shape}")
-    if not np.all(np.isfinite(H.real)) or not np.all(np.isfinite(H.imag)):
+    if not np.isfinite(H).all():
         raise InvalidInputError("vector entries must be finite")
     return H.copy()
 
@@ -75,16 +75,19 @@ def cluster_points(values: np.ndarray, radius: np.ndarray, merge):
     iu, ju = np.triu_indices(n, 1)
     dist = np.abs(vals[iu] - vals[ju])
     linked = np.flatnonzero(dist <= (radius[iu] + radius[ju]) / 2)
-    asked = set()
-    for k in linked[np.argsort(dist[linked], kind="stable")]:
-        i, j = int(iu[k]), int(ju[k])
+    order = linked[np.argsort(dist[linked], kind="stable")]
+    asked = set()  # refused pairs of clusters, as (smaller root, larger root)
+    for i, j in zip(iu[order].tolist(), ju[order].tolist()):
         ri, rj = find(i), find(j)
-        if ri == rj or frozenset((ri, rj)) in asked:
+        if ri == rj:
+            continue
+        key = (ri, rj) if ri < rj else (rj, ri)
+        if key in asked:
             continue
         if merge(i, j):
             parent[ri] = rj
         else:
-            asked.add(frozenset((ri, rj)))
+            asked.add(key)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
@@ -102,7 +105,7 @@ def matrix_to_obj(A) -> dict:
     return {"dim": A.shape[0], "entries": A.view(float).reshape(-1, 2).tolist()}
 
 
-_NUMBER_TYPES = (int, float)  # what json.loads makes of a number; bool is not one
+_NUMBER_TYPES = {int, float}  # what json.loads makes of a number; bool is not one
 
 
 def matrix_from_obj(obj) -> np.ndarray:
@@ -118,12 +121,15 @@ def matrix_from_obj(obj) -> np.ndarray:
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != d * d:
         raise InvalidInputError(f"field 'entries' must hold {d * d} [re, im] pairs")
-    for k, pair in enumerate(entries):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise InvalidInputError(f"field 'entries[{k}]' must be an [re, im] pair")
-        re, im = pair
-        if type(re) not in _NUMBER_TYPES or type(im) not in _NUMBER_TYPES:
-            raise InvalidInputError(f"field 'entries[{k}]' holds non-numeric data")
+    # One pass in C for well-formed input; the loop names the first bad entry.
+    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}
+            and set(map(type, chain.from_iterable(entries))) <= _NUMBER_TYPES):
+        for k, pair in enumerate(entries):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise InvalidInputError(f"field 'entries[{k}]' must be an [re, im] pair")
+            re, im = pair
+            if type(re) not in _NUMBER_TYPES or type(im) not in _NUMBER_TYPES:
+                raise InvalidInputError(f"field 'entries[{k}]' holds non-numeric data")
     try:
         vals = np.fromiter(chain.from_iterable(entries), float, 2 * d * d)
     except OverflowError:  # an integer past the float range

@@ -17,7 +17,6 @@ from .config import RunConfig
 from .criteria import (
     Analysis,
     BLOCK_GROWTH_LOG2,
-    FIRST_POWERS,
     POWER_STEPS,
     STACK_ENTRIES,
     _LN2,
@@ -40,11 +39,12 @@ from .structure import decide
 # binding.
 from .structure import minimal_polynomial  # noqa: F401
 
-# ``growth_bound`` forms no power A^n past the last n whose block recursion
-# bound (``recursion_log_norms``) on the excess log ||A^n||_2 - log bound_n
-# comes within this of the best exact excess (0 on a nilpotent matrix).  It
-# covers the rounding of log ||A^n||_2 (``power_log_norms``) against the
-# recursion, which it exceeded by at most 4.2e-14 (on z I).
+# ``growth_bound`` solves no power A^n whose block recursion bound
+# (``recursion_log_norms``) on the excess log ||A^n||_2 - log bound_n falls
+# more than this below the best exact excess solved (0 on a nilpotent
+# matrix, which solves a prefix).  It covers the rounding of log ||A^n||_2
+# (``power_log_norms``) against the recursion, which it exceeded by at most
+# 4.2e-14 (on z I).
 _RECURSION_SLACK = 1e-8
 
 # The growth bound holds when the largest ratio ||A^n|| / bound_n is at most
@@ -143,7 +143,7 @@ def normal_limit(A, H):
 
 def _worst_excess(logs, log_bound):
     """The largest log ||A^n|| - log bound_n over the finite logs (-inf if
-    none is finite), n = 1..len(logs)."""
+    none is finite; an unsolved power reads nan), n = 1..len(logs)."""
     finite = np.isfinite(logs)
     return (logs - log_bound[: logs.size])[finite].max(initial=-np.inf)
 
@@ -236,14 +236,16 @@ def growth_bound(A) -> GrowthBound:
     alpha = sum_j ||P_j|| alpha_j.  A nilpotent matrix (every root 0 in
     ``Analysis.grading``) is the r = 0 case, bounded by the vanishing level
     from n = deg p on and by +inf before.
-    Verified empirically up to POWER_STEPS on the exact spectral norms
-    (``Analysis.power_logs``) of powers 1..FIRST_POWERS (none if nilpotent)
-    and of every power up to the last n whose block recursion bound
-    (``recursion_log_norms``, over all POWER_STEPS powers) on log ||A^n|| -
-    log bound_n could still reach their best excess (0 if nilpotent).  The
-    largest ratio ||A^n|| / bound_n is the maximum over all POWER_STEPS
-    powers bit for bit; on a nilpotent matrix the first power past the
-    level is named.
+    Verified empirically up to POWER_STEPS on exact spectral norms
+    (``Analysis.power_logs``), solved only where the block recursion bound
+    (``recursion_log_norms``) on log ||A^n|| - log bound_n leaves n in
+    play: first the n of the largest recursion bound, whose exact excess,
+    or a larger one solved before, is the floor, then every n whose bound
+    comes within the slack of the floor; on
+    a nilpotent matrix, every n up to the last whose bound comes within
+    the slack of 0.  The largest ratio ||A^n|| / bound_n is the maximum
+    over all POWER_STEPS powers bit for bit; on a nilpotent matrix the
+    first power past the level is named.
     """
     an = as_analysis(A)
     A = an.A
@@ -257,7 +259,7 @@ def growth_bound(A) -> GrowthBound:
     if nilpotent:
         # Powers vanish identically from n = deg p on.  The level is taken in
         # log space, where ||A||^deg p cannot overflow.
-        alpha, r, valid_from, first, floor = 1.0, 0.0, mp.degree, 0, 0.0
+        alpha, r, valid_from = 1.0, 0.0, mp.degree
         vanish = np.log(_VANISHING_LEVEL) + mp.degree * np.log(max(1.0, an.norm))
         log_bound = np.where(n < valid_from, np.inf, vanish)
     else:
@@ -276,28 +278,29 @@ def growth_bound(A) -> GrowthBound:
                     nrm = float(np.linalg.norm(Nk, 2))
                     aj = max(aj, nrm / (k**kappa * r**k)) if b_zero else aj + nrm / (fact * abs(b.z) ** k)
             alpha += b.projection_norm * aj
-        valid_from, first = 1, FIRST_POWERS
+        valid_from = 1
         log_bound = np.log(alpha) + kappa * np.log(n) + n * np.log(r)
-        floor = _worst_excess(an.power_logs(first), log_bound)
 
-    # No n past the last one whose recursion excess comes within the slack
-    # of the floor can hold the maximum (or a power past the level); +inf -
-    # +inf before deg p is NaN, which rules nothing out.
+    # No n whose recursion excess falls more than the slack below the floor
+    # can hold the maximum (or a power past the level); +inf - +inf before
+    # deg p is NaN, which rules nothing out.
     with np.errstate(invalid="ignore"):
-        m = _reach(recursion_log_norms(an, POWER_STEPS) - log_bound, floor - _RECURSION_SLACK)
-    logs = an.power_logs(max(m, first))
+        upper = recursion_log_norms(an, POWER_STEPS) - log_bound
     if nilpotent:
+        logs = an.power_logs(_reach(upper, -_RECURSION_SLACK))
         live = np.flatnonzero(decide(logs, log_bound[: logs.size]) == 2)
         if live.size:
             raise InconsistencyError(f"nilpotent matrix has nonzero power at n={live[0] + 1}")
-        ratio = 0.0
-    else:
-        worst = _worst_excess(logs, log_bound)
-        if worst > np.log(np.finfo(float).max):  # the ratio itself overflows
-            raise InconsistencyError(f"growth bound violated: log ratio {worst:.2f}")
-        ratio = float(np.exp(worst)) if np.isfinite(worst) else 0.0
-        if decide(ratio, 1 + _RATIO_TOL) == 2:
-            raise InconsistencyError(f"growth bound violated: ratio {ratio}")
+        return GrowthBound(kappa, alpha, r, valid_from, 0.0)
+    # The floor: the best exact excess among the powers solved so far, after
+    # the one with the largest recursion bound (the first NaN, if any).
+    floor = _worst_excess(an.power_logs(POWER_STEPS, n == np.argmax(upper) + 1), log_bound)
+    worst = _worst_excess(an.power_logs(POWER_STEPS, ~(upper < floor - _RECURSION_SLACK)), log_bound)
+    if worst > np.log(np.finfo(float).max):  # the ratio itself overflows
+        raise InconsistencyError(f"growth bound violated: log ratio {worst:.2f}")
+    ratio = float(np.exp(worst)) if np.isfinite(worst) else 0.0
+    if decide(ratio, 1 + _RATIO_TOL) == 2:
+        raise InconsistencyError(f"growth bound violated: ratio {ratio}")
     return GrowthBound(kappa, float(alpha), float(r), valid_from, ratio)
 
 

@@ -250,40 +250,58 @@ class TestAnalyze:
         assert rc == EXIT_OK
         # The spectral radius is read off the minimal polynomial's roots;
         # theorem_check, growth_bound and uniform_stability share one
-        # probe-orbit batch.  Powers are formed for the first ten steps,
-        # which is_normaloid and growth_bound share, and for the growth
-        # CSV's full trajectory.  ||A|| is taken once, and the minimal
-        # polynomial reads it.
+        # probe-orbit batch.  Powers 1 and 2 are solved for is_normaloid,
+        # which growth_bound reads too, and the other POWER_STEPS - 2 for
+        # the growth CSV's full trajectory.  ||A|| is taken once, and the
+        # minimal polynomial reads it.
         assert {name: len(args) for name, args in calls.items()} == {
             "minimal_polynomial": 1, "decompose": 1, "power_log_norms": 2,
             "orbit_log_norms_batch": 1, "operator_norm": 1,
         }
-        assert [args[1] for args in calls["power_log_norms"]] == [10, POWER_STEPS]
+        assert [args[1] for args in calls["power_log_norms"]] == [2, POWER_STEPS]
+        assert [int(args[2].sum()) for args in calls["power_log_norms"]] == [2, POWER_STEPS - 2]
 
     def test_analyze_without_csv_forms_ten_powers(self, tmp_path, monkeypatch, capsys):
-        # The growth bound of canonical_oblique peaks within the first ten
-        # powers, and its block recursion rules out every later one.
+        # canonical_oblique is not normaloid: is_normaloid solves powers 1
+        # and 2, and fails at 2.  The growth bound peaks at n = 1, and its
+        # block recursion rules out every later power.
         calls = _record_calls(monkeypatch, ["power_log_norms", "orbit_log_norms_batch"])
         inp = _write_matrix(tmp_path / "m.json", canonical_oblique())
         assert main(["analyze", "--input", inp]) == EXIT_OK
-        assert [args[1] for args in calls["power_log_norms"]] == [10]
+        assert [args[1] for args in calls["power_log_norms"]] == [2]
         assert len(calls["orbit_log_norms_batch"]) == 1
 
     def test_jordan_analyze_solves_few_eigenproblems(self, tmp_path, monkeypatch, capsys):
         # alpha I + N with N^2 = 0 at d32: ||A^n||_F overstates ||A^n||_2 at
         # every n, but the block recursion on the decomposition rules out
-        # every n > 10, so only the ten shared powers are formed; the growth
-        # CSV still reads the full trajectory.
+        # every n > 3.  is_normaloid solves powers 1 and 2, and growth_bound
+        # power 3; the growth CSV still reads the full trajectory.
         inp = _write_matrix(tmp_path / "m.json", gen_jordan_perturbation(32, np.exp(0.3j), 2.9, 0))
         eigvalsh = np.linalg.eigvalsh
         solved = []
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: solved.append(len(G)) or eigvalsh(G))
         calls = _record_calls(monkeypatch, ["power_log_norms"])
         assert main(["analyze", "--input", inp]) == EXIT_OK
-        assert sum(solved) == 10 and [args[1] for args in calls["power_log_norms"]] == [10]
+        assert sum(solved) == 3 and [args[1] for args in calls["power_log_norms"]] == [2, 3]
         solved.clear()
         assert main(["analyze", "--input", inp, "--csv", str(tmp_path / "g.csv")]) == EXIT_OK
-        assert sum(solved) >= 10 + POWER_STEPS
+        assert sum(solved) == POWER_STEPS
+
+    @pytest.mark.parametrize("A", [
+        gen_unitary_finite_spectrum(64, [1, 1j, -1, -1j], 0),
+        gen_jordan_perturbation(64, np.exp(1j), 1.5, 0),
+    ], ids=["unitary", "jordan"])
+    def test_d64_analyze_solves_at_most_two_eigenproblems(self, A, tmp_path, monkeypatch, capsys):
+        # The unitary is normaloid, so is_normaloid solves no power, and the
+        # growth bound solves the one the recursion leaves in play.  The
+        # jordan shape is not: is_normaloid solves powers 1 and 2, which
+        # the growth bound reads.  (At scale 2.9 the recursion also leaves
+        # n = 3 in play; see the d32 case above.)
+        eigvalsh = np.linalg.eigvalsh
+        solved = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: solved.append(len(G)) or eigvalsh(G))
+        assert main(["analyze", "--input", _write_matrix(tmp_path / "m.json", A)]) == EXIT_OK
+        assert 1 <= sum(solved) <= 2
 
     def test_inconsistent_power_bound_exits_2(self, tmp_path, capsys, monkeypatch):
         # A minimal polynomial that gives the unimodular root -1 of the

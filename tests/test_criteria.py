@@ -547,6 +547,33 @@ class TestOrbitIteration:
         assert np.array_equal(power_log_norms(A, 1000), full[:1000])
         assert np.array_equal(power_log_norms(A, 10), full[:10])
 
+    @pytest.mark.parametrize("dim", [4, 8, 16, 32, 64])
+    def test_masked_powers_bit_identical(self, dim):
+        # A masked request solves only its powers, each with the bits of the
+        # full trajectory, whatever else it solves and wherever it stops;
+        # the others read nan.  The masks hit single powers, a power past a
+        # block boundary, a block with nothing asked, and the last power.
+        A = _engine_instances(dim)["jordan"]
+        full = power_log_norms(A, 2000)
+        for powers in ([1], [2], [1, 2, 3], [5, 700], [13, 14, 15, 16, 17, 1000], [2000]):
+            solve = np.zeros(powers[-1], dtype=bool)
+            solve[np.array(powers) - 1] = True
+            logs = power_log_norms(A, powers[-1], solve)
+            assert np.array_equal(logs[solve], full[: powers[-1]][solve]), powers
+            assert np.isnan(logs[~solve]).all(), powers
+
+    def test_masked_powers_of_a_nilpotent(self):
+        # J_4 2^10: powers 1-3 have norm 2^(10 n), the fourth is exactly
+        # zero; a masked power from it on reads -inf, an unmasked one nan.
+        A = 1024.0 * np.eye(4, k=1)
+        full = power_log_norms(A, 10)
+        assert full[:3] == pytest.approx(np.log(1024.0) * np.arange(1, 4), rel=1e-14)
+        assert np.all(full[3:] == -np.inf)
+        solve = np.isin(np.arange(1, 11), [2, 4, 9])
+        logs = power_log_norms(A, 10, solve)
+        assert logs[1] == full[1] and logs[3] == logs[8] == -np.inf
+        assert np.isnan(logs[~solve]).all()
+
     @pytest.mark.parametrize("dim", [4, 16, 64])
     def test_engine_prefix_bit_identical(self, dim):
         # Block boundaries do not depend on the horizon: a shorter orbit is
@@ -874,42 +901,61 @@ class TestAnalysis:
         assert criteria.as_analysis(an) is an
 
     def test_bare_is_normaloid_reads_ten_steps(self, monkeypatch):
-        import aolab.criteria as criteria
-
+        # Within ||A|| <= (1 + POWER_TEST_TOL) r the power test cannot warn,
+        # and no power is solved.  Past it, powers 1 and 2 are solved first,
+        # and 3..10 only if n = 2 passes: it fails on canonical_oblique and
+        # passes on the shift J_12, whose powers below 12 have norm 1 = ||A||^n
+        # while r = 0, so that the two tests disagree.
         steps = []
 
-        def spy(A, n_max):
-            steps.append(n_max)
-            return power_log_norms(A, n_max)
+        def spy(A, n_max, solve=None):
+            steps.append(n_max if solve is None else int(solve.sum()))
+            return power_log_norms(A, n_max, solve)
 
         monkeypatch.setattr(criteria, "power_log_norms", spy)
         assert is_normaloid(dft4())
-        assert steps == [10]
+        assert steps == []
+        assert not is_normaloid(canonical_oblique())
+        assert steps == [2]
+        steps.clear()
+        with pytest.warns(RuntimeWarning, match="power norms say True"):
+            assert not is_normaloid(np.eye(12, k=1, dtype=complex))
+        assert steps == [2, 8]
 
     def test_power_logs_stop_at_power_steps(self, monkeypatch):
         # The trajectory stops at POWER_STEPS by default; a shorter one is
         # the prefix of the longest formed so far, which is formed again
         # only when a longer one is asked for.
+        # Each power is solved once: a request solves only the powers it
+        # asks for that no earlier one solved.
         steps = []
         monkeypatch.setattr(
-            criteria, "power_log_norms", lambda A, n_max: steps.append(n_max) or power_log_norms(A, n_max)
+            criteria, "power_log_norms",
+            lambda A, n_max, solve: steps.append((n_max, int(solve.sum()))) or power_log_norms(A, n_max, solve),
         )
         an = Analysis(canonical_oblique())
         head = an.power_logs(10)
         full = an.power_logs()
-        assert full.shape == (POWER_STEPS,) and steps == [10, POWER_STEPS]
+        assert full.shape == (POWER_STEPS,) and steps == [(10, 10), (POWER_STEPS, POWER_STEPS - 10)]
         assert np.array_equal(head, full[:10])
         assert np.shares_memory(an.power_logs(10), full) and an.power_logs(500).shape == (500,)
-        assert steps == [10, POWER_STEPS]
+        assert steps == [(10, 10), (POWER_STEPS, POWER_STEPS - 10)]
         assert not full.flags.writeable
+        # A masked request steps to its last power and leaves the rest nan.
+        steps.clear()
+        an = Analysis(canonical_oblique())
+        n = np.arange(1, POWER_STEPS + 1)
+        logs = an.power_logs(POWER_STEPS, (n == 5) | (n == 700))
+        assert steps == [(700, 2)] and np.array_equal(logs[[4, 699]], full[[4, 699]])
+        assert np.isnan(np.delete(logs, [4, 699])).all()
 
     def test_checks_read_no_power_trajectory(self, monkeypatch):
-        # The power-bound and decay checks read the probe batch; only
-        # is_normaloid's ten steps form powers, once on the analysis.
+        # The power-bound and decay checks read the probe batch, and
+        # is_normaloid solves no power of the normaloid dft4.
         steps, horizons = [], []
         trajectory, batch = criteria.power_log_norms, criteria.orbit_log_norms_batch
         monkeypatch.setattr(
-            criteria, "power_log_norms", lambda A, n_max: steps.append(n_max) or trajectory(A, n_max)
+            criteria, "power_log_norms", lambda A, n_max, solve: steps.append(n_max) or trajectory(A, n_max, solve)
         )
         monkeypatch.setattr(
             criteria, "orbit_log_norms_batch", lambda A, H, n_max: horizons.append(n_max) or batch(A, H, n_max)
@@ -919,7 +965,7 @@ class TestAnalysis:
         theorem_check(an)
         normaloid_equivalence(an)
         uniform_stability(an)
-        assert steps == [10] and horizons == [cfg.n_max]
+        assert steps == [] and horizons == [cfg.n_max]
         # Below POWER_STEPS the batch still runs POWER_STEPS steps, once, and
         # the probes read its prefix: bit for bit the longer run's rows.
         horizons.clear()

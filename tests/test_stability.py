@@ -76,11 +76,26 @@ _JORDAN_CASES = {
 
 
 def _spy_powers(monkeypatch):
-    """The n_max of every ``power_log_norms`` call, as they happen."""
+    """The powers n that each ``power_log_norms`` call solves, as they happen."""
     asked = []
     trajectory = criteria.power_log_norms
-    monkeypatch.setattr(criteria, "power_log_norms", lambda A, n_max: asked.append(n_max) or trajectory(A, n_max))
+
+    def spy(A, n_max, solve=None):
+        asked.append(list(range(1, n_max + 1)) if solve is None else (np.flatnonzero(solve) + 1).tolist())
+        return trajectory(A, n_max, solve)
+
+    monkeypatch.setattr(criteria, "power_log_norms", spy)
     return asked
+
+
+# How many powers a bare growth_bound solves on each ratio and jordan case:
+# the one with the largest recursion bound, then those it leaves in play.
+_SOLVED = {
+    "jordan2": 1, "planted": 1, "oblique": 1, "dft4": 1, "contraction": 1,
+    "jordan-argmax-1000": 34, "jordan-argmax-13": 8, "unitary-d8": 1, "oblique-d8": 1,
+    "planted-d8": 1, "jordan-d8": 2, "jordan-d16": 2, "planted-d8-cap1e6": POWER_STEPS,
+    "jordan-d16-fro": 1, "jordan-d16-q0": 3, "jordan-d32-q1": 3, "jordan-d64-q2": 3,
+}
 
 
 def _full_ratio(A, gb):
@@ -166,17 +181,34 @@ class TestGrowthBound:
 
     @pytest.mark.parametrize("name", [*_RATIO_CASES, *_JORDAN_CASES])
     def test_certified_maximum_matches_trajectory(self, name, monkeypatch):
-        # With the probe batch propagated, as without, growth_bound reads
-        # the powers up to the last n that the recursion leaves in play:
-        # first ten, then at most one longer prefix, which holds the argmax
-        # of the full trajectory.  The ratio is the full maximum bit for bit.
+        # With the probe batch propagated, as without, growth_bound solves
+        # the power with the largest recursion bound, then, in at most one
+        # more request, the powers that the recursion leaves in play, which
+        # hold the argmax of the full trajectory.  The ratio is the full
+        # maximum bit for bit.
         A = _JORDAN_CASES[name]() if name in _JORDAN_CASES else _RATIO_CASES[name]()[0]
         want, at = _full_ratio(A, growth_bound(A))
         an = Analysis(A, RunConfig(seed=0))
         an.orbits
         asked = _spy_powers(monkeypatch)
         assert growth_bound(an).max_violation_ratio == want
-        assert asked[0] == 10 and len(asked) <= 2 and max(asked) >= at
+        solved = sum(asked, [])
+        assert len(asked[0]) == 1 and len(asked) <= 2 and at in solved
+        assert len(solved) == len(set(solved)) == _SOLVED[name]
+
+    @pytest.mark.parametrize("name", ["jordan-argmax-13", "jordan-argmax-1000"])
+    @pytest.mark.parametrize("first", [0, 1, 2, criteria.FIRST_POWERS])
+    def test_solved_powers_hold_the_argmax(self, name, first):
+        # The ratio peaks past n = 1, at 13 and at the last power.  Whatever
+        # prefix an earlier stage solved, the powers growth_bound leaves
+        # solved hold the argmax of the full trajectory.
+        A, argmax = _RATIO_CASES[name]()
+        an = Analysis(A)
+        an.power_logs(first)
+        gb = growth_bound(an)
+        assert (gb.max_violation_ratio, argmax) == _full_ratio(A, gb)
+        solved = np.isfinite(an.power_logs(POWER_STEPS, np.zeros(POWER_STEPS, dtype=bool)))
+        assert solved[argmax - 1] and solved.sum() < POWER_STEPS // 10
 
     @pytest.mark.parametrize("seed", range(3))
     def test_certified_maximum_under_any_bound(self, seed):
@@ -258,7 +290,7 @@ class TestGrowthBound:
             vanish = np.log(stability._VANISHING_LEVEL) + deg * np.log(max(1.0, an.norm))
             assert np.all(power_log_norms(A, POWER_STEPS)[deg - 1 :] <= vanish)
             assert (gb.spectral_radius, gb.valid_from, gb.max_violation_ratio) == (0.0, deg, 0.0)
-            assert max(asked, default=0) <= 10
+            assert max(sum(asked, []), default=0) <= 10
 
     @pytest.mark.parametrize("dim", range(2, 9))
     def test_rounding_noise_nilpotent_forms_no_spectral_norm(self, dim, monkeypatch):
@@ -347,7 +379,7 @@ class TestGrowthBound:
 
     @pytest.mark.parametrize("name", _JORDAN_CASES)
     def test_recursion_forms_no_power_past_ten(self, name, monkeypatch):
-        # The recursion rules out every n > 10 on alpha I + N, with or
+        # The recursion rules out every n > 3 on alpha I + N, with or
         # without the probe batch; the ratio keeps the bits of the maximum
         # over the full trajectory.
         A = _JORDAN_CASES[name]()
@@ -358,19 +390,21 @@ class TestGrowthBound:
         an = Analysis(A, cfg)
         an.orbits
         assert growth_bound(an) == bare
-        assert asked == [10, 10]
+        solved = sum(asked, [])
+        assert max(solved) <= 3 and len(solved) == 2 * _SOLVED[name]
         n = np.arange(1, POWER_STEPS + 1)
         log_bound = np.log(bare.alpha) + bare.kappa * np.log(n) + n * np.log(bare.spectral_radius)
         assert bare.max_violation_ratio == float(np.exp(stability._worst_excess(logs, log_bound)))
 
     def test_loose_recursion_leaves_every_power(self, monkeypatch):
-        # At cap 1e6 the recursion bound is finite but loose and keeps the
-        # last n in play: a bare call reads all POWER_STEPS powers, and the
-        # ratio keeps the bits of the full maximum.
+        # At cap 1e6 the recursion bound is finite but loose and largest at
+        # the last n: a bare call solves that power first, then the other
+        # POWER_STEPS - 1, each once, and the ratio keeps the bits of the
+        # full maximum.
         A = _RATIO_CASES["planted-d8-cap1e6"]()[0]
         asked = _spy_powers(monkeypatch)
         gb = growth_bound(Analysis(A, RunConfig(seed=0)))
-        assert asked == [10, POWER_STEPS]
+        assert asked == [[POWER_STEPS], list(range(1, POWER_STEPS))]
         monkeypatch.undo()
         assert gb.max_violation_ratio == _full_ratio(A, gb)[0]
 
