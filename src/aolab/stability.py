@@ -142,10 +142,10 @@ def normal_limit(A, H):
 
 
 def _worst_excess(logs, log_bound):
-    """The largest log ||A^n|| - log bound_n over the finite logs (-inf if
-    none is finite; an unsolved power reads nan), n = 1..len(logs)."""
-    finite = np.isfinite(logs)
-    return (logs - log_bound[: logs.size])[finite].max(initial=-np.inf)
+    """The largest log ||A^n|| - log bound_n, n = 1..len(logs), over a
+    finite bound: ``fmax`` skips the nan of an unsolved power, and a zero
+    power's -inf, like no power at all, leaves -inf."""
+    return np.fmax.reduce(logs - log_bound[: logs.size], initial=-np.inf)
 
 
 def _reach(upper, floor) -> int:
