@@ -241,11 +241,11 @@ def growth_bound(A) -> GrowthBound:
     (``recursion_log_norms``) on log ||A^n|| - log bound_n leaves n in
     play: first the n of the largest recursion bound, whose exact excess,
     or a larger one solved before, is the floor, then every n whose bound
-    comes within the slack of the floor; on
-    a nilpotent matrix, every n up to the last whose bound comes within
-    the slack of 0.  The largest ratio ||A^n|| / bound_n is the maximum
-    over all POWER_STEPS powers bit for bit; on a nilpotent matrix the
-    first power past the level is named.
+    comes within the slack of the floor; on a nilpotent matrix, every n up
+    to the last whose bound comes within the slack of 0.  The largest
+    ratio ||A^n|| / bound_n is the maximum over all POWER_STEPS powers bit
+    for bit; on a nilpotent matrix the first power past the level is
+    named.
     """
     an = as_analysis(A)
     A = an.A
