@@ -5,7 +5,7 @@ Subcommands:
   generate  emit a deterministic instance as matrix JSON
   verify    run the seeded property suites
 
-Exit codes: 0 ok, 1 input error, 2 internal inconsistency, 3 suite failure.
+Exit codes: 0 ok, 1 input or usage error, 2 internal inconsistency, 3 suite failure.
 """
 
 from __future__ import annotations
@@ -74,11 +74,6 @@ def _required_eigenvalues(args):
     return _parse_complex_list(args.eigenvalues)
 
 
-def _add_config_flags(p: argparse.ArgumentParser):
-    p.add_argument("--nmax", type=int, default=RunConfig.n_max)
-    p.add_argument("--seed", type=int, default=None)
-
-
 def cmd_analyze(args) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
@@ -90,8 +85,7 @@ def cmd_analyze(args) -> int:
         print(f"error: malformed JSON in {args.input}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        an = Analysis(matrix_from_obj(obj), RunConfig(n_max=args.nmax, window=args.window,
-                                                      tol_conv=args.tol_conv, seed=args.seed))
+        an = Analysis(matrix_from_obj(obj), RunConfig(n_max=args.nmax, seed=args.seed))
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -240,9 +234,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_SUITE
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse would exit 2, EXIT_INCONSISTENT; the subparsers are _Parsers too
+        self.exit(EXIT_INPUT, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 @functools.cache  # one parser serves every main call of a process
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="aolab",
         description="Analyze, generate and verify algebraic matrices against the unitarity criteria.",
     )
@@ -252,9 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--input", required=True)
     pa.add_argument("--out", default=None)
     pa.add_argument("--csv", default=None)
-    pa.add_argument("--window", type=int, default=RunConfig.window)
-    pa.add_argument("--tol-conv", dest="tol_conv", type=float, default=RunConfig.tol_conv)
-    _add_config_flags(pa)
 
     pg = sub.add_parser("generate", help="emit an instance as matrix JSON")
     pg.add_argument("--kind", required=True)
@@ -271,7 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", choices=["theorem", "growth", "stability", "scalar", "all"], required=True
     )
     pv.add_argument("--trials", type=int, default=RunConfig.trials)
-    _add_config_flags(pv)
+    for q in (pa, pv):  # the run settings
+        q.add_argument("--nmax", type=int, default=RunConfig.n_max)
+        q.add_argument("--seed", type=int, default=None)
     return p
 
 

@@ -1,4 +1,4 @@
-"""Shared run configuration."""
+"""Shared run configuration, and the window rule's fixed length and tolerance."""
 
 from __future__ import annotations
 
@@ -20,26 +20,25 @@ def default_seed() -> int:
         raise InvalidInputError(f"AOLAB_SEED must be an integer, got {raw!r}") from exc
 
 
+# The window rule, the lab's convergence test at a finite horizon: each of the
+# last WINDOW terms lies within TOL_CONV max(1, |L|) of their mean L, the limit.
+WINDOW = 50
+TOL_CONV = 1e-6
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Run settings.  The field defaults, read as class attributes (e.g.
-    ``RunConfig.window``), are also the defaults of the CLI flags and of
-    the window rule."""
+    ``RunConfig.n_max``), are also the defaults of the CLI flags."""
 
     n_max: int = 2000
-    window: int = 50
-    tol_conv: float = 1e-6
     seed: int = 0
     trials: int = 100
 
     def __post_init__(self):
-        if self.window < 1 or self.window >= self.n_max:
-            raise InvalidInputError(f"require 1 <= window < n_max, got window {self.window} and n_max {self.n_max}")
-        # Fewer than 4 rows (n = 0..n_max) give the envelope fit nothing to
-        # fit, and the r < 1 cross-check no two distinct rows to compare.
-        if self.n_max < 3:
-            raise InvalidInputError(f"require n_max >= 3, got n_max {self.n_max}")
-        if not 0 < self.tol_conv < float("inf"):  # NaN fails too
-            raise InvalidInputError("tolerances must be positive and finite")
+        # Up to 4 WINDOW steps the two windows of the trend test of
+        # ``criteria.classify_orbits``, the last and the one at row rows // 4, overlap or sit too close.
+        if self.n_max <= 4 * WINDOW:
+            raise InvalidInputError(f"require n_max > 4 * WINDOW = {4 * WINDOW}, got n_max {self.n_max}")
         if self.trials < 1:
             raise InvalidInputError("trials must be positive")

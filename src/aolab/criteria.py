@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import RunConfig
+from .config import TOL_CONV, WINDOW, RunConfig
 from .errors import IllConditionedSpectrumError, InconsistencyError, InvalidInputError
 from .linalg import as_matrix, operator_norm
 from .structure import GAP, Decomposition, MinimalPoly, decide, decompose, minimal_polynomial
@@ -73,13 +73,13 @@ _LN2 = math.log(2.0)
 # Window rule and orbit classification
 # ---------------------------------------------------------------------------
 
-def _window_rule(T: np.ndarray, tol: float):
+def _window_rule(T: np.ndarray):
     """(ok, L) of the window rule for every row of T, shape (k, w): L the
-    row mean and ok whether every entry lies within max(tol, tol |L|) of
-    it.  T must be C-contiguous, so that each mean is the pairwise sum of
+    row mean and ok whether every entry lies within TOL_CONV max(1, |L|)
+    of it.  T must be C-contiguous, so that each mean is the pairwise sum of
     one contiguous row, the same bits as the mean of that row alone."""
     L = T.mean(axis=1)
-    return np.abs(T - L[:, np.newaxis]).max(axis=1) <= np.maximum(tol, tol * np.abs(L)), L
+    return np.abs(T - L[:, np.newaxis]).max(axis=1) <= np.maximum(TOL_CONV, TOL_CONV * np.abs(L)), L
 
 
 class Classification(NamedTuple):
@@ -118,12 +118,12 @@ def _envelope_fit(logs: np.ndarray):
         return (sll * cn - snl * cl) / det, (snn * cl - snl * cn) / det, 1.0 / (rows - n0)
 
 
-def classify_orbits(logs: np.ndarray, window: int = RunConfig.window, tol: float = RunConfig.tol_conv):
+def classify_orbits(logs: np.ndarray):
     """The classification of every column of a batch of orbit log-norms,
-    shape (rows, P).
+    shape (rows, P), by the window rule of WINDOW and TOL_CONV.
 
-    Per column, in this order: a column that died (its last ``window``
-    norms at most ``tol``, or its last -inf) converges to 0.  Every other
+    Per column, in this order: a column that died (its last WINDOW norms
+    at most TOL_CONV, or its last -inf) converges to 0.  Every other
     column is read off its ``_envelope_fit`` over the whole horizon, in log
     space, however far past the float range its norms go; a trend must show
     along the orbit, as the maximum of the last window over the one at row
@@ -138,10 +138,10 @@ def classify_orbits(logs: np.ndarray, window: int = RunConfig.window, tol: float
     exponentiated.
     """
     rows, P = logs.shape
-    w = min(window, rows)
+    w = min(WINDOW, rows)
     with np.errstate(over="ignore"):
         tail = np.exp(logs[-w:])
-    dead = np.all(tail <= tol, axis=0) | (logs[-1] == -np.inf)
+    dead = np.all(tail <= TOL_CONV, axis=0) | (logs[-1] == -np.inf)
     classes = [Classification(kind="convergent", limit=0.0)] * P
     live = np.flatnonzero(~dead)
     # T: the live columns' last windows as C-contiguous rows (_window_rule).
@@ -153,7 +153,7 @@ def classify_orbits(logs: np.ndarray, window: int = RunConfig.window, tol: float
     degree = np.where(poly, k[live] + 0.5, 0).astype(int)
     # A window past the float range reads inf, or nan where inf - inf.
     with np.errstate(over="ignore", invalid="ignore"):
-        ok, limit = _window_rule(T, tol)
+        ok, limit = _window_rule(T)
         n = np.maximum(np.arange(rows - w, rows, dtype=float), 1.0)
         if poly.any():  # most batches have none, and on none the expression costs about 12 us
             limit[poly] = (T[poly] / n ** degree[poly, np.newaxis]).mean(axis=1)
@@ -596,7 +596,7 @@ def as_analysis(a, config: RunConfig | None = None) -> Analysis:
 UNITARY_TOL = 1e-10
 # Times ||A||; unitary and normaloid generators at d4-d64 read |r - ||A||| <= 1e-14.
 NORMALOID_TOL = 1e-8
-# Relative, the window rule's default; on the same matrices log ||A^n|| is n log ||A|| to 9e-16 n.
+# Relative, the window rule's TOL_CONV; on the same matrices log ||A^n|| is n log ||A|| to 9e-16 n.
 POWER_TEST_TOL = 1e-6
 
 
@@ -665,14 +665,14 @@ def is_power_bounded(A, config: RunConfig | None = None) -> bool:
     """sup_n ||A^n|| finite, decided structurally (``Analysis.power_bounded``):
     no root past 1 and every unimodular root simple.
     Cross-checked against ``classify_orbits`` of log ||A^n R||_F for
-    n = 1..POWER_STEPS under the analysis's window and tol_conv, R the
-    random columns of the probe batch (``Analysis.frobenius_logs``): the
-    powers are bounded iff A^n R is, for every R off a proper algebraic
-    subset.  Disagreement raises InconsistencyError.
+    n = 1..POWER_STEPS, whatever the horizon n_max, R the random columns
+    of the probe batch (``Analysis.frobenius_logs``): the powers are
+    bounded iff A^n R is, for every R off a proper algebraic subset.
+    Disagreement raises InconsistencyError.
     """
     an = as_analysis(A, config)
     # Powers that vanished exactly end in -inf: a dead column to classify_orbits.
-    (cls,) = classify_orbits(an.frobenius_logs[:, np.newaxis], an.config.window, an.config.tol_conv)
+    (cls,) = classify_orbits(an.frobenius_logs[:, np.newaxis])
     empirical = cls.kind in ("convergent", "bounded-nonconvergent")
     if an.power_bounded != empirical:
         raise InconsistencyError(f"power boundedness: structural={an.power_bounded} empirical={empirical}")
@@ -795,7 +795,7 @@ def orbit_convergence(A, config: RunConfig | None = None):
         )
     probes, logs = an.orbits
     logs = logs[: cfg.n_max + 1]
-    classes = classify_orbits(logs, cfg.window, cfg.tol_conv)
+    classes = classify_orbits(logs)
     structural = an.power_bounded and kind == 0
     empirical = all(cls.kind == "convergent" for cls in classes)
     if structural != empirical:
@@ -849,7 +849,7 @@ def theorem_check(A, config: RunConfig | None = None) -> CriteriaReport:
 # Scalar sequence lemma probe
 # ---------------------------------------------------------------------------
 
-# |w| = 1 to this keeps |w^n| within 1e-7 of 1 over 1e5 steps, below RunConfig.tol_conv.
+# |w| = 1 to this keeps |w^n| within 1e-7 of 1 over 1e5 steps, below TOL_CONV.
 SCALAR_W_TOL = 1e-12
 
 
@@ -861,7 +861,7 @@ def scalar_re_sequence(w: complex, b: complex, n_max: int = 100_000) -> ScalarSe
     each as w^n b.  Raises InvalidInputError for n_max < 0, for a non-finite
     w or b and for a b whose terms or their sum overflow, and
     InconsistencyError if the window rule reports convergence for a |b|
-    above ``RunConfig.tol_conv``, which it cannot tell from 0
+    above TOL_CONV, which it cannot tell from 0
     (finite-horizon failure surfaced, not hidden).
     """
     w = complex(w)
@@ -876,13 +876,13 @@ def scalar_re_sequence(w: complex, b: complex, n_max: int = 100_000) -> ScalarSe
         raise InvalidInputError("w = +-1 is excluded")
     try:
         with np.errstate(over="raise"):
-            n = np.arange(max(0, n_max + 1 - RunConfig.window), n_max + 1)
+            n = np.arange(max(0, n_max + 1 - WINDOW), n_max + 1)
             terms = np.ascontiguousarray((np.power(w, n) * b).real)
-            (ok,), _ = _window_rule(terms[np.newaxis], RunConfig.tol_conv)
+            (ok,), _ = _window_rule(terms[np.newaxis])
     except FloatingPointError:
         raise InvalidInputError(f"b = {b} is too large: Re(w^n b) or the sum of terms overflows") from None
     convergent = bool(ok)
-    if convergent and decide(abs(b), RunConfig.tol_conv) == 2:
+    if convergent and decide(abs(b), TOL_CONV) == 2:
         raise InconsistencyError(
             "window rule reports convergence for nonzero b; w is too close "
             "to +-1 for this horizon"

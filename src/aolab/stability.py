@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import RunConfig
+from .config import TOL_CONV, WINDOW, RunConfig
 from .criteria import (
     Analysis,
     BLOCK_GROWTH_LOG2,
@@ -112,7 +112,7 @@ def normal_limit(A, H):
     equals <Q h, h> with Q the orthogonal projection onto the unimodular
     eigenspaces: one product of the unimodular blocks' bases side by side
     and their rows of B^{-1}.  Each column's identity is cross-checked, to
-    tol_conv * max(1, ||h||^2) (the window rule's own tolerance, which
+    TOL_CONV max(1, ||h||^2) (the window rule's own tolerance, which
     bounds its limit's error), against the window limit of its orbit over
     the ``n_max`` steps of the analysis's config; the columns advance
     together in one ``orbit_norms_batch`` and share one window rule."""
@@ -131,10 +131,8 @@ def normal_limit(A, H):
     # Column by column, so that a value does not depend on the other columns.
     q = np.array([np.vdot(h, Q @ h).real for h in H.T.copy()])
     norms, _ = orbit_norms_batch(A, H, an.config.n_max)
-    tails = np.ascontiguousarray((norms[-an.config.window :] ** 2).T)
-    _, limits = _window_rule(tails, an.config.tol_conv)
-    tol = an.config.tol_conv * np.maximum(1.0, norms[0] ** 2)
-    off = np.flatnonzero(decide(np.abs(limits - q), tol) == 2)
+    _, limits = _window_rule(np.ascontiguousarray((norms[-WINDOW:] ** 2).T))
+    off = np.flatnonzero(decide(np.abs(limits - q), TOL_CONV * np.maximum(1.0, norms[0] ** 2)) == 2)
     if off.size:
         j = off[0]
         raise InconsistencyError(f"orbit limit {limits[j]} disagrees with projection value {q[j]}")
@@ -341,7 +339,7 @@ def uniform_stability(A, config: RunConfig | None = None) -> StabilityVerdict:
     # overflow has no finite limit: the rule reads it as inf or nan.
     dead = ologs[-1] == -np.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        ok, L = _window_rule(np.exp(2 * np.ascontiguousarray(ologs[-cfg.window :].T)), cfg.tol_conv)
+        ok, L = _window_rule(np.exp(2 * np.ascontiguousarray(ologs[-WINDOW:].T)))
     L[dead] = 0.0
     kept = dead | ok & np.isfinite(L)
     limits = {label: float(L[j]) for j, (label, _) in enumerate(probes) if kept[j]}
@@ -362,8 +360,8 @@ def orbit_root_limit(A, H):
     the plain window rule at desk horizons; the limit is therefore rho of
     the envelope fit log ||A^n h|| = a + k log n + n log rho
     (``criteria._envelope_fit``, the fit ``classify_orbits`` reads), which
-    removes the polynomial factor.  The fit reads at least the last three
-    of the n_max + 1 >= 4 rows.  The columns advance together in one
+    removes the polynomial factor.  The fit reads the last three quarters
+    of the n_max + 1 > 4 WINDOW rows.  The columns advance together in one
     ``orbit_log_norms_batch``.
     """
     an = as_analysis(A)

@@ -141,14 +141,6 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == ""
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
-    def test_tolerance_must_be_finite(self, tol, tmp_path, capsys):
-        # NaN fails `tol_conv <= 0`; with only that check, [[1.0]] read as
-        # empirically non-convergent under a NaN tolerance (exit 2).
-        inp = _write_matrix(tmp_path / "one.json", np.array([[1.0]]))
-        assert main(["analyze", "--input", inp, f"--tol-conv={tol}"]) == EXIT_INPUT
-        assert capsys.readouterr() == ("", "error: tolerances must be positive and finite\n")
-
     @pytest.mark.parametrize("flag", ["--out", "--csv"])
     def test_unwritable_output_path(self, flag, tmp_path, capsys):
         inp = _write_matrix(tmp_path / "f.json", dft4())
@@ -482,36 +474,53 @@ class TestGenerate:
         assert report["criteria"]["unitary"] is False
 
     def test_short_horizon_reads_no_trend(self, tmp_path, capsys):
-        # --nmax 11 leaves 12 rows, whose last three the envelope fit reads,
-        # but these bounded orbits' window maxima do not change along the
-        # orbit: no trend is read, and the window rule finds no probe
-        # convergent.
+        # --nmax 201, the shortest horizon: these bounded orbits' window
+        # maxima do not change along the orbit, so no trend is read, and
+        # the window rule finds no probe convergent.
         main(["generate", "--kind", "oblique", "--dim", "4",
               "--eigenvalues", "1,i,-1,-i", "--seed", "1"])
         p = tmp_path / "m.json"
         p.write_text(capsys.readouterr().out)
-        assert main(["analyze", "--input", str(p), "--nmax", "11", "--window", "5"]) == EXIT_OK
+        assert main(["analyze", "--input", str(p), "--nmax", "201"]) == EXIT_OK
         probes = _finite_report(capsys.readouterr().out)["criteria"]["probes"]
         assert {q["classification"]["kind"] for q in probes} == {"bounded-nonconvergent"}
 
     def test_short_horizon_reads_decay(self, tmp_path, capsys):
-        # --nmax 11: the envelope fit over the last three of 12 rows reads
-        # log rho near log 0.5, and the window maxima fall along the orbit,
-        # so every probe converges to 0, as the structure says.
+        # --nmax 201: the envelope fit reads log rho near log 0.5, and the
+        # window maxima fall along the orbit, so every probe converges to 0,
+        # as the structure says.
         inp = _write_matrix(tmp_path / "m.json", np.diag([0.5, 0.25]).astype(complex))
-        assert main(["analyze", "--input", inp, "--nmax", "11", "--window", "5"]) == EXIT_OK
+        assert main(["analyze", "--input", inp, "--nmax", "201"]) == EXIT_OK
         crit = _finite_report(capsys.readouterr().out)["criteria"]
         assert crit["orbits_convergent"] is True
         assert all(p["classification"] == {"kind": "convergent", "limit": 0.0} for p in crit["probes"])
 
     def test_two_step_horizon_is_an_input_error(self, tmp_path, capsys):
-        # At --nmax 2 the r < 1 cross-check compared row n_max // 2 + 1 = 2
-        # with itself, which never falls, and exited 2: the config refuses
-        # n_max < 3, and --nmax 3 reads the decay.
+        # The config refuses every horizon up to 4 WINDOW = 200 steps: at
+        # 2 steps the r < 1 cross-check compared a row with itself, and up
+        # to 200 the classifier's trend windows overlap or sit too close
+        # (at 65, diag(0.5, 0.25) exited 2).
         inp = _write_matrix(tmp_path / "m.json", np.diag([0.5, 0.25]).astype(complex))
-        assert main(["analyze", "--input", inp, "--nmax", "2", "--window", "1"]) == EXIT_INPUT
-        assert capsys.readouterr().err == "error: require n_max >= 3, got n_max 2\n"
-        assert main(["analyze", "--input", inp, "--nmax", "3", "--window", "1"]) == EXIT_OK
+        for nmax in ("2", "200"):
+            assert main(["analyze", "--input", inp, "--nmax", nmax]) == EXIT_INPUT
+            assert capsys.readouterr().err == f"error: require n_max > 4 * WINDOW = 200, got n_max {nmax}\n"
+        assert main(["analyze", "--input", inp, "--nmax", "201"]) == EXIT_OK
+
+    @pytest.mark.parametrize("A", [
+        np.diag([0.5, 0.25]), np.diag([1.0, 0.5]), np.diag([0.9, 0.5]), np.diag([0.99, 0.5]),
+        2 * np.eye(2), 1.1 * np.eye(2), 1.01 * np.eye(2), np.eye(2) + np.eye(2, k=1), np.eye(3) + np.eye(3, k=1),
+    ], ids=["0.5,0.25", "1,0.5", "0.9,0.5", "0.99,0.5", "2I", "1.1I", "1.01I", "I+J2", "I+J3"])
+    def test_shortest_horizon_reads_as_the_default(self, A, tmp_path, capsys):
+        # Below 201 steps each of these read otherwise than at 2000: exit 2
+        # on a decay not yet shown, or bounded-nonconvergent where its
+        # orbits grow (I + J_2 up to 200 steps).
+        inp = _write_matrix(tmp_path / "m.json", A.astype(complex))
+        outcomes = []
+        for nmax in ("201", "2000"):
+            code = main(["analyze", "--input", inp, "--nmax", nmax])
+            probes = _finite_report(capsys.readouterr().out)["criteria"]["probes"]
+            outcomes.append((code, [q["classification"]["kind"] for q in probes]))
+        assert outcomes[0] == outcomes[1]
 
     def test_close_unitary_roots_analyze(self, tmp_path, capsys):
         # Eigenvalues 1e-7 apart: eigenvectors computed a few 1e-9 off
@@ -627,14 +636,32 @@ class TestVerify:
 
     def test_horizon_below_window_gives_both(self, capsys):
         assert main(["verify", "--suite", "scalar", "--trials", "1", "--nmax", "1"]) == EXIT_INPUT
-        assert capsys.readouterr() == ("", "error: require 1 <= window < n_max, got window 50 and n_max 1\n")
+        assert capsys.readouterr() == ("", "error: require n_max > 4 * WINDOW = 200, got n_max 1\n")
 
-    def test_window_flags_belong_to_analyze(self, tmp_path, capsys):
+
+class TestUsage:
+    # argparse exits 2 on a usage error, the code of an internal
+    # inconsistency; the CLI's parsers exit 1, an input error.
+    @pytest.mark.parametrize("flag", ["--window=40", "--tol-conv=1e-5"])
+    @pytest.mark.parametrize("command", [["analyze", "--input", "f.json"], ["verify", "--suite", "scalar"]],
+                             ids=["analyze", "verify"])
+    def test_window_rule_is_not_a_flag(self, command, flag, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--suite", "scalar", "--window", "10"])
-        assert exc.value.code == 2
-        inp = _write_matrix(tmp_path / "f.json", dft4())
-        assert main(["analyze", "--input", inp, "--window", "40", "--tol-conv", "1e-5"]) == EXIT_OK
+            main([*command, flag])
+        assert exc.value.code == EXIT_INPUT
+        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag}\n")
+
+    def test_missing_input(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze"])
+        assert exc.value.code == EXIT_INPUT
+        assert capsys.readouterr().err.endswith("aolab analyze: error: the following arguments are required: --input\n")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--help"])
+        assert exc.value.code == EXIT_OK
+        assert "--nmax" in capsys.readouterr().out
 
 
 class TestSeedEnv:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aolab.criteria as criteria
-from aolab.config import RunConfig
+from aolab.config import TOL_CONV, WINDOW, RunConfig
 from aolab.criteria import (
     CIRCLE_TOL,
     COMPONENT_TOL,
@@ -100,21 +100,21 @@ def _reference_power_log_norms(A, n_max, ord=2):
     return out
 
 
-def _reference_window_limit(s, window, tol):
+def _reference_window_limit(s):
     """The window rule on one sequence, kept as the reference."""
-    tail = s[-min(window, s.size):]
+    tail = s[-min(WINDOW, s.size):]
     L = float(np.mean(tail))
-    return bool(np.max(np.abs(tail - L)) <= max(tol, tol * abs(L))), L
+    return bool(np.max(np.abs(tail - L)) <= max(TOL_CONV, TOL_CONV * abs(L))), L
 
 
-def _reference_classify(y, window=RunConfig.window, tol=RunConfig.tol_conv):
+def _reference_classify(y):
     """The rules on one column of log-norms, kept as the reference for the
     batch classifier: dead tail, then the envelope fit (one ``lstsq``)
     confirmed by the window maxima at rows n/4 and n, then the window rule."""
     s = np.exp(y)
-    w, q = min(window, s.size), s.size // 4
+    w, q = min(WINDOW, s.size), s.size // 4
     tail = s[-w:]
-    if np.all(tail <= tol):
+    if np.all(tail <= TOL_CONV):
         return Classification(kind="convergent", limit=0.0)
     change = np.max(y[-w:]) - np.max(y[q:q + w])
     n0 = max(10, s.size // 4)
@@ -130,7 +130,7 @@ def _reference_classify(y, window=RunConfig.window, tol=RunConfig.tol_conv):
         d = int(k + 0.5)
         n = np.maximum(np.arange(s.size - w, s.size, dtype=float), 1.0)
         return Classification(kind="polynomial-growth", degree=d, limit=float(np.mean(tail / n**d)))
-    ok, L = _reference_window_limit(s, window, tol)
+    ok, L = _reference_window_limit(s)
     if ok:
         return Classification(kind="convergent", limit=L)
     return Classification(kind="bounded-nonconvergent")
@@ -163,9 +163,9 @@ def _reference_exponent(A, h, D):
     return best
 
 
-def _reference_stability_limits(probes, ologs, cfg):
+def _reference_stability_limits(probes, ologs):
     """uniform_stability's per-probe loop for the limits of ||A^n h||^2."""
-    w, limits = cfg.window, {}
+    w, limits = WINDOW, {}
     for j, (label, _) in enumerate(probes):
         olog = ologs[:, j]
         if olog[-1] == -np.inf:
@@ -173,7 +173,7 @@ def _reference_stability_limits(probes, ologs, cfg):
             continue
         if 2 * np.max(olog[-w:]) > np.log(np.finfo(float).max):
             continue
-        ok, L = _reference_window_limit(np.exp(2 * olog[-w:]), w, cfg.tol_conv)
+        ok, L = _reference_window_limit(np.exp(2 * olog[-w:]))
         if ok:
             limits[label] = max(L, 0.0)
     return limits
@@ -208,26 +208,26 @@ def _engine_instances(dim):
 
 
 class TestWindowLimit:
-    # The window rule on the last 50 terms of one sequence at tol 1e-6, the RunConfig defaults.
+    # The window rule on the last WINDOW = 50 terms of one sequence at TOL_CONV = 1e-6.
     def test_constant_converges(self):
-        (ok,), (L,) = criteria._window_rule(np.full(500, 2.5)[np.newaxis, -50:], 1e-6)
+        (ok,), (L,) = criteria._window_rule(np.full(500, 2.5)[np.newaxis, -WINDOW:])
         assert ok and L == pytest.approx(2.5)
 
     def test_oscillation_rejected(self):
         seq = 1.0 + 0.5 * np.cos(np.arange(2000) * 0.7)
-        (ok,), _ = criteria._window_rule(seq[np.newaxis, -50:], 1e-6)
+        (ok,), _ = criteria._window_rule(seq[np.newaxis, -WINDOW:])
         assert not ok
 
     def test_decaying_tail_converges(self):
         seq = 3.0 + 0.9 ** np.arange(2000)
-        (ok,), (L,) = criteria._window_rule(seq[np.newaxis, -50:], 1e-6)
+        (ok,), (L,) = criteria._window_rule(seq[np.newaxis, -WINDOW:])
         assert ok and L == pytest.approx(3.0, abs=1e-4)
 
     @given(st.floats(0.1, 10.0), st.integers(0, 1000))
     @settings(max_examples=50, deadline=None)
     def test_eventually_constant(self, c, burn):
         seq = np.concatenate([np.linspace(0, c, burn), np.full(300, c)])
-        (ok,), (L,) = criteria._window_rule(seq[np.newaxis, -50:], 1e-6)
+        (ok,), (L,) = criteria._window_rule(seq[np.newaxis, -WINDOW:])
         assert ok and L == pytest.approx(c)
 
 
@@ -291,16 +291,16 @@ class TestClassifySequence:
 
 
 class TestBatchClassifier:
-    @pytest.mark.parametrize("window", [50, 200])
-    def test_matches_reference_ladder(self, window):
-        # 400 seeded sequences per window, 80 per family, in one batch,
+    @pytest.mark.parametrize("seed", [50, 200])
+    def test_matches_reference_ladder(self, seed):
+        # 400 seeded sequences per seed, 80 per family, in one batch,
         # against the per-column rules with one lstsq fit each.
-        rng = np.random.default_rng(window)
+        rng = np.random.default_rng(seed)
         families = ("convergent", "polynomial", "exponential", "oscillating", "mixed")
         logs = np.column_stack([_sequence_logs(rng, f) for f in families for _ in range(80)])
-        classes = classify_orbits(logs, window)
-        want = [_reference_classify(logs[:, j], window) for j in range(logs.shape[1])]
-        _assert_same_classes(classes, want, window)
+        classes = classify_orbits(logs)
+        want = [_reference_classify(logs[:, j]) for j in range(logs.shape[1])]
+        _assert_same_classes(classes, want, seed)
         kinds = {c.kind for c in classes}
         assert kinds == {"convergent", "polynomial-growth", "exponential-growth", "bounded-nonconvergent"}
 
@@ -328,7 +328,7 @@ class TestBatchClassifier:
             assert all(c.degree == k for c, k in zip(classes, exponents) if c.kind == "polynomial-growth"), name
             verdict = uniform_stability(an)
             assert verdict.strongly_stable is verdict.uniformly_stable, name
-            limits = _reference_stability_limits(probes, logs, cfg)
+            limits = _reference_stability_limits(probes, logs)
             assert list(verdict.limit_projection_norm_sq.items()) == list(limits.items()), name
 
     @pytest.mark.parametrize("top, want", [
@@ -719,19 +719,6 @@ class TestPredicates:
         assert not is_power_bounded(np.array([[1, 1], [0, 1]], dtype=complex))
         assert not is_power_bounded(1.2 * np.eye(2))
 
-    def test_power_bound_reads_run_config(self, monkeypatch):
-        # The Frobenius column is classified under the analysis's window
-        # and tol_conv, as every other orbit reader is.
-        seen, classify = [], criteria.classify_orbits
-
-        def recorder(logs, *args):
-            seen.append(args)
-            return classify(logs, *args)
-
-        monkeypatch.setattr(criteria, "classify_orbits", recorder)
-        assert is_power_bounded(Analysis(dft4(), RunConfig(window=40, tol_conv=1e-5)))
-        assert seen == [(40, 1e-5)]
-
     @pytest.mark.parametrize("scale, k", [(1e100, 5), (1e60, 6), (1e110, 3), (1.0, 5), (1e30, 8)])
     def test_vanishing_powers_are_bounded(self, scale, k):
         # c J_k R has finite Frobenius norms up to n = k - 1, the largest past
@@ -1105,10 +1092,10 @@ def _reference_scalar_re_sequence(w, b, n_max):
         with np.errstate(over="raise"):
             np.cumprod(seq, out=seq)
             seq *= complex(b)
-            convergent, _ = _reference_window_limit(seq.real, RunConfig.window, RunConfig.tol_conv)
+            convergent, _ = _reference_window_limit(seq.real)
     except FloatingPointError:
         raise InvalidInputError("b is too large") from None
-    if convergent and decide(abs(b), RunConfig.tol_conv) == 2:
+    if convergent and decide(abs(b), TOL_CONV) == 2:
         raise InconsistencyError("window rule reports convergence for nonzero b")
     return convergent
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from aolab import criteria, stability
-from aolab.config import RunConfig
+from aolab.config import WINDOW, RunConfig
 from aolab.criteria import POWER_STEPS, Analysis, power_log_norms, theorem_check
 from aolab.errors import InconsistencyError, InvalidInputError, OutOfScopeError
 from aolab.generators import (
@@ -506,8 +506,8 @@ class TestNormalLimit:
         # column on is reported at the third column, h = 3 e_2.
         rule = stability._window_rule
 
-        def shifted(T, tol):
-            ok, L = rule(T, tol)
+        def shifted(T):
+            ok, L = rule(T)
             L[2:] += 1.0
             return ok, L
 
@@ -708,7 +708,7 @@ class TestUniformStability:
             H = np.column_stack([v for _, v in probes])
             an.orbits = tuple(probes), criteria.orbit_log_norms_batch(A, H, cfg.n_max)
             probes, logs = an.orbits
-            window = logs[cfg.n_max + 1 - cfg.window : cfg.n_max + 1]
+            window = logs[cfg.n_max + 1 - WINDOW : cfg.n_max + 1]
             assert 2 * window.max() < np.log(np.finfo(float).max)
             sum_sq = np.logaddexp.reduce(2 * window, axis=0)
             overflow = {label for (label, _), m in zip(probes, sum_sq) if m > np.log(np.finfo(float).max)}
@@ -777,13 +777,13 @@ class TestOrbitRootLimit:
         assert steps == [300, 300]
 
     def test_shortest_horizon(self):
-        # Two steps leave three rows, which give the envelope fit nothing
-        # to fit (every live column read 1 and raised): the config refuses
-        # them, and three steps read both roots.
+        # The config refuses a horizon of 4 WINDOW steps or fewer, where the
+        # classifier's trend windows overlap; the shortest it takes reads
+        # both roots.
         A, H = np.diag([0.5, 0.25]), np.eye(2)
-        with pytest.raises(InvalidInputError, match=r"require n_max >= 3, got n_max 2"):
-            orbit_root_limit(Analysis(A, RunConfig(n_max=2, window=1)), H)
-        assert orbit_root_limit(Analysis(A, RunConfig(n_max=3, window=1)), H) == pytest.approx([0.5, 0.25], abs=1e-3)
+        with pytest.raises(InvalidInputError, match=r"require n_max > 4 \* WINDOW = 200, got n_max 200"):
+            orbit_root_limit(Analysis(A, RunConfig(n_max=4 * WINDOW)), H)
+        assert orbit_root_limit(Analysis(A, RunConfig(n_max=4 * WINDOW + 1)), H) == pytest.approx([0.5, 0.25], abs=1e-3)
 
     @pytest.mark.parametrize("scale", [1e-170, 1e160])
     def test_probe_entries_past_the_square_range(self, scale):

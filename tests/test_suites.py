@@ -3,6 +3,7 @@ raises or disagrees fails its trial with a ``trial{t}: detail`` entry; and
 the 1e5-step probes against their full-horizon forms."""
 
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -29,12 +30,14 @@ def test_error_fails_each_trial(monkeypatch):
 
 
 def test_detail_follows_the_label(monkeypatch):
-    bound = SimpleNamespace(max_violation_ratio=2.0, valid_from=1)
+    bound = SimpleNamespace(alpha=0.5, kappa=0, spectral_radius=0.5, valid_from=1)
     monkeypatch.setattr(suites, "growth_bound", lambda A: bound)
-    # Two trials: one planted (ratio 2 fails it), then one nilpotent of
+    # Two trials: one planted, whose roots of modulus at least 0.3 put
+    # ||A^n|| past 0.5^(n+1) (the ratio fails it), then one nilpotent of
     # index at least 2 (valid_from 1 fails it).
     res = suites.suite_growth(2, 0)
-    assert res.failures == ["trial0: ratio 2.0", "trial1: valid_from 1"]
+    ratio = re.fullmatch(r"trial0: ratio (\S+)", res.failures[0])
+    assert float(ratio.group(1)) > 1 and res.failures[1].startswith("trial1: valid_from 1, level ")
 
 
 def test_empty_detail_is_a_bare_label(monkeypatch):
