@@ -36,8 +36,8 @@ class RunConfig:
     trials: int = 100
 
     def __post_init__(self):
-        # Up to 4 WINDOW steps the two windows of the trend test of
-        # ``criteria.classify_orbits``, the last and the one at row rows // 4, overlap or sit too close.
+        # Up to 4 WINDOW steps the trend test's two windows (``criteria.classify_orbits``),
+        # the last and the one at row rows // 4, overlap or sit too close to show a trend.
         if self.n_max <= 4 * WINDOW:
             raise InvalidInputError(f"require n_max > 4 * WINDOW = {4 * WINDOW}, got n_max {self.n_max}")
         if self.trials < 1:

@@ -511,9 +511,9 @@ class TestGenerate:
         2 * np.eye(2), 1.1 * np.eye(2), 1.01 * np.eye(2), np.eye(2) + np.eye(2, k=1), np.eye(3) + np.eye(3, k=1),
     ], ids=["0.5,0.25", "1,0.5", "0.9,0.5", "0.99,0.5", "2I", "1.1I", "1.01I", "I+J2", "I+J3"])
     def test_shortest_horizon_reads_as_the_default(self, A, tmp_path, capsys):
-        # Below 201 steps each of these read otherwise than at 2000: exit 2
-        # on a decay not yet shown, or bounded-nonconvergent where its
-        # orbits grow (I + J_2 up to 200 steps).
+        # At some horizon of 51-200 steps each of these read otherwise than
+        # at 2000: exit 2 on a decay not yet shown, or bounded-nonconvergent
+        # where its orbits grow (I + J_2 at every horizon up to 200).
         inp = _write_matrix(tmp_path / "m.json", A.astype(complex))
         outcomes = []
         for nmax in ("201", "2000"):
