@@ -20,7 +20,7 @@ from aolab.cli import (
     broken_implication,
     main,
 )
-from aolab.config import default_seed
+from aolab.config import TOL_CONV, default_seed
 from aolab.criteria import POWER_STEPS
 from aolab.generators import (
     canonical_oblique,
@@ -140,6 +140,21 @@ class TestAnalyze:
         assert main(["analyze", "--input", str(p)]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == ""
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+    def test_tolerance_must_be_finite(self, tol, tmp_path, capsys):
+        # Under a NaN tolerance [[1.0]] once read as empirically
+        # non-convergent (exit 2). The window rule's tolerance is now the
+        # constant TOL_CONV, and a --tol-conv value is refused before any
+        # analysis runs.
+        assert 0 < TOL_CONV < np.inf
+        inp = _write_matrix(tmp_path / "one.json", np.array([[1.0]]))
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--input", inp, f"--tol-conv={tol}"])
+        assert exc.value.code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: unrecognized arguments: --tol-conv={tol}\n")
 
     @pytest.mark.parametrize("flag", ["--out", "--csv"])
     def test_unwritable_output_path(self, flag, tmp_path, capsys):
