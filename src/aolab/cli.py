@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import jsonout
-from .config import RunConfig, default_seed
+from .config import RunConfig
 from .criteria import Analysis, theorem_check
 from .errors import AolabError, InconsistencyError, InvalidInputError, OutOfScopeError
 from .generators import (
@@ -220,7 +220,7 @@ def cmd_generate(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        cfg = RunConfig(n_max=args.nmax, seed=args.seed, trials=args.trials)
+        cfg = RunConfig(seed=args.seed, trials=args.trials)
         results = run_suites(args.suite, cfg)
     except (InvalidInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -251,6 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--input", required=True)
     pa.add_argument("--out", default=None)
     pa.add_argument("--csv", default=None)
+    pa.add_argument("--nmax", type=int, default=RunConfig.n_max)
 
     pg = sub.add_parser("generate", help="emit an instance as matrix JSON")
     pg.add_argument("--kind", required=True)
@@ -260,16 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--theta", type=float, default=SQRT2)
     pg.add_argument("--cond-cap", dest="cond_cap", type=float, default=50.0)
     pg.add_argument("--scale", type=float, default=1.0)
-    pg.add_argument("--seed", type=int, default=None)
 
     pv = sub.add_parser("verify", help="run property suites")
     pv.add_argument(
         "--suite", choices=["theorem", "growth", "stability", "scalar", "all"], required=True
     )
     pv.add_argument("--trials", type=int, default=RunConfig.trials)
-    for q in (pa, pv):  # the run settings
-        q.add_argument("--nmax", type=int, default=RunConfig.n_max)
-        q.add_argument("--seed", type=int, default=None)
+    for q in (pa, pg, pv):
+        q.add_argument("--seed", type=int, default=RunConfig.seed)
     return p
 
 
@@ -281,13 +280,6 @@ def main(argv=None) -> int:
         if argv[k - 1] == "--eigenvalues" and argv[k].startswith("-") and not argv[k].startswith("--"):
             argv[k - 1 : k + 1] = [f"--eigenvalues={argv[k]}"]
     args = build_parser().parse_args(argv)
-    # AOLAB_SEED is read only when --seed is absent.
-    if args.seed is None:
-        try:
-            args.seed = default_seed()
-        except InvalidInputError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
     # Looked up at call time, so that a wrapper on cmd_<command> sees it.
     return globals()[f"cmd_{args.command}"](args)
 

@@ -42,9 +42,8 @@ from .structure import minimal_polynomial  # noqa: F401
 # ``growth_bound`` solves no power A^n whose block recursion bound
 # (``recursion_log_norms``) on the excess log ||A^n||_2 - log bound_n falls
 # more than this below the best exact excess solved (0 on a nilpotent
-# matrix, which solves a prefix).  It covers the rounding of log ||A^n||_2
-# (``power_log_norms``) against the recursion, which it exceeded by at most
-# 4.2e-14 (on z I).
+# matrix).  It covers the rounding of log ||A^n||_2 (``power_log_norms``)
+# against the recursion, which it exceeded by at most 4.2e-14 (on z I).
 _RECURSION_SLACK = 1e-8
 
 # The growth bound holds when the largest ratio ||A^n|| / bound_n is at most
@@ -146,13 +145,6 @@ def _worst_excess(logs, log_bound):
     return np.fmax.reduce(logs - log_bound[: logs.size], initial=-np.inf)
 
 
-def _reach(upper, floor) -> int:
-    """1 + the last n whose upper bound upper[n - 1] on the excess does not
-    fall below floor (a NaN bound rules nothing out); 0 if there is none."""
-    reach = np.flatnonzero(~(upper < floor))
-    return int(reach[-1]) + 1 if reach.size else 0
-
-
 def recursion_log_norms(an: Analysis, n_max: int) -> np.ndarray:
     """Upper bounds on log ||A^n||, n = 1..n_max, read off the
     decomposition before any power is formed (+inf throughout if rho =
@@ -239,11 +231,10 @@ def growth_bound(A) -> GrowthBound:
     (``recursion_log_norms``) on log ||A^n|| - log bound_n leaves n in
     play: first the n of the largest recursion bound, whose exact excess,
     or a larger one solved before, is the floor, then every n whose bound
-    comes within the slack of the floor; on a nilpotent matrix, every n up
-    to the last whose bound comes within the slack of 0.  The largest
-    ratio ||A^n|| / bound_n is the maximum over all POWER_STEPS powers bit
-    for bit; on a nilpotent matrix the first power past the level is
-    named.
+    comes within the slack of the floor, which is 0, the level, on a
+    nilpotent matrix.  The largest ratio ||A^n|| / bound_n is the maximum
+    over all POWER_STEPS powers bit for bit; on a nilpotent matrix the
+    first power past the level is named.
     """
     an = as_analysis(A)
     A = an.A
@@ -284,16 +275,18 @@ def growth_bound(A) -> GrowthBound:
     # deg p is NaN, which rules nothing out.
     with np.errstate(invalid="ignore"):
         upper = recursion_log_norms(an, POWER_STEPS) - log_bound
+    # The floor: 0, the level, on a nilpotent matrix; else the best exact
+    # excess among the powers solved so far, after the one with the largest
+    # recursion bound (the first NaN, if any).
+    floor = 0.0 if nilpotent else _worst_excess(an.power_logs(POWER_STEPS, n == np.argmax(upper) + 1), log_bound)
+    logs = an.power_logs(POWER_STEPS, ~(upper < floor - _RECURSION_SLACK))
     if nilpotent:
-        logs = an.power_logs(_reach(upper, -_RECURSION_SLACK))
-        live = np.flatnonzero(decide(logs, log_bound[: logs.size]) == 2)
+        # An unsolved power (nan) is undecided, not live.
+        live = np.flatnonzero(decide(logs, log_bound) == 2)
         if live.size:
             raise InconsistencyError(f"nilpotent matrix has nonzero power at n={live[0] + 1}")
         return GrowthBound(kappa, alpha, r, valid_from, 0.0)
-    # The floor: the best exact excess among the powers solved so far, after
-    # the one with the largest recursion bound (the first NaN, if any).
-    floor = _worst_excess(an.power_logs(POWER_STEPS, n == np.argmax(upper) + 1), log_bound)
-    worst = _worst_excess(an.power_logs(POWER_STEPS, ~(upper < floor - _RECURSION_SLACK)), log_bound)
+    worst = _worst_excess(logs, log_bound)
     if worst > np.log(np.finfo(float).max):  # the ratio itself overflows
         raise InconsistencyError(f"growth bound violated: log ratio {worst:.2f}")
     ratio = float(np.exp(worst)) if np.isfinite(worst) else 0.0

@@ -73,7 +73,7 @@ def test_criterion_03_growth_bound():
 
 
 def test_criterion_04_scalar_sequence():
-    r = suite_scalar(100, SEED, n_max=100_000)
+    r = suite_scalar(100, SEED)
     ok, d = _all_pass(r)
     _report(4, "scalar nonconvergence probe", ok, d)
 

@@ -20,7 +20,7 @@ from aolab.cli import (
     broken_implication,
     main,
 )
-from aolab.config import TOL_CONV, default_seed
+from aolab.config import TOL_CONV
 from aolab.criteria import POWER_STEPS
 from aolab.generators import (
     canonical_oblique,
@@ -649,20 +649,28 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "growth-bound: 5/5 PASS" in out
 
-    def test_horizon_below_window_gives_both(self, capsys):
-        assert main(["verify", "--suite", "scalar", "--trials", "1", "--nmax", "1"]) == EXIT_INPUT
-        assert capsys.readouterr() == ("", "error: require n_max > 4 * WINDOW = 200, got n_max 1\n")
+    def test_help_lists_no_horizon(self, capsys):
+        # Every suite runs at its own horizon; verify reads the seed and
+        # the trial count.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == EXIT_OK and "--seed" in out and "--trials" in out and "--nmax" not in out
 
 
 class TestUsage:
     # argparse exits 2 on a usage error, the code of an internal
-    # inconsistency; the CLI's parsers exit 1, an input error.
-    @pytest.mark.parametrize("flag", ["--window=40", "--tol-conv=1e-5"])
-    @pytest.mark.parametrize("command", [["analyze", "--input", "f.json"], ["verify", "--suite", "scalar"]],
-                             ids=["analyze", "verify"])
+    # inconsistency; the CLI's parsers exit 1, an input error.  Nor does
+    # verify take a horizon: its suites run at their own.
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, f) for f in ("--window=40", "--tol-conv=1e-5") for c in ("analyze", "verify")] + [("verify", "--nmax=1")],
+        ids=str,
+    )
     def test_window_rule_is_not_a_flag(self, command, flag, capsys):
+        argv = {"analyze": ["analyze", "--input", "f.json"], "verify": ["verify", "--suite", "scalar"]}[command]
         with pytest.raises(SystemExit) as exc:
-            main([*command, flag])
+            main([*argv, flag])
         assert exc.value.code == EXIT_INPUT
         assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag}\n")
 
@@ -680,34 +688,47 @@ class TestUsage:
 
 
 class TestSeedEnv:
-    def test_aolab_seed_env(self, monkeypatch):
-        monkeypatch.setenv("AOLAB_SEED", "12345")
-        assert default_seed() == 12345
-        monkeypatch.delenv("AOLAB_SEED")
-        assert default_seed() == 0
-
-    def test_bad_env_seed_needs_no_seed_flag(self, monkeypatch, capsys):
-        monkeypatch.setenv("AOLAB_SEED", "abc")
-        assert main(["verify", "--suite", "scalar", "--trials", "1", "--seed", "5"]) == EXIT_OK
-        capsys.readouterr()
-        assert main(["verify", "--suite", "scalar", "--trials", "1"]) == EXIT_INPUT
-        assert capsys.readouterr().err == "error: AOLAB_SEED must be an integer, got 'abc'\n"
-
     def test_bad_env_seed_leaves_library_calls(self, monkeypatch):
-        # Only the CLI reads AOLAB_SEED; RunConfig's seed defaults to 0.
+        # Nothing reads AOLAB_SEED; RunConfig's seed defaults to 0.
         monkeypatch.setenv("AOLAB_SEED", "abc")
         assert aolab.growth_bound([[0.5]]).spectral_radius == 0.5
         assert aolab.theorem_check([[1.0]]).unitary
 
-    def test_env_seed_changes_generate(self, monkeypatch, capsys):
-        args = ["generate", "--kind", "normaloid", "--dim", "4"]
-        monkeypatch.setenv("AOLAB_SEED", "1")
-        main(args)
-        one = capsys.readouterr().out
-        monkeypatch.setenv("AOLAB_SEED", "2")
-        main(args)
-        two = capsys.readouterr().out
-        assert one != two
+    def test_env_seed_changes_no_bytes(self, monkeypatch, tmp_path, capsys):
+        # The seed comes from --seed alone, default 0: generate and analyze
+        # print the same bytes with AOLAB_SEED set as without it.
+        inp = _write_matrix(tmp_path / "m.json", canonical_oblique())
+        runs = [["generate", "--kind", "normaloid", "--dim", "4"], ["analyze", "--input", inp]]
+        plain = []
+        for args in runs:
+            assert main(args) == EXIT_OK
+            plain.append(capsys.readouterr())
+        for env in ("7", "abc"):
+            monkeypatch.setenv("AOLAB_SEED", env)
+            for args, want in zip(runs, plain):
+                assert main(args) == EXIT_OK
+                assert capsys.readouterr() == want
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("command, seed", [
+        (["verify", "--suite", "theorem", "--trials", "1"], "-1"),
+        (["verify", "--suite", "scalar", "--trials", "1"], "-5"),
+        (["analyze", "--input"], "-1"),
+    ], ids=["verify-theorem", "verify-scalar", "analyze"])
+    def test_is_an_input_error(self, command, seed, tmp_path, capsys):
+        # numpy's generators take no negative seed: analyze died in a
+        # traceback, verify's theorem suite in numpy's message, and its
+        # scalar suite ran the stream of seed + 5 = 0.
+        if command[0] == "analyze":
+            command = [*command, _write_matrix(tmp_path / "m.json", canonical_oblique())]
+        assert main([*command, "--seed", seed]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: require seed >= 0, got seed {seed}\n")
+
+    def test_generate_refuses_it(self, capsys):
+        assert main(["generate", "--kind", "normaloid", "--dim", "4", "--seed", "-1"]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
 
 class TestJsonDeterminism:

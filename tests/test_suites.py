@@ -15,6 +15,7 @@ from aolab.config import RunConfig
 from aolab.criteria import STACK_ENTRIES, scalar_re_sequence
 from aolab.errors import InconsistencyError
 from aolab.generators import SQRT2
+from aolab.stability import NormaloidReport
 
 
 def _raise_boom(*args, **kwargs):
@@ -40,11 +41,27 @@ def test_detail_follows_the_label(monkeypatch):
     assert float(ratio.group(1)) > 1 and res.failures[1].startswith("trial1: valid_from 1, level ")
 
 
+def _contradict_normaloid(monkeypatch):
+    # Each report is consistent with itself (its three verdicts agree) but
+    # contradicts the planted answer.
+    real = suites.normaloid_equivalence
+    monkeypatch.setattr(suites, "normaloid_equivalence",
+                        lambda A, config: NormaloidReport(*(not v for v in real(A, config))))
+
+
 def test_empty_detail_is_a_bare_label(monkeypatch):
-    report = SimpleNamespace(all_agree=lambda: False)
-    monkeypatch.setattr(suites, "normaloid_equivalence", lambda A, config: report)
+    _contradict_normaloid(monkeypatch)
     res = suites.suite_normaloid(1, 0)
     assert res.failures == ["trial0"]
+
+
+def test_normaloid_reads_the_planted_answer(monkeypatch):
+    # Six trials: three normal, then non-normal at target norms 1.0, 0.7
+    # and 3.0.  Agreement alone does not pass a trial.
+    assert suites.suite_normaloid(6, 0).ok
+    _contradict_normaloid(monkeypatch)
+    res = suites.suite_normaloid(6, 0)
+    assert (res.passed, res.total) == (0, 6)
 
 
 def test_jadro_records_an_error(monkeypatch):
