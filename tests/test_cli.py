@@ -649,14 +649,6 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "growth-bound: 5/5 PASS" in out
 
-    def test_help_lists_no_horizon(self, capsys):
-        # Every suite runs at its own horizon; verify reads the seed and
-        # the trial count.
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--help"])
-        out = capsys.readouterr().out
-        assert exc.value.code == EXIT_OK and "--seed" in out and "--trials" in out and "--nmax" not in out
-
 
 class TestUsage:
     # argparse exits 2 on a usage error, the code of an internal
