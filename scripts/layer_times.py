@@ -18,9 +18,11 @@ eigenvalues:
   loop alone;
 - ``floor_ms``: the same 2000 products in blocks of the engine's length,
   through the engine's own stepper (``criteria._stepper``) on the
-  engine's own operand (the real form of A on [Re H; Im H], or the complex
-  A on H on a tree whose ``criteria._prescaled`` returns it), with no norms
-  and no rescales, the floor the engine's bookkeeping sits on;
+  engine's own operand, read off what the tree's ``criteria._prescaled``
+  returns: the rows [Re H^T | Im H^T] where it is the transposed real form
+  of A, [Re H; Im H] where it is the real form, or H where it is the
+  complex A; with no norms and no rescales, the floor the engine's
+  bookkeeping sits on;
 - ``minpoly_ms``: ``minimal_polynomial`` of the unitary given its norm, as
   an ``Analysis`` calls it; ``decompose_ms``: ``decompose`` of the unitary
   on that minimal polynomial; ``frobenius_ms``: ``frobenius_log_norms`` of
@@ -248,8 +250,12 @@ def _rows(t, src, inputs, tmp: Path) -> dict:
         H = np.column_stack([v for _, v in c.probe_set(d, copy.deepcopy(rng))])
         argv = ["analyze", "--input", str(tmp / f"d{d}.json"), "--out", str(tmp / f"d{d}.out.json"), "--seed", "1"]
         k = c._block_steps(d, H.shape[1])
-        R = c._prescaled(A)[0]  # a real form on a tree whose engine steps one
-        start = np.concatenate((H.real, H.imag)) if R.dtype.kind == "f" else H.astype(complex)
+        R, e = c._prescaled(A)
+        start = H.astype(complex)
+        if R.dtype.kind == "f":
+            start = np.concatenate((H.real, H.imag))
+            if np.array_equal(R, np.ldexp(np.block([[A.real, -A.imag], [A.imag, A.real]]), -e).T):
+                start = np.ascontiguousarray(start.T)
         stack = np.empty((min(k, STEPS), *start.shape), dtype=start.dtype)
         jordan = warmed(J)
         jordan.power_logs(10)

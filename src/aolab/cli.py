@@ -81,7 +81,7 @@ def cmd_analyze(args) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError holds JSONDecodeError and UnicodeDecodeError
         print(f"error: malformed JSON in {args.input}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:

@@ -54,7 +54,7 @@ CIRCLE_TOL = 1e-8
 ZERO_RADIUS = 1e-12
 
 # A block stack (``_blocks``) holds at most this many complex entries, as 2^15
-# reals (256 KiB): k steps of the orbit engine's d x P batch, or k powers.
+# reals (256 KiB): k steps of the orbit engine's P probes as rows, or k powers.
 STACK_ENTRIES = 2**14
 
 # A block of k plain steps grows a prescaled unit vector or power by at most
@@ -184,15 +184,15 @@ def _exponent(A: np.ndarray) -> int:
 
 
 def _prescaled(A: np.ndarray):
-    """(R, e): A 2^-e as its real form R = [[Re, -Im], [Im, Re]], 2d x 2d,
-    which maps [Re v; Im v] to [Re; Im] of A 2^-e v, with e = ``_exponent``
-    of A, so that ||A 2^-e v|| < d ||v||."""
+    """(R, e): A 2^-e as its transposed real form R = [[Re A^T, Im A^T],
+    [-Im A^T, Re A^T]], which maps the row [Re v, Im v] to [Re, Im] of
+    A 2^-e v, with e = ``_exponent`` of A, so that ||A 2^-e v|| < d ||v||."""
     e = _exponent(A)
     d = len(A)
     R = np.empty((2 * d, 2 * d))
-    R[:d, :d] = R[d:, d:] = np.real(A)
-    R[d:, :d] = np.imag(A)
-    R[:d, d:] = -R[d:, :d]
+    R[:d, :d] = R[d:, d:] = np.real(A).T
+    R[:d, d:] = np.imag(A).T
+    R[d:, :d] = -R[:d, d:]
     return np.ldexp(R, -e, out=R), e
 
 
@@ -207,8 +207,9 @@ def _block_steps(d: int, width: int) -> int:
 
 def _block_norms(W: np.ndarray, live, limit: int):
     """(norms, limit) for a real block W of k steps in norm groups, shape
-    (k, m, g), m >= 2: the 2-norms of its groups at the steps the block
-    keeps, shape (kept, g), and the length of later blocks.
+    (k, g, m), m >= 2, each group a contiguous run of m entries: the 2-norms
+    of its groups at the steps the block keeps, shape (kept, g), and the
+    length of later blocks.
 
     The block ends before the first step after its first where a live
     group's norm is below TINY_NORM or exactly 0, so that the next block
@@ -220,8 +221,8 @@ def _block_norms(W: np.ndarray, live, limit: int):
     taken with ``hypot``.
     """
     if limit == 1:
-        return np.hypot.reduce(W, axis=1), limit
-    sq = np.einsum("kmp,kmp->kp", W, W)
+        return np.hypot.reduce(W, axis=2), limit
+    sq = np.einsum("kpm,kpm->kp", W, W)
     norms = np.sqrt(sq, out=sq)
     if norms.min() >= TINY_NORM:
         return norms, limit
@@ -232,7 +233,7 @@ def _block_norms(W: np.ndarray, live, limit: int):
     kept = int(hit[0])
     if kept == 0:
         kept = 1
-        norms = np.hypot.reduce(W[:1], axis=1)
+        norms = np.hypot.reduce(W[:1], axis=2)
         offending = norms[0, tiny[0]]
     else:
         offending = norms[kept, tiny[kept]]
@@ -243,15 +244,15 @@ def _block_norms(W: np.ndarray, live, limit: int):
 
 
 def _stepper(R: np.ndarray, stack: np.ndarray):
-    """propagate(start, k), which fills stack[j] = R^(j+1) start for j < k:
-    one dgemm per step into step views made once, by ``R.dot`` (``np.dot``
-    without its dispatch wrapper), R a real form and at least 2 x 2."""
-    product = R.dot
+    """propagate(start, k), which fills stack[j] = start R^(j+1) for j < k,
+    start rows and R a transposed real form at least 2 x 2: one dgemm per
+    step into step views made once, by ``ndarray.dot`` (no dispatch wrapper)."""
+    product = np.ndarray.dot
     steps = list(stack)
 
     def propagate(start: np.ndarray, k: int) -> None:
         for step in steps[:k]:
-            start = product(start, out=step)
+            start = product(start, R, out=step)
 
     return propagate
 
@@ -260,24 +261,25 @@ def _blocks(A: np.ndarray, V: np.ndarray, shed: np.ndarray, n_max: int):
     """The one block loop of the orbit engine and the power loop: yields
     (n, W, norms, exps) per block of k = len(norms) steps, with
     A^(n+1+i) V0 = 2^exps[i] W[i] for i < k and the start V0 = 2^shed V,
-    each complex d x P matrix held as its real form [Re; Im], (2d, P).
+    each of the P vectors v of a complex d x P matrix held as the row
+    [Re v, Im v], so that V is (P, 2d) and C-contiguous.
 
-    A is prescaled by 2^-e and stepped as its real form (``_prescaled``);
-    V advances by one real product per step into a preallocated stack
-    (``_block_steps``, ``_stepper``).  shed holds one binary exponent, with
-    its own 2-norm, per column of V (the engine) or a single one for the
-    whole of V (the power loop).  A block is cut before a live group's norm
-    falls below TINY_NORM (``_block_norms``).  Before the block is yielded,
-    V is carried from its last step by one ``ldexp``, which broadcasts 2^-m
-    per group (m the exponent of the group's last norm) and is exact, so W
-    may be overwritten; A^n V0 = 2^shed V at each block's start n.  Blocks
-    do not depend on n_max: a shorter horizon yields a prefix of a longer
-    one."""
+    A is prescaled by 2^-e and stepped as its transposed real form
+    (``_prescaled``): V advances as V R by one real product per step into a
+    preallocated stack (``_block_steps`` of the row count, ``_stepper``).
+    shed holds one binary exponent, with its own 2-norm, per row of V (the
+    engine) or a single one for the whole of V (the power loop).  A block
+    is cut before a live group's norm falls below TINY_NORM
+    (``_block_norms``).  Before the block is yielded, V is carried from its
+    last step by one ``ldexp``, which broadcasts 2^-m down each group (m
+    the exponent of the group's last norm) and is exact, so W may be
+    overwritten; A^n V0 = 2^shed V at each block's start n.  Blocks do not
+    depend on n_max: a shorter horizon yields a prefix of a longer one."""
     R, e = _prescaled(A)
     g = shed.size
-    limit = _block_steps(len(A), V.shape[1])
+    limit = _block_steps(len(A), V.shape[0])
     stack = np.empty((min(limit, n_max), *V.shape))
-    groups = stack.reshape(len(stack), V.size // g, g)
+    groups = stack.reshape(len(stack), g, V.size // g)
     ek = e * np.arange(1, len(stack) + 1)[:, np.newaxis]  # e j at a block's step j; shed holds e n
     live = np.ones(g, dtype=bool)
     propagate = _stepper(R, stack)
@@ -289,7 +291,7 @@ def _blocks(A: np.ndarray, V: np.ndarray, shed: np.ndarray, n_max: int):
         kept = norms.shape[0]
         exps = shed + ek[:kept]
         m = np.frexp(norms[-1])[1]
-        np.ldexp(stack[kept - 1], -m, out=V)
+        np.ldexp(stack[kept - 1], -m[:, np.newaxis], out=V)
         shed += m + e * kept
         live = norms[-1] > 0
         yield n, stack, norms, exps
@@ -298,10 +300,10 @@ def _blocks(A: np.ndarray, V: np.ndarray, shed: np.ndarray, n_max: int):
 
 def orbit_log_norms_batch(A: np.ndarray, H: np.ndarray, n_max: int) -> np.ndarray:
     """log ||A^n h|| for every column h of H, n = 0..n_max: the orbit engine,
-    all columns advancing together through ``_blocks``.  A column that
-    reaches exactly zero reads -inf from then on.  ``classify_orbits`` reads
-    every row, in log space; ``orbit_norms_batch`` cuts the whole batch at
-    an overflow.
+    all columns advancing together, each at unit scale, as the rows
+    [Re h, Im h] of ``_blocks``.  A column that reaches exactly zero reads
+    -inf from then on.  ``classify_orbits`` reads every row, in log space;
+    ``orbit_norms_batch`` cuts the whole batch at an overflow.
     """
     s = _column_norms(H)
     if not np.all(s > 0):
@@ -309,7 +311,7 @@ def orbit_log_norms_batch(A: np.ndarray, H: np.ndarray, n_max: int) -> np.ndarra
     out = np.empty((n_max + 1, s.size))
     np.log(s, out=out[0])
     shed = np.frexp(s)[1].astype(np.int64)  # each column starts at unit scale
-    V = np.ldexp(np.concatenate((np.real(H), np.imag(H))), -shed, order="C", dtype=float)
+    V = np.ldexp(np.concatenate((np.real(H), np.imag(H))).T, -shed[:, np.newaxis], order="C", dtype=float)
     with np.errstate(divide="ignore"):  # log(0) = -inf records a dead column
         for n, _, norms, exps in _blocks(A, V, shed, n_max):
             rows = out[n + 1 : n + norms.shape[0] + 1]
@@ -345,16 +347,17 @@ def power_log_norms(A: np.ndarray, n_max: int, solve=None) -> np.ndarray:
     solved, each bit for bit as in any longer trajectory, and the others
     read nan.
 
-    The powers W are the blocks of ``_blocks`` from I, with one exponent
-    for the whole matrix, each as X = [Re W; Im W].  Each solved one is
-    scaled by an exact power of two to Frobenius norm in [1/2, 1); its
-    spectral norm is half the log of the top eigenvalue (one batched
-    ``eigvalsh`` per block) of W^H W = X^T X + i (T - T^T), T = (Re W)^T Im W.
+    The powers W are the blocks of ``_blocks`` from [I | 0], with one
+    exponent for the whole matrix, each as the rows X = [Re W^T | Im W^T].
+    Each solved one is scaled by an exact power of two to Frobenius norm in
+    [1/2, 1); its spectral norm is half the log of the top eigenvalue (one
+    batched ``eigvalsh`` per block) of W^H W = X X^T + i (T - T^T), with
+    T = X[:, :d] X[:, d:]^T = (Re W)^T Im W.
     """
     A = as_matrix(A)
     d = A.shape[0]
     out = np.full(n_max, -np.inf)
-    for n, X, fro, exps in _blocks(A, np.eye(2 * d, d), np.zeros(1, dtype=np.int64), n_max):
+    for n, X, fro, exps in _blocks(A, np.eye(d, 2 * d), np.zeros(1, dtype=np.int64), n_max):
         if fro[-1, 0] == 0.0:
             break
         sel = slice(fro.shape[0]) if solve is None else np.flatnonzero(solve[n : n + fro.shape[0]])
@@ -364,8 +367,8 @@ def power_log_norms(A: np.ndarray, n_max: int, solve=None) -> np.ndarray:
         X = X[sel]
         np.ldexp(X, -m[:, np.newaxis, np.newaxis], out=X)
         G = np.empty((m.size, d, d), dtype=complex)
-        G.real = np.matmul(X.mT, X)
-        T = np.matmul(X[:, :d].mT, X[:, d:])
+        G.real = np.matmul(X, X.mT)
+        T = np.matmul(X[..., :d], X[..., d:].mT)
         np.subtract(T, T.mT, out=G.imag)
         out[n:][sel] = 0.5 * np.log(np.linalg.eigvalsh(G)[:, -1]) + (exps[sel, 0] + m) * _LN2
     if solve is not None:

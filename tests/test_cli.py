@@ -123,6 +123,16 @@ class TestAnalyze:
         p.write_text("{not json")
         assert main(["analyze", "--input", str(p)]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("data", [b"\xff[[1, 0]]", b"[" * 100_000], ids=["not-utf-8", "nested-100000"])
+    def test_unreadable_json(self, tmp_path, capsys, data):
+        # Bytes that are not UTF-8, and nesting deeper than the parser
+        # recurses: one error line naming the file, and nothing on stdout.
+        p = tmp_path / "bad.json"
+        p.write_bytes(data)
+        assert main(["analyze", "--input", str(p)]) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: malformed JSON in {p}: ") and err.count("\n") == 1
+
     def test_bad_matrix_object(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text('{"dim": 2, "entries": [[1, 0]]}')

@@ -1,8 +1,9 @@
 """The orbit engine and the power loop against a frozen reference copy of
 their block loops: the same block schedule and the same bits.
 
-The reference steps the real form [[Re A, -Im A], [Im A, Re A]] of the
-prescaled matrix on [Re V; Im V] with ``matmul``, takes the norms of a
+The reference holds each vector v of a batch as the row [Re v, Im v],
+steps the rows by the transposed real form [[Re A^T, Im A^T], [-Im A^T,
+Re A^T]] of the prescaled matrix with ``matmul``, takes the norms of a
 block with one sum of squares per group, rescales with ``ldexp`` and forms
 each power's Gram matrix from the real and imaginary halves; the package's
 loops cut that bookkeeping down, and every log-norm they return must keep
@@ -35,7 +36,8 @@ def _prescaled(A):
     e = math.frexp(float(np.abs(A).max()))[1]
     B = np.array(A, dtype=complex, order="C")
     np.ldexp(B.view(float), -e, out=B.view(float))
-    return np.block([[B.real, -B.imag], [B.imag, B.real]]), e
+    # C-contiguous, as the package holds it: BLAS takes another kernel for an F-ordered operand.
+    return np.ascontiguousarray(np.block([[B.real.T, B.imag.T], [-B.imag.T, B.real.T]])), e
 
 
 def _block_steps(d, width):
@@ -47,8 +49,8 @@ def _block_steps(d, width):
 
 def _block_norms(W, live, limit):
     if limit == 1:
-        return np.hypot.reduce(np.abs(W), axis=1), limit
-    sq = np.einsum("kmp,kmp->kp", W, W)
+        return np.hypot.reduce(np.abs(W), axis=2), limit
+    sq = np.einsum("kpm,kpm->kp", W, W)
     norms = np.sqrt(sq, out=sq)
     tiny = (norms < TINY_NORM) & live
     hit = np.flatnonzero(tiny.any(axis=1))
@@ -57,7 +59,7 @@ def _block_norms(W, live, limit):
     kept = int(hit[0])
     if kept == 0:
         kept = 1
-        norms = np.hypot.reduce(np.abs(W[:1]), axis=1)
+        norms = np.hypot.reduce(np.abs(W[:1]), axis=2)
         offending = norms[0, tiny[0]]
     else:
         offending = norms[kept, tiny[kept]]
@@ -70,7 +72,7 @@ def _block_norms(W, live, limit):
 def _propagate(A, start, W):
     prev = start
     for step in W:
-        np.matmul(A, prev, out=step)
+        np.matmul(prev, A, out=step)
         prev = step
 
 
@@ -82,10 +84,10 @@ def reference_orbit_log_norms(A, H, n_max):
     out = np.empty((n_max + 1, P))
     np.log(s, out=out[0])
     limit = _block_steps(d, P)
-    stack = np.empty((min(limit, n_max), 2 * d, P))
-    V = np.vstack([H.real, H.imag])
+    stack = np.empty((min(limit, n_max), P, 2 * d))
+    V = np.hstack([H.real.T, H.imag.T])
     shed = np.frexp(s)[1].astype(np.int64)
-    np.ldexp(V, -shed, out=V)
+    np.ldexp(V, -shed[:, np.newaxis], out=V)
     ne = e * np.arange(n_max + 1)[:, np.newaxis]
     live = np.ones(P, dtype=bool)
     n = 0
@@ -99,7 +101,7 @@ def reference_orbit_log_norms(A, H, n_max):
             np.log(norms, out=rows)
             rows += (shed + ne[n + 1 : n + kept + 1]) * np.log(2.0)
             m = np.frexp(norms[-1])[1]
-            np.ldexp(stack[kept - 1], -m, out=V)
+            np.ldexp(stack[kept - 1], -m[:, np.newaxis], out=V)
             shed += m
             live = norms[-1] > 0
             n += kept
@@ -111,14 +113,14 @@ def reference_power_log_norms(A, n_max):
     A, e = _prescaled(np.asarray(A))
     out = np.full(n_max, -np.inf)
     limit = _block_steps(d, d)
-    stack = np.empty((min(limit, n_max), 2 * d, d))
-    M = np.eye(2 * d, d)
+    stack = np.empty((min(limit, n_max), d, 2 * d))
+    M = np.eye(d, 2 * d)
     shed = 0
     n = 0
     while n < n_max:
         W = stack[: min(limit, n_max - n)]
         _propagate(A, M, W)
-        fro, limit = _block_norms(W.reshape(W.shape[0], 2 * d * d, 1), True, limit)
+        fro, limit = _block_norms(W.reshape(W.shape[0], 1, 2 * d * d), True, limit)
         fro = fro[:, 0]
         if fro[-1] == 0.0:
             break
@@ -127,8 +129,8 @@ def reference_power_log_norms(A, n_max):
         np.ldexp(W, -m[:, np.newaxis, np.newaxis], out=W)
         np.copyto(M, W[-1])
         p = shed + m + e * np.arange(n + 1, n + fro.size + 1)
-        T = np.matmul(W[:, :d].mT, W[:, d:])
-        G = np.matmul(W.mT, W) + 1j * (T - T.mT)
+        T = np.matmul(W[..., :d], W[..., d:].mT)
+        G = np.matmul(W, W.mT) + 1j * (T - T.mT)
         logs = np.log(np.linalg.eigvalsh(G)[:, -1])
         logs *= 0.5
         logs += p * np.log(2.0)
@@ -224,10 +226,17 @@ def test_powers_stop_at_the_first_zero(monkeypatch):
 def test_large_shapes(family, dim, seed):
     # Shorter horizons: the blocks of a shorter run are a prefix of a
     # longer run's, and they hold 3 to 9 steps or 4 to 16 powers here.
+    # The batch is stepped at the width of the random probes and at one
+    # more, as an oblique analyze steps them with its overlap witness (a
+    # sum of two unit vectors): 51-step blocks against 64 at d64, and
+    # another BLAS kernel.
     rng = np.random.default_rng([dim, seed, len(family)])
     A = _shape_matrix(family, dim, rng)
     H = np.column_stack([v for _, v in probe_set(dim, rng)])
     _check(A, H, 400, 100)
+    H = np.column_stack([H, H[:, 0] + H[:, 1]])
+    assert H.shape[1] == criteria.RANDOM_PROBES + 1
+    assert _same_bits(orbit_log_norms_batch(A, H, 400), reference_orbit_log_norms(A, H, 400))
 
 
 @pytest.mark.parametrize("dim", [1, 3, 5, 7])

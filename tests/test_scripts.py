@@ -227,7 +227,7 @@ def test_layer_times_rows_read_the_tree_batch(tmp_path, monkeypatch):
     # A tree's engine, floor and Frobenius rows time its own probe batch: a
     # tree with two random probes steps and sums two columns, although the
     # inputs were made with four.  Engine and floor step the same operand,
-    # the real form of the d4 matrix, on the real form of the batch.
+    # the transposed real form of the d4 matrix, on the batch as rows.
     import aolab
     from aolab import cli, criteria, generators, jsonout, suites  # noqa: F401 (the rows read them off aolab)
 
@@ -239,7 +239,7 @@ def test_layer_times_rows_read_the_tree_batch(tmp_path, monkeypatch):
         propagate = stepper(A, stack)
 
         def counted(start, k):
-            widths.append(start.shape[1])
+            widths.append(start.shape[0])
             operands.add((A.shape, A.dtype.kind, start.shape, start.dtype.kind))
             propagate(start, k)
 
@@ -258,7 +258,7 @@ def test_layer_times_rows_read_the_tree_batch(tmp_path, monkeypatch):
     for key in ("engine_ms", "floor_ms", "frobenius_ms"):
         assert rows[key]["4"]() > 0
     assert widths and set(widths) == {2}
-    assert operands == {((8, 8), "f", (8, 2), "f")}
+    assert operands == {((8, 8), "f", (2, 8), "f")}
 
 
 def test_layer_times_reference(tmp_path, monkeypatch, capsys):
